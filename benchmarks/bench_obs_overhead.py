@@ -30,7 +30,7 @@ BUDGET = 0.05  # enabled-but-no-sink may cost at most 5 % over baseline
 VARIANTS = {
     "disabled (obs=None)": "disabled",
     "no-sink (ObsBus, 0 subscribers)": "no-sink",
-    "full session (collector + metrics)": "session",
+    "full session (columnar arenas)": "session",
 }
 
 

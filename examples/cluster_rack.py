@@ -33,7 +33,8 @@ def main() -> int:
     parser.add_argument(
         "--obs-out",
         metavar="DIR",
-        help="write events.jsonl / metrics.prom / trace.perfetto.json to DIR",
+        help="write the obs artifacts (events.jsonl, metrics.prom, "
+        "trace.perfetto.json, events.col.json, pipeline.{json,prom}) to DIR",
     )
     args = parser.parse_args()
 

@@ -173,7 +173,7 @@ def _obs_no_sink() -> object:
     "obs.session",
     "obs",
     ops=200,
-    description="figure5, 200 simulated ms, full ObsSession (collector + metrics)",
+    description="figure5, 200 simulated ms, full ObsSession (columnar arenas)",
 )
 def _obs_session() -> object:
     return workloads.run_figure5(obs="session", ms=200, seed=11)
@@ -183,24 +183,11 @@ def _obs_session() -> object:
     "obs.pipeline_overhead",
     "obs",
     ops=30,
-    description="30k hot-site events emitted into the columnar arena bus "
-    "(PipelineObsSession) — the per-event cost the ≤ 0.5x-of-eager gate "
-    "in benchmarks/bench_pipeline_overhead.py compares against obs.session",
+    description="30k hot-site events emitted into an ObsSession's columnar "
+    "arena bus — the recorder's per-event cost",
 )
 def _obs_pipeline_overhead() -> object:
-    return workloads.run_obs_emit(obs="pipeline", events=30000)
-
-
-@register(
-    "obs.emit_eager",
-    "obs",
-    ops=30,
-    description="the same 30k hot-site events through the eager ObsSession "
-    "bus (object per event + collector/metrics fan-out) — the baseline "
-    "for obs.pipeline_overhead",
-)
-def _obs_emit_eager() -> object:
-    return workloads.run_obs_emit(obs="session", events=30000)
+    return workloads.run_obs_emit(events=30000)
 
 
 @register(

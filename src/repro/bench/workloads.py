@@ -124,15 +124,14 @@ def run_settop(ms: float = 400, seed: int = 53):
 def run_figure5(
     obs: str = "disabled", ms: float = 400, seed: int = 11, prof: bool = False
 ):
-    """The Figure 5 load-shedding staircase under one of four
+    """The Figure 5 load-shedding staircase under one of three
     instrumentation configurations: ``disabled`` (obs=None), ``no-sink``
-    (an ObsBus with zero subscribers), ``session`` (a full ObsSession:
-    collector + metrics), or ``pipeline`` (a PipelineObsSession: the
-    columnar arenas).  ``prof=True`` additionally wires a
+    (an ObsBus with zero subscribers), or ``session`` (a full
+    ObsSession recording into its arenas).  ``prof=True`` additionally
+    wires a
     :class:`~repro.obs.prof.phases.PhaseProfiler` into every hook
     slot, for the profiler-overhead bench."""
     from repro.obs.events import ObsBus
-    from repro.obs.pipeline import PipelineObsSession
     from repro.obs.session import ObsSession
     from repro.scenarios import figure5
 
@@ -140,7 +139,6 @@ def run_figure5(
         "disabled": lambda: None,
         "no-sink": ObsBus,
         "session": ObsSession,
-        "pipeline": PipelineObsSession,
     }[obs]()
     scenario = figure5(seed=seed, obs=bus)
     if prof:
@@ -150,19 +148,15 @@ def run_figure5(
     return scenario.run_for(units.ms_to_ticks(ms))
 
 
-def run_obs_emit(obs: str = "session", events: int = 30000):
+def run_obs_emit(events: int = 30000):
     """Per-event emission cost, isolated from scenario control flow.
 
     Drives the kernel's exact hot-site mix (switch-heavy, with
-    period closes and activations sprinkled in) straight into a full
-    eager :class:`~repro.obs.session.ObsSession` bus or a columnar
-    :class:`~repro.obs.pipeline.PipelineObsSession` arena bus — the
-    denominator and numerator of the pipeline's ≤ 0.5x per-event
-    claim (gated by ``benchmarks/bench_pipeline_overhead.py``)."""
-    from repro.obs.pipeline import PipelineObsSession
+    period closes and activations sprinkled in) straight into an
+    :class:`~repro.obs.session.ObsSession`'s arena bus."""
     from repro.obs.session import ObsSession
 
-    session = {"session": ObsSession, "pipeline": PipelineObsSession}[obs]()
+    session = ObsSession()
     bus = session.bus
     for i in range(events):
         slot = i % 16

@@ -284,17 +284,9 @@ def cmd_cluster(args) -> int:
 
     session = None
     if args.obs_out:
-        if args.obs_pipeline:
-            from repro.obs.pipeline import PipelineObsSession
+        from repro.obs import ObsSession
 
-            session = PipelineObsSession()
-        else:
-            from repro.obs import ObsSession
-
-            session = ObsSession()
-    elif args.obs_pipeline:
-        print("--obs-pipeline needs --obs-out (the arenas feed its artifacts)")
-        return 2
+        session = ObsSession()
     if args.telemetry and session is None:
         print("--telemetry needs --obs-out (snapshots come from its registry)")
         return 2
@@ -309,7 +301,7 @@ def cmd_cluster(args) -> int:
         sanitize=True,
         obs=session,
         telemetry=args.telemetry,
-        obs_pipeline=args.obs_pipeline,
+        obs_pipeline=session is not None,
         max_chunk_events=args.max_chunk_events,
     )
     prof = _attach_prof(args, sim)
@@ -321,8 +313,7 @@ def cmd_cluster(args) -> int:
         print(cluster_report(sim), end="")
     if session is not None:
         _write_obs(session, args.obs_out, sim.now)
-        if sim.pipeline is not None:
-            print(sim.pipeline.summary())
+        print(sim.pipeline.summary())
     return 0 if sim.all_sanitizers_ok else 1
 
 
@@ -331,12 +322,7 @@ def cmd_run(args) -> int:
     from repro import scenarios
     from repro.obs import ObsSession
 
-    if args.obs_pipeline:
-        from repro.obs.pipeline import PipelineObsSession
-
-        session = PipelineObsSession()
-    else:
-        session = ObsSession()
+    session = ObsSession()
     if args.scenario == "cluster_rack":
         # The cluster scenario has its own driver loop (and ships
         # per-node telemetry to the broker when observed).
@@ -346,7 +332,7 @@ def cmd_run(args) -> int:
             sanitize=True,
             obs=session,
             telemetry=True,
-            obs_pipeline=args.obs_pipeline,
+            obs_pipeline=bool(args.obs_out),
         )
         prof = _attach_prof(args, sim)
         sim.run_until(sim.horizon)
@@ -354,8 +340,7 @@ def cmd_run(args) -> int:
         print(session.summary())
         if args.obs_out:
             _write_obs(session, args.obs_out, sim.now)
-            if sim.pipeline is not None:
-                print(sim.pipeline.summary())
+            print(sim.pipeline.summary())
         return 0
     builders = {
         "table4": lambda: scenarios.table4_trio(seed=args.seed, obs=session),
@@ -488,7 +473,7 @@ def cmd_obs_query(args) -> int:
     """Filter a recorded event stream; print one line per match."""
     from repro.errors import SimulationError
     from repro.obs.analysis import load_events
-    from repro.obs.pipeline import Query, format_line, select
+    from repro.obs.pipeline.query import Query, format_line, select
 
     try:
         window = _parse_window(args.window) if args.window else None
@@ -523,7 +508,7 @@ def cmd_obs_explain(args) -> int:
 
     from repro.errors import SimulationError
     from repro.obs.analysis import load_events
-    from repro.obs.pipeline import explain_miss
+    from repro.obs.pipeline.explain import explain_miss
 
     loss = None
     target = Path(args.dir)
@@ -620,6 +605,10 @@ def cmd_obs(args) -> int:
     print("  metrics.prom          the metrics registry, Prometheus text format")
     print("  trace.perfetto.json   scheduler segments + cluster span trees +")
     print("                        decision markers, for https://ui.perfetto.dev")
+    print("  events.col.json       the same stream as schema-versioned columns")
+    print("  pipeline.json         loss accounting per node and kind (emitted,")
+    print("                        delivered, dropped, sampled_out, overwritten)")
+    print("  pipeline.prom         the loss accounting as Prometheus counters")
     print("\nAll artifacts are byte-identical across same-seed runs.")
     return 0
 
@@ -727,11 +716,7 @@ def cmd_fuzz_replay(args) -> int:
     from repro.fuzz import replay_corpus, replay_trace
 
     target = Path(args.path)
-    kwargs = {
-        "sanitize": args.sanitize,
-        "obs_out": args.obs_out,
-        "pipeline": args.obs_pipeline,
-    }
+    kwargs = {"sanitize": args.sanitize, "obs_out": args.obs_out}
     results = (
         replay_corpus(target, **kwargs)
         if target.is_dir()
@@ -847,7 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-out",
         metavar="DIR",
         default=None,
-        help="write events.jsonl, metrics.prom, trace.perfetto.json to DIR",
+        help="write the obs artifacts (events.jsonl, metrics.prom, "
+        "trace.perfetto.json, events.col.json, pipeline.{json,prom}) to DIR",
     )
     p.add_argument(
         "--profile",
@@ -855,13 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="profile the run: deterministic phase counts, wall timings, "
         "and a sampled flamegraph land in DIR",
-    )
-    p.add_argument(
-        "--obs-pipeline",
-        action="store_true",
-        help="record through columnar event arenas instead of eager "
-        "event objects (same artifacts plus events.col.json and "
-        "pipeline.{json,prom})",
     )
     p = command("obs", cmd_obs, "telemetry surface: describe / report / check")
     obs_sub = p.add_subparsers(dest="obs_command", metavar="subcommand")
@@ -1060,12 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
         "one subdirectory per trace) for obs report / query / explain",
     )
     p_replay.add_argument(
-        "--obs-pipeline",
-        action="store_true",
-        help="record the replay through columnar arenas (adds "
-        "events.col.json and pipeline.{json,prom})",
-    )
-    p_replay.add_argument(
         "--sanitize",
         choices=["strict", "record", "off"],
         default="strict",
@@ -1204,7 +1177,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-out",
         metavar="DIR",
         default=None,
-        help="write events.jsonl, metrics.prom, trace.perfetto.json to DIR",
+        help="write the obs artifacts (events.jsonl, metrics.prom, "
+        "trace.perfetto.json, events.col.json, pipeline.{json,prom}) to DIR",
     )
     p.add_argument(
         "--profile",
@@ -1220,19 +1194,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and drive AIMD weights from observed load (needs --obs-out)",
     )
     p.add_argument(
-        "--obs-pipeline",
-        action="store_true",
-        help="record through columnar arenas and ship chunks up the "
-        "node -> rack -> root telemetry tree with exact loss "
-        "accounting (needs --obs-out)",
-    )
-    p.add_argument(
         "--max-chunk-events",
         type=int,
         default=None,
         metavar="N",
-        help="head/tail-sample telemetry chunks down to N events "
-        "(sampled-out rows are counted, never silent)",
+        help="head/tail-sample the event chunks an observed run ships "
+        "down to N events (sampled-out rows are counted, never silent)",
     )
     p.add_argument("--nodes", type=int, default=4, help="distributor node count")
     p.add_argument(

@@ -6,8 +6,8 @@ pipeline needs inside a :class:`~repro.cluster.simulation.ClusterSimulation`:
 * a *dedicated* :class:`~repro.sim.messages.MessageBus` (its own rng
   stream, same latency/jitter/drop model as the main bus) so shipping
   chunks share the network's loss characteristics without adding a
-  single RpcEvent or rng draw to the main run — a pipelined run's
-  legacy artifacts stay byte-identical to an eager run's;
+  single RpcEvent or rng draw to the main run — shipping never shows
+  up in the run's own event stream;
 * one :class:`~repro.obs.pipeline.ship.ChunkShipper` per node, flushed
   every epoch, shipping to the node's rack collector (``rack00`` holds
   ``node00..node03`` by default, and so on);
@@ -139,7 +139,7 @@ class PipelineShipping:
         flight (drop decisions were already made at send time, so a
         lossy plane stays lossy) — after this, ``dropped`` in the
         accounting means *genuinely lost*, not merely not-yet-arrived.
-        Idempotent; :meth:`PipelineObsSession.write` calls it.
+        Idempotent; :meth:`repro.obs.session.ObsSession.write` calls it.
         """
         if self._finalized:
             return

@@ -72,8 +72,7 @@ class ClusterSimulation:
         epoch — over the same lossy bus as everything else — and
         switches the broker's AIMD weights to that observed load.
 
-        ``obs_pipeline`` (requires ``obs`` to be a
-        :class:`repro.obs.pipeline.session.PipelineObsSession`) ships
+        ``obs_pipeline`` (requires ``obs``) ships
         each node's event arena every epoch as seq-numbered columnar
         chunks through a node -> rack -> root aggregation tree
         (``rack_size`` nodes per rack collector) over a *dedicated*
@@ -137,7 +136,7 @@ class ClusterSimulation:
             from repro.cluster.telemetry import NodeTelemetry
 
             self.telemetry = {
-                name: NodeTelemetry(name, obs.registry) for name in self.nodes
+                name: NodeTelemetry(name, obs) for name in self.nodes
             }
             if broker_config is None:
                 broker_config = BrokerConfig(telemetry_aimd=True)
@@ -152,11 +151,10 @@ class ClusterSimulation:
         )
         self.pipeline = None
         if obs_pipeline:
-            if obs is None or not hasattr(obs.bus, "arena"):
+            if obs is None:
                 raise SimulationError(
-                    "obs_pipeline=True needs a PipelineObsSession (its "
-                    "ArenaBus holds the per-node arenas the shippers cut "
-                    "chunks from); pass obs=PipelineObsSession()"
+                    "obs_pipeline=True needs an ObsSession (obs=...): the "
+                    "shippers cut chunks from its per-node arenas"
                 )
             from repro.cluster.obs_pipeline import PipelineShipping
 
@@ -345,12 +343,6 @@ class ClusterSimulation:
         for name in sorted(self.nodes):
             report = self.nodes[name].load_report(self._now)
             self.bus.send(name, BROKER, "load-report", report, self._now)
-        if self.telemetry:
-            # The telemetry cutters hold the registry *object*; reading
-            # it through the session property refreshes a pipeline
-            # session's batch-derived metrics in place, so snapshots
-            # match what an eager session's live registry would show.
-            self.obs.registry
         for name in sorted(self.telemetry):
             snapshot = self.telemetry[name].snapshot(self._now)
             self.bus.send(name, BROKER, "telemetry", snapshot, self._now)

@@ -1,10 +1,10 @@
 """Per-node telemetry shipping for the cluster layer.
 
 A cluster run with an :class:`~repro.obs.session.ObsSession` attached
-already accumulates every node's metrics in one shared registry — but
+already derives every node's metrics in one shared registry — but
 the *broker* must not read that registry directly: a real broker only
 knows what arrives over the wire.  :class:`NodeTelemetry` cuts one
-node's slice of the shared registry into a
+node's slice of the session's registry into a
 :class:`~repro.obs.analysis.telemetry.TelemetrySnapshot` and the
 simulation ships it to the broker as an ordinary ``telemetry`` message
 on the :class:`~repro.sim.messages.MessageBus` — subject to the same
@@ -18,25 +18,26 @@ nodes' self-reports.
 from __future__ import annotations
 
 from repro.obs.analysis.telemetry import TelemetrySnapshot, snapshot_registry
-from repro.obs.registry import MetricsRegistry
 
 
 class NodeTelemetry:
-    """Cuts per-node snapshots from a (possibly shared) registry.
+    """Cuts per-node snapshots from the session's shared registry.
 
+    Reading ``session.registry`` catches the metrics up to the event
+    stream first, so a snapshot reflects everything emitted before it.
     ``seq`` increases once per snapshot, so the broker's aggregator can
     discard reordered or duplicated deliveries deterministically.
     """
 
-    def __init__(self, node: str, registry: MetricsRegistry) -> None:
+    def __init__(self, node: str, session) -> None:
         self.node = node
-        self.registry = registry
+        self.session = session
         self.seq = 0
 
     def snapshot(self, now: int) -> TelemetrySnapshot:
         self.seq += 1
         return snapshot_registry(
-            self.registry,
+            self.session.registry,
             self.node,
             now,
             seq=self.seq,

@@ -195,21 +195,10 @@ class ReplayResult:
         return line
 
 
-def _obs_session(pipeline: bool):
-    if pipeline:
-        from repro.obs.pipeline import PipelineObsSession
-
-        return PipelineObsSession()
-    from repro.obs import ObsSession
-
-    return ObsSession()
-
-
 def replay_trace(
     path: str | Path,
     sanitize: str = "strict",
     obs_out: str | Path | None = None,
-    pipeline: bool = False,
 ) -> ReplayResult:
     """Re-run one ``.trace.json`` and compare against its expectation.
 
@@ -219,15 +208,18 @@ def replay_trace(
 
     ``obs_out`` writes the replay's full obs artifacts there — the
     bridge from a committed reproducer to ``obs report`` / ``obs
-    explain`` (``pipeline=True`` records through columnar arenas and
-    adds the columnar + loss-accounting artifacts).  ``sanitize`` is a
+    explain``.  ``sanitize`` is a
     :data:`~repro.fuzz.runner.SANITIZE_MODES` mode; ``record`` lets a
     reproducer run to its horizon so the stream covers the aftermath,
     at the cost of possibly classifying later violations.
     """
     target = Path(path)
     trace = load_trace(target)
-    session = _obs_session(pipeline) if obs_out is not None else None
+    session = None
+    if obs_out is not None:
+        from repro.obs import ObsSession
+
+        session = ObsSession()
     result = run_spec(
         trace.spec, inject=trace.inject, obs=session, sanitize=sanitize
     )
@@ -241,7 +233,6 @@ def replay_corpus(
     corpus_dir: str | Path,
     sanitize: str = "strict",
     obs_out: str | Path | None = None,
-    pipeline: bool = False,
 ) -> list[ReplayResult]:
     """Replay every ``*.trace.json`` under ``corpus_dir``, sorted by name.
 
@@ -254,9 +245,5 @@ def replay_corpus(
         per_trace = None
         if obs_out is not None:
             per_trace = Path(obs_out) / path.name[: -len(".trace.json")]
-        results.append(
-            replay_trace(
-                path, sanitize=sanitize, obs_out=per_trace, pipeline=pipeline
-            )
-        )
+        results.append(replay_trace(path, sanitize=sanitize, obs_out=per_trace))
     return results

@@ -324,7 +324,7 @@ def build_cluster(spec: ScenarioSpec, inject_fn=None, obs=None, sanitize: str = 
         sanitize=sanitize != "off",
         sanitize_strict=sanitize == "strict",
         obs=obs,
-        obs_pipeline=obs is not None and hasattr(getattr(obs, "bus", None), "arena"),
+        obs_pipeline=obs is not None,
     )
     if inject_fn is not None:
         for node in sim.nodes.values():
@@ -387,8 +387,8 @@ def run_spec(
     ``inject`` names a synthetic bug from :mod:`repro.fuzz.inject` to
     arm first — the self-test hook proving the pipeline catches,
     shrinks, and replays real scheduler defects.  ``obs`` attaches an
-    :class:`~repro.obs.session.ObsSession` (or a pipeline session —
-    cluster specs then also ship their arenas), and ``sanitize`` picks
+    :class:`~repro.obs.session.ObsSession` (cluster specs then also
+    ship their arenas), and ``sanitize`` picks
     one of :data:`SANITIZE_MODES`: ``record`` keeps the run going past
     a violation so the full event stream lands in the artifacts.
     """

@@ -1,13 +1,13 @@
 """Columnar event artifact: ``events.col.json`` <-> typed events.
 
-The eager wire format (``events.jsonl``, one JSON object per line)
+The row wire format (``events.jsonl``, one JSON object per line)
 repeats every field name on every record; at cluster scale that is most
 of the file.  This module defines the *columnar* artifact the event
 pipeline writes instead: one parallel list per field per event kind
 (struct-of-arrays), plus a global ``order`` array interleaving the
 kinds back into emission order.  The two formats are informationally
 identical — :func:`decode_columnar` followed by
-:func:`repro.obs.log.events_to_jsonl` reproduces the eager file *byte
+:func:`repro.obs.log.events_to_jsonl` reproduces ``events.jsonl`` *byte
 for byte* (the CI pipeline gate and a hypothesis property both hold
 this line) — so every existing analysis / SLO / report path keeps
 working against either artifact.

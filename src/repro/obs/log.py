@@ -40,21 +40,3 @@ def events_to_jsonl(events: Iterable[ObsEvent]) -> str:
     lines = [event_to_json(event) for event in events]
     return "".join(line + "\n" for line in lines)
 
-
-class EventCollector:
-    """The default sink: append every event to an in-memory list."""
-
-    def __init__(self) -> None:
-        self.events: list[ObsEvent] = []
-
-    def __call__(self, event: ObsEvent) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def of_type(self, type_tag: str) -> list[ObsEvent]:
-        return [e for e in self.events if e.type == type_tag]
-
-    def to_jsonl(self) -> str:
-        return events_to_jsonl(self.events)

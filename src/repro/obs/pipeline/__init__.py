@@ -1,7 +1,7 @@
 """repro.obs.pipeline: columnar arenas, chunk shipping, causal queries.
 
-The scale tier of the obs stack (ROADMAP open items 2 and 4).  Four
-pieces, each importable on its own:
+The storage and transport tier of the obs stack.  Four pieces, each
+importable on its own:
 
 * :mod:`~repro.obs.pipeline.arena` — ring-buffered struct-of-arrays
   event storage (:class:`EventArena`) behind a drop-in bus
@@ -14,16 +14,17 @@ pieces, each importable on its own:
   sampled_out``, per kind, never silent).
 * :mod:`~repro.obs.pipeline.query` / :mod:`~repro.obs.pipeline.explain`
   — offline queries over recorded artifacts, including the causal
-  chain behind a specific deadline miss.
+  chain behind a specific deadline miss.  Import these two by module:
+  they pull in :mod:`repro.obs.analysis`, which every ``import repro``
+  would otherwise pay for through the session.
 
-:class:`~repro.obs.pipeline.session.PipelineObsSession` ties the local
-pieces into an ObsSession-compatible recorder whose legacy artifacts
-stay byte-identical to the eager path.
+:class:`repro.obs.session.ObsSession` records into an
+:class:`ArenaBus` and derives every artifact from it.
 
-Layering: this package sits *above* base ``repro.obs`` and is imported
-by cluster/serve/cli; it must never be imported from ``repro.core`` or
-``repro.sim`` (lint-enforced), and itself only sees abstract
-transports (the cluster layer owns the actual MessageBus plane).
+Layering: ``repro.core`` and ``repro.sim`` emit through the duck-typed
+bus they are handed and must never import this package (lint-enforced);
+the package itself only sees abstract transports (the cluster layer
+owns the actual MessageBus plane).
 """
 
 from repro.obs.pipeline.aggregate import (
@@ -32,9 +33,6 @@ from repro.obs.pipeline.aggregate import (
     check_loss_invariant,
 )
 from repro.obs.pipeline.arena import ArenaBus, EventArena
-from repro.obs.pipeline.explain import causal_chain, explain_miss, find_misses
-from repro.obs.pipeline.query import Query, describe, format_line, select
-from repro.obs.pipeline.session import PipelineObsSession
 from repro.obs.pipeline.ship import (
     OBS_CHUNK,
     OBS_RACK_CHUNK,
@@ -52,16 +50,8 @@ __all__ = [
     "OBS_CHUNK",
     "OBS_RACK_CHUNK",
     "OBS_ROOT",
-    "PipelineObsSession",
-    "Query",
     "RackCollector",
     "RootCollector",
     "SeqTracker",
-    "causal_chain",
     "check_loss_invariant",
-    "describe",
-    "explain_miss",
-    "find_misses",
-    "format_line",
-    "select",
 ]

@@ -1,13 +1,14 @@
 """Columnar event arenas: struct-of-arrays storage behind the ObsBus.
 
-The eager obs path allocates one frozen dataclass per event and hands
-it to every subscriber.  An :class:`EventArena` stores the same record
-as one scalar append per field into parallel per-kind column lists —
-no per-event object, no per-event dict — and the typed events become
-*views* materialized on demand (for export, analysis, or a live
-subscriber).  :class:`ArenaBus` is the drop-in bus: hot sites keep
-their ``if self.obs:`` guard and their one ``emit_*`` call; only the
-bus decides that the record lands in columns instead of an object.
+A plain :class:`~repro.obs.events.ObsBus` allocates one frozen
+dataclass per event and hands it to every subscriber.  An
+:class:`EventArena` stores the same record as one scalar append per
+field into parallel per-kind column lists — no per-event object, no
+per-event dict — and the typed events become *views* materialized on
+demand (for export, analysis, metrics, or a live subscriber).
+:class:`ArenaBus` is the drop-in bus: hot sites keep their
+``if self.obs:`` guard and their one ``emit_*`` call; only the bus
+decides that the record lands in columns instead of an object.
 
 Arenas are optionally *ring-buffered*: with a ``capacity``, appending
 past it evicts the globally oldest retained row.  Evicting a row that
@@ -242,6 +243,18 @@ class EventArena:
         return events
 
 
+class StreamCursor:
+    """A resumable read position in an :class:`ArenaBus`'s global order."""
+
+    __slots__ = ("index", "rows")
+
+    def __init__(self) -> None:
+        #: Next unread entry of the bus's global order list.
+        self.index = 0
+        #: (node, kind) -> rows of that key already passed (absolute).
+        self.rows: dict[tuple[str, str], int] = {}
+
+
 class ArenaBus(ObsBus):
     """An ObsBus whose default sink is columnar arenas, one per node.
 
@@ -254,8 +267,9 @@ class ArenaBus(ObsBus):
     after appending.
 
     ``track_order=True`` additionally keeps the global cross-node
-    interleave so the whole stream can be exported byte-identically to
-    the eager path; shipping-only deployments pass ``False`` and keep
+    interleave so the whole stream can be exported in emission order
+    (and read incrementally through a :class:`StreamCursor`);
+    shipping-only deployments pass ``False`` and keep
     memory bounded by per-arena capacity alone.
     """
 
@@ -390,43 +404,54 @@ class ArenaBus(ObsBus):
 
     # -- whole-stream views ------------------------------------------------
 
-    def _walk(self):
-        """Yield ``(kind, row)`` for every live row, global order.
+    def _walk(self, cursor: StreamCursor):
+        """Yield ``(kind, row)`` for every live row past ``cursor``, in
+        global order, and advance the cursor to the end of the stream.
 
         Rows evicted from a ring arena are the *oldest* of their
-        (node, kind), so when walking the global interleave the first
-        ``base + head`` occurrences of each key are exactly the evicted
-        ones — skip them by count, no tombstones needed.
+        (node, kind), so an order entry whose absolute kind-row index
+        falls below the kind's live window is exactly an evicted one —
+        skip it by count, no tombstones needed.  Callers exhaust the
+        generator; the cursor is only consistent once they have.
         """
         if self._order is None:
             raise SimulationError(
                 "this ArenaBus was built with track_order=False; the global "
                 "event stream is only available through shipped chunks"
             )
-        skips: dict[tuple[str, str], int] = {}
-        cursors: dict[tuple[str, str], int] = {}
-        for node, arena in self.arenas.items():
-            for tag, kind in arena.kinds.items():
-                skips[(node, tag)] = kind.base + kind.head
-                cursors[(node, tag)] = kind.head
-        for key in self._order:
-            if skips[key]:
-                skips[key] -= 1
-                continue
-            row = cursors[key]
-            cursors[key] = row + 1
-            yield self.arenas[key[0]].kinds[key[1]], row
+        pending = self._order[cursor.index :]
+        cursor.index = len(self._order)
+        passed = cursor.rows
+        arenas = self.arenas
+        for key in pending:
+            absolute = passed.get(key, 0)
+            passed[key] = absolute + 1
+            kind = arenas[key[0]].kinds[key[1]]
+            row = absolute - kind.base
+            if row >= kind.head:
+                yield kind, row
 
     def materialize(self) -> list[ObsEvent]:
         """Every live event across all nodes, in global emission order."""
-        events: list[ObsEvent] = []
-        for kind, row in self._walk():
-            values = {
-                name: column[row]
-                for name, column in zip(kind.fields, kind.lists)
-            }
-            events.append(EVENT_TYPES[kind.tag](**values))
-        return events
+        return self.materialize_since(StreamCursor())
+
+    def materialize_since(self, cursor: StreamCursor) -> list[ObsEvent]:
+        """The live events emitted since ``cursor`` last read, in global
+        order; advances ``cursor`` past them.
+
+        A ring-buffered bus may have evicted rows the cursor never
+        reached: they are skipped here exactly as :meth:`materialize`
+        skips them (and counted in ``overwritten`` as always).
+        """
+        return [
+            EVENT_TYPES[kind.tag](
+                **{
+                    name: column[row]
+                    for name, column in zip(kind.fields, kind.lists)
+                }
+            )
+            for kind, row in self._walk(cursor)
+        ]
 
     def snapshot_columns(self) -> tuple[dict[str, dict[str, list]], list[str]]:
         """The live stream as merged ``(kinds, order)`` columnar data.
@@ -437,7 +462,7 @@ class ArenaBus(ObsBus):
         """
         out_columns: dict[str, dict[str, list]] = {}
         out_order: list[str] = []
-        for kind, row in self._walk():
+        for kind, row in self._walk(StreamCursor()):
             columns = out_columns.get(kind.tag)
             if columns is None:
                 columns = out_columns[kind.tag] = {

@@ -1,256 +1,10 @@
-"""A drop-in ObsSession recording into columnar arenas.
+"""The name ``benchmarks/e2e`` imports the session by.
 
-:class:`PipelineObsSession` is what ``--obs-pipeline`` wires up.  It
-behaves exactly like the eager :class:`~repro.obs.session.ObsSession`
-from the outside — same ``scoped()``, same ``write()`` artifacts, same
-byte-identical ``events.jsonl`` / ``metrics.prom`` /
-``trace.perfetto.json`` — but the run-time representation is a
-per-node :class:`~repro.obs.pipeline.arena.EventArena` behind an
-:class:`~repro.obs.pipeline.arena.ArenaBus`: one scalar append per
-field per event instead of an object plus two subscriber calls.
-Metrics are *derived in batch* at export by replaying the materialized
-stream through the same event->metric subscriber the eager session
-runs live, so the registry renders identically while the hot loop
-never touches it.
-
-On top of the legacy trio, :meth:`write` adds:
-
-* ``events.col.json`` — the schema-versioned columnar artifact
-  (:mod:`repro.obs.colfile`), with loss accounting embedded;
-* ``pipeline.json`` — the accounting report itself (per node / per
-  kind emitted, delivered, dropped, sampled_out, overwritten, plus
-  chunk-level totals);
-* ``pipeline.prom`` — the same counts as first-class Prometheus
-  metrics, kept apart from ``metrics.prom`` so the legacy file stays
-  byte-identical to an eager run.
-
-When the cluster layer ships chunks, it attaches its shipping plane
-via :attr:`shipping` (anything with an ``accounting()`` method); a
-session without one reports the local ground truth (everything
-retained counts as delivered, ring overwrites as dropped).
+There is one session class, :class:`repro.obs.session.ObsSession`; the
+frozen end-to-end benchmark predates the merge and reaches it as
+``repro.obs.pipeline.session.PipelineObsSession``.
 """
 
-from __future__ import annotations
-
-import json
-from pathlib import Path
-
-from repro.obs.colfile import columnar_payload, columnar_to_json
-from repro.obs.events import ObsEvent
-from repro.obs.pipeline.aggregate import LOSS_COUNTERS, check_loss_invariant
-from repro.obs.pipeline.arena import ArenaBus
-from repro.obs.prom import render_prometheus
-from repro.obs.registry import MetricsRegistry
 from repro.obs.session import ObsSession
-from repro.errors import SimulationError
 
-
-class PipelineObsSession(ObsSession):
-    """ObsSession whose storage is columnar arenas, not event objects."""
-
-    def __init__(
-        self,
-        histogram_buckets: dict[str, tuple[float, ...]] | None = None,
-        capacity: int | None = None,
-    ) -> None:
-        self._arena_capacity = capacity
-        self._derived_at = -1
-        # The base __init__ builds the metric definitions, which reads
-        # self.registry through the derive-on-read property below; hold
-        # derivation off until the session is fully constructed.
-        self._deriving = True
-        super().__init__(histogram_buckets=histogram_buckets)
-        self._deriving = False
-        self._materialized: list[ObsEvent] | None = None
-        self._materialized_at = -1
-        #: Set by the cluster layer when chunks ship over a telemetry
-        #: plane: anything with ``accounting() -> dict``.
-        self.shipping = None
-
-    def _make_bus(self) -> ArenaBus:
-        return ArenaBus(capacity=self._arena_capacity)
-
-    def _wire(self) -> None:
-        # No live subscribers: events land in the arenas, and both the
-        # collector view and the metrics are derived at export time.
-        pass
-
-    # -- derived views -----------------------------------------------------
-
-    @property
-    def events(self) -> list[ObsEvent]:
-        """The full stream, lazily materialized from the arenas.
-
-        Cached against the bus's total-emitted counter, so repeated
-        exports (jsonl, perfetto, summary) materialize once.
-        """
-        total = self.bus.total_emitted
-        if self._materialized is None or self._materialized_at != total:
-            self._materialized = self.bus.materialize()
-            self._materialized_at = total
-        return self._materialized
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The metrics registry, derived on read.
-
-        Anything that samples metrics mid-run — the cluster's per-node
-        telemetry snapshots above all — sees exactly what an eager
-        session's live registry would show at the same tick, because a
-        read replays the materialized stream first (cached against the
-        emitted-event count, so quiet epochs cost nothing).
-        """
-        if not self._deriving:
-            self._derive_metrics()
-        return self._registry
-
-    @registry.setter
-    def registry(self, value: MetricsRegistry) -> None:
-        self._registry = value
-
-    def _derive_metrics(self) -> None:
-        """Replay the stream through the event->metric subscriber once.
-
-        Resets every series in place first, so a re-derive after more
-        events arrived can never double-count — and so the registry
-        *object* stays the same one handed to mid-run readers (the
-        cluster's per-node telemetry cutters hold a reference).
-        """
-        total = self.bus.total_emitted
-        if self._derived_at == total:
-            return
-        self._deriving = True
-        try:
-            self._registry.reset_series()
-            for event in self.events:
-                self._update_metrics(event)
-            self._derived_at = total
-        finally:
-            self._deriving = False
-
-    def metrics_prom(self) -> str:
-        self._derive_metrics()
-        return super().metrics_prom()
-
-    # -- loss accounting ----------------------------------------------------
-
-    def loss_accounting(self) -> dict:
-        """The shipping tier's accounting, or local ground truth.
-
-        Without a shipping plane nothing was ever at risk in flight:
-        every retained row counts as delivered and ring overwrites are
-        the only drops, so the invariant
-        ``emitted == delivered + dropped + sampled_out`` holds here
-        exactly as it does at a cluster root.
-        """
-        if self.shipping is not None:
-            return self.shipping.accounting()
-        nodes_out: dict[str, dict] = {}
-        kinds_out: dict[str, dict[str, int]] = {}
-        for node, arena in sorted(self.bus.arenas.items()):
-            node_kinds: dict[str, dict[str, int]] = {}
-            for tag in sorted(arena.kinds):
-                emitted = arena.kind_emitted(tag)
-                overwritten = arena.overwritten.get(tag, 0)
-                sampled = arena.sampled_out.get(tag, 0)
-                row = {
-                    "emitted": emitted,
-                    "delivered": emitted - overwritten - sampled,
-                    "dropped": overwritten,
-                    "sampled_out": sampled,
-                    "overwritten": overwritten,
-                }
-                node_kinds[tag] = row
-                total = kinds_out.setdefault(
-                    tag, {name: 0 for name in LOSS_COUNTERS}
-                )
-                for name in LOSS_COUNTERS:
-                    total[name] += row[name]
-            nodes_out[node] = {
-                "kinds": node_kinds,
-                "chunks": {"sent": 0, "delivered": 0, "lost": 0},
-            }
-        totals = {name: 0 for name in LOSS_COUNTERS}
-        for row in kinds_out.values():
-            for name in LOSS_COUNTERS:
-                totals[name] += row[name]
-        return {
-            "nodes": nodes_out,
-            "kinds": {tag: kinds_out[tag] for tag in sorted(kinds_out)},
-            "totals": totals,
-            "chunks": {
-                "node_sent": 0,
-                "node_delivered": 0,
-                "node_lost": 0,
-                "rack_batches_delivered": 0,
-                "rack_batches_lost": 0,
-            },
-        }
-
-    def pipeline_registry(self, accounting: dict) -> MetricsRegistry:
-        """The accounting as first-class metrics (for ``pipeline.prom``)."""
-        registry = MetricsRegistry()
-        counters = {
-            name: registry.counter(
-                f"repro_pipeline_events_{name}_total",
-                f"Pipeline events {name.replace('_', ' ')}, per node and kind",
-                ("node", "kind"),
-            )
-            for name in LOSS_COUNTERS
-        }
-        chunks = registry.counter(
-            "repro_pipeline_chunks_total",
-            "Node chunks by outcome (sent / delivered / lost)",
-            ("node", "outcome"),
-        )
-        for node, payload in accounting["nodes"].items():
-            for tag, row in payload["kinds"].items():
-                for name in LOSS_COUNTERS:
-                    if row[name]:
-                        counters[name].inc(row[name], node=node, kind=tag)
-            for outcome in ("sent", "delivered", "lost"):
-                count = payload["chunks"][outcome]
-                if count:
-                    chunks.inc(count, node=node, outcome=outcome)
-        return registry
-
-    # -- artifacts ----------------------------------------------------------
-
-    def events_col_json(self) -> str:
-        """The columnar artifact text, zero event objects constructed."""
-        columns, order = self.bus.snapshot_columns()
-        payload = columnar_payload(columns, order, loss=self.loss_accounting())
-        return columnar_to_json(payload)
-
-    def write(self, directory: str | Path, now: int) -> dict[str, Path]:
-        """The legacy trio plus events.col.json + pipeline.{json,prom}."""
-        if self.shipping is not None:
-            finalize = getattr(self.shipping, "finalize", None)
-            if finalize is not None:
-                finalize(now)
-        accounting = self.loss_accounting()
-        problems = check_loss_invariant(accounting)
-        if problems:
-            raise SimulationError(
-                "pipeline loss accounting is inconsistent: "
-                + "; ".join(problems)
-            )
-        paths = super().write(directory, now)
-        out = Path(directory)
-        paths["events_col"] = out / "events.col.json"
-        columns, order = self.bus.snapshot_columns()
-        payload = columnar_payload(columns, order, loss=accounting)
-        paths["events_col"].write_text(
-            columnar_to_json(payload), encoding="utf-8"
-        )
-        paths["pipeline"] = out / "pipeline.json"
-        paths["pipeline"].write_text(
-            json.dumps(accounting, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
-        paths["pipeline_prom"] = out / "pipeline.prom"
-        paths["pipeline_prom"].write_text(
-            render_prometheus(self.pipeline_registry(accounting)),
-            encoding="utf-8",
-        )
-        return paths
+PipelineObsSession = ObsSession

@@ -165,17 +165,6 @@ class MetricsRegistry:
         buckets = self._bucket_overrides.get(name, buckets)
         return self._register(Histogram(name, help_text, buckets, label_names))
 
-    def reset_series(self) -> None:
-        """Zero every metric's series, keeping registrations intact.
-
-        Batch derivers (the pipeline session) replay an event stream
-        into the same registry object repeatedly; resetting in place
-        keeps references handed out earlier — metric objects, per-node
-        telemetry cutters — valid across re-derives.
-        """
-        for metric in self._metrics.values():
-            metric._series.clear()
-
     def get(self, name: str) -> Counter | Gauge | Histogram:
         try:
             return self._metrics[name]

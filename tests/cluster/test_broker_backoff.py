@@ -14,6 +14,10 @@ from repro.sim.rng import RngRegistry
 from repro.workloads import single_entry_definition
 
 
+def of_type(session, tag):
+    return [e for e in session.events if e.type == tag]
+
+
 def make_broker(config=None, retry_rng=None, nodes=1):
     """A broker over a bus nobody drains, so every RPC times out."""
     session = ObsSession()
@@ -41,7 +45,7 @@ def retry_times(session, broker, kind="admit"):
         broker.check_timeouts(broker.next_deadline())
     return [
         e.time
-        for e in session.collector.of_type("rpc")
+        for e in of_type(session, "rpc")
         if e.kind == kind and e.action == "retry"
     ]
 

@@ -26,10 +26,14 @@ def definition(name="a", period_ms=30, rate=0.3):
     return single_entry_definition(name, period_ms, rate)
 
 
+def of_type(session, tag):
+    return [e for e in session.events if e.type == tag]
+
+
 def rpc_actions(session, kind="admit"):
     """action -> count over the session's RPC events of one message kind."""
     return Counter(
-        e.action for e in session.collector.of_type("rpc") if e.kind == kind
+        e.action for e in of_type(session, "rpc") if e.kind == kind
     )
 
 
@@ -70,7 +74,7 @@ class TestRetryBudget:
         session, bus, broker = self.make_broker(nodes=2)
         broker.submit("a", definition("a"), 0)
         self.drain_timeouts(broker)
-        events = session.collector.of_type("rpc")
+        events = of_type(session, "rpc")
         assert Counter(e.action for e in events)["retry"] == broker.stats.retries
         assert Counter(e.action for e in events)["timeout"] == broker.stats.timeouts
         admit = rpc_actions(session, "admit")
@@ -98,7 +102,7 @@ class TestRetryBudget:
         # Every bus send of this operation carries the attempt's trace id.
         sends = [
             e
-            for e in session.collector.of_type("rpc")
+            for e in of_type(session, "rpc")
             if e.action == "send" and e.kind == "admit"
         ]
         assert sends and all(e.trace_id == root.trace_id for e in sends)
@@ -127,7 +131,7 @@ class TestDuplicateDelivery:
         assert duplicate[1]["ok"] is True
         # One admission side effect, not two.
         assert len(node.rd.resource_manager.admitted_ids()) == 1
-        admissions = session.collector.of_type("admission")
+        admissions = of_type(session, "admission")
         assert len(admissions) == 1
 
     def test_dedup_telemetry_fires_once_per_duplicate(self):
@@ -137,7 +141,7 @@ class TestDuplicateDelivery:
         node.handle("admit", payload, now=ms(6))
         node.handle("admit", payload, now=ms(11))
         dedups = [
-            e for e in session.collector.of_type("rpc") if e.action == "dedup"
+            e for e in of_type(session, "rpc") if e.action == "dedup"
         ]
         assert [e.time for e in dedups] == [ms(6), ms(11)]
         assert all(e.request_id == "admit:a:1" for e in dedups)
@@ -177,7 +181,7 @@ class TestExactlyOnce:
 
     def test_fault_free_run_sends_each_logical_rpc_once(self):
         session, sim = self.run_cluster(drop_rate=0.0)
-        events = session.collector.of_type("rpc")
+        events = of_type(session, "rpc")
         assert not [e for e in events if e.action in ("retry", "timeout", "dedup", "drop")]
         for kind in ("admit", "admit-reply"):
             per_request = Counter(
@@ -194,7 +198,7 @@ class TestExactlyOnce:
         """With drops, send = receive + drop per message kind, and every
         duplicate admission is absorbed — never a double admit."""
         session, sim = self.run_cluster(seed=3, drop_rate=0.25)
-        events = session.collector.of_type("rpc")
+        events = of_type(session, "rpc")
         actions = Counter(e.action for e in events)
         assert actions["drop"] > 0
         # Anything neither received nor dropped is still queued at the

@@ -20,6 +20,10 @@ def ms(x):
     return units.ms_to_ticks(x)
 
 
+def of_type(session, tag):
+    return [e for e in session.events if e.type == tag]
+
+
 def observed_rd(**kwargs):
     session = ObsSession()
     rd = ResourceDistributor(
@@ -34,17 +38,19 @@ class TestCoreHooks:
         rd.admit(single_entry_definition("video", 30, 0.4))
         rd.admit(single_entry_definition("audio", 30, 0.2))
         rd.run_for(ms(100))
-        admissions = session.collector.of_type("admission")
+        admissions = of_type(session, "admission")
         assert [e.task for e in admissions] == ["video", "audio"]
         assert all(e.outcome == "accepted" for e in admissions)
-        assert session.collector.of_type("grant-recompute")
-        assert session.collector.of_type("grant-change")
-        assert session.collector.of_type("context-switch")
-        # The built-in subscriber kept the registry current.
-        assert session.m_admissions.value(node="", outcome="accepted") == 2
-        switches = session.m_switches
+        assert of_type(session, "grant-recompute")
+        assert of_type(session, "grant-change")
+        assert of_type(session, "context-switch")
+        # Reading the registry folds the recorded stream into metrics.
+        registry = session.registry
+        admitted = registry.get("repro_admissions_total")
+        assert admitted.value(node="", outcome="accepted") == 2
+        switches = registry.get("repro_context_switches_total")
         total = sum(value for _, value in switches.series())
-        assert total == len(session.collector.of_type("context-switch"))
+        assert total == len(of_type(session, "context-switch"))
 
     def test_denied_admission_is_recorded_before_the_raise(self):
         session, rd = observed_rd()
@@ -52,12 +58,13 @@ class TestCoreHooks:
         with pytest.raises(AdmissionError):
             rd.admit(single_entry_definition("big1", 30, 0.6))
         denied = [
-            e for e in session.collector.of_type("admission") if e.outcome == "denied"
+            e for e in of_type(session, "admission") if e.outcome == "denied"
         ]
         assert len(denied) == 1
         assert denied[0].task == "big1"
         assert denied[0].error != ""
-        assert session.m_admissions.value(node="", outcome="denied") == 1
+        admissions = session.registry.get("repro_admissions_total")
+        assert admissions.value(node="", outcome="denied") == 1
 
     def test_unobserved_distributor_has_no_hooks_armed(self):
         rd = ResourceDistributor(machine=MachineConfig(), sim=SimConfig(seed=7))
@@ -86,7 +93,7 @@ class TestViolationRoundTrip:
         )
         rd.sanitizer.on_period_close(thread, record)
         assert not rd.sanitizer.ok  # non-strict: collected, not raised
-        violations = session.collector.of_type("violation")
+        violations = of_type(session, "violation")
         assert len(violations) == 1
         assert violations[0].rule == "grant-delivery"
         assert violations[0].severity == "error"
@@ -95,7 +102,8 @@ class TestViolationRoundTrip:
         wire = [d for d in lines if d["type"] == "violation"]
         assert len(wire) == 1
         assert "guarantee" in wire[0]["detail"]
-        assert session.m_violations.value(node="", rule="grant-delivery") == 1
+        flagged = session.registry.get("repro_sanitizer_violations_total")
+        assert flagged.value(node="", rule="grant-delivery") == 1
 
 
 class TestDeterminism:

@@ -5,7 +5,6 @@ import json
 from repro.obs.events import EVENT_TYPES, AdmissionEvent, RpcEvent, SwitchEvent
 from repro.obs.log import (
     SCHEMA_VERSION,
-    EventCollector,
     event_to_dict,
     event_to_json,
     events_to_jsonl,
@@ -44,18 +43,3 @@ class TestEncoding:
         assert text.endswith("\n")
         assert "\r" not in text
 
-
-class TestCollector:
-    def test_collector_preserves_emission_order(self):
-        collector = EventCollector()
-        first, second = SwitchEvent(time=1), SwitchEvent(time=2)
-        collector(first)
-        collector(second)
-        assert collector.events == [first, second]
-        assert len(collector) == 2
-
-    def test_of_type_filters_by_wire_tag(self):
-        collector = EventCollector()
-        collector(SwitchEvent(time=1))
-        collector(AdmissionEvent(time=2))
-        assert [e.time for e in collector.of_type("admission")] == [2]

@@ -1,7 +1,10 @@
 """Unit tests for the columnar obs pipeline: arenas, shipping, the
-colfile format, the drop-in session, and the query/explain engine."""
+colfile format, the session's arena-backed views, and the query/explain
+engine."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,18 +29,17 @@ from repro.obs.pipeline import (
     ArenaBus,
     ChunkShipper,
     EventArena,
-    PipelineObsSession,
-    Query,
     RackCollector,
     RootCollector,
     SeqTracker,
-    causal_chain,
     check_loss_invariant,
-    describe,
-    explain_miss,
-    find_misses,
-    format_line,
-    select,
+)
+from repro.obs.pipeline.explain import causal_chain, explain_miss, find_misses
+from repro.obs.pipeline.query import Query, describe, format_line, select
+from repro.obs.session import ObsSession
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_artifacts.json").read_text(encoding="utf-8")
 )
 
 
@@ -267,7 +269,7 @@ class TestShipping:
 
 class TestPipelineObsSession:
     def test_write_emits_the_columnar_artifacts_too(self, tmp_path):
-        session = PipelineObsSession()
+        session = ObsSession()
         for event in switches(3, node="n0"):
             session.bus.emit(event)
         session.write(tmp_path, now=1000)
@@ -284,25 +286,68 @@ class TestPipelineObsSession:
         report = json.loads((tmp_path / "pipeline.json").read_text())
         assert report["totals"]["emitted"] == 3
 
-    def test_events_jsonl_matches_an_eager_session_byte_for_byte(self):
-        from repro.obs.session import ObsSession
+    def test_artifacts_match_the_golden_digests(self, tmp_path):
+        """Every artifact of every recorded run hashes to what the last
+        commit with an eager session wrote (golden_artifacts.json)."""
+        from repro.cli import main
 
-        eager, pipeline = ObsSession(), PipelineObsSession()
-        for session in (eager, pipeline):
-            for event in switches(5, node="n0"):
-                session.bus.emit(event)
-        assert pipeline.events_jsonl() == eager.events_jsonl()
+        for name, run in GOLDEN["runs"].items():
+            out = tmp_path / name
+            main(run["argv"] + ["--obs-out", str(out)])
+            digests = {
+                artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                for artifact in run["sha256"]
+            }
+            assert digests == run["sha256"], name
 
     def test_registry_derives_on_read_mid_run(self):
-        session = PipelineObsSession()
+        session = ObsSession()
         session.bus.emit_switch(27, 0, 1, "voluntary", 54, node="n0")
-        registry = session.registry  # derive now
-        before = registry
+        before = session.registry
         session.bus.emit_switch(54, 1, 0, "voluntary", 54, node="n0")
         # Same object (mid-run readers hold the reference), fresh counts.
         assert session.registry is before
         series = session.registry.get("repro_context_switches_total").series()
         assert sum(value for _, value in series) == 2
+
+    def test_catch_up_never_resets_series_registered_by_other_layers(self):
+        session = ObsSession()
+        requests = session.registry.counter("repro_http_requests_total", "x")
+        requests.inc(3)
+        session.bus.emit_switch(27, 0, 1, "voluntary", 54)
+        text = session.metrics_prom()
+        assert "repro_http_requests_total 3" in text
+        assert requests.value() == 3
+
+    def test_a_live_subscriber_sees_the_order_events_materializes(self):
+        session = ObsSession()
+        seen = []
+        session.bus.subscribe(seen.append)
+        a, b = session.scoped("a"), session.scoped("b")
+        a.emit_switch(27, 0, 1, "voluntary", 54)
+        b.emit(AdmissionEvent(time=30, task="v", thread_id=1))
+        a.emit_period_close(60, 1, 0, 0, 50, 10, 10, False, False)
+        b.emit_activation(61, 2)
+        a.emit_switch(81, 1, 0, "involuntary", 54)
+        assert [e.type for e in seen] == [
+            "context-switch",
+            "admission",
+            "period-close",
+            "activation",
+            "context-switch",
+        ]
+        assert session.events == seen
+
+    def test_ring_evicted_rows_never_reach_the_metrics(self):
+        """A hand-built ring bus: rows overwritten before a registry
+        read are gone from the metrics too, and counted as such."""
+        session = ObsSession()
+        session.bus = ArenaBus(capacity=2)
+        for event in switches(5):
+            session.bus.emit(event)
+        series = session.registry.get("repro_context_switches_total").series()
+        assert sum(value for _, value in series) == 2
+        assert session.loss_accounting()["totals"]["overwritten"] == 3
 
 
 def miss_stream():

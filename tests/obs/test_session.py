@@ -23,18 +23,25 @@ def session():
 
 
 class TestMetricsSubscriber:
+    """Values are read through ``session.registry``: the read is what
+    folds the emitted events into the metrics."""
+
     def test_switch_events_feed_count_and_cost(self, session):
         session.bus.emit(SwitchEvent(time=1, kind="preempt", cost_ticks=189))
         session.bus.emit(SwitchEvent(time=2, kind="preempt", cost_ticks=189))
-        assert session.m_switches.value(node="", kind="preempt") == 2
-        assert session.m_switch_cost.value(node="", kind="preempt") == 378
+        get = session.registry.get
+        labels = {"node": "", "kind": "preempt"}
+        assert get("repro_context_switches_total").value(**labels) == 2
+        assert get("repro_context_switch_cost_ticks_total").value(**labels) == 378
 
     def test_admission_events_feed_outcomes_and_headroom(self, session):
         session.bus.emit(AdmissionEvent(time=1, outcome="accepted", headroom=0.4))
         session.bus.emit(AdmissionEvent(time=2, outcome="denied", headroom=0.4))
-        assert session.m_admissions.value(node="", outcome="accepted") == 1
-        assert session.m_admissions.value(node="", outcome="denied") == 1
-        assert session.m_headroom.value(node="") == pytest.approx(0.4)
+        get = session.registry.get
+        admissions = get("repro_admissions_total")
+        assert admissions.value(node="", outcome="accepted") == 1
+        assert admissions.value(node="", outcome="denied") == 1
+        assert get("repro_headroom_ratio").value(node="") == pytest.approx(0.4)
 
     def test_recompute_events_feed_gauges_and_histograms(self, session):
         session.bus.emit(
@@ -42,33 +49,38 @@ class TestMetricsSubscriber:
                 time=1, requests=3, degraded=1, qos_fraction=0.8, headroom=0.1
             )
         )
-        assert session.m_recomputes.value(node="") == 1
-        assert session.m_recompute_size.count(node="") == 1
-        assert session.m_degraded.value(node="") == 1
-        assert session.m_qos.value(node="") == pytest.approx(0.8)
+        get = session.registry.get
+        assert get("repro_grant_recomputes_total").value(node="") == 1
+        assert get("repro_grant_recompute_requests").count(node="") == 1
+        assert get("repro_degraded_tasks").value(node="") == 1
+        assert get("repro_qos_fraction").value(node="") == pytest.approx(0.8)
 
     def test_period_close_counts_only_misses_and_voids(self, session):
         session.bus.emit(PeriodCloseEvent(time=1, missed=True))
         session.bus.emit(PeriodCloseEvent(time=2, voided=True))
         session.bus.emit(PeriodCloseEvent(time=3))
-        assert session.m_misses.value(node="") == 1
-        assert session.m_voided.value(node="") == 1
+        get = session.registry.get
+        assert get("repro_deadline_misses_total").value(node="") == 1
+        assert get("repro_voided_periods_total").value(node="") == 1
 
     def test_rpc_retry_attempts_feed_the_histogram(self, session):
         session.bus.emit(RpcEvent(time=1, action="send", kind="admit"))
         session.bus.emit(RpcEvent(time=2, action="retry", kind="admit", attempt=2))
-        assert session.m_rpc.value(action="send", kind="admit") == 1
-        assert session.m_rpc.value(action="retry", kind="admit") == 1
-        assert session.m_rpc_attempts.count() == 1
-        assert session.m_rpc_attempts.sum() == 2
+        get = session.registry.get
+        assert get("repro_rpc_total").value(action="send", kind="admit") == 1
+        assert get("repro_rpc_total").value(action="retry", kind="admit") == 1
+        assert get("repro_rpc_retry_attempts").count() == 1
+        assert get("repro_rpc_retry_attempts").sum() == 2
 
     def test_grace_migration_violation_counters(self, session):
         session.bus.emit(GraceEvent(time=1, honoured=False))
         session.bus.emit(MigrationEvent(time=2, outcome="completed"))
         session.bus.emit(ViolationEvent(time=3, rule="edf-order"))
-        assert session.m_grace.value(node="", honoured="false") == 1
-        assert session.m_migrations.value(outcome="completed") == 1
-        assert session.m_violations.value(node="", rule="edf-order") == 1
+        get = session.registry.get
+        assert get("repro_grace_periods_total").value(node="", honoured="false") == 1
+        assert get("repro_migrations_total").value(outcome="completed") == 1
+        violations = get("repro_sanitizer_violations_total")
+        assert violations.value(node="", rule="edf-order") == 1
 
 
 class TestExports:

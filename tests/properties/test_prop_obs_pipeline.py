@@ -1,18 +1,23 @@
 """Property tests for the columnar obs pipeline (hypothesis).
 
-Two invariants the whole observability tier leans on:
+Three invariants the whole observability tier leans on:
 
 1. **Round-trip byte identity** — any event stream pushed through the
    columnar arena, exported via ``snapshot_columns`` -> columnar JSON ->
    ``decode_columnar``, must serialize to *byte-identical* events.jsonl
-   v2 as the eager object path.  This is what lets the CLI promise
-   ``--obs-pipeline`` changes cost, never artifacts.
+   v2 as serializing the event objects directly.  The arenas are the
+   only record an observed run keeps, so they may lose nothing.
 
 2. **Exact loss accounting** — under arbitrary ring capacities, chunk
    sampling, flush cadences, and transport misbehavior (drops,
    duplicates), ``emitted == delivered + dropped + sampled_out`` holds
    per kind and per node, with ring overwrites never exceeding the
    dropped bucket.  Loss may happen; *unaccounted* loss may not.
+
+3. **Catch-up equals replay** — reading the session's registry at any
+   points during a run folds each event into the metrics exactly once:
+   the rendered ``metrics.prom`` equals that of a session fed the same
+   stream and read once at the end.
 """
 
 import json
@@ -31,6 +36,7 @@ from repro.obs.events import (
 from repro.obs.log import events_to_jsonl
 from repro.obs.pipeline import ArenaBus, ChunkShipper, RootCollector
 from repro.obs.pipeline.aggregate import check_loss_invariant
+from repro.obs.session import ObsSession
 
 times = st.integers(min_value=0, max_value=10**12)
 tids = st.integers(min_value=-1, max_value=64)
@@ -106,12 +112,12 @@ class TestColumnarRoundTrip:
     @given(event_streams)
     def test_arena_materialize_matches_eager_jsonl(self, events):
         """SoA storage loses nothing: materializing the arena stream
-        serializes byte-identically to the eager per-object path."""
-        eager = events_to_jsonl(events)
+        serializes byte-identically to the original event objects."""
+        reference = events_to_jsonl(events)
         bus = ArenaBus()
         for event in events:
             bus.emit(event)
-        assert events_to_jsonl(bus.materialize()) == eager
+        assert events_to_jsonl(bus.materialize()) == reference
 
     @settings(max_examples=150)
     @given(event_streams)
@@ -119,14 +125,14 @@ class TestColumnarRoundTrip:
         """snapshot_columns -> events.col.json -> decode round-trips to
         byte-identical events.jsonl v2 — floats, empty strings, empty
         streams, and multi-node interleaves included."""
-        eager = events_to_jsonl(events)
+        reference = events_to_jsonl(events)
         bus = ArenaBus()
         for event in events:
             bus.emit(event)
         columns, order = bus.snapshot_columns()
         text = columnar_to_json(columnar_payload(columns, order))
         decoded = decode_columnar(json.loads(text))
-        assert events_to_jsonl(decoded) == eager
+        assert events_to_jsonl(decoded) == reference
 
     @settings(max_examples=100)
     @given(event_streams)
@@ -166,6 +172,24 @@ class TestColumnarRoundTrip:
         assert events_to_jsonl(fast.materialize()) == events_to_jsonl(
             generic.materialize()
         )
+
+
+class TestCatchUpMetrics:
+    @settings(max_examples=150)
+    @given(event_streams, st.sets(st.integers(min_value=0, max_value=60)))
+    def test_interleaved_registry_reads_equal_one_read_at_the_end(
+        self, events, read_before
+    ):
+        """Registry reads at arbitrary points between emits neither
+        double-count nor skip an event."""
+        interleaved, once = ObsSession(), ObsSession()
+        for index, event in enumerate(events):
+            if index in read_before:
+                interleaved.registry
+            interleaved.bus.emit(event)
+            once.bus.emit(event)
+        assert interleaved.metrics_prom() == once.metrics_prom()
+        assert interleaved.events == once.events == events
 
 
 class _FatefulTransport:

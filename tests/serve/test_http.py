@@ -125,6 +125,34 @@ class TestRoutes:
 
         run_with_app(scenario)
 
+    def test_metrics_scrapes_are_monotone_and_follow_the_simulation(self):
+        """The HTTP counters and the sim-derived series share one
+        registry: a scrape folds new events in without resetting what
+        the serving layer counted itself."""
+
+        def total(text, name):
+            return sum(
+                float(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith(name + "{")
+            )
+
+        async def scenario(app):
+            await call(app, "POST", "/v1/tasks", spec("a"))
+            _, first = await call(app, "GET", "/metrics")
+            await call(app, "POST", "/v1/tasks", spec("b"))
+            await call(app, "GET", "/v1/tasks/b")
+            _, second = await call(app, "GET", "/metrics")
+            for text in (first, second):
+                assert total(text, "repro_http_requests_total") > 0
+            assert total(second, "repro_http_requests_total") >= (
+                total(first, "repro_http_requests_total") + 3
+            )
+            assert total(first, "repro_admissions_total") == 1
+            assert total(second, "repro_admissions_total") == 2
+
+        run_with_app(scenario)
+
     def test_events_stream_delivers_ndjson(self):
         async def scenario(app):
             port = app.server.port

@@ -156,18 +156,47 @@ class TestObsPipelineCli:
     def pipeline_dir(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("pipeline") / "run"
         assert main(["run", "--scenario", "cluster_rack", "--seed", "7",
-                     "--duration-ms", "200", "--obs-out", str(out),
-                     "--obs-pipeline"]) == 0
+                     "--duration-ms", "200", "--obs-out", str(out)]) == 0
         return out
 
     def test_pipeline_writes_the_columnar_artifacts(self, pipeline_dir):
         for name in ("events.col.json", "pipeline.json", "pipeline.prom"):
             assert (pipeline_dir / name).is_file(), name
 
-    def test_cluster_pipeline_without_obs_out_is_refused(self, capsys):
+    def test_obs_pipeline_flag_is_rejected_by_argparse(self, capsys):
+        for argv in (
+            ["run", "--scenario", "figure5"],
+            ["cluster", "--nodes", "2", "--duration-ms", "200"],
+            ["fuzz", "replay", "tests/fuzz/corpus"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + ["--obs-pipeline"])
+            assert exit_info.value.code == 2
+            assert "--obs-pipeline" in capsys.readouterr().err
+
+    def test_observed_cluster_writes_six_artifacts_and_ships(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "obs"
         assert main(["cluster", "--nodes", "2", "--duration-ms", "200",
-                     "--obs-pipeline"]) == 2
-        assert "--obs-out" in capsys.readouterr().out
+                     "--obs-out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "events.col.json", "events.jsonl", "metrics.prom",
+            "pipeline.json", "pipeline.prom", "trace.perfetto.json",
+        ]
+        assert "\npipeline: " in capsys.readouterr().out
+
+    def test_max_chunk_events_still_samples(self, tmp_path):
+        import json
+
+        out = tmp_path / "obs"
+        assert main(["cluster", "--nodes", "2", "--duration-ms", "200",
+                     "--obs-out", str(out), "--max-chunk-events", "4"]) == 0
+        totals = json.loads((out / "pipeline.json").read_text())["totals"]
+        assert totals["sampled_out"] > 0
+        assert totals["emitted"] == (
+            totals["delivered"] + totals["dropped"] + totals["sampled_out"]
+        )
 
     def test_query_filters_and_is_deterministic(self, pipeline_dir, capsys):
         args = ["obs", "query", str(pipeline_dir), "--kind", "context-switch",
