@@ -13,11 +13,24 @@ The policy interface (duck-typed) is::
     pick(now) -> SimThread                 # never None; idle thread at worst
     timer_for(thread, now) -> int          # absolute tick of next interrupt
     preemption_imminent(thread, now) -> bool   # for grace-period decisions
+
+A policy may also define any of three notification hooks, which the
+kernel resolves once in :meth:`Kernel.bind_policy` (a policy without
+them keeps polling thread state, as the baselines do)::
+
+    on_period_open(thread)       # a period just opened (first or rollover)
+    on_wake(thread)              # a blocked thread became ACTIVE again
+    on_overtime_request(thread)  # ran out of granted time, or DonePeriod(overtime=True)
+
+With them the policy keeps its queues current from events instead of
+walking the thread population on every dispatch.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import deque
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from repro import units
@@ -53,6 +66,7 @@ from repro.tasks.base import (
     Semantics,
     TaskDefinition,
 )
+from repro.tasks.channels import Channel
 
 
 class SliceEnd(enum.Enum):
@@ -105,13 +119,29 @@ class Kernel:
         self._next_tid = self.IDLE_TID + 1
         self.idle = SimThread(self.IDLE_TID, "Idle", ThreadKind.IDLE)
         self.policy = None  # bound by the scheduler policy
+        # The policy's optional notification hooks (None when absent).
+        self._on_period_open = None
+        self._on_wake = None
+        self._on_overtime_request = None
+        #: The event queue's heap, peeked by the dispatch loop so an
+        #: empty or not-yet-due head costs no call into the queue.
+        self._event_heap = self.events._heap
 
         self._current: SimThread | None = None
         self._pending_switch_kind = SwitchKind.VOLUNTARY
         self._reschedule = False
         self._no_progress = 0
-        #: Thread ids in the order they blocked (FIFO wake fairness).
-        self._block_order: list[int] = []
+        #: Blocked threads per channel, as (block sequence, thread) in
+        #: the order they blocked (FIFO wake fairness).  Entries whose
+        #: thread left BLOCKED some other way are dropped when met.
+        self._waiters: dict[Channel, deque[tuple[int, SimThread]]] = {}
+        self._block_seq = 0
+        #: Channels posted to while one of our threads was blocked on
+        #: them, awaiting the next delivery point.  Channels append to
+        #: this list directly (``_note_post`` is their ``waker``), so
+        #: its identity must never change.
+        self._posted: list[Channel] = []
+        self._note_post = self._posted.append
         #: Called when application code raises: (thread, exception).
         #: The distributor wires this to Resource Manager cleanup so a
         #: crashing task releases its admission instead of wedging the
@@ -142,6 +172,9 @@ class Kernel:
         if self.policy is not None:
             raise SimulationError("kernel already has a scheduler policy")
         self.policy = policy
+        self._on_period_open = getattr(policy, "on_period_open", None)
+        self._on_wake = getattr(policy, "on_wake", None)
+        self._on_overtime_request = getattr(policy, "on_overtime_request", None)
 
     # -- thread management ---------------------------------------------------
 
@@ -298,9 +331,10 @@ class Kernel:
             )
 
     def _notify_period_open(self, thread: SimThread) -> None:
-        """Give the policy a chance to act at a period boundary (used by
-        the Rialto baseline's per-period constraint requests)."""
-        hook = getattr(self.policy, "on_period_open", None)
+        """Tell the policy a period opened (the RD scheduler queues the
+        fresh deadline; the Rialto baseline requests its per-period
+        constraint)."""
+        hook = self._on_period_open
         if hook is not None:
             hook(thread)
 
@@ -314,11 +348,17 @@ class Kernel:
         if self.policy is None:
             raise SimulationError("no scheduler policy bound to the kernel")
         clock = self.clock
-        policy = self.policy
+        # Looked up per run, not in bind_policy: tests and the fuzzer's
+        # injections shadow these on the policy instance after binding.
+        pick = self.policy.pick
+        timer_for = self.policy.timer_for
         sanitizer = self.sanitizer
         prof = self.prof
+        events = self.events
+        event_heap = self._event_heap
+        posted = self._posted
         while clock.now < horizon:
-            before = clock.now
+            before = now = clock.now
             # Bring period accounting current *before* firing events:
             # an event handler (e.g. a wake -> grant recomputation) must
             # see boundaries that have already passed as processed, or
@@ -326,11 +366,17 @@ class Kernel:
             # at exactly `now` is left for after the events, so a grant
             # change requested at instant t applies to the period
             # beginning at t ("the decrease occurs in the next period").
-            self._rollover_all(strict=True)
-            self._fire_due_events()
-            if self._block_order:
-                self._scan_wakes()
-            self._rollover_all()
+            # Each step is guarded inline by the cheap test that makes
+            # it a no-op, so a quiet iteration calls none of them.
+            if self._next_rollover < now:
+                self._rollover_all(strict=True)
+            if event_heap and event_heap[0].time <= now:
+                self._fire_due_events()
+                now = clock.now  # an interrupt handler steals time
+            if posted:
+                self._deliver_posts()
+            if self._next_rollover <= now:
+                self._rollover_all()
             self._reschedule = False
             # One phase frame covers the whole decision: pick, context
             # switch, and the dispatched slice.  A single begin/end pair
@@ -338,71 +384,89 @@ class Kernel:
             # overhead budget the prof-smoke CI gate enforces.
             if prof:
                 prof.begin("kernel.dispatch")
-            thread = policy.pick(clock.now)
+            thread = pick(now)
             if sanitizer is not None:
-                sanitizer.on_pick(thread, clock.now)
-            self._switch_to(thread)
-            # The switch cost may have carried the clock across period
-            # boundaries; bring accounting current before setting the timer.
-            opened_before = self._periods_opened
-            self._rollover_all()
-            if not thread.is_idle and not thread.in_period:
-                # The boundary that just rolled over retired this
-                # thread's grant (a pending removal took effect inside
-                # the switch-cost window); there is nothing to dispatch.
-                if prof:
-                    prof.end("kernel.dispatch")
-                continue
-            if self._periods_opened != opened_before:
-                # A period opened inside the switch-cost window, so the
-                # pick is stale: the opened thread may now head the EDF
-                # queue — and dispatching a stale Idle pick would sleep
-                # through that thread's whole period.  Re-decide, exactly
-                # as the boundary's timer interrupt would have forced.
-                if prof:
-                    prof.end("kernel.dispatch")
-                continue
-            stop, preemptive = self._compute_stop(thread, horizon)
-            self._dispatch(thread, stop, preemptive)
+                sanitizer.on_pick(thread, now)
+            if thread is not self._current:
+                opened_before = self._periods_opened
+                self._switch_to(thread)
+                now = clock.now
+                # The switch cost may have carried the clock across
+                # period boundaries; bring accounting current before
+                # setting the timer.
+                if self._next_rollover <= now:
+                    self._rollover_all()
+                if not thread.is_idle and thread.grant is None:
+                    # The boundary that just rolled over retired this
+                    # thread's grant (a pending removal took effect
+                    # inside the switch-cost window); there is nothing
+                    # to dispatch.
+                    if prof:
+                        prof.end("kernel.dispatch")
+                    continue
+                if self._periods_opened != opened_before:
+                    # A period opened inside the switch-cost window, so
+                    # the pick is stale: the opened thread may now head
+                    # the EDF queue — and dispatching a stale Idle pick
+                    # would sleep through that thread's whole period.
+                    # Re-decide, exactly as the boundary's timer
+                    # interrupt would have forced.
+                    if prof:
+                        prof.end("kernel.dispatch")
+                    continue
+            # The timer: the horizon, the next external event, or the
+            # policy's interrupt, whichever is first.
+            stop = horizon
+            if event_heap:
+                next_event = events.next_time()
+                if next_event is not None and next_event < stop:
+                    stop = next_event
+            preemptive = False
+            policy_stop = timer_for(thread, now)
+            if policy_stop < stop:
+                stop = policy_stop
+                preemptive = True
+            # A switch cost can land the clock just past a timer target;
+            # a zero-length slice then lets the scheduler re-evaluate.
+            # The progress guard below catches genuine livelocks.
+            if stop < now:
+                stop = now
+            if thread.is_idle:
+                if stop > now:
+                    clock.advance_to(stop)
+                    self.trace.record_run(thread.tid, now, stop, SegmentKind.IDLE)
+                self._pending_switch_kind = SwitchKind.VOLUNTARY
+            else:
+                outcome = self._execute(thread, stop)
+                if outcome is SliceEnd.DONE or outcome is SliceEnd.BLOCKED:
+                    self._pending_switch_kind = SwitchKind.VOLUNTARY
+                elif outcome is SliceEnd.INTERRUPTED:
+                    self._pending_switch_kind = SwitchKind.INVOLUNTARY
+                else:  # FORCED: timer interrupt
+                    self._pending_switch_kind = self._handle_forced_stop(
+                        thread, stop, preemptive
+                    )
             if prof:
                 prof.end("kernel.dispatch")
-            self._guard_progress(before)
+            if clock.now != before:
+                self._no_progress = 0
+            else:
+                self._no_progress += 1
+                if self._no_progress > 10_000:
+                    raise SchedulerError(
+                        f"scheduler made no progress at t={self.now}; likely a "
+                        f"policy/task livelock"
+                    )
         # Close any period ending exactly at the horizon so trace
         # accounting covers the whole run, and materialize the open
         # trace segment so exports taken after the run see everything.
         self._rollover_all()
         self.trace.flush()
 
-    def _guard_progress(self, before: int) -> None:
-        if self.now == before:
-            self._no_progress += 1
-            if self._no_progress > 10_000:
-                raise SchedulerError(
-                    f"scheduler made no progress at t={self.now}; likely a "
-                    f"policy/task livelock"
-                )
-        else:
-            self._no_progress = 0
-
     def _fire_due_events(self) -> None:
         for event in self.events.pop_due(self.now):
             event.action()
             self._reschedule = True
-
-    def _compute_stop(self, thread: SimThread, horizon: int) -> tuple[int, bool]:
-        stop = horizon
-        preemptive = False
-        next_event = self.events.next_time()
-        if next_event is not None and next_event < stop:
-            stop = next_event
-        policy_stop = self.policy.timer_for(thread, self.now)
-        if policy_stop < stop:
-            stop = policy_stop
-            preemptive = True
-        # A switch cost can land the clock just past a timer target; a
-        # zero-length slice then lets the scheduler re-evaluate.  The
-        # progress guard in run_until catches genuine livelocks.
-        return max(stop, self.now), preemptive
 
     # -- context switching -------------------------------------------------------
 
@@ -435,25 +499,6 @@ class Kernel:
         self._pending_switch_kind = SwitchKind.VOLUNTARY
 
     # -- dispatching ------------------------------------------------------------
-
-    def _dispatch(self, thread: SimThread, stop: int, preemptive: bool) -> None:
-        if thread.is_idle:
-            start = self.clock.now
-            if stop > start:
-                self.clock.advance_to(stop)
-                self.trace.record_run(thread.tid, start, stop, SegmentKind.IDLE)
-            self._pending_switch_kind = SwitchKind.VOLUNTARY
-            return
-
-        outcome = self._execute(thread, stop)
-        if outcome in (SliceEnd.DONE, SliceEnd.BLOCKED):
-            self._pending_switch_kind = SwitchKind.VOLUNTARY
-        elif outcome is SliceEnd.INTERRUPTED:
-            self._pending_switch_kind = SwitchKind.INVOLUNTARY
-        else:  # FORCED: timer interrupt
-            self._pending_switch_kind = self._handle_forced_stop(
-                thread, stop, preemptive
-            )
 
     def _handle_forced_stop(
         self, thread: SimThread, stop: int, preemptive: bool
@@ -531,21 +576,27 @@ class Kernel:
         """
         ops_at_stop = 0
         clock = self.clock
+        posted = self._posted
         while True:
-            # _current_runner is idempotent (a side-effectful call
-            # settles the assignment state), so one call per iteration
-            # serves both the stop check and the dispatch below.
-            runner, assigned = self._current_runner(thread)
-            if clock.now >= stop:
+            if thread.assignment_target is None:
+                runner, assigned = thread, False
+            else:
+                # Idempotent (a side-effectful call settles the
+                # assignment state), so one call per iteration serves
+                # both the stop check and the dispatch below.
+                runner, assigned = self._current_runner(thread)
+            now = clock.now
+            if now >= stop:
                 if runner.pending_compute > 0 or ops_at_stop >= 8:
                     return SliceEnd.FORCED
                 ops_at_stop += 1
 
             if runner.pending_compute > 0:
-                cap = stop
-                if assigned:
-                    cap = min(cap, clock.now + thread.assignment_remaining)
-                run = min(runner.pending_compute, cap - clock.now)
+                run = stop - now
+                if assigned and thread.assignment_remaining < run:
+                    run = thread.assignment_remaining
+                if runner.pending_compute < run:
+                    run = runner.pending_compute
                 if run > 0:
                     self._consume(thread, runner, run, assigned)
                 if assigned:
@@ -553,15 +604,15 @@ class Kernel:
                     if thread.assignment_remaining <= 0:
                         # Assigned time consumed: return to the periodic task.
                         thread.clear_assignment()
-                        continue
-                if runner.pending_compute > 0:
-                    # Still computing: we must have hit the cap.
-                    continue
                 continue
 
             # Need the next op from the runner's generator.
             if not assigned:
-                self._ensure_generator(thread)
+                # Deliver the period's grant: return semantics resume
+                # the live generator, callback semantics start afresh.
+                thread.ctx.delivery = thread.next_delivery
+                if thread.restart_pending or thread.gen is None or thread.gen_exhausted:
+                    self._start_generator(thread)
             if runner.gen is None or runner.gen_exhausted:
                 if assigned:
                     thread.clear_assignment()
@@ -572,8 +623,8 @@ class Kernel:
                 op = runner.gen.send(None)
             except StopIteration:
                 runner.gen_exhausted = True
-                if self._block_order:
-                    self._scan_wakes()
+                if posted:
+                    self._deliver_posts()
                 if assigned:
                     runner.state = ThreadState.EXITED
                     thread.clear_assignment()
@@ -585,18 +636,23 @@ class Kernel:
                 if outcome is not None:
                     return outcome
                 continue
-            if self._block_order:
-                self._scan_wakes()  # the generator body may have posted channels
+            if posted:
+                self._deliver_posts()  # the generator body posted a waited-on channel
 
-            try:
-                result = self._apply_op(thread, runner, assigned, op)
-            except Exception as exc:  # noqa: BLE001 - protocol misuse etc.
-                outcome = self._crash(thread, runner, assigned, exc)
-                if outcome is not None:
-                    return outcome
-                continue
-            if result is not None:
-                return result
+            if op.__class__ is Compute:
+                # The common op, without the call into _apply_op (which
+                # still handles Compute subclasses).
+                runner.pending_compute = op.ticks
+            else:
+                try:
+                    result = self._apply_op(thread, runner, assigned, op)
+                except Exception as exc:  # noqa: BLE001 - protocol misuse etc.
+                    outcome = self._crash(thread, runner, assigned, exc)
+                    if outcome is not None:
+                        return outcome
+                    continue
+                if result is not None:
+                    return result
             if self._reschedule:
                 return SliceEnd.INTERRUPTED
 
@@ -631,6 +687,8 @@ class Kernel:
         thread.wants_overtime = overtime
         if thread.completed_at < 0:
             thread.completed_at = self.clock.now
+        if overtime and self._on_overtime_request is not None:
+            self._on_overtime_request(thread)
 
     def _apply_op(
         self, thread: SimThread, runner: SimThread, assigned: bool, op
@@ -649,9 +707,7 @@ class Kernel:
         if isinstance(op, Block):
             if op.channel.try_take():
                 return None
-            runner.state = ThreadState.BLOCKED
-            runner.blocked_channel = op.channel
-            self._block_order.append(runner.tid)
+            self._block_on(runner, op.channel)
             self.trace.record_block(
                 BlockRecord(
                     time=self.now,
@@ -693,20 +749,19 @@ class Kernel:
         start = self.clock.now
         end = self.clock.advance(run)
         runner.pending_compute -= run
-        granted_mode = thread.remaining > 0 and not thread.declared_done
-        if granted_mode:
+        if thread.remaining > 0 and not thread.declared_done:
+            kind = SegmentKind.ASSIGNED if assigned else SegmentKind.GRANTED
             thread.remaining -= run
             thread.used += run
-            if thread.remaining <= 0 and thread.completed_at < 0:
-                thread.completed_at = end
+            if thread.remaining <= 0:
+                if thread.completed_at < 0:
+                    thread.completed_at = end
+                # Out of granted time: an implicit overtime request.
+                if self._on_overtime_request is not None:
+                    self._on_overtime_request(thread)
         else:
+            kind = SegmentKind.ASSIGNED if assigned else SegmentKind.OVERTIME
             thread.overtime_used += run
-        if assigned:
-            kind = SegmentKind.ASSIGNED
-        elif granted_mode:
-            kind = SegmentKind.GRANTED
-        else:
-            kind = SegmentKind.OVERTIME
         self.trace.record_run(
             runner.tid,
             start,
@@ -716,12 +771,9 @@ class Kernel:
             thread.tid if assigned else None,
         )
 
-    def _ensure_generator(self, thread: SimThread) -> None:
-        """Deliver the period's grant: callback (fresh call, cleared
-        stack) or return semantics (resume where it left off)."""
-        thread.ctx.delivery = thread.next_delivery
-        if thread.gen is not None and not thread.gen_exhausted and not thread.restart_pending:
-            return
+    def _start_generator(self, thread: SimThread) -> None:
+        """A fresh call on a cleared stack (callback semantics, or the
+        previous call ran to completion)."""
         if thread.grant is None:
             raise SchedulerError(
                 f"thread {thread.tid} dispatched without a grant"
@@ -733,34 +785,78 @@ class Kernel:
 
     # -- wakes -------------------------------------------------------------------
 
-    def _scan_wakes(self) -> None:
-        """Wake blocked threads whose channels have pending posts.
+    def _block_on(self, runner: SimThread, channel: Channel) -> None:
+        """Park ``runner`` on ``channel`` until a post is delivered."""
+        runner.state = ThreadState.BLOCKED
+        runner.blocked_channel = channel
+        self._block_seq += 1
+        runner.block_seq = self._block_seq
+        waiters = self._waiters.get(channel)
+        if waiters is None:
+            waiters = self._waiters[channel] = deque()
+        else:
+            # A waiter that left BLOCKED some other way (exit, restart
+            # by a fresh first period) is dropped when met; meeting the
+            # head here bounds the queue of a channel nobody posts to.
+            while waiters and self._stale_waiter(*waiters[0]):
+                waiters.popleft()
+        waiters.append((runner.block_seq, runner))
+        channel.waker = self._note_post
 
-        Waiters are served in the order they blocked (FIFO), so a
-        frequently re-blocking thread cannot starve a peer waiting on
-        the same channel.
+    @staticmethod
+    def _stale_waiter(seq: int, thread: SimThread) -> bool:
+        return thread.block_seq != seq or thread.state is not ThreadState.BLOCKED
+
+    def _deliver_posts(self) -> None:
+        """Wake the waiters of every channel posted to since the last
+        delivery point.
+
+        Only those channels' queues are touched.  Each post wakes one
+        waiter in the order they blocked (FIFO), so a frequently
+        re-blocking thread cannot starve a peer on the same channel; a
+        post already eaten by a non-blocking ``try_take`` wakes nobody.
+        When several channels fire in one delivery, the wakes are
+        applied in block order across them.
         """
-        still_blocked: list[int] = []
-        for tid in self._block_order:
-            candidate = self.threads.get(tid)
-            if candidate is None or candidate.state is not ThreadState.BLOCKED:
-                continue  # exited or already woken: drop from the queue
-            channel = candidate.blocked_channel
-            if channel is not None and channel.try_take():
-                candidate.state = ThreadState.ACTIVE
-                candidate.blocked_channel = None
-                self.trace.record_block(
-                    BlockRecord(
-                        time=self.now,
-                        thread_id=candidate.tid,
-                        blocked=False,
-                        channel=channel.name,
-                    )
-                )
-                self._reschedule = True
-            else:
-                still_blocked.append(tid)
-        self._block_order = still_blocked
+        batch = self._posted[:]
+        self._posted.clear()
+        woken: list[tuple[int, SimThread, Channel]] = []
+        for channel in batch:
+            waiters = self._waiters.get(channel)
+            if waiters is None:
+                continue  # posted twice; the first visit emptied it
+            while waiters:
+                seq, thread = waiters[0]
+                if self._stale_waiter(seq, thread):
+                    waiters.popleft()
+                elif channel.try_take():
+                    waiters.popleft()
+                    woken.append((seq, thread, channel))
+                else:
+                    break
+            if not waiters:
+                del self._waiters[channel]
+                if channel.waker is self._note_post:
+                    channel.waker = None
+        if len(woken) > 1:
+            woken.sort(key=itemgetter(0))  # block order across channels
+        for _, thread, channel in woken:
+            self._wake(thread, channel)
+
+    def _wake(self, thread: SimThread, channel: Channel) -> None:
+        thread.state = ThreadState.ACTIVE
+        thread.blocked_channel = None
+        self.trace.record_block(
+            BlockRecord(
+                time=self.now,
+                thread_id=thread.tid,
+                blocked=False,
+                channel=channel.name,
+            )
+        )
+        self._reschedule = True
+        if self._on_wake is not None:
+            self._on_wake(thread)
 
     # -- period rollover ------------------------------------------------------------
 
@@ -783,12 +879,12 @@ class Kernel:
         self._next_rollover = units.INFINITE
         earliest = units.INFINITE
         for thread in self._periodic:
-            while thread.in_period and (
+            while thread.grant is not None and (
                 thread.deadline < now or (not strict and thread.deadline == now)
             ):
                 self._close_period(thread)
                 self._open_next_period(thread)
-            if thread.in_period and thread.deadline < earliest:
+            if thread.grant is not None and thread.deadline < earliest:
                 earliest = thread.deadline
         self._next_rollover = min(self._next_rollover, earliest)
 

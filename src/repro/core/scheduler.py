@@ -25,6 +25,25 @@ A policy-free Earliest Deadline First enforcer (section 4.2):
 
 The Scheduler communicates only with the Resource Manager — never with
 the Policy Box, users, or applications.
+
+The three things the kernel asks on every dispatch — the TimeRemaining
+head, the OvertimeRequested head, and the next fresh allocation that
+ends a stretch of unallocated time — are each the head of a lazy
+min-heap, so a dispatch costs the same however many threads exist.  The
+rule is the same for all three: *push* ``(key, tid, thread)`` on the
+event that can make the thread a candidate (period open, wake, overtime
+request, a grant notification that touches its pending change);
+*validate* the head with the very predicate a scan would apply; *drop*
+a head that fails it.  Nothing is ever removed from the middle, and
+writes the Scheduler is not told about (an exit, a termination) need no
+hook because they only make entries fail validation.  A per-thread
+stamp (``SimThread.queued_*``) records the deadline already queued, so
+a thread that re-requests overtime 56 000 times a second holds one
+entry; the stamp is cleared when that entry is dropped, so the next
+event re-queues it.  The full scans survive as debug views
+(:meth:`RDScheduler.time_remaining_queue`,
+:meth:`~RDScheduler.overtime_queue`, :meth:`~RDScheduler.snapshot`) and
+in the sanitizer, which re-derives every decision from scratch.
 """
 
 from __future__ import annotations
@@ -69,11 +88,17 @@ class RDScheduler:
         self._pending_activation: dict[int, Grant] = {}
         #: Count of Resource Manager callbacks taken at unallocated time.
         self.activation_count = 0
-        #: Incremental EDF ready-heap of (deadline, tid, thread) entries.
-        #: One entry is pushed per period open; entries whose deadline no
-        #: longer matches the thread's are stale and discarded lazily on
-        #: pop, so no heap surgery is ever needed on grant changes.
+        #: TimeRemaining candidates as (deadline, tid, thread), pushed
+        #: at period open and on wake.
         self._ready_heap: list[tuple[int, int, SimThread]] = []
+        #: OvertimeRequested candidates as (deadline, tid, thread),
+        #: pushed on an overtime request and on wake.
+        self._overtime_heap: list[tuple[int, int, SimThread]] = []
+        #: Fresh-allocation times as (boundary, tid, thread): a thread's
+        #: deadline (and the start of a postponed period), pushed at
+        #: period open, on wake, and when a notification re-arms a
+        #: boundary that a pending removal had cancelled.
+        self._boundary_heap: list[tuple[int, int, SimThread]] = []
         #: The grant set delivered by the last ``notify_grant_set`` call,
         #: diffed against to skip threads whose grant did not change.
         self._last_notified: GrantSet | None = None
@@ -86,21 +111,69 @@ class RDScheduler:
         kernel.bind_policy(self)
         # Threads that started periods before this policy was bound (test
         # harnesses drive start_first_period directly) never saw the
-        # period-open hook; seed the ready-heap with them.
+        # period-open hook; seed the heaps with them.
         for thread in kernel.periodic_threads():
             if thread.in_period:
-                heappush(self._ready_heap, (thread.deadline, thread.tid, thread))
+                self.on_period_open(thread)
 
-    # -- kernel period hook ---------------------------------------------------
+    # -- kernel notification hooks ---------------------------------------------
 
     def on_period_open(self, thread: SimThread) -> None:
-        """A period just opened: push the thread's fresh deadline.
+        """A period just opened: queue the thread's fresh deadline.
 
         Called by the kernel from ``start_first_period`` and period
         rollover.  Old entries for the thread become stale (its deadline
-        moved) and are discarded when they surface at the heap head.
+        moved) and are dropped when they surface at a heap head.
         """
-        heappush(self._ready_heap, (thread.deadline, thread.tid, thread))
+        self._push_ready(thread)
+        self._push_boundary(thread)
+        self._push_postponed_start(thread)
+
+    def on_wake(self, thread: SimThread) -> None:
+        """A blocked thread is ACTIVE again: re-queue what was dropped
+        (or skipped) while it could not run."""
+        if thread.grant is None:
+            return  # a sporadic task, or a grant retired while blocked
+        if thread.remaining > 0 and not thread.declared_done:
+            self._push_ready(thread)
+        else:
+            self.on_overtime_request(thread)
+        self._push_boundary(thread)
+        self._push_postponed_start(thread)
+
+    def on_overtime_request(self, thread: SimThread) -> None:
+        """The thread ran out of granted time or asked for overtime."""
+        deadline = thread.deadline
+        if thread.queued_overtime != deadline:
+            # Pushing meets the head too, so a machine with no
+            # unallocated time (pick never reads this heap) still sheds
+            # the entries of periods long closed.
+            self._overtime_head(self.kernel.clock.now)
+            thread.queued_overtime = deadline
+            heappush(self._overtime_heap, (deadline, thread.tid, thread))
+
+    def _push_ready(self, thread: SimThread) -> None:
+        deadline = thread.deadline
+        if thread.queued_ready != deadline:
+            thread.queued_ready = deadline
+            heappush(self._ready_heap, (deadline, thread.tid, thread))
+
+    def _push_boundary(self, thread: SimThread) -> None:
+        deadline = thread.deadline
+        if thread.queued_boundary != deadline:
+            # Meets the head, as on_overtime_request does and why.
+            self._unallocated_timer(self.kernel.idle, self.kernel.clock.now)
+            thread.queued_boundary = deadline
+            heappush(self._boundary_heap, (deadline, thread.tid, thread))
+
+    def _push_postponed_start(self, thread: SimThread) -> None:
+        """Until a postponed period begins, its start — not its
+        deadline — is the thread's fresh allocation.  Reached once per
+        period open and once per wake, so it needs no stamp."""
+        if thread.period_start > self.kernel.clock.now:
+            heappush(
+                self._boundary_heap, (thread.period_start, thread.tid, thread)
+            )
 
     # -- Resource Manager interface ------------------------------------------
 
@@ -168,10 +241,15 @@ class RDScheduler:
                     thread.pending_grant = None
                     thread.has_pending_change = False
                     self._inflight.discard(tid)
+                    # May cancel a pending removal, whose boundary entry
+                    # was free to be dropped: the deadline is a fresh
+                    # allocation again.
+                    self._push_boundary(thread)
                 elif new.rate <= thread.grant.rate:
                     thread.pending_grant = new
                     thread.has_pending_change = True
                     self._inflight.add(tid)
+                    self._push_boundary(thread)  # likewise
                 else:
                     pending[tid] = new
                     self._inflight.discard(tid)
@@ -211,6 +289,7 @@ class RDScheduler:
                 thread.pending_grant = grant
                 thread.has_pending_change = True
                 self._inflight.add(tid)
+                self._push_boundary(thread)  # may replace a pending removal
             else:
                 # A new thread or a quiescent thread waking up: its first
                 # period starts now, in time that would otherwise have
@@ -242,28 +321,30 @@ class RDScheduler:
     def _ready_head(self, now: int) -> SimThread | None:
         """Earliest-deadline thread eligible for TimeRemaining, or None.
 
-        Lazy heap maintenance: entries whose deadline no longer matches
-        their thread (a later period opened), or whose thread retired,
-        exited, or spent its allocation for the period, are discarded —
-        the next period-open push resurrects the thread.  Entries that
-        are only *temporarily* ineligible (blocked, or a postponed
-        period that has not begun) are set aside and pushed back.
+        A head is dropped when its deadline no longer matches its thread
+        (a later period opened), or its thread retired, exited, blocked
+        or spent its allocation for the period — the next period open,
+        or the wake, queues the thread again.  Only a postponed period
+        that has not begun is set aside and pushed back: nothing tells
+        the Scheduler when it starts.
         """
         heap = self._ready_heap
         deferred: list[tuple[int, int, SimThread]] | None = None
         head: SimThread | None = None
         while heap:
-            deadline, tid, thread = heap[0]
+            deadline, _, thread = heap[0]
             if (
                 thread.deadline != deadline
-                or not thread.in_period
-                or thread.state is ThreadState.EXITED
                 or thread.remaining <= 0
                 or thread.declared_done
+                or thread.state is not ThreadState.ACTIVE
+                or thread.grant is None
             ):
                 heappop(heap)
+                if thread.queued_ready == deadline:
+                    thread.queued_ready = -1
                 continue
-            if thread.state is not ThreadState.ACTIVE or thread.period_start > now:
+            if thread.period_start > now:
                 if deferred is None:
                     deferred = []
                 deferred.append(heappop(heap))
@@ -275,20 +356,27 @@ class RDScheduler:
                 heappush(heap, entry)
         return head
 
+    def _overtime_head(self, now: int) -> SimThread | None:
+        """Earliest-deadline thread eligible for OvertimeRequested, or
+        None (the caller then runs Idle, which is always on the queue)."""
+        heap = self._overtime_heap
+        while heap:
+            deadline, _, thread = heap[0]
+            if thread.deadline == deadline and thread.eligible_overtime(now):
+                return thread
+            heappop(heap)
+            if thread.queued_overtime == deadline:
+                thread.queued_overtime = -1
+        return None
+
     def pick(self, now: int) -> SimThread:
         head = self._ready_head(now)
         if head is None and self._pending_activation:
             self._activate(now)
             head = self._ready_head(now)
-        if head is not None:
-            return head
-        best: SimThread | None = None
-        for thread in self.kernel.periodic_threads():
-            if thread.eligible_overtime(now) and (
-                best is None or _edf_key(thread) < _edf_key(best)
-            ):
-                best = thread
-        return best if best is not None else self.kernel.idle
+        if head is None:
+            head = self._overtime_head(now)
+        return head if head is not None else self.kernel.idle
 
     def timer_for(self, thread: SimThread, now: int) -> int:
         if thread.is_idle or not thread.eligible_time_remaining(now):
@@ -309,17 +397,21 @@ class RDScheduler:
         """Timer while running on unallocated time (overtime or idle):
         any thread's fresh allocation preempts."""
         stop = units.INFINITE
-        if not thread.is_idle and thread.in_period:
+        if not thread.is_idle and thread.grant is not None:
             stop = thread.deadline
-        for other in self.kernel.periodic_threads():
-            boundary = self._fresh_allocation_time(other, now)
-            if boundary is not None and boundary < stop:
-                stop = boundary
+        heap = self._boundary_heap
+        while heap:
+            boundary, _, other = heap[0]
+            if self._fresh_allocation_time(other, now) == boundary:
+                return boundary if boundary < stop else stop
+            heappop(heap)
+            if other.queued_boundary == boundary:
+                other.queued_boundary = -1
         return stop
 
     def _fresh_allocation_time(self, thread: SimThread, now: int) -> int | None:
         """When ``thread`` next receives a fresh allocation, if ever."""
-        if thread.state is not ThreadState.ACTIVE or not thread.in_period:
+        if thread.state is not ThreadState.ACTIVE or thread.grant is None:
             return None
         if thread.period_start > now:
             return thread.period_start  # postponed period about to begin

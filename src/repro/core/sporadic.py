@@ -16,6 +16,7 @@ server is admitted like any other thread.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Generator
 
 from repro import units
@@ -45,7 +46,7 @@ class SporadicServer:
         self.slice_ticks = slice_ticks
         self.poll_cost = poll_cost
         self.greedy = greedy
-        self._queue: list[SimThread] = []
+        self._queue: deque[SimThread] = deque()
         self.definition = TaskDefinition(
             name="SporadicServer",
             resource_list=ResourceList(
@@ -70,18 +71,23 @@ class SporadicServer:
         return task
 
     def queue_length(self) -> int:
-        self._prune()
-        return len(self._queue)
-
-    def _prune(self) -> None:
-        self._queue = [t for t in self._queue if t.state is not ThreadState.EXITED]
+        """Sporadic tasks that have not exited."""
+        return sum(1 for t in self._queue if t.state is not ThreadState.EXITED)
 
     def _next_ready(self) -> SimThread | None:
-        """Rotate to the next runnable sporadic task (round-robin)."""
-        self._prune()
-        for _ in range(len(self._queue)):
-            task = self._queue.pop(0)
-            self._queue.append(task)
+        """Rotate to the next runnable sporadic task (round-robin).
+
+        The server polls this on every dispatch, so an exited task is
+        dropped when the rotation meets it rather than by filtering the
+        whole queue first.
+        """
+        queue = self._queue
+        for _ in range(len(queue)):
+            task = queue[0]
+            if task.state is ThreadState.EXITED:
+                queue.popleft()
+                continue
+            queue.rotate(-1)
             if task.state is ThreadState.ACTIVE and not task.gen_exhausted:
                 return task
         return None
@@ -89,10 +95,14 @@ class SporadicServer:
     # -- the server's own task body -------------------------------------------------
 
     def _run(self, ctx) -> Generator[Op, None, None]:
+        # Ops are immutable; a greedy server yields these two on every
+        # dispatch of otherwise-unallocated time.
+        poll = Compute(self.poll_cost)
+        done = DonePeriod(overtime=self.greedy)
         while True:
-            yield Compute(self.poll_cost)
+            yield poll
             task = self._next_ready()
             if task is not None:
                 yield AssignGrant(task.tid, self.slice_ticks)
             else:
-                yield DonePeriod(overtime=self.greedy)
+                yield done

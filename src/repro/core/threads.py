@@ -50,6 +50,8 @@ class SimThread:
         self.definition = definition
         self.policy_id = policy_id
         self.state = ThreadState.ACTIVE
+        #: Fixed at construction: only the kernel's Idle thread is idle.
+        self.is_idle = kind is ThreadKind.IDLE
 
         # -- grant / period state (periodic threads only) --
         self.grant: Optional["Grant"] = None
@@ -89,6 +91,18 @@ class SimThread:
 
         # -- blocking --
         self.blocked_channel: Optional["Channel"] = None
+        #: The kernel's block sequence number of the current (or last)
+        #: Block; a waiter entry carrying another number is stale.
+        self.block_seq = 0
+
+        # -- scheduler queue stamps --
+        #: The deadline for which the policy already holds an entry of
+        #: this thread in its ready / overtime / boundary heap (-1: none).
+        #: A push for the same deadline is skipped; the stamp is cleared
+        #: when that entry is popped, so a later transition re-queues.
+        self.queued_ready = -1
+        self.queued_overtime = -1
+        self.queued_boundary = -1
 
         # -- sporadic-grant assignment (on the assigning periodic thread) --
         self.assignment_target: Optional["SimThread"] = None
@@ -105,10 +119,6 @@ class SimThread:
         self.total_overtime_ticks = 0
 
     # -- derived predicates used by scheduler policies ---------------------
-
-    @property
-    def is_idle(self) -> bool:
-        return self.kind is ThreadKind.IDLE
 
     @property
     def in_period(self) -> bool:
@@ -146,10 +156,12 @@ class SimThread:
     def eligible_time_remaining(self, now: int) -> bool:
         """Belongs on the TimeRemaining queue at time ``now``."""
         return (
-            self.state is ThreadState.ACTIVE
-            and self.period_started(now)
-            and self.remaining > 0
+            self.remaining > 0
             and not self.declared_done
+            and self.state is ThreadState.ACTIVE
+            and self.grant is not None
+            and self.period_index >= 0
+            and self.period_start <= now
         )
 
     def eligible_overtime(self, now: int) -> bool:
@@ -161,17 +173,22 @@ class SimThread:
         """
         if self.is_idle:
             return True
-        if self.state is not ThreadState.ACTIVE or not self.period_started(now):
-            return False
-        if self.eligible_time_remaining(now):
-            return False
-        if not self.has_pending_work():
+        if (
+            self.state is not ThreadState.ACTIVE
+            or self.grant is None
+            or self.period_index < 0
+            or self.period_start > now
+        ):
             return False
         if self.declared_done:
             # An explicit DonePeriod chose whether to request overtime.
-            return self.wants_overtime
-        # Ran out of granted time with work left: implicit request.
-        return self.remaining <= 0
+            if not self.wants_overtime:
+                return False
+        elif self.remaining > 0:
+            return False  # still on TimeRemaining
+        # Otherwise it ran out of granted time: an implicit request,
+        # honoured (like the explicit one) only with work left to run.
+        return self.has_pending_work()
 
     def clear_assignment(self) -> None:
         self.assignment_target = None

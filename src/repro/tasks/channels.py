@@ -12,6 +12,13 @@ that does block simply voids its guarantee for the affected periods.
   resulting spin "a bug in the application");
 * blocking: a task yields ``Block(channel)`` and is woken by the next
   :meth:`post`, regaining its guarantees in the following full period.
+
+A channel knows nothing about kernels.  While a thread is blocked on
+it, the kernel that owns the thread parks a callable in :attr:`waker`;
+:meth:`post` calls it with the channel, and the kernel delivers the
+wake at its next delivery point.  With nobody blocked the slot is
+``None`` and a post is two additions.  One slot means a channel wakes
+the blocked threads of one kernel at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ class Channel:
         self.name = name
         self._pending = 0
         self._posts = 0
+        #: Called with this channel after every post while a thread is
+        #: blocked here; set and cleared by the kernel owning the waiters.
+        self.waker = None
 
     @property
     def ready(self) -> bool:
@@ -44,6 +54,8 @@ class Channel:
             raise ValueError(f"post count must be positive, got {count}")
         self._pending += count
         self._posts += count
+        if self.waker is not None:
+            self.waker(self)
 
     def try_take(self) -> bool:
         """Consume one item if available (non-blocking)."""
