@@ -26,9 +26,9 @@ control, here steering the ``aimd`` placement policy toward nodes with
 sustained headroom.
 
 **Observed-load telemetry.**  With ``BrokerConfig.telemetry_aimd``
-enabled (and the simulation shipping per-node metric snapshots as
-``telemetry`` messages), the AIMD decision is driven by the
-:class:`~repro.obs.analysis.telemetry.TelemetryAggregator` instead of
+enabled (and the simulation shipping each node's four-scalar load
+signal as ``telemetry`` messages), the AIMD decision is driven by the
+:class:`~repro.cluster.telemetry.TelemetryAggregator` instead of
 the nodes' self-reports: deadline-miss deltas and QOS fractions *as
 measured by the metrics pipeline*.  Self-reports still refresh the
 placement view's headroom — capacity is the node's own book-keeping —
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from repro import units
 from repro.cluster.node import NodeLoadReport
 from repro.cluster.placement import NodeView, PlacementPolicy
-from repro.obs.analysis.telemetry import TelemetryAggregator, TelemetrySnapshot
+from repro.cluster.telemetry import TelemetryAggregator, TelemetrySnapshot
 from repro.obs.events import MigrationEvent, RpcEvent
 from repro.sim.backoff import BackoffPolicy
 from repro.sim.messages import Envelope, MessageBus
@@ -196,7 +196,7 @@ class ClusterBroker:
         #: Admit request ids we gave up on: request_id -> (task, node).
         self._abandoned: dict[str, tuple[str, str]] = {}
         self._overload_streak: dict[str, int] = {name: 0 for name in nodes}
-        #: Fleet telemetry ingested from ``telemetry`` bus messages.
+        #: Load signals ingested from ``telemetry`` bus messages.
         self.telemetry = TelemetryAggregator()
         #: Optional phase profiler, wired by the cluster simulation.
         self.prof = None
@@ -527,7 +527,7 @@ class ClusterBroker:
         self._aimd_update(report.node, overloaded)
 
     def _on_telemetry(self, snapshot: TelemetrySnapshot, now: int) -> None:
-        """Ingest one node's metric snapshot; maybe steer AIMD with it."""
+        """Ingest one node's load signal; maybe steer AIMD with it."""
         prof = self.prof
         if prof:
             prof.begin("broker.telemetry-merge")

@@ -22,15 +22,13 @@ message drops, same placements, byte-identical metrics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro import units
 from repro.cluster.broker import BROKER, BrokerConfig, ClusterBroker
 from repro.cluster.node import ClusterNode
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.telemetry import NodeTelemetry
 from repro.cluster.placement import make_policy
+from repro.cluster.telemetry import NodeTelemetry
 from repro.config import MachineConfig, SimConfig
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue
@@ -67,10 +65,11 @@ class ClusterSimulation:
         report into it, and each node's scheduler trace is registered so
         the Perfetto export shows per-node scheduling tracks.
 
-        ``telemetry`` (requires ``obs``) ships each node's slice of the
-        metrics registry to the broker as a ``telemetry`` message every
-        epoch — over the same lossy bus as everything else — and
-        switches the broker's AIMD weights to that observed load.
+        ``telemetry`` (requires ``obs``) ships each node's four-scalar
+        load signal (misses, QOS fraction, degraded tasks, headroom) to
+        the broker as a ``telemetry`` message every epoch — over the
+        same lossy bus as everything else — and switches the broker's
+        AIMD weights to that observed load.
 
         ``obs_pipeline`` (requires ``obs``) ships
         each node's event arena every epoch as seq-numbered columnar
@@ -126,15 +125,13 @@ class ClusterSimulation:
                         t.tid: t.name for t in k.threads.values()
                     },
                 )
-        self.telemetry: dict[str, "NodeTelemetry"] = {}
+        self.telemetry: dict[str, NodeTelemetry] = {}
         if telemetry:
             if obs is None:
                 raise SimulationError(
                     "telemetry=True needs an ObsSession (obs=...): the "
                     "snapshots are cut from its metrics registry"
                 )
-            from repro.cluster.telemetry import NodeTelemetry
-
             self.telemetry = {
                 name: NodeTelemetry(name, obs) for name in self.nodes
             }

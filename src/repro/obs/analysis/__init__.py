@@ -22,9 +22,6 @@ that record:
   over those statistics: TOML specs, offline evaluation, and a
   streaming engine that watches a live bus and emits ``slo-alert``
   events with burn rates;
-* :mod:`repro.obs.analysis.telemetry` — registry snapshots, histogram
-  merging, and the fleet-wide aggregator the cluster broker feeds with
-  per-node telemetry shipped over the MessageBus;
 * :mod:`repro.obs.analysis.report` — the deterministic markdown / JSON
   report behind ``python -m repro obs report``.
 
@@ -62,12 +59,6 @@ from repro.obs.analysis.slo import (
     load_slo_file,
     parse_slo_toml,
 )
-from repro.obs.analysis.telemetry import (
-    TelemetryAggregator,
-    TelemetrySnapshot,
-    merge_snapshots,
-    snapshot_registry,
-)
 from repro.obs.analysis.timeline import (
     PeriodRecord,
     TaskTimeline,
@@ -88,8 +79,6 @@ __all__ = [
     "SloResult",
     "SloSpec",
     "TaskTimeline",
-    "TelemetryAggregator",
-    "TelemetrySnapshot",
     "analysis_to_json",
     "analyze",
     "attribute_misses",
@@ -100,11 +89,9 @@ __all__ = [
     "load_events",
     "load_events_text",
     "load_slo_file",
-    "merge_snapshots",
     "overhead_breakdown",
     "parse_slo_toml",
     "percentile",
     "render_markdown",
-    "snapshot_registry",
     "top_causes",
 ]

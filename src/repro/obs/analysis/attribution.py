@@ -24,7 +24,12 @@ window ``[start, deadline]`` and classify what we find:
   (and is exactly what you want a report to say out loud).
 
 The same event can explain several misses and one miss can have
-several causes; attribution is evidence, not a verdict.
+several causes; attribution is evidence, not a verdict.  The events
+that matched a rule stay on the :class:`AttributedMiss` (every
+overloaded recompute and every involuntary switch counted, not only the
+ones that became a cause line), bracketed by the thread's admission and
+the period-close record, so ``repro obs explain`` prints exactly the
+record these rules read instead of selecting it a second time.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.obs.events import ObsEvent
+from repro.obs.analysis.episodes import is_overloaded
 from repro.obs.analysis.timeline import TaskTimeline
+from repro.obs.events import ObsEvent
 
 #: Involuntary switches away from the thread within one period that
 #: count as a storm (one preemption per period is business as usual).
@@ -62,6 +68,9 @@ class AttributedMiss:
     granted: int
     delivered: int
     causes: list[MissCause] = field(default_factory=list)
+    #: The thread's admission, every event a rule matched, and the
+    #: period-close record itself, in stream order.
+    evidence: list[ObsEvent] = field(default_factory=list)
 
     @property
     def label(self) -> str:
@@ -75,15 +84,22 @@ def attribute_misses(
     """Attribute every missed period across ``timelines``.
 
     ``events`` is the full stream the timelines were built from; it is
-    indexed per node once, then each miss scans only its own window.
+    indexed per node once, then each miss scans only its own node.
+    Migrations are recorded where the broker ran, not where the task
+    did, so they are indexed under every node and matched by task.
     """
-    by_node: dict[str, list[ObsEvent]] = {}
+    timelines = list(timelines)
+    by_node: dict[str, list[ObsEvent]] = {line.node: [] for line in timelines}
     for event in events:
-        by_node.setdefault(event.node, []).append(event)
+        if event.type == "migration":
+            for node_events in by_node.values():
+                node_events.append(event)
+        elif event.node in by_node:
+            by_node[event.node].append(event)
 
     misses: list[AttributedMiss] = []
     for line in timelines:
-        node_events = by_node.get(line.node, ())
+        node_events = by_node[line.node]
         for record in line.periods:
             if not record.missed:
                 continue
@@ -106,11 +122,19 @@ def _attribute_one(miss: AttributedMiss, node_events: Iterable[ObsEvent]) -> Non
     lo, hi = miss.start, miss.deadline
     preemptions = 0
     degraded_seen = False
+    evidence = miss.evidence
     for event in node_events:
-        if event.time < lo or event.time > hi:
+        if event.time > hi:
             continue
         kind = event.type
+        if kind == "admission":
+            if event.task == miss.task and event.thread_id == miss.thread_id:
+                evidence.append(event)
+            continue
+        if event.time < lo:
+            continue
         if kind == "grant-change" and event.thread_id == miss.thread_id:
+            evidence.append(event)
             miss.causes.append(
                 MissCause(
                     kind="grant-shrunk",
@@ -121,13 +145,9 @@ def _attribute_one(miss: AttributedMiss, node_events: Iterable[ObsEvent]) -> Non
                     ),
                 )
             )
-        elif kind == "grant-recompute" and not degraded_seen:
-            overloaded = (
-                event.degraded > 0
-                or event.minimum_fallback
-                or event.qos_fraction < 1.0
-            )
-            if overloaded:
+        elif kind == "grant-recompute" and is_overloaded(event):
+            evidence.append(event)
+            if not degraded_seen:
                 degraded_seen = True
                 miss.causes.append(
                     MissCause(
@@ -142,6 +162,7 @@ def _attribute_one(miss: AttributedMiss, node_events: Iterable[ObsEvent]) -> Non
                     )
                 )
         elif kind == "grace-period" and not event.honoured:
+            evidence.append(event)
             miss.causes.append(
                 MissCause(
                     kind="burned-grace",
@@ -154,8 +175,10 @@ def _attribute_one(miss: AttributedMiss, node_events: Iterable[ObsEvent]) -> Non
             )
         elif kind == "context-switch":
             if event.kind == "involuntary" and event.from_thread == miss.thread_id:
+                evidence.append(event)
                 preemptions += 1
         elif kind == "migration" and event.task and event.task == miss.task:
+            evidence.append(event)
             miss.causes.append(
                 MissCause(
                     kind="migration",
@@ -167,6 +190,7 @@ def _attribute_one(miss: AttributedMiss, node_events: Iterable[ObsEvent]) -> Non
                 )
             )
         elif kind == "violation":
+            evidence.append(event)
             miss.causes.append(
                 MissCause(
                     kind="invariant-violation",
@@ -174,6 +198,12 @@ def _attribute_one(miss: AttributedMiss, node_events: Iterable[ObsEvent]) -> Non
                     detail=f"{event.rule}: {event.detail}",
                 )
             )
+        elif (
+            kind == "period-close"
+            and event.thread_id == miss.thread_id
+            and event.period_index == miss.period_index
+        ):
+            evidence.append(event)
     if preemptions >= PREEMPTION_STORM_THRESHOLD:
         miss.causes.append(
             MissCause(

@@ -43,7 +43,8 @@ class OverloadEpisode:
         return self.exit - self.entry if self.resolved else -1
 
 
-def _is_overloaded(event: ObsEvent) -> bool:
+def is_overloaded(event: ObsEvent) -> bool:
+    """Did this ``grant-recompute`` leave its node below full QOS?"""
     return (
         event.degraded > 0
         or event.minimum_fallback
@@ -60,7 +61,7 @@ def detect_episodes(events: Iterable[ObsEvent]) -> list[OverloadEpisode]:
         if kind == "grant-recompute":
             node = event.node
             current = open_by_node.get(node)
-            if _is_overloaded(event):
+            if is_overloaded(event):
                 if current is None:
                     current = OverloadEpisode(node=node, entry=event.time)
                     open_by_node[node] = current

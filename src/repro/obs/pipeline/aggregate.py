@@ -2,12 +2,12 @@
 
 The :class:`RootCollector` sits at the top of the node -> rack -> root
 tree.  It ingests rack batches, tracks every tier's sequence numbers,
-and keeps the delivered rows, so at the end of a run it can answer two
+and counts the delivered rows — the payload itself is dropped on
+ingest; the ``events.*`` artifacts are written from the session's
+arenas, not from here — so at the end of a run it can answer two
 questions exactly:
 
-* **what arrived** — the delivered event stream, materializable in a
-  deterministic global order (time, then node, then per-node emission
-  position) for the root-side artifact and ad-hoc queries;
+* **what arrived** — delivered chunks per node and rows per kind;
 * **what did not** — per kind and per node:
   ``dropped = emitted - sampled_out - delivered``, where ``emitted``
   and ``sampled_out`` come from the freshest cumulative counters (the
@@ -23,7 +23,6 @@ The invariant the property suite holds, per kind and in total::
 
 from __future__ import annotations
 
-from repro.obs.events import EVENT_TYPES, ObsEvent
 from repro.obs.pipeline.ship import SeqTracker
 
 #: Accounting counter names, in the order reports list them.
@@ -36,23 +35,12 @@ class RootCollector:
     def __init__(self) -> None:
         self.rack_trackers: dict[str, SeqTracker] = {}
         self.rack_batches = 0
+        #: node -> end-to-end chunk bookkeeping (accepted count, gaps).
         self.node_trackers: dict[str, SeqTracker] = {}
-        #: node -> accepted chunks, in arrival order (sorted by seq on
-        #: materialization; jitter can reorder neighbours in flight).
-        self.node_chunks: dict[str, list[dict]] = {}
         #: node -> (seq, cumulative counters) from the freshest chunk.
         self.latest_cum: dict[str, tuple[int, dict]] = {}
         #: node -> kind -> rows that actually arrived here.
         self.delivered: dict[str, dict[str, int]] = {}
-
-    @property
-    def lost_node_chunks(self) -> dict[str, int]:
-        """node -> chunks that never reached the root (end-to-end)."""
-        return {
-            node: tracker.lost()
-            for node, tracker in sorted(self.node_trackers.items())
-            if tracker.lost()
-        }
 
     @property
     def lost_rack_batches(self) -> dict[str, int]:
@@ -76,7 +64,7 @@ class RootCollector:
             self.on_node_chunk(chunk)
 
     def on_node_chunk(self, chunk: dict) -> bool:
-        """Ingest one node chunk; False when it is a duplicate."""
+        """Count one node chunk's rows; False when it is a duplicate."""
         node = chunk["node"]
         seq = chunk["seq"]
         tracker = self.node_trackers.get(node)
@@ -84,7 +72,6 @@ class RootCollector:
             tracker = self.node_trackers[node] = SeqTracker()
         if not tracker.accept(seq):
             return False
-        self.node_chunks.setdefault(node, []).append(chunk)
         latest = self.latest_cum.get(node)
         if latest is None or seq > latest[0]:
             self.latest_cum[node] = (seq, chunk["cum"])
@@ -92,32 +79,6 @@ class RootCollector:
         for tag in chunk["order"]:
             counts[tag] = counts.get(tag, 0) + 1
         return True
-
-    # -- the delivered stream ----------------------------------------------
-
-    def events(self) -> list[ObsEvent]:
-        """Every delivered row as a typed event, deterministic order.
-
-        Per node, chunks sorted by seq and rows in chunk order give the
-        node's emission order (minus losses); across nodes the streams
-        interleave by ``(time, node, position)`` — stable under reruns
-        and independent of arrival order.
-        """
-        keyed: list[tuple[int, str, int, ObsEvent]] = []
-        for node in sorted(self.node_chunks):
-            position = 0
-            for chunk in sorted(self.node_chunks[node], key=lambda c: c["seq"]):
-                cursors: dict[str, int] = {}
-                for tag in chunk["order"]:
-                    row = cursors.get(tag, 0)
-                    cursors[tag] = row + 1
-                    columns = chunk["columns"][tag]
-                    values = {name: column[row] for name, column in columns.items()}
-                    event = EVENT_TYPES[tag](**values)
-                    keyed.append((event.time, node, position, event))
-                    position += 1
-        keyed.sort(key=lambda item: item[:3])
-        return [item[3] for item in keyed]
 
     # -- loss accounting ----------------------------------------------------
 
@@ -168,17 +129,11 @@ class RootCollector:
                 )
                 for name in LOSS_COUNTERS:
                     total[name] += row[name]
-            sent = None
-            if chunks_sent is not None:
-                sent = chunks_sent.get(node)
+            tracker = self.node_trackers.get(node)
+            got = 0 if tracker is None else tracker.received()
+            sent = (chunks_sent or {}).get(node)
             if sent is None:
-                tracker = self.node_trackers.get(node)
-                sent = (
-                    0
-                    if tracker is None or tracker.max_seq is None
-                    else tracker.max_seq + 1
-                )
-            got = len(self.node_chunks.get(node, ()))
+                sent = 0 if tracker is None else tracker.max_seq + 1
             nodes_out[node] = {
                 "kinds": node_kinds,
                 "chunks": {"sent": sent, "delivered": got, "lost": sent - got},

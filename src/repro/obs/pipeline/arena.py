@@ -27,14 +27,7 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 from repro.obs.colfile import FIELD_PLANS
-from repro.obs.events import (
-    ActivationEvent,
-    EVENT_TYPES,
-    ObsBus,
-    ObsEvent,
-    PeriodCloseEvent,
-    SwitchEvent,
-)
+from repro.obs.events import EVENT_TYPES, ObsBus, ObsEvent
 
 #: Compact a column (or the order list) once this many dead rows sit in
 #: front of it *and* they outnumber the live rows — amortized O(1).
@@ -308,17 +301,28 @@ class ArenaBus(ObsBus):
 
     # -- emission ----------------------------------------------------------
 
-    def emit(self, event: ObsEvent) -> None:
-        tag = event.type
-        node = event.node
-        self.arena(node).append_row(
-            tag, tuple(getattr(event, name) for name in FIELD_PLANS[tag])
-        )
+    def _append(
+        self, node: str, tag: str, values: tuple, event: ObsEvent | None = None
+    ) -> None:
+        """Record one row (``values`` in ``FIELD_PLANS[tag]`` order); the
+        typed event exists only if a subscriber is attached to see it."""
+        self.arena(node).append_row(tag, values)
         if self._order is not None:
             self._order.append((node, tag))
         if self._subscribers:
+            if event is None:
+                event = EVENT_TYPES[tag](**dict(zip(FIELD_PLANS[tag], values)))
             for sink in self._subscribers:
                 sink(event)
+
+    def emit(self, event: ObsEvent) -> None:
+        tag = event.type
+        self._append(
+            event.node,
+            tag,
+            tuple(getattr(event, name) for name in FIELD_PLANS[tag]),
+            event,
+        )
 
     def emit_switch(
         self,
@@ -329,23 +333,11 @@ class ArenaBus(ObsBus):
         cost_ticks: int,
         node: str = "",
     ) -> None:
-        self.arena(node).append_row(
+        self._append(
+            node,
             "context-switch",
             (time, node, from_thread, to_thread, kind, cost_ticks),
         )
-        if self._order is not None:
-            self._order.append((node, "context-switch"))
-        if self._subscribers:
-            event = SwitchEvent(
-                time=time,
-                from_thread=from_thread,
-                to_thread=to_thread,
-                kind=kind,
-                cost_ticks=cost_ticks,
-                node=node,
-            )
-            for sink in self._subscribers:
-                sink(event)
 
     def emit_period_close(
         self,
@@ -360,7 +352,8 @@ class ArenaBus(ObsBus):
         voided: bool,
         node: str = "",
     ) -> None:
-        self.arena(node).append_row(
+        self._append(
+            node,
             "period-close",
             (
                 time,
@@ -375,32 +368,9 @@ class ArenaBus(ObsBus):
                 voided,
             ),
         )
-        if self._order is not None:
-            self._order.append((node, "period-close"))
-        if self._subscribers:
-            event = PeriodCloseEvent(
-                time=time,
-                thread_id=thread_id,
-                period_index=period_index,
-                start=start,
-                completion=completion,
-                granted=granted,
-                delivered=delivered,
-                missed=missed,
-                voided=voided,
-                node=node,
-            )
-            for sink in self._subscribers:
-                sink(event)
 
     def emit_activation(self, time: int, pending: int, node: str = "") -> None:
-        self.arena(node).append_row("activation", (time, node, pending))
-        if self._order is not None:
-            self._order.append((node, "activation"))
-        if self._subscribers:
-            event = ActivationEvent(time=time, pending=pending, node=node)
-            for sink in self._subscribers:
-                sink(event)
+        self._append(node, "activation", (time, node, pending))
 
     # -- whole-stream views ------------------------------------------------
 

@@ -2,10 +2,11 @@
 
 ``python -m repro obs explain DIR --task T --miss N`` answers the
 question a miss-rate number never does: *what actually happened to this
-period?*  It walks the same record the analysis layer attributes misses
-from (:mod:`repro.obs.analysis.attribution`) and prints, in time order,
-the concrete chain of events that led from the task's admission to the
-missed deadline:
+period?*  It prints, in time order, the evidence the analysis layer
+kept while attributing the miss (:mod:`repro.obs.analysis.attribution`
+owns the rules; nothing is selected a second time here) — the concrete
+chain of events that led from the task's admission to the missed
+deadline:
 
 * the admission that created the thread on its node;
 * every grant change the thread saw inside the missed window;
@@ -16,11 +17,13 @@ missed deadline:
 * invariant violations on the node;
 * the period-close record of the miss itself.
 
-When the stream came through the telemetry pipeline, the report ends
-with the loss accounting for the miss's node: either "no loss — the
-chain is complete" or exactly which kinds dropped how many rows, so a
-partial chain is labeled partial instead of silently passing for the
-whole story.
+When the run shipped its arenas through the telemetry pipeline, the
+report ends with the loss accounting for the miss's node: either "no
+loss" or exactly which kinds dropped how many rows on the way to the
+root.  That section describes the *shipped* view (``pipeline.json``):
+the ``events.*`` artifacts the chain is printed from are written from
+the session's own arenas, so a root-side consumer of the same stream
+would be missing those links even though the printed chain is not.
 """
 
 from __future__ import annotations
@@ -58,63 +61,16 @@ def find_misses(
     return misses
 
 
-def causal_chain(
-    events: Iterable[ObsEvent], miss: AttributedMiss
-) -> list[ObsEvent]:
+def causal_chain(miss: AttributedMiss) -> list[ObsEvent]:
     """The concrete events behind ``miss``, sorted by time.
 
-    The selection mirrors the attribution rules event for event, plus
-    the bookends attribution takes as given: the task's admission on
-    the miss's node and the period-close record itself.
+    Exactly the evidence attribution kept — the task's admission on the
+    miss's node, every event a rule matched, the period-close record —
+    so the printed chain and the cause list can never disagree about
+    what counts.
     """
-    lo, hi = miss.start, miss.deadline
-    chain: list[ObsEvent] = []
-    for event in events:
-        kind = event.type
-        if kind == "admission":
-            if (
-                event.task == miss.task
-                and event.node == miss.node
-                and event.thread_id == miss.thread_id
-                and event.time <= hi
-            ):
-                chain.append(event)
-            continue
-        if kind == "migration":
-            # Migrations span nodes; match by task wherever recorded.
-            if event.task and event.task == miss.task and lo <= event.time <= hi:
-                chain.append(event)
-            continue
-        if event.node != miss.node or not lo <= event.time <= hi:
-            continue
-        if kind == "grant-change":
-            if event.thread_id == miss.thread_id:
-                chain.append(event)
-        elif kind == "grant-recompute":
-            overloaded = (
-                event.degraded > 0
-                or event.minimum_fallback
-                or event.qos_fraction < 1.0
-            )
-            if overloaded:
-                chain.append(event)
-        elif kind == "grace-period":
-            if not event.honoured:
-                chain.append(event)
-        elif kind == "context-switch":
-            if event.kind == "involuntary" and event.from_thread == miss.thread_id:
-                chain.append(event)
-        elif kind == "violation":
-            chain.append(event)
-        elif kind == "period-close":
-            if (
-                event.thread_id == miss.thread_id
-                and event.period_index == miss.period_index
-            ):
-                chain.append(event)
     # Stable sort: same-tick events keep their stream order.
-    chain.sort(key=lambda event: event.time)
-    return chain
+    return sorted(miss.evidence, key=lambda event: event.time)
 
 
 def _chain_lines(chain: list[ObsEvent]) -> list[str]:
@@ -215,7 +171,7 @@ def explain_miss(
             f"--miss must be in [0, {len(misses) - 1}]"
         )
     miss = misses[miss_index]
-    chain = causal_chain(events, miss)
+    chain = causal_chain(miss)
     lines = [
         (
             f"miss {miss_index} of {len(misses)} for {miss.label} "

@@ -119,11 +119,10 @@ class ChunkShipper:
 class RackCollector:
     """One rack's aggregation point: batches node chunks toward the root.
 
-    Tracks per-node sequence numbers (:class:`SeqTracker`) so chunks
-    lost on the node->rack hop are counted as soon as a later chunk
-    arrives; jitter-reordered late chunks fill their gap, and true
-    duplicates are absorbed silently, matching the idempotency rules
-    everywhere else in the cluster.
+    Tracks per-node sequence numbers (:class:`SeqTracker`) so a
+    jitter-reordered late chunk is forwarded and a true duplicate is
+    absorbed silently, matching the idempotency rules everywhere else
+    in the cluster.  Loss is counted end to end at the root, not here.
     """
 
     def __init__(self, name: str, bus) -> None:
@@ -134,8 +133,6 @@ class RackCollector:
         self.trackers: dict[str, SeqTracker] = {}
         #: node chunks received since the last flush.
         self.pending: list[dict] = []
-        #: Total node chunks accepted (non-duplicate).
-        self.received = 0
 
     def on_chunk(self, chunk: dict) -> bool:
         """Ingest one node chunk; False when dropped as a duplicate."""
@@ -146,17 +143,7 @@ class RackCollector:
         if not tracker.accept(chunk["seq"]):
             return False
         self.pending.append(chunk)
-        self.received += 1
         return True
-
-    @property
-    def lost_chunks(self) -> dict[str, int]:
-        """node -> chunks known lost on the way here (open seq gaps)."""
-        return {
-            node: tracker.lost()
-            for node, tracker in sorted(self.trackers.items())
-            if tracker.lost()
-        }
 
     def flush(self, now: int) -> dict:
         """Batch everything received since the last flush toward root."""
@@ -165,7 +152,6 @@ class RackCollector:
             "seq": self.seq,
             "time": now,
             "chunks": self.pending,
-            "lost_below": self.lost_chunks,
         }
         self.pending = []
         self.seq += 1

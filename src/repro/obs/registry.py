@@ -68,8 +68,9 @@ class Gauge:
         key = _label_key(self.label_names, labels)
         self._series[key] = self._series.get(key, 0) + amount
 
-    def value(self, **labels: str) -> float:
-        return self._series.get(_label_key(self.label_names, labels), 0)
+    def value(self, default: float = 0, /, **labels: str) -> float:
+        """The series' value; ``default`` for one that was never set."""
+        return self._series.get(_label_key(self.label_names, labels), default)
 
     def series(self) -> list[tuple[tuple[str, ...], float]]:
         return sorted(self._series.items())

@@ -288,6 +288,22 @@ class ObsSession:
         elif kind == "slo-alert":
             self._m_slo_alerts.inc(slo=event.slo)
 
+    def load_signal(self, node: str) -> tuple[int, float, int, float]:
+        """``node``'s observed load, caught up to the stream: cumulative
+        deadline misses, QOS fraction, degraded tasks, headroom.
+
+        This is everything the cluster's telemetry ships per node per
+        epoch.  A node that has not recomputed a grant set yet is at
+        full QOS and full headroom, not at the gauges' unset zero.
+        """
+        self.registry  # fold pending events in first
+        return (
+            int(self._m_misses.value(node=node)),
+            self._m_qos.value(1.0, node=node),
+            int(self._m_degraded.value(node=node)),
+            self._m_headroom.value(1.0, node=node),
+        )
+
     # -- loss accounting ---------------------------------------------------
 
     def loss_accounting(self) -> dict:

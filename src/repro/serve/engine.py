@@ -5,8 +5,9 @@
 :class:`~repro.obs.session.ObsSession`, and exposes the synchronous
 mutation surface the HTTP layer serializes onto a single writer:
 
-* :meth:`submit` / :meth:`submit_batch` — place tasks via the broker;
-* :meth:`remove` — withdraw a placed task;
+* :meth:`commit` — fire a group of mutations at one tick, log them,
+  settle once, resolve each; :meth:`submit`, :meth:`submit_batch` and
+  :meth:`remove` are one-element commits through the same code;
 * read-only views (:meth:`task`, :meth:`nodes`, :meth:`slo_status`).
 
 Time discipline: the wall clock NEVER advances the simulation.  Every
@@ -90,12 +91,8 @@ class ServeEngine:
     def apply(self, op: dict) -> dict:
         """Dispatch one oplog-shaped mutation; the writer's entry point."""
         kind = op.get("op")
-        if kind == "submit":
-            return self.submit(op["spec"])
-        if kind == "batch":
-            return self.submit_batch(op["specs"])
-        if kind == "remove":
-            return self.remove(op["task"])
+        if kind in ("submit", "batch", "remove"):
+            return self._commit([op])[0]
         if kind == "commit":
             self.commit(op["ops"])
             return {"status": "applied", "now": self.sim.now}
@@ -124,10 +121,9 @@ class ServeEngine:
         return self._commit(ops)
 
     def _commit(self, ops: list[dict]) -> list[dict]:
-        if len(ops) == 1:
-            return [self.apply(ops[0])]
+        """Fire, log, settle, resolve — the one mutation path."""
         fired: list[dict] = []
-        pending: list[tuple[int, str, dict]] = []
+        pending: list[tuple[int, str, object]] = []
         results: list[dict | None] = [None] * len(ops)
         for i, op in enumerate(ops):
             kind = op.get("op")
@@ -147,7 +143,7 @@ class ServeEngine:
             elif kind == "remove":
                 task = op["task"]
                 record = self.tasks.get(task)
-                if record is None or record["status"] not in ("admitted",):
+                if record is None or record["status"] != "admitted":
                     status = "absent" if record is None else record["status"]
                     results[i] = {"task": task, "status": status, "removed": False}
                 else:
@@ -160,8 +156,9 @@ class ServeEngine:
                     "error": f"unknown serve op {kind!r}",
                 }
         if fired:
-            # A lone survivor (the rest rejected pre-RPC) is recorded
-            # bare, exactly as a replaying engine would re-record it.
+            # A lone fired op (the only one, or the rest rejected
+            # pre-RPC) is recorded bare, exactly as a replaying engine
+            # would re-record it.
             self.oplog.append(
                 fired[0] if len(fired) == 1 else {"op": "commit", "ops": fired}
             )
@@ -186,48 +183,19 @@ class ServeEngine:
                     "status": "removed",
                     "removed": True,
                 }
-        return [r if r is not None else {"status": "rejected"} for r in results]
+        return results
 
     def submit(self, spec: dict) -> dict:
         """Admit one task; returns its settled record."""
-        record = self._start(spec)
-        if record["status"] == "rejected":
-            return record
-        self.oplog.append({"op": "submit", "spec": dict(spec)})
-        self.sim.settle()
-        return self._resolve(record)
+        return self._commit([{"op": "submit", "spec": spec}])[0]
 
     def submit_batch(self, specs: list[dict]) -> dict:
         """Admit a batch at one tick, settled together (one bus storm)."""
-        records = [self._start(spec) for spec in specs]
-        self.oplog.append(
-            {
-                "op": "batch",
-                "specs": [dict(s) for s in specs],
-            }
-        )
-        self.sim.settle()
-        return {
-            "status": "applied",
-            "now": self.sim.now,
-            "tasks": [
-                r if r["status"] == "rejected" else self._resolve(r)
-                for r in records
-            ],
-        }
+        return self._commit([{"op": "batch", "specs": specs}])[0]
 
     def remove(self, task: str) -> dict:
         """Withdraw a placed task; idempotent on unknown/removed names."""
-        record = self.tasks.get(task)
-        if record is None or record["status"] not in ("admitted",):
-            status = "absent" if record is None else record["status"]
-            return {"task": task, "status": status, "removed": False}
-        self.oplog.append({"op": "remove", "task": task})
-        self.sim.broker.withdraw(task, self.sim.now)
-        self.sim.settle()
-        record["status"] = "removed"
-        record["resolved_at"] = self.sim.now
-        return {"task": task, "status": "removed", "removed": True}
+        return self._commit([{"op": "remove", "task": task}])[0]
 
     def drain(self) -> dict:
         """Withdraw everything and settle; the graceful-shutdown hook."""

@@ -1,128 +1,104 @@
-"""Cluster telemetry: registry snapshots, fleet merges, the aggregator's
+"""Cluster telemetry: the four-scalar load signal, the aggregator's
 staleness/ordering discipline, and the broker's observed-load AIMD."""
+
+import dataclasses
 
 import pytest
 
-from repro import units
-from repro.errors import SimulationError
-from repro.obs.analysis.telemetry import (
-    MISSES_METRIC,
-    QOS_METRIC,
+from repro.cluster.telemetry import (
+    NodeTelemetry,
     ObservedLoad,
     TelemetryAggregator,
     TelemetrySnapshot,
-    merge_snapshots,
-    snapshot_registry,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.errors import SimulationError
+from repro.obs.events import (
+    AdmissionEvent,
+    GrantRecomputeEvent,
+    PeriodCloseEvent,
+)
+from repro.obs.session import ObsSession
 
 
-def registry_with(node_values):
-    """A registry holding node-labelled misses/qos series plus one
-    unlabelled gauge (which a per-node snapshot must skip)."""
-    registry = MetricsRegistry()
-    misses = registry.counter(MISSES_METRIC, "misses", ("node",))
-    qos = registry.gauge(QOS_METRIC, "qos", ("node",))
-    registry.gauge("repro_global_temperature", "no node label")
-    for node, (miss_count, qos_value) in node_values.items():
-        misses.inc(miss_count, node=node)
-        qos.set(qos_value, node=node)
-    return registry
+def recompute(session, node, time, qos=1.0, degraded=0, headroom=0.5):
+    session.bus.emit(
+        GrantRecomputeEvent(
+            time=time,
+            node=node,
+            requests=2,
+            granted=2,
+            degraded=degraded,
+            qos_fraction=qos,
+            headroom=headroom,
+        )
+    )
+
+
+def miss(session, node, time):
+    session.bus.emit(
+        PeriodCloseEvent(
+            time=time, node=node, thread_id=1, period_index=0, missed=True
+        )
+    )
 
 
 class TestSnapshot:
-    def test_node_filter_cuts_one_nodes_slice(self):
-        registry = registry_with({"n0": (2, 0.5), "n1": (7, 1.0)})
-        snap = snapshot_registry(registry, "n0", time=100, node_filter="n0")
-        assert snap.metrics[MISSES_METRIC].series == {("n0",): 2}
-        assert snap.metrics[QOS_METRIC].series == {("n0",): 0.5}
-        # Metrics without a node label cannot be attributed to a node.
-        assert "repro_global_temperature" not in snap.metrics
+    def test_node_without_a_recompute_reads_full_qos_and_headroom(self):
+        # The gauges answer 0 for a series never set; shipped as-is that
+        # would read as total overload and halve the node's AIMD weight
+        # in epoch 1.
+        session = ObsSession()
+        recompute(session, "n1", time=5, qos=0.5, headroom=0.1)
+        cut = NodeTelemetry("n0", session).snapshot(now=10)
+        assert cut == TelemetrySnapshot(
+            node="n0", time=10, seq=1,
+            misses=0, qos_fraction=1.0, degraded=0, headroom=1.0,
+        )
 
-    def test_unfiltered_snapshot_keeps_everything(self):
-        registry = registry_with({"n0": (1, 1.0)})
-        snap = snapshot_registry(registry, "all", time=5)
-        assert "repro_global_temperature" in snap.metrics
-        assert snap.metrics[MISSES_METRIC].series == {("n0",): 1}
+    def test_node_filter_cuts_one_nodes_slice(self):
+        # Mid-run: the snapshot is its own node's registry values as of
+        # everything emitted so far, and nobody else's.
+        session = ObsSession()
+        recompute(session, "n0", time=10, qos=0.75, degraded=1, headroom=0.2)
+        recompute(session, "n1", time=10, qos=0.25, degraded=3, headroom=0.0)
+        miss(session, "n0", time=20)
+        miss(session, "n0", time=30)
+        for _ in range(7):
+            miss(session, "n1", time=30)
+        session.bus.emit(AdmissionEvent(time=40, node="n0", headroom=0.125))
+        telemetry = NodeTelemetry("n0", session)
+        cut = telemetry.snapshot(now=50)
+        get = session.registry.get
+        assert cut.misses == get("repro_deadline_misses_total").value(node="n0") == 2
+        assert cut.qos_fraction == get("repro_qos_fraction").value(node="n0") == 0.75
+        assert cut.degraded == get("repro_degraded_tasks").value(node="n0") == 1
+        assert cut.headroom == get("repro_headroom_ratio").value(node="n0") == 0.125
+        assert (cut.node, cut.time, cut.seq) == ("n0", 50, 1)
+        assert telemetry.snapshot(now=60).seq == 2
 
     def test_snapshot_is_a_frozen_copy(self):
-        registry = registry_with({"n0": (1, 1.0)})
-        snap = snapshot_registry(registry, "n0", time=5, node_filter="n0")
-        registry.get(MISSES_METRIC).inc(10, node="n0")
-        assert snap.metrics[MISSES_METRIC].series == {("n0",): 1}
-
-    def test_histogram_series_are_copied(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("repro_lat", "lat", (1.0, 10.0), ("node",))
-        hist.observe(0.5, node="n0")
-        snap = snapshot_registry(registry, "n0", time=5, node_filter="n0")
-        hist.observe(5.0, node="n0")
-        counts, inf_count, total = snap.metrics["repro_lat"].series[("n0",)]
-        assert counts == [1, 1] and inf_count == 1 and total == 0.5
+        session = ObsSession()
+        miss(session, "n0", time=10)
+        cut = NodeTelemetry("n0", session).snapshot(now=20)
+        miss(session, "n0", time=30)
+        assert session.load_signal("n0")[0] == 2
+        assert cut.misses == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cut.misses = 5
 
 
-def snap(node, time, seq=0, misses=None, qos=None):
-    registry = registry_with(
-        {node: (misses if misses is not None else 0,
-                qos if qos is not None else 1.0)}
+def snap(node, time, seq=0, misses=0, qos=1.0, degraded=0, headroom=1.0):
+    return TelemetrySnapshot(
+        node=node, time=time, seq=seq,
+        misses=misses, qos_fraction=qos, degraded=degraded, headroom=headroom,
     )
-    return snapshot_registry(registry, node, time=time, seq=seq,
-                             node_filter=node)
 
 
-class TestMerge:
-    def test_counters_sum_and_gauges_take_the_freshest(self):
-        merged = merge_snapshots([
-            snap("n0", time=100, misses=2, qos=0.5),
-            snap("n1", time=200, misses=3, qos=0.9),
-        ])
-        assert merged.node == "fleet" and merged.time == 200
-        series = merged.metrics[MISSES_METRIC].series
-        assert series == {("n0",): 2, ("n1",): 3}
-
-    def test_same_key_gauges_resolve_by_time(self):
-        # Two snapshots write the SAME series key with different values
-        # at different times; the merge must be input-order-free.
-        a = snap("n0", time=100, qos=0.25)
-        b = snap("n0", time=200, seq=1, qos=0.75)
-        for order in ([a, b], [b, a]):
-            merged = merge_snapshots(order)
-            assert merged.metrics[QOS_METRIC].series[("n0",)] == 0.75
-
-    def test_histogram_bucket_mismatch_is_an_error(self):
-        def hist_snap(node, buckets):
-            registry = MetricsRegistry(
-                bucket_overrides={"repro_lat": buckets} if buckets else None
-            )
-            registry.histogram("repro_lat", "lat", (1.0, 10.0), ("node",))
-            registry.get("repro_lat").observe(0.5, node=node)
-            return snapshot_registry(registry, node, time=1, node_filter=node)
-
-        with pytest.raises(SimulationError, match="bucket bounds differ"):
-            merge_snapshots([
-                hist_snap("n0", None),
-                hist_snap("n1", (1.0, 5.0, 25.0)),
-            ])
-
-    def test_matching_histograms_add_bucket_wise(self):
-        def hist_snap(node, value):
-            registry = MetricsRegistry()
-            registry.histogram("repro_lat", "lat", (1.0, 10.0), ("node",))
-            registry.get("repro_lat").observe(value, node=node)
-            return snapshot_registry(registry, node, time=1, node_filter=node)
-
-        merged = merge_snapshots([hist_snap("n0", 0.5), hist_snap("n1", 5.0)])
-        series = merged.metrics["repro_lat"].series
-        assert series[("n0",)][0] == [1, 1]
-        assert series[("n1",)][0] == [0, 1]
-
-    def test_kind_conflict_is_an_error(self):
-        a = TelemetrySnapshot(node="n0", time=1)
-        a.metrics["m"] = snap("n0", 1).metrics[MISSES_METRIC]
-        b = TelemetrySnapshot(node="n1", time=2)
-        b.metrics["m"] = snap("n1", 2).metrics[QOS_METRIC]
-        with pytest.raises(SimulationError, match="counter on one node"):
-            merge_snapshots([a, b])
+def observed(misses_delta=0, qos=1.0):
+    return ObservedLoad(
+        node="n", time=0,
+        misses_delta=misses_delta, qos_fraction=qos, degraded=0, headroom=1.0,
+    )
 
 
 class TestAggregator:
@@ -133,7 +109,7 @@ class TestAggregator:
         assert not agg.ingest(snap("n0", time=150, seq=1))  # reordered
         assert not agg.ingest(snap("n0", time=200, seq=2))  # duplicate
         assert (agg.ingested, agg.rejected_stale) == (2, 2)
-        assert agg.latest("n0").seq == 2
+        assert agg.observed_load("n0").time == 200
 
     def test_misses_delta_is_against_the_previous_snapshot(self):
         agg = TelemetryAggregator()
@@ -145,10 +121,27 @@ class TestAggregator:
         assert load.misses_delta == 2
         assert load.time == 200
 
+    def test_lost_snapshot_widens_the_next_delta(self):
+        # The delta is against the last snapshot that *arrived*, not
+        # seq - 1: misses reported only in a dropped snapshot still
+        # reach the broker with the next one.
+        session = ObsSession()
+        telemetry = NodeTelemetry("n0", session)
+        agg = TelemetryAggregator()
+        miss(session, "n0", time=10)
+        agg.ingest(telemetry.snapshot(now=100))
+        miss(session, "n0", time=110)
+        miss(session, "n0", time=120)
+        telemetry.snapshot(now=200)  # cut, then dropped by the bus
+        miss(session, "n0", time=210)
+        agg.ingest(telemetry.snapshot(now=300))
+        assert agg.observed_load("n0").misses_delta == 3
+        assert (agg.ingested, agg.rejected_stale) == (2, 0)
+
     def test_overloaded_signal(self):
-        assert ObservedLoad(node="n", time=0, misses_delta=1).overloaded
-        assert ObservedLoad(node="n", time=0, qos_fraction=0.9).overloaded
-        assert not ObservedLoad(node="n", time=0).overloaded
+        assert observed(misses_delta=1).overloaded
+        assert observed(qos=0.9).overloaded
+        assert not observed().overloaded
 
     def test_staleness_bound(self):
         agg = TelemetryAggregator()
@@ -157,55 +150,19 @@ class TestAggregator:
         assert agg.observed_load("n0", now=300, staleness=100) is None
         assert agg.observed_load("unknown") is None
 
-    def test_fleet_merges_latest_snapshots(self):
-        agg = TelemetryAggregator()
-        agg.ingest(snap("n0", time=100, seq=1, misses=1))
-        agg.ingest(snap("n1", time=100, seq=1, misses=2))
-        fleet = agg.fleet()
-        assert sum(fleet.metrics[MISSES_METRIC].series.values()) == 3
-
-
-def hist_snap(node, time, seq, values):
-    """A snapshot holding one node-labelled latency histogram."""
-    registry = MetricsRegistry()
-    hist = registry.histogram(
-        "repro_grant_latency", "lat", (1.0, 10.0), ("node",)
-    )
-    for value in values:
-        hist.observe(value, node=node)
-    return snapshot_registry(
-        registry, node, time=time, seq=seq, node_filter=node
-    )
-
 
 class TestMergeEdgeCases:
     """Delivery pathologies the bus makes routine: duplicated snapshots,
     collector restarts, and racks the collector only partially sees."""
 
-    def test_duplicate_delivery_cannot_double_count_histograms(self):
+    def test_duplicate_delivery_cannot_reset_the_miss_delta(self):
         agg = TelemetryAggregator()
-        assert agg.ingest(hist_snap("n0", time=100, seq=1, values=[0.5, 5.0]))
-        assert agg.ingest(hist_snap("n1", time=100, seq=1, values=[5.0]))
-        # The bus redelivers n0's snapshot (retry after a lost ack); the
-        # seq discipline absorbs it before it can reach the fleet merge.
-        assert not agg.ingest(
-            hist_snap("n0", time=100, seq=1, values=[0.5, 5.0])
-        )
-        series = agg.fleet().metrics["repro_grant_latency"].series
-        assert series[("n0",)] == [[1, 2], 2, 5.5]
-        assert series[("n1",)] == [[0, 1], 1, 5.0]
-
-    def test_merge_itself_adds_duplicates_bucket_wise(self):
-        # merge_snapshots is pure data: fed the duplicate directly it
-        # doubles every bucket — the aggregator's seq discipline is the
-        # only thing between redelivery and double counting.
-        dup = hist_snap("n0", time=100, seq=1, values=[0.5])
-        merged = merge_snapshots([dup, dup])
-        assert merged.metrics["repro_grant_latency"].series[("n0",)] == [
-            [2, 2],
-            2,
-            1.0,
-        ]
+        assert agg.ingest(snap("n0", time=100, seq=1, misses=3))
+        assert agg.ingest(snap("n0", time=200, seq=2, misses=5))
+        # The bus redelivers seq 2 (retry after a lost ack).  Accepted,
+        # it would become its own baseline and hide the two misses.
+        assert not agg.ingest(snap("n0", time=200, seq=2, misses=5))
+        assert agg.observed_load("n0").misses_delta == 2
 
     def test_collector_restart_rejects_stale_seq(self):
         # A restarted collector has no seq memory; the first snapshot it
@@ -215,7 +172,7 @@ class TestMergeEdgeCases:
         # A jitter-delayed snapshot cut before the restart lands later:
         # rejected, so state cannot roll backwards.
         assert not agg.ingest(snap("n0", time=500, seq=5, misses=6))
-        assert agg.latest("n0").seq == 7
+        assert agg.observed_load("n0").time == 700
         # First post-restart load has no previous: the delta is the full
         # cumulative count (conservative: restarts over-report, never
         # under-report, an overload).
@@ -262,14 +219,13 @@ class TestPartialRackVisibility:
         # aggregator still keeps it (it is the freshest view of n0), but
         # the weight stays where it is.
         broker._on_telemetry(snap("n0", time=100, seq=1, qos=0.5), now=500)
-        assert broker.telemetry.latest("n0") is not None
+        assert broker.telemetry.observed_load("n0") is not None
         assert broker.views["n0"].weight == before
 
 
 class TestBrokerIntegration:
     @pytest.fixture(scope="class")
     def rack(self):
-        from repro.obs.session import ObsSession
         from repro.scenarios import cluster_rack
 
         session = ObsSession()
@@ -282,14 +238,10 @@ class TestBrokerIntegration:
     def test_snapshots_flow_to_the_broker(self, rack):
         agg = rack.broker.telemetry
         assert agg.ingested > 0
-        assert agg.nodes() == sorted(rack.nodes)
+        assert all(agg.observed_load(node) is not None for node in rack.nodes)
 
     def test_observed_load_reflects_measured_overload(self, rack):
-        loads = [
-            rack.broker.telemetry.observed_load(node)
-            for node in rack.broker.telemetry.nodes()
-        ]
-        assert all(load is not None for load in loads)
+        loads = [rack.broker.telemetry.observed_load(node) for node in rack.nodes]
         # The default rack oversubscribes: somebody is measurably degraded.
         assert any(load.qos_fraction < 1.0 for load in loads)
 
@@ -316,7 +268,6 @@ class TestBrokerIntegration:
             cluster_rack(seed=0, horizon_sec=0.1, telemetry=True)
 
     def test_telemetry_run_is_deterministic(self):
-        from repro.obs.session import ObsSession
         from repro.scenarios import cluster_rack
 
         def run():

@@ -6,7 +6,9 @@ replay of the oplog the single writer recorded — the oplog IS the
 serialization, group-commit boundaries included.  Two angles:
 
 * a hypothesis property over the engine alone: arbitrary op sequences
-  chopped into arbitrary commit groups replay to the same digest;
+  (submits, batches, removes, specs rejected before their RPC) chopped
+  into arbitrary commit groups replay, one ``apply`` at a time, to the
+  same digest and re-record the same oplog;
 * a live-wire test: genuinely concurrent HTTP POST/DELETE clients
   racing into one app, whose captured oplog replays to the same
   digest on a fresh engine.
@@ -33,13 +35,14 @@ def fresh_engine():
     return ServeEngine(nodes=2, seed=7, policy="first-fit")
 
 
+#: A spec rejected before any RPC fires (never logged), mixed in with
+#: the placeable names.
+spec_strategy = st.tuples(st.sampled_from(NAMES + ("",)), st.sampled_from(RATES))
+
 ops_strategy = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("submit"),
-            st.sampled_from(NAMES),
-            st.sampled_from(RATES),
-        ),
+        st.tuples(st.just("submit"), spec_strategy),
+        st.tuples(st.just("batch"), st.lists(spec_strategy, max_size=3)),
         st.tuples(st.just("remove"), st.sampled_from(NAMES)),
     ),
     min_size=1,
@@ -47,11 +50,18 @@ ops_strategy = st.lists(
 )
 
 
+def to_spec(pair):
+    name, rate = pair
+    return {"name": name, "rate": rate, "period_ms": 5.0}
+
+
 def to_op(step):
-    if step[0] == "submit":
-        _, name, rate = step
-        return {"op": "submit", "spec": {"name": name, "rate": rate, "period_ms": 5.0}}
-    return {"op": "remove", "task": step[1]}
+    kind, arg = step
+    if kind == "submit":
+        return {"op": "submit", "spec": to_spec(arg)}
+    if kind == "batch":
+        return {"op": "batch", "specs": [to_spec(pair) for pair in arg]}
+    return {"op": "remove", "task": arg}
 
 
 class TestEngineCommitGrouping:
@@ -69,6 +79,17 @@ class TestEngineCommitGrouping:
         twin = fresh_engine()
         twin.replay(live.oplog)
         assert twin.state_digest() == live.state_digest()
+        assert twin.oplog == live.oplog
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=ops_strategy)
+    def test_one_element_commits_equal_apply(self, ops):
+        committed, applied = fresh_engine(), fresh_engine()
+        for step in ops:
+            [result] = committed.commit([to_op(step)])
+            assert result == applied.apply(to_op(step))
+        assert committed.state_digest() == applied.state_digest()
+        assert committed.oplog == applied.oplog
 
     @settings(max_examples=25, deadline=None)
     @given(ops=ops_strategy)
