@@ -13,15 +13,30 @@ underload check is O(1) against running sums maintained inside the
 Resource Manager; this implementation recomputes the sum, so both paths
 are Theta(N) with very different constants — documented in
 EXPERIMENTS.md.)
+
+The ``rm_op`` regime measures the same line one level up, where an
+application pays it: a whole ``exit_thread`` + ``admit`` pair on a
+distributor held in permanent overload — admission test, grant set,
+Scheduler notification — against the number of admitted tasks.
 """
 
 import pytest
 
-from repro.bench.workloads import build_grant_requests
+from repro.bench.workloads import (
+    build_grant_requests,
+    build_overloaded_distributor,
+    sheddable_list,
+    swap_oldest_task,
+)
+from repro.tasks.base import TaskDefinition
 
 POPULATIONS = [4, 16, 64, 256]
+RM_POPULATIONS = [16, 64, 256]
+RM_PAIRS = 50
+RM_WARMUP = 2
 
 _TIMES: dict[tuple[str, int], float] = {}
+_RM_TIMES: dict[int, float] = {}
 
 
 @pytest.mark.parametrize("regime", ["underload", "overload"])
@@ -55,3 +70,47 @@ def test_sec63_grant_set_cost(benchmark, report, regime, population):
         )
         lines.append("paper: O(1) underload fast path; O(N) policy correlation")
         report("sec63_grant_set_cost", "\n".join(lines))
+
+
+@pytest.mark.parametrize("population", RM_POPULATIONS)
+def test_sec63_rm_op_cost(benchmark, report, population):
+    rd, tids = build_overloaded_distributor(population)
+    # Built outside the timed pairs: an application authors its list once.
+    fresh = iter(
+        [
+            TaskDefinition(name=f"swap{i}", resource_list=sheddable_list(population))
+            for i in range(RM_PAIRS + RM_WARMUP)
+        ]
+    )
+    assert rd.resource_manager.last_result.passes >= 1
+
+    def swap():
+        swap_oldest_task(rd, tids, next(fresh))
+
+    benchmark.pedantic(
+        swap, rounds=RM_PAIRS, iterations=1, warmup_rounds=RM_WARMUP
+    )
+    result = rd.resource_manager.last_result
+    assert result.passes >= 1 and len(result.grant_set) == population
+    _RM_TIMES[population] = benchmark.stats.stats.median
+
+    if len(_RM_TIMES) == len(RM_POPULATIONS):
+        lines = [
+            "Section 6.3 — one exit_thread + admit pair in permanent overload",
+            "",
+        ]
+        for n in RM_POPULATIONS:
+            lines.append(
+                f"  rm_op N={n:>4d}: {_RM_TIMES[n] * 1e6:9.2f} us "
+                f"(median of {RM_PAIRS} pairs)"
+            )
+        lines.append("")
+        # Linear in admitted tasks, as the compute-level overload line.
+        growth = _RM_TIMES[RM_POPULATIONS[-1]] / _RM_TIMES[RM_POPULATIONS[0]]
+        ratio = RM_POPULATIONS[-1] / RM_POPULATIONS[0]
+        assert growth < ratio * 3.5
+        lines.append(
+            f"rm_op growth N x{ratio:.0f} -> time x{growth:.1f} (linear, O(N))"
+        )
+        lines.append("paper: admission O(1); grant set up to three O(N) passes")
+        report("sec63_rm_op_cost", "\n".join(lines))

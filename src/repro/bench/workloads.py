@@ -16,6 +16,7 @@ from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.sporadic import SporadicServer
+from repro.tasks.base import TaskDefinition
 from repro.workloads import grant_follower, single_entry_definition
 
 # -- section 6.1: the A/V pipeline ------------------------------------------
@@ -89,6 +90,29 @@ def run_grant_computations(n: int, overload: bool, iterations: int):
     for _ in range(iterations):
         result = controller.compute(requests)
     return result
+
+
+def build_overloaded_distributor(n: int) -> tuple[ResourceDistributor, list[int]]:
+    """A distributor held in permanent overload by ``n`` sheddable
+    tasks, plus their thread ids oldest first — the §6.2/§6.3 cost as an
+    application pays it: every RM op on it takes the policy path."""
+    rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=0))
+    threads = rd.admit_many(
+        [
+            TaskDefinition(name=f"t{i}", resource_list=sheddable_list(n))
+            for i in range(n)
+        ]
+    )
+    return rd, [thread.tid for thread in threads]
+
+
+def swap_oldest_task(
+    rd: ResourceDistributor, tids: list[int], definition: TaskDefinition
+) -> None:
+    """One ``exit_thread`` + ``admit`` pair: the oldest task leaves,
+    ``definition`` joins, and the population stays at N."""
+    rd.exit_thread(tids.pop(0))
+    tids.append(rd.admit(definition).tid)
 
 
 # -- admission bursts --------------------------------------------------------

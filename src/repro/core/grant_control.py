@@ -32,11 +32,26 @@ a policy can nominate targets below a thread's minimum entry; demotion
 then keeps walking toward the minima — which the admission invariant
 guarantees to fit — with an explicit everyone-minimum fallback as the
 unconditional backstop to the paper's single-pass convergence claim.
+
+The passes read per-list tables, not entries: a :class:`ResourceList`
+is immutable, so its ``rates``, ``bandwidths``, smallest rate step and
+whether it names any exclusive unit are computed once at construction,
+and the correlation runs over rows indexed by position in the request
+list.  A candidate search answers with the list's shared index tuple
+whenever nothing can conflict (the list names no unit, or no unit is
+owned yet) and filters only otherwise.  The grant set itself stays a
+pure function of the requests and the policy — nothing is carried from
+one computation to the next except the previous result's ``Grant``
+objects: every result, whichever path produced it, is built in one
+place that reuses a thread's ``Grant`` when its entry and index did
+not move and reports the rest as ``changed``, so the Scheduler hears
+only what changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.grants import Grant, GrantSet
 from repro.core.policy_box import Policy, PolicyBox
@@ -81,8 +96,10 @@ class GrantSetResult:
     minimum_fallback: bool = False
     #: Exclusive-unit ownership implied by the set: unit -> thread id.
     exclusive_assignment: dict[str, int] = field(default_factory=dict)
-    #: Threads whose grant object differs from the previous compute, or
-    #: None when unknown (the scheduler then falls back to a full diff).
+    #: Threads whose (entry, entry index) differs from the controller's
+    #: previous result — always set by :class:`GrantController`.  None
+    #: only on a hand-built result: the Scheduler then revisits every
+    #: thread in either set.
     changed: frozenset[int] | None = None
 
 
@@ -104,11 +121,11 @@ class GrantController:
         self._capacity = capacity
         self._bandwidth = bandwidth_capacity
         self._policy_box = policy_box
-        #: Fast-path grants reused across recomputes while a thread's
-        #: maximum entry is unchanged.  ``Grant`` is frozen, so sharing
-        #: one instance is safe — and it lets the scheduler's notify
-        #: diff discard unchanged threads on the ``a is b`` fast path
-        #: instead of comparing fields for the whole population.
+        #: The previous result's grants, whichever path produced them.
+        #: A thread whose entry and index did not move keeps its
+        #: ``Grant`` object (frozen, so sharing is safe) and stays out
+        #: of ``changed``; threads that left the population drop out
+        #: because each result replaces the dict.
         self._grant_cache: dict[int, Grant] = {}
         #: Optional phase profiler; wired by the distributor like obs.
         self.prof = None
@@ -148,32 +165,69 @@ class GrantController:
     ) -> GrantSetResult:
         active = [r for r in requests if not r.quiescent]
         if not active:
-            return GrantSetResult(
-                grant_set=GrantSet({}, self._capacity, self._bandwidth),
-                policy=None,
-                passes=0,
-            )
+            return self._result(active, [], None, 0, False, {}, observe)
         seen: set[int] = set()
         for request in active:
             if request.thread_id in seen:
                 raise GrantError(f"duplicate grant request for thread {request.thread_id}")
             seen.add(request.thread_id)
 
-        fast = self._fast_path(active)
-        if fast is not None:
-            return fast
-        # The policy path builds grants outside the cache, so cached
-        # Grant objects no longer mirror what threads were last told.
-        # Drop them: the next fast-path compute then reconstructs every
-        # grant and reports all threads as changed.
-        self._grant_cache.clear()
+        owners = self._fast_path(active)
+        if owners is not None:
+            return self._result(
+                active, [0] * len(active), None, 0, False, owners, observe
+            )
         return self._policy_path(active, observe=observe)
+
+    def _result(
+        self,
+        active: list[GrantRequest],
+        selection: list[int],
+        policy: Policy | None,
+        passes: int,
+        fallback: bool,
+        owners: dict[str, int],
+        observe: bool,
+    ) -> GrantSetResult:
+        """The one place a result is built: ``selection[p]`` is the entry
+        index chosen for ``active[p]``.  A thread keeps its previous
+        ``Grant`` object unless its entry or index moved."""
+        previous = self._grant_cache
+        grants: dict[int, Grant] = {}
+        changed: set[int] = set()
+        for request, index in zip(active, selection):
+            tid = request.thread_id
+            entry = request.resource_list[index]
+            grant = previous.get(tid)
+            # Index as well as identity: two lists may share an entry
+            # object at different positions.
+            if grant is None or grant.entry is not entry or grant.entry_index != index:
+                grant = Grant(thread_id=tid, entry=entry, entry_index=index)
+                changed.add(tid)
+            grants[tid] = grant
+        grant_set = GrantSet(grants, self._capacity, self._bandwidth)
+        if observe:
+            # Only a set that validated, and that the caller will act on,
+            # replaces the cache (GrantSet copied the dict): ``changed``
+            # is always relative to the last result handed on to the
+            # Scheduler, and an ``observe=False`` cross-check leaves no
+            # trace.
+            self._grant_cache = grants
+        return GrantSetResult(
+            grant_set=grant_set,
+            policy=policy,
+            passes=passes,
+            minimum_fallback=fallback,
+            exclusive_assignment=owners,
+            changed=frozenset(changed),
+        )
 
     # -- fast path -----------------------------------------------------------
 
-    def _fast_path(self, active: list[GrantRequest]) -> GrantSetResult | None:
-        """Everyone gets their maximum entry, if that fits in both
-        resources without exclusive-unit conflicts."""
+    def _fast_path(self, active: list[GrantRequest]) -> dict[str, int] | None:
+        """Unit ownership when everyone can have their maximum entry, or
+        None when that does not fit in both resources without
+        exclusive-unit conflicts."""
         if sum(r.max_rate for r in active) > self._capacity + _EPS:
             return None
         if (
@@ -187,27 +241,7 @@ class GrantController:
                 if unit in owners:
                     return None  # conflict: resolve through the policy path
                 owners[unit] = request.thread_id
-        cache = self._grant_cache
-        grants: dict[int, Grant] = {}
-        changed: set[int] = set()
-        for r in active:
-            entry = r.resource_list.maximum
-            grant = cache.get(r.thread_id)
-            if grant is None or grant.entry is not entry:
-                grant = Grant(thread_id=r.thread_id, entry=entry, entry_index=0)
-                cache[r.thread_id] = grant
-                changed.add(r.thread_id)
-            grants[r.thread_id] = grant
-        if len(cache) > 2 * len(grants) + 32:
-            # Drop entries for threads that left the population.
-            self._grant_cache = dict(grants)
-        return GrantSetResult(
-            grant_set=GrantSet(grants, self._capacity, self._bandwidth),
-            policy=None,
-            passes=0,
-            exclusive_assignment=owners,
-            changed=frozenset(changed),
-        )
+        return owners
 
     # -- policy correlation ----------------------------------------------------
 
@@ -217,33 +251,49 @@ class GrantController:
         policy = self._policy_box.resolve(
             {r.policy_id for r in active}, observe=observe
         )
-        targets = {r.thread_id: policy.share_of(r.policy_id) for r in active}
+        # Everything below is indexed by position in ``active``; the
+        # lists' own tables supply rates and bandwidths by entry index.
+        count = len(active)
+        lists = [r.resource_list for r in active]
+        targets = [policy.share_of(r.policy_id) for r in active]
 
         # Selection order: the policy's exclusive-preference thread first,
         # then by descending target share, then by thread id for
         # determinism.  This order settles exclusive-unit claims.
-        def claim_order(request: GrantRequest) -> tuple:
+        def claim_order(p: int) -> tuple:
+            request = active[p]
             preferred = request.policy_id == policy.exclusive_preference
-            return (not preferred, -targets[request.thread_id], request.thread_id)
+            return (not preferred, -targets[p], request.thread_id)
 
-        ordered = sorted(active, key=claim_order)
+        ordered = sorted(range(count), key=claim_order)
         owners: dict[str, int] = {}
-        selection: dict[int, int] = {}
+        selection = [0] * count
 
         # Pass 1: entries just above the policy-specified QOS.  A
         # running ``total`` keeps every subsequent pass O(N), as the
         # paper requires.
         total = 0.0
         bw_total = 0.0
-        for request in ordered:
-            index = self._select_above(request, targets[request.thread_id], owners)
-            self._claim(request, index, owners)
-            selection[request.thread_id] = index
-            total += request.resource_list[index].rate
-            bw_total += request.resource_list[index].bandwidth
+        for p in ordered:
+            entries = lists[p]
+            index = self._select_above(
+                entries.rates, self._candidates(active[p], owners), targets[p]
+            )
+            if entries.names_exclusive:
+                self._claim(active[p], index, owners)
+            selection[p] = index
+            total += entries.rates[index]
+            bw_total += entries.bandwidths[index]
         passes = 1
         #: Each thread's policy-sanctioned level; pass 3 never exceeds it.
-        ceiling = dict(selection)
+        ceiling = list(selection)
+
+        def move(p: int, index: int) -> None:
+            """Re-point ``active[p]`` at ``index``, handing units over."""
+            if lists[p].names_exclusive:
+                self._release(active[p], selection[p], owners)
+                self._claim(active[p], index, owners)
+            selection[p] = index
 
         def over_budget() -> bool:
             return total > self._capacity + _EPS or bw_total > self._bandwidth + _EPS
@@ -256,50 +306,49 @@ class GrantController:
             # Bandwidth overload uses the same order: demotion lowers
             # both dimensions level by level.
             passes = 2
-            rank = {r.thread_id: i for i, r in enumerate(ordered)}
+            rank = [0] * count
+            for position, p in enumerate(ordered):
+                rank[p] = position
 
-            def overshoot(request: GrantRequest) -> float:
-                entry = request.resource_list[selection[request.thread_id]]
-                return entry.rate - targets[request.thread_id]
+            def overshoot(p: int) -> float:
+                return lists[p].rates[selection[p]] - targets[p]
 
-            demote_order = sorted(
-                ordered, key=lambda r: (-overshoot(r), -rank[r.thread_id])
-            )
-            for request in demote_order:
+            demote_order = sorted(ordered, key=lambda p: (-overshoot(p), -rank[p]))
+            for p in demote_order:
                 if not over_budget():
                     break
+                old_index = selection[p]
+                rates = lists[p].rates
                 index = self._select_below(
-                    request, targets[request.thread_id], owners, selection[request.thread_id]
+                    rates, self._candidates(active[p], owners), targets[p], old_index
                 )
-                if index != selection[request.thread_id]:
-                    entries = request.resource_list
-                    old_index = selection[request.thread_id]
-                    total += entries[index].rate - entries[old_index].rate
-                    bw_total += entries[index].bandwidth - entries[old_index].bandwidth
-                    self._release(request, old_index, owners)
-                    self._claim(request, index, owners)
-                    selection[request.thread_id] = index
+                if index != old_index:
+                    bws = lists[p].bandwidths
+                    total += rates[index] - rates[old_index]
+                    bw_total += bws[index] - bws[old_index]
+                    move(p, index)
             if over_budget():
                 # One demotion level may not free enough bandwidth
                 # (entries are ordered by CPU rate, not bandwidth); keep
                 # demoting toward the minima until both budgets fit.
-                for request in demote_order:
-                    entries = request.resource_list
-                    while over_budget() and selection[request.thread_id] < len(entries) - 1:
-                        old_index = selection[request.thread_id]
-                        candidates = [
-                            i
-                            for i in self._candidates(request, owners)
-                            if i > old_index
-                        ]
-                        if not candidates:
+                for p in demote_order:
+                    rates = lists[p].rates
+                    bws = lists[p].bandwidths
+                    while over_budget() and selection[p] < len(rates) - 1:
+                        old_index = selection[p]
+                        index = next(
+                            (
+                                i
+                                for i in self._candidates(active[p], owners)
+                                if i > old_index
+                            ),
+                            None,
+                        )
+                        if index is None:
                             break
-                        index = min(candidates)
-                        total += entries[index].rate - entries[old_index].rate
-                        bw_total += entries[index].bandwidth - entries[old_index].bandwidth
-                        self._release(request, old_index, owners)
-                        self._claim(request, index, owners)
-                        selection[request.thread_id] = index
+                        total += rates[index] - rates[old_index]
+                        bw_total += bws[index] - bws[old_index]
+                        move(p, index)
                     if not over_budget():
                         break
 
@@ -311,23 +360,18 @@ class GrantController:
             owners.clear()
             total = 0.0
             bw_total = 0.0
-            for request in ordered:
-                index = len(request.resource_list) - 1
-                self._claim(request, index, owners)
-                selection[request.thread_id] = index
-                total += request.resource_list[index].rate
-                bw_total += request.resource_list[index].bandwidth
+            for p in ordered:
+                entries = lists[p]
+                index = len(entries) - 1
+                if entries.names_exclusive:
+                    self._claim(active[p], index, owners)
+                selection[p] = index
+                total += entries.rates[index]
+                bw_total += entries.bandwidths[index]
 
         slack = self._capacity - total
         bw_slack = self._bandwidth - bw_total
-        smallest_step = min(
-            (
-                request.resource_list[i - 1].rate - request.resource_list[i].rate
-                for request in active
-                for i in range(1, len(request.resource_list))
-            ),
-            default=float("inf"),
-        )
+        smallest_step = min(entries.smallest_step for entries in lists)
         if passes == 2 and not fallback and slack >= smallest_step - _EPS:
             # Pass 3: hand otherwise-unallocated resources back to
             # demoted threads, best-ranked first — but never beyond the
@@ -335,107 +379,113 @@ class GrantController:
             # the Scheduler's OvertimeRequested queue at run time, not
             # to grants the policy declined to make.
             passes = 3
-            for request in ordered:
+            for p in ordered:
                 if slack <= _EPS:
                     break
+                old_index = selection[p]
+                if old_index == ceiling[p]:
+                    continue  # nothing between the ceiling and here
+                rates = lists[p].rates
+                bws = lists[p].bandwidths
                 index = self._promote(
-                    request,
-                    selection[request.thread_id],
+                    rates,
+                    bws,
+                    self._candidates(active[p], owners),
+                    old_index,
+                    ceiling[p],
                     slack,
-                    owners,
-                    floor=ceiling[request.thread_id],
-                    bw_slack=bw_slack,
+                    bw_slack,
                 )
-                if index != selection[request.thread_id]:
-                    entries = request.resource_list
-                    old_index = selection[request.thread_id]
-                    slack -= entries[index].rate - entries[old_index].rate
-                    bw_slack -= entries[index].bandwidth - entries[old_index].bandwidth
-                    self._release(request, old_index, owners)
-                    self._claim(request, index, owners)
-                    selection[request.thread_id] = index
+                if index != old_index:
+                    slack -= rates[index] - rates[old_index]
+                    bw_slack -= bws[index] - bws[old_index]
+                    move(p, index)
 
-        grants = {
-            r.thread_id: Grant(
-                thread_id=r.thread_id,
-                entry=r.resource_list[selection[r.thread_id]],
-                entry_index=selection[r.thread_id],
-            )
-            for r in active
-        }
-        return GrantSetResult(
-            grant_set=GrantSet(grants, self._capacity, self._bandwidth),
-            policy=policy,
-            passes=passes,
-            minimum_fallback=fallback,
-            exclusive_assignment=dict(owners),
+        return self._result(
+            active, selection, policy, passes, fallback, dict(owners), observe
         )
 
     # -- selection helpers -----------------------------------------------------
+    #
+    # Candidates ascend by index, and rates strictly descend with it, so
+    # "the entries at or above a rate" are a prefix of the candidates
+    # and "those below it" a suffix: each selection is one short loop.
 
-    def _candidates(self, request: GrantRequest, owners: dict[str, int]) -> list[int]:
-        """Entry indices whose exclusive needs are free (or already ours)."""
-        available = []
-        for i, entry in enumerate(request.resource_list):
-            conflicted = any(
-                owners.get(unit, request.thread_id) != request.thread_id
-                for unit in entry.exclusive
-            )
-            if not conflicted:
-                available.append(i)
+    def _candidates(
+        self, request: GrantRequest, owners: dict[str, int]
+    ) -> Sequence[int]:
+        """Entry indices whose exclusive needs are free (or already
+        ours), ascending.  Nothing can conflict while the list names no
+        unit or no unit is owned yet; the answer is then the list's own
+        shared index tuple, which callers must not mutate."""
+        entries = request.resource_list
+        if not owners or not entries.names_exclusive:
+            return entries.indices
+        tid = request.thread_id
+        available = [
+            i
+            for i, entry in enumerate(entries)
+            if all(owners.get(unit, tid) == tid for unit in entry.exclusive)
+        ]
         if not available:
             raise GrantError(
-                f"thread {request.thread_id} has no conflict-free entry; minimum "
+                f"thread {tid} has no conflict-free entry; minimum "
                 f"entries must not require exclusive units"
             )
         return available
 
+    @staticmethod
     def _select_above(
-        self, request: GrantRequest, target: float, owners: dict[str, int]
+        rates: tuple[float, ...], candidates: Sequence[int], target: float
     ) -> int:
         """The entry just above the policy target (lowest rate >= target),
         or the best entry below it when the target exceeds every level."""
-        entries = request.resource_list
-        candidates = self._candidates(request, owners)
-        above = [i for i in candidates if entries[i].rate >= target - _EPS]
-        if above:
-            return max(above)  # lowest QOS that still meets the target
-        return min(candidates)  # target above all levels: take the best we have
+        floor = target - _EPS
+        chosen = candidates[0]  # target above all levels: take the best we have
+        for i in candidates:
+            if rates[i] < floor:
+                break
+            chosen = i  # lowest QOS so far that still meets the target
+        return chosen
 
+    @staticmethod
     def _select_below(
-        self, request: GrantRequest, target: float, owners: dict[str, int], current: int
+        rates: tuple[float, ...],
+        candidates: Sequence[int],
+        target: float,
+        current: int,
     ) -> int:
         """Demotion target: the entry just below the policy target, or the
-        minimum entry when nothing sits below the target."""
-        entries = request.resource_list
-        candidates = [i for i in self._candidates(request, owners) if i >= current]
-        below = [i for i in candidates if entries[i].rate < target - _EPS]
-        if below:
-            return min(below)  # highest QOS under the target
-        return max(candidates)  # floor: the minimum entry
+        minimum entry when nothing sits below the target.  ``current`` is
+        the thread's own selection, so it is always a candidate."""
+        floor = target - _EPS
+        for i in candidates:
+            if i >= current and rates[i] < floor:
+                return i  # highest QOS under the target
+        return candidates[-1]  # floor: the minimum entry
 
+    @staticmethod
     def _promote(
-        self,
-        request: GrantRequest,
+        rates: tuple[float, ...],
+        bandwidths: tuple[float, ...],
+        candidates: Sequence[int],
         current: int,
+        floor: int,
         slack: float,
-        owners: dict[str, int],
-        floor: int = 0,
-        bw_slack: float = 1.0,
+        bw_slack: float,
     ) -> int:
         """The best entry reachable within the CPU and bandwidth slack,
         no higher (lower index) than ``floor``."""
-        entries = request.resource_list
-        current_rate = entries[current].rate
-        current_bw = entries[current].bandwidth
-        for i in self._candidates(request, owners):
+        current_rate = rates[current]
+        current_bw = bandwidths[current]
+        for i in candidates:
             if i < floor:
                 continue
             if i >= current:
                 break
             if (
-                entries[i].rate - current_rate <= slack + _EPS
-                and entries[i].bandwidth - current_bw <= bw_slack + _EPS
+                rates[i] - current_rate <= slack + _EPS
+                and bandwidths[i] - current_bw <= bw_slack + _EPS
             ):
                 return i
         return current

@@ -23,6 +23,8 @@ from repro.errors import ResourceListError
 #: ``repro.tasks.base`` for the protocol.
 EntryFunction = Callable[..., object]
 
+_INFINITY = float("inf")
+
 
 @dataclass(frozen=True)
 class ResourceListEntry:
@@ -30,7 +32,8 @@ class ResourceListEntry:
 
     ``rate`` (CPU requirement / period) is the fraction of the processor
     this level consumes; it is the quantity admission control and grant
-    control reason about.
+    control reason about.  It is derived, so it is stored once at
+    construction and takes no part in equality, hashing or the repr.
 
     ``bandwidth`` is the fraction of Data Streamer throughput the level
     needs.  The paper's Table 1 "omits several fields that manage
@@ -48,6 +51,8 @@ class ResourceListEntry:
     exclusive: frozenset[str] = field(default_factory=frozenset)
     #: Fraction of Data Streamer bandwidth this level consumes.
     bandwidth: float = 0.0
+    #: Fraction of the CPU this entry consumes (computed, Table 1).
+    rate: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         units.validate_period(self.period)
@@ -71,11 +76,7 @@ class ResourceListEntry:
             )
         if not callable(self.function):
             raise ResourceListError("entry function must be callable")
-
-    @property
-    def rate(self) -> float:
-        """Fraction of the CPU this entry consumes (computed, Table 1)."""
-        return self.cpu_ticks / self.period
+        object.__setattr__(self, "rate", self.cpu_ticks / self.period)
 
     def describe(self) -> str:
         name = self.label or getattr(self.function, "__name__", "fn")
@@ -91,18 +92,36 @@ class ResourceList:
     entry down to the minimum entry.  Entries must be strictly decreasing
     in rate: two entries with the same rate would be indistinguishable to
     grant control.
+
+    A list is immutable, so what grant control asks of it on every
+    correlation pass is computed once, here, and read as plain
+    attributes: the per-entry ``rates`` and ``bandwidths``, the
+    ``indices`` every candidate search starts from, the
+    ``smallest_step`` between adjacent rates, and whether any entry
+    ``names_exclusive`` units.
     """
 
     def __init__(self, entries: Sequence[ResourceListEntry]) -> None:
         if not entries:
             raise ResourceListError("a resource list needs at least one entry")
-        for higher, lower in zip(entries, entries[1:]):
-            if lower.rate >= higher.rate:
+        self._entries = entries = tuple(entries)
+        #: ``entry.rate`` / ``entry.bandwidth`` by index (0 = maximum QOS).
+        self.rates = rates = tuple([entry.rate for entry in entries])
+        self.bandwidths = tuple([entry.bandwidth for entry in entries])
+        #: ``(0, ..., len - 1)``, shared by every reader.
+        self.indices = tuple(range(len(entries)))
+        #: Smallest rate gap between adjacent entries (inf for one entry).
+        self.smallest_step = _INFINITY
+        for higher, lower in zip(rates, rates[1:]):
+            if lower >= higher:
                 raise ResourceListError(
                     f"resource list entries must be ordered by strictly "
-                    f"decreasing rate; got {higher.rate:.4f} then {lower.rate:.4f}"
+                    f"decreasing rate; got {higher:.4f} then {lower:.4f}"
                 )
-        self._entries = tuple(entries)
+            if higher - lower < self.smallest_step:
+                self.smallest_step = higher - lower
+        #: Does any entry need an exclusive functional unit?
+        self.names_exclusive = any([entry.exclusive for entry in entries])
 
     def __len__(self) -> int:
         return len(self._entries)

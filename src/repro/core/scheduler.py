@@ -40,7 +40,12 @@ hook because they only make entries fail validation.  A per-thread
 stamp (``SimThread.queued_*``) records the deadline already queued, so
 a thread that re-requests overtime 56 000 times a second holds one
 entry; the stamp is cleared when that entry is dropped, so the next
-event re-queues it.  The full scans survive as debug views
+event re-queues it.  Timer rule (2) reads the third heap as well: it
+meets the boundaries below the running thread's limit in time order,
+setting aside the valid ones that do not preempt and pushing them
+back.  A grant notification revisits only the threads the controller
+reports as changed, those that joined or left the set, and those with
+a change still in flight.  The full scans survive as debug views
 (:meth:`RDScheduler.time_remaining_queue`,
 :meth:`~RDScheduler.overtime_queue`, :meth:`~RDScheduler.snapshot`) and
 in the sanitizer, which re-derives every decision from scratch.
@@ -60,18 +65,6 @@ from repro.core.threads import SimThread, ThreadKind, ThreadState
 def _edf_key(thread: SimThread) -> tuple[int, int]:
     """Deadline order with a stable tid tie-break."""
     return (thread.deadline, thread.tid)
-
-
-def _same_grant(a: Grant, b: Grant) -> bool:
-    """Do two grants promise the same allocation?
-
-    The scheduler's reaction to a grant depends only on its entry
-    identity and its (cpu, period) shape, so that is what "unchanged"
-    means for the notify diff.
-    """
-    return a is b or (
-        a.entry is b.entry and a.cpu_ticks == b.cpu_ticks and a.period == b.period
-    )
 
 
 class RDScheduler:
@@ -192,32 +185,22 @@ class RDScheduler:
         grant_set = result.grant_set
         previous = self._last_notified
         pending = self._pending_activation
-        # Diff: only threads whose grant actually changed need their
-        # pending state recomputed, plus threads still in flight — ones
-        # with a pending boundary change or an activation awaiting
-        # unallocated time, whose state the legacy full rebuild
-        # re-asserted on every call.
+        # Diff: only threads whose grant changed need their pending
+        # state recomputed, plus membership changes (a thread that left
+        # and returned needs its pending state re-seeded even when its
+        # Grant object is the same one) and threads still in flight —
+        # ones with a pending boundary change or an activation awaiting
+        # unallocated time, whose state a full revisit re-asserts on
+        # every call.
         work = set(self._inflight)
         work.update(pending)
-        if result.changed is not None and previous is not None:
-            # Fast path: the controller told us exactly which threads got
-            # a new Grant object.  Membership changes (appearances and
-            # disappearances) are the symmetric difference of the id
-            # sets — dict-view set ops at C speed.  Reappearances matter
-            # even when the cached Grant object is identical, because a
-            # thread that left and returned needs its pending state
-            # re-seeded.
-            work.update(result.changed)
-            work.update(previous.ids() ^ grant_set.ids())
+        before = previous.ids() if previous is not None else frozenset()
+        if result.changed is None:
+            # A hand-built result: revisit every thread in either set,
+            # the reference semantics the diff is an optimization of.
+            work.update(before, grant_set.ids())
         else:
-            for tid, grant in grant_set.items():
-                old = None if previous is None else previous.get(tid)
-                if old is None or not _same_grant(old, grant):
-                    work.add(tid)
-            if previous is not None:
-                for tid, _ in previous.items():
-                    if tid not in grant_set:
-                        work.add(tid)
+            work.update(result.changed, grant_set.ids() ^ before)
         threads = self.kernel.threads
         for tid in sorted(work):
             thread = threads.get(tid)
@@ -432,19 +415,36 @@ class RDScheduler:
         self, thread: SimThread, now: int, limit: int
     ) -> int | None:
         """Rule (2): the beginning of a new period for another thread
-        whose next-period end precedes the running thread's period end."""
-        best: int | None = None
-        for other in self.kernel.periodic_threads():
-            if other is thread:
+        whose next-period end precedes the running thread's period end.
+
+        Read off the boundary heap, which holds every thread's fresh
+        allocation: heads below ``limit`` (exclusive) are met in time
+        order, stale ones dropped as :meth:`_unallocated_timer` drops
+        them, and valid ones that do not preempt — the running
+        thread's own, one not after ``now``, one whose next deadline is
+        no earlier — set aside and pushed back.
+        """
+        heap = self._boundary_heap
+        kept: list[tuple[int, int, SimThread]] = []
+        found: int | None = None
+        while heap and heap[0][0] < limit:
+            boundary, _, other = heap[0]
+            if self._fresh_allocation_time(other, now) != boundary:
+                heappop(heap)
+                if other.queued_boundary == boundary:
+                    other.queued_boundary = -1
                 continue
-            boundary = self._fresh_allocation_time(other, now)
-            if boundary is None or boundary <= now or boundary >= limit:
-                continue
-            if self._next_deadline_after(other, now) >= thread.deadline:
-                continue
-            if best is None or boundary < best:
-                best = boundary
-        return best
+            if (
+                other is not thread
+                and boundary > now
+                and self._next_deadline_after(other, now) < thread.deadline
+            ):
+                found = boundary
+                break
+            kept.append(heappop(heap))
+        for entry in kept:
+            heappush(heap, entry)
+        return found
 
     def snapshot(self, now: int) -> dict:
         """Debug view of the scheduler's queues at ``now``.

@@ -7,11 +7,19 @@ one computation.  These are the regression tests pinning down how many
 computations a burst actually costs.
 """
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 
 from repro import AdmissionError, MachineConfig, SimConfig, units
 from repro.core.distributor import ResourceDistributor
-from repro.workloads import single_entry_definition
+from repro.core.grant_control import GrantController, GrantRequest
+from repro.core.policy_box import PolicyBox
+from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.tasks.base import TaskDefinition
+from repro.workloads import grant_follower, single_entry_definition
 
 
 def make_rd(**kwargs):
@@ -174,3 +182,167 @@ class TestMemoization:
         assert any(
             "memo" in v.rule for v in rd.sanitizer.report.violations
         )
+
+
+# -- the one grant cache and the `changed` contract --------------------------
+
+STREAM_STEPS = 2000
+
+
+def _levels(rng, name):
+    """A three-level list: maxima overload the machine once half a
+    dozen tasks run, minima keep two dozen admissible."""
+    period = units.ms_to_ticks(rng.choice((10, 20, 40)))
+    top = rng.choice((0.12, 0.2, 0.3))
+    return TaskDefinition(
+        name=name,
+        resource_list=ResourceList(
+            [
+                ResourceListEntry(period, round(period * rate), grant_follower)
+                for rate in (top, top / 3, 0.02 * rng.choice((0.5, 1.0)))
+            ]
+        ),
+    )
+
+
+def run_churn_stream(seed=5, steps=STREAM_STEPS, force_full_revisit=False, check=None):
+    """Admit / exit / quiesce / wake / change_resource_list / override
+    install-and-clear, one op per simulated ms, in alternating growth
+    and shrink phases so the population crosses between underload (the
+    fast path) and overload (the policy path) many times."""
+    rd = make_rd(sanitize=True, sanitize_strict=True)
+    if force_full_revisit:
+        notify = rd.scheduler.notify_grant_set
+        rd.scheduler.notify_grant_set = lambda result: notify(
+            dataclasses.replace(result, changed=None)
+        )
+    manager = rd.resource_manager
+    rng = random.Random(seed)
+    names = itertools.count()
+    override = None
+    for step in range(steps):
+        rd.run_for(units.ms_to_ticks(1))
+        live = list(manager.admitted_ids())
+        quiescent = [tid for tid in live if manager.is_quiescent(tid)]
+        runnable = [tid for tid in live if tid not in quiescent]
+        growing = (step // 125) % 2 == 0
+        kind = rng.choice(
+            ("admit", "admit", "wake", "wake", "exit", "quiesce", "relist", "override")
+            if growing
+            else ("exit", "exit", "quiesce", "quiesce", "admit", "wake", "relist", "override")
+        )
+        if kind == "admit" and len(live) < 24:
+            rd.admit(_levels(rng, f"s{next(names)}"))
+        elif kind == "exit" and live:
+            rd.exit_thread(rng.choice(live))
+        elif kind == "quiesce" and runnable:
+            rd.enter_quiescent(rng.choice(runnable))
+        elif kind == "wake" and quiescent:
+            rd.wake(rng.choice(quiescent))
+        elif kind == "relist" and live:
+            tid = rng.choice(live)
+            manager.change_resource_list(tid, _levels(rng, rd.thread(tid).name))
+        elif kind == "override":
+            if override is not None:
+                rd.clear_policy_override(override)
+                override = None
+            elif runnable:
+                ids = [rd.thread(tid).policy_id for tid in runnable]
+                weights = [rng.choice((0.01, 1.0, 4.0)) for _ in ids]
+                scale = 90.0 / sum(weights)
+                rd.set_policy_override(
+                    {pid: w * scale for pid, w in zip(ids, weights)}
+                )
+                override = set(ids)
+        if check is not None:
+            check(rd)
+    return rd
+
+
+class TestChangedContract:
+    def test_changed_is_exact_and_grants_are_reused(self):
+        state = {"previous": None, "computes": 0, "transitions": set(), "kept": 0}
+
+        def check(rd):
+            manager = rd.resource_manager
+            result = manager.last_result
+            if manager.recompute_count == state["computes"]:
+                return  # the op was a no-op or a memo hit
+            state["computes"] = manager.recompute_count
+            previous = state["previous"]
+            state["previous"] = result
+            live = len(manager.admitted_ids())
+            assert len(manager.grant_control._grant_cache) <= 2 * live + 32
+            if previous is None:
+                return
+            before = {g.thread_id: g for g in previous.grant_set}
+            moved = set()
+            for grant in result.grant_set:
+                old = before.get(grant.thread_id)
+                if (
+                    old is None
+                    or old.entry is not grant.entry
+                    or old.entry_index != grant.entry_index
+                ):
+                    moved.add(grant.thread_id)
+                else:
+                    assert grant is old  # the identical object, not a twin
+                    state["kept"] += 1
+            assert result.changed == moved
+            state["transitions"].add((previous.passes > 0, result.passes > 0))
+
+        rd = run_churn_stream(check=check)
+        assert rd.sanitizer.ok
+        # Both regimes, and both crossings between them, with grants
+        # carried across each.
+        assert state["transitions"] == {
+            (False, False), (False, True), (True, False), (True, True)
+        }
+        assert state["computes"] > STREAM_STEPS // 2
+        assert state["kept"] > state["computes"]
+
+    def test_same_entry_at_another_index_is_a_change(self):
+        """Two lists may share an entry object at different positions;
+        the cache must compare the index as well as the identity."""
+        period = units.ms_to_ticks(10)
+        shared = ResourceListEntry(period, round(period * 0.1), grant_follower)
+        box = PolicyBox()
+        controller = GrantController(0.96, box)
+        alone = ResourceList([shared])
+        below = ResourceList(
+            [ResourceListEntry(period, round(period * 0.99), grant_follower), shared]
+        )
+        hog = GrantRequest(2, box.register_task("hog"), ResourceList(
+            [ResourceListEntry(period, round(period * 0.8), grant_follower)]
+        ))
+        pid = box.register_task("t")
+        first = controller.compute([GrantRequest(1, pid, alone), hog])
+        second = controller.compute([GrantRequest(1, pid, below), hog])
+        assert first.grant_set[1].entry is second.grant_set[1].entry
+        assert (first.grant_set[1].entry_index, second.grant_set[1].entry_index) == (0, 1)
+        assert second.changed == {1}
+        assert second.grant_set[2] is first.grant_set[2]
+
+    def test_unobserved_compute_leaves_the_cache_alone(self):
+        """The sanitizer's memo cross-check must not move what the next
+        ``changed`` is relative to."""
+        rd = make_rd()
+        a = rd.admit(single_entry_definition("a", 10, 0.2))
+        controller = rd.resource_manager.grant_control
+        cache = controller._grant_cache
+        fresh = controller.compute([], observe=False)
+        assert len(fresh.grant_set) == 0
+        assert controller._grant_cache is cache and a.tid in cache
+
+    def test_notify_by_diff_equals_notify_by_full_revisit(self):
+        """``changed=None`` makes the Scheduler revisit every thread in
+        either set — the reference semantics.  The diff must produce
+        the identical run."""
+        diff = run_churn_stream()
+        full = run_churn_stream(force_full_revisit=True)
+        assert diff.sanitizer.ok and full.sanitizer.ok
+        assert diff.trace.segments == full.trace.segments
+        assert diff.trace.switches == full.trace.switches
+        assert diff.trace.deadlines == full.trace.deadlines
+        assert diff.trace.grant_changes == full.trace.grant_changes
+        assert len(diff.trace.grant_changes) > 100

@@ -1,5 +1,7 @@
 """Resource lists: Table 1 semantics and validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.resource_list import ResourceList, ResourceListEntry
@@ -42,6 +44,27 @@ class TestEntry:
     def test_full_rate_entry_allowed(self):
         assert entry(900_000, 900_000).rate == 1.0
 
+    def test_stored_rate_is_not_part_of_identity(self):
+        """``rate`` is derived: storing it must leave equality, hash and
+        repr exactly as the six declared fields define them."""
+        a = entry(900_000, 300_000, label="x", bandwidth=0.25)
+        b = entry(900_000, 300_000, label="x", bandwidth=0.25)
+        assert a == b and hash(a) == hash(b)
+        assert a != entry(900_000, 300_001, label="x", bandwidth=0.25)
+        assert "rate" not in repr(a)
+        assert [f.name for f in dataclasses.fields(a) if f.compare] == [
+            "period", "cpu_ticks", "function", "label", "exclusive", "bandwidth",
+        ]
+        with pytest.raises(TypeError):
+            ResourceListEntry(900_000, 300_000, _fn, "", frozenset(), 0.0, 0.5)
+
+    def test_replace_recomputes_the_rate(self):
+        a = entry(900_000, 300_000)
+        b = dataclasses.replace(a, cpu_ticks=450_000)
+        assert (a.rate, b.rate) == (300_000 / 900_000, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.rate = 0.9
+
 
 class TestListOrdering:
     def test_requires_strictly_decreasing_rates(self):
@@ -76,6 +99,32 @@ class TestListOrdering:
             ]
         )
         assert [round(e.rate, 3) for e in rl] == [0.333, 0.25, 0.222, 0.167]
+
+
+class TestTables:
+    """What a list precomputes for grant control agrees with its entries."""
+
+    def test_rates_and_bandwidths_mirror_the_entries(self):
+        rl = ResourceList(
+            [
+                entry(900_000, 300_000, bandwidth=0.1),
+                entry(3_600_000, 900_000, bandwidth=0.4, exclusive=frozenset({"u"})),
+                entry(2_700_000, 600_000),
+            ]
+        )
+        assert rl.rates == tuple(e.cpu_ticks / e.period for e in rl)
+        assert rl.bandwidths == (0.1, 0.4, 0.0)
+        assert rl.indices == (0, 1, 2)
+        assert rl.smallest_step == min(
+            rl.rates[0] - rl.rates[1], rl.rates[1] - rl.rates[2]
+        )
+        assert rl.names_exclusive
+
+    def test_single_entry_list(self):
+        rl = ResourceList([entry(900_000, 300_000)])
+        assert rl.rates == (1 / 3,) and rl.indices == (0,)
+        assert rl.smallest_step == float("inf")
+        assert not rl.names_exclusive
 
 
 class TestSelection:

@@ -1,8 +1,9 @@
 """Property test: the scheduler's lazy heaps are a pure optimization.
 
-The scheduler answers the kernel's three per-dispatch questions — the
+The scheduler answers the kernel's per-dispatch questions — the
 TimeRemaining head, the OvertimeRequested head, the next fresh
-allocation that ends unallocated time — from lazy min-heaps fed by
+allocation that ends unallocated time, the earliest boundary that
+preempts a running grant (timer rule 2) — from lazy min-heaps fed by
 period-open, wake and overtime-request events, and the kernel wakes
 blocked threads from per-channel queues fed by ``Channel.post``.  The
 from-scratch reference below answers the same questions the way the
@@ -80,6 +81,20 @@ class FromScratchScheduler(RDScheduler):
             if boundary is not None and boundary < stop:
                 stop = boundary
         return stop
+
+    def _earliest_preempting_boundary(self, thread, now, limit):
+        best = None
+        for other in self.kernel.periodic_threads():
+            if other is thread:
+                continue
+            boundary = self._fresh_allocation_time(other, now)
+            if boundary is None or boundary <= now or boundary >= limit:
+                continue
+            if self._next_deadline_after(other, now) >= thread.deadline:
+                continue
+            if best is None or boundary < best:
+                best = boundary
+        return best
 
 
 class ScanWakeKernel(Kernel):
@@ -176,7 +191,7 @@ def run_stream(stream, reference: bool):
     )
     if reference:
         # Same object layout, overridden reads: the two runs differ only
-        # in how the queue heads and the unallocated timer are found.
+        # in how the queue heads and the two timers are found.
         rd.scheduler.__class__ = FromScratchScheduler
         rd.kernel.__class__ = ScanWakeKernel
     names = itertools.count()
