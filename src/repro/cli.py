@@ -366,7 +366,7 @@ def cmd_run(args) -> int:
         rd.sanitizer.obs = session.bus
     session.add_schedule(
         "",
-        rd.trace.segments,
+        lambda: rd.trace.segments,
         lambda: {t.tid: t.name for t in rd.kernel.threads.values()},
     )
     prof = _attach_prof(args, rd)

@@ -120,7 +120,7 @@ class ClusterSimulation:
                 kernel = self.nodes[name].rd.kernel
                 obs.add_schedule(
                     name,
-                    kernel.trace.segments,
+                    lambda k=kernel: k.trace.segments,
                     lambda k=kernel: {
                         t.tid: t.name for t in k.threads.values()
                     },

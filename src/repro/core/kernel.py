@@ -297,7 +297,7 @@ class Kernel:
         thread.restart_pending = True
         thread.pending_compute = 0
         self._periods_opened += 1
-        thread.next_delivery = GrantDelivery(
+        thread.ctx.delivery = GrantDelivery(
             previous_completed=thread.last_completed,
             previous_used=thread.last_used,
             grant=grant,
@@ -379,9 +379,10 @@ class Kernel:
                 self._rollover_all()
             self._reschedule = False
             # One phase frame covers the whole decision: pick, context
-            # switch, and the dispatched slice.  A single begin/end pair
-            # per loop iteration keeps the profiled hot path within the
-            # overhead budget the prof-smoke CI gate enforces.
+            # switch, and the dispatched slice.  A begin/end pair costs
+            # about a microsecond (the prof-smoke CI gate holds it
+            # there), so the loop pays for one per iteration, not one
+            # per step.
             if prof:
                 prof.begin("kernel.dispatch")
             thread = pick(now)
@@ -458,10 +459,10 @@ class Kernel:
                         f"policy/task livelock"
                     )
         # Close any period ending exactly at the horizon so trace
-        # accounting covers the whole run, and materialize the open
-        # trace segment so exports taken after the run see everything.
+        # accounting covers the whole run.  The open trace segment
+        # stays open: ``trace.segments`` flushes on read, and the next
+        # slice of the same run extends it in place.
         self._rollover_all()
-        self.trace.flush()
 
     def _fire_due_events(self) -> None:
         for event in self.events.pop_due(self.now):
@@ -573,6 +574,26 @@ class Kernel:
         exactly as the timer fires yields (DonePeriod/Block) in the same
         instant, and treating that as a forced preemption would strand
         it on the wrong queue.  A Compute op ends the indulgence.
+
+        **Whole-op runs.**  A thread computing on its own granted time
+        in ops that each fit inside both the slice and the grant with
+        room to spare is the common case by a wide margin (a decoder
+        yields hundreds of macroblock ops per frame), so that case runs
+        in one tight loop here: advance the clock, debit ``remaining``,
+        credit ``used``, resume the generator, test the next op.  The
+        clock and the account are written *before* every resume — the
+        body sees both through its ``TaskContext`` — and the run is one
+        ``record_run`` when it ends (the recorder would have coalesced
+        the per-op records into that same segment).  Both fit tests are
+        strict, so the clock never reaches ``stop`` and ``remaining``
+        never reaches zero inside the run: the op that exactly fills
+        the slice or exhausts the grant, every partial op, overtime and
+        assigned time stay on :meth:`_consume`, the one statement of
+        those rules.  Anything that is not a plain ``Compute``, a post
+        to a waited-on channel, a reschedule request, the generator
+        returning and a crash all end the run with the op (or the
+        exception) in hand, handled below at the same tick exactly as
+        if it had been fetched one op at a time.
         """
         ops_at_stop = 0
         clock = self.clock
@@ -606,13 +627,14 @@ class Kernel:
                         thread.clear_assignment()
                 continue
 
-            # Need the next op from the runner's generator.
-            if not assigned:
-                # Deliver the period's grant: return semantics resume
-                # the live generator, callback semantics start afresh.
-                thread.ctx.delivery = thread.next_delivery
-                if thread.restart_pending or thread.gen is None or thread.gen_exhausted:
-                    self._start_generator(thread)
+            # Need the next op from the runner's generator: return
+            # semantics resume the live one, callback semantics (or a
+            # call that ran to completion) start afresh.  The period's
+            # grant reached the context when the period opened.
+            if not assigned and (
+                thread.restart_pending or thread.gen is None or thread.gen_exhausted
+            ):
+                self._start_generator(thread)
             if runner.gen is None or runner.gen_exhausted:
                 if assigned:
                     thread.clear_assignment()
@@ -620,7 +642,35 @@ class Kernel:
                 self._mark_done(thread)
                 return SliceEnd.DONE
             try:
-                op = runner.gen.send(None)
+                gen = runner.gen
+                op = gen.send(None)
+                if not assigned and not thread.declared_done:
+                    run_start = now
+                    try:
+                        while (
+                            op.__class__ is Compute
+                            and op.ticks < stop - now
+                            and op.ticks < thread.remaining
+                            and not posted
+                            and not self._reschedule
+                        ):
+                            ticks = op.ticks
+                            now = clock.advance(ticks)
+                            thread.remaining -= ticks
+                            thread.used += ticks
+                            op = gen.send(None)
+                    finally:
+                        # Before _mark_done / _crash below read the
+                        # clock into records of their own.
+                        if now > run_start:
+                            self.trace.record_run(
+                                thread.tid,
+                                run_start,
+                                now,
+                                SegmentKind.GRANTED,
+                                thread.period_index,
+                                None,
+                            )
             except StopIteration:
                 runner.gen_exhausted = True
                 if posted:
@@ -975,7 +1025,7 @@ class Kernel:
                 )
             )
         thread.grant = new_grant
-        thread.next_delivery = GrantDelivery(
+        thread.ctx.delivery = GrantDelivery(
             previous_completed=thread.last_completed,
             previous_used=thread.last_used,
             grant=new_grant,

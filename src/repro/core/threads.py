@@ -16,7 +16,7 @@ from repro import units
 from repro.tasks.base import Op, TaskContext, TaskDefinition
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.grants import Grant, GrantDelivery
+    from repro.core.grants import Grant
     from repro.tasks.channels import Channel
 
 
@@ -84,7 +84,6 @@ class SimThread:
         self.gen_exhausted = False
         self.restart_pending = True
         self.pending_compute = 0
-        self.next_delivery: Optional["GrantDelivery"] = None
         #: Stats of the period that just closed, for the next delivery.
         self.last_completed = True
         self.last_used = 0

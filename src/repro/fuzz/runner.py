@@ -197,7 +197,7 @@ class _CoreRun:
             kernel = self.rd.kernel
             obs.add_schedule(
                 "",
-                kernel.trace.segments,
+                lambda: kernel.trace.segments,
                 lambda: {t.tid: t.name for t in kernel.threads.values()},
             )
         self.admitted: list[str] = []

@@ -102,8 +102,11 @@ class ObsSession:
     def add_schedule(self, node: str, segments, names) -> None:
         """Register a node's run segments for the Perfetto timeline.
 
-        ``segments`` is read lazily at export time, so passing a live
-        ``TraceRecorder.segments`` list before the run is fine.
+        ``segments`` is a list of run segments, or a zero-arg callable
+        returning one, called at export time: a ``TraceRecorder`` holds
+        its most recent run in an open buffer that only a read of its
+        ``segments`` property flushes, so a recorder is registered as
+        ``lambda: kernel.trace.segments`` — never by capturing the list.
         ``names`` maps thread id -> display name; pass a zero-arg
         callable returning that dict to defer it until export (threads
         are created as tasks are admitted, mid-run).
@@ -369,7 +372,10 @@ class ObsSession:
     def _perfetto(self, events: list[ObsEvent], now: int) -> str:
         self.spans.finish_open(now)
         schedules = {
-            node: (segments, names() if callable(names) else names)
+            node: (
+                segments() if callable(segments) else segments,
+                names() if callable(names) else names,
+            )
             for node, (segments, names) in self._schedules.items()
         }
         return perfetto_trace_json(

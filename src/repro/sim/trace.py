@@ -122,18 +122,20 @@ class TraceRecorder:
     """Accumulates trace records during a simulation run.
 
     Run segments are recorded through a **batched open-segment buffer**:
-    the kernel's consume loop calls :meth:`record_run` with raw fields
-    (no :class:`RunSegment` allocation) and contiguous chunks of the
-    same thread/kind/period extend the open segment in place.  A frozen
+    the kernel calls :meth:`record_run` with raw fields (no
+    :class:`RunSegment` allocation) and contiguous chunks of the same
+    thread/kind/period extend the open segment in place.  A frozen
     ``RunSegment`` is materialized only when the open segment closes —
     one allocation per *run on the CPU*, not per compute chunk.
 
-    Reading :attr:`segments` flushes the open segment first, so every
-    consumer sees the same coalesced list the eager recorder produced.
-    Code that captured the ``segments`` list object itself (the obs
-    session registers it for lazy Perfetto export) must ensure a flush
-    happens before reading it directly — the kernel flushes at the end
-    of every ``run_until``.
+    **Reader contract:** read :attr:`segments`.  The property flushes
+    the open segment first, so every consumer sees the same coalesced
+    list the eager recorder produced, and it is the only thing that
+    flushes: the kernel leaves the open segment open when ``run_until``
+    returns, so the next slice of the same run extends it in place.  A
+    captured reference to the list object is therefore only as fresh as
+    the last read — register ``lambda: trace.segments`` with a lazy
+    consumer (the obs session's Perfetto export), never the list.
     """
 
     def __init__(self) -> None:
@@ -156,8 +158,9 @@ class TraceRecorder:
     def segments(self) -> list[RunSegment]:
         """All run segments recorded so far (flushes the open buffer).
 
-        Returns the live internal list — the same object across calls —
-        so captured references keep seeing later records.
+        Returns the live internal list, the same object across calls;
+        a reference kept from an earlier read lacks what was recorded
+        since.
         """
         self.flush()
         return self._segments

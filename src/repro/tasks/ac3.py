@@ -50,11 +50,13 @@ class Ac3Decoder:
 
     def _decode(self, cost: int) -> Generator[Op, None, None]:
         per_block = max(1, cost // self.blocks_per_frame)
-        spent = 0
-        while spent < cost:
-            chunk = min(per_block, cost - spent)
-            yield Compute(chunk)
-            spent += chunk
+        # One frozen op per sync frame, yielded once per audio block.
+        blocks, rest = divmod(cost, per_block)
+        block = Compute(per_block)
+        for _ in range(blocks):
+            yield block
+        if rest:
+            yield Compute(rest)
 
     def decode_full(self, ctx: TaskContext) -> Generator[Op, None, None]:
         """Full 5.1-channel decode of one sync frame."""

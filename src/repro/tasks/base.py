@@ -184,7 +184,7 @@ class TaskContext:
     def __init__(self, kernel, thread) -> None:
         self._kernel = kernel
         self._thread = thread
-        #: Set by the kernel before each period's generator (re)starts.
+        #: Set by the kernel when each period opens.
         self.delivery: "GrantDelivery | None" = None
         #: True when the previous controlled preemption overran its grace
         #: period; the exception callback has already fired.

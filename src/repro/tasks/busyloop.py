@@ -19,9 +19,9 @@ from repro.tasks.base import Compute, DonePeriod, Op, TaskContext, TaskDefinitio
 
 def busy_loop(ctx: TaskContext) -> Generator[Op, None, None]:
     """Consume CPU forever, in small chunks so preemption is cheap."""
-    chunk = units.us_to_ticks(100)
+    chunk = Compute(units.us_to_ticks(100))
     while True:
-        yield Compute(chunk)
+        yield chunk
 
 
 def yielding_busy_loop(ctx: TaskContext) -> Generator[Op, None, None]:

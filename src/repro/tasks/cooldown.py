@@ -45,12 +45,14 @@ class CooldownTask:
         grant = ctx.grant
         assert grant is not None
         chunk = units.us_to_ticks(500)
-        spent = 0
-        while spent < grant.cpu_ticks:
-            step = min(chunk, grant.cpu_ticks - spent)
-            yield Compute(step)
-            spent += step
-            self.stats.noop_ticks += step
+        chunks, rest = divmod(grant.cpu_ticks, chunk)
+        whole_chunk = Compute(chunk)
+        for _ in range(chunks):
+            yield whole_chunk
+            self.stats.noop_ticks += chunk
+        if rest:
+            yield Compute(rest)
+            self.stats.noop_ticks += rest
 
     def resource_list(self) -> ResourceList:
         return ResourceList(

@@ -53,14 +53,15 @@ class Renderer2D:
     def render(self, ctx: TaskContext) -> Generator[Op, None, None]:
         """Render frames of varying complexity, forever."""
         step = units.us_to_ticks(200)
+        whole_step = Compute(step)
         while True:
-            cost = self._next_frame_cost(ctx)
-            spent = 0
-            while spent < cost:
-                chunk = min(step, cost - spent)
-                yield Compute(chunk)
-                spent += chunk
-                self.stats.work_done += chunk
+            steps, rest = divmod(self._next_frame_cost(ctx), step)
+            for _ in range(steps):
+                yield whole_step
+                self.stats.work_done += step
+            if rest:
+                yield Compute(rest)
+                self.stats.work_done += rest
             self.stats.frames_completed += 1
 
     def resource_list(self) -> ResourceList:

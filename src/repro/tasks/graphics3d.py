@@ -69,8 +69,9 @@ class Renderer3D:
     def render_frame(self, ctx: TaskContext) -> Generator[Op, None, None]:
         """Render scenes forever, in small steps (return semantics)."""
         step = units.us_to_ticks(250)
+        render_step = Compute(step)
         while True:
-            yield Compute(step)
+            yield render_step
             self.stats.work_done += step
             self._progress += step
             if self._progress >= self.frame_work:

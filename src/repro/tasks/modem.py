@@ -41,9 +41,9 @@ class Modem:
         """Process one period's worth of line samples."""
         grant = ctx.grant
         assert grant is not None
-        per_sample = max(1, grant.cpu_ticks // self.samples_per_period)
+        sample = Compute(max(1, grant.cpu_ticks // self.samples_per_period))
         for _ in range(self.samples_per_period):
-            yield Compute(per_sample)
+            yield sample
             self.stats.samples_processed += 1
         self.stats.periods_serviced += 1
 

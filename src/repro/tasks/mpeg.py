@@ -111,11 +111,13 @@ class MpegDecoder:
                 continue
             cost = int(FRAME_COST * FRAME_COST_FACTOR[frame])
             per_block = max(1, cost // self.macroblocks_per_frame)
-            spent = 0
-            while spent < cost:
-                chunk = min(per_block, cost - spent)
-                yield Compute(chunk)
-                spent += chunk
+            # One frozen op per frame, yielded once per macroblock.
+            blocks, rest = divmod(cost, per_block)
+            macroblock = Compute(per_block)
+            for _ in range(blocks):
+                yield macroblock
+            if rest:
+                yield Compute(rest)
             self.stats.record(frame, decoded=True)
 
     # -- the four QOS levels (Table 2) -----------------------------------------

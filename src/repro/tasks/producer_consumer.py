@@ -70,8 +70,9 @@ class Figure4Workload:
 
     def producer7(self, ctx: TaskContext) -> Generator[Op, None, None]:
         """13 ms requirement; produces forever, never reports done."""
+        item = Compute(self.item_cost)
         while True:
-            yield Compute(self.item_cost)
+            yield item
             self.stats.items_produced += 1
             self.channel7.post()
 
@@ -80,8 +81,9 @@ class Figure4Workload:
         grant = ctx.grant
         assert grant is not None
         items = max(1, grant.cpu_ticks // self.item_cost)
+        item = Compute(self.item_cost)
         for _ in range(items):
-            yield Compute(self.item_cost)
+            yield item
             self.stats.items_produced += 1
             self.channel9.post()
         yield DonePeriod()
@@ -91,22 +93,23 @@ class Figure4Workload:
     def _consume(
         self, ctx: TaskContext, channel: Channel
     ) -> Generator[Op, None, None]:
-        process_cost = self.item_cost // 4
-        spin_cost = units.us_to_ticks(20)
+        process = Compute(self.item_cost // 4)
         if self.fixed:
+            wait = Block(channel)
             while True:
-                yield Block(channel)
-                yield Compute(process_cost)
+                yield wait
+                yield process
                 self.stats.items_consumed += 1
         else:
             # The bug: poll for data, burning the grant while none arrives.
+            spin = Compute(units.us_to_ticks(20))
             while True:
                 if channel.try_take():
-                    yield Compute(process_cost)
+                    yield process
                     self.stats.items_consumed += 1
                 else:
-                    yield Compute(spin_cost)
-                    self.stats.spin_ticks += spin_cost
+                    yield spin
+                    self.stats.spin_ticks += spin.ticks
 
     def data_mgmt8(self, ctx: TaskContext) -> Generator[Op, None, None]:
         """2 ms requirement, consuming producer 7's data."""

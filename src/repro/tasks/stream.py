@@ -155,6 +155,13 @@ class LiveMpegDecoder:
         else:
             self.period = FRAME_PERIOD
         self.cpu_ticks = max(1, round(self.period * cpu_fraction))
+        #: One decode op per frame type: the cost depends on nothing else.
+        self._decode_op = {
+            frame: Compute(
+                max(1, min(self.cpu_ticks, int(self.cpu_ticks * factor / 1.6)))
+            )
+            for frame, factor in FRAME_COST_FACTOR.items()
+        }
         self.stats = LiveDecodeStats()
 
     def decode(self, ctx: TaskContext) -> Generator[Op, None, None]:
@@ -165,10 +172,7 @@ class LiveMpegDecoder:
             # Ran ahead of the stream: nothing to decode this period.
             self.stats.underflows += 1
         else:
-            cost = min(
-                self.cpu_ticks, int(self.cpu_ticks * FRAME_COST_FACTOR[frame] / 1.6)
-            )
-            yield Compute(max(1, cost))
+            yield self._decode_op[frame]
             self.stats.decoded[frame] += 1
         self.estimator.sample(ctx.now)
         if self.synchronize and self.estimator.ready:

@@ -3,10 +3,19 @@
 import pytest
 
 from repro import SporadicServer, TaskDefinition, units
+from repro.core.kernel import SliceEnd
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.threads import ThreadState
 from repro.errors import SimulationError
-from repro.tasks.base import AssignGrant, Block, Compute, DonePeriod, InsertIdleCycles
+from repro.sim.trace import SegmentKind
+from repro.tasks.base import (
+    AssignGrant,
+    Block,
+    Compute,
+    DonePeriod,
+    InsertIdleCycles,
+    PreemptionConfig,
+)
 from repro.tasks.channels import Channel
 
 from tests.conftest import admit_simple
@@ -181,3 +190,257 @@ class TestZeroWorkPeriods:
         outcomes = ideal_rd.trace.deadlines_for(thread.tid)
         assert len(outcomes) == 5
         assert not any(o.missed for o in outcomes)
+
+
+def spy_on_slices(rd):
+    """Record (outcome, clock) of every ``_execute`` call."""
+    kernel, real, slices = rd.kernel, rd.kernel._execute, []
+
+    def execute(thread, stop):
+        outcome = real(thread, stop)
+        slices.append((outcome, kernel.now))
+        return outcome
+
+    kernel._execute = execute
+    return slices
+
+
+def spy_on_consume(rd):
+    """Record (thread name, ticks, clock after) of every ``_consume``."""
+    kernel, real, consumed = rd.kernel, rd.kernel._consume, []
+
+    def consume(thread, runner, run, assigned):
+        real(thread, runner, run, assigned)
+        consumed.append((thread.name, run, kernel.now))
+
+    kernel._consume = consume
+    return consumed
+
+
+#: First op of the bodies below.  A first activation leaves a reschedule
+#: pending, which ends the slice after the first op fetched, whatever it
+#: is; this one takes that, so the ops under test start a fresh slice.
+SETTLE = InsertIdleCycles(0)
+
+
+class TestWholeOpRuns:
+    """Ops that fit with room to spare run in ``_execute``'s tight loop;
+    everything with a rule attached stays on ``_consume``."""
+
+    def test_op_that_exactly_fills_the_slice_is_consumed_not_run(self, ideal_rd):
+        def task(ctx):
+            yield SETTLE
+            yield Compute(ms(1))
+            yield Compute(ms(1))  # ends on the tick of the event below
+            yield Compute(ms(1))
+            yield DonePeriod()
+
+        thread = ideal_rd.admit(one_entry("filler", task))
+        ideal_rd.at(ms(2), lambda: None)
+        consumed = spy_on_consume(ideal_rd)
+        slices = spy_on_slices(ideal_rd)
+        ideal_rd.run_for(ms(5))
+        # The first op ran; the second went through _consume.  (So does
+        # the third: fetched at the stop, it ended the indulgence there
+        # and waited in pending_compute for the next slice.)
+        assert consumed == [("filler", ms(1), ms(2)), ("filler", ms(1), ms(3))]
+        assert slices[1] == (SliceEnd.FORCED, ms(2))
+        assert thread.used == ms(3) and thread.completed_at == ms(3)
+
+    def test_op_that_exactly_exhausts_the_grant_is_consumed_not_run(self, ideal_rd):
+        requests = []
+
+        def task(ctx):
+            yield SETTLE
+            yield Compute(ms(3))
+            yield Compute(ms(1))  # the grant is 4 ms
+            yield Compute(ms(1))
+
+        thread = ideal_rd.admit(one_entry("spender", task))
+        hook = ideal_rd.kernel._on_overtime_request
+        ideal_rd.kernel._on_overtime_request = lambda t: (
+            requests.append((t.name, ideal_rd.now)),
+            hook(t),
+        )
+        consumed = spy_on_consume(ideal_rd)
+        ideal_rd.run_for(ms(4))
+        assert consumed == [("spender", ms(1), ms(4))]
+        assert thread.completed_at == ms(4)
+        assert thread.remaining == 0 and thread.used == ms(4)
+        assert requests == [("spender", ms(4))]
+        ideal_rd.run_for(ms(2))  # the fifth millisecond is overtime
+        assert consumed[1:] == [("spender", ms(1), ms(5))]
+        assert thread.overtime_used == ms(1)
+
+    def test_grant_exhausted_inside_a_grace_slice_is_consumed_not_run(self, ideal_rd):
+        """A grace slice (section 5.6) may outlast the grant, so there
+        the grant test is the one that binds: the op that exhausts the
+        grant fits the slice with room to spare."""
+        us = units.us_to_ticks
+
+        def task(ctx):
+            yield SETTLE
+            yield Compute(us(7900))  # 2.0 -> 9.9 ms
+            yield Compute(us(120))  # cut at 10 ms by the short task's boundary
+            yield Compute(us(30))  # ends on the grant's last tick, 10.05 ms
+            yield Compute(us(50))
+            yield DonePeriod()
+
+        admit_simple(ideal_rd, "short", period_ms=10, rate=0.2)
+        period = ms(30)
+        thread = ideal_rd.admit(
+            TaskDefinition(
+                name="polite",
+                resource_list=ResourceList(
+                    [ResourceListEntry(period, us(8050), task, "polite")]
+                ),
+                preemption=PreemptionConfig(check_interval=us(150)),
+            )
+        )
+        consumed = spy_on_consume(ideal_rd)
+        ideal_rd.run_until(ms(10) + us(150))
+        assert [c for c in consumed if c[0] == "polite"] == [
+            ("polite", us(100), ms(10)),  # the cut op, up to the boundary
+            ("polite", us(20), ms(10) + us(20)),  # ... its rest, in the grace slice
+            ("polite", us(30), ms(10) + us(50)),  # the exhausting op
+            ("polite", us(50), ms(10) + us(100)),  # overtime
+        ]
+        assert thread.completed_at == ms(10) + us(50)
+        assert thread.used == us(8050) and thread.overtime_used == us(50)
+
+    def test_eight_ops_at_stop_after_a_run_one_tick_short_of_it(self, ideal_rd):
+        fetched_at_stop = []
+
+        def task(ctx):
+            yield SETTLE
+            yield Compute(ms(1))
+            yield Compute(ms(1) - 1)  # the run ends one tick short
+            yield Compute(1)  # ... and this op lands on the stop
+            for i in range(10):
+                fetched_at_stop.append(i)
+                yield InsertIdleCycles(0)
+            yield DonePeriod()
+
+        ideal_rd.admit(one_entry("fidget", task))
+        ideal_rd.at(ms(2), lambda: None)
+        slices = spy_on_slices(ideal_rd)
+        ideal_rd.run_until(ms(2))
+        assert slices[1:] == [(SliceEnd.FORCED, ms(2))]
+        assert fetched_at_stop == list(range(8))
+
+    def test_post_interrupts_the_run_at_the_op_boundary(self, ideal_rd):
+        channel = Channel("data")
+
+        def waiter(ctx):
+            yield Block(channel)
+            yield Compute(ms(1))
+            yield DonePeriod()
+
+        def producer(ctx):
+            yield Compute(ms(1))
+            yield Compute(ms(1))
+            channel.post()
+            yield Compute(ms(1))
+            yield DonePeriod()
+
+        ideal_rd.admit(one_entry("waiter", waiter, period_ms=10, rate=0.2))
+        ideal_rd.admit(one_entry("producer", producer, period_ms=20, rate=0.2))
+        slices = spy_on_slices(ideal_rd)
+        ideal_rd.run_for(ms(5))
+        assert slices[:2] == [
+            (SliceEnd.BLOCKED, 0),
+            (SliceEnd.INTERRUPTED, ms(2)),
+        ]
+        wake = [b for b in ideal_rd.trace.blocks if not b.blocked]
+        assert [b.time for b in wake] == [ms(2)]
+        # The waiter preempts right there; the producer finishes after it.
+        assert [
+            (s.thread_id, s.start, s.end) for s in ideal_rd.trace.segments[:3]
+        ] == [(2, 0, ms(2)), (1, ms(2), ms(3)), (2, ms(3), ms(4))]
+
+    def test_generator_returning_mid_run_has_the_run_recorded(self, ideal_rd):
+        def task(ctx):
+            yield SETTLE
+            yield Compute(ms(1))
+            yield Compute(ms(1))
+
+        thread = ideal_rd.admit(one_entry("quitter", task))
+        consumed = spy_on_consume(ideal_rd)
+        ideal_rd.run_for(ms(5))
+        assert consumed == []
+        assert thread.completed_at == ms(2)
+        run = ideal_rd.trace.segments_for(thread.tid)[0]
+        assert (run.start, run.end, run.kind) == (0, ms(2), SegmentKind.GRANTED)
+
+    def test_crash_mid_run_has_the_run_recorded_first(self, ideal_rd):
+        def task(ctx):
+            yield SETTLE
+            yield Compute(ms(1))
+            yield Compute(ms(1))
+            raise RuntimeError("fell over")
+
+        thread = ideal_rd.admit(one_entry("crasher", task))
+        ideal_rd.run_for(ms(5))
+        assert [(t, tid) for t, tid, _ in ideal_rd.kernel.crashes] == [
+            (ms(2), thread.tid)
+        ]
+        assert [(s.start, s.end) for s in ideal_rd.trace.segments_for(thread.tid)] == [
+            (0, ms(2))
+        ]
+
+    def test_compute_subclass_never_enters_the_run(self, ideal_rd):
+        class Tagged(Compute):
+            pass
+
+        def task(ctx):
+            yield SETTLE
+            for _ in range(3):
+                yield Tagged(ms(1))
+            yield DonePeriod()
+
+        thread = ideal_rd.admit(one_entry("tagged", task))
+        consumed = spy_on_consume(ideal_rd)
+        ideal_rd.run_for(ms(5))
+        assert consumed == [("tagged", ms(1), ms(t)) for t in (1, 2, 3)]
+        assert [(s.start, s.end) for s in ideal_rd.trace.segments_for(thread.tid)] == [
+            (0, ms(3))
+        ]
+
+
+class TestSlicedRuns:
+    """``run_until`` leaves the open trace segment open; every reader
+    goes through ``trace.segments``, which flushes."""
+
+    def test_segments_read_between_slices_match_the_flushing_kernel(self):
+        from repro.scenarios import av_pipeline
+
+        from tests.properties.test_prop_edf_heap import FromScratchKernel
+
+        def readings(reference):
+            scenario = av_pipeline(seed=7)
+            if reference:
+                scenario.rd.kernel.__class__ = FromScratchKernel
+            seen = []
+            for _ in range(48):
+                scenario.rd.run_for(ms(2.5))
+                seen.append(list(scenario.rd.trace.segments))
+            return seen, scenario.rd.trace.switches
+
+        shipped, reference = readings(False), readings(True)
+        assert shipped == reference
+        assert len(shipped[0][-1]) > 20  # a schedule, not an idle machine
+
+    def test_perfetto_export_contains_the_final_open_run(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "obs"
+        assert main(["run", "--scenario", "figure5", "--seed", "3",
+                     "--duration-ms", "200", "--obs-out", str(out)]) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "trace.perfetto.json").read_text())
+        runs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        # Figure 5's machine is never idle: the run still open when the
+        # last run_until returns ends on the horizon.
+        assert max(e["ts"] + e["dur"] for e in runs) == pytest.approx(200_000.0)

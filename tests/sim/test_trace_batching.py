@@ -5,11 +5,17 @@ it in place when the next run continues it (same thread, kind, period,
 charge, and contiguous in time), materializing a RunSegment only when a
 non-continuing run arrives or a reader forces a flush.  The queries all
 go through the flushing ``segments`` property, so batching is invisible
-to every consumer — including the obs session, which captures the
-*list object* itself at wiring time.
+to every consumer.  That property is the reader contract: nothing else
+flushes — the kernel leaves the open run open when ``run_until``
+returns, so the next slice of the same run extends it in place — and a
+captured reference to the list is only as fresh as the last read.  The
+obs session therefore registers ``lambda: trace.segments`` for its lazy
+Perfetto export, never the list object.
 """
 
+from repro import MachineConfig, ResourceDistributor, SimConfig, units
 from repro.sim.trace import RunSegment, SegmentKind, TraceRecorder
+from repro.workloads import single_entry_definition
 
 
 def record(trace, tid, start, end, kind=SegmentKind.GRANTED, **kwargs):
@@ -76,17 +82,33 @@ class TestFlushSemantics:
         assert len(trace.segments) == 1
 
     def test_segments_property_returns_the_live_list_object(self):
-        """The obs session wires ``trace.segments`` by reference once at
-        startup; the property must flush into and return that same
-        object forever."""
+        """Every read flushes into and returns the same list object —
+        and only a read does: a captured reference lacks the open run
+        until somebody goes through the property again."""
         trace = TraceRecorder()
         captured = trace.segments
         record(trace, 1, 0, 10)
         record(trace, 2, 10, 20)
+        assert [(s.thread_id, s.start, s.end) for s in captured] == [(1, 0, 10)]
         assert trace.segments is captured
         assert [(s.thread_id, s.start, s.end) for s in captured] == [
             (1, 0, 10),
             (2, 10, 20),
+        ]
+
+    def test_run_until_leaves_the_open_run_open(self):
+        """Nobody flushes on the way out of the kernel: the run that is
+        on the CPU when ``run_until`` returns stays in the buffer, and
+        the next slice extends it instead of reopening it."""
+        rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=7))
+        rd.admit(single_entry_definition("greedy", 10, 0.5, greedy=True))
+        rd.run_for(units.ms_to_ticks(2))
+        assert rd.trace._open_thread is not None
+        materialized = len(rd.trace._segments)
+        rd.run_for(units.ms_to_ticks(2))
+        assert len(rd.trace._segments) == materialized
+        assert [(s.start, s.end) for s in rd.trace.segments] == [
+            (0, units.ms_to_ticks(4))
         ]
 
     def test_queries_see_the_open_buffer(self):
