@@ -1,72 +1,87 @@
-"""Observability overhead: instrumented-but-unsinked must be near-free.
+"""Observability overhead: what one hook site costs, in calibration steps.
 
 The tentpole claim for ``repro.obs`` is that instrumentation is off by
 default and costs next to nothing until a sink subscribes: every hook
 site is one attribute read plus a falsy branch when ``obs is None``,
 and — because hot sites guard with ``if self.obs:`` and a bus with no
 subscribers is falsy — *zero* event constructions when a bus is
-attached with nobody listening.  This bench measures that claim on the
-Figure 5 load-shedding scenario (five busy loops — context-switch
-heavy, so the hottest hook dominates) and fails if the
-enabled-but-no-sink configuration costs more than 5 % over the
-uninstrumented baseline.
+attached with nobody listening.  The ``obs-unguarded-emit`` lint rule
+proves every emitting site carries that guard; this bench gates what
+the guard costs: (no-sink − disabled) ÷ the events a session records
+over the same sites, through the shared :mod:`benchmarks.overhead`
+helper — interleaved, gc-paused per-variant minima, in calibration-loop
+steps, a second window before a failure.  What a recording session
+costs per event, (session − disabled) ÷ the same count, is reported
+beside it and not gated (``rack_observed`` in ``benchmarks/e2e`` owns
+the end-to-end cost of observing).
 
-Baseline and candidate runs are interleaved so clock drift and thermal
-effects hit both alike; the gate compares medians.  The scenario itself
-is the shared ``repro.bench.workloads.run_figure5`` builder — the same
-workload the ``repro bench --suite obs`` runner times.
+The sites are driven directly (``builders.drive_hook_sites``) rather
+than through a scenario.  A whole-run difference cannot resolve the
+guard: Figure 5 visits 432 sites in an 18 ms run, so the guard's
+~0.05 us a site is 0.1 % of the run while the per-variant minima
+wander by 1 % — the reading comes out anywhere from −9 to +5 steps a
+site (docs/benchmarking.md has the measurements).
 """
 
-import statistics
-import time
+from benchmarks.builders import drive_hook_sites
+from benchmarks.overhead import (
+    gate_reading,
+    interleaved_samples,
+    render_samples,
+    unit_cost,
+)
+from repro.obs.events import ObsBus
+from repro.obs.session import ObsSession
 
-from repro.bench.workloads import run_figure5
-from repro.viz import format_table
+SITES = 100_000
+REPEATS = 9
+#: Calibration-loop steps the unsinked guard may cost per hook site.
+#: Measured 0.56 steps (0.050 us a site on a box whose calibration step
+#: takes 0.09 us; 0.53-0.57 over six processes); the budget is that
+#: plus a fifth, so the guard as committed passes and one made twice
+#: as heavy does not.
+BUDGET_STEPS = 0.67
 
-HORIZON_MS = 400
-REPEATS = 7
-BUDGET = 0.05  # enabled-but-no-sink may cost at most 5 % over baseline
+DISABLED = "disabled (obs=None)"
+NO_SINK = "no-sink (ObsBus, 0 subscribers)"
+SESSION = "full session (columnar arenas)"
 
 VARIANTS = {
-    "disabled (obs=None)": "disabled",
-    "no-sink (ObsBus, 0 subscribers)": "no-sink",
-    "full session (columnar arenas)": "session",
+    DISABLED: lambda: drive_hook_sites(None, SITES),
+    NO_SINK: lambda: drive_hook_sites(ObsBus(), SITES),
+    SESSION: lambda: drive_hook_sites(ObsSession().bus, SITES),
 }
 
 
-def run_once(variant: str) -> float:
-    start = time.perf_counter()
-    run_figure5(obs=variant, ms=HORIZON_MS, seed=11)
-    return time.perf_counter() - start
-
-
-def interleaved_medians() -> dict[str, float]:
-    for variant in VARIANTS.values():
-        run_once(variant)  # warm-up: imports, allocator, caches
-    samples: dict[str, list[float]] = {name: [] for name in VARIANTS}
-    for _ in range(REPEATS):
-        for name, variant in VARIANTS.items():
-            samples[name].append(run_once(variant))
-    return {name: statistics.median(times) for name, times in samples.items()}
+def recorded_events() -> int:
+    """Events a session records over the sites: one each, every run."""
+    session = ObsSession()
+    drive_hook_sites(session.bus, SITES)
+    return session.bus.total_emitted
 
 
 def test_obs_disabled_overhead_within_budget(report):
-    medians = interleaved_medians()
-    baseline = medians["disabled (obs=None)"]
-    rows = [
-        [name, f"{median * 1e3:.1f}", f"{median / baseline - 1:+.1%}"]
-        for name, median in medians.items()
-    ]
-    table = format_table(
-        ["configuration", f"median of {REPEATS} runs (ms)", "vs disabled"],
-        rows,
-        title=f"repro.obs overhead — figure5, {HORIZON_MS} ms simulated",
+    events = recorded_events()
+    samples, guard_s, guard_steps = gate_reading(
+        lambda: interleaved_samples(VARIANTS, REPEATS),
+        NO_SINK,
+        DISABLED,
+        events,
+        BUDGET_STEPS,
+    )
+    record_s, record_steps = unit_cost(samples, SESSION, DISABLED, events)
+    table = render_samples(f"repro.obs overhead — {SITES} hook sites", samples)
+    table += (
+        f"\n{events} events recorded by the session: the unsinked guard costs "
+        f"{guard_s * 1e6:.3f} us per site = {guard_steps:.2f} calibration "
+        f"steps (budget {BUDGET_STEPS}); recording costs "
+        f"{record_s * 1e6:.2f} us per event = {record_steps:.1f} steps, "
+        "not gated"
     )
     report("obs_overhead", table)
 
-    no_sink = medians["no-sink (ObsBus, 0 subscribers)"]
-    overhead = no_sink / baseline - 1
-    assert overhead <= BUDGET, (
-        f"enabled-but-no-sink costs {overhead:+.1%} over the uninstrumented "
-        f"baseline (budget {BUDGET:.0%}): the hook sites are no longer cheap"
+    assert guard_steps <= BUDGET_STEPS, (
+        f"an unsinked hook site costs {guard_steps:.2f} calibration steps "
+        f"({guard_s * 1e6:.3f} us over {events} sites; budget "
+        f"{BUDGET_STEPS}): the hook-site guard is no longer cheap"
     )

@@ -15,9 +15,9 @@ verifies the derived overhead claim.
 import pytest
 
 from repro import units
-from repro.bench.workloads import run_av_scenario
 from repro.metrics import summarize_switches
 from repro.metrics.analysis import overhead_fraction, switches_per_second
+from repro.scenarios import av_pipeline
 from repro.sim.trace import SwitchKind
 from repro.viz import format_table
 
@@ -28,8 +28,10 @@ PAPER = {
 
 
 def test_sec61_context_switch_costs(benchmark, report):
-    rd = benchmark.pedantic(run_av_scenario, rounds=1, iterations=1)
     elapsed = units.sec_to_ticks(2)
+    rd = benchmark.pedantic(
+        lambda: av_pipeline(seed=61).run_for(elapsed).rd, rounds=1, iterations=1
+    )
 
     rows = []
     for kind in (SwitchKind.VOLUNTARY, SwitchKind.INVOLUNTARY):

@@ -22,7 +22,7 @@ Scheduler notification — against the number of admitted tasks.
 
 import pytest
 
-from repro.bench.workloads import (
+from benchmarks.builders import (
     build_grant_requests,
     build_overloaded_distributor,
     sheddable_list,

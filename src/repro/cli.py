@@ -17,10 +17,9 @@
     python -m repro run --scenario cluster_rack --profile prof/  # profiled run
     python -m repro obs prof report prof/   # phase-cost report over a profile
     python -m repro obs prof diff a/ b/     # attribute a regression to phases
-    python -m repro bench --suite core  # wall-clock benches + regression gate
     python -m repro fuzz --budget 200 --seed 9      # seeded scenario fuzzing
     python -m repro fuzz replay tests/fuzz/corpus   # replay a trace corpus
-    python -m repro fuzz sweep --append-bench BENCH.json  # threshold curve
+    python -m repro fuzz sweep --out curve.json     # admission-threshold curve
     python -m repro serve --port 8642   # live HTTP control plane over a rack
     python -m repro loadgen --clients 100 --duration 5  # drive a live service
 
@@ -613,64 +612,6 @@ def cmd_obs(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the wall-clock bench suites; optionally gate against a baseline."""
-    import json
-
-    from repro.bench import SUITES, compare, load_baseline, run_suites
-
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
-    progress = None if args.json else (lambda name: print(f"  running {name} ..."))
-    prof = None
-    if args.profile:
-        # Sampling tier only: the bench workloads build their own
-        # systems internally, so the flamegraph (not the phase books)
-        # is what attributes where the bench's wall time goes.
-        from repro.obs.prof import ProfSession
-
-        prof = ProfSession(name=f"bench-{args.suite}")
-        prof.start()
-    try:
-        payload = run_suites(
-            suites, repetitions=args.repetitions, progress=progress
-        )
-    finally:
-        if prof is not None:
-            prof.stop()
-            print(f"wrote profile to {prof.write(args.profile)}")
-    rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        print(f"wrote {args.out}")
-    if args.json:
-        print(rendered, end="")
-    else:
-        rows = [
-            [
-                name,
-                f"{entry['median_s'] * 1e3:.1f}",
-                f"{entry['normalized']:.3f}",
-                f"{entry['ops_per_s']:.0f}",
-            ]
-            for name, entry in sorted(payload["benches"].items())
-        ]
-        print(
-            format_table(
-                ["bench", "median (ms)", "normalized", "ops/s"],
-                rows,
-                title=f"repro bench — suites: {', '.join(suites)}, "
-                f"{args.repetitions} repetitions, "
-                f"calibration {payload['calibration_s'] * 1e3:.1f} ms",
-            )
-        )
-    if args.check_against:
-        report = compare(payload, load_baseline(args.check_against), args.tolerance)
-        print(report.summary())
-        return 0 if report.ok else 1
-    return 0
-
-
 def cmd_validate(args) -> int:
     rng = random.Random(args.seed)
     rd = ResourceDistributor(
@@ -733,11 +674,10 @@ def cmd_fuzz_replay(args) -> int:
 
 
 def cmd_fuzz_sweep(args) -> int:
-    """Bisect per-mix admission thresholds; optionally append to a bench
-    payload (the curve rides along under the ``fuzz_thresholds`` key)."""
+    """Bisect per-mix admission thresholds; ``--out`` writes the curve."""
     import json
 
-    from repro.fuzz.sweep import append_to_bench, render_sweep, run_sweep
+    from repro.fuzz.sweep import render_sweep, run_sweep
 
     payload = run_sweep(args.seed, mixes=args.mixes, iterations=args.iterations)
     if args.json:
@@ -749,9 +689,6 @@ def cmd_fuzz_sweep(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.out}")
-    if args.append_bench:
-        append_to_bench(args.append_bench, payload)
-        print(f"appended fuzz_thresholds to {args.append_bench}")
     return 0
 
 
@@ -1064,47 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--out", metavar="PATH", default=None, help="write the payload to PATH"
     )
-    p_sweep.add_argument(
-        "--append-bench",
-        metavar="PATH",
-        default=None,
-        help="attach the curve to an existing bench payload (BENCH.json)",
-    )
-    p = command("bench", cmd_bench, "wall-clock bench suites + regression gate")
-    p.add_argument(
-        "--suite",
-        choices=["core", "cluster", "obs", "serve", "fuzz", "all"],
-        default="core",
-        help="bench suite to run",
-    )
-    p.add_argument(
-        "--repetitions", type=int, default=5, help="timed samples per bench"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the BENCH.json payload on stdout"
-    )
-    p.add_argument(
-        "--out", metavar="PATH", default=None, help="write the payload to PATH"
-    )
-    p.add_argument(
-        "--check-against",
-        metavar="PATH",
-        default=None,
-        help="compare normalized costs against a committed BENCH.json; "
-        "exit 1 on regression",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed normalized-cost growth before a bench counts as regressed",
-    )
-    p.add_argument(
-        "--profile",
-        metavar="DIR",
-        default=None,
-        help="sample the whole bench run into a flamegraph profile at DIR",
-    )
     p = command("serve", cmd_serve, "live HTTP control plane over a broker rack")
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8642, help="bind port (0 = ephemeral)")
@@ -1159,18 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", metavar="PATH", default=None, help="write the report to PATH"
-    )
-    p.add_argument(
-        "--check-against",
-        metavar="PATH",
-        default=None,
-        help="gate sustained RPS against a committed BENCH_serve.json",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed normalized cost growth before the gate fails",
     )
     p = command("cluster", cmd_cluster, "multi-node rack behind a broker")
     p.add_argument(

@@ -76,7 +76,8 @@ class ClusterNode:
         self.definitions: dict[str, TaskDefinition] = {}
         #: request id -> cached reply payload (RPC idempotency).
         self._replies: dict[str, dict] = {}
-        self._misses_reported = 0
+        #: ``rd.trace.deadlines`` records already counted by a load report.
+        self._deadlines_reported = 0
 
     # -- RPC handling -------------------------------------------------------
 
@@ -147,14 +148,14 @@ class ClusterNode:
 
     def load_report(self, now: int) -> NodeLoadReport:
         """The periodic headroom/QOS report the broker's AIMD loop eats."""
-        misses = len(self.rd.trace.misses())
-        delta = misses - self._misses_reported
-        self._misses_reported = misses
+        deadlines = self.rd.trace.deadlines
+        fresh = deadlines[self._deadlines_reported :]
+        self._deadlines_reported = len(deadlines)
         return NodeLoadReport(
             node=self.name,
             time=now,
             snapshot=self.rd.capacity_snapshot(),
-            misses_delta=delta,
+            misses_delta=sum(1 for record in fresh if record.missed),
         )
 
     # -- introspection ------------------------------------------------------

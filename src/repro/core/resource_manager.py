@@ -329,8 +329,7 @@ class ResourceManager:
             # Population, resource lists, and policy tables are unchanged
             # since the last computation: the grant set is a pure function
             # of them, so reuse it.  The scheduler is still notified (a
-            # no-op diff that re-asserts in-flight pending state, exactly
-            # like the legacy unconditional rebuild did).
+            # no-op diff that re-asserts in-flight pending state).
             self.memo_hits += 1
             if self.kernel.sanitizer is not None:
                 fresh = self.grant_control.compute(

@@ -96,10 +96,9 @@ class RDScheduler:
         #: diffed against to skip threads whose grant did not change.
         self._last_notified: GrantSet | None = None
         #: Threads with a scheduler-applied pending boundary change
-        #: (decrease/removal, or an activated increase).  The legacy full
-        #: rebuild re-asserted these on every notification; the diff must
-        #: therefore always revisit them even when their grant is
-        #: unchanged.
+        #: (decrease/removal, or an activated increase).  Every
+        #: notification re-asserts these, so the diff always revisits
+        #: them even when their grant is unchanged.
         self._inflight: set[int] = set()
         kernel.bind_policy(self)
         # Threads that started periods before this policy was bound (test
@@ -259,9 +258,8 @@ class RDScheduler:
         obs = self.kernel.obs
         if obs:
             obs.emit_activation(now, len(pending))
-        # tid order, matching the legacy rebuild (which walked threads in
-        # creation order); the persistent pending dict accretes entries
-        # across notifications in arbitrary order.
+        # tid order (the threads' creation order): the persistent pending
+        # dict accretes entries across notifications in arbitrary order.
         for tid, grant in sorted(pending.items()):
             thread = self.kernel.threads.get(tid)
             if thread is None or thread.state is ThreadState.EXITED:

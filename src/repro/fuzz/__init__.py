@@ -10,7 +10,7 @@ The pipeline, end to end::
 
 ``run_campaign`` drives the loop at scale (``python -m repro fuzz``),
 and :mod:`repro.fuzz.sweep` bisects each mix's empirical admission
-threshold for the bench payload.
+threshold (the curve in ``benchmarks/out/fuzz_thresholds.json``).
 """
 
 from repro.fuzz.driver import (
@@ -37,7 +37,7 @@ from repro.fuzz.spec import (
     load_trace,
     write_trace,
 )
-from repro.fuzz.sweep import admission_threshold, append_to_bench, run_sweep
+from repro.fuzz.sweep import admission_threshold, run_sweep
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -55,7 +55,6 @@ __all__ = [
     "TaskSpec",
     "TraceFile",
     "admission_threshold",
-    "append_to_bench",
     "generate",
     "load_trace",
     "replay_corpus",

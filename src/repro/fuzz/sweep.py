@@ -10,23 +10,21 @@ a common factor and bisects the largest factor at which the whole mix
 is still admitted and runs clean, reporting the utilization the mix
 achieved at that point.
 
-The resulting curve (one point per mix) is appended to a bench payload
-under the ``fuzz_thresholds`` key, riding along with ``BENCH.json`` so
-threshold drift shows up in the same artifact as performance drift.
+The resulting curve (one point per mix) is committed on its own as
+``benchmarks/out/fuzz_thresholds.json`` (``repro fuzz sweep --seed 0
+--out ...``): it is deterministic for a campaign seed, so a diff of
+that file is threshold drift and nothing else.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
 
 from repro.fuzz.generator import CAPACITY, generate, scenario_seed
 from repro.fuzz.runner import run_spec
 from repro.fuzz.spec import LevelSpec, ScenarioSpec, SpecError
 
-#: Schema of the standalone sweep payload (and of the curve appended to
-#: a bench payload).
+#: Schema of the sweep payload.
 SWEEP_SCHEMA_VERSION = 1
 
 SWEEP_KIND = "repro.fuzz.thresholds"
@@ -149,19 +147,6 @@ def run_sweep(seed: int, mixes: int = 8, iterations: int = 10) -> dict:
         "capacity": CAPACITY,
         "mixes": points,
     }
-
-
-def append_to_bench(bench_path: str | Path, sweep_payload: dict) -> None:
-    """Attach the curve to an existing bench payload in place.
-
-    ``validate_payload`` tolerates extra top-level keys, so a payload
-    carrying ``fuzz_thresholds`` still passes every bench gate."""
-    path = Path(bench_path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["fuzz_thresholds"] = sweep_payload
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def render_sweep(payload: dict) -> str:

@@ -55,10 +55,7 @@ class LayeringRule(Rule):
 
     ``repro.cluster`` itself may import ``repro.core``, ``repro.sim``,
     ``repro.obs``, and ``repro.metrics`` — it is a coordinator *above*
-    core, not a peer of it.  ``repro.bench`` sits at the very top
-    beside ``repro.cli``: it may import anything, and nothing below it
-    may import it (it reads the wall clock, which must never leak into
-    the simulated layers).
+    core, not a peer of it.
 
     ``repro.serve`` is the serving boundary at the very top: it may
     import ``repro.cluster``, ``repro.obs``, and ``repro.core``, but
@@ -73,8 +70,8 @@ class LayeringRule(Rule):
     ``repro.fuzz`` is a test harness above everything it exercises
     (core, sim, cluster, metrics): the simulated layers must never
     import their own fuzzer, or a generator tweak could change
-    kernel behavior.  Like ``repro.bench`` it may import anything
-    below it, but not ``repro.serve`` — fuzz campaigns are offline.
+    kernel behavior.  It may import anything below it, but not
+    ``repro.serve`` — fuzz campaigns are offline.
     """
 
     id = "layering"
@@ -94,7 +91,6 @@ class LayeringRule(Rule):
                 "repro.cli",
                 "repro.metrics.report",
                 "repro.cluster",
-                "repro.bench",
                 "repro.serve",
                 "repro.fuzz",
                 "repro.obs.prof",
@@ -109,7 +105,6 @@ class LayeringRule(Rule):
                 "repro.cli",
                 "repro.metrics",
                 "repro.cluster",
-                "repro.bench",
                 "repro.serve",
                 "repro.fuzz",
                 "repro.obs.prof",
@@ -128,7 +123,6 @@ class LayeringRule(Rule):
                 "repro.tasks",
                 "repro.workloads",
                 "repro.baselines",
-                "repro.bench",
                 "repro.serve",
                 "repro.fuzz",
             ),
@@ -146,7 +140,6 @@ class LayeringRule(Rule):
                 "repro.workloads",
                 "repro.baselines",
                 "repro.cluster",
-                "repro.bench",
                 "repro.serve",
                 "repro.fuzz",
             ),

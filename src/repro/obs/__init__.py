@@ -19,8 +19,9 @@ package makes that first-class instead of post-hoc trace archaeology:
   exporter rendering scheduler run segments and cluster spans on one
   timeline;
 * :mod:`repro.obs.session` — the bundle the CLI wires up
-  (``--obs-out DIR`` writes events.jsonl, metrics.prom, and
-  trace.perfetto.json).
+  (``--obs-out DIR`` writes six artifacts: events.jsonl,
+  metrics.prom, trace.perfetto.json, events.col.json, pipeline.json
+  and pipeline.prom).
 
 Layering: ``repro.obs`` sits beside :mod:`repro.sim` at the bottom of
 the stack.  ``repro.core``, ``repro.sim``, and ``repro.cluster`` may

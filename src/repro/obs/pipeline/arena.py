@@ -14,11 +14,9 @@ Arenas are optionally *ring-buffered*: with a ``capacity``, appending
 past it evicts the globally oldest retained row.  Evicting a row that
 was never cut into a chunk is real data loss and is counted per kind
 in :attr:`EventArena.overwritten` — loss is accounted, never silent.
-Rows removed *after* they were shipped (``trim_shipped``) are just
-memory reclamation and count nowhere.
 
-:meth:`EventArena.cut` slices everything appended since the previous
-cut into chunk columns for the shipping tier, applying deterministic
+:meth:`EventArena.cut` closes a chunk over everything appended since
+the previous cut for the shipping tier, applying deterministic
 head/tail sampling when the slice exceeds ``max_events`` (keep the
 first and last halves, count the sampled-out middle per kind).
 """
@@ -46,7 +44,7 @@ class _Kind:
         self.lists = tuple(self.columns[name] for name in self.fields)
         #: Absolute kind-row index of list position 0 (grows on compact).
         self.base = 0
-        #: List positions [0, head) are evicted/trimmed, not yet compacted.
+        #: List positions [0, head) are evicted, not yet compacted.
         self.head = 0
 
     def live(self) -> int:
@@ -67,17 +65,11 @@ class _Kind:
 class EventArena:
     """Ring-buffered struct-of-arrays storage for one node's events."""
 
-    def __init__(
-        self,
-        node: str = "",
-        capacity: int | None = None,
-        trim_shipped: bool = False,
-    ) -> None:
+    def __init__(self, node: str = "", capacity: int | None = None) -> None:
         if capacity is not None and capacity < 1:
             raise SimulationError(f"arena capacity must be >= 1, got {capacity}")
         self.node = node
         self.capacity = capacity
-        self.trim_shipped = trim_shipped
         self.kinds: dict[str, _Kind] = {}
         #: Node-local emission order (one tag per appended row).
         self.order: list[str] = []
@@ -147,14 +139,16 @@ class EventArena:
 
     # -- cutting chunks for the shipping tier ------------------------------
 
-    def cut(self, max_events: int | None = None) -> tuple[list, dict, dict]:
-        """Everything appended since the last cut, as chunk columns.
+    def cut(self, max_events: int | None = None) -> tuple[list[str], dict]:
+        """Close a chunk over everything appended since the last cut.
 
-        Returns ``(order, columns, cum)``: the kept rows' tag interleave,
-        their per-kind column dict, and the arena's *cumulative* per-kind
-        counters (emitted / sampled_out / overwritten) at the cut — the
-        counters ride in every chunk so the root can account for loss
-        exactly even when chunks themselves are dropped in flight.
+        Returns ``(order, cum)``: the kept rows' tag interleave — all the
+        root reads of a chunk's rows is how many of each kind arrived —
+        and the arena's *cumulative* per-kind counters (emitted /
+        sampled_out / overwritten) at the cut.  The counters ride in
+        every chunk so the root can account for loss exactly even when
+        chunks themselves are dropped in flight.  The rows stay in the
+        arena: the local stream is the record, a chunk is its receipt.
 
         When more than ``max_events`` rows are pending, deterministic
         head/tail sampling keeps the first ``max_events // 2`` and the
@@ -168,45 +162,13 @@ class EventArena:
         start_abs = max(self._cut_abs, self._order_base + self._order_head)
         entries = self.order[start_abs - self._order_base :]
         self._cut_abs = self._order_base + len(self.order)
-        counts: dict[str, int] = {}
-        for tag in entries:
-            counts[tag] = counts.get(tag, 0) + 1
-        # Absolute kind-row index of each tag's first pending row.
-        positions = {tag: self.kind_emitted(tag) - n for tag, n in counts.items()}
-        head_n = tail_n = None
         if max_events is not None and len(entries) > max_events:
             head_n = max_events // 2
             tail_n = len(entries) - (max_events - head_n)
-        out_order: list[str] = []
-        out_columns: dict[str, dict[str, list]] = {}
-        for index, tag in enumerate(entries):
-            kind = self.kinds[tag]
-            row = positions[tag] - kind.base
-            positions[tag] += 1
-            if head_n is not None and head_n <= index < tail_n:
+            for tag in entries[head_n:tail_n]:
                 self.sampled_out[tag] = self.sampled_out.get(tag, 0) + 1
-                continue
-            columns = out_columns.get(tag)
-            if columns is None:
-                columns = out_columns[tag] = {name: [] for name in kind.fields}
-            for name, column in zip(kind.fields, kind.lists):
-                columns[name].append(column[row])
-            out_order.append(tag)
-        if self.trim_shipped:
-            self._trim_to_cut()
-        return out_order, out_columns, self.cum()
-
-    def _trim_to_cut(self) -> None:
-        """Release every shipped row (they are safe in a chunk now)."""
-        while self._order_base + self._order_head < self._cut_abs:
-            tag = self.order[self._order_head]
-            self._order_head += 1
-            self.kinds[tag].head += 1
-        for kind in self.kinds.values():
-            kind.compact()
-        del self.order[: self._order_head]
-        self._order_base += self._order_head
-        self._order_head = 0
+            entries = entries[:head_n] + entries[tail_n:]
+        return entries, self.cum()
 
     def cum(self) -> dict:
         """Cumulative per-kind accounting counters (JSON-able)."""
@@ -267,14 +229,10 @@ class ArenaBus(ObsBus):
     """
 
     def __init__(
-        self,
-        capacity: int | None = None,
-        trim_shipped: bool = False,
-        track_order: bool = True,
+        self, capacity: int | None = None, track_order: bool = True
     ) -> None:
         super().__init__()
         self.capacity = capacity
-        self.trim_shipped = trim_shipped
         self.arenas: dict[str, EventArena] = {}
         self._order: list[tuple[str, str]] | None = [] if track_order else None
 
@@ -285,9 +243,7 @@ class ArenaBus(ObsBus):
         arena = self.arenas.get(node)
         if arena is None:
             arena = self.arenas[node] = EventArena(
-                node=node,
-                capacity=self.capacity,
-                trim_shipped=self.trim_shipped,
+                node=node, capacity=self.capacity
             )
         return arena
 

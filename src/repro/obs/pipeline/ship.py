@@ -101,14 +101,13 @@ class ChunkShipper:
         counters and keep the seq stream gap-free, so a quiet node is
         distinguishable from a node whose chunks are all being dropped.
         """
-        order, columns, cum = self.arena.cut(self.max_chunk_events)
+        order, cum = self.arena.cut(self.max_chunk_events)
         chunk = {
             "node": self.arena.node,
             "seq": self.seq,
             "time": now,
             "count": len(order),
             "order": order,
-            "columns": columns,
             "cum": cum,
         }
         self.seq += 1

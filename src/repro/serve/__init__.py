@@ -4,8 +4,8 @@
 clocks, sockets, and signals are architecture-legal.  It wraps a live
 :class:`~repro.cluster.simulation.ClusterSimulation` in a small
 stdlib-only HTTP service (``python -m repro serve``) and ships a seeded
-open-loop load generator (``python -m repro loadgen``) that gates
-sustained throughput against the committed ``BENCH_serve.json``.
+open-loop load generator (``python -m repro loadgen``) whose exit code
+gates zero 5xx / connection failures.
 
 Nothing below this package may import it; the layering lint enforces
 that edge.

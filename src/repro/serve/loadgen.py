@@ -11,9 +11,9 @@ tasks are sized so the whole client population fits the rack, and
 every 50th client is a "whale" whose rate exceeds a node's capacity —
 so the outcome tally is seed-deterministic no matter how the network
 interleaves the requests.  The *measured* section (RPS, latency
-percentiles) is wall-clock and machine-dependent, and is reported in
-the ``repro bench`` payload schema so the committed ``BENCH_serve.json``
-baseline gates sustained throughput machine-normalized.
+percentiles) is wall-clock and machine-dependent; it reports the
+offered schedule being kept up with, not capacity — the capacity
+number is ``serve_closed`` in ``benchmarks/e2e``.
 
 Each client's cycle is submit → read back → withdraw → fleet view,
 so the live task population stays bounded by the client count and the
@@ -28,7 +28,6 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from repro.bench.runner import SCHEMA_VERSION, bench_entry, measure_calibration
 from repro.sim.rng import RngRegistry
 
 #: Clients whose index divides this are whales: tasks sized over a
@@ -275,45 +274,29 @@ async def run_loadgen(
         json.dumps(outcomes, sort_keys=True).encode()
     ).hexdigest()
 
-    calibration_s = measure_calibration(repetitions=3)
-    seconds_per_request = wall_s / completed if completed else float("inf")
-    entry = bench_entry([seconds_per_request], ops=1, calibration_s=calibration_s)
-    entry["suite"] = "serve-loadgen"
-    entry["ops"] = 1
-    entry["description"] = (
-        "machine-normalized wall cost of one control-plane request "
-        "under the seeded open-loop mix (1/ops_per_s = sustained RPS)"
-    )
     return {
-        "schema_version": SCHEMA_VERSION,
-        "suites": ["serve-loadgen"],
-        "repetitions": 1,
-        "calibration_s": calibration_s,
-        "benches": {"serve.loadgen": entry},
-        "loadgen": {
-            "deterministic": {
-                "seed": seed,
-                "clients": clients,
-                "duration_s": duration_s,
-                "rps_per_client": rps_per_client,
-                "planned_requests": sum(len(p) for p in plans),
-                "schedule_digest": digest,
-                "outcomes": dict(sorted(outcomes.items())),
-                "outcome_digest": outcome_digest,
-            },
-            "measured": {
-                "wall_s": wall_s,
-                "completed": completed,
-                "failures": failures,
-                "retries_429": retries,
-                "rps": completed / wall_s if wall_s > 0 else 0.0,
-                "statuses": dict(sorted(statuses.items())),
-                "latency_s": {
-                    "p50": _percentile(latencies, 0.50),
-                    "p95": _percentile(latencies, 0.95),
-                    "p99": _percentile(latencies, 0.99),
-                    "max": latencies[-1] if latencies else 0.0,
-                },
+        "deterministic": {
+            "seed": seed,
+            "clients": clients,
+            "duration_s": duration_s,
+            "rps_per_client": rps_per_client,
+            "planned_requests": sum(len(p) for p in plans),
+            "schedule_digest": digest,
+            "outcomes": dict(sorted(outcomes.items())),
+            "outcome_digest": outcome_digest,
+        },
+        "measured": {
+            "wall_s": wall_s,
+            "completed": completed,
+            "failures": failures,
+            "retries_429": retries,
+            "rps": completed / wall_s if wall_s > 0 else 0.0,
+            "statuses": dict(sorted(statuses.items())),
+            "latency_s": {
+                "p50": _percentile(latencies, 0.50),
+                "p95": _percentile(latencies, 0.95),
+                "p99": _percentile(latencies, 0.99),
+                "max": latencies[-1] if latencies else 0.0,
             },
         },
     }
@@ -321,8 +304,6 @@ async def run_loadgen(
 
 def loadgen_main(args) -> int:
     """Entry point for ``python -m repro loadgen``."""
-    from repro.bench import compare, load_baseline
-
     report = asyncio.run(
         run_loadgen(
             host=args.host,
@@ -338,7 +319,7 @@ def loadgen_main(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
         print(f"wrote {args.out}")
-    measured = report["loadgen"]["measured"]
+    measured = report["measured"]
     if args.json:
         print(rendered, end="")
     else:
@@ -353,15 +334,10 @@ def loadgen_main(args) -> int:
             f"{measured['retries_429']} backpressure retries"
         )
         print(
-            f"deterministic: schedule {report['loadgen']['deterministic']['schedule_digest'][:16]}… "
-            f"outcomes {report['loadgen']['deterministic']['outcome_digest'][:16]}…"
+            f"deterministic: schedule {report['deterministic']['schedule_digest'][:16]}… "
+            f"outcomes {report['deterministic']['outcome_digest'][:16]}…"
         )
     bad = measured["statuses"].get("5xx", 0) + measured["failures"]
-    ok = bad == 0
-    if not ok:
+    if bad:
         print(f"FAIL: {bad} failed or 5xx responses")
-    if args.check_against:
-        comparison = compare(report, load_baseline(args.check_against), args.tolerance)
-        print(comparison.summary())
-        ok = ok and comparison.ok
-    return 0 if ok else 1
+    return 1 if bad else 0

@@ -97,3 +97,29 @@ class TestAimdDynamics:
         sim.run_until(sim.horizon)
         recovered = sim.broker.weights()["node00"]
         assert recovered > depressed
+
+
+class TestLoadReport:
+    def test_miss_deltas_equal_a_full_recount_each_epoch(self):
+        """A record-mode node under the fuzzer's anti-EDF injection
+        really misses; what each report counts must be exactly the
+        misses recorded since the previous one."""
+        from repro.cluster.node import ClusterNode
+        from repro.config import SimConfig
+        from repro.fuzz.inject import INJECTIONS
+
+        node = ClusterNode("n0", sim=SimConfig(seed=3), sanitize_strict=False)
+        INJECTIONS["edf-invert"](node.rd)
+        for name, period_ms in (("fast", 5), ("mid", 20), ("slow", 50)):
+            node.rd.admit(single_entry_definition(name, period_ms, 0.3))
+        recounted = 0
+        deltas = []
+        for _ in range(3):
+            node.rd.run_for(ms(100))
+            deltas.append(node.load_report(node.rd.now).misses_delta)
+            total = len(node.rd.trace.misses())
+            assert deltas[-1] == total - recounted
+            recounted = total
+        assert all(deltas) and sum(deltas) == recounted
+        # Nothing ran since the last report: nothing new to count.
+        assert node.load_report(node.rd.now).misses_delta == 0

@@ -84,28 +84,33 @@ class TestEventArena:
 
     def test_cut_head_tail_sampling_is_deterministic(self):
         arena = EventArena(node="n0")
-        for event in switches(10, node="n0"):
+        middle = [
+            AdmissionEvent(time=100 + i, task="v", thread_id=i, node="n0")
+            for i in range(6)
+        ]
+        stream = switches(2, node="n0") + middle + switches(2, node="n0", start=216)
+        for event in stream:
             arena.append_event(event)
-        order, columns, cum = arena.cut(max_events=4)
-        assert order == ["context-switch"] * 4
+        order, cum = arena.cut(max_events=4)
         # Head 2 + tail 2 survive; the middle 6 are sampled out.
-        assert columns["context-switch"]["time"] == [0, 27, 216, 243]
-        assert arena.sampled_out == {"context-switch": 6}
-        assert cum["emitted"] == {"context-switch": 10}
-        assert cum["sampled_out"] == {"context-switch": 6}
+        assert order == ["context-switch"] * 4
+        assert arena.sampled_out == {"admission": 6}
+        assert cum["emitted"] == {"admission": 6, "context-switch": 4}
+        assert cum["sampled_out"] == {"admission": 6}
+        # Sampling is chunk accounting: the local stream keeps every row.
+        assert len(arena) == 10
 
     def test_cut_is_incremental(self):
         arena = EventArena(node="n0")
         for event in switches(2, node="n0"):
             arena.append_event(event)
-        first, _, _ = arena.cut()
+        first, _ = arena.cut()
         arena.append_event(
             AdmissionEvent(time=999, task="v", thread_id=1, node="n0")
         )
-        second, columns, cum = arena.cut()
+        second, cum = arena.cut()
         assert first == ["context-switch"] * 2
         assert second == ["admission"]
-        assert columns["admission"]["time"] == [999]
         assert cum["emitted"] == {"admission": 1, "context-switch": 2}
 
     def test_cut_max_events_below_two_is_rejected(self):
@@ -214,6 +219,25 @@ class TestShipping:
         accounting = root.accounting(chunks_sent={"n0": shipper.seq})
         assert check_loss_invariant(accounting) == []
         assert accounting["chunks"]["node_lost"] == 0
+
+    def test_a_chunk_in_flight_carries_counts_not_rows(self):
+        sent = []
+
+        class _Capture:
+            def send(self, src, dst, kind, payload, now):
+                sent.append(payload)
+
+        bus = ArenaBus()
+        shipper = ChunkShipper(bus.arena("n0"), _Capture(), "rack0")
+        for event in switches(3, node="n0"):
+            bus.emit(event)
+        shipper.flush(100)
+        (chunk,) = sent
+        assert "columns" not in chunk
+        assert chunk["count"] == 3 and chunk["order"] == ["context-switch"] * 3
+        assert chunk["cum"]["emitted"] == {"context-switch": 3}
+        # The rows themselves stay with the node's stream.
+        assert len(bus.arena("n0")) == 3
 
     def test_lost_chunk_rows_are_counted_not_silent(self):
         bus = ArenaBus()

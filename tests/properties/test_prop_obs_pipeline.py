@@ -234,7 +234,7 @@ class TestLossAccountingInvariant:
         sampled_out, and overwritten <= dropped — for every combination
         of ring size, head/tail sampling, flush cadence, and transport
         drop/duplicate pattern."""
-        bus = ArenaBus(capacity=capacity, trim_shipped=True, track_order=False)
+        bus = ArenaBus(capacity=capacity, track_order=False)
         root = RootCollector()
         transport = _FatefulTransport(root, fates)
         shippers = {}

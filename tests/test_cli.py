@@ -82,6 +82,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
+    def test_retired_bench_surface_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        commands = capsys.readouterr().out.split("positional arguments")[1]
+        assert "bench" not in commands and "loadgen" in commands
+        for argv in (["bench", "--suite", "core"], ["loadgen", "--tolerance", "0.25"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+
     def test_seed_changes_runs_deterministically(self, capsys):
         main(["figure4", "--seed", "1", "--duration-ms", "400"])
         first = capsys.readouterr().out
@@ -273,18 +283,19 @@ class TestFuzzCli:
         assert main(["fuzz", "replay", str(tmp_path)]) == 2
         assert "no *.trace.json" in capsys.readouterr().out
 
-    def test_sweep_renders_and_appends_to_bench(self, tmp_path, capsys):
+    def test_sweep_renders_and_writes_the_curve(self, tmp_path, capsys):
         import json
 
-        bench = tmp_path / "BENCH.json"
-        bench.write_text(json.dumps({"schema_version": 1, "results": []}))
+        from repro.fuzz.sweep import SWEEP_KIND, run_sweep
+
+        out = tmp_path / "fuzz_thresholds.json"
         assert main(
             [
                 "fuzz", "sweep", "--mixes", "1", "--iterations", "4",
-                "--append-bench", str(bench),
+                "--out", str(out),
             ]
         ) == 0
-        out = capsys.readouterr().out
-        assert "admission-threshold sweep" in out
-        payload = json.loads(bench.read_text())
-        assert payload["fuzz_thresholds"]["mixes"]
+        assert "admission-threshold sweep" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["kind"] == SWEEP_KIND
+        assert payload == run_sweep(0, mixes=1, iterations=4)
