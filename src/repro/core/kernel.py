@@ -357,6 +357,30 @@ class Kernel:
         events = self.events
         event_heap = self._event_heap
         posted = self._posted
+        now = clock.now
+        if (
+            now < horizon
+            and len(self._periodic) == self._exited_periodic
+            and not event_heap
+            and not posted
+            and self._current is self.idle
+        ):
+            # A quiet kernel — no live periodic thread, nothing queued,
+            # Idle on the CPU — idles to the horizon: the one iteration
+            # the loop below would make of it, without the rollover
+            # scans, the pick and the timer.  The decision is still
+            # audited and still one phase, so the sanitizer's counts and
+            # the profiler's are what the loop gives.
+            if prof:
+                prof.begin("kernel.dispatch")
+            if sanitizer is not None:
+                sanitizer.on_pick(self.idle, now)
+            clock.advance_to(horizon)
+            self.trace.record_run(self.IDLE_TID, now, horizon, SegmentKind.IDLE)
+            if prof:
+                prof.end("kernel.dispatch")
+            self._no_progress = 0
+            return
         while clock.now < horizon:
             before = now = clock.now
             # Bring period accounting current *before* firing events:
@@ -575,25 +599,11 @@ class Kernel:
         instant, and treating that as a forced preemption would strand
         it on the wrong queue.  A Compute op ends the indulgence.
 
-        **Whole-op runs.**  A thread computing on its own granted time
-        in ops that each fit inside both the slice and the grant with
-        room to spare is the common case by a wide margin (a decoder
-        yields hundreds of macroblock ops per frame), so that case runs
-        in one tight loop here: advance the clock, debit ``remaining``,
-        credit ``used``, resume the generator, test the next op.  The
-        clock and the account are written *before* every resume — the
-        body sees both through its ``TaskContext`` — and the run is one
-        ``record_run`` when it ends (the recorder would have coalesced
-        the per-op records into that same segment).  Both fit tests are
-        strict, so the clock never reaches ``stop`` and ``remaining``
-        never reaches zero inside the run: the op that exactly fills
-        the slice or exhausts the grant, every partial op, overtime and
-        assigned time stay on :meth:`_consume`, the one statement of
-        those rules.  Anything that is not a plain ``Compute``, a post
-        to a waited-on channel, a reschedule request, the generator
-        returning and a crash all end the run with the op (or the
-        exception) in hand, handled below at the same tick exactly as
-        if it had been fetched one op at a time.
+        Compute is consumed on one path: an op is parked in
+        ``pending_compute`` and charged through :meth:`_consume` up to
+        ``stop``, however long it is — a ``Compute`` is interruptible at
+        any tick, so how a body divides a unit of work into ops changes
+        nothing unless the body acts in between.
         """
         ops_at_stop = 0
         clock = self.clock
@@ -642,35 +652,7 @@ class Kernel:
                 self._mark_done(thread)
                 return SliceEnd.DONE
             try:
-                gen = runner.gen
-                op = gen.send(None)
-                if not assigned and not thread.declared_done:
-                    run_start = now
-                    try:
-                        while (
-                            op.__class__ is Compute
-                            and op.ticks < stop - now
-                            and op.ticks < thread.remaining
-                            and not posted
-                            and not self._reschedule
-                        ):
-                            ticks = op.ticks
-                            now = clock.advance(ticks)
-                            thread.remaining -= ticks
-                            thread.used += ticks
-                            op = gen.send(None)
-                    finally:
-                        # Before _mark_done / _crash below read the
-                        # clock into records of their own.
-                        if now > run_start:
-                            self.trace.record_run(
-                                thread.tid,
-                                run_start,
-                                now,
-                                SegmentKind.GRANTED,
-                                thread.period_index,
-                                None,
-                            )
+                op = runner.gen.send(None)
             except StopIteration:
                 runner.gen_exhausted = True
                 if posted:
@@ -796,6 +778,13 @@ class Kernel:
     def _consume(
         self, thread: SimThread, runner: SimThread, run: int, assigned: bool
     ) -> None:
+        granted = thread.remaining
+        if 0 < granted < run and not thread.declared_done:
+            # The run crosses the grant's last tick: granted up to it
+            # (completion and the overtime request happen on that tick),
+            # overtime after — wherever the body's op boundaries fall.
+            self._consume(thread, runner, granted, assigned)
+            run -= granted
         start = self.clock.now
         end = self.clock.advance(run)
         runner.pending_compute -= run

@@ -97,12 +97,7 @@ def _drifting(drift_ticks: int):
     def body(ctx) -> Generator:
         grant = ctx.grant
         assert grant is not None
-        chunk = units.us_to_ticks(200)
-        spent = 0
-        while spent < grant.cpu_ticks:
-            step = min(chunk, grant.cpu_ticks - spent)
-            yield Compute(step)
-            spent += step
+        yield Compute(grant.cpu_ticks)
         yield InsertIdleCycles(drift_ticks)
         yield DonePeriod()
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.threads import ThreadState
 from repro.errors import SanitizerViolation
 from repro.metrics.validate import ValidationReport, Violation
 from repro.obs.events import ViolationEvent
@@ -255,8 +256,6 @@ class InvariantSanitizer:
     def _check_never_terminated(self, now: int) -> None:
         if self.resource_manager is None:
             return
-        from repro.core.threads import ThreadState
-
         for tid in self.resource_manager.admitted_ids():
             thread = self.kernel.threads.get(tid)
             if thread is None or thread.state is ThreadState.EXITED:

@@ -191,8 +191,12 @@ async def write_response(
 ) -> None:
     """Serialize one response; streams go out chunk by chunk."""
     if response.stream is None:
-        writer.write(_head_bytes(response, chunked=False, keep_alive=keep_alive))
-        writer.write(response.body)
+        # Head and body in one write: one send and one TCP segment, so
+        # a keep-alive client wakes once per response.
+        writer.write(
+            _head_bytes(response, chunked=False, keep_alive=keep_alive)
+            + response.body
+        )
         await writer.drain()
         return
     writer.write(_head_bytes(response, chunked=True, keep_alive=keep_alive))

@@ -41,31 +41,24 @@ class AudioStats:
 
 
 class Ac3Decoder:
-    """An AC3 decoder with full and downmix QOS levels."""
+    """An AC3 decoder with full and downmix QOS levels.
 
-    def __init__(self, name: str = "AC3", blocks_per_frame: int = 6) -> None:
+    A sync frame is the unit of work and one ``Compute``: its six audio
+    blocks have nothing between them for the scheduler to react to.
+    """
+
+    def __init__(self, name: str = "AC3") -> None:
         self.name = name
-        self.blocks_per_frame = blocks_per_frame
         self.stats = AudioStats()
 
-    def _decode(self, cost: int) -> Generator[Op, None, None]:
-        per_block = max(1, cost // self.blocks_per_frame)
-        # One frozen op per sync frame, yielded once per audio block.
-        blocks, rest = divmod(cost, per_block)
-        block = Compute(per_block)
-        for _ in range(blocks):
-            yield block
-        if rest:
-            yield Compute(rest)
-
     def decode_full(self, ctx: TaskContext) -> Generator[Op, None, None]:
-        """Full 5.1-channel decode of one sync frame."""
-        yield from self._decode(AC3_FULL_COST)
+        """Full 5.1-channel decode of one sync frame, as one op."""
+        yield Compute(AC3_FULL_COST)
         self.stats.frames_full += 1
 
     def decode_downmix(self, ctx: TaskContext) -> Generator[Op, None, None]:
-        """Stereo downmix decode of one sync frame."""
-        yield from self._decode(AC3_DOWNMIX_COST)
+        """Stereo downmix decode of one sync frame, as one op."""
+        yield Compute(AC3_DOWNMIX_COST)
         self.stats.frames_downmixed += 1
 
     def resource_list(self) -> ResourceList:

@@ -3,11 +3,14 @@
 A resource-list entry's *function* is a generator function::
 
     def full_decompress(ctx: TaskContext):
-        for macroblock in range(blocks_per_frame):
-            yield Compute(ticks_per_block)
+        yield Compute(ticks_per_frame)
         # returning == done with this period's work
 
-The kernel drives the generator, consuming ``Compute`` ticks against the
+A unit of work is one ``Compute``, however long: the kernel interrupts
+it at any tick and resumes it later, so a body splits its work into
+several ops only where it *does* something in between (reads ``ctx``,
+posts a channel, blocks, counts progress).  The kernel drives the
+generator, consuming ``Compute`` ticks against the
 thread's grant, preempting at timer interrupts, and restarting or
 resuming the generator at period boundaries according to the thread's
 delivery semantics (section 5.5):

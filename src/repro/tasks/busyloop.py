@@ -18,10 +18,12 @@ from repro.tasks.base import Compute, DonePeriod, Op, TaskContext, TaskDefinitio
 
 
 def busy_loop(ctx: TaskContext) -> Generator[Op, None, None]:
-    """Consume CPU forever, in small chunks so preemption is cheap."""
-    chunk = Compute(units.us_to_ticks(100))
-    while True:
-        yield chunk
+    """Consume CPU forever: one op that never completes.
+
+    The kernel preempts a ``Compute`` at any tick, so there is nothing
+    to gain from handing it the loop in chunks.
+    """
+    yield Compute(units.INFINITE)
 
 
 def yielding_busy_loop(ctx: TaskContext) -> Generator[Op, None, None]:

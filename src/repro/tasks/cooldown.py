@@ -44,15 +44,8 @@ class CooldownTask:
         """Switch as few transistors as possible for the whole grant."""
         grant = ctx.grant
         assert grant is not None
-        chunk = units.us_to_ticks(500)
-        chunks, rest = divmod(grant.cpu_ticks, chunk)
-        whole_chunk = Compute(chunk)
-        for _ in range(chunks):
-            yield whole_chunk
-            self.stats.noop_ticks += chunk
-        if rest:
-            yield Compute(rest)
-            self.stats.noop_ticks += rest
+        yield Compute(grant.cpu_ticks)
+        self.stats.noop_ticks += grant.cpu_ticks
 
     def resource_list(self) -> ResourceList:
         return ResourceList(

@@ -45,6 +45,11 @@ DEFAULT_GOP = "IBBPBBPBBPBBPBB"
 #: B frames are small but bidirectional).  Scaled so the average over the
 #: default GOP is ~1.0 frame cost.
 FRAME_COST_FACTOR = {"I": 1.6, "P": 1.1, "B": 0.8}
+#: One decode op per frame type: the cost depends on nothing else.
+_DECODE_OP = {
+    frame: Compute(int(FRAME_COST * factor))
+    for frame, factor in FRAME_COST_FACTOR.items()
+}
 
 
 @dataclass
@@ -77,18 +82,18 @@ class MpegDecoder:
 
     Each resource-list entry is a distinct bound function, as in the
     paper; the entry in force determines how many B frames of each group
-    are dropped.  Frames are decoded macroblock-by-macroblock (384-byte
-    macroblocks) so controlled preemption has natural yield points.
+    are dropped.  A decoded frame is one ``Compute``: nothing happens
+    between two macroblocks that the scheduler could react to, and the
+    kernel preempts a ``Compute`` at any tick.
     """
 
-    def __init__(self, name: str = "MPEG", gop: str = DEFAULT_GOP, macroblocks_per_frame: int = 330) -> None:
+    def __init__(self, name: str = "MPEG", gop: str = DEFAULT_GOP) -> None:
         if set(gop) - {"I", "P", "B"}:
             raise ValueError(f"GOP pattern may only contain I/P/B, got {gop!r}")
         if not gop.startswith("I"):
             raise ValueError("a GOP must start with an I frame")
         self.name = name
         self.gop = gop
-        self.macroblocks_per_frame = macroblocks_per_frame
         self.stats = DecodeStats()
         self._frames = self._frame_source()
 
@@ -109,15 +114,7 @@ class MpegDecoder:
                 dropped += 1
                 self.stats.record(frame, decoded=False)
                 continue
-            cost = int(FRAME_COST * FRAME_COST_FACTOR[frame])
-            per_block = max(1, cost // self.macroblocks_per_frame)
-            # One frozen op per frame, yielded once per macroblock.
-            blocks, rest = divmod(cost, per_block)
-            macroblock = Compute(per_block)
-            for _ in range(blocks):
-                yield macroblock
-            if rest:
-                yield Compute(rest)
+            yield _DECODE_OP[frame]
             self.stats.record(frame, decoded=True)
 
     # -- the four QOS levels (Table 2) -----------------------------------------

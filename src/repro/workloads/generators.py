@@ -29,20 +29,13 @@ def grant_follower(ctx: TaskContext) -> Generator[Op, None, None]:
     """
     grant = ctx.grant
     assert grant is not None
-    chunk = units.us_to_ticks(200)
-    spent = 0
-    while spent < grant.cpu_ticks:
-        step = min(chunk, grant.cpu_ticks - spent)
-        yield Compute(step)
-        spent += step
+    yield Compute(grant.cpu_ticks)
     yield DonePeriod()
 
 
 def greedy_worker(ctx: TaskContext) -> Generator[Op, None, None]:
     """Consume CPU forever (lands on OvertimeRequested every period)."""
-    chunk = units.us_to_ticks(200)
-    while True:
-        yield Compute(chunk)
+    yield Compute(units.INFINITE)
 
 
 def random_resource_list(

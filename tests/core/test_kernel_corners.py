@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import SporadicServer, TaskDefinition, units
+from repro import MachineConfig, SimConfig, SporadicServer, TaskDefinition, units
+from repro.core.distributor import ResourceDistributor
 from repro.core.kernel import SliceEnd
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.threads import ThreadState
@@ -205,18 +206,6 @@ def spy_on_slices(rd):
     return slices
 
 
-def spy_on_consume(rd):
-    """Record (thread name, ticks, clock after) of every ``_consume``."""
-    kernel, real, consumed = rd.kernel, rd.kernel._consume, []
-
-    def consume(thread, runner, run, assigned):
-        real(thread, runner, run, assigned)
-        consumed.append((thread.name, run, kernel.now))
-
-    kernel._consume = consume
-    return consumed
-
-
 #: First op of the bodies below.  A first activation leaves a reschedule
 #: pending, which ends the slice after the first op fetched, whatever it
 #: is; this one takes that, so the ops under test start a fresh slice.
@@ -224,8 +213,9 @@ SETTLE = InsertIdleCycles(0)
 
 
 class TestWholeOpRuns:
-    """Ops that fit with room to spare run in ``_execute``'s tight loop;
-    everything with a rule attached stays on ``_consume``."""
+    """Whole ops, exactly filling ops and cut ops are all charged on
+    the one compute path; what a run looks like from outside does not
+    depend on where its op boundaries fall."""
 
     def test_op_that_exactly_fills_the_slice_is_consumed_not_run(self, ideal_rd):
         def task(ctx):
@@ -237,13 +227,10 @@ class TestWholeOpRuns:
 
         thread = ideal_rd.admit(one_entry("filler", task))
         ideal_rd.at(ms(2), lambda: None)
-        consumed = spy_on_consume(ideal_rd)
         slices = spy_on_slices(ideal_rd)
         ideal_rd.run_for(ms(5))
-        # The first op ran; the second went through _consume.  (So does
-        # the third: fetched at the stop, it ended the indulgence there
-        # and waited in pending_compute for the next slice.)
-        assert consumed == [("filler", ms(1), ms(2)), ("filler", ms(1), ms(3))]
+        # The third op, fetched at the stop, ended the indulgence there
+        # and waited in pending_compute for the next slice.
         assert slices[1] == (SliceEnd.FORCED, ms(2))
         assert thread.used == ms(3) and thread.completed_at == ms(3)
 
@@ -262,20 +249,38 @@ class TestWholeOpRuns:
             requests.append((t.name, ideal_rd.now)),
             hook(t),
         )
-        consumed = spy_on_consume(ideal_rd)
         ideal_rd.run_for(ms(4))
-        assert consumed == [("spender", ms(1), ms(4))]
         assert thread.completed_at == ms(4)
         assert thread.remaining == 0 and thread.used == ms(4)
         assert requests == [("spender", ms(4))]
         ideal_rd.run_for(ms(2))  # the fifth millisecond is overtime
-        assert consumed[1:] == [("spender", ms(1), ms(5))]
         assert thread.overtime_used == ms(1)
+        assert [
+            (s.start, s.end, s.kind) for s in ideal_rd.trace.segments_for(thread.tid)
+        ] == [(0, ms(4), SegmentKind.GRANTED), (ms(4), ms(5), SegmentKind.OVERTIME)]
 
-    def test_grant_exhausted_inside_a_grace_slice_is_consumed_not_run(self, ideal_rd):
-        """A grace slice (section 5.6) may outlast the grant, so there
-        the grant test is the one that binds: the op that exhausts the
-        grant fits the slice with room to spare."""
+    @staticmethod
+    def _polite_run(rd, task):
+        """``task`` under controlled preemption, cut at 10 ms by a
+        shorter-period task's boundary and run on in a grace slice."""
+        us = units.us_to_ticks
+        admit_simple(rd, "short", period_ms=10, rate=0.2)
+        thread = rd.admit(
+            TaskDefinition(
+                name="polite",
+                resource_list=ResourceList(
+                    [ResourceListEntry(ms(30), us(8050), task, "polite")]
+                ),
+                preemption=PreemptionConfig(check_interval=us(150)),
+            )
+        )
+        rd.run_until(ms(10) + us(150))
+        return thread
+
+    def test_grant_exhausted_inside_a_grace_slice_is_consumed_not_run(self):
+        """A grace slice (section 5.6) may outlast the grant: the run is
+        granted up to the grant's last tick and overtime after it,
+        whether or not an op boundary falls on that tick."""
         us = units.us_to_ticks
 
         def task(ctx):
@@ -286,27 +291,22 @@ class TestWholeOpRuns:
             yield Compute(us(50))
             yield DonePeriod()
 
-        admit_simple(ideal_rd, "short", period_ms=10, rate=0.2)
-        period = ms(30)
-        thread = ideal_rd.admit(
-            TaskDefinition(
-                name="polite",
-                resource_list=ResourceList(
-                    [ResourceListEntry(period, us(8050), task, "polite")]
-                ),
-                preemption=PreemptionConfig(check_interval=us(150)),
-            )
-        )
-        consumed = spy_on_consume(ideal_rd)
-        ideal_rd.run_until(ms(10) + us(150))
-        assert [c for c in consumed if c[0] == "polite"] == [
-            ("polite", us(100), ms(10)),  # the cut op, up to the boundary
-            ("polite", us(20), ms(10) + us(20)),  # ... its rest, in the grace slice
-            ("polite", us(30), ms(10) + us(50)),  # the exhausting op
-            ("polite", us(50), ms(10) + us(100)),  # overtime
-        ]
-        assert thread.completed_at == ms(10) + us(50)
-        assert thread.used == us(8050) and thread.overtime_used == us(50)
+        def one_op(ctx):
+            yield SETTLE
+            yield Compute(us(8100))  # the same work; the grant is 8050 us
+            yield DonePeriod()
+
+        for body in (task, one_op):
+            rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=7))
+            thread = self._polite_run(rd, body)
+            assert thread.completed_at == ms(10) + us(50)
+            assert thread.used == us(8050) and thread.overtime_used == us(50)
+            assert [
+                (s.start, s.end, s.kind) for s in rd.trace.segments_for(thread.tid)
+            ] == [
+                (ms(2), ms(10) + us(50), SegmentKind.GRANTED),
+                (ms(10) + us(50), ms(10) + us(100), SegmentKind.OVERTIME),
+            ]
 
     def test_eight_ops_at_stop_after_a_run_one_tick_short_of_it(self, ideal_rd):
         fetched_at_stop = []
@@ -365,9 +365,7 @@ class TestWholeOpRuns:
             yield Compute(ms(1))
 
         thread = ideal_rd.admit(one_entry("quitter", task))
-        consumed = spy_on_consume(ideal_rd)
         ideal_rd.run_for(ms(5))
-        assert consumed == []
         assert thread.completed_at == ms(2)
         run = ideal_rd.trace.segments_for(thread.tid)[0]
         assert (run.start, run.end, run.kind) == (0, ms(2), SegmentKind.GRANTED)
@@ -399,12 +397,101 @@ class TestWholeOpRuns:
             yield DonePeriod()
 
         thread = ideal_rd.admit(one_entry("tagged", task))
-        consumed = spy_on_consume(ideal_rd)
         ideal_rd.run_for(ms(5))
-        assert consumed == [("tagged", ms(1), ms(t)) for t in (1, 2, 3)]
+        assert thread.completed_at == ms(3)
         assert [(s.start, s.end) for s in ideal_rd.trace.segments_for(thread.tid)] == [
             (0, ms(3))
         ]
+
+
+class TestQuietKernel:
+    """A kernel with no live periodic thread, nothing queued and Idle on
+    the CPU idles to the horizon in one step — the one iteration the
+    dispatch loop would make of it."""
+
+    @staticmethod
+    def _run(quiet):
+        from repro.obs.prof import PhaseProfiler
+
+        rd = ResourceDistributor(
+            machine=MachineConfig.ideal(),
+            sim=SimConfig(seed=7),
+            sanitize=True,
+            sanitize_strict=True,
+        )
+        prof = PhaseProfiler(clock=lambda: 0)
+        rd.attach_prof(prof)
+        threads = [admit_simple(rd, f"t{i}", period_ms=10, rate=0.2) for i in range(2)]
+        rd.run_until(ms(12))
+        for thread in threads:
+            rd.exit_thread(thread.tid)
+        rd.run_until(ms(25))  # both grants retire at the 20 ms boundary
+        assert all(t.state is ThreadState.EXITED for t in threads)
+        if not quiet:
+            # Something queued — an event far past every horizon below —
+            # keeps the kernel on the dispatch loop.
+            rd.at(ms(10_000), lambda: None)
+        before = rd.sanitizer.decisions_checked
+        rd.run_until(ms(40))
+        rd.run_until(ms(40))  # already there: no decision, no segment
+        rd.run_until(ms(70))
+        return rd, rd.sanitizer.decisions_checked - before, prof.count_table()
+
+    def test_quiet_step_is_the_one_iteration_the_loop_makes(self):
+        quiet, quiet_decisions, quiet_counts = self._run(quiet=True)
+        loop, loop_decisions, loop_counts = self._run(quiet=False)
+        assert quiet.now == loop.now == ms(70)
+        assert quiet.trace.segments == loop.trace.segments
+        assert quiet.trace.segments[-1].end == ms(70)
+        assert quiet.trace.switches == loop.trace.switches
+        assert quiet_decisions == loop_decisions == 2
+        assert quiet_counts == loop_counts
+
+    def test_quiet_step_is_taken(self):
+        rd, _, _ = self._run(quiet=True)
+        rd.scheduler.pick = None  # the dispatch loop would call it
+        rd.run_until(ms(90))
+        assert rd.now == ms(90)
+
+    def test_an_admission_ends_the_quiet(self):
+        rd, _, _ = self._run(quiet=True)
+        thread = admit_simple(rd, "late", period_ms=10, rate=0.3)
+        rd.run_until(ms(100))
+        assert [(s.start, s.end) for s in rd.trace.segments_for(thread.tid)] == [
+            (ms(70), ms(73)),
+            (ms(80), ms(83)),
+            (ms(90), ms(93)),
+        ]
+
+
+class TestHotPathImports:
+    def test_no_import_executes_per_dispatch(self):
+        """An ``import`` inside a function is a dict lookup and a lock
+        per call; none may sit on the per-dispatch path."""
+        import dis
+
+        from repro.core.kernel import Kernel
+        from repro.core.scheduler import RDScheduler
+        from repro.metrics.sanitizer import InvariantSanitizer
+
+        hot = [
+            Kernel.run_until,
+            Kernel._execute,
+            Kernel._consume,
+            RDScheduler.pick,
+            RDScheduler.timer_for,
+            InvariantSanitizer.on_pick,
+            InvariantSanitizer.on_period_close,
+            InvariantSanitizer.on_grant_set,
+            InvariantSanitizer.on_memo_reuse,
+            InvariantSanitizer._check_edf_order,
+            InvariantSanitizer._check_never_terminated,
+        ]
+        for function in hot:
+            imports = [
+                i for i in dis.get_instructions(function) if i.opname == "IMPORT_NAME"
+            ]
+            assert not imports, f"{function.__qualname__} imports {imports[0].argval}"
 
 
 class TestSlicedRuns:

@@ -6,9 +6,11 @@ failure outcome."""
 
 import pytest
 
+from repro import units
 from repro.errors import SimulationError
 from repro.fuzz import generate, run_spec, shrink
 from repro.fuzz.inject import INJECTIONS, injector
+from repro.fuzz.spec import LevelSpec, ScenarioSpec, TaskSpec
 
 
 class TestInjection:
@@ -34,6 +36,28 @@ class TestInjection:
             if result.outcome.startswith("invariant:"):
                 caught += 1
         assert caught >= 4
+
+    def test_terminate_admitted_on_a_one_task_node(self):
+        """The kill leaves a node with nothing to run; the decision that
+        follows it — at the kill's own tick — is still audited."""
+        period = units.ms_to_ticks(10)
+        spec = ScenarioSpec(
+            seed=1,
+            horizon_ticks=6 * period,
+            machine="ideal",
+            tasks=(
+                TaskSpec(
+                    name="only",
+                    behavior="follower",
+                    levels=(LevelSpec(period, period * 3 // 10),),
+                    arrival_ticks=0,
+                ),
+            ),
+        )
+        result = run_spec(spec, inject="terminate-admitted")
+        assert result.outcome == "invariant:never-terminated"
+        assert result.ticks == 2 * period  # inject._KILL_AT_MS
+        assert result.decisions_checked == 6
 
     def test_registry_names_are_stable(self):
         # CI and the CLI --inject choices key off these names.

@@ -17,17 +17,18 @@ unallocated time in between.  Both runs execute under the strict
 invariant sanitizer, so a divergence in internal state fails loudly
 even if the traces happen to agree.
 
-The reference kernel also consumes compute the way the kernel used to:
-one op per trip round ``_execute`` — fetch, set ``pending_compute``,
-``_consume``, one ``record_run`` per op — where the shipped kernel runs
-whole ops that fit in a tight loop and records the run once.  The
-bodies below aim at what that loop may assume: hundreds of macroblock
-ops per period (fresh ``Compute`` instances on the reference side, one
-shared frozen instance on the shipped side), a body that reads the
-clock between two ops, one that posts a waited-on channel between two
-ops, one that raises after a few ops, one that sits on zero-time ops at
-an op boundary, and tasks registered for controlled preemption with a
-check interval on either side of the grace period.
+A second property, *granularity is inert*, runs the same streams on
+the shipped stack twice: once with every unit of work — the ``Compute``
+ops a body yields back to back, with nothing in between — as one op,
+and once cut into blocks of drawn sizes.  A ``Compute`` is preemptible
+at any tick and charged through ``Kernel._consume`` whatever its
+length, so where a body puts its op boundaries may change nothing: not
+at a timer stop, not on the tick the grant runs out (a grace slice
+outlasts it), not when the body returns or raises.  The bodies aim at
+the places an op boundary could matter: one reads the clock between two
+units, one posts a waited-on channel, one raises, one sits on zero-time
+ops at a slice end, and two are registered for controlled preemption
+with a check interval on either side of the grace period.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import AdmissionError, MachineConfig, SimConfig, SporadicServer, units
+from repro.baselines import SmartSystem
 from repro.core.distributor import ResourceDistributor
-from repro.core.kernel import Kernel, SliceEnd
+from repro.core.kernel import Kernel
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.scheduler import RDScheduler, _edf_key
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import ThreadState
 from repro.tasks.base import (
     Block,
     Compute,
@@ -111,11 +113,9 @@ class FromScratchScheduler(RDScheduler):
 
 
 class FromScratchKernel(Kernel):
-    """Kernel that delivers posts and consumes compute the way it used
-    to: walk every blocked thread in the order they blocked and try its
-    channel; fetch one op, park it in ``pending_compute``, charge it
-    through ``_consume`` (one trace record per op), go round again; and
-    materialize the open trace segment at the end of every
+    """Kernel that delivers posts the way it used to — walk every
+    blocked thread in the order they blocked and try its channel — and
+    materializes the open trace segment at the end of every
     ``run_until``."""
 
     def run_until(self, horizon):
@@ -129,99 +129,6 @@ class FromScratchKernel(Kernel):
             channel = thread.blocked_channel
             if channel.try_take():
                 self._wake(thread, channel)
-
-    # The op-at-a-time loop, verbatim from before whole-op runs (less
-    # the line that re-delivered the period's grant to the context on
-    # every fetch: the kernel now does that once, when the period opens).
-    def _execute(self, thread: SimThread, stop: int) -> SliceEnd:
-        """Run ``thread`` (or its assignee) until ``stop`` or a yield.
-
-        When the clock reaches ``stop`` with no compute in flight we
-        still fetch a bounded number of ops: a task whose work completes
-        exactly as the timer fires yields (DonePeriod/Block) in the same
-        instant, and treating that as a forced preemption would strand
-        it on the wrong queue.  A Compute op ends the indulgence.
-        """
-        ops_at_stop = 0
-        clock = self.clock
-        posted = self._posted
-        while True:
-            if thread.assignment_target is None:
-                runner, assigned = thread, False
-            else:
-                # Idempotent (a side-effectful call settles the
-                # assignment state), so one call per iteration serves
-                # both the stop check and the dispatch below.
-                runner, assigned = self._current_runner(thread)
-            now = clock.now
-            if now >= stop:
-                if runner.pending_compute > 0 or ops_at_stop >= 8:
-                    return SliceEnd.FORCED
-                ops_at_stop += 1
-
-            if runner.pending_compute > 0:
-                run = stop - now
-                if assigned and thread.assignment_remaining < run:
-                    run = thread.assignment_remaining
-                if runner.pending_compute < run:
-                    run = runner.pending_compute
-                if run > 0:
-                    self._consume(thread, runner, run, assigned)
-                if assigned:
-                    thread.assignment_remaining -= run
-                    if thread.assignment_remaining <= 0:
-                        # Assigned time consumed: return to the periodic task.
-                        thread.clear_assignment()
-                continue
-
-            # Need the next op from the runner's generator.
-            if not assigned:
-                # Deliver the period's grant: return semantics resume
-                # the live generator, callback semantics start afresh.
-                if thread.restart_pending or thread.gen is None or thread.gen_exhausted:
-                    self._start_generator(thread)
-            if runner.gen is None or runner.gen_exhausted:
-                if assigned:
-                    thread.clear_assignment()
-                    continue
-                self._mark_done(thread)
-                return SliceEnd.DONE
-            try:
-                op = runner.gen.send(None)
-            except StopIteration:
-                runner.gen_exhausted = True
-                if posted:
-                    self._deliver_posts()
-                if assigned:
-                    runner.state = ThreadState.EXITED
-                    thread.clear_assignment()
-                    continue
-                self._mark_done(thread)
-                return SliceEnd.DONE
-            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-                outcome = self._crash(thread, runner, assigned, exc)
-                if outcome is not None:
-                    return outcome
-                continue
-            if posted:
-                self._deliver_posts()  # the generator body posted a waited-on channel
-
-            if op.__class__ is Compute:
-                # The common op, without the call into _apply_op (which
-                # still handles Compute subclasses).
-                runner.pending_compute = op.ticks
-            else:
-                try:
-                    result = self._apply_op(thread, runner, assigned, op)
-                except Exception as exc:  # noqa: BLE001 - protocol misuse etc.
-                    outcome = self._crash(thread, runner, assigned, exc)
-                    if outcome is not None:
-                        return outcome
-                    continue
-                if result is not None:
-                    return result
-            if self._reschedule:
-                return SliceEnd.INTERRUPTED
 
 
 #: What an admitted task's body does each period.
@@ -265,100 +172,118 @@ def change_streams(draw):
     return draw(st.booleans()), draw(st.booleans()), ops
 
 
-def _definition(rd, name, period_ms, rate, body, channel, n, shared, seen, victim):
+def merged(total):
+    """A unit of work the way the shipped models state it: one op."""
+    yield Compute(total)
+
+
+def blocks_of(sizes):
+    """A unit of work cut into blocks of ``sizes``, cycled, and the
+    remainder (the way a decoder used to spend a frame: one op per
+    macroblock)."""
+
+    def unit(total):
+        spent = 0
+        for size in itertools.cycle(sizes):
+            if spent + size >= total:
+                break
+            yield Compute(size)
+            spent += size
+        yield Compute(total - spent)
+
+    return unit
+
+
+#: Block patterns: a few tiny blocks (1-tick ones included) and one
+#: large enough that a period is hundreds of ops, not hundreds of
+#: thousands.
+block_sizes = st.builds(
+    lambda tiny, big: (*tiny, big),
+    st.lists(st.integers(min_value=1, max_value=3), max_size=3),
+    st.integers(min_value=700, max_value=60_000),
+)
+
+
+def _definition(rd, name, period_ms, rate, body, channel, n, unit, seen, victim):
     """A one-level task whose body exercises one scheduler transition.
 
-    ``n`` picks a variant of the body; ``shared`` makes the macroblock
-    bodies yield one frozen op again and again (the shipped models)
-    instead of a fresh instance per op (the models as they were);
-    ``seen`` collects what the bodies observe; ``victim`` is the thread
-    the meddler quiesces and wakes.
+    ``n`` picks a variant of the body; ``unit(total)`` yields the ops of
+    ``total`` ticks of uninterrupted work (:func:`merged`, or
+    :func:`blocks_of` some sizes); ``seen`` collects what the bodies
+    observe; ``victim`` is the thread the meddler quiesces and wakes.
     """
-    if body == "follower":
-        return single_entry_definition(name, period_ms, rate)
     period = units.ms_to_ticks(period_ms)
     cpu = max(1, round(period * rate))
     chunk = max(1, cpu // 3)
     small = max(1, cpu // 8)
-    per_block = max(1, cpu // 200)
     preemption = None
 
-    def macroblocks(total):
-        # ``total`` ticks the way a decoder spends a frame.
-        count, rest = divmod(total, per_block)
-        if shared:
-            block = Compute(per_block)
-            for _ in range(count):
-                yield block
-        else:
-            for _ in range(count):
-                yield Compute(per_block)
-        if rest:
-            yield Compute(rest)
+    def follower(ctx):
+        yield from unit(cpu)
+        yield DonePeriod()
 
     def blocker(ctx):
         # Blocks mid-grant; the wake may land in this period or a later one.
-        yield Compute(chunk)
+        yield from unit(chunk)
         yield Block(channel)
-        yield Compute(chunk)
+        yield from unit(chunk)
         yield DonePeriod()
 
     def postponer(ctx):
-        yield Compute(chunk)
+        yield from unit(chunk)
         yield InsertIdleCycles(units.ms_to_ticks(2))
         yield DonePeriod()
 
     def sleeper(ctx):
         # Blocks into a postponed period: woken before it starts, the
         # period's start (not its deadline) must bound unallocated time.
-        yield Compute(chunk)
+        yield from unit(chunk)
         yield InsertIdleCycles(units.ms_to_ticks(3))
         yield Block(channel)
-        yield Compute(chunk)
+        yield from unit(chunk)
         yield DonePeriod()
 
     def overtimer(ctx):
         # Runs out of granted time with work left, then asks for more.
-        yield Compute(cpu + chunk)
+        yield from unit(cpu + chunk)
         yield DonePeriod(overtime=True)
-        yield Compute(chunk)
+        yield from unit(chunk)
 
     def macroblock(ctx):
         # Reports done early, returns with grant to spare, returns on
         # the tick that exhausts the grant, or runs on into overtime.
         if n == 0:
-            yield from macroblocks(cpu * 4 // 5)
+            yield from unit(cpu * 4 // 5)
             yield DonePeriod()
         elif n == 1:
-            yield from macroblocks(cpu * 4 // 5)
+            yield from unit(cpu * 4 // 5)
+        elif n == 2:
+            yield from unit(cpu)
         else:
-            yield from macroblocks(cpu)
-            if n == 3:
-                yield from macroblocks(cpu // 5)
+            yield from unit(cpu + cpu // 5)
 
     def clockreader(ctx):
-        # The clock a body reads between two ops is the op boundary.
+        # The clock a body reads between two units is the op boundary.
         for _ in range(6):
-            yield Compute(small)
+            yield from unit(small)
             seen.append((name, ctx.now))
         yield DonePeriod()
 
     def poster(ctx):
-        # Posts between two ops: a waiter's wake interrupts right there.
-        yield Compute(small)
+        # Posts between two units: a waiter's wake interrupts right there.
+        yield from unit(small)
         channel.post()
-        yield Compute(small)
-        yield Compute(small)
+        yield from unit(2 * small)
         yield DonePeriod()
 
     def meddler(ctx):
         # Resource Manager calls in the task's own context, between two
-        # ops: each new grant set asks for a reschedule right there,
+        # units: each new grant set asks for a reschedule right there,
         # and the second one (cancelling the victim's pending removal)
         # makes the victim's next boundary preempt this slice again.
         manager = rd.resource_manager
         for i in range(8):
-            yield Compute(small)
+            yield from unit(small)
             if i in (n, n + 4) and victim.tid in manager.admitted_ids():
                 if manager.is_quiescent(victim.tid):
                     rd.wake(victim.tid)
@@ -367,8 +292,7 @@ def _definition(rd, name, period_ms, rate, body, channel, n, shared, seen, victi
         yield DonePeriod()
 
     def crasher(ctx):
-        for _ in range(2 + n):
-            yield Compute(small)
+        yield from unit((2 + n) * small)
         raise RuntimeError(f"{name} fell over")
 
     def fidgeter(ctx):
@@ -378,18 +302,16 @@ def _definition(rd, name, period_ms, rate, body, channel, n, shared, seen, victi
         # fetches there, so whether the ninth op (DonePeriod, for n=1)
         # happens on that tick is the count being exact.
         ms = units.ms_to_ticks(1)
-        yield Compute(small)
-        yield Compute(ms - ctx.now % ms)
+        yield from unit(small)
+        yield from unit(ms - ctx.now % ms)
         for _ in range(7 + n):
             yield InsertIdleCycles(0)
         yield DonePeriod()
 
     def preemptible(ctx):
-        # Overruns (n odd), so a grace slice that crosses the tick the
-        # grant runs out on — an op boundary — has ops left for overtime.
-        yield from macroblocks(cpu)
-        if n % 2:
-            yield from macroblocks(cpu // 5)
+        # Overruns (n odd), so a grace slice crosses the tick the grant
+        # runs out on with work left for overtime.
+        yield from unit(cpu + cpu // 5 if n % 2 else cpu)
         yield DonePeriod()
 
     if body in ("polite", "oblivious"):
@@ -398,6 +320,7 @@ def _definition(rd, name, period_ms, rate, body, channel, n, shared, seen, victi
             units.us_to_ticks(100 if body == "polite" else 500)
         )
     function = {
+        "follower": follower,
         "blocker": blocker,
         "postponer": postponer,
         "sleeper": sleeper,
@@ -419,7 +342,7 @@ def _definition(rd, name, period_ms, rate, body, channel, n, shared, seen, victi
     )
 
 
-def run_stream(stream, reference: bool):
+def run_stream(stream, reference=False, unit=merged):
     with_server, sliced, ops = stream
     rd = ResourceDistributor(
         machine=MachineConfig.ideal(),
@@ -429,8 +352,8 @@ def run_stream(stream, reference: bool):
     )
     if reference:
         # Same object layout, overridden reads: the two runs differ only
-        # in how the queue heads and the two timers are found, and in
-        # how compute is consumed.
+        # in how the queue heads, the two timers and the threads a post
+        # wakes are found.
         rd.scheduler.__class__ = FromScratchScheduler
         rd.kernel.__class__ = FromScratchKernel
     names = itertools.count()
@@ -447,9 +370,9 @@ def run_stream(stream, reference: bool):
             body,
             channels[n % 2],
             n,
-            not reference,
+            unit,
             seen,
-            admitted[0],
+            admitted[0] if admitted else None,
         )
 
     if with_server:
@@ -509,10 +432,10 @@ def run_stream(stream, reference: bool):
 
         return fire
 
-    admitted.append(rd.admit(single_entry_definition("seed", 10, 0.2)))
+    admitted.append(rd.admit(definition("seed", 10, 0.2, "follower", 0)))
     admitted.append(rd.admit(definition("blocker", 15, 0.1, "blocker", 0)))
-    # A decoder-shaped task is always there: its last macroblock lands
-    # on the tick that exhausts the grant.
+    # A decoder-shaped task is always there: its frame ends on the tick
+    # that exhausts the grant.
     admitted.append(rd.admit(definition("frames", 30, 0.2, "macroblock", 2)))
     for at_ms, kind, period_ms, rate_pct, body, n in ops:
         rd.at(units.ms_to_ticks(at_ms), action(kind, period_ms, rate_pct, body, n))
@@ -521,53 +444,114 @@ def run_stream(stream, reference: bool):
     return rd, seen
 
 
-def _accounts(rd):
+def _accounts(kernel):
     return [
-        (t.tid, t.used, t.overtime_used, t.completed_at, t.missed_grace_count)
-        for t in rd.kernel.threads.values()
+        (
+            t.tid,
+            t.used,
+            t.overtime_used,
+            t.completed_at,
+            t.total_used_ticks,
+            t.total_overtime_ticks,
+            t.missed_grace_count,
+        )
+        for t in kernel.threads.values()
     ]
 
 
-# One stream per assumption of the whole-op run, each found to separate
-# the shipped loop from a mutant of it: (1) ``<=`` for the slice test —
-# the fidgeter's op ends on a preempting boundary and its ninth op at
-# that tick is DonePeriod; (2) ``<=`` for the grant test — a grace slice
-# crosses the tick the grant runs out on, with macroblocks left for
-# overtime; (3) no ``posted`` re-test — the always-there blocker waits
-# on the poster's channel with the earlier deadline; (4) no reschedule
-# re-test — the meddler cancels the seed's pending removal in a slice
-# whose timer was set while the removal stood; (5) the run recorded
-# only on the normal path — generators that return, and raise, mid-run.
-@example((False, False, [(1, "admit", 30, 30, "fidgeter", 1)]))
-@example((False, False, [(9, "admit", 15, 7, "polite", 1)]))
-@example((False, False, [(1, "admit", 10, 20, "poster", 0)]))
+def assert_same_run(a, b):
+    """Two kernels went through the identical run."""
+    assert a.trace.segments == b.trace.segments
+    assert a.trace.switches == b.trace.switches
+    assert a.trace.deadlines == b.trace.deadlines
+    assert a.trace.blocks == b.trace.blocks
+    assert a.trace.grant_changes == b.trace.grant_changes
+    assert a.crashes == b.crashes
+    assert _accounts(a) == _accounts(b)
+
+
+@given(change_streams())
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_incremental_heap_matches_from_scratch_sort(stream):
+    fast, fast_seen = run_stream(stream)
+    slow, slow_seen = run_stream(stream, reference=True)
+    assert fast.sanitizer.ok and slow.sanitizer.ok
+    assert_same_run(fast.kernel, slow.kernel)
+    assert fast_seen == slow_seen
+
+
+# One stream per place an op boundary could matter, each found to
+# separate the kernel from a mutant of it: (1) the fidgeter's unit ends
+# on a preempting boundary and its ninth op at that tick is DonePeriod;
+# (2) a grace slice crosses the tick the grant runs out on, with work
+# left for overtime — charged granted to that tick and overtime after it
+# only because ``_consume`` splits the run there; (3) the always-there
+# blocker waits on the poster's channel with the earlier deadline;
+# (4) the meddler cancels the seed's pending removal in a slice whose
+# timer was set while the removal stood; (5) generators that return,
+# and raise, at the end of a unit.
+@example((False, False, [(1, "admit", 30, 30, "fidgeter", 1)]), (1, 811))
+@example((False, False, [(9, "admit", 15, 7, "polite", 1)]), (14,))
+@example((False, False, [(1, "admit", 10, 20, "poster", 0)]), (1, 1, 700))
 @example(
     (
         False,
         False,
         [(13, "admit", 30, 30, "meddler", 0), (16, "post", 10, 20, "follower", 0)],
-    )
+    ),
+    (2_025,),
 )
 @example(
     (
         False,
         True,
         [(1, "admit", 10, 20, "macroblock", 1), (13, "admit", 15, 10, "crasher", 1)],
-    )
+    ),
+    (3, 4_999),
 )
-@given(change_streams())
+@given(change_streams(), block_sizes)
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-def test_incremental_heap_matches_from_scratch_sort(stream):
-    fast, fast_seen = run_stream(stream, reference=False)
-    slow, slow_seen = run_stream(stream, reference=True)
-    assert fast.sanitizer.ok and slow.sanitizer.ok
-    assert fast.trace.segments == slow.trace.segments
-    assert fast.trace.switches == slow.trace.switches
-    assert fast.trace.deadlines == slow.trace.deadlines
-    assert fast.trace.blocks == slow.trace.blocks
-    assert fast.trace.grant_changes == slow.trace.grant_changes
-    assert fast.kernel.crashes == slow.kernel.crashes
-    assert _accounts(fast) == _accounts(slow)
-    assert fast_seen == slow_seen
+def test_granularity_is_inert(stream, sizes):
+    whole, whole_seen = run_stream(stream)
+    cut, cut_seen = run_stream(stream, unit=blocks_of(sizes))
+    assert whole.sanitizer.ok and cut.sanitizer.ok
+    assert_same_run(whole.kernel, cut.kernel)
+    assert whole_seen == cut_seen
+
+
+def run_fair_share(unit):
+    """SMART in overload: 1 ms quanta bounded by the deadline, not by
+    the grant, so a slice runs across the grant's last tick."""
+    system = SmartSystem(machine=MachineConfig.ideal(), sim=SimConfig(seed=1))
+    seen = []
+    for i, (period_ms, rate, body, n) in enumerate(
+        [
+            (10, 0.45, "follower", 0),
+            (15, 0.3, "overtimer", 0),
+            (30, 0.25, "macroblock", 3),
+            (30, 0.1, "macroblock", 1),  # returns at the end of a unit
+            (15, 0.1, "crasher", 1),  # raises at the end of one
+            (10, 0.1, "clockreader", 0),
+        ]
+    ):
+        system.admit(
+            _definition(None, f"t{i}", period_ms, rate, body, None, n, unit, seen, None)
+        )
+    assert system.policy.overloaded(0)
+    system.run_for(units.ms_to_ticks(90))
+    return system.kernel, seen
+
+
+@given(block_sizes)
+@example((1, 1, 700))
+@settings(max_examples=15, deadline=None)
+def test_granularity_is_inert_under_a_baseline_timer(sizes):
+    whole, whole_seen = run_fair_share(merged)
+    cut, cut_seen = run_fair_share(blocks_of(sizes))
+    assert any(t.total_overtime_ticks for t in whole.threads.values())
+    assert_same_run(whole, cut)
+    assert whole_seen == cut_seen

@@ -5,7 +5,7 @@ import json
 
 from repro.serve.app import ServeApp
 from repro.serve.engine import ServeEngine
-from repro.serve.http import Request, Response
+from repro.serve.http import Request, Response, write_response
 from repro.serve.loadgen import PlannedRequest, _Connection
 
 
@@ -237,3 +237,39 @@ class TestWriterBatching:
             assert app.engine.stats()["admitted"] == 8
 
         run_with_app(scenario)
+
+
+class TestResponseWrites:
+    class SpyWriter:
+        """What ``write_response`` touches of a StreamWriter."""
+
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+        async def drain(self):
+            pass
+
+    def test_a_plain_response_is_one_write(self):
+        writer = self.SpyWriter()
+        response = Response.json({"status": "admitted"}, status=201)
+        asyncio.run(write_response(writer, response, keep_alive=True))
+        (sent,) = writer.writes  # head and body: one send, one segment
+        head, _, body = sent.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 201")
+        assert b"Content-Length: %d" % len(response.body) in head
+        assert body == response.body
+
+    def test_a_streamed_response_keeps_one_write_per_chunk(self):
+        async def chunks():
+            yield b"one\n"
+            yield b""
+            yield b"two\n"
+
+        writer = self.SpyWriter()
+        response = Response(stream=chunks())
+        asyncio.run(write_response(writer, response, keep_alive=False))
+        assert writer.writes[1:] == [b"4\r\none\n\r\n", b"4\r\ntwo\n\r\n", b"0\r\n\r\n"]
+        assert b"chunked" in writer.writes[0]

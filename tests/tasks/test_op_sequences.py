@@ -1,17 +1,19 @@
-"""Every task model yields the ops it always yielded.
+"""Every task model does the work it always did.
 
-The models prebuild the ops whose tick count does not change inside a
-loop and yield the same frozen instance again (``Compute`` is a frozen
-dataclass, so one instance can be yielded any number of times).  That is
-only an optimization if the *sequence* is untouched: same op types, same
-ticks, same order, same stats at the end.  Each case below drives one
-model's generator for two periods against a stub context — no kernel —
-and compares what it yields with the sequence its pre-hoisting code
-yielded, committed here run-length encoded as ``(type, ticks, repeats)``.
+A model states a unit of work — the ticks it computes back to back,
+with nothing in between — as one ``Compute``; it used to cut a frame
+into macroblock ops, a grant into chunks.  The kernel charges a
+``Compute`` the same however long it is (``tests/properties/
+test_prop_edf_heap.py``, *granularity is inert*), so what has to stay
+untouched is the *work*: per period, the ticks computed between
+consecutive non-``Compute`` ops, those ops in order, and the stats at
+the end.  Each case below drives one model's generator against a stub
+context — no kernel — and compares that with the op sequence its
+chunked code yielded, committed here per period, run-length encoded as
+``(type, ticks, repeats)``.
 """
 
 import random
-from itertools import groupby, islice
 from types import SimpleNamespace
 
 import pytest
@@ -37,23 +39,48 @@ class StubContext:
         self.rng = random.Random(5)
 
 
-def drive(function, ctx, take=None):
-    """Two periods of ``function``: two fresh calls run to completion
-    (callback semantics), or the first ``take`` ops of one endless call
-    (return semantics / bodies that never report done)."""
-    if take is not None:
-        return list(islice(function(ctx), take))
-    ops = []
-    for period in range(2):
-        ctx.now = period * units.ms_to_ticks(40)
-        ops.extend(function(ctx))
-    return ops
+def key(op):
+    return type(op).__name__, getattr(op, "ticks", None)
 
 
-def encode(ops):
-    """Run-length encode as (type name, ticks or None, repeats)."""
-    keys = [(type(op).__name__, getattr(op, "ticks", None)) for op in ops]
-    return [(name, ticks, len(list(group))) for (name, ticks), group in groupby(keys)]
+def drive(function, ctx, budget=None):
+    """Two periods of ``function`` as ``(type name, ticks)`` keys: two
+    fresh calls run to completion (callback semantics), or one endless
+    call (return semantics / bodies that never report done) run until
+    it has computed ``budget`` ticks, the last op cut there as a timer
+    interrupt would cut it."""
+    if budget is None:
+        periods = []
+        for period in range(2):
+            ctx.now = period * units.ms_to_ticks(40)
+            periods.append([key(op) for op in function(ctx)])
+        return periods
+    keys, spent = [], 0
+    for op in function(ctx):
+        name, ticks = key(op)
+        if name == "Compute" and spent + ticks >= budget:
+            keys.append((name, budget - spent))
+            break
+        keys.append((name, ticks))
+        spent += ticks or 0
+    return [keys]
+
+
+def expand(pins):
+    """The keys a run-length pin ``[(type, ticks, repeats), ...]`` stands for."""
+    return [(name, ticks) for name, ticks, repeats in pins for _ in range(repeats)]
+
+
+def work(keys):
+    """Fold keys into units of work: the ticks computed between
+    consecutive non-Compute ops, and those ops in order."""
+    folded = []
+    for name, ticks in keys:
+        if name == "Compute" and folded and folded[-1][0] == "Compute":
+            folded[-1] = (name, folded[-1][1] + ticks)
+        else:
+            folded.append((name, ticks))
+    return folded
 
 
 def C(ticks, repeats=1):
@@ -67,7 +94,7 @@ BLOCK = ("Block", None, 1)
 def _mpeg(entry):
     def build():
         decoder = MpegDecoder()
-        return getattr(decoder, entry), StubContext(300_000), None, lambda: (
+        return getattr(decoder, entry), StubContext(300_000), False, lambda: (
             decoder.stats.decoded,
             decoder.stats.dropped,
         )
@@ -75,10 +102,10 @@ def _mpeg(entry):
     return build
 
 
-def _ac3(entry, blocks):
+def _ac3(entry):
     def build():
-        decoder = Ac3Decoder(blocks_per_frame=blocks)
-        return getattr(decoder, entry), StubContext(0), None, lambda: (
+        decoder = Ac3Decoder()
+        return getattr(decoder, entry), StubContext(0), False, lambda: (
             decoder.stats.frames_full,
             decoder.stats.frames_downmixed,
         )
@@ -88,7 +115,7 @@ def _ac3(entry, blocks):
 
 def _modem():
     modem = Modem()
-    return modem.service, StubContext(27_000), None, lambda: (
+    return modem.service, StubContext(27_000), False, lambda: (
         modem.stats.periods_serviced,
         modem.stats.samples_processed,
     )
@@ -96,7 +123,7 @@ def _modem():
 
 def _render2d():
     renderer = Renderer2D()
-    return renderer.render, StubContext(0), 60, lambda: (
+    return renderer.render, StubContext(0), True, lambda: (
         renderer.stats.frames_completed,
         renderer.stats.work_done,
     )
@@ -104,7 +131,7 @@ def _render2d():
 
 def _render3d():
     renderer = Renderer3D(frame_work=units.ms_to_ticks(2))
-    return renderer.render_frame, StubContext(0), 20, lambda: (
+    return renderer.render_frame, StubContext(0), True, lambda: (
         renderer.stats.frames_completed,
         renderer.stats.work_done,
     )
@@ -113,7 +140,7 @@ def _render3d():
 def _cooldown(cpu_ticks):
     def build():
         task = CooldownTask()
-        return task.noop_loop, StubContext(cpu_ticks), None, lambda: task.stats.noop_ticks
+        return task.noop_loop, StubContext(cpu_ticks), False, lambda: task.stats.noop_ticks
 
     return build
 
@@ -122,7 +149,7 @@ def _live_decoder():
     stream = TransportStream("s", buffer_capacity=4)
     stream.buffer.extend("IB")  # period 1 decodes I; period 2 decodes B
     decoder = LiveMpegDecoder(stream, synchronize=False)
-    return decoder.decode, StubContext(0), None, lambda: (
+    return decoder.decode, StubContext(0), False, lambda: (
         decoder.stats.decoded,
         decoder.stats.underflows,
     )
@@ -132,13 +159,13 @@ def _live_decoder_underflow():
     stream = TransportStream("s", buffer_capacity=4)
     stream.buffer.append("P")  # period 2 finds the buffer empty
     decoder = LiveMpegDecoder(stream, synchronize=True)
-    return decoder.decode, StubContext(0), None, lambda: (
+    return decoder.decode, StubContext(0), False, lambda: (
         decoder.stats.decoded,
         decoder.stats.underflows,
     )
 
 
-def _figure4(entry, fixed, take, posts=0):
+def _figure4(entry, fixed, endless, posts=0):
     def build():
         workload = Figure4Workload(fixed=fixed)
         if posts:
@@ -146,7 +173,7 @@ def _figure4(entry, fixed, take, posts=0):
         return (
             getattr(workload, entry),
             StubContext(units.ms_to_ticks(3)),
-            take,
+            endless,
             lambda: (
                 workload.stats.items_produced,
                 workload.stats.items_consumed,
@@ -160,94 +187,97 @@ def _figure4(entry, fixed, take, posts=0):
 
 
 def _busy_loop():
-    return busy_loop, StubContext(0), 12, lambda: None
+    return busy_loop, StubContext(0), True, lambda: None
 
 
 def _yielding_busy_loop():
-    return yielding_busy_loop, StubContext(243_000), None, lambda: None
+    return yielding_busy_loop, StubContext(243_000), False, lambda: None
 
 
-#: name -> (builder of (function, stub context, ops to take, stats
-#: reader), the encoded op sequence and the stats the model gave before
-#: any op was hoisted — recorded by running this driver on that code).
+#: name -> (builder of (function, stub context, endless?, stats reader),
+#: the op sequence the model's chunked code yielded — one run-length
+#: list per period, recorded by running a driver like this one on that
+#: code; an endless body has one list, and is driven for as many ticks
+#: as it pins — and the stats the model gave then.
 CASES = {
     "mpeg.full_decompress": (
         _mpeg("full_decompress"),  # frames I, B
-        [C(1454, 330), C(180), C(727, 330), C(90)],
+        [[C(1454, 330), C(180)], [C(727, 330), C(90)]],
         ({"I": 1, "P": 0, "B": 1}, {"I": 0, "P": 0, "B": 0}),
     ),
     "mpeg.drop_b_in_4": (
         _mpeg("drop_b_in_4"),  # I b B P | b B P B
-        [C(1454, 330), C(180), C(727, 330), C(90), C(1000, 330), DONE]
-        + [C(727, 330), C(90), C(1000, 330), C(727, 330), C(90), DONE],
+        [
+            [C(1454, 330), C(180), C(727, 330), C(90), C(1000, 330), DONE],
+            [C(727, 330), C(90), C(1000, 330), C(727, 330), C(90), DONE],
+        ],
         ({"I": 1, "P": 2, "B": 3}, {"I": 0, "P": 0, "B": 2}),
     ),
     "mpeg.drop_b_in_3": (
         _mpeg("drop_b_in_3"),  # I b B | P b B
-        [C(1454, 330), C(180), C(727, 330), C(90), DONE]
-        + [C(1000, 330), C(727, 330), C(90), DONE],
+        [
+            [C(1454, 330), C(180), C(727, 330), C(90), DONE],
+            [C(1000, 330), C(727, 330), C(90), DONE],
+        ],
         ({"I": 1, "P": 1, "B": 2}, {"I": 0, "P": 0, "B": 2}),
     ),
     "mpeg.drop_2b_in_4": (
         _mpeg("drop_2b_in_4"),  # I b b P | b b P B
-        [C(1454, 330), C(180), C(1000, 330), DONE]
-        + [C(1000, 330), C(727, 330), C(90), DONE],
+        [
+            [C(1454, 330), C(180), C(1000, 330), DONE],
+            [C(1000, 330), C(727, 330), C(90), DONE],
+        ],
         ({"I": 1, "P": 2, "B": 1}, {"I": 0, "P": 0, "B": 4}),
     ),
-    "ac3.decode_full": (_ac3("decode_full", 6), [C(17280, 12)], (2, 0)),
-    "ac3.decode_downmix": (_ac3("decode_downmix", 6), [C(8640, 12)], (0, 2)),
-    "ac3.decode_full, 7 blocks": (
-        _ac3("decode_full", 7),
-        [C(14811, 7), C(3), C(14811, 7), C(3)],
-        (2, 0),
-    ),
-    "modem.service": (_modem, [C(337, 160)], (2, 160)),
+    "ac3.decode_full": (_ac3("decode_full"), [[C(17280, 6)]] * 2, (2, 0)),
+    "ac3.decode_downmix": (_ac3("decode_downmix"), [[C(8640, 6)]] * 2, (0, 2)),
+    "modem.service": (_modem, [[C(337, 80)]] * 2, (2, 160)),
     "graphics2d.render": (
         _render2d,
-        [C(5400, 18), C(3463), C(5400, 19), C(4751), C(5400, 20), C(2355)],
+        [[C(5400, 18), C(3463), C(5400, 19), C(4751), C(5400, 20), C(2355)]],
         (2, 316014),
     ),
-    "graphics3d.render_frame": (_render3d, [C(6750, 20)], (2, 128250)),
-    "cooldown.noop_loop": (_cooldown(135_000), [C(13500, 20)], 270000),
+    "graphics3d.render_frame": (_render3d, [[C(6750, 20)]], (2, 128250)),
+    "cooldown.noop_loop": (_cooldown(135_000), [[C(13500, 10)]] * 2, 270000),
     "cooldown.noop_loop, ragged grant": (
         _cooldown(40_600),
-        [C(13500, 3), C(100), C(13500, 3), C(100)],
+        [[C(13500, 3), C(100)]] * 2,
         81200,
     ),
     "stream.decode": (
         _live_decoder,
-        [C(300000), DONE, C(150000), DONE],
+        [[C(300000), DONE], [C(150000), DONE]],
         ({"I": 1, "P": 0, "B": 1}, 0),
     ),
     "stream.decode, underflow": (
         _live_decoder_underflow,
-        [C(205223), DONE, ("InsertIdleCycles", 4478, 1), DONE],
+        [[C(205223), DONE], [("InsertIdleCycles", 4478, 1), DONE]],
         ({"I": 0, "P": 1, "B": 0}, 1),
     ),
     "figure4.producer7": (
-        _figure4("producer7", fixed=False, take=5),
-        [C(27000, 5)],
+        _figure4("producer7", fixed=False, endless=True),
+        [[C(27000, 5)]],
         (4, 0, 0, 4, 0),
     ),
     "figure4.producer9": (
-        _figure4("producer9", fixed=False, take=None),
-        [C(27000, 3), DONE, C(27000, 3), DONE],
+        _figure4("producer9", fixed=False, endless=False),
+        [[C(27000, 3), DONE]] * 2,
         (6, 0, 0, 0, 6),
     ),
     "figure4.data_mgmt8, fixed": (
-        _figure4("data_mgmt8", fixed=True, take=6),
-        [BLOCK, C(6750), BLOCK, C(6750), BLOCK, C(6750)],
+        _figure4("data_mgmt8", fixed=True, endless=True),
+        [[BLOCK, C(6750), BLOCK, C(6750), BLOCK, C(6750)]],
         (0, 2, 0, 0, 0),
     ),
     "figure4.data_mgmt8, spinning": (
-        _figure4("data_mgmt8", fixed=False, take=6, posts=2),
-        [C(6750, 2), C(540, 4)],
+        _figure4("data_mgmt8", fixed=False, endless=True, posts=2),
+        [[C(6750, 2), C(540, 4)]],
         (0, 2, 1620, 0, 0),
     ),
-    "busyloop.busy_loop": (_busy_loop, [C(2700, 12)], None),
+    "busyloop.busy_loop": (_busy_loop, [[C(2700, 12)]], None),
     "busyloop.yielding_busy_loop": (
         _yielding_busy_loop,
-        [C(243000), DONE, C(243000), DONE],
+        [[C(243000), DONE]] * 2,
         None,
     ),
 }
@@ -255,13 +285,18 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_model_yields_the_ops_it_always_yielded(name):
-    build, expected_ops, expected_stats = CASES[name]
-    function, ctx, take, stats = build()
-    assert encode(drive(function, ctx, take)) == expected_ops
+    build, pinned, expected_stats = CASES[name]
+    function, ctx, endless, stats = build()
+    expected = [expand(period) for period in pinned]
+    budget = None
+    if endless:
+        budget = sum(ticks for op, ticks in expected[0] if op == "Compute")
+    driven = drive(function, ctx, budget)
+    assert [work(period) for period in driven] == [work(period) for period in expected]
     assert stats() == expected_stats
 
 
 def test_a_frames_macroblocks_are_one_op():
-    """What the hoist buys: no construction per macroblock."""
+    """A decoded frame is the unit of work: one op, its whole cost."""
     ops = list(MpegDecoder().full_decompress(StubContext(300_000)))
-    assert len({id(op) for op in ops[:330]}) == 1
+    assert [key(op) for op in ops] == [("Compute", 480_000)]  # an I frame
