@@ -42,7 +42,6 @@ def run_rack(policy: str, decoders: int, seed: int = 7) -> dict:
         seed=seed,
         policy=policy,
         horizon=units.ms_to_ticks(500),
-        epoch_ticks=units.ms_to_ticks(50),
         machine=QUIET,
         broker_config=BrokerConfig(migrate=False),
     )

@@ -8,7 +8,6 @@
     python -m repro figure5             # staggered-admission staircase
     python -m repro faceoff             # RD vs the baseline schedulers
     python -m repro settop              # the section 5.3 scenario
-    python -m repro validate --seed 7   # fuzz one run and audit the trace
     python -m repro cluster --nodes 4   # multi-node rack behind a broker
     python -m repro run --scenario settop --obs-out out/  # observed run
     python -m repro obs                 # describe the telemetry surface
@@ -23,9 +22,9 @@
     python -m repro serve --port 8642   # live HTTP control plane over a rack
     python -m repro loadgen --clients 100 --duration 5  # drive a live service
 
-Every command is deterministic for a given ``--seed``.  Shared options
-(``--seed``, ``--duration-ms``, ``--sanitize``) are defined once on a
-common parent parser; each subcommand adds only its own flags.
+Every command is deterministic for a given ``--seed``.  A subcommand
+declares exactly the flags its handler reads, so ``repro <cmd> --help``
+is the whole truth and an unread flag is a usage error, not a no-op.
 """
 
 from __future__ import annotations
@@ -34,17 +33,14 @@ import argparse
 import random
 import sys
 
-from repro import units
-from repro.config import ContextSwitchCosts, MachineConfig, SimConfig
+from repro import scenarios, units
+from repro.config import SimConfig
 from repro.core.distributor import ResourceDistributor
-from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.core.sporadic import SporadicServer
-from repro.metrics import miss_rate, validate_trace
-from repro.tasks.base import TaskDefinition
+from repro.metrics import miss_rate
 from repro.tasks.busyloop import busyloop_definition, busyloop_resource_list
 from repro.tasks.mpeg import MpegDecoder
 from repro.viz import format_table, render_gantt
-from repro.workloads import grant_follower, greedy_worker, random_task_set
+from repro.workloads import random_task_set
 
 
 def _ms(x: float) -> int:
@@ -62,9 +58,8 @@ def cmd_tables(args) -> int:
     print("\nTable 3 — 3D graphics resource list")
     print(Renderer3D().resource_list().describe())
 
-    rd, threads = _table4_system(args.seed)
     print("\nTable 4 — grant set for Modem / 3D / MPEG")
-    print(rd.current_grant_set.describe())
+    print(scenarios.table4_trio(seed=args.seed).rd.current_grant_set.describe())
 
     print("\nTable 5 — example Policy Box")
     box = _table5_box()
@@ -73,24 +68,6 @@ def cmd_tables(args) -> int:
     print("\nTable 6 — BusyLoop resource list")
     print(busyloop_resource_list().describe())
     return 0
-
-
-def _table4_system(seed: int):
-    rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=seed))
-    specs = [
-        ("Modem", 270_000, 27_000, grant_follower),
-        ("3D", 275_300, 143_156, greedy_worker),
-        ("MPEG", 810_000, 270_000, grant_follower),
-    ]
-    threads = {}
-    for name, period, cpu, fn in specs:
-        threads[name] = rd.admit(
-            TaskDefinition(
-                name=name,
-                resource_list=ResourceList([ResourceListEntry(period, cpu, fn, name)]),
-            )
-        )
-    return rd, threads
 
 
 def _table5_box():
@@ -113,66 +90,52 @@ def _table5_box():
 
 
 def cmd_figure3(args) -> int:
-    rd, threads = _table4_system(args.seed)
-    rd.run_for(_ms(args.duration_ms))
+    scenario = scenarios.table4_trio(seed=args.seed).run_for(_ms(args.duration_ms))
     print("Figure 3 — EDF schedule for the Table 4 grant set")
     print(
         render_gantt(
-            rd.trace,
-            {t.tid: name for name, t in threads.items()},
+            scenario.trace,
+            scenario.names(),
             0,
             min(_ms(60), _ms(args.duration_ms)),
             width=args.width,
         )
     )
-    print(f"\ndeadline misses: {len(rd.trace.misses())}")
+    print(f"\ndeadline misses: {len(scenario.trace.misses())}")
     return 0
 
 
 def cmd_figure4(args) -> int:
-    from repro.tasks.producer_consumer import Figure4Workload
-
-    rd = ResourceDistributor(machine=MachineConfig(), sim=SimConfig(seed=args.seed))
-    server = SporadicServer(rd, greedy=True)
-    workload = Figure4Workload(fixed=False)
-    threads = dict(
-        zip(["p7", "dm8", "p9", "dm10"], (rd.admit(d) for d in workload.definitions()))
-    )
-    rd.run_for(_ms(max(args.duration_ms, 400)))
+    scenario = scenarios.figure4(seed=args.seed)
+    scenario.run_for(_ms(max(args.duration_ms, 400)))
     one_third = units.sec_to_ticks(1 / 3)
-    names = {t.tid: name for name, t in threads.items()}
-    names[server.thread.tid] = "SS"
+    names = scenario.names()
+    names[scenario.threads["SporadicServer"].tid] = "SS"
     print("Figure 4 — schedule one third of a second into the run")
-    print(render_gantt(rd.trace, names, one_third, one_third + 2 * 900_000, width=args.width))
+    print(
+        render_gantt(
+            scenario.trace, names, one_third, one_third + 2 * 900_000, width=args.width
+        )
+    )
+    spin_ticks = scenario.extras["workload"].stats.spin_ticks
     print(f"\nspin time burned by the buggy data threads: "
-          f"{units.ticks_to_ms(workload.stats.spin_ticks):.1f} ms")
-    print(f"deadline misses: {len(rd.trace.misses())}")
+          f"{units.ticks_to_ms(spin_ticks):.1f} ms")
+    print(f"deadline misses: {len(scenario.trace.misses())}")
     return 0
 
 
 def cmd_figure5(args) -> int:
     from repro.metrics import allocation_series
 
-    rd = ResourceDistributor(
-        machine=MachineConfig(switch_costs=ContextSwitchCosts.zero()),
-        sim=SimConfig(seed=args.seed),
-    )
-    SporadicServer(rd, greedy=True)
-    threads = []
-
-    def admit(name):
-        threads.append(rd.admit(busyloop_definition(name)))
-
-    admit("thread2")
-    for i in range(1, 5):
-        rd.at(_ms(20 * i), lambda n=f"thread{i + 2}": admit(n))
-    rd.run_for(_ms(max(args.duration_ms, 150)))
-
+    scenario = scenarios.figure5(seed=args.seed)
+    scenario.run_for(_ms(max(args.duration_ms, 150)))
     print("Figure 5 — thread 2's per-period allocation (ms)")
-    for start, ticks in allocation_series(rd.trace, threads[0].tid):
+    for start, ticks in allocation_series(
+        scenario.trace, scenario.threads["thread2"].tid
+    ):
         bar = "#" * round(units.ticks_to_ms(ticks))
         print(f"  t={units.ticks_to_ms(start):6.0f}  {units.ticks_to_ms(ticks):4.1f}  {bar}")
-    print(f"\ndeadline misses: {len(rd.trace.misses())}")
+    print(f"\ndeadline misses: {len(scenario.trace.misses())}")
     return 0
 
 
@@ -216,44 +179,28 @@ def cmd_faceoff(args) -> int:
 
 
 def cmd_settop(args) -> int:
-    from repro.tasks.ac3 import Ac3Decoder
-    from repro.tasks.graphics3d import Renderer3D
-    from repro.tasks.modem import Modem
-
-    rd = ResourceDistributor(sim=SimConfig(seed=args.seed))
-    mpeg = MpegDecoder("DVD-video")
-    rd.admit(mpeg.definition())
-    rd.admit(Ac3Decoder("DVD-audio").definition())
-    rd.admit(Renderer3D("Teleconf", use_scaler=False).definition())
-    modem = rd.admit(Modem().definition(start_quiescent=True))
-    rd.at(_ms(300), lambda: rd.wake(modem.tid), "phone rings")
-    rd.run_for(units.sec_to_ticks(1))
+    scenario = scenarios.settop(seed=args.seed).run_for(units.sec_to_ticks(1))
     print("Section 5.3 scenario — after the phone call:")
-    print(rd.current_grant_set.describe())
-    print(f"\nI frames lost: {mpeg.stats.i_frames_lost}")
-    print(f"deadline misses: {len(rd.trace.misses())}")
+    print(scenario.rd.current_grant_set.describe())
+    print(f"\nI frames lost: {scenario.extras['mpeg'].stats.i_frames_lost}")
+    print(f"deadline misses: {len(scenario.trace.misses())}")
     return 0
+
+
+def _unknown_scenario(name: str) -> int:
+    print(f"unknown scenario {name!r}; pick one of "
+          f"{', '.join(sorted(scenarios.SCENARIOS))}")
+    return 2
 
 
 def cmd_report(args) -> int:
     """Run a named scenario and print the operator report."""
-    from repro import scenarios
     from repro.metrics import run_report
 
-    builders = {
-        "table4": lambda: scenarios.table4_trio(seed=args.seed),
-        "figure4": lambda: scenarios.figure4(seed=args.seed),
-        "figure5": lambda: scenarios.figure5(seed=args.seed),
-        "settop": lambda: scenarios.settop(seed=args.seed),
-        "av": lambda: scenarios.av_pipeline(seed=args.seed),
-        "dual-stream": lambda: scenarios.dual_stream(seed=args.seed),
-    }
-    if args.scenario not in builders:
-        print(f"unknown scenario {args.scenario!r}; pick one of "
-              f"{', '.join(sorted(builders))}")
-        return 2
-    scenario = builders[args.scenario]()
-    scenario.rd.run_for(_ms(max(args.duration_ms, 200)))
+    if args.scenario not in scenarios.SCENARIOS:
+        return _unknown_scenario(args.scenario)
+    scenario = scenarios.SCENARIOS[args.scenario](seed=args.seed)
+    scenario.run_for(_ms(max(args.duration_ms, 200)))
     print(run_report(scenario.rd, scenario.names()))
     return 0
 
@@ -303,9 +250,9 @@ def cmd_cluster(args) -> int:
         obs_pipeline=session is not None,
         max_chunk_events=args.max_chunk_events,
     )
-    prof = _attach_prof(args, sim)
+    prof = _attach_prof(args.profile, args.command, sim)
     sim.run_until(sim.horizon)
-    _write_prof(prof, args, sim.now)
+    _write_prof(prof, args.profile, sim.now)
     if args.format == "json":
         print(cluster_metrics_json(sim), end="")
     else:
@@ -318,7 +265,6 @@ def cmd_cluster(args) -> int:
 
 def cmd_run(args) -> int:
     """Run a named scenario with full observability instrumentation."""
-    from repro import scenarios
     from repro.obs import ObsSession
 
     session = ObsSession()
@@ -333,27 +279,17 @@ def cmd_run(args) -> int:
             telemetry=True,
             obs_pipeline=bool(args.obs_out),
         )
-        prof = _attach_prof(args, sim)
+        prof = _attach_prof(args.profile, args.command, sim)
         sim.run_until(sim.horizon)
-        _write_prof(prof, args, sim.now)
+        _write_prof(prof, args.profile, sim.now)
         print(session.summary())
         if args.obs_out:
             _write_obs(session, args.obs_out, sim.now)
             print(sim.pipeline.summary())
         return 0
-    builders = {
-        "table4": lambda: scenarios.table4_trio(seed=args.seed, obs=session),
-        "figure4": lambda: scenarios.figure4(seed=args.seed, obs=session),
-        "figure5": lambda: scenarios.figure5(seed=args.seed, obs=session),
-        "settop": lambda: scenarios.settop(seed=args.seed, obs=session),
-        "av": lambda: scenarios.av_pipeline(seed=args.seed, obs=session),
-        "dual-stream": lambda: scenarios.dual_stream(seed=args.seed, obs=session),
-    }
-    if args.scenario not in builders:
-        print(f"unknown scenario {args.scenario!r}; pick one of "
-              f"{', '.join(sorted(builders))}")
-        return 2
-    scenario = builders[args.scenario]()
+    if args.scenario not in scenarios.SCENARIOS:
+        return _unknown_scenario(args.scenario)
+    scenario = scenarios.SCENARIOS[args.scenario](seed=args.seed, obs=session)
     rd = scenario.rd
     if args.sanitize and rd.sanitizer is None:
         # Non-strict, so a violation is logged as an event instead of
@@ -368,9 +304,9 @@ def cmd_run(args) -> int:
         lambda: rd.trace.segments,
         lambda: {t.tid: t.name for t in rd.kernel.threads.values()},
     )
-    prof = _attach_prof(args, rd)
+    prof = _attach_prof(args.profile, args.command, rd)
     rd.run_for(_ms(max(args.duration_ms, 200)))
-    _write_prof(prof, args, rd.now)
+    _write_prof(prof, args.profile, rd.now)
     print(session.summary())
     print(f"deadline misses: {len(rd.trace.misses())}")
     if rd.sanitizer is not None:
@@ -386,24 +322,24 @@ def _write_obs(session, directory: str, now: int) -> None:
         print(f"wrote {paths[name]}")
 
 
-def _attach_prof(args, target):
+def _attach_prof(directory: str | None, name: str, target):
     """Wire a ProfSession into ``target`` (a distributor or a cluster
     simulation) when ``--profile DIR`` was given; starts the sampler."""
-    if not getattr(args, "profile", None):
+    if not directory:
         return None
     from repro.obs.prof import ProfSession
 
-    prof = ProfSession(name=args.command)
+    prof = ProfSession(name=name)
     target.attach_prof(prof)
     prof.start()
     return prof
 
 
-def _write_prof(prof, args, now: int) -> None:
+def _write_prof(prof, directory: str | None, now: int) -> None:
     if prof is None:
         return
     prof.stop()
-    out = prof.write(args.profile, now)
+    out = prof.write(directory, now)
     print(f"wrote profile to {out}")
 
 
@@ -612,26 +548,6 @@ def cmd_obs(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    rng = random.Random(args.seed)
-    rd = ResourceDistributor(
-        sim=SimConfig(seed=args.seed),
-        sanitize=args.sanitize,
-        sanitize_strict=False,
-    )
-    for definition in random_task_set(rng, count=5, capacity=0.9):
-        rd.admit(definition)
-    rd.run_for(_ms(max(args.duration_ms, 200)))
-    report = validate_trace(rd.trace, end_time=rd.now)
-    print(report.summary())
-    sanitizer_ok = True
-    if rd.sanitizer is not None:
-        print(rd.sanitizer.summary())
-        sanitizer_ok = rd.sanitizer.ok
-    print(f"deadline misses: {len(rd.trace.misses())}")
-    return 0 if report.ok and sanitizer_ok and not rd.trace.misses() else 1
-
-
 def cmd_fuzz(args) -> int:
     """Run a fuzz campaign: generate, run, classify, shrink, persist."""
     from repro.fuzz import run_campaign
@@ -709,62 +625,38 @@ def cmd_loadgen(args) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Options every command shares, defined exactly once.  Each
-    # subcommand inherits them through ``parents=[common]``, so adding a
-    # command can never fork the seed/sanitize handling.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="simulation seed")
-    common.add_argument(
+def _seed(p) -> None:
+    p.add_argument("--seed", type=int, default=0, help="simulation seed")
+
+
+def _duration_ms(p) -> None:
+    p.add_argument(
         "--duration-ms", type=float, default=500.0, help="simulated duration"
     )
-    common.add_argument(
+
+
+def _sanitize(p) -> None:
+    p.add_argument(
         "--sanitize",
         action="store_true",
         help="run with the runtime invariant sanitizer enabled",
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="ETI Resource Distributor reproduction — regenerate the "
-        "paper's tables and figures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
-        return p
+def _width(p) -> None:
+    p.add_argument("--width", type=int, default=96, help="gantt width")
 
-    command("tables", cmd_tables, "print Tables 2-6")
-    p = command("figure3", cmd_figure3, "EDF schedule of the Table 4 set")
-    p.add_argument("--width", type=int, default=96, help="gantt width")
-    p = command("figure4", cmd_figure4, "producers + spinning data threads")
-    p.add_argument("--width", type=int, default=96, help="gantt width")
-    command("figure5", cmd_figure5, "staggered-admission staircase")
-    command("faceoff", cmd_faceoff, "RD vs the baseline schedulers")
-    command("settop", cmd_settop, "the section 5.3 scenario")
-    command("validate", cmd_validate, "fuzz one run and audit the trace")
-    p = command("export", cmd_export, "dump a seeded run's trace")
-    p.add_argument(
-        "--format",
-        choices=["segments", "deadlines", "json"],
-        default="segments",
-        help="export format",
-    )
-    p = command("report", cmd_report, "operator report for a named scenario")
+
+def _scenario(p) -> None:
     p.add_argument(
         "--scenario",
         default="settop",
-        help="scenario name (table4, figure4, figure5, settop, av, dual-stream)",
+        help=f"scenario name ({', '.join(scenarios.SCENARIOS)}; "
+        "run also takes cluster_rack)",
     )
-    p = command("run", cmd_run, "observed run of a named scenario")
-    p.add_argument(
-        "--scenario",
-        default="settop",
-        help="scenario name (table4, figure4, figure5, settop, av, "
-        "dual-stream, cluster_rack)",
-    )
+
+
+def _obs_out(p) -> None:
     p.add_argument(
         "--obs-out",
         metavar="DIR",
@@ -772,12 +664,65 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the obs artifacts (events.jsonl, metrics.prom, "
         "trace.perfetto.json, events.col.json, pipeline.{json,prom}) to DIR",
     )
+
+
+def _profile(p) -> None:
     p.add_argument(
         "--profile",
         metavar="DIR",
         default=None,
         help="profile the run: deterministic phase counts, wall timings, "
         "and a sampled flamegraph land in DIR",
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="ETI Resource Distributor reproduction — regenerate the "
+        "paper's tables and figures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    def command(name: str, func, help_text: str, *flags) -> argparse.ArgumentParser:
+        """A subcommand with exactly the shared ``flags`` its handler reads."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        for flag in flags:
+            flag(p)
+        return p
+
+    command("tables", cmd_tables, "print Tables 2-6", _seed)
+    command(
+        "figure3", cmd_figure3, "EDF schedule of the Table 4 set",
+        _seed, _duration_ms, _width,
+    )
+    command(
+        "figure4", cmd_figure4, "producers + spinning data threads",
+        _seed, _duration_ms, _width,
+    )
+    command(
+        "figure5", cmd_figure5, "staggered-admission staircase", _seed, _duration_ms
+    )
+    command("faceoff", cmd_faceoff, "RD vs the baseline schedulers", _seed, _duration_ms)
+    command("settop", cmd_settop, "the section 5.3 scenario", _seed)
+    p = command(
+        "export", cmd_export, "dump a seeded run's trace",
+        _seed, _duration_ms, _sanitize,
+    )
+    p.add_argument(
+        "--format",
+        choices=["segments", "deadlines", "json"],
+        default="segments",
+        help="export format",
+    )
+    command(
+        "report", cmd_report, "operator report for a named scenario",
+        _seed, _duration_ms, _scenario,
+    )
+    command(
+        "run", cmd_run, "observed run of a named scenario",
+        _seed, _duration_ms, _sanitize, _scenario, _obs_out, _profile,
     )
     p = command("obs", cmd_obs, "telemetry surface: describe / report / check")
     obs_sub = p.add_subparsers(dest="obs_command", metavar="subcommand")
@@ -923,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp_diff.add_argument(
         "--out", metavar="PATH", default=None, help="write the diff to PATH"
     )
-    p = command("fuzz", cmd_fuzz, "seeded scenario fuzzing / trace replay")
+    p = command("fuzz", cmd_fuzz, "seeded scenario fuzzing / trace replay", _seed)
     p.add_argument(
         "--budget", type=int, default=25, help="number of scenarios to run"
     )
@@ -934,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--inject",
-        choices=["edf-invert", "terminate-admitted"],
+        choices=["edf-invert", "terminate-admitted", "trace-double-count"],
         default=None,
         help="arm a synthetic scheduler bug (pipeline self-test)",
     )
@@ -957,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write failing specs as-is instead of shrinking them",
     )
     fuzz_sub = p.add_subparsers(dest="fuzz_command", metavar="subcommand")
-    # No [common] parent: a trace is self-contained (its spec carries
-    # seed and horizon), and replay's --sanitize is a mode, not a flag.
+    # A trace is self-contained (its spec carries seed and horizon), and
+    # replay's --sanitize is a mode, not a flag.
     p_replay = fuzz_sub.add_parser(
         "replay", help="replay .trace.json files"
     )
@@ -984,11 +929,10 @@ def build_parser() -> argparse.ArgumentParser:
         "off disables the sanitizer",
     )
     p_sweep = fuzz_sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="bisect the empirical admission-threshold curve",
+        "sweep", help="bisect the empirical admission-threshold curve"
     )
     p_sweep.set_defaults(func=cmd_fuzz_sweep)
+    _seed(p_sweep)
     p_sweep.add_argument(
         "--mixes", type=int, default=8, help="generated mixes to bisect"
     )
@@ -1001,7 +945,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--out", metavar="PATH", default=None, help="write the payload to PATH"
     )
-    p = command("serve", cmd_serve, "live HTTP control plane over a broker rack")
+    p = command(
+        "serve", cmd_serve, "live HTTP control plane over a broker rack", _seed
+    )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8642, help="bind port (0 = ephemeral)")
     p.add_argument("--nodes", type=int, default=16, help="distributor node count")
@@ -1037,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the service; /debug/prof goes live and the profile "
         "directory is written on graceful shutdown",
     )
-    p = command("loadgen", cmd_loadgen, "seeded open-loop load generator")
+    p = command("loadgen", cmd_loadgen, "seeded open-loop load generator", _seed)
     p.add_argument("--host", default="127.0.0.1", help="target address")
     p.add_argument("--port", type=int, default=8642, help="target port")
     p.add_argument("--clients", type=int, default=100, help="concurrent clients")
@@ -1056,20 +1002,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", metavar="PATH", default=None, help="write the report to PATH"
     )
-    p = command("cluster", cmd_cluster, "multi-node rack behind a broker")
-    p.add_argument(
-        "--obs-out",
-        metavar="DIR",
-        default=None,
-        help="write the obs artifacts (events.jsonl, metrics.prom, "
-        "trace.perfetto.json, events.col.json, pipeline.{json,prom}) to DIR",
-    )
-    p.add_argument(
-        "--profile",
-        metavar="DIR",
-        default=None,
-        help="profile the run: deterministic phase counts, wall timings, "
-        "and a sampled flamegraph land in DIR",
+    p = command(
+        "cluster", cmd_cluster, "multi-node rack behind a broker",
+        _seed, _duration_ms, _obs_out, _profile,
     )
     p.add_argument(
         "--telemetry",

@@ -13,7 +13,7 @@ All broker <-> node traffic crosses the deterministic
 delayed or dropped.  Every RPC therefore carries a request id: the
 broker retries an unanswered request (same id — nodes deduplicate, so a
 retry after a lost *reply* cannot double-admit), and after
-``max_attempts_per_node`` transmissions moves to the next candidate,
+``MAX_ATTEMPTS_PER_NODE`` transmissions moves to the next candidate,
 first sending a cancel ``remove`` so a silently admitted ghost is
 cleaned up.
 
@@ -25,9 +25,10 @@ increases the node's placement weight; an overloaded report
 control, here steering the ``aimd`` placement policy toward nodes with
 sustained headroom.
 
-**Observed-load telemetry.**  With ``BrokerConfig.telemetry_aimd``
-enabled (and the simulation shipping each node's four-scalar load
-signal as ``telemetry`` messages), the AIMD decision is driven by the
+**Observed-load telemetry.**  When the simulation ships each node's
+four-scalar load signal as ``telemetry`` messages
+(``ClusterSimulation(telemetry=True)`` sets :attr:`ClusterBroker.telemetry_aimd`),
+the AIMD decision is driven by the
 :class:`~repro.cluster.telemetry.TelemetryAggregator` instead of
 the nodes' self-reports: deadline-miss deltas and QOS fractions *as
 measured by the metrics pipeline*.  Self-reports still refresh the
@@ -37,7 +38,7 @@ telemetry shows misses.
 
 **Migration.**  The per-node grant controller already resolves overload
 by degrading QOS levels, and that is always the first resort.  Only
-when a node reports overload for ``overload_epochs`` consecutive
+when a node reports overload for ``OVERLOAD_EPOCHS`` consecutive
 reports does the broker attempt to move a task: it re-runs admission
 for the victim's resource list on another node, and **only after** that
 node confirms admission does it remove the task from the source — the
@@ -49,7 +50,6 @@ over migration, migration over denial.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro import units
@@ -57,53 +57,52 @@ from repro.cluster.node import NodeLoadReport
 from repro.cluster.placement import NodeView, PlacementPolicy
 from repro.cluster.telemetry import TelemetryAggregator, TelemetrySnapshot
 from repro.obs.events import MigrationEvent, RpcEvent
-from repro.sim.backoff import BackoffPolicy
 from repro.sim.messages import Envelope, MessageBus
 from repro.tasks.base import TaskDefinition
 
 BROKER = "broker"
 
 
+#: Resend an unanswered RPC after this long: 50 one-way latencies of
+#: the default 100 us bus, so a retry means a lost message, not a slow
+#: one.  The cadence is fixed — every attempt waits the same time.
+RPC_TIMEOUT_TICKS = units.ms_to_ticks(5)
+#: Transmissions per node (1 original + 2 retries) before giving up on
+#: it.  At the fuzzer's worst drop rate (10 %) a round trip fails 19 %
+#: of the time, three in a row 0.7 %.
+MAX_ATTEMPTS_PER_NODE = 3
+#: AIMD additive increase per healthy load report, multiplicative
+#: decrease per overloaded one.  Vlahakis et al. (PAPERS.md) give
+#: convergence for any step > 0 and factor in (0, 1), so neither is a
+#: knob: halve on overload, recover a halving in ten healthy epochs.
+AI_STEP = 0.05
+MD_FACTOR = 0.5
+#: Weight clamp: a node is never written off, nor favoured more than
+#: 4x over a fresh one (weights start at 1.0).
+WEIGHT_MIN = 0.05
+WEIGHT_MAX = 4.0
+#: Headroom below this counts as overloaded even with nothing degraded.
+OVERLOAD_HEADROOM = 0.05
+#: Consecutive overloaded reports before migration is considered —
+#: degrading QOS on the node itself is always the first resort.
+OVERLOAD_EPOCHS = 3
+#: Epochs a migrated task is pinned before it may move again (longer
+#: than the streak that moved it, so a task cannot ping-pong).
+MIGRATION_COOLDOWN_EPOCHS = 5
+#: Migration attempts started per epoch across the whole cluster: one
+#: move changes two nodes' reports, which the next decision should see.
+MAX_MIGRATIONS_PER_EPOCH = 1
+#: A telemetry snapshot older than this (four 50 ms epochs) is too
+#: stale to drive AIMD; the node's weight then stays where it is.
+TELEMETRY_STALENESS_TICKS = units.ms_to_ticks(200)
+
+
 @dataclass(frozen=True)
 class BrokerConfig:
-    """Tunables for RPC handling, AIMD feedback, and migration."""
+    """What callers choose about the broker; the rest are constants above."""
 
-    #: Resend an unanswered RPC after this long.
-    rpc_timeout_ticks: int = units.ms_to_ticks(5)
-    #: Transmissions per node (1 original + retries) before giving up on it.
-    max_attempts_per_node: int = 3
-    #: Multiplicative growth of the retry timeout per attempt (bounded
-    #: exponential backoff, :class:`repro.sim.backoff.BackoffPolicy`).
-    #: The 1.0 default keeps the legacy fixed cadence tick for tick.
-    retry_backoff_factor: float = 1.0
-    #: Cap on the backed-off timeout; ``None`` = unbounded growth.
-    retry_backoff_cap_ticks: int | None = None
-    #: Uniform extra delay in ``[0, jitter]`` ticks per retransmission,
-    #: drawn from the broker's seeded retry stream (desynchronizes
-    #: retry bursts under sustained loss without losing determinism).
-    retry_jitter_ticks: int = 0
-    #: AIMD additive increase per healthy load report.
-    ai_step: float = 0.05
-    #: AIMD multiplicative decrease factor per overloaded report.
-    md_factor: float = 0.5
-    weight_min: float = 0.05
-    weight_max: float = 4.0
-    #: Headroom below this counts as overloaded even with nothing degraded.
-    overload_headroom: float = 0.05
-    #: Consecutive overloaded reports before migration is considered.
-    overload_epochs: int = 3
-    #: Epochs a migrated task is pinned before it may move again.
-    migration_cooldown_epochs: int = 5
-    #: Migration attempts started per epoch across the whole cluster.
-    max_migrations_per_epoch: int = 1
     #: Master switch for task migration.
     migrate: bool = True
-    #: Drive AIMD weights from ingested telemetry snapshots (observed
-    #: load) instead of the nodes' self-reported load reports.
-    telemetry_aimd: bool = False
-    #: A telemetry snapshot older than this (ticks) is too stale to
-    #: drive AIMD; the node's weight then simply stays where it is.
-    telemetry_staleness_ticks: int = units.ms_to_ticks(200)
 
 
 @dataclass
@@ -138,7 +137,8 @@ class _PendingRpc:
     purpose: str  # "place" | "migrate" | "withdraw" | "migrate-remove" | "cleanup"
     task: str
     node: str
-    deadline: int
+    #: When the reply is overdue; set by every transmission.
+    deadline: int = 0
     attempts: int = 1
     definition: TaskDefinition | None = None
     #: Remaining candidate nodes after the current one (admit only).
@@ -161,27 +161,17 @@ class ClusterBroker:
         policy: PlacementPolicy,
         config: BrokerConfig | None = None,
         obs=None,
-        retry_rng: random.Random | None = None,
     ) -> None:
         """``nodes`` maps node name -> schedulable capacity (the initial
         headroom of an empty node).  ``obs`` is an optional
         :class:`repro.obs.session.ObsSession`: each place/migrate
         operation becomes one span tree (root span for the operation, a
         child span per node attempt) and retries/timeouts/migrations
-        become structured events.  ``retry_rng`` is the seeded stream
-        jittered retry backoff draws from; required only when
-        ``config.retry_jitter_ticks > 0``."""
+        become structured events."""
         self.bus = bus
         self.policy = policy
         self.config = config or BrokerConfig()
         self.obs = obs
-        self._backoff = BackoffPolicy(
-            base_ticks=self.config.rpc_timeout_ticks,
-            factor=self.config.retry_backoff_factor,
-            cap_ticks=self.config.retry_backoff_cap_ticks,
-            jitter_ticks=self.config.retry_jitter_ticks,
-        )
-        self._retry_rng = retry_rng
         self._obs_bus = obs.scoped(BROKER) if obs is not None else None
         self._spans = obs.spans if obs is not None else None
         self.views: dict[str, NodeView] = {
@@ -200,6 +190,10 @@ class ClusterBroker:
         self.telemetry = TelemetryAggregator()
         #: Optional phase profiler, wired by the cluster simulation.
         self.prof = None
+        #: Drive AIMD weights from ingested telemetry (observed load)
+        #: instead of the nodes' self-reports; set by the cluster
+        #: simulation when it ships telemetry.
+        self.telemetry_aimd = False
         self._migrating: set[str] = set()
         self._cooldown_until: dict[str, int] = {}
         self._epoch = 0
@@ -276,7 +270,6 @@ class ClusterBroker:
             purpose=purpose,
             task=task,
             node=node,
-            deadline=now + self.config.rpc_timeout_ticks,
             definition=definition,
             candidates=rest,
             source=source,
@@ -292,7 +285,6 @@ class ClusterBroker:
             purpose=purpose,
             task=task,
             node=node,
-            deadline=now + self.config.rpc_timeout_ticks,
         )
         self._register_and_transmit(pending, now)
 
@@ -317,7 +309,7 @@ class ClusterBroker:
             payload["definition"] = pending.definition
         trace = pending.span.context() if pending.span is not None else None
         self.bus.send(BROKER, pending.node, pending.kind, payload, now, trace=trace)
-        pending.deadline = now + self._backoff.delay(pending.attempts, self._retry_rng)
+        pending.deadline = now + RPC_TIMEOUT_TICKS
 
     def check_timeouts(self, now: int) -> None:
         """Retry or fail over every RPC whose reply is overdue."""
@@ -328,7 +320,7 @@ class ClusterBroker:
         for pending in due:
             if pending.request_id not in self._pending:
                 continue
-            if pending.attempts < self.config.max_attempts_per_node:
+            if pending.attempts < MAX_ATTEMPTS_PER_NODE:
                 pending.attempts += 1
                 self.stats.retries += 1
                 self._emit_rpc("retry", pending, now)
@@ -377,7 +369,7 @@ class ClusterBroker:
         if purpose == "migrate":
             self.stats.migrations_failed += 1
             self._migrating.discard(task)
-            self._cooldown_until[task] = self._epoch + self.config.migration_cooldown_epochs
+            self._cooldown_until[task] = self._epoch + MIGRATION_COOLDOWN_EPOCHS
             if self._obs_bus:
                 self._obs_bus.emit(
                     MigrationEvent(
@@ -468,7 +460,7 @@ class ClusterBroker:
             self.views[pending.source].headroom += placed.min_rate
             self.stats.migrations_completed += 1
             self._migrating.discard(task)
-            self._cooldown_until[task] = self._epoch + self.config.migration_cooldown_epochs
+            self._cooldown_until[task] = self._epoch + MIGRATION_COOLDOWN_EPOCHS
             if self._obs_bus:
                 self._obs_bus.emit(
                     MigrationEvent(
@@ -516,14 +508,11 @@ class ClusterBroker:
         view = self.views[report.node]
         view.report = report
         view.headroom = report.snapshot.headroom
-        if self.config.telemetry_aimd:
+        if self.telemetry_aimd:
             # Observed telemetry drives the weights; the self-report
             # only refreshes the placement view's capacity numbers.
             return
-        overloaded = (
-            report.overloaded
-            or report.snapshot.headroom < self.config.overload_headroom
-        )
+        overloaded = report.overloaded or report.snapshot.headroom < OVERLOAD_HEADROOM
         self._aimd_update(report.node, overloaded)
 
     def _on_telemetry(self, snapshot: TelemetrySnapshot, now: int) -> None:
@@ -541,31 +530,23 @@ class ClusterBroker:
     def _ingest_telemetry(self, snapshot: TelemetrySnapshot, now: int) -> None:
         if not self.telemetry.ingest(snapshot):
             return  # stale or duplicate delivery
-        if not self.config.telemetry_aimd:
+        if not self.telemetry_aimd:
             return
         load = self.telemetry.observed_load(
-            snapshot.node,
-            now=now,
-            staleness=self.config.telemetry_staleness_ticks,
+            snapshot.node, now=now, staleness=TELEMETRY_STALENESS_TICKS
         )
         if load is None:
             return
-        overloaded = (
-            load.overloaded or load.headroom < self.config.overload_headroom
-        )
+        overloaded = load.overloaded or load.headroom < OVERLOAD_HEADROOM
         self._aimd_update(snapshot.node, overloaded)
 
     def _aimd_update(self, node: str, overloaded: bool) -> None:
         view = self.views[node]
         if overloaded:
-            view.weight = max(
-                self.config.weight_min, view.weight * self.config.md_factor
-            )
+            view.weight = max(WEIGHT_MIN, view.weight * MD_FACTOR)
             self._overload_streak[node] += 1
         else:
-            view.weight = min(
-                self.config.weight_max, view.weight + self.config.ai_step
-            )
+            view.weight = min(WEIGHT_MAX, view.weight + AI_STEP)
             self._overload_streak[node] = 0
 
     # -- migration ----------------------------------------------------------
@@ -586,9 +567,9 @@ class ClusterBroker:
         self._epoch += 1
         if not self.config.migrate:
             return
-        budget = self.config.max_migrations_per_epoch
+        budget = MAX_MIGRATIONS_PER_EPOCH
         hot = sorted(
-            (n for n, s in self._overload_streak.items() if s >= self.config.overload_epochs),
+            (n for n, s in self._overload_streak.items() if s >= OVERLOAD_EPOCHS),
             key=lambda n: (-self._overload_streak[n], n),
         )
         for node in hot:

@@ -10,7 +10,7 @@ pipeline needs inside a :class:`~repro.cluster.simulation.ClusterSimulation`:
   up in the run's own event stream;
 * one :class:`~repro.obs.pipeline.ship.ChunkShipper` per node, flushed
   every epoch, shipping to the node's rack collector (``rack00`` holds
-  ``node00..node03`` by default, and so on);
+  ``node00..node03``, and so on);
 * the rack collectors, flushed every epoch toward ``obs-root``;
 * the :class:`~repro.obs.pipeline.aggregate.RootCollector`.
 
@@ -32,8 +32,8 @@ from repro.obs.pipeline.ship import (
 from repro.sim.messages import MessageBus
 from repro.sim.rng import RngRegistry
 
-#: Nodes per rack collector in the default aggregation tree.
-DEFAULT_RACK_SIZE = 4
+#: Nodes per rack collector in the aggregation tree.
+RACK_SIZE = 4
 
 #: A delivery horizon beyond any run: pop_due(_FOREVER) drains the bus.
 _FOREVER = 1 << 62
@@ -60,7 +60,6 @@ class PipelineShipping:
         latency_ticks: int = 0,
         jitter_ticks: int = 0,
         drop_rate: float = 0.0,
-        rack_size: int = DEFAULT_RACK_SIZE,
         max_chunk_events: int | None = None,
     ) -> None:
         self.session = session
@@ -81,7 +80,7 @@ class PipelineShipping:
         self.shippers: dict[str, ChunkShipper] = {}
         self._finalized = False
         for index, node in enumerate(sorted(nodes)):
-            rack_name = f"rack{index // rack_size:02d}"
+            rack_name = f"rack{index // RACK_SIZE:02d}"
             if rack_name not in self.racks:
                 self.racks[rack_name] = RackCollector(rack_name, self.bus)
             self.rack_of[node] = rack_name

@@ -16,15 +16,12 @@ Both are derived purely from the simulation's own state: node traces
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
 
+from repro.cluster.simulation import EPOCH_TICKS, ClusterSimulation
 from repro.metrics import miss_rate
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.cluster.simulation import ClusterSimulation
 
-
-def _node_payload(sim: "ClusterSimulation", name: str) -> dict:
+def _node_payload(sim: ClusterSimulation, name: str) -> dict:
     node = sim.nodes[name]
     snapshot = node.rd.capacity_snapshot()
     sanitizer = node.rd.sanitizer
@@ -52,7 +49,7 @@ def _node_payload(sim: "ClusterSimulation", name: str) -> dict:
     }
 
 
-def cluster_metrics(sim: "ClusterSimulation") -> dict:
+def cluster_metrics(sim: ClusterSimulation) -> dict:
     """The full metrics document as a plain dict."""
     broker = sim.broker
     stats = broker.stats
@@ -65,7 +62,7 @@ def cluster_metrics(sim: "ClusterSimulation") -> dict:
             "nodes": len(sim.nodes),
             "policy": sim.policy.name,
             "horizon": sim.horizon,
-            "epoch_ticks": sim.epoch_ticks,
+            "epoch_ticks": EPOCH_TICKS,
             "latency_ticks": sim.bus.latency_ticks,
             "jitter_ticks": sim.bus.jitter_ticks,
             "drop_rate": sim.bus.drop_rate,
@@ -108,7 +105,7 @@ def cluster_metrics(sim: "ClusterSimulation") -> dict:
     }
 
 
-def cluster_metrics_json(sim: "ClusterSimulation") -> str:
+def cluster_metrics_json(sim: ClusterSimulation) -> str:
     """Canonical JSON export: sorted keys, stable shape, seed-determined.
 
     Running the same scenario twice with the same seed must produce a
@@ -117,7 +114,7 @@ def cluster_metrics_json(sim: "ClusterSimulation") -> str:
     return json.dumps(cluster_metrics(sim), indent=2, sort_keys=True) + "\n"
 
 
-def cluster_report(sim: "ClusterSimulation") -> str:
+def cluster_report(sim: ClusterSimulation) -> str:
     """Human-readable cluster run report."""
     doc = cluster_metrics(sim)
     broker, bus, agg = doc["broker"], doc["bus"], doc["cluster"]

@@ -36,6 +36,10 @@ from repro.sim.messages import MessageBus
 from repro.sim.rng import RngRegistry
 from repro.tasks.base import TaskDefinition
 
+#: Load-report / telemetry / chunk-shipping / migration cadence: 20
+#: control decisions per simulated second, ten RPC timeouts apart.
+EPOCH_TICKS = units.ms_to_ticks(50)
+
 
 class ClusterSimulation:
     """N Resource Distributor nodes, one broker, one deterministic clock."""
@@ -49,7 +53,6 @@ class ClusterSimulation:
         latency_ticks: int | None = None,
         jitter_ticks: int = 0,
         drop_rate: float = 0.0,
-        epoch_ticks: int | None = None,
         machine: MachineConfig | None = None,
         broker_config: BrokerConfig | None = None,
         sanitize: bool = True,
@@ -57,7 +60,6 @@ class ClusterSimulation:
         obs=None,
         telemetry: bool = False,
         obs_pipeline: bool = False,
-        rack_size: int = 4,
         max_chunk_events: int | None = None,
     ) -> None:
         """``obs`` is an optional :class:`repro.obs.session.ObsSession`:
@@ -73,8 +75,8 @@ class ClusterSimulation:
 
         ``obs_pipeline`` (requires ``obs``) ships
         each node's event arena every epoch as seq-numbered columnar
-        chunks through a node -> rack -> root aggregation tree
-        (``rack_size`` nodes per rack collector) over a *dedicated*
+        chunks through a node -> rack -> root aggregation tree over a
+        *dedicated*
         telemetry-plane bus with the same latency/jitter/drop model —
         the main run's artifacts are untouched, and the root accounts
         for every dropped or sampled-out row exactly.
@@ -86,11 +88,6 @@ class ClusterSimulation:
             raise SimulationError(f"node_count must be <= 99, got {node_count}")
         self.seed = seed
         self.horizon = horizon if horizon is not None else units.sec_to_ticks(1.0)
-        self.epoch_ticks = (
-            epoch_ticks if epoch_ticks is not None else units.ms_to_ticks(50)
-        )
-        if self.epoch_ticks <= 0:
-            raise SimulationError(f"epoch_ticks must be positive, got {self.epoch_ticks}")
         if latency_ticks is None:
             latency_ticks = units.us_to_ticks(100.0)
         self.machine = machine or MachineConfig()
@@ -135,8 +132,6 @@ class ClusterSimulation:
             self.telemetry = {
                 name: NodeTelemetry(name, obs) for name in self.nodes
             }
-            if broker_config is None:
-                broker_config = BrokerConfig(telemetry_aimd=True)
         self.policy = make_policy(policy)
         self.broker = ClusterBroker(
             self.bus,
@@ -144,8 +139,8 @@ class ClusterSimulation:
             self.policy,
             broker_config,
             obs=obs,
-            retry_rng=self.rngs.stream("cluster.broker.retry"),
         )
+        self.broker.telemetry_aimd = telemetry
         self.pipeline = None
         if obs_pipeline:
             if obs is None:
@@ -162,12 +157,11 @@ class ClusterSimulation:
                 latency_ticks=latency_ticks,
                 jitter_ticks=jitter_ticks,
                 drop_rate=drop_rate,
-                rack_size=rack_size,
                 max_chunk_events=max_chunk_events,
             )
         self.events = EventQueue()
         self._now = 0
-        self._next_epoch = self.epoch_ticks
+        self._next_epoch = EPOCH_TICKS
         #: Optional phase profiler; see :meth:`attach_prof`.
         self.prof = None
 
@@ -240,7 +234,7 @@ class ClusterSimulation:
             self.broker.check_timeouts(self._now)
             while self._next_epoch <= self._now:
                 self._epoch()
-                self._next_epoch += self.epoch_ticks
+                self._next_epoch += EPOCH_TICKS
 
     def settle(self, max_rounds: int = 10_000) -> bool:
         """Advance sim time until every in-flight broker interaction has

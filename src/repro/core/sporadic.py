@@ -26,6 +26,10 @@ from repro.core.threads import SimThread, ThreadState
 from repro.tasks.base import AssignGrant, Compute, DonePeriod, Op, TaskDefinition
 
 
+#: What one look at the sporadic queue costs the server.
+POLL_COST = units.us_to_ticks(10)
+
+
 class SporadicServer:
     """Round-robin server for sporadic tasks, backed by a periodic grant."""
 
@@ -35,7 +39,6 @@ class SporadicServer:
         period: int = units.ms_to_ticks(100),
         cpu_ticks: int = units.ms_to_ticks(1),
         slice_ticks: int = units.ms_to_ticks(10),
-        poll_cost: int = units.us_to_ticks(10),
         greedy: bool = True,
     ) -> None:
         """``greedy`` makes the server indicate it has work to do at the
@@ -44,7 +47,6 @@ class SporadicServer:
         requests overtime while its queue is non-empty."""
         self.distributor = distributor
         self.slice_ticks = slice_ticks
-        self.poll_cost = poll_cost
         self.greedy = greedy
         self._queue: deque[SimThread] = deque()
         self.definition = TaskDefinition(
@@ -97,7 +99,7 @@ class SporadicServer:
     def _run(self, ctx) -> Generator[Op, None, None]:
         # Ops are immutable; a greedy server yields these two on every
         # dispatch of otherwise-unallocated time.
-        poll = Compute(self.poll_cost)
+        poll = Compute(POLL_COST)
         done = DonePeriod(overtime=self.greedy)
         while True:
             yield poll

@@ -2,9 +2,11 @@
 
 A fuzzer that has never seen a failure is untested.  Each injection
 here plants one deliberate, deterministic defect into a wired
-:class:`ResourceDistributor`; the strict sanitizer must catch it, the
-shrinker must reduce the triggering spec, and replaying the written
-trace (which records the injection name) must reproduce the violation.
+:class:`ResourceDistributor`; an oracle must catch it — the strict
+sanitizer, or for ``trace-double-count`` (which the sanitizer cannot
+see) the offline trace audit — the shrinker must reduce the triggering
+spec, and replaying the written trace (which records the injection
+name) must reproduce the violation.
 
 The injections are instance-level monkey-patches — nothing in the
 production code knows about them, so a clean run is provably clean.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from repro import units
 from repro.errors import SimulationError
+from repro.sim.trace import SegmentKind
 
 #: When the ``terminate-admitted`` kill event fires, into the run.
 _KILL_AT_MS = 20
@@ -54,9 +57,29 @@ def _terminate_admitted(rd) -> None:
     rd.at(units.ms_to_ticks(_KILL_AT_MS), kill, "inject: terminate admitted")
 
 
+def _trace_double_count(rd) -> None:
+    """Record the first granted run one tick longer than it ran, so the
+    next run overlaps it.  Scheduling and accounting are untouched — the
+    live sanitizer never reads run segments and stays clean — but the
+    recorded trace now shows two threads on one CPU: only the offline
+    audit (``invariant:trace-cpu-overlap``) can object."""
+    real_record_run = rd.trace.record_run
+    armed = True
+
+    def record_run(thread_id, start, end, kind, *rest):
+        nonlocal armed
+        if armed and kind is SegmentKind.GRANTED:
+            armed = False
+            end += 1
+        real_record_run(thread_id, start, end, kind, *rest)
+
+    rd.trace.record_run = record_run
+
+
 INJECTIONS = {
     "edf-invert": _edf_invert,
     "terminate-admitted": _terminate_admitted,
+    "trace-double-count": _trace_double_count,
 }
 
 

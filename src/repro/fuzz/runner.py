@@ -10,6 +10,12 @@ happened:
 * ``ok`` — the run completed; every sanitizer stayed clean.
 * ``invariant:<rule>`` — an :class:`InvariantSanitizer` rule fired
   (``edf-order``, ``never-terminated``, ``grant-delivery``, ...).
+* ``invariant:trace-<rule>`` — the live sanitizer stayed clean but the
+  offline audit of the *recorded trace*
+  (:func:`repro.metrics.validate.validate_trace`: ``cpu-overlap``,
+  ``conservation``, ``grant-overrun``, ``period-pulled-in``, ...) did
+  not.  The audit shares no state with the sanitizer, so it is a
+  second, independent opinion on every run that ends ``ok``.
 * ``crash:<ExceptionType>`` — the run died some other way; a kernel /
   task-protocol error the fuzzer tripped over.
 
@@ -27,6 +33,7 @@ from typing import Generator
 from repro import units
 from repro.errors import AdmissionError, ReproError, SanitizerViolation
 from repro.fuzz.spec import ScenarioSpec, TaskSpec
+from repro.metrics.validate import validate_trace
 from repro.sim.rng import derive
 
 #: Hard cap on sporadic arrivals per source (a runaway guard, not a tune).
@@ -275,6 +282,11 @@ class _CoreRun:
         )
         if outcome == "ok" and violations:
             outcome, detail = f"invariant:{_last_rule(sanitizer)}", violations[-1]
+        if outcome == "ok":
+            audit = _trace_audit(self.rd)
+            if audit:
+                outcome, detail = f"invariant:trace-{audit[0].rule}", str(audit[0])
+                violations += tuple(str(v) for v in audit)
         return RunResult(
             outcome=outcome,
             detail=detail,
@@ -286,6 +298,11 @@ class _CoreRun:
             violations=violations,
             ticks=self.rd.now,
         )
+
+
+def _trace_audit(rd) -> list:
+    """Violations the offline validator finds in ``rd``'s recorded trace."""
+    return validate_trace(rd.trace, end_time=rd.now).violations
 
 
 def _last_rule(sanitizer) -> str:
@@ -357,6 +374,12 @@ def _run_cluster(
         violations.extend(f"{name}: {v}" for v in sanitizer.report.violations)
     if outcome == "ok" and not sim.all_sanitizers_ok:
         outcome, detail = "invariant:unknown", violations[-1] if violations else ""
+    if outcome == "ok":
+        for name in sorted(sim.nodes):
+            audit = _trace_audit(sim.nodes[name].rd)
+            if audit and outcome == "ok":
+                outcome, detail = f"invariant:trace-{audit[0].rule}", f"{name}: {audit[0]}"
+            violations.extend(f"{name}: {v}" for v in audit)
     placed = tuple(sorted(sim.broker.placements))
     return RunResult(
         outcome=outcome,

@@ -17,8 +17,7 @@ tables, a resolved call graph, a lightweight abstract interpreter —
 and checks what no single module can show: **tick-units** dimensional
 analysis, **determinism-reach** (wallclock/RNG sinks reachable through
 any call chain), **shared-state-race**, and **rpc-exception-safety**.
-Grandfathered flow findings live in the committed
-``lint-baseline.json``.
+Both tiers gate at zero findings.
 
 Run as ``python -m repro.lint src/`` (or the ``repro-lint`` console
 script); see :mod:`repro.lint.cli` for flags and exit codes, and

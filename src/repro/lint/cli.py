@@ -26,14 +26,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import (
-    BaselineError,
-    apply_baseline,
-    find_default_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.config import LintConfig, LintConfigError, load_config
+from repro.lint.config import LintConfigError, load_config
 from repro.lint.engine import iter_rule_catalog, rule_catalog_hash, run_lint
 from repro.lint.flow import FLOW_RULE_CLASSES
 from repro.lint.rules import RULE_CLASSES
@@ -44,7 +37,7 @@ EXIT_ERROR = 2
 
 #: Version of the ``--format=json`` payload.  Bump when its shape
 #: changes; consumers (the CI diff gate) reject unknown versions.
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,21 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the flow tier even if the config enables it",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="baseline file of grandfathered findings to subtract "
-        "(default: [tool.repro-lint] baseline, else lint-baseline.json "
-        "found upward of the current directory when --flow is on)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit "
-        "clean (acknowledges today's debt; new findings still fail)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog (both tiers) and exit",
@@ -149,35 +127,6 @@ def _explain(rule_id: str) -> int:
     return EXIT_ERROR
 
 
-def _resolve_baseline(args, config: LintConfig, flow: bool) -> Path | None:
-    if args.baseline is not None:
-        return args.baseline
-    if not flow:
-        # The classic tier has always gated at zero findings and keeps
-        # doing so; flow-tier baseline entries would only read as
-        # stale noise there.
-        return None
-    configured = config.baseline_path()
-    if configured is not None:
-        return configured
-    return find_default_baseline()
-
-
-def _entry_in_scope(entry: dict, paths: list[Path]) -> bool:
-    recorded = entry.get("path")
-    if not isinstance(recorded, str):
-        return True  # malformed entry: never hide it
-    try:
-        resolved = Path(recorded).resolve()
-    except OSError:
-        return True
-    for scanned in paths:
-        root = scanned.resolve()
-        if resolved == root or root in resolved.parents:
-            return True
-    return False
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
@@ -206,30 +155,6 @@ def main(argv: list[str] | None = None) -> int:
 
     violations = run_lint(paths, config=config, flow=flow)
 
-    baseline_path = _resolve_baseline(args, config, flow)
-    if args.write_baseline:
-        if baseline_path is None:
-            baseline_path = Path("lint-baseline.json")
-        count = write_baseline(baseline_path, violations)
-        print(
-            f"repro-lint: wrote {count} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return EXIT_CLEAN
-
-    stale: list[dict] = []
-    if baseline_path is not None and baseline_path.is_file():
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"repro-lint: baseline error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        violations, stale = apply_baseline(violations, baseline)
-        # An entry is only *stale* if this run actually scanned where it
-        # points; a run scoped to a subtree must not condemn entries for
-        # files it never looked at.
-        stale = [e for e in stale if _entry_in_scope(e, paths)]
-
     if args.format == "json":
         payload = {
             "schema_version": JSON_SCHEMA_VERSION,
@@ -237,7 +162,6 @@ def main(argv: list[str] | None = None) -> int:
             "flow": flow,
             "count": len(violations),
             "violations": [v.to_dict() for v in violations],
-            "stale_baseline_entries": stale,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -245,13 +169,6 @@ def main(argv: list[str] | None = None) -> int:
             print(violation.format())
         if violations:
             print(f"repro-lint: {len(violations)} violation(s)", file=sys.stderr)
-    for entry in stale:
-        print(
-            f"repro-lint: stale baseline entry {entry['fingerprint']} "
-            f"({entry.get('rule', '?')} in {entry.get('path', '?')}): "
-            f"finding no longer present — remove it from the baseline",
-            file=sys.stderr,
-        )
     return EXIT_VIOLATIONS if violations else EXIT_CLEAN
 
 

@@ -7,24 +7,19 @@ Recognised keys::
     enable  = ["layering"]           # if set, ONLY these rules run
     exclude = ["src/repro/viz"]      # path prefixes never scanned
     flow    = true                   # run the whole-program tier by default
-    baseline = "lint-baseline.json"  # grandfathered findings (flow tier)
 
 ``enable`` and ``disable`` compose: ``enable`` first restricts the rule
 set, then ``disable`` removes from it.  Unknown rule ids in either list
 are a configuration error (exit code 2) so typos don't silently turn a
-gate off.  ``flow`` and ``baseline`` set defaults for the ``--flow`` /
-``--baseline`` CLI flags (the flags win).
+gate off.  ``flow`` sets the default for the ``--flow`` / ``--no-flow``
+CLI flags (the flags win).
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-
-try:  # Python 3.11+
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback, no hard dep
-    tomllib = None
 
 
 class LintConfigError(Exception):
@@ -40,18 +35,7 @@ class LintConfig:
     exclude: tuple[str, ...] = ()
     #: Run the whole-program flow tier unless the CLI says otherwise.
     flow: bool = False
-    #: Baseline file (relative to the config's directory) for
-    #: grandfathered findings; ``None`` = discover / none.
-    baseline: str | None = None
     source: Path | None = field(default=None, compare=False)
-
-    def baseline_path(self) -> Path | None:
-        if self.baseline is None:
-            return None
-        path = Path(self.baseline)
-        if not path.is_absolute() and self.source is not None:
-            path = self.source.parent / path
-        return path
 
     def rule_enabled(self, rule_id: str) -> bool:
         if self.enable and rule_id not in self.enable:
@@ -93,8 +77,6 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
     path = pyproject if pyproject is not None else _find_pyproject()
     if path is None or not path.is_file():
         return LintConfig()
-    if tomllib is None:
-        return LintConfig(source=path)  # pragma: no cover
     try:
         data = tomllib.loads(path.read_text(encoding="utf-8"))
     except tomllib.TOMLDecodeError as exc:
@@ -105,15 +87,11 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
     flow = table.get("flow", False)
     if not isinstance(flow, bool):
         raise LintConfigError("[tool.repro-lint] flow must be a boolean")
-    baseline = table.get("baseline")
-    if baseline is not None and not isinstance(baseline, str):
-        raise LintConfigError("[tool.repro-lint] baseline must be a string path")
     return LintConfig(
         enable=_string_list(table, "enable"),
         disable=_string_list(table, "disable"),
         exclude=_string_list(table, "exclude"),
         flow=flow,
-        baseline=baseline,
         source=path,
     )
 

@@ -19,8 +19,7 @@ across function and module boundaries:
   leak a registered idempotency token.
 
 Enable with ``python -m repro.lint src/ --flow`` (see
-:mod:`repro.lint.cli`); grandfathered findings live in the committed
-baseline file (``lint-baseline.json``).
+:mod:`repro.lint.cli`).
 """
 
 from __future__ import annotations

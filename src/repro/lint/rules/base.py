@@ -38,7 +38,7 @@ class LintViolation:
 
     Flow-tier violations carry a ``witness``: the interprocedural call
     path (``a.f -> b.g -> time.time``) that proves the finding, shown
-    in both output formats and stored in the baseline file.
+    in both output formats.
     """
 
     path: str
@@ -63,30 +63,6 @@ class LintViolation:
             "message": self.message,
             "witness": list(self.witness),
         }
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Line and column numbers are deliberately excluded so unrelated
-        edits above a grandfathered finding do not un-grandfather it;
-        the witness path pins the finding to its call chain instead.
-        """
-        import hashlib
-
-        key = "|".join(
-            (_posix_relpath(self.path), self.rule_id, self.message, *self.witness)
-        )
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-
-
-def _posix_relpath(path: str) -> str:
-    """Normalise a violation path for fingerprints (cwd-relative, posix)."""
-    p = Path(path)
-    try:
-        p = p.resolve().relative_to(Path.cwd().resolve())
-    except ValueError:
-        pass
-    return p.as_posix()
 
 
 class Rule:

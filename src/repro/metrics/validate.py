@@ -103,6 +103,11 @@ class TraceValidator:
     def _check_deadline_accounting(self, report: ValidationReport) -> None:
         """Delivered time must match granted segments, and a missed flag
         must match the arithmetic."""
+        # One pass over the segments, so the audit is O(segments + deadlines).
+        granted_runs: dict[tuple[int, int], list] = {}
+        for seg in self.trace.segments:
+            if seg.kind is SegmentKind.GRANTED:
+                granted_runs.setdefault((seg.thread_id, seg.period_index), []).append(seg)
         for d in self.trace.deadlines:
             if d.delivered > d.granted:
                 report.add(
@@ -127,12 +132,8 @@ class TraceValidator:
                 )
             granted_in_window = sum(
                 min(seg.end, d.deadline) - max(seg.start, d.period_start)
-                for seg in self.trace.segments
-                if seg.thread_id == d.thread_id
-                and seg.kind in (SegmentKind.GRANTED,)
-                and seg.start < d.deadline
-                and seg.end > d.period_start
-                and seg.period_index == d.period_index
+                for seg in granted_runs.get((d.thread_id, d.period_index), ())
+                if seg.start < d.deadline and seg.end > d.period_start
             )
             if granted_in_window > d.granted:
                 report.add(

@@ -221,20 +221,16 @@ class ArenaBus(ObsBus):
     attached, the fast paths materialize the event once and fan it out
     after appending.
 
-    ``track_order=True`` additionally keeps the global cross-node
-    interleave so the whole stream can be exported in emission order
-    (and read incrementally through a :class:`StreamCursor`);
-    shipping-only deployments pass ``False`` and keep
-    memory bounded by per-arena capacity alone.
+    The bus also keeps the global cross-node interleave, so the whole
+    stream can be exported in emission order (and read incrementally
+    through a :class:`StreamCursor`).
     """
 
-    def __init__(
-        self, capacity: int | None = None, track_order: bool = True
-    ) -> None:
+    def __init__(self, capacity: int | None = None) -> None:
         super().__init__()
         self.capacity = capacity
         self.arenas: dict[str, EventArena] = {}
-        self._order: list[tuple[str, str]] | None = [] if track_order else None
+        self._order: list[tuple[str, str]] = []
 
     def __bool__(self) -> bool:
         return True
@@ -263,8 +259,7 @@ class ArenaBus(ObsBus):
         """Record one row (``values`` in ``FIELD_PLANS[tag]`` order); the
         typed event exists only if a subscriber is attached to see it."""
         self.arena(node).append_row(tag, values)
-        if self._order is not None:
-            self._order.append((node, tag))
+        self._order.append((node, tag))
         if self._subscribers:
             if event is None:
                 event = EVENT_TYPES[tag](**dict(zip(FIELD_PLANS[tag], values)))
@@ -340,11 +335,6 @@ class ArenaBus(ObsBus):
         skip it by count, no tombstones needed.  Callers exhaust the
         generator; the cursor is only consistent once they have.
         """
-        if self._order is None:
-            raise SimulationError(
-                "this ArenaBus was built with track_order=False; the global "
-                "event stream is only available through shipped chunks"
-            )
         pending = self._order[cursor.index :]
         cursor.index = len(self._order)
         passed = cursor.rows

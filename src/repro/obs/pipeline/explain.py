@@ -20,10 +20,11 @@ deadline:
 When the run shipped its arenas through the telemetry pipeline, the
 report ends with the loss accounting for the miss's node: either "no
 loss" or exactly which kinds dropped how many rows on the way to the
-root.  That section describes the *shipped* view (``pipeline.json``):
-the ``events.*`` artifacts the chain is printed from are written from
-the session's own arenas, so a root-side consumer of the same stream
-would be missing those links even though the printed chain is not.
+root.  That section describes the *shipped* view (``pipeline.json``);
+the chain is printed from the ``events.*`` artifacts, which are written
+from the session's own arenas, so it is the node's full local record
+whatever the root received.  It is labelled *partial* only when a ring
+arena overwrote rows of its own that the missed window reaches.
 """
 
 from __future__ import annotations
@@ -95,8 +96,11 @@ def _chain_lines(chain: list[ObsEvent]) -> list[str]:
     return lines
 
 
-def _loss_lines(miss: AttributedMiss, accounting: dict) -> list[str]:
-    """The telemetry-loss caveat for the miss's node."""
+def _loss_lines(
+    miss: AttributedMiss, accounting: dict, events: list[ObsEvent]
+) -> list[str]:
+    """What the root saw of the miss's node, and whether the chain —
+    read from the node's own arena — can be missing anything."""
     totals = accounting.get("totals", {})
     where = miss.node or "this machine"
     lines = [
@@ -116,18 +120,38 @@ def _loss_lines(miss: AttributedMiss, accounting: dict) -> list[str]:
         for tag, row in sorted(node_kinds.items())
         if row.get("dropped", 0) or row.get("sampled_out", 0)
     }
-    if lossy:
-        lines.append(
-            f"  {where} lost telemetry — the chain above may be missing links:"
-        )
-        for tag, row in lossy.items():
-            lines.append(
-                f"    {tag}: {row['dropped']} dropped, "
-                f"{row['sampled_out']} sampled out of "
-                f"{row['emitted']} emitted"
-            )
-    else:
+    if not lossy:
         lines.append(f"  {where}: no loss — the chain is complete")
+        return lines
+    lines.append(f"  the root received fewer rows than {where} emitted:")
+    for tag, row in lossy.items():
+        lines.append(
+            f"    {tag}: {row['dropped']} dropped, "
+            f"{row['sampled_out']} sampled out of "
+            f"{row['emitted']} emitted"
+        )
+    # A ring arena evicts a kind's oldest rows first, so the window
+    # reaches evicted rows exactly when the oldest surviving row of an
+    # overwritten kind is younger than the window's start.
+    evicted = []
+    for tag, row in lossy.items():
+        if row.get("overwritten", 0):
+            oldest = min(
+                (e.time for e in events if e.type == tag and e.node == miss.node),
+                default=None,
+            )
+            if oldest is None or oldest > miss.start:
+                evicted.append(f"{row['overwritten']} {tag}")
+    if evicted:
+        lines.append(
+            f"  partial: {where}'s ring arena overwrote {', '.join(evicted)} "
+            f"row(s) the window reaches — the chain above lacks them"
+        )
+    else:
+        lines.append(
+            f"  the chain above is read from {where}'s own arena: "
+            f"it is the full local record"
+        )
     return lines
 
 
@@ -194,5 +218,5 @@ def explain_miss(
     ]
     if loss is not None:
         lines.append("")
-        lines.extend(_loss_lines(miss, loss))
+        lines.extend(_loss_lines(miss, loss, events))
     return "\n".join(lines) + "\n"

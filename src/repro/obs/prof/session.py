@@ -40,12 +40,11 @@ class ProfSession:
     def __init__(
         self,
         sampling: bool = True,
-        sample_interval_s: float = 0.005,
         clock=None,
         name: str = "repro",
     ) -> None:
         self.phases = PhaseProfiler(clock=clock)
-        self.sampler = StackSampler(sample_interval_s) if sampling else None
+        self.sampler = StackSampler() if sampling else None
         self.name = name
 
     def start(self) -> None:

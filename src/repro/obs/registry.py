@@ -123,22 +123,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Owns every metric of one observability session.
+    """Owns every metric of one observability session."""
 
-    ``bucket_overrides`` maps a histogram's metric name to replacement
-    bucket bounds, applied when that histogram is registered.  The
-    declared (default) buckets clip long tails for some workloads —
-    e.g. grant-latency distributions on slow periods — and overriding
-    per metric keeps the declaration site unchanged while the exporter
-    output for un-overridden metrics stays byte-identical.
-    """
-
-    def __init__(
-        self,
-        bucket_overrides: dict[str, tuple[float, ...]] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._bucket_overrides = dict(bucket_overrides or {})
 
     def _register(self, metric):
         if metric.name in self._metrics:
@@ -163,7 +151,6 @@ class MetricsRegistry:
         buckets: tuple[float, ...],
         label_names: tuple[str, ...] = (),
     ) -> Histogram:
-        buckets = self._bucket_overrides.get(name, buckets)
         return self._register(Histogram(name, help_text, buckets, label_names))
 
     def get(self, name: str) -> Counter | Gauge | Histogram:

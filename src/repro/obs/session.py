@@ -69,26 +69,17 @@ _SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 class ObsSession:
     """Everything one observed run accumulates.
 
-    ``histogram_buckets`` optionally overrides a histogram metric's
-    bucket bounds by name (e.g. widen
-    ``repro_grant_delivery_latency_ticks`` when a workload's periods
-    are slow enough to clip the default tail); un-overridden metrics
-    keep their defaults and render byte-identically.
-
     Metric values are read through :attr:`registry` (by name) or
     :meth:`metrics_prom`; both fold pending events in first.
     """
 
-    def __init__(
-        self,
-        histogram_buckets: dict[str, tuple[float, ...]] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self.bus = ArenaBus()
         self.spans = SpanTracker()
         #: Set by the cluster layer when chunks ship over a telemetry
         #: plane (:class:`repro.cluster.obs_pipeline.PipelineShipping`).
         self.shipping = None
-        self._registry = MetricsRegistry(bucket_overrides=histogram_buckets)
+        self._registry = MetricsRegistry()
         #: How far into the bus's global order the metrics have caught up.
         self._cursor = StreamCursor()
         self._build_metrics()

@@ -205,9 +205,7 @@ def cluster_rack(
         jitter_ticks=units.us_to_ticks(latency_us) // 2,
         drop_rate=drop_rate,
         machine=_machine("quiet"),
-        broker_config=BrokerConfig(
-            migrate=migrate, telemetry_aimd=telemetry
-        ),
+        broker_config=BrokerConfig(migrate=migrate),
         sanitize=sanitize,
         obs=obs,
         telemetry=telemetry,
@@ -275,3 +273,15 @@ def dual_stream(
         threads=threads,
         extras={"primary": primary, "stream2": stream2, "decoder2": decoder2},
     )
+
+
+#: The single-machine scenarios ``repro report`` and ``repro run`` know
+#: by name; every builder takes ``seed=`` and ``obs=``.
+SCENARIOS = {
+    "table4": table4_trio,
+    "figure4": figure4,
+    "figure5": figure5,
+    "settop": settop,
+    "av": av_pipeline,
+    "dual-stream": dual_stream,
+}

@@ -328,7 +328,7 @@ async def _amain(args) -> int:
 
     specs = load_slo_file(args.slo) if args.slo else None
     prof = None
-    if getattr(args, "profile", None):
+    if args.profile:
         from repro.obs.prof import ProfSession
 
         prof = ProfSession(name="serve")

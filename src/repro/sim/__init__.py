@@ -7,7 +7,6 @@ seeded RNG registry, and a trace recorder that captures everything the
 metrics and visualization layers need.
 """
 
-from repro.sim.backoff import BackoffPolicy
 from repro.sim.clock import DriftingClock, SimClock, TCIClock
 from repro.sim.events import EventQueue, ScheduledEvent
 from repro.sim.messages import BusStats, Envelope, MessageBus
@@ -23,7 +22,6 @@ from repro.sim.trace import (
 )
 
 __all__ = [
-    "BackoffPolicy",
     "BlockRecord",
     "BusStats",
     "ContextSwitchRecord",

@@ -25,6 +25,12 @@ class Render2DStats:
     work_done: int = 0
 
 
+#: Average scene cost as a fraction of the refresh period, and the
+#: uniform jitter (+/-) applied to it frame by frame.
+MEAN_FRAME_COST_FRACTION = 0.25
+COMPLEXITY_JITTER = 0.3
+
+
 class Renderer2D:
     """Refresh-paced 2D renderer with proportional QOS levels."""
 
@@ -32,22 +38,17 @@ class Renderer2D:
         self,
         name: str = "2D",
         refresh_hz: float = 72.0,
-        mean_frame_cost_fraction: float = 0.25,
-        complexity_jitter: float = 0.3,
         levels: tuple[float, ...] = (0.35, 0.25, 0.15, 0.08),
     ) -> None:
-        """``levels`` are the QOS rates offered (fractions of the CPU);
-        ``mean_frame_cost_fraction`` is the average scene cost as a
-        fraction of the period, jittered by ``complexity_jitter``."""
+        """``levels`` are the QOS rates offered (fractions of the CPU)."""
         self.name = name
         self.period = units.hz_to_period_ticks(refresh_hz)
-        self.mean_frame_cost = round(self.period * mean_frame_cost_fraction)
-        self.complexity_jitter = complexity_jitter
+        self.mean_frame_cost = round(self.period * MEAN_FRAME_COST_FRACTION)
         self.levels = levels
         self.stats = Render2DStats()
 
     def _next_frame_cost(self, ctx: TaskContext) -> int:
-        jitter = 1.0 + ctx.rng.uniform(-self.complexity_jitter, self.complexity_jitter)
+        jitter = 1.0 + ctx.rng.uniform(-COMPLEXITY_JITTER, COMPLEXITY_JITTER)
         return max(1, round(self.mean_frame_cost * jitter))
 
     def render(self, ctx: TaskContext) -> Generator[Op, None, None]:

@@ -21,6 +21,8 @@ from repro.tasks.base import Compute, Op, TaskContext, TaskDefinition
 #: Table 4: the modem's period and CPU requirement.
 MODEM_PERIOD = 270_000
 MODEM_CPU = 27_000
+#: Line samples processed per period, each one a progress point.
+SAMPLES_PER_PERIOD = 80
 
 
 @dataclass
@@ -32,17 +34,16 @@ class ModemStats:
 class Modem:
     """A soft modem that answers the phone."""
 
-    def __init__(self, name: str = "Modem", samples_per_period: int = 80) -> None:
+    def __init__(self, name: str = "Modem") -> None:
         self.name = name
-        self.samples_per_period = samples_per_period
         self.stats = ModemStats()
 
     def service(self, ctx: TaskContext) -> Generator[Op, None, None]:
         """Process one period's worth of line samples."""
         grant = ctx.grant
         assert grant is not None
-        sample = Compute(max(1, grant.cpu_ticks // self.samples_per_period))
-        for _ in range(self.samples_per_period):
+        sample = Compute(max(1, grant.cpu_ticks // SAMPLES_PER_PERIOD))
+        for _ in range(SAMPLES_PER_PERIOD):
             yield sample
             self.stats.samples_processed += 1
         self.stats.periods_serviced += 1

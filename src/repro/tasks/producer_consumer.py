@@ -53,15 +53,18 @@ def _single_entry(name: str, cpu_ms: float, function) -> TaskDefinition:
     )
 
 
+#: CPU time to produce one item; consuming one costs a quarter of it.
+ITEM_COST = units.ms_to_ticks(1)
+
+
 class Figure4Workload:
     """Builds the Figure 4 thread set (buggy or fixed data management)."""
 
-    def __init__(self, fixed: bool = False, item_cost: int = units.ms_to_ticks(1)) -> None:
+    def __init__(self, fixed: bool = False) -> None:
         """``fixed=False`` reproduces the paper's run, where the data
         threads spin; ``fixed=True`` applies the fix the paper suggests
         (block on an event set by the producer)."""
         self.fixed = fixed
-        self.item_cost = item_cost
         self.stats = PCStats()
         self.channel7 = Channel("producer7.data")
         self.channel9 = Channel("producer9.data")
@@ -70,7 +73,7 @@ class Figure4Workload:
 
     def producer7(self, ctx: TaskContext) -> Generator[Op, None, None]:
         """13 ms requirement; produces forever, never reports done."""
-        item = Compute(self.item_cost)
+        item = Compute(ITEM_COST)
         while True:
             yield item
             self.stats.items_produced += 1
@@ -80,8 +83,8 @@ class Figure4Workload:
         """3 ms requirement; completes its work each period."""
         grant = ctx.grant
         assert grant is not None
-        items = max(1, grant.cpu_ticks // self.item_cost)
-        item = Compute(self.item_cost)
+        items = max(1, grant.cpu_ticks // ITEM_COST)
+        item = Compute(ITEM_COST)
         for _ in range(items):
             yield item
             self.stats.items_produced += 1
@@ -93,7 +96,7 @@ class Figure4Workload:
     def _consume(
         self, ctx: TaskContext, channel: Channel
     ) -> Generator[Op, None, None]:
-        process = Compute(self.item_cost // 4)
+        process = Compute(ITEM_COST // 4)
         if self.fixed:
             wait = Block(channel)
             while True:

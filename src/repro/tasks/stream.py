@@ -29,6 +29,8 @@ from repro.tasks.mpeg import DEFAULT_GOP, FRAME_COST_FACTOR
 
 #: Nominal frame period: 30 fps on the 27 MHz clock.
 FRAME_PERIOD = 900_000
+#: The live decoder's single grant, as a fraction of its period.
+CPU_FRACTION = 1 / 3
 
 
 @dataclass
@@ -144,7 +146,6 @@ class LiveMpegDecoder:
         name: str | None = None,
         synchronize: bool = True,
         max_skew_ppm: float = 5_000.0,
-        cpu_fraction: float = 1 / 3,
     ) -> None:
         self.stream = stream
         self.name = name or f"{stream.name}.decoder"
@@ -154,7 +155,7 @@ class LiveMpegDecoder:
             self.period = conservative_period(FRAME_PERIOD, max_skew_ppm)
         else:
             self.period = FRAME_PERIOD
-        self.cpu_ticks = max(1, round(self.period * cpu_fraction))
+        self.cpu_ticks = max(1, round(self.period * CPU_FRACTION))
         #: One decode op per frame type: the cost depends on nothing else.
         self._decode_op = {
             frame: Compute(

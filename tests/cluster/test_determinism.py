@@ -35,6 +35,38 @@ class TestDeterminism:
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
+#: (time, request id, attempt, node) of every retransmission in
+#: ``cluster_rack(seed=7, drop_rate=0.05)``, recorded at 34dfe56 while
+#: the cadence still came from ``BackoffPolicy(factor=1.0)``: attempt
+#: N fires RPC_TIMEOUT_TICKS (135,000) after attempt N-1.
+RETRY_SCHEDULE_SEED_7 = [
+    (2412000, "admit:stb03-audio:8", 2, "node03"),
+    (5412000, "admit:stb07-audio:16", 2, "node03"),
+    (5547000, "admit:stb07-audio:16", 3, "node03"),
+    (17692029, "remove:stb09-video:36", 2, "node01"),
+    (17827029, "remove:stb09-video:36", 3, "node01"),
+    (18885000, "remove:stb04-audio:40", 2, "node00"),
+    (19635000, "remove:stb08-audio:44", 2, "node00"),
+    (19635000, "remove:stb08-video:43", 2, "node02"),
+    (19770000, "remove:stb08-video:43", 3, "node02"),
+    (23091545, "remove:stb10-video:50", 2, "node02"),
+]
+
+
+def test_retry_schedule_is_the_recorded_fixed_cadence():
+    from repro.obs import ObsSession
+
+    session = ObsSession()
+    sim = cluster_rack(seed=7, drop_rate=0.05, obs=session)
+    sim.run_until(sim.horizon)
+    retries = [
+        (e.time, e.request_id, e.attempt, e.dst)
+        for e in session.bus.materialize()
+        if e.type == "rpc" and e.action == "retry"
+    ]
+    assert retries == RETRY_SCHEDULE_SEED_7
+
+
 class TestLossyGuarantees:
     def test_drops_cause_retries_but_no_broken_guarantees(self):
         """The acceptance bar: with drop-rate > 0 the broker retries (or

@@ -2,6 +2,7 @@
 
 from repro import units
 from repro.cluster import BrokerConfig, ClusterSimulation
+from repro.cluster import broker as broker_module
 from repro.config import ContextSwitchCosts, MachineConfig
 from repro.tasks.mpeg import MpegDecoder
 from repro.workloads import single_entry_definition
@@ -20,7 +21,6 @@ class TestAimdDynamics:
             seed=7,
             policy="first-fit",
             horizon=ms(400),
-            epoch_ticks=ms(50),
             machine=QUIET,
             broker_config=BrokerConfig(migrate=False),
         )
@@ -34,38 +34,37 @@ class TestAimdDynamics:
         assert weights["node00"] < 1.0
         assert weights["node01"] > 1.0
 
-    def test_weights_stay_within_configured_bounds(self):
-        config = BrokerConfig(
-            migrate=False, ai_step=5.0, md_factor=0.01, weight_min=0.2, weight_max=2.0
-        )
+    def test_weights_stay_within_configured_bounds(self, monkeypatch):
+        # Steps large enough to hit both ends of the clamp in one run.
+        monkeypatch.setattr(broker_module, "AI_STEP", 5.0)
+        monkeypatch.setattr(broker_module, "MD_FACTOR", 0.01)
         sim = ClusterSimulation(
             node_count=2,
             seed=7,
             policy="first-fit",
             horizon=ms(600),
-            epoch_ticks=ms(50),
             machine=QUIET,
-            broker_config=config,
+            broker_config=BrokerConfig(migrate=False),
         )
         for i in range(4):
             decoder = MpegDecoder(f"mpeg{i}")
             sim.submit_at(ms(1 + i), decoder.name, decoder.definition())
         sim.run_until(sim.horizon)
         weights = sim.broker.weights()
-        assert weights["node00"] == 0.2  # clamped at weight_min
-        assert weights["node01"] == 2.0  # clamped at weight_max
+        assert weights["node00"] == broker_module.WEIGHT_MIN
+        assert weights["node01"] == broker_module.WEIGHT_MAX
 
-    def test_low_headroom_counts_as_overload_without_degradation(self):
+    def test_low_headroom_counts_as_overload_without_degradation(self, monkeypatch):
         """A node packed with single-entry tasks never degrades, but its
         headroom sits under the threshold — AIMD still sheds it."""
+        monkeypatch.setattr(broker_module, "OVERLOAD_HEADROOM", 0.10)
         sim = ClusterSimulation(
             node_count=2,
             seed=7,
             policy="first-fit",
             horizon=ms(300),
-            epoch_ticks=ms(50),
             machine=QUIET,
-            broker_config=BrokerConfig(overload_headroom=0.10, migrate=False),
+            broker_config=BrokerConfig(migrate=False),
         )
         sim.submit_at(ms(1), "big", single_entry_definition("big", 30, 0.9))
         sim.run_until(sim.horizon)
@@ -76,15 +75,13 @@ class TestAimdDynamics:
     def test_recovery_restores_weight_additively(self):
         """After the load departs, healthy reports rebuild the weight one
         additive step per epoch."""
-        config = BrokerConfig(migrate=False, ai_step=0.1, md_factor=0.5)
         sim = ClusterSimulation(
             node_count=1,
             seed=7,
             policy="first-fit",
             horizon=ms(800),
-            epoch_ticks=ms(50),
             machine=QUIET,
-            broker_config=config,
+            broker_config=BrokerConfig(migrate=False),
         )
         for i in range(4):
             decoder = MpegDecoder(f"mpeg{i}")

@@ -2,6 +2,7 @@
 
 from repro import units
 from repro.cluster import BrokerConfig, ClusterSimulation
+from repro.cluster import broker as broker_module
 from repro.config import ContextSwitchCosts, MachineConfig
 from repro.tasks.mpeg import MpegDecoder
 
@@ -12,9 +13,7 @@ def ms(x):
     return units.ms_to_ticks(x)
 
 
-def overloaded_sim(
-    migrate=True, nodes=2, decoders=4, seed=7, latency_ticks=None, **broker_kwargs
-):
+def overloaded_sim(migrate=True, nodes=2, decoders=4, seed=7, latency_ticks=None):
     """node00 packed with multi-level MPEG decoders, node01 empty.
 
     Four decoders want 4 x 33.3% maxima on a 96% node, so grant control
@@ -24,10 +23,9 @@ def overloaded_sim(
         seed=seed,
         policy="first-fit",
         horizon=ms(800),
-        epoch_ticks=ms(50),
         latency_ticks=latency_ticks,
         machine=QUIET,
-        broker_config=BrokerConfig(migrate=migrate, **broker_kwargs),
+        broker_config=BrokerConfig(migrate=migrate),
     )
     for i in range(decoders):
         decoder = MpegDecoder(f"mpeg{i}")
@@ -60,10 +58,11 @@ class TestMigrationTrigger:
         # stays admitted on node00.
         assert all(p.node == "node00" for p in sim.broker.placements.values())
 
-    def test_transient_overload_does_not_migrate(self):
+    def test_transient_overload_does_not_migrate(self, monkeypatch):
         """The overload streak resets on a healthy report, so a node must
-        stay overloaded for overload_epochs consecutive reports."""
-        sim = overloaded_sim(overload_epochs=1000)
+        stay overloaded for OVERLOAD_EPOCHS consecutive reports."""
+        monkeypatch.setattr(broker_module, "OVERLOAD_EPOCHS", 1000)
+        sim = overloaded_sim()
         sim.run_until(sim.horizon)
         assert sim.broker.stats.migrations_started == 0
 
@@ -107,8 +106,7 @@ class TestDegradePreferred:
             seed=7,
             policy="first-fit",
             horizon=ms(600),
-            epoch_ticks=ms(50),
-            machine=QUIET,
+                machine=QUIET,
         )
         # 5 decoders per node: committed 5 x 16.7% = 83.5%, headroom
         # 12.5% < the 16.7% minimum any migration would need.

@@ -14,6 +14,7 @@ from repro import MachineConfig, SimConfig, SporadicServer, TaskDefinition, unit
 from repro.baselines.base import BaselineSystem
 from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.core.sporadic import POLL_COST
 from repro.core.threads import ThreadState
 from repro.tasks.base import Block, Compute, DonePeriod, InsertIdleCycles
 from repro.tasks.channels import Channel
@@ -290,7 +291,7 @@ class TestHeapBounds:
         switches_before = len(rd.trace.switches)
         rd.run_for(units.sec_to_ticks(1.3))
         # Each poll is one 10 us Compute of the server in overtime.
-        assert server.thread.total_overtime_ticks >= 100_000 * server.poll_cost
+        assert server.thread.total_overtime_ticks >= 100_000 * POLL_COST
         assert len(rd.trace.switches) > switches_before
         live = live_threads(rd)
         for name, size in heap_sizes(rd).items():

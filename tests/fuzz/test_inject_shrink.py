@@ -59,9 +59,37 @@ class TestInjection:
         assert result.ticks == 2 * period  # inject._KILL_AT_MS
         assert result.decisions_checked == 6
 
+    def test_trace_double_count_passes_the_sanitizer_and_fails_the_audit(self):
+        """One tick recorded twice: nothing the live checks look at
+        moved, so only the offline trace audit can object."""
+        spec = generate(0)
+        clean = run_spec(spec)
+        result = run_spec(spec, inject="trace-double-count")
+        assert result.outcome == "invariant:trace-cpu-overlap"
+        # The strict sanitizer ran to the horizon and saw nothing.
+        assert result.ticks == spec.horizon_ticks
+        assert result.decisions_checked == clean.decisions_checked
+        rules = {v[1 : v.index("]")] for v in result.violations}
+        assert rules <= {"cpu-overlap", "grant-overrun", "conservation"}
+        shrunk = shrink(spec, result.outcome, inject="trace-double-count")
+        assert len(shrunk.spec.tasks) <= len(spec.tasks)
+        assert (
+            run_spec(shrunk.spec, inject="trace-double-count").outcome
+            == result.outcome
+        )
+
+    def test_trace_audit_runs_on_every_cluster_node(self):
+        spec = generate(0, cluster=True)
+        assert run_spec(spec).ok
+        result = run_spec(spec, inject="trace-double-count")
+        assert result.outcome == "invariant:trace-cpu-overlap"
+        assert result.detail.startswith("node00: [cpu-overlap]")
+
     def test_registry_names_are_stable(self):
         # CI and the CLI --inject choices key off these names.
-        assert set(INJECTIONS) == {"edf-invert", "terminate-admitted"}
+        assert set(INJECTIONS) == {
+            "edf-invert", "terminate-admitted", "trace-double-count"
+        }
 
 
 class TestShrink:

@@ -52,15 +52,12 @@ class TestJsonOutput:
         assert code == EXIT_CLEAN
         assert json.loads(capsys.readouterr().out)["count"] == 0
 
-    def test_payload_is_self_describing(self, tmp_path, capsys):
-        empty = tmp_path / "b.json"
-        empty.write_text('{"schema_version": 1, "findings": []}')
-        main([str(FLOWTREE), "--flow", "--format=json", "--baseline", str(empty)])
+    def test_payload_is_self_describing(self, capsys):
+        main([str(FLOWTREE), "--flow", "--format=json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == JSON_SCHEMA_VERSION
         assert payload["rule_catalog_hash"] == rule_catalog_hash()
         assert payload["flow"] is True
-        assert payload["stale_baseline_entries"] == []
         witnessed = [v for v in payload["violations"] if v["witness"]]
         assert witnessed, "flow findings must serialize their witness paths"
 
@@ -120,103 +117,9 @@ class TestFlowTier:
                 "--flow",
                 "--config",
                 str(REPO / "pyproject.toml"),
-                "--baseline",
-                str(REPO / "lint-baseline.json"),
             ]
         )
-        captured = capsys.readouterr()
-        assert code == EXIT_CLEAN, captured.out
-        assert "stale" not in captured.err
-
-
-class TestBaselineFlags:
-    def test_baseline_subtracts_known_findings(self, tmp_path, capsys):
-        target = FLOWTREE / "repro/cluster/bad_rpc.py"
-        baseline = tmp_path / "b.json"
-        assert main([str(FLOWTREE), "--flow", "--write-baseline",
-                     "--baseline", str(baseline)]) == EXIT_CLEAN
-        capsys.readouterr()
-        code = main([str(FLOWTREE), "--flow", "--baseline", str(baseline)])
-        captured = capsys.readouterr()
-        assert code == EXIT_CLEAN
-        assert captured.out == ""
-        assert str(target) not in captured.out
-
-    def _stale_baseline(self, tmp_path, entry_path):
-        baseline = tmp_path / "b.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema_version": 1,
-                    "findings": [
-                        {
-                            "fingerprint": "deadbeefdeadbeef",
-                            "rule": "tick-units",
-                            "path": entry_path,
-                            "message": "long since fixed",
-                            "witness": [],
-                        }
-                    ],
-                }
-            )
-        )
-        return baseline
-
-    def test_stale_entries_warn_on_stderr(self, tmp_path, capsys):
-        baseline = self._stale_baseline(
-            tmp_path, str(FLOWTREE / "repro/core/good_units.py")
-        )
-        code = main(
-            [
-                str(FLOWTREE / "repro/core/good_units.py"),
-                "--flow",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == EXIT_CLEAN  # stale entries warn, never fail
-        assert "stale baseline entry deadbeefdeadbeef" in captured.err
-        assert "remove it from the baseline" in captured.err
-
-    def test_out_of_scope_entries_are_not_stale(self, tmp_path, capsys):
-        # A run scoped to a subtree must not condemn baseline entries
-        # for files it never scanned.
-        baseline = self._stale_baseline(tmp_path, "src/repro/cluster/broker.py")
-        code = main(
-            [
-                str(FLOWTREE / "repro/core/good_units.py"),
-                "--flow",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == EXIT_CLEAN
-        assert "stale" not in captured.err
-
-    def test_malformed_baseline_is_a_usage_error(self, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        baseline.write_text("{broken")
-        code = main(
-            [str(TREE / "repro/core/clean.py"), "--baseline", str(baseline)]
-        )
-        assert code == EXIT_ERROR
-        assert "baseline error" in capsys.readouterr().err
-
-    def test_baseline_ignored_without_flow(self, capsys):
-        # Classic runs must not report flow-tier baseline entries as stale.
-        code = main(
-            [
-                str(REPO / "src"),
-                "--no-flow",
-                "--config",
-                str(REPO / "pyproject.toml"),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == EXIT_CLEAN
-        assert "stale" not in captured.err
+        assert code == EXIT_CLEAN, capsys.readouterr().out
 
 
 class TestListRules:

@@ -647,8 +647,9 @@ class TestExplain:
         assert "... 2 more involuntary preemptions ..." in rendered
         assert "qos-degraded" in rendered and "preemption-storm" in rendered
 
-    def test_loss_section_names_the_missing_links(self):
-        loss = {
+    @staticmethod
+    def _loss(kind: str, overwritten: int) -> dict:
+        return {
             "totals": {
                 "emitted": 20,
                 "delivered": 15,
@@ -658,20 +659,70 @@ class TestExplain:
             "nodes": {
                 "n0": {
                     "kinds": {
-                        "grant-change": {
+                        kind: {
                             "emitted": 3,
                             "delivered": 1,
                             "dropped": 2,
                             "sampled_out": 0,
+                            "overwritten": overwritten,
                         }
                     }
                 }
             },
         }
-        rendered = explain_miss(miss_stream(), "video", loss=loss)
+
+    def test_loss_section_names_the_missing_links(self):
+        rendered = explain_miss(
+            miss_stream(), "video", loss=self._loss("grant-change", 0)
+        )
         assert "15/20 events delivered, 5 dropped" in rendered
-        assert "n0 lost telemetry" in rendered
+        assert "the root received fewer rows than n0 emitted" in rendered
         assert "grant-change: 2 dropped" in rendered
+        # Shipping loss is about the root's view: the chain is read from
+        # the node's arena and is not missing anything.
+        assert "it is the full local record" in rendered
+        assert "partial" not in rendered and "may be missing" not in rendered
+
+    def test_chain_is_partial_only_where_a_ring_overwrote_the_window(self):
+        # The missed window opens at t=50.  The oldest surviving
+        # grant-change row is t=100, so evicted ones may lie inside it;
+        # the oldest surviving admission is t=0, so none can.
+        partial = explain_miss(
+            miss_stream(), "video", loss=self._loss("grant-change", 2)
+        )
+        assert "partial: n0's ring arena overwrote 2 grant-change row(s)" in partial
+        assert "full local record" not in partial
+        whole = explain_miss(
+            miss_stream(), "video", loss=self._loss("admission", 2)
+        )
+        assert "partial" not in whole and "full local record" in whole
+
+    def test_lossy_cluster_rack_chain_is_the_full_local_record(self, tmp_path):
+        """A rack that really loses chunks (10 % drop) and really misses
+        (anti-EDF injected): the root lacks rows, the explanation does
+        not."""
+        from repro.fuzz.inject import INJECTIONS
+        from repro.obs.analysis import load_events
+        from repro.scenarios import cluster_rack
+
+        session = ObsSession()
+        sim = cluster_rack(
+            seed=7, drop_rate=0.1, horizon_sec=0.5, sanitize=False,
+            obs=session, obs_pipeline=True,
+        )
+        for node in sim.nodes.values():
+            INJECTIONS["edf-invert"](node.rd)
+        sim.run_until(sim.horizon)
+        session.write(tmp_path, sim.now)
+        loss = json.loads((tmp_path / "pipeline.json").read_text())
+        events = load_events(tmp_path)
+        assert loss["totals"]["dropped"] > 0
+        assert len(events) == loss["totals"]["emitted"]  # nothing lost locally
+        rendered = explain_miss(events, "node00/stb00-audio", loss=loss)
+        assert "the root received fewer rows than node00 emitted" in rendered
+        assert "period-close: " in rendered.split("telemetry loss accounting:")[1]
+        assert "node00's own arena: it is the full local record" in rendered
+        assert "partial" not in rendered
 
     def test_complete_chain_says_so(self):
         loss = {"totals": {"emitted": 1, "delivered": 1}, "nodes": {}}

@@ -17,37 +17,6 @@ def build():
     return registry
 
 
-class TestBucketOverrideStability:
-    def test_unoverridden_metrics_render_byte_identically(self):
-        # Configuring overrides for OTHER metrics must not perturb the
-        # exposition of metrics using their declared buckets.
-        baseline = render_prometheus(build())
-
-        def build_with_unrelated_override():
-            registry = MetricsRegistry(
-                bucket_overrides={"repro_unrelated": (1.0, 2.0)}
-            )
-            c = registry.counter("repro_hops_total", "RPC hops", ("node",))
-            c.inc(3, node="node00")
-            c.inc(node="node01")
-            g = registry.gauge("repro_headroom", "headroom")
-            g.set(0.25)
-            h = registry.histogram("repro_lat", "latency", (1.0, 10.0))
-            h.observe(0.5)
-            h.observe(4.0)
-            return registry
-
-        assert render_prometheus(build_with_unrelated_override()) == baseline
-
-    def test_overridden_histogram_renders_its_new_buckets(self):
-        registry = MetricsRegistry(bucket_overrides={"repro_lat": (5.0,)})
-        h = registry.histogram("repro_lat", "latency", (1.0, 10.0))
-        h.observe(4.0)
-        text = render_prometheus(registry)
-        assert 'repro_lat_bucket{le="5"} 1\n' in text
-        assert 'le="1"' not in text and 'le="10"' not in text
-
-
 class TestRendering:
     def test_help_and_type_headers(self):
         text = render_prometheus(build())

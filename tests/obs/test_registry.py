@@ -63,32 +63,6 @@ class TestHistogram:
             registry.histogram("lat", "lat", (5.0, 1.0))
 
 
-class TestBucketOverrides:
-    def test_override_replaces_declared_buckets(self):
-        registry = MetricsRegistry(bucket_overrides={"lat": (2.0, 20.0, 200.0)})
-        h = registry.histogram("lat", "lat", (1.0, 10.0))
-        assert h.buckets == (2.0, 20.0, 200.0)
-
-    def test_only_the_named_metric_is_overridden(self):
-        registry = MetricsRegistry(bucket_overrides={"lat": (2.0, 20.0)})
-        other = registry.histogram("other", "other", (1.0, 10.0))
-        assert other.buckets == (1.0, 10.0)
-
-    def test_override_for_an_unregistered_metric_is_inert(self):
-        registry = MetricsRegistry(bucket_overrides={"never_declared": (1.0,)})
-        h = registry.histogram("lat", "lat", (1.0, 10.0))
-        assert h.buckets == (1.0, 10.0)
-
-    def test_unsorted_override_is_rejected_at_registration(self):
-        registry = MetricsRegistry(bucket_overrides={"lat": (5.0, 1.0)})
-        with pytest.raises(SimulationError, match="sorted"):
-            registry.histogram("lat", "lat", (1.0, 10.0))
-
-    def test_default_construction_is_unchanged(self):
-        h = MetricsRegistry().histogram("lat", "lat", (1.0, 10.0))
-        assert h.buckets == (1.0, 10.0)
-
-
 class TestRegistry:
     def test_duplicate_names_are_rejected(self, registry):
         registry.counter("x", "x")

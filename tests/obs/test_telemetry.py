@@ -191,18 +191,15 @@ class TestPartialRackVisibility:
 
     @staticmethod
     def make_broker():
-        from repro.cluster.broker import BrokerConfig, ClusterBroker
+        from repro.cluster.broker import ClusterBroker
         from repro.cluster.placement import make_policy
         from repro.sim.messages import MessageBus
         from repro.sim.rng import RngRegistry
 
         bus = MessageBus(RngRegistry(7).stream("bus"))
-        config = BrokerConfig(
-            telemetry_aimd=True, telemetry_staleness_ticks=100
-        )
-        return ClusterBroker(
-            bus, {"n0": 1.0, "n1": 1.0}, make_policy("best-fit"), config
-        )
+        broker = ClusterBroker(bus, {"n0": 1.0, "n1": 1.0}, make_policy("best-fit"))
+        broker.telemetry_aimd = True
+        return broker
 
     def test_silent_nodes_weight_does_not_move(self):
         broker = self.make_broker()
@@ -215,10 +212,13 @@ class TestPartialRackVisibility:
     def test_stale_snapshot_is_ingested_but_not_acted_on(self):
         broker = self.make_broker()
         before = broker.views["n0"].weight
-        # Delivered 400 ticks after it was cut: outside the bound.  The
-        # aggregator still keeps it (it is the freshest view of n0), but
-        # the weight stays where it is.
-        broker._on_telemetry(snap("n0", time=100, seq=1, qos=0.5), now=500)
+        # Delivered one tick past the staleness bound.  The aggregator
+        # still keeps it (it is the freshest view of n0), but the
+        # weight stays where it is.
+        from repro.cluster.broker import TELEMETRY_STALENESS_TICKS
+
+        late = 100 + TELEMETRY_STALENESS_TICKS + 1
+        broker._on_telemetry(snap("n0", time=100, seq=1, qos=0.5), now=late)
         assert broker.telemetry.observed_load("n0") is not None
         assert broker.views["n0"].weight == before
 

@@ -234,7 +234,7 @@ class TestLossAccountingInvariant:
         sampled_out, and overwritten <= dropped — for every combination
         of ring size, head/tail sampling, flush cadence, and transport
         drop/duplicate pattern."""
-        bus = ArenaBus(capacity=capacity, track_order=False)
+        bus = ArenaBus(capacity=capacity)
         root = RootCollector()
         transport = _FatefulTransport(root, fates)
         shippers = {}
@@ -284,7 +284,7 @@ class TestLossAccountingInvariant:
         """When every chunk is delivered at least once (dups collapse),
         the accounting reports zero loss — the invariant's floor."""
         delivered_fates = ["dup" if f == "dup" else "deliver" for f in fates]
-        bus = ArenaBus(track_order=False)
+        bus = ArenaBus()
         root = RootCollector()
         transport = _FatefulTransport(root, delivered_fates)
         shippers = {}

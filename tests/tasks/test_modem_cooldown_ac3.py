@@ -5,7 +5,7 @@ import pytest
 from repro import units
 from repro.tasks.ac3 import AC3_FULL_COST, AC3_PERIOD, Ac3Decoder
 from repro.tasks.cooldown import CooldownTask
-from repro.tasks.modem import MODEM_CPU, MODEM_PERIOD, Modem
+from repro.tasks.modem import MODEM_CPU, MODEM_PERIOD, SAMPLES_PER_PERIOD, Modem
 
 
 class TestModem:
@@ -23,7 +23,7 @@ class TestModem:
         ideal_rd.admit(modem.definition(start_quiescent=False))
         ideal_rd.run_for(units.ms_to_ticks(50))
         assert modem.stats.periods_serviced >= 4
-        assert modem.stats.samples_processed >= 4 * modem.samples_per_period
+        assert modem.stats.samples_processed >= 4 * SAMPLES_PER_PERIOD
         assert not ideal_rd.trace.misses()
 
 
