@@ -7,58 +7,15 @@ measured table: admissions, miss rates, useful utilization, and the
 per-system failure mode.
 """
 
-import pytest
-
-from repro import AdmissionError, MachineConfig, SimConfig, units
-from repro.baselines import (
-    NaiveEdfSystem,
-    RateMonotonicSystem,
-    ReservesSystem,
-    RialtoSystem,
-    SmartSystem,
-)
-from repro.core.distributor import ResourceDistributor
-from repro.metrics import miss_rate
-from repro.tasks.busyloop import busyloop_definition
+from repro import units
+from repro.scenarios import faceoff
 from repro.viz import format_table
-from repro.workloads import single_entry_definition
-
-DURATION = units.ms_to_ticks(400)
-
-
-def run_all(seed=33):
-    results = {}
-
-    rd = ResourceDistributor(machine=MachineConfig(), sim=SimConfig(seed=seed))
-    rd_threads = [rd.admit(busyloop_definition(f"t{i}")) for i in range(3)]
-    rd.run_for(DURATION)
-    useful = sum(rd.trace.busy_ticks(t.tid) for t in rd_threads) / DURATION
-    results["ResourceDistributor"] = (3, miss_rate(rd.trace), useful)
-
-    for cls in (
-        NaiveEdfSystem,
-        SmartSystem,
-        ReservesSystem,
-        RialtoSystem,
-        RateMonotonicSystem,
-    ):
-        system = cls(machine=MachineConfig(), sim=SimConfig(seed=seed))
-        threads = []
-        for i in range(3):
-            try:
-                threads.append(
-                    system.admit(single_entry_definition(f"t{i}", 10, 0.5))
-                )
-            except AdmissionError:
-                pass
-        system.run_for(DURATION)
-        useful = sum(system.trace.busy_ticks(t.tid) for t in threads) / DURATION
-        results[cls.__name__] = (len(threads), miss_rate(system.trace), useful)
-    return results
 
 
 def test_claims_baseline_comparison(benchmark, report):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        faceoff, args=(33, units.ms_to_ticks(400)), rounds=1, iterations=1
+    )
 
     admitted, misses, useful = results["ResourceDistributor"]
     assert admitted == 3 and misses == 0.0 and useful > 0.85

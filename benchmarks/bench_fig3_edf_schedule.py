@@ -7,15 +7,13 @@ every period, MPEG preempted (its 30 ms period wraps the other tasks'
 """
 
 from repro import units
+from repro.scenarios import table4_trio
 from repro.sim.trace import SegmentKind
-
-from benchmarks.bench_table4_grant_set import build
 
 
 def _run():
-    rd, threads = build()
-    rd.run_for(units.sec_to_ticks(0.5))
-    return rd, threads
+    scenario = table4_trio(seed=4).run_for(units.sec_to_ticks(0.5))
+    return scenario.rd, scenario.threads
 
 
 def _split_periods(rd, thread):

@@ -7,35 +7,13 @@ computation.
 
 import pytest
 
-from repro import MachineConfig, SimConfig, TaskDefinition
-from repro.core.distributor import ResourceDistributor
-from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.workloads import grant_follower, greedy_worker
-
-
-def build():
-    rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=4))
-    specs = [
-        ("Modem", 270_000, 27_000, grant_follower),
-        ("3D", 275_300, 143_156, greedy_worker),
-        ("MPEG", 810_000, 270_000, grant_follower),
-    ]
-    threads = {}
-    for name, period, cpu, fn in specs:
-        threads[name] = rd.admit(
-            TaskDefinition(
-                name=name,
-                resource_list=ResourceList(
-                    [ResourceListEntry(period, cpu, fn, name)]
-                ),
-            )
-        )
-    return rd, threads
+from repro.scenarios import table4_trio
 
 
 def test_table4_grant_set(benchmark, report):
-    rd, threads = benchmark(build)
-    gs = rd.current_grant_set
+    scenario = benchmark(table4_trio, seed=4)
+    threads = scenario.threads
+    gs = scenario.rd.current_grant_set
     assert gs[threads["Modem"].tid].rate == pytest.approx(0.10)
     assert gs[threads["3D"].tid].rate == pytest.approx(0.52, abs=0.001)
     assert gs[threads["MPEG"].tid].rate == pytest.approx(1 / 3)

@@ -7,30 +7,13 @@ Manager performs on every overload decision.
 
 import pytest
 
-from repro.core.policy_box import PolicyBox
+from repro.scenarios import TABLE5_POLICIES, table5_policy_box
 
-PAPER_TABLE5 = {
-    frozenset({1, 2}): {1: 10, 2: 85},
-    frozenset({1, 3}): {1: 20, 3: 75},
-    frozenset({1, 4}): {1: 10, 4: 85},
-    frozenset({1, 2, 3}): {1: 10, 2: 50, 3: 35},
-    frozenset({1, 2, 4}): {1: 10, 2: 35, 4: 50},
-    frozenset({1, 3, 4}): {1: 10, 3: 35, 4: 50},
-    frozenset({1, 2, 3, 4}): {1: 5, 2: 35, 3: 20, 4: 35},
-}
-
-
-def build_table5():
-    box = PolicyBox(capacity=0.96)
-    for i in range(1, 5):
-        box.register_task(f"Task {i}")
-    for rankings in PAPER_TABLE5.values():
-        box.set_default(dict(rankings))
-    return box
+PAPER_TABLE5 = {frozenset(rankings): rankings for rankings in TABLE5_POLICIES}
 
 
 def test_table5_policy_box(benchmark, report):
-    box = build_table5()
+    box = table5_policy_box()
 
     def resolve_all():
         return [box.resolve(key) for key in PAPER_TABLE5]
@@ -45,7 +28,7 @@ def test_table5_policy_box(benchmark, report):
 
 def test_table5_fallback_invention(benchmark, report):
     """A set with no matching policy gets the invented 1/N split."""
-    box = build_table5()
+    box = table5_policy_box()
     box.register_task("Task 5")
     key = {box.policy_id("Task 1"), box.policy_id("Task 5")}
     policy = benchmark(lambda: box.resolve(key))

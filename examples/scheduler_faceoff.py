@@ -10,53 +10,27 @@ missing; Reserves refuses admission; Rialto denies whoever asked last.
 Run:  python examples/scheduler_faceoff.py
 """
 
-from repro import AdmissionError, MachineConfig, SimConfig, units
-from repro.baselines import NaiveEdfSystem, ReservesSystem, RialtoSystem, SmartSystem
-from repro.core.distributor import ResourceDistributor
-from repro.metrics import miss_rate, utilization
-from repro.tasks.busyloop import busyloop_definition
+from repro import units
+from repro.scenarios import faceoff
 from repro.viz import format_table
-from repro.workloads import single_entry_definition
 
-DURATION = units.ms_to_ticks(500)
-
-
-def run_rd():
-    rd = ResourceDistributor(sim=SimConfig(seed=1))
-    threads = [rd.admit(busyloop_definition(f"t{i}")) for i in range(3)]
-    rd.run_for(DURATION)
-    admitted = len(threads)
-    useful = sum(rd.trace.busy_ticks(t.tid) for t in threads) / DURATION
-    return admitted, miss_rate(rd.trace), useful, "policy box picks who sheds"
-
-
-def run_baseline(cls, note):
-    system = cls(sim=SimConfig(seed=1))
-    threads = []
-    denied = 0
-    for i in range(3):
-        try:
-            threads.append(system.admit(single_entry_definition(f"t{i}", 10, 0.5)))
-        except AdmissionError:
-            denied += 1
-    system.run_for(DURATION)
-    useful = sum(system.trace.busy_ticks(t.tid) for t in threads) / DURATION
-    return len(threads), miss_rate(system.trace), useful, note
+#: The rows this example shows, with the label and the one-line
+#: diagnosis it prints for each.
+SHOWN = {
+    "ResourceDistributor": ("ETI Resource Distributor", "policy box picks who sheds"),
+    "NaiveEdfSystem": ("NaiveEdf", "domino misses in overload"),
+    "SmartSystem": ("Smart", "fair share starves every frame"),
+    "ReservesSystem": ("Reserves", "over-reservation denies admission"),
+    "RialtoSystem": ("Rialto", "victim picked by arrival order"),
+}
 
 
 def main() -> None:
+    results = faceoff(seed=1, duration=units.ms_to_ticks(500))
     rows = []
-    admitted, misses, useful, note = run_rd()
-    rows.append(["ETI Resource Distributor", admitted, f"{misses:.0%}", f"{useful:.0%}", note])
-
-    for cls, note in [
-        (NaiveEdfSystem, "domino misses in overload"),
-        (SmartSystem, "fair share starves every frame"),
-        (ReservesSystem, "over-reservation denies admission"),
-        (RialtoSystem, "victim picked by arrival order"),
-    ]:
-        admitted, misses, useful, _ = run_baseline(cls, note)
-        rows.append([cls.__name__.replace("System", ""), admitted, f"{misses:.0%}", f"{useful:.0%}", note])
+    for name, (label, note) in SHOWN.items():
+        admitted, misses, useful = results[name]
+        rows.append([label, admitted, f"{misses:.0%}", f"{useful:.0%}", note])
 
     print("Offered load: 3 tasks x 50 % @ 10 ms (150 % of the machine)\n")
     print(

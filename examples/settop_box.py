@@ -10,41 +10,24 @@ work in any start order and without terminating anything.
 Run:  python examples/settop_box.py
 """
 
-from repro import ResourceDistributor, units
-from repro.core.threads import ThreadState
+from repro import units
 from repro.metrics import qos_timeline
-from repro.tasks.ac3 import Ac3Decoder
-from repro.tasks.graphics3d import Renderer3D
-from repro.tasks.modem import Modem
-from repro.tasks.mpeg import MpegDecoder
+from repro.scenarios import settop
 from repro.viz import render_gantt
 
 RING_MS = 300
 
 
 def main() -> None:
-    rd = ResourceDistributor()
-    mpeg = MpegDecoder("DVD-video")
-    ac3 = Ac3Decoder("DVD-audio")
-    renderer = Renderer3D("Teleconf", use_scaler=False)
-    modem = Modem("Modem")
-
-    video = rd.admit(mpeg.definition())
-    audio = rd.admit(ac3.definition())
-    teleconf = rd.admit(renderer.definition())
-    phone = rd.admit(modem.definition(start_quiescent=True))  # waiting...
-
-    names = {
-        video.tid: "DVD-video",
-        audio.tid: "DVD-audio",
-        teleconf.tid: "Teleconf",
-        phone.tid: "Modem",
-    }
+    scenario = settop(ring_ms=RING_MS)  # the modem is admitted quiescent: waiting...
+    rd = scenario.rd
+    mpeg = scenario.extras["mpeg"]
+    video = scenario.threads["DVD-video"]
+    phone = scenario.threads["Modem"]
 
     print("Before the call (modem admitted but quiescent):")
     print(rd.current_grant_set.describe())
 
-    rd.at(units.ms_to_ticks(RING_MS), lambda: rd.wake(phone.tid), "phone rings")
     rd.run_for(units.sec_to_ticks(1))
 
     print(f"\nPhone rang at t = {RING_MS} ms; modem state: {phone.state.value}")
@@ -62,7 +45,7 @@ def main() -> None:
     window = units.ms_to_ticks(100)
     ring = units.ms_to_ticks(RING_MS)
     print("\nSchedule around the phone call:")
-    print(render_gantt(rd.trace, names, ring - window // 2, ring + window, width=90))
+    print(render_gantt(rd.trace, scenario.names(), ring - window // 2, ring + window, width=90))
 
 
 if __name__ == "__main__":

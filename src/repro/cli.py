@@ -36,8 +36,7 @@ import sys
 from repro import scenarios, units
 from repro.config import SimConfig
 from repro.core.distributor import ResourceDistributor
-from repro.metrics import miss_rate
-from repro.tasks.busyloop import busyloop_definition, busyloop_resource_list
+from repro.tasks.busyloop import busyloop_resource_list
 from repro.tasks.mpeg import MpegDecoder
 from repro.viz import format_table, render_gantt
 from repro.workloads import random_task_set
@@ -62,31 +61,11 @@ def cmd_tables(args) -> int:
     print(scenarios.table4_trio(seed=args.seed).rd.current_grant_set.describe())
 
     print("\nTable 5 — example Policy Box")
-    box = _table5_box()
-    print(box.describe())
+    print(scenarios.table5_policy_box().describe())
 
     print("\nTable 6 — BusyLoop resource list")
     print(busyloop_resource_list().describe())
     return 0
-
-
-def _table5_box():
-    from repro.core.policy_box import PolicyBox
-
-    box = PolicyBox(capacity=0.96)
-    ids = [box.register_task(f"Task {i}") for i in range(1, 5)]
-    t1, t2, t3, t4 = ids
-    for rankings in (
-        {t1: 10, t2: 85},
-        {t1: 20, t3: 75},
-        {t1: 10, t4: 85},
-        {t1: 10, t2: 50, t3: 35},
-        {t1: 10, t2: 35, t4: 50},
-        {t1: 10, t3: 35, t4: 50},
-        {t1: 5, t2: 35, t3: 20, t4: 35},
-    ):
-        box.set_default(rankings)
-    return box
 
 
 def cmd_figure3(args) -> int:
@@ -140,39 +119,11 @@ def cmd_figure5(args) -> int:
 
 
 def cmd_faceoff(args) -> int:
-    from repro import AdmissionError
-    from repro.baselines import (
-        NaiveEdfSystem,
-        RateMonotonicSystem,
-        ReservesSystem,
-        RialtoSystem,
-        SmartSystem,
-    )
-    from repro.workloads import single_entry_definition
-
-    duration = _ms(max(args.duration_ms, 300))
-    rows = []
-
-    rd = ResourceDistributor(sim=SimConfig(seed=args.seed))
-    rd_threads = [rd.admit(busyloop_definition(f"t{i}")) for i in range(3)]
-    rd.run_for(duration)
-    useful = sum(rd.trace.busy_ticks(t.tid) for t in rd_threads) / duration
-    rows.append(["ResourceDistributor", 3, f"{miss_rate(rd.trace):.0%}", f"{useful:.0%}"])
-
-    for cls in (NaiveEdfSystem, SmartSystem, ReservesSystem, RialtoSystem, RateMonotonicSystem):
-        system = cls(sim=SimConfig(seed=args.seed))
-        threads = []
-        for i in range(3):
-            try:
-                threads.append(system.admit(single_entry_definition(f"t{i}", 10, 0.5)))
-            except AdmissionError:
-                pass
-        system.run_for(duration)
-        useful = sum(system.trace.busy_ticks(t.tid) for t in threads) / duration
-        rows.append(
-            [cls.__name__, len(threads), f"{miss_rate(system.trace):.0%}", f"{useful:.0%}"]
-        )
-
+    results = scenarios.faceoff(args.seed, _ms(max(args.duration_ms, 300)))
+    rows = [
+        [name, admitted, f"{misses:.0%}", f"{useful:.0%}"]
+        for name, (admitted, misses, useful) in results.items()
+    ]
     print("Offered load: 3 tasks x 50% @ 10 ms (150% of the machine)\n")
     print(format_table(["scheduler", "admitted", "miss rate", "useful CPU"], rows))
     return 0
@@ -250,7 +201,7 @@ def cmd_cluster(args) -> int:
         obs_pipeline=session is not None,
         max_chunk_events=args.max_chunk_events,
     )
-    prof = _attach_prof(args.profile, args.command, sim)
+    prof = _attach_prof(args.profile, sim)
     sim.run_until(sim.horizon)
     _write_prof(prof, args.profile, sim.now)
     if args.format == "json":
@@ -279,7 +230,7 @@ def cmd_run(args) -> int:
             telemetry=True,
             obs_pipeline=bool(args.obs_out),
         )
-        prof = _attach_prof(args.profile, args.command, sim)
+        prof = _attach_prof(args.profile, sim)
         sim.run_until(sim.horizon)
         _write_prof(prof, args.profile, sim.now)
         print(session.summary())
@@ -292,19 +243,9 @@ def cmd_run(args) -> int:
     scenario = scenarios.SCENARIOS[args.scenario](seed=args.seed, obs=session)
     rd = scenario.rd
     if args.sanitize and rd.sanitizer is None:
-        # Non-strict, so a violation is logged as an event instead of
-        # aborting the run.
-        from repro.metrics.sanitizer import InvariantSanitizer
-
-        rd.sanitizer = InvariantSanitizer(rd.kernel, rd.resource_manager, strict=False)
-        rd.kernel.sanitizer = rd.sanitizer
-        rd.sanitizer.obs = session.bus
-    session.add_schedule(
-        "",
-        lambda: rd.trace.segments,
-        lambda: {t.tid: t.name for t in rd.kernel.threads.values()},
-    )
-    prof = _attach_prof(args.profile, args.command, rd)
+        rd.attach_sanitizer(strict=False)
+    session.add_kernel("", rd.kernel)
+    prof = _attach_prof(args.profile, rd)
     rd.run_for(_ms(max(args.duration_ms, 200)))
     _write_prof(prof, args.profile, rd.now)
     print(session.summary())
@@ -322,23 +263,21 @@ def _write_obs(session, directory: str, now: int) -> None:
         print(f"wrote {paths[name]}")
 
 
-def _attach_prof(directory: str | None, name: str, target):
+def _attach_prof(directory: str | None, target):
     """Wire a ProfSession into ``target`` (a distributor or a cluster
-    simulation) when ``--profile DIR`` was given; starts the sampler."""
+    simulation) when ``--profile DIR`` was given."""
     if not directory:
         return None
     from repro.obs.prof import ProfSession
 
-    prof = ProfSession(name=name)
+    prof = ProfSession()
     target.attach_prof(prof)
-    prof.start()
     return prof
 
 
 def _write_prof(prof, directory: str | None, now: int) -> None:
     if prof is None:
         return
-    prof.stop()
     out = prof.write(directory, now)
     print(f"wrote profile to {out}")
 
@@ -671,8 +610,8 @@ def _profile(p) -> None:
         "--profile",
         metavar="DIR",
         default=None,
-        help="profile the run: deterministic phase counts, wall timings, "
-        "and a sampled flamegraph land in DIR",
+        help="profile the run: deterministic phase counts and wall "
+        "timings land in DIR",
     )
 
 

@@ -162,8 +162,3 @@ class ClusterNode:
 
     def has_task(self, task: str) -> bool:
         return task in self.tasks
-
-    def sanitizer_summary(self) -> str:
-        if self.rd.sanitizer is None:
-            return "sanitizer: disabled"
-        return self.rd.sanitizer.summary()

@@ -114,14 +114,7 @@ class ClusterSimulation:
                 obs=obs.scoped(name) if obs is not None else None,
             )
             if obs is not None:
-                kernel = self.nodes[name].rd.kernel
-                obs.add_schedule(
-                    name,
-                    lambda k=kernel: k.trace.segments,
-                    lambda k=kernel: {
-                        t.tid: t.name for t in k.threads.values()
-                    },
-                )
+                obs.add_kernel(name, self.nodes[name].rd.kernel)
         self.telemetry: dict[str, NodeTelemetry] = {}
         if telemetry:
             if obs is None:

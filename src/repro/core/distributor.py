@@ -58,15 +58,21 @@ class ResourceDistributor:
             self.policy_box.clock = lambda: self.kernel.now
         self.sanitizer = None
         if sanitize:
-            # Imported lazily: repro.metrics.report (pulled in by the
-            # metrics package) sits above core in the layering.
-            from repro.metrics.sanitizer import InvariantSanitizer
+            self.attach_sanitizer(sanitize_strict)
 
-            self.sanitizer = InvariantSanitizer(
-                self.kernel, self.resource_manager, strict=sanitize_strict
-            )
-            self.kernel.sanitizer = self.sanitizer
-            self.sanitizer.obs = self.obs
+    def attach_sanitizer(self, strict: bool) -> None:
+        """Wire an invariant sanitizer into the kernel's hook slot.  A
+        non-strict one logs a violation (as an obs event, when a bus is
+        attached) instead of aborting the run."""
+        # Imported lazily: repro.metrics.report (pulled in by the
+        # metrics package) sits above core in the layering.
+        from repro.metrics.sanitizer import InvariantSanitizer
+
+        self.sanitizer = InvariantSanitizer(
+            self.kernel, self.resource_manager, strict=strict
+        )
+        self.kernel.sanitizer = self.sanitizer
+        self.sanitizer.obs = self.obs
 
     def attach_prof(self, prof) -> None:
         """Wire a phase profiler (duck-typed ``begin``/``end``, e.g.

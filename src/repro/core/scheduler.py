@@ -244,10 +244,6 @@ class RDScheduler:
         if prof:
             prof.end("sched.notify")
 
-    @property
-    def has_pending_activation(self) -> bool:
-        return bool(self._pending_activation)
-
     def _activate(self, now: int) -> None:
         """The unallocated-time callback: start new grants."""
         self.activation_count += 1

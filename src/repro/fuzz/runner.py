@@ -195,13 +195,8 @@ class _CoreRun:
             sanitize_strict=sanitize == "strict",
             obs=obs,
         )
-        if obs is not None and hasattr(obs, "add_schedule"):
-            kernel = self.rd.kernel
-            obs.add_schedule(
-                "",
-                lambda: kernel.trace.segments,
-                lambda: {t.tid: t.name for t in kernel.threads.values()},
-            )
+        if obs is not None:
+            obs.add_kernel("", self.rd.kernel)
         self.admitted: list[str] = []
         self.denied: list[str] = []
         self._tids: dict[str, int] = {}

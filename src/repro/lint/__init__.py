@@ -11,13 +11,12 @@ architectural invariants as checkable rules:
 * **float-ticks** — units discipline: tick counts are integers;
 * **bare-except** / **silent-except** — error hygiene in the core.
 
-A second, whole-program tier (:mod:`repro.lint.flow`, enabled with
-``--flow``) parses the full target tree into a project index — symbol
-tables, a resolved call graph, a lightweight abstract interpreter —
-and checks what no single module can show: **tick-units** dimensional
-analysis, **determinism-reach** (wallclock/RNG sinks reachable through
-any call chain), **shared-state-race**, and **rpc-exception-safety**.
-Both tiers gate at zero findings.
+Every run also joins the parsed modules into a project index
+(:mod:`repro.lint.flow`) — symbol tables, a resolved call graph, a
+lightweight abstract interpreter — for the rules that check what no
+single module can show: **tick-units** dimensional analysis,
+**determinism-reach** (wallclock/RNG sinks reachable through any call
+chain), and **rpc-exception-safety**.  The tree gates at zero findings.
 
 Run as ``python -m repro.lint src/`` (or the ``repro-lint`` console
 script); see :mod:`repro.lint.cli` for flags and exit codes, and
@@ -33,14 +32,11 @@ from repro.lint.engine import (
     rule_catalog_hash,
     run_lint,
 )
-from repro.lint.flow import FLOW_RULE_CLASSES, FlowRule, all_flow_rules
 from repro.lint.resolve import ModuleResolver
 from repro.lint.rules import RULE_CLASSES, all_rules
 from repro.lint.rules.base import LintViolation, ModuleInfo, Rule
 
 __all__ = [
-    "FLOW_RULE_CLASSES",
-    "FlowRule",
     "LintConfig",
     "LintConfigError",
     "LintViolation",
@@ -48,7 +44,6 @@ __all__ = [
     "ModuleResolver",
     "Rule",
     "RULE_CLASSES",
-    "all_flow_rules",
     "all_rules",
     "collect_files",
     "load_config",

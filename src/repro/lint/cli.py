@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.lint src/                 # human-readable output
     python -m repro.lint src/ --format=json   # machine-readable (CI)
-    python -m repro.lint src/ --flow          # + whole-program flow tier
     python -m repro.lint --list-rules
     python -m repro.lint --explain tick-units
 
@@ -28,8 +27,8 @@ from pathlib import Path
 
 from repro.lint.config import LintConfigError, load_config
 from repro.lint.engine import iter_rule_catalog, rule_catalog_hash, run_lint
-from repro.lint.flow import FLOW_RULE_CLASSES
 from repro.lint.rules import RULE_CLASSES
+from repro.lint.rules.base import Rule
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -37,7 +36,7 @@ EXIT_ERROR = 2
 
 #: Version of the ``--format=json`` payload.  Bump when its shape
 #: changes; consumers (the CI diff gate) reject unknown versions.
-JSON_SCHEMA_VERSION = 3
+JSON_SCHEMA_VERSION = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static analysis for the Resource Distributor codebase: "
             "layering, determinism, units discipline, error hygiene, "
-            "and whole-program flow analysis (--flow)."
+            "and whole-program flow analysis."
         ),
     )
     parser.add_argument(
@@ -68,25 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="pyproject.toml to read [tool.repro-lint] from "
         "(default: search upward from the current directory)",
     )
-    flow = parser.add_mutually_exclusive_group()
-    flow.add_argument(
-        "--flow",
-        dest="flow",
-        action="store_true",
-        default=None,
-        help="run the whole-program flow tier (call graph, tick-unit "
-        "dimensional analysis, determinism/race reachability)",
-    )
-    flow.add_argument(
-        "--no-flow",
-        dest="flow",
-        action="store_false",
-        help="skip the flow tier even if the config enables it",
-    )
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule catalog (both tiers) and exit",
+        help="print the rule catalog and exit",
     )
     parser.add_argument(
         "--explain",
@@ -99,17 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_rules() -> None:
-    width = max(
-        len(cls.id) for cls in (*RULE_CLASSES, *FLOW_RULE_CLASSES)
-    )
+    width = max(len(cls.id) for cls in RULE_CLASSES)
     for rule_id, rationale in iter_rule_catalog():
         print(f"{rule_id:<{width}}  {rationale}")
 
 
 def _explain(rule_id: str) -> int:
-    for cls in (*RULE_CLASSES, *FLOW_RULE_CLASSES):
+    for cls in RULE_CLASSES:
         if cls.id == rule_id:
-            tier = "flow (whole-program)" if cls in FLOW_RULE_CLASSES else "per-module"
+            whole = cls.check_project is not Rule.check_project
+            tier = "flow (whole-program)" if whole else "per-module"
             print(f"{cls.id} [{tier}]")
             print(f"rationale: {cls.rationale}")
             doc = inspect.getdoc(cls)
@@ -117,9 +100,7 @@ def _explain(rule_id: str) -> int:
                 print()
                 print(doc)
             return EXIT_CLEAN
-    known = ", ".join(
-        sorted(cls.id for cls in (*RULE_CLASSES, *FLOW_RULE_CLASSES))
-    )
+    known = ", ".join(sorted(cls.id for cls in RULE_CLASSES))
     print(
         f"repro-lint: unknown rule {rule_id!r} (known: {known})",
         file=sys.stderr,
@@ -135,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.explain is not None:
         return _explain(args.explain)
 
-    known_ids = {cls.id for cls in (*RULE_CLASSES, *FLOW_RULE_CLASSES)}
+    known_ids = {cls.id for cls in RULE_CLASSES}
     try:
         config = load_config(args.config)
         config.validate_rule_ids(known_ids)
@@ -143,7 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"repro-lint: config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    flow = config.flow if args.flow is None else args.flow
     paths = args.paths or [Path("src")]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -153,13 +133,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return EXIT_ERROR
 
-    violations = run_lint(paths, config=config, flow=flow)
+    violations = run_lint(paths, config=config)
 
     if args.format == "json":
         payload = {
             "schema_version": JSON_SCHEMA_VERSION,
             "rule_catalog_hash": rule_catalog_hash(),
-            "flow": flow,
             "count": len(violations),
             "violations": [v.to_dict() for v in violations],
         }

@@ -6,13 +6,11 @@ Recognised keys::
     disable = ["float-ticks"]        # rule ids switched off globally
     enable  = ["layering"]           # if set, ONLY these rules run
     exclude = ["src/repro/viz"]      # path prefixes never scanned
-    flow    = true                   # run the whole-program tier by default
 
 ``enable`` and ``disable`` compose: ``enable`` first restricts the rule
 set, then ``disable`` removes from it.  Unknown rule ids in either list
 are a configuration error (exit code 2) so typos don't silently turn a
-gate off.  ``flow`` sets the default for the ``--flow`` / ``--no-flow``
-CLI flags (the flags win).
+gate off.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ class LintConfig:
     enable: tuple[str, ...] = ()
     disable: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
-    #: Run the whole-program flow tier unless the CLI says otherwise.
-    flow: bool = False
     source: Path | None = field(default=None, compare=False)
 
     def rule_enabled(self, rule_id: str) -> bool:
@@ -84,14 +80,10 @@ def load_config(pyproject: Path | None = None) -> LintConfig:
     table = data.get("tool", {}).get("repro-lint", {})
     if not isinstance(table, dict):
         raise LintConfigError("[tool.repro-lint] must be a table")
-    flow = table.get("flow", False)
-    if not isinstance(flow, bool):
-        raise LintConfigError("[tool.repro-lint] flow must be a boolean")
     return LintConfig(
         enable=_string_list(table, "enable"),
         disable=_string_list(table, "disable"),
         exclude=_string_list(table, "exclude"),
-        flow=flow,
         source=path,
     )
 

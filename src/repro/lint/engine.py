@@ -2,8 +2,8 @@
 
 The engine owns everything rules should not: filesystem walking, module
 name derivation, parse errors, suppression comments, and config-driven
-enable/disable.  Rules receive parsed :class:`ModuleInfo` objects and
-yield violations.
+enable/disable.  Rules receive parsed :class:`ModuleInfo` objects, or
+the :class:`ProjectIndex` built from all of them, and yield violations.
 """
 
 from __future__ import annotations
@@ -11,11 +11,15 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.lint.config import LintConfig
-from repro.lint.rules import all_rules
-from repro.lint.rules.base import LintViolation, ModuleInfo, Rule
+from repro.lint.rules import RULE_CLASSES, all_rules
+from repro.lint.rules.base import LintViolation, ModuleInfo
+
+# After the registry: the index imports ``rules.base``, whose package
+# ``__init__`` imports the rules that import the index.
+from repro.lint.flow.index import ProjectIndex
 
 #: ``# repro-lint: disable=rule-a,rule-b`` or ``disable=all`` on the
 #: violating line suppresses matching rules for that line.
@@ -134,85 +138,52 @@ def _smallest_enclosing_stmt(tree: ast.Module, line: int) -> ast.stmt | None:
 
 
 def run_lint(
-    targets: Sequence[Path],
-    config: LintConfig | None = None,
-    rules: Iterable[Rule] | None = None,
-    flow: bool = False,
+    targets: Sequence[Path], config: LintConfig | None = None
 ) -> list[LintViolation]:
     """Lint the targets and return every unsuppressed violation.
 
-    With ``flow=True`` the whole-program tier runs as well: every
-    parsed module joins one :class:`~repro.lint.flow.index.ProjectIndex`
-    and the registered flow rules (``tick-units``,
-    ``determinism-reach``, ``shared-state-race``,
-    ``rpc-exception-safety``) check it.  Flow violations respect the
-    same suppression comments and config enable/disable switches as
-    the per-module tier.
+    Every parsed module joins one :class:`ProjectIndex`; each enabled
+    rule then checks the index (``check_project``) and every module in
+    its scope (``check``).  Suppression comments and the config's
+    enable/disable switches apply to both kinds of finding alike.
 
     Violations come back sorted by path, line, col, then rule id —
     byte-stable output for both humans and CI diffs.
     """
     config = config or LintConfig()
-    active = [
-        rule
-        for rule in (rules if rules is not None else all_rules())
-        if config.rule_enabled(rule.id)
-    ]
     violations: list[LintViolation] = []
-    parsed_modules: list[ModuleInfo] = []
+    modules: list[ModuleInfo] = []
     for path in collect_files(targets):
         if config.path_excluded(path):
             continue
         parsed = parse_module(path)
         if isinstance(parsed, LintViolation):
             violations.append(parsed)
+        else:
+            modules.append(parsed)
+    index = ProjectIndex(modules)
+    for rule in all_rules():
+        if not config.rule_enabled(rule.id):
             continue
-        parsed_modules.append(parsed)
-        for rule in active:
-            if not rule.applies_to(parsed):
-                continue
-            for violation in rule.check(parsed):
-                if not _suppressed(parsed, violation):
-                    violations.append(violation)
-    if flow:
-        violations.extend(_run_flow(parsed_modules, config))
+        found = list(rule.check_project(index))
+        for module in modules:
+            if rule.applies_to(module):
+                found.extend(rule.check(module))
+        violations.extend(
+            v for v in found if not _suppressed(index.by_path[v.path], v)
+        )
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id, v.message))
     return violations
 
 
-def _run_flow(
-    modules: list[ModuleInfo], config: LintConfig
-) -> Iterator[LintViolation]:
-    """Run the whole-program tier over the parsed modules."""
-    from repro.lint.flow import all_flow_rules
-    from repro.lint.flow.index import ProjectIndex
-
-    index = ProjectIndex(modules)
-    by_path = {str(info.path): info for info in modules}
-    for rule in all_flow_rules():
-        if not config.rule_enabled(rule.id):
-            continue
-        for violation in rule.check_project(index):
-            module = by_path.get(violation.path)
-            if module is not None and _suppressed(module, violation):
-                continue
-            yield violation
-
-
-def iter_rule_catalog(rules: Iterable[Rule] | None = None) -> Iterator[tuple[str, str]]:
-    """(rule id, rationale) pairs for ``--list-rules`` and the docs.
-
-    Covers both tiers: the per-module rules in registry order, then
-    the flow rules.
-    """
-    from repro.lint.flow import all_flow_rules
-
-    for rule in rules if rules is not None else [*all_rules(), *all_flow_rules()]:
-        yield rule.id, rule.rationale
+def iter_rule_catalog() -> Iterator[tuple[str, str]]:
+    """(rule id, rationale) pairs, in registry order, for ``--list-rules``."""
+    for cls in RULE_CLASSES:
+        yield cls.id, cls.rationale
 
 
 def rule_catalog_hash() -> str:
-    """Stable digest of the full rule catalog (both tiers).
+    """Stable digest of the rule catalog.
 
     Emitted in the JSON payload so CI can tell "same findings" from
     "same findings, different rule set" when diffing runs byte-for-byte.

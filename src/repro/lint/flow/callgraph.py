@@ -35,16 +35,14 @@ class CallSite:
 
 
 class CallGraph:
-    """Forward and reverse adjacency with call-site provenance."""
+    """Forward adjacency with call-site provenance."""
 
     def __init__(self, index: ProjectIndex) -> None:
         self.index = index
         self.edges: dict[str, list[CallSite]] = {}
-        self.redges: dict[str, list[CallSite]] = {}
         for fn in index.iter_functions():
             for site in self._sites(fn):
                 self.edges.setdefault(site.caller, []).append(site)
-                self.redges.setdefault(site.callee, []).append(site)
 
     def _sites(self, fn: FunctionInfo) -> Iterator[CallSite]:
         for node in self._walk_body(fn.node):
@@ -74,9 +72,6 @@ class CallGraph:
 
     def callees(self, qname: str) -> list[CallSite]:
         return self.edges.get(qname, [])
-
-    def callers(self, qname: str) -> list[CallSite]:
-        return self.redges.get(qname, [])
 
     # -- reachability -------------------------------------------------------
 

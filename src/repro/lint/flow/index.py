@@ -1,9 +1,9 @@
 """Project index: per-module symbol tables and name resolution.
 
-The index is the substrate every flow rule shares.  It is built once
-per lint run from the already-parsed :class:`ModuleInfo` objects (the
-engine never parses a file twice) and answers the questions the
-per-module tier cannot:
+The index is the substrate every whole-program rule shares.  It is
+built once per lint run from the already-parsed :class:`ModuleInfo`
+objects (the engine never parses a file twice) and answers the
+questions a single module cannot:
 
 * what does the *name* ``f`` (or ``self.bus.send``, or ``u.ms_to_ticks``)
   refer to at this call site, after imports, aliases, and ``self``
@@ -11,7 +11,7 @@ per-module tier cannot:
 * which function *symbol* encloses this AST node?
 
 Resolution is deliberately conservative: a name the index cannot pin
-down resolves to ``None`` and the flow rules stay silent about it.
+down resolves to ``None`` and the rules stay silent about it.
 Lint findings must be cheap to trust — precision beats recall.
 """
 
@@ -94,9 +94,6 @@ class ModuleTable:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-    #: Module-level names bound to a mutable container literal/call,
-    #: mapped to the line of the binding.
-    mutable_globals: dict[str, int] = field(default_factory=dict)
 
     @property
     def module(self) -> str:
@@ -126,31 +123,7 @@ def _build_table(info: ModuleInfo) -> ModuleTable:
                     cls.methods[sub.name] = fn
             _infer_attr_types(cls)
             table.classes[stmt.name] = cls
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            value = stmt.value
-            if value is not None and _is_mutable_container(value):
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        table.mutable_globals[target.id] = stmt.lineno
     return table
-
-
-def _is_mutable_container(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func) or ""
-        return name.rsplit(".", 1)[-1] in {
-            "list",
-            "dict",
-            "set",
-            "deque",
-            "defaultdict",
-            "OrderedDict",
-            "Counter",
-        }
-    return False
 
 
 def _infer_attr_types(cls: ClassInfo) -> None:

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.flow.base import FlowRule
 from repro.lint.flow.callgraph import CallGraph, ext
 from repro.lint.flow.index import ProjectIndex
-from repro.lint.rules.base import LintViolation
+from repro.lint.rules.base import LintViolation, Rule
 from repro.lint.rules.determinism import GLOBAL_RANDOM_FUNCS, WALLCLOCK_CALLS
 
 #: Packages whose code must stay deterministic (the direct rules'
@@ -32,7 +31,7 @@ def _in_scope(module: str) -> bool:
     )
 
 
-class DeterminismReachRule(FlowRule):
+class DeterminismReachRule(Rule):
     """Flag non-determinism *reachable* from the simulation core.
 
     The direct ``wallclock`` / ``unseeded-rng`` rules catch a
@@ -93,8 +92,7 @@ class DeterminismReachRule(FlowRule):
                 sink_name = path[-1].removeprefix("ext:")
                 witness = (fn.qname, *path[:-1], sink_name)
                 yield self.violation(
-                    fn,
-                    index,
+                    index.tables[fn.module].info,
                     _node_at(site.line, site.col),
                     f"{sink_name}() is reachable from {fn.qname}() "
                     f"({len(witness) - 1} call(s) away); the simulation "

@@ -7,10 +7,9 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.lint.flow.base import FlowRule
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.index import FunctionInfo, ProjectIndex
-from repro.lint.rules.base import LintViolation, dotted_name
+from repro.lint.rules.base import LintViolation, Rule, dotted_name
 
 #: Internal transport endpoints: raising out of these after a token
 #: was registered leaves the token stranded.
@@ -50,7 +49,7 @@ def _store_of(node: ast.expr) -> _StoreRef | None:
     return None
 
 
-class RpcExceptionSafetyRule(FlowRule):
+class RpcExceptionSafetyRule(Rule):
     """Flag RPC sends whose failure path leaks an idempotency token.
 
     The broker's exactly-once story rests on token bookkeeping: a
@@ -124,8 +123,7 @@ class RpcExceptionSafetyRule(FlowRule):
                     continue  # the send is under a cleaning try
                 witness = (fn.qname, *resolved_path)
                 yield self.violation(
-                    fn,
-                    index,
+                    index.tables[fn.module].info,
                     call,
                     f"idempotency token registered into {store.text} "
                     f"before this RPC send is stranded if the send raises; "

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.flow.base import FlowRule
 from repro.lint.flow.dims import DimInterpreter, SummaryTable
 from repro.lint.flow.index import ProjectIndex
-from repro.lint.rules.base import LintViolation
+from repro.lint.rules.base import LintViolation, Rule
 
 
-class TickUnitsRule(FlowRule):
+class TickUnitsRule(Rule):
     """Infer Ticks/Ms/Us/Sec dimensions and flag cross-unit flows.
 
     The 27 MHz tick timebase (``repro.units``) only protects the
@@ -48,5 +47,8 @@ class TickUnitsRule(FlowRule):
             interp = DimInterpreter(fn, index, summaries)
             for problem in interp.run():
                 yield self.violation(
-                    fn, index, problem.node, problem.message, problem.witness
+                    index.tables[fn.module].info,
+                    problem.node,
+                    problem.message,
+                    problem.witness,
                 )

@@ -1,7 +1,8 @@
 """Rule registry for repro-lint.
 
 Adding a rule: write a :class:`~repro.lint.rules.base.Rule` subclass
-with a unique ``id`` in a module here, import it below, and add it to
+with a unique ``id`` in a module here (or, for a rule that needs the
+whole tree, in :mod:`repro.lint.flow`), import it below, and add it to
 :data:`RULE_CLASSES`.  The engine, CLI, config table, and
 ``--list-rules`` all discover it from the registry.
 """
@@ -15,6 +16,12 @@ from repro.lint.rules.layering import LayeringRule
 from repro.lint.rules.obs import ObsUnguardedEmitRule
 from repro.lint.rules.units import FloatTickRule
 
+# The whole-program rules import ``rules.base`` and ``rules.determinism``,
+# so they come after every submodule above.
+from repro.lint.flow.reach import DeterminismReachRule
+from repro.lint.flow.rpc import RpcExceptionSafetyRule
+from repro.lint.flow.tick_units import TickUnitsRule
+
 RULE_CLASSES: tuple[type[Rule], ...] = (
     LayeringRule,
     WallClockRule,
@@ -23,6 +30,9 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     BareExceptRule,
     SilentExceptRule,
     ObsUnguardedEmitRule,
+    TickUnitsRule,
+    DeterminismReachRule,
+    RpcExceptionSafetyRule,
 )
 
 
@@ -38,10 +48,13 @@ __all__ = [
     "RULE_CLASSES",
     "all_rules",
     "BareExceptRule",
+    "DeterminismReachRule",
     "FloatTickRule",
     "LayeringRule",
     "ObsUnguardedEmitRule",
+    "RpcExceptionSafetyRule",
     "SilentExceptRule",
+    "TickUnitsRule",
     "UnseededRandomRule",
     "WallClockRule",
 ]

@@ -3,9 +3,12 @@
 A rule is a class with a stable ``id`` (the name used in output, in
 ``# repro-lint: disable=<id>`` suppressions, and in the
 ``[tool.repro-lint]`` config), a docstring explaining the invariant it
-enforces, and a ``check`` method that yields violations for one parsed
-module.  Rules never do I/O; the engine hands them a fully parsed
-:class:`ModuleInfo`.
+enforces, and one of two methods: ``check`` yields violations for one
+parsed module, ``check_project`` for the whole scanned tree (a
+:class:`~repro.lint.flow.index.ProjectIndex`: symbol tables, call
+graph), and then carries the interprocedural ``witness`` path that
+proves each finding.  Rules never do I/O; the engine hands them fully
+parsed :class:`ModuleInfo` objects.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lint.flow.index import ProjectIndex
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,7 @@ class ModuleInfo:
 class LintViolation:
     """One broken rule at one source location.
 
-    Flow-tier violations carry a ``witness``: the interprocedural call
+    Whole-program violations carry a ``witness``: the interprocedural call
     path (``a.f -> b.g -> time.time``) that proves the finding, shown
     in both output formats.
     """
@@ -70,9 +76,9 @@ class Rule:
 
     #: Stable identifier used in output, suppressions, and config.
     id: str = ""
-    #: One-line rationale shown by ``--list-rules``.
+    #: One-line rationale shown by ``--list-rules`` / ``--explain``.
     rationale: str = ""
-    #: Restrict the rule to modules under these dotted prefixes
+    #: Restrict ``check`` to modules under these dotted prefixes
     #: (``None`` = every scanned module).
     scope_prefixes: tuple[str, ...] | None = None
 
@@ -82,10 +88,19 @@ class Rule:
         return any(module.in_package(prefix) for prefix in self.scope_prefixes)
 
     def check(self, module: ModuleInfo) -> Iterator[LintViolation]:
-        raise NotImplementedError
+        """Violations in one module (override this or ``check_project``)."""
+        return iter(())
+
+    def check_project(self, index: "ProjectIndex") -> Iterator[LintViolation]:
+        """Violations only the whole scanned tree can show."""
+        return iter(())
 
     def violation(
-        self, module: ModuleInfo, node: ast.AST, message: str
+        self,
+        module: ModuleInfo,
+        node: ast.AST,
+        message: str,
+        witness: tuple[str, ...] = (),
     ) -> LintViolation:
         return LintViolation(
             path=str(module.path),
@@ -93,6 +108,7 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             rule_id=self.id,
             message=message,
+            witness=witness,
         )
 
 

@@ -3,10 +3,11 @@
 A :class:`TraceValidator` audits a finished run's trace against the
 invariants the Resource Distributor promises.  It is used three ways:
 
-* in property-based tests, as the oracle for randomized runs;
-* by downstream users, to certify a scenario ("did my task set keep its
-  guarantees?");
-* while developing scheduler changes, as a regression net.
+* by the fuzzer, as the trace audit every run that ends ``ok`` must pass
+  (outcome ``invariant:trace-<rule>``);
+* in property-based and integration tests, as the oracle for
+  randomized runs;
+* by ``repro report``, for the one-line verdict under the tables.
 
 Violations are collected (not raised) so a single audit reports every
 problem at once.

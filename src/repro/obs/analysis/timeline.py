@@ -16,23 +16,23 @@ yields the same p99.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.obs.events import ObsEvent
 
 
-def percentile(values: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile of ``values`` (q in [0, 100]).
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ``values`` (q in [0, 100]): the
+    smallest value with at least q % of the values at or below it.
 
     Returns -1 for an empty sequence; callers render that as "n/a".
     """
     if not values:
         return -1
     ordered = sorted(values)
-    if q <= 0:
-        return ordered[0]
-    rank = -(-int(q * len(ordered)) // 100)  # ceil(q * n / 100)
+    rank = max(1, math.ceil(q * len(ordered) / 100))
     return ordered[min(rank, len(ordered)) - 1]
 
 
@@ -109,14 +109,6 @@ class TaskTimeline:
 
     def latency_percentile(self, q: float) -> int:
         return percentile(self.latencies(), q)
-
-    def latency_period_ratios(self) -> list[float]:
-        """Delivery latency as a fraction of each period's length."""
-        return [
-            p.latency / p.length
-            for p in self.periods
-            if p.latency >= 0 and p.length > 0
-        ]
 
     @property
     def label(self) -> str:

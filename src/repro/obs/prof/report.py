@@ -83,7 +83,6 @@ def render_json(profile: dict, top: int = 0) -> str:
         "sim_ticks": profile["counts"].get("sim_ticks", 0),
         "total_calls": sum(r["calls"] for r in rows),
         "total_self_ms": round(sum(r["self_ms"] for r in rows), 6),
-        "sampler": profile["times"].get("sampler"),
         "phases": [
             {
                 "phase": r["phase"],
@@ -100,7 +99,7 @@ def render_json(profile: dict, top: int = 0) -> str:
 
 
 def render_markdown(profile: dict, top: int = 15) -> str:
-    """Markdown report: header, sampler line, top-N self-time table."""
+    """Markdown report: header, top-N self-time table."""
     rows = _rows(profile)
     shown = rows[:top] if top else rows
     sim_ticks = profile["counts"].get("sim_ticks", 0)
@@ -113,13 +112,6 @@ def render_markdown(profile: dict, top: int = 15) -> str:
         f"{sum(r['calls'] for r in rows)}",
         f"- total self time: {sum(r['self_ms'] for r in rows):.3f} ms",
     ]
-    sampler = profile["times"].get("sampler")
-    if sampler:
-        lines.append(
-            f"- sampler: {sampler['samples']} samples at "
-            f"{sampler['interval_s'] * 1000:.1f} ms over "
-            f"{sampler['elapsed_s']:.3f} s"
-        )
     lines += [
         "",
         f"## Top {len(shown)} phases by self time",

@@ -83,26 +83,23 @@ class ObsSession:
         #: How far into the bus's global order the metrics have caught up.
         self._cursor = StreamCursor()
         self._build_metrics()
-        #: node name -> (segments, {tid: name}) for the Perfetto export.
-        self._schedules: dict[str, tuple] = {}
+        #: node name -> kernel, read at export time for the Perfetto timeline.
+        self._kernels: dict[str, object] = {}
 
     def scoped(self, node: str) -> ScopedBus:
         """A bus view for one cluster node (stamps ``event.node``)."""
         return ScopedBus(self.bus, node)
 
-    def add_schedule(self, node: str, segments, names) -> None:
-        """Register a node's run segments for the Perfetto timeline.
+    def add_kernel(self, node: str, kernel) -> None:
+        """Register a node's kernel so its run segments and thread names
+        reach the Perfetto timeline.
 
-        ``segments`` is a list of run segments, or a zero-arg callable
-        returning one, called at export time: a ``TraceRecorder`` holds
-        its most recent run in an open buffer that only a read of its
-        ``segments`` property flushes, so a recorder is registered as
-        ``lambda: kernel.trace.segments`` — never by capturing the list.
-        ``names`` maps thread id -> display name; pass a zero-arg
-        callable returning that dict to defer it until export (threads
-        are created as tasks are admitted, mid-run).
+        Both are read at export time, never captured here: a
+        ``TraceRecorder`` holds its most recent run in an open buffer
+        that only a read of its ``segments`` property flushes, and
+        threads are created as tasks are admitted, mid-run.
         """
-        self._schedules[node] = (segments, names)
+        self._kernels[node] = kernel
 
     # -- derived views -----------------------------------------------------
 
@@ -364,10 +361,10 @@ class ObsSession:
         self.spans.finish_open(now)
         schedules = {
             node: (
-                segments() if callable(segments) else segments,
-                names() if callable(names) else names,
+                kernel.trace.segments,
+                {t.tid: t.name for t in kernel.threads.values()},
             )
-            for node, (segments, names) in self._schedules.items()
+            for node, kernel in self._kernels.items()
         }
         return perfetto_trace_json(
             spans=self.spans.spans,

@@ -74,6 +74,79 @@ def table4_trio(seed: int = 0, machine: str = "ideal", obs=None) -> Scenario:
     return Scenario(rd=rd, threads=threads)
 
 
+#: Table 5: the paper's seven ranking tables over policy ids 1-4, in
+#: percent of the CPU.
+TABLE5_POLICIES = (
+    {1: 10, 2: 85},
+    {1: 20, 3: 75},
+    {1: 10, 4: 85},
+    {1: 10, 2: 50, 3: 35},
+    {1: 10, 2: 35, 4: 50},
+    {1: 10, 3: 35, 4: 50},
+    {1: 5, 2: 35, 3: 20, 4: 35},
+)
+
+
+def table5_policy_box():
+    """Table 5: the example Policy Box, four tasks and seven policies."""
+    from repro.core.policy_box import PolicyBox
+
+    box = PolicyBox(capacity=0.96)
+    for i in range(1, 5):
+        box.register_task(f"Task {i}")
+    for rankings in TABLE5_POLICIES:
+        box.set_default(dict(rankings))
+    return box
+
+
+def faceoff(seed: int, duration: int) -> dict[str, tuple[int, float, float]]:
+    """Section 3.4: one overload under the RD and the five baselines.
+
+    Three tasks each want 50 % of a 10 ms period (and can shed in 10 %
+    steps where the system lets them) on the default machine for
+    ``duration`` ticks.  Returns ``{scheduler: (admitted, miss_rate,
+    useful)}``, the Resource Distributor first; ``useful`` is the
+    admitted tasks' busy share of the run.
+    """
+    from repro.baselines import (
+        NaiveEdfSystem,
+        RateMonotonicSystem,
+        ReservesSystem,
+        RialtoSystem,
+        SmartSystem,
+    )
+    from repro.errors import AdmissionError
+    from repro.metrics import miss_rate
+    from repro.workloads import single_entry_definition
+
+    results = {}
+    for cls in (
+        ResourceDistributor,
+        NaiveEdfSystem,
+        SmartSystem,
+        ReservesSystem,
+        RialtoSystem,
+        RateMonotonicSystem,
+    ):
+        system = cls(machine=MachineConfig(), sim=SimConfig(seed=seed))
+        threads = []
+        for i in range(3):
+            # Only the RD takes a list of levels to shed through; the
+            # baselines get the 50 % entry alone.
+            if cls is ResourceDistributor:
+                definition = busyloop_definition(f"t{i}")
+            else:
+                definition = single_entry_definition(f"t{i}", 10, 0.5)
+            try:
+                threads.append(system.admit(definition))
+            except AdmissionError:
+                pass
+        system.run_for(duration)
+        useful = sum(system.trace.busy_ticks(t.tid) for t in threads) / duration
+        results[cls.__name__] = (len(threads), miss_rate(system.trace), useful)
+    return results
+
+
 def figure4(
     seed: int = 0, fixed: bool = False, machine: str = "calibrated", obs=None
 ) -> Scenario:

@@ -331,7 +331,7 @@ async def _amain(args) -> int:
     if args.profile:
         from repro.obs.prof import ProfSession
 
-        prof = ProfSession(name="serve")
+        prof = ProfSession()
     engine = ServeEngine(
         nodes=args.nodes,
         seed=args.seed,
@@ -342,8 +342,6 @@ async def _amain(args) -> int:
         prof=prof,
     )
     app = ServeApp(engine, host=args.host, port=args.port)
-    if prof is not None:
-        prof.start()
     await app.start()
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -367,7 +365,6 @@ async def _amain(args) -> int:
         for path in paths.values():
             print(f"wrote {path}", flush=True)
     if prof is not None:
-        prof.stop()
         out = prof.write(args.profile, engine.sim.now)
         print(f"wrote profile to {out}", flush=True)
     print(json.dumps({"final": engine.stats()}), flush=True)

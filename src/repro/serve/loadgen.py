@@ -28,6 +28,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from repro.obs.analysis import percentile
 from repro.sim.rng import RngRegistry
 
 #: Clients whose index divides this are whales: tasks sized over a
@@ -227,13 +228,6 @@ async def _run_client(
         conn.close()
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
-
-
 async def run_loadgen(
     host: str,
     port: int,
@@ -268,7 +262,6 @@ async def run_loadgen(
             statuses[key] = statuses.get(key, 0) + n
         for key, n in r.outcomes.items():
             outcomes[key] = outcomes.get(key, 0) + n
-    latencies.sort()
     completed = len(latencies)
     outcome_digest = hashlib.sha256(
         json.dumps(outcomes, sort_keys=True).encode()
@@ -293,10 +286,10 @@ async def run_loadgen(
             "rps": completed / wall_s if wall_s > 0 else 0.0,
             "statuses": dict(sorted(statuses.items())),
             "latency_s": {
-                "p50": _percentile(latencies, 0.50),
-                "p95": _percentile(latencies, 0.95),
-                "p99": _percentile(latencies, 0.99),
-                "max": latencies[-1] if latencies else 0.0,
+                "p50": percentile(latencies, 50),
+                "p95": percentile(latencies, 95),
+                "p99": percentile(latencies, 99),
+                "max": max(latencies, default=-1),
             },
         },
     }

@@ -211,10 +211,6 @@ class TaskContext:
         """The grant in force this period (None for sporadic tasks)."""
         return self.delivery.grant if self.delivery else None
 
-    def read_clock(self, clock) -> float:
-        """Read an external clock at the current instant (section 5.4)."""
-        return clock.read(self._kernel.now)
-
     @property
     def rng(self):
         """This task's deterministic random stream (workload jitter)."""

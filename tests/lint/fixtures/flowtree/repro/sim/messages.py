@@ -1,11 +1,4 @@
-"""Fixture: the mini MessageBus seam.
-
-``TRANSIT_LOG`` is module-level mutable state, but it is only mutated
-inside the seam itself (``MessageBus.send``), so the
-``shared-state-race`` rule must stay silent about it.
-"""
-
-TRANSIT_LOG: list = []
+"""Fixture: the mini MessageBus seam the RPC fixtures send through."""
 
 
 class BusError(Exception):
@@ -19,7 +12,6 @@ class MessageBus:
     def send(self, src, dst, kind, payload, now):
         if dst not in self.endpoints:
             raise BusError(f"unknown endpoint {dst!r}")
-        TRANSIT_LOG.append((src, dst, kind))
         return True
 
     def deliver(self, now):

@@ -72,12 +72,6 @@ class TestProjectIndex:
         cls = index.classes["repro.cluster.bad_rpc.MiniBroker"]
         assert cls.attr_types["bus"] == "MessageBus"
 
-    def test_module_level_mutables_collected(self):
-        index = build_index()
-        table = index.table("repro.cluster.bad_race")
-        assert "EPOCH_CACHE" in table.mutable_globals
-        assert "TRANSIT_LOG" in index.table("repro.sim.messages").mutable_globals
-
 
 class TestCallGraph:
     def test_edges_resolve_across_modules(self):

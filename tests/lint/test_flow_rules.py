@@ -1,6 +1,6 @@
-"""Flow-rule behavior on the fixture project under fixtures/flowtree.
+"""Whole-program rule behavior on the fixture project under fixtures/flowtree.
 
-Every flow rule gets a violating fixture (asserting exact lines and the
+Every such rule gets a violating fixture (asserting exact lines and the
 interprocedural path witness) and a clean fixture (asserting silence).
 """
 
@@ -15,7 +15,7 @@ FLOWTREE = Path(__file__).parent / "fixtures" / "flowtree"
 
 @pytest.fixture(scope="module")
 def flow_violations():
-    return run_lint([FLOWTREE], flow=True)
+    return run_lint([FLOWTREE])
 
 
 def by_file(violations, name):
@@ -77,7 +77,7 @@ class TestFuzzSporadicTickUnits:
 
     def test_shipped_fuzz_module_passes_dimensional_analysis(self):
         src = Path(__file__).parent.parent.parent / "src" / "repro" / "fuzz"
-        violations = run_lint([src], flow=True)
+        violations = run_lint([src])
         assert [v for v in violations if v.rule_id == "tick-units"] == []
 
 
@@ -118,30 +118,6 @@ class TestDeterminismReachRule:
         assert by_file(flow_violations, "good_reach.py") == []
 
 
-class TestSharedStateRaceRule:
-    def test_flags_each_mutation_site(self, flow_violations):
-        found = by_file(flow_violations, "bad_race.py")
-        assert [(v.line, v.rule_id) for v in found] == [
-            (13, "shared-state-race"),
-            (18, "shared-state-race"),
-        ]
-
-    def test_message_names_state_and_other_entry(self, flow_violations):
-        found = by_file(flow_violations, "bad_race.py")
-        for v in found:
-            assert "repro.cluster.bad_race.EPOCH_CACHE" in v.message
-            assert "2 lockstep entry points" in v.message
-            assert "repro.cluster.bad_race.on_epoch()" in v.message
-            assert v.witness == ("repro.cluster.bad_race.drain_reports",)
-
-    def test_single_writer_fixture_is_silent(self, flow_violations):
-        assert by_file(flow_violations, "good_race.py") == []
-
-    def test_seam_crossing_state_is_exempt(self, flow_violations):
-        # TRANSIT_LOG in messages.py is mutated behind the MessageBus seam.
-        assert by_file(flow_violations, "messages.py") == []
-
-
 class TestRpcExceptionSafetyRule:
     def test_flags_stranded_token(self, flow_violations):
         found = by_file(flow_violations, "bad_rpc.py")
@@ -165,7 +141,7 @@ class TestRpcExceptionSafetyRule:
 
 class TestArenaHooksUnderFlow:
     """The per-module obs-unguarded-emit rule covers columnar fast
-    paths (emit_*, arena append/flush) in a ``--flow`` invocation too."""
+    paths (emit_*, arena append/flush) on the flow fixture tree too."""
 
     def test_unguarded_fast_paths_are_flagged(self, flow_violations):
         found = by_file(flow_violations, "bad_arena_hook.py")
@@ -178,31 +154,20 @@ class TestArenaHooksUnderFlow:
 
 
 class TestFlowTierWiring:
-    def test_flow_off_reports_nothing_interprocedural(self):
-        flow_ids = {
-            "tick-units",
-            "determinism-reach",
-            "shared-state-race",
-            "rpc-exception-safety",
-        }
-        violations = run_lint([FLOWTREE], flow=False)
-        assert not [v for v in violations if v.rule_id in flow_ids]
-
     def test_flow_rules_honor_rule_config(self, flow_violations):
         from repro.lint.config import LintConfig
 
         violations = run_lint(
             [FLOWTREE],
             config=LintConfig(disable=("tick-units", "determinism-reach")),
-            flow=True,
         )
         got = {v.rule_id for v in violations}
         assert "tick-units" not in got
         assert "determinism-reach" not in got
-        assert "shared-state-race" in got
+        assert "rpc-exception-safety" in got
 
     def test_output_is_deterministic_across_runs(self, flow_violations):
-        again = run_lint([FLOWTREE], flow=True)
+        again = run_lint([FLOWTREE])
         assert [v.to_dict() for v in again] == [
             v.to_dict() for v in flow_violations
         ]

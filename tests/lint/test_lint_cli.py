@@ -1,7 +1,9 @@
-"""The repro-lint command line: output formats, flow tier, exit codes."""
+"""The repro-lint command line: output formats, the one tier, exit codes."""
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.lint.cli import (
     EXIT_CLEAN,
@@ -11,7 +13,6 @@ from repro.lint.cli import (
     main,
 )
 from repro.lint.engine import rule_catalog_hash
-from repro.lint.flow import FLOW_RULE_CLASSES
 from repro.lint.rules import RULE_CLASSES
 
 TREE = Path(__file__).parent / "fixtures" / "tree"
@@ -53,23 +54,23 @@ class TestJsonOutput:
         assert json.loads(capsys.readouterr().out)["count"] == 0
 
     def test_payload_is_self_describing(self, capsys):
-        main([str(FLOWTREE), "--flow", "--format=json"])
+        main([str(FLOWTREE), "--format=json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == JSON_SCHEMA_VERSION
         assert payload["rule_catalog_hash"] == rule_catalog_hash()
-        assert payload["flow"] is True
+        assert "flow" not in payload
         witnessed = [v for v in payload["violations"] if v["witness"]]
         assert witnessed, "flow findings must serialize their witness paths"
 
     def test_output_is_byte_identical_across_runs(self, capsys):
-        main([str(FLOWTREE), "--flow", "--format=json"])
+        main([str(FLOWTREE), "--format=json"])
         first = capsys.readouterr().out
-        main([str(FLOWTREE), "--flow", "--format=json"])
+        main([str(FLOWTREE), "--format=json"])
         second = capsys.readouterr().out
         assert first == second
 
     def test_violations_arrive_fully_sorted(self, capsys):
-        main([str(FLOWTREE), "--flow", "--format=json"])
+        main([str(FLOWTREE), "--format=json"])
         payload = json.loads(capsys.readouterr().out)
         keys = [
             (v["path"], v["line"], v["col"], v["rule"], v["message"])
@@ -79,46 +80,26 @@ class TestJsonOutput:
 
 
 class TestFlowTier:
-    def test_flow_flag_surfaces_interprocedural_findings(self, capsys):
-        code = main([str(FLOWTREE), "--flow"])
+    def test_no_flag_surfaces_interprocedural_findings(self, capsys):
+        """The whole-program findings that used to need ``--flow``."""
+        code = main([str(FLOWTREE)])
         out = capsys.readouterr().out
         assert code == EXIT_VIOLATIONS
         assert "determinism-reach" in out
         assert "tick-units" in out
+        assert "rpc-exception-safety" in out
         # Text output renders the path witness inline.
         assert "[repro.core.bad_reach.activate -> repro.helpers.util.stamp" in out
 
-    def test_no_flow_overrides_config(self, tmp_path, capsys):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.repro-lint]\nflow = true\n")
-        code = main(
-            [
-                str(FLOWTREE / "repro/core/bad_units.py"),
-                "--no-flow",
-                "--config",
-                str(pyproject),
-            ]
-        )
-        capsys.readouterr()
-        assert code == EXIT_CLEAN
-
-    def test_config_can_enable_flow(self, tmp_path, capsys):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.repro-lint]\nflow = true\n")
-        code = main([str(FLOWTREE), "--config", str(pyproject)])
-        out = capsys.readouterr().out
-        assert code == EXIT_VIOLATIONS
-        assert "tick-units" in out
+    def test_the_tier_switches_are_gone(self, capsys):
+        for flag in ("--flow", "--no-flow"):
+            with pytest.raises(SystemExit) as exc:
+                main([str(FLOWTREE), flag])
+            assert exc.value.code == EXIT_ERROR
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_acceptance_repo_src_is_clean_with_flow(self, capsys):
-        code = main(
-            [
-                str(REPO / "src"),
-                "--flow",
-                "--config",
-                str(REPO / "pyproject.toml"),
-            ]
-        )
+        code = main([str(REPO / "src"), "--config", str(REPO / "pyproject.toml")])
         assert code == EXIT_CLEAN, capsys.readouterr().out
 
 
@@ -126,7 +107,8 @@ class TestListRules:
     def test_catalog_names_every_registered_rule(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for cls in (*RULE_CLASSES, *FLOW_RULE_CLASSES):
+        assert len(RULE_CLASSES) == 10
+        for cls in RULE_CLASSES:
             assert cls.id in out
 
 

@@ -96,20 +96,18 @@ class TestSuppression:
         assert [v.line for v in violations] == [6]
 
     def test_flow_violations_honor_suppressions(self, tmp_path):
-        pkg = tmp_path / "repro" / "cluster"
-        pkg.mkdir(parents=True)
-        (tmp_path / "repro" / "__init__.py").write_text("")
-        (pkg / "__init__.py").write_text("")
-        (pkg / "state.py").write_text(
-            "CACHE: dict = {}\n"
+        mod = tmp_path / "clock.py"
+        mod.write_text(
+            "def late(deadline_ticks, slack_ms):\n"
+            "    return deadline_ticks - slack_ms\n"
             "\n"
-            "def on_epoch(k, v):\n"
-            "    CACHE[k] = v  # repro-lint: disable=shared-state-race\n"
+            "def later(deadline_ticks, slack_ms):\n"
+            "    return deadline_ticks - slack_ms  # repro-lint: disable=tick-units\n"
             "\n"
-            "def drain():\n"
-            "    CACHE.clear()  # repro-lint: disable=all\n"
+            "def latest(deadline_ticks, slack_ms):\n"
+            "    return deadline_ticks < slack_ms  # repro-lint: disable=all\n"
         )
-        assert run_lint([tmp_path], flow=True) == []
+        assert [(v.line, v.rule_id) for v in run_lint([mod])] == [(2, "tick-units")]
 
 
 class TestParseErrors:

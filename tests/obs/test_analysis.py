@@ -113,6 +113,21 @@ class TestPercentile:
         assert percentile([7], 50) == 7
         assert percentile([3, 9], 99) == 9
         assert percentile([3, 9], 0) == 3
+        assert percentile([3, 9], 50) == 3  # loadgen's old convention said 9
+
+    def test_a_small_q_has_a_floor_of_rank_one(self):
+        # ceil(0.2 * 3 / 100) is rank 1, not rank 0 (which indexed the maximum).
+        assert percentile([1, 2, 3], 0.2) == 1
+
+    def test_the_fraction_is_kept_until_the_ceiling(self):
+        # 66.7 * 3 / 100 = 2.001: rank 3, where truncating first gave rank 2.
+        assert percentile([1, 2, 3], 66.7) == 3
+        assert percentile([1, 2, 3], 66) == 2
+
+    def test_q_zero_and_hundred_are_min_and_max(self):
+        assert percentile([4, 1, 3], 0) == 1
+        assert percentile([4, 1, 3], 100) == 4
+        assert percentile([5], 0) == percentile([5], 100) == 5
 
 
 def _period(thread_id, index, start, completion, deadline, *, missed=False,

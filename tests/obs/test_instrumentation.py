@@ -112,11 +112,7 @@ class TestDeterminism:
             session = ObsSession()
             scenario = figure5(seed=11, obs=session)
             scenario.run_for(ms(120))
-            session.add_schedule(
-                "",
-                scenario.rd.trace.segments,
-                {t.tid: t.name for t in scenario.rd.kernel.threads.values()},
-            )
+            session.add_kernel("", scenario.rd.kernel)
             return (
                 session.events_jsonl(),
                 session.metrics_prom(),

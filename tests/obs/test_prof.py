@@ -1,11 +1,8 @@
-"""The two-tier profiler: deterministic phase books, sampler exports,
-report/diff rendering, and the determinism contracts the CI gate relies
-on (same-seed count tables byte-diff equal; ``--profile`` never
-perturbs the obs artifacts)."""
+"""The profiler: deterministic phase books, report/diff rendering, and
+the determinism contracts the CI gate relies on (same-seed count tables
+byte-diff equal; ``--profile`` never perturbs the obs artifacts)."""
 
 import json
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +12,12 @@ from repro.obs.prof import (
     PROF_SCHEMA_VERSION,
     PhaseProfiler,
     ProfSession,
-    StackSampler,
-    collapsed,
     diff_profiles,
     load_profile,
     render_diff_json,
     render_diff_markdown,
     render_json,
     render_markdown,
-    speedscope,
 )
 from repro.obs.session import ObsSession
 from repro.scenarios import cluster_rack
@@ -112,71 +106,26 @@ class TestPhaseProfiler:
         assert snap["phases"]["a"]["calls"] == 1
 
 
-class TestStackSampler:
-    def test_sampler_captures_this_thread(self):
-        sampler = StackSampler(interval_s=0.001)
-        sampler.start()
-        deadline = time.monotonic() + 2.0
-        while sampler.sample_count == 0 and time.monotonic() < deadline:
-            sum(range(2000))
-        sampler.stop()
-        assert sampler.sample_count > 0
-        assert sampler.samples
-        stack = next(iter(sampler.samples))
-        assert all(":" in frame for frame in stack)
-        # The daemon thread is gone after stop().
-        names = [t.name for t in threading.enumerate()]
-        assert "repro-prof-sampler" not in names
-
-
-class TestFlameExports:
-    SAMPLES = {
-        ("main.py:main", "engine.py:commit"): 3,
-        ("main.py:main",): 2,
-    }
-
-    def test_collapsed_folds_and_sorts(self):
-        text = collapsed(self.SAMPLES)
-        assert text.splitlines() == [
-            "main.py:main 2",
-            "main.py:main;engine.py:commit 3",
-        ]
-
-    def test_collapsed_empty(self):
-        assert collapsed({}) == ""
-
-    def test_speedscope_document_shape(self):
-        doc = speedscope(self.SAMPLES, name="t", interval_s=0.01)
-        assert doc["$schema"].startswith("https://www.speedscope.app")
-        frames = [f["name"] for f in doc["shared"]["frames"]]
-        assert sorted(frames) == sorted(set(frames))  # deduplicated
-        profile = doc["profiles"][0]
-        assert profile["type"] == "sampled"
-        assert profile["unit"] == "milliseconds"
-        assert len(profile["samples"]) == len(profile["weights"]) == 2
-        # Every sample indexes into the shared frame table.
-        for sample in profile["samples"]:
-            assert all(0 <= i < len(frames) for i in sample)
-        assert profile["endValue"] == pytest.approx(sum(profile["weights"]))
-
-
 class TestProfSession:
     def _write(self, tmp_path, clock=None):
-        session = ProfSession(sampling=False, clock=clock, name="test")
+        session = ProfSession(clock=clock)
         session.phases.begin("kernel.dispatch")
         session.phases.end("kernel.dispatch")
-        session.stop()
         return session.write(tmp_path / "prof", sim_ticks=27_000_000)
 
-    def test_write_lays_down_all_four_artifacts(self, tmp_path):
+    def test_write_lays_down_both_artifacts(self, tmp_path):
         out = self._write(tmp_path)
         names = sorted(p.name for p in out.iterdir())
-        assert names == [
-            "flame.folded",
-            "prof_counts.json",
-            "prof_times.json",
-            "profile.speedscope.json",
-        ]
+        assert names == ["prof_counts.json", "prof_times.json"]
+
+    def test_write_settles_open_frames(self, tmp_path):
+        session = ProfSession(clock=ScriptedClock())
+        session.phases.begin("aborted")
+        out = session.write(tmp_path / "prof")
+        assert session.phases.snapshot()["open_frames"] == 0
+        times = json.loads((out / "prof_times.json").read_text())
+        assert set(times) == {"schema_version", "sim_ticks", "phases"}
+        assert times["phases"]["aborted"]["calls"] == 1
 
     def test_counts_artifact_is_timing_free(self, tmp_path):
         out = self._write(tmp_path, clock=ScriptedClock())
@@ -208,10 +157,9 @@ class TestProfSession:
 
 def _profiled_rack(seed, horizon_sec=0.1, obs=None):
     sim = cluster_rack(seed=seed, horizon_sec=horizon_sec, obs=obs)
-    prof = ProfSession(sampling=False)
+    prof = ProfSession()
     sim.attach_prof(prof)
     sim.run_until(sim.horizon)
-    prof.stop()
     return sim, prof
 
 
@@ -238,11 +186,10 @@ class TestDeterminism:
 
     def test_all_core_phases_fire_on_the_rack(self):
         sim = cluster_rack(seed=7, horizon_sec=0.2)
-        prof = ProfSession(sampling=False)
+        prof = ProfSession()
         sim.attach_prof(prof)
         sim.run_until(sim.horizon)
         sim.settle()
-        prof.stop()
         phases = set(prof.phases.count_table())
         assert {
             "kernel.dispatch",

@@ -107,11 +107,13 @@ class TestExports:
         assert session.spans.spans[0].end == 250
 
     def test_schedule_names_may_be_deferred(self, session):
-        """A zero-arg callable resolves at export time — threads are
-        created mid-run, after the schedule is registered."""
-        names = {}
-        session.add_schedule("node00", [], lambda: names)
-        names[1] = "late-thread"
+        """A kernel's threads are read at export time — they are
+        created mid-run, after the kernel is registered."""
+        from types import SimpleNamespace
+
+        kernel = SimpleNamespace(trace=SimpleNamespace(segments=[]), threads={})
+        session.add_kernel("node00", kernel)
+        kernel.threads[1] = SimpleNamespace(tid=1, name="late-thread")
         doc = json.loads(session.perfetto_json(now=0))
         thread_meta = [
             e for e in doc["traceEvents"] if e.get("name") == "thread_name"

@@ -7,7 +7,7 @@ from repro.serve.engine import ServeEngine
 from repro.serve.loadgen import (
     WHALE_EVERY,
     WHALE_RATE,
-    _percentile,
+    percentile,
     plan_client,
     run_loadgen,
     schedule_digest,
@@ -50,14 +50,17 @@ class TestPlanning:
 
 
 class TestPercentile:
+    """The loadgen summary takes its percentiles from the one nearest-rank
+    definition ``repro obs report`` uses (tested in tests/obs/test_analysis)."""
+
     def test_empty(self):
-        assert _percentile([], 0.5) == 0.0
+        # What a run that completed nothing reports, "max" included.
+        assert percentile([], 50) == -1
 
     def test_picks_order_statistics(self):
-        values = [float(i) for i in range(10)]
-        assert _percentile(values, 0.0) == 0.0
-        assert _percentile(values, 0.5) == 5.0
-        assert _percentile(values, 0.99) == 9.0
+        from repro.obs.analysis import percentile as obs_percentile
+
+        assert percentile is obs_percentile
 
 
 class TestEndToEnd:

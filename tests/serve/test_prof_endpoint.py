@@ -36,7 +36,7 @@ class TestDebugProfEndpoint:
         run_with_app(scenario)
 
     def test_live_snapshot_when_profiling_is_on(self):
-        prof = ProfSession(sampling=False, name="test")
+        prof = ProfSession()
 
         async def scenario(app):
             await call(app, "POST", "/v1/tasks", spec("a"))
@@ -55,7 +55,7 @@ class TestDebugProfEndpoint:
         run_with_app(scenario, prof=prof)
 
     def test_engine_phases_reach_the_cluster_hooks(self):
-        prof = ProfSession(sampling=False, name="test")
+        prof = ProfSession()
 
         async def scenario(app):
             await call(app, "POST", "/v1/tasks", spec("a"))

@@ -72,11 +72,13 @@ class TestCommands:
         assert main(["report", "--scenario", "nope"]) == 2
 
 
-#: sha256[:16] of stdout as the parent commit (34dfe56, hand-built
-#: scenario copies in cli.py) printed it; the handlers now call the
-#: ``repro.scenarios`` builders and must print the same bytes.
+#: sha256[:16] of stdout as the commits that still carried hand-built
+#: scenario copies printed it (34dfe56 for cli.py's; 02b9265 for the
+#: Table 5 box, the face-off loop and the two examples); everything now
+#: calls the ``repro.scenarios`` builders and must print the same bytes.
 PARENT_STDOUT = {
     ("tables", "--seed", "3"): "1aae857b254ef0c8",
+    ("faceoff", "--seed", "0"): "e412485e27736e1d",
     ("figure3", "--seed", "3", "--duration-ms", "80", "--width", "80"): "7682930d25061257",
     ("figure4", "--seed", "3"): "0b1826308f868944",
     ("figure5", "--seed", "3"): "26f510e2093b1a98",
@@ -94,6 +96,21 @@ def test_stdout_matches_the_parent(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest()[:16] == PARENT_STDOUT[argv]
+
+
+@pytest.mark.parametrize(
+    "script, digest",
+    [("scheduler_faceoff.py", "756459520d2b3f9e"), ("settop_box.py", "433bba7c89ba896b")],
+)
+def test_example_stdout_matches_the_parent(script, digest, capsys):
+    import hashlib
+    import runpy
+    from pathlib import Path
+
+    examples = Path(__file__).parent.parent / "examples"
+    runpy.run_path(str(examples / script), run_name="__main__")
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest()[:16] == digest
 
 
 def _subcommands(parser, path=()):
@@ -147,10 +164,19 @@ def _args_reads(func, seen=None) -> set[str]:
     return reads
 
 
-def _ignored_flags(parser) -> list[str]:
+def _ignored_flags(parser, handler=None) -> list[str]:
+    """Flags no handler reads.  ``handler`` is the function that reads a
+    parser without subcommands; otherwise each leaf's ``func`` default."""
+    if handler is not None:
+        leaves = [((parser.prog,), parser, handler)]
+    else:
+        leaves = [
+            (path, leaf, leaf.get_default("func"))
+            for path, leaf in _subcommands(parser)
+        ]
     ignored = []
-    for path, leaf in _subcommands(parser):
-        reads = _args_reads(leaf.get_default("func"))
+    for path, leaf, func in leaves:
+        reads = _args_reads(func)
         for action in leaf._actions:
             if action.option_strings and action.dest != "help":
                 if action.dest not in reads:
@@ -162,8 +188,10 @@ class TestParser:
     def test_every_flag_is_read(self):
         """A flag a command accepts and never reads is a lie in --help."""
         from repro.cli import build_parser
+        from repro.lint import cli as lint_cli
 
         assert _ignored_flags(build_parser()) == []
+        assert _ignored_flags(lint_cli.build_parser(), lint_cli.main) == []
 
     def test_an_ignored_flag_is_caught(self):
         from repro.cli import build_parser
@@ -172,6 +200,13 @@ class TestParser:
         settop = next(p for path, p in _subcommands(parser) if path == ("settop",))
         settop.add_argument("--duration-ms", type=float, default=500.0)
         assert _ignored_flags(parser) == ["settop --duration-ms"]
+
+    def test_an_ignored_lint_flag_is_caught(self):
+        from repro.lint import cli as lint_cli
+
+        parser = lint_cli.build_parser()
+        parser.add_argument("--flow", action="store_true")
+        assert _ignored_flags(parser, lint_cli.main) == ["repro-lint --flow"]
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
