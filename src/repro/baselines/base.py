@@ -14,7 +14,7 @@ from repro import units
 from repro.config import MachineConfig, SimConfig
 from repro.core.grants import Grant
 from repro.core.kernel import Kernel
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import STATE_ACTIVE, SimThread
 from repro.sim.trace import TraceRecorder
 from repro.tasks.base import TaskDefinition
 
@@ -83,7 +83,7 @@ class EnforcingEdfPolicy:
     # -- timer helpers --------------------------------------------------------
 
     def _boundary(self, thread: SimThread, now: int) -> int | None:
-        if thread.state is not ThreadState.ACTIVE or not thread.in_period:
+        if thread.state is not STATE_ACTIVE or not thread.in_period:
             return None
         return thread.period_start if thread.period_start > now else thread.deadline
 

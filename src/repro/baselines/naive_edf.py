@@ -11,7 +11,7 @@ Distributor's first principles rule out.
 from __future__ import annotations
 
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy, edf_key
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import STATE_ACTIVE, SimThread
 
 
 class NaiveEdfPolicy(EnforcingEdfPolicy):
@@ -19,7 +19,7 @@ class NaiveEdfPolicy(EnforcingEdfPolicy):
 
     def _runnable(self, thread: SimThread, now: int) -> bool:
         return (
-            thread.state is ThreadState.ACTIVE
+            thread.state is STATE_ACTIVE
             and thread.period_started(now)
             and thread.has_pending_work()
             and not thread.declared_done

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro import units
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
 from repro.core.grants import Grant
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import STATE_EXITED, SimThread
 from repro.errors import AdmissionError
 
 
@@ -87,7 +87,7 @@ class RateMonotonicSystem(BaselineSystem):
         existing = [
             t.grant.rate
             for t in self.kernel.periodic_threads()
-            if t is not thread and t.grant is not None and t.state is not ThreadState.EXITED
+            if t is not thread and t.grant is not None and t.state is not STATE_EXITED
         ]
         n = len(existing) + 1
         total = sum(existing) + grant.rate

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
 from repro.core.grants import Grant
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import STATE_EXITED, SimThread
 from repro.errors import AdmissionError
 
 
@@ -30,7 +30,7 @@ class ReservesSystem(BaselineSystem):
         committed = grant.rate + sum(
             t.grant.rate
             for t in self.kernel.periodic_threads()
-            if t is not thread and t.grant is not None and t.state is not ThreadState.EXITED
+            if t is not thread and t.grant is not None and t.state is not STATE_EXITED
         )
         capacity = self.machine.schedulable_capacity
         if committed > capacity + 1e-9:
@@ -45,5 +45,5 @@ class ReservesSystem(BaselineSystem):
         return sum(
             t.grant.rate
             for t in self.kernel.periodic_threads()
-            if t.grant is not None and t.state is not ThreadState.EXITED
+            if t.grant is not None and t.state is not STATE_EXITED
         )

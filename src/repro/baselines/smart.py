@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro import units
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
 from repro.core.grants import Grant
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import STATE_ACTIVE, SimThread
 
 #: Scheduling quantum used in fair-share mode.
 QUANTUM = units.ms_to_ticks(1)
@@ -44,7 +44,7 @@ class SmartPolicy(EnforcingEdfPolicy):
         return [
             t
             for t in self.kernel.periodic_threads()
-            if t.state is ThreadState.ACTIVE and t.in_period
+            if t.state is STATE_ACTIVE and t.in_period
         ]
 
     def overloaded(self, now: int) -> bool:
@@ -53,7 +53,7 @@ class SmartPolicy(EnforcingEdfPolicy):
 
     def _runnable(self, thread: SimThread, now: int) -> bool:
         return (
-            thread.state is ThreadState.ACTIVE
+            thread.state is STATE_ACTIVE
             and thread.period_started(now)
             and thread.has_pending_work()
             and not thread.declared_done
@@ -105,7 +105,7 @@ class SmartPolicy(EnforcingEdfPolicy):
                 (
                     self._vt(t)
                     for t in self.kernel.periodic_threads()
-                    if t is not thread and t.state is ThreadState.ACTIVE
+                    if t is not thread and t.state is STATE_ACTIVE
                 ),
                 default=0.0,
             )

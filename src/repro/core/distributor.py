@@ -21,7 +21,7 @@ from repro.core.kernel import Kernel
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_manager import ResourceManager
 from repro.core.scheduler import RDScheduler
-from repro.core.threads import SimThread
+from repro.core.threads import STATE_EXITED, SimThread
 from repro.sim.trace import TraceRecorder
 from repro.tasks.base import TaskDefinition
 
@@ -93,9 +93,7 @@ class ResourceDistributor:
         if thread.tid in self.resource_manager.admitted_ids():
             self.resource_manager.exit_thread(thread.tid)
         else:
-            from repro.core.threads import ThreadState
-
-            thread.state = ThreadState.EXITED
+            thread.state = STATE_EXITED
 
     # -- task lifecycle -------------------------------------------------------
 

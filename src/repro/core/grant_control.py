@@ -227,11 +227,12 @@ class GrantController:
     def _fast_path(self, active: list[GrantRequest]) -> dict[str, int] | None:
         """Unit ownership when everyone can have their maximum entry, or
         None when that does not fit in both resources without
-        exclusive-unit conflicts."""
-        if sum(r.max_rate for r in active) > self._capacity + _EPS:
+        exclusive-unit conflicts.  The sums read the lists' stored
+        tables (index 0 is the maximum entry), not property chains."""
+        if sum(r.resource_list.rates[0] for r in active) > self._capacity + _EPS:
             return None
         if (
-            sum(r.resource_list.maximum.bandwidth for r in active)
+            sum(r.resource_list.bandwidths[0] for r in active)
             > self._bandwidth + _EPS
         ):
             return None

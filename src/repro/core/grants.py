@@ -65,7 +65,7 @@ class GrantSet:
                 raise GrantError(
                     f"grant for thread {grant.thread_id} filed under key {tid}"
                 )
-        total = sum(g.rate for g in grants.values())
+        total = sum(g.entry.rate for g in grants.values())
         if total > capacity + 1e-9:
             raise GrantError(
                 f"grant set rate {total:.4f} exceeds schedulable capacity "

@@ -36,7 +36,16 @@ from typing import Callable, Iterable
 from repro import units
 from repro.config import MachineConfig, SimConfig
 from repro.core.grants import Grant, GrantDelivery
-from repro.core.threads import SimThread, ThreadKind, ThreadState
+from repro.core.threads import (
+    STATE_ACTIVE,
+    STATE_BLOCKED,
+    STATE_EXITED,
+    STATE_QUIESCENT,
+    THREAD_IDLE,
+    THREAD_PERIODIC,
+    THREAD_SPORADIC,
+    SimThread,
+)
 from repro.errors import SchedulerError, SimulationError, TaskError
 from repro.machine.cpu import ContextSwitchModel
 from repro.machine.exclusive import ExclusiveUnitRegistry
@@ -49,21 +58,27 @@ from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import (
+    SEGMENT_ASSIGNED,
+    SEGMENT_GRANTED,
+    SEGMENT_IDLE,
+    SEGMENT_OVERTIME,
+    SEGMENT_SYSTEM,
+    SWITCH_INVOLUNTARY,
+    SWITCH_VOLUNTARY,
     BlockRecord,
     ContextSwitchRecord,
     DeadlineRecord,
     GrantChangeRecord,
-    SegmentKind,
     SwitchKind,
     TraceRecorder,
 )
 from repro.tasks.base import (
+    SEMANTICS_CALLBACK,
     AssignGrant,
     Block,
     Compute,
     DonePeriod,
     InsertIdleCycles,
-    Semantics,
     TaskDefinition,
 )
 from repro.tasks.channels import Channel
@@ -76,6 +91,13 @@ class SliceEnd(enum.Enum):
     DONE = "done"  # thread declared itself done for the period
     BLOCKED = "blocked"  # thread blocked on a channel
     INTERRUPTED = "interrupted"  # a wake/notification requires a re-pick
+
+
+# The members, bound once at import (see ``repro.core.threads``).
+SLICE_FORCED = SliceEnd.FORCED
+SLICE_DONE = SliceEnd.DONE
+SLICE_BLOCKED = SliceEnd.BLOCKED
+SLICE_INTERRUPTED = SliceEnd.INTERRUPTED
 
 
 class Kernel:
@@ -117,7 +139,7 @@ class Kernel:
         #: that opened while the switch was charged).
         self._periods_opened = 0
         self._next_tid = self.IDLE_TID + 1
-        self.idle = SimThread(self.IDLE_TID, "Idle", ThreadKind.IDLE)
+        self.idle = SimThread(self.IDLE_TID, "Idle", THREAD_IDLE)
         self.policy = None  # bound by the scheduler policy
         # The policy's optional notification hooks (None when absent).
         self._on_period_open = None
@@ -128,7 +150,7 @@ class Kernel:
         self._event_heap = self.events._heap
 
         self._current: SimThread | None = None
-        self._pending_switch_kind = SwitchKind.VOLUNTARY
+        self._pending_switch_kind = SWITCH_VOLUNTARY
         self._reschedule = False
         self._no_progress = 0
         #: Blocked threads per channel, as (block sequence, thread) in
@@ -184,13 +206,13 @@ class Kernel:
         thread = SimThread(
             tid=self._alloc_tid(),
             name=definition.name,
-            kind=ThreadKind.PERIODIC,
+            kind=THREAD_PERIODIC,
             definition=definition,
             policy_id=policy_id,
         )
         thread.ctx._kernel = self
         thread.state = (
-            ThreadState.QUIESCENT if definition.start_quiescent else ThreadState.ACTIVE
+            STATE_QUIESCENT if definition.start_quiescent else STATE_ACTIVE
         )
         self.threads[thread.tid] = thread
         self._periodic.append(thread)
@@ -202,7 +224,7 @@ class Kernel:
         thread = SimThread(
             tid=self._alloc_tid(),
             name=name,
-            kind=ThreadKind.SPORADIC,
+            kind=THREAD_SPORADIC,
             definition=definition,
         )
         thread.ctx._kernel = self
@@ -223,7 +245,7 @@ class Kernel:
     def note_periodic_exit(self, thread: SimThread) -> None:
         """A periodic thread reached EXITED; sweep the scan list when
         the dead outnumber the living (amortized O(1) per exit)."""
-        if thread.kind is not ThreadKind.PERIODIC:
+        if thread.kind is not THREAD_PERIODIC:
             return
         self._exited_periodic += 1
         if (
@@ -242,7 +264,7 @@ class Kernel:
         trace thread names.
         """
         self._periodic = [
-            t for t in self._periodic if t.state is not ThreadState.EXITED
+            t for t in self._periodic if t.state is not STATE_EXITED
         ]
         self._exited_periodic = 0
 
@@ -276,9 +298,9 @@ class Kernel:
         semantics ("this is how the initial grant for an admitted task
         is always delivered").
         """
-        if thread.kind is not ThreadKind.PERIODIC:
+        if thread.kind is not THREAD_PERIODIC:
             raise SchedulerError(f"thread {thread.tid} is not periodic")
-        thread.state = ThreadState.ACTIVE
+        thread.state = STATE_ACTIVE
         thread.grant = grant
         thread.pending_grant = None
         thread.has_pending_change = False
@@ -376,7 +398,7 @@ class Kernel:
             if sanitizer is not None:
                 sanitizer.on_pick(self.idle, now)
             clock.advance_to(horizon)
-            self.trace.record_run(self.IDLE_TID, now, horizon, SegmentKind.IDLE)
+            self.trace.record_run(self.IDLE_TID, now, horizon, SEGMENT_IDLE)
             if prof:
                 prof.end("kernel.dispatch")
             self._no_progress = 0
@@ -459,14 +481,14 @@ class Kernel:
             if thread.is_idle:
                 if stop > now:
                     clock.advance_to(stop)
-                    self.trace.record_run(thread.tid, now, stop, SegmentKind.IDLE)
-                self._pending_switch_kind = SwitchKind.VOLUNTARY
+                    self.trace.record_run(thread.tid, now, stop, SEGMENT_IDLE)
+                self._pending_switch_kind = SWITCH_VOLUNTARY
             else:
                 outcome = self._execute(thread, stop)
-                if outcome is SliceEnd.DONE or outcome is SliceEnd.BLOCKED:
-                    self._pending_switch_kind = SwitchKind.VOLUNTARY
-                elif outcome is SliceEnd.INTERRUPTED:
-                    self._pending_switch_kind = SwitchKind.INVOLUNTARY
+                if outcome is SLICE_DONE or outcome is SLICE_BLOCKED:
+                    self._pending_switch_kind = SWITCH_VOLUNTARY
+                elif outcome is SLICE_INTERRUPTED:
+                    self._pending_switch_kind = SWITCH_INVOLUNTARY
                 else:  # FORCED: timer interrupt
                     self._pending_switch_kind = self._handle_forced_stop(
                         thread, stop, preemptive
@@ -506,7 +528,7 @@ class Kernel:
                 start = self.clock.now
                 self.clock.advance(cost)
                 self.reserve.charge(cost)
-                self.trace.record_run(-1, start, self.clock.now, SegmentKind.SYSTEM)
+                self.trace.record_run(-1, start, self.clock.now, SEGMENT_SYSTEM)
             self.trace.record_switch(
                 ContextSwitchRecord(
                     time=self.now,
@@ -517,11 +539,13 @@ class Kernel:
                 )
             )
             if self.obs:
+                # ``_value_`` is the member's own attribute; ``.value``
+                # is a property resolved through the enum machinery.
                 self.obs.emit_switch(
-                    self.now, prev.tid, thread.tid, kind.value, cost
+                    self.now, prev.tid, thread.tid, kind._value_, cost
                 )
         self._current = thread
-        self._pending_switch_kind = SwitchKind.VOLUNTARY
+        self._pending_switch_kind = SWITCH_VOLUNTARY
 
     # -- dispatching ------------------------------------------------------------
 
@@ -536,10 +560,10 @@ class Kernel:
             or definition.preemption is None
             or not thread.has_pending_work()
         ):
-            return SwitchKind.INVOLUNTARY
+            return SWITCH_INVOLUNTARY
         self._rollover_all()
         if not self.policy.preemption_imminent(thread, self.now):
-            return SwitchKind.INVOLUNTARY
+            return SWITCH_INVOLUNTARY
         grace = self.machine.grace_period_ticks
         notice = definition.preemption.check_interval
         thread.grace_pending = True
@@ -557,7 +581,7 @@ class Kernel:
                             grace_ticks=grace,
                         )
                     )
-                return SwitchKind.VOLUNTARY
+                return SWITCH_VOLUNTARY
             # The task cannot notice in time: it burns the whole grace
             # period and is involuntarily preempted, with an exception
             # callback so it can clean up when next run.
@@ -575,7 +599,7 @@ class Kernel:
                         grace_ticks=grace,
                     )
                 )
-            return SwitchKind.INVOLUNTARY
+            return SWITCH_INVOLUNTARY
         finally:
             thread.grace_pending = False
 
@@ -585,7 +609,7 @@ class Kernel:
         target = thread.assignment_target
         if target is None:
             return thread, False
-        if target.state is not ThreadState.ACTIVE or target.gen_exhausted:
+        if target.state is not STATE_ACTIVE or target.gen_exhausted:
             thread.clear_assignment()
             return thread, False
         return target, True
@@ -619,7 +643,7 @@ class Kernel:
             now = clock.now
             if now >= stop:
                 if runner.pending_compute > 0 or ops_at_stop >= 8:
-                    return SliceEnd.FORCED
+                    return SLICE_FORCED
                 ops_at_stop += 1
 
             if runner.pending_compute > 0:
@@ -650,7 +674,7 @@ class Kernel:
                     thread.clear_assignment()
                     continue
                 self._mark_done(thread)
-                return SliceEnd.DONE
+                return SLICE_DONE
             try:
                 op = runner.gen.send(None)
             except StopIteration:
@@ -658,11 +682,11 @@ class Kernel:
                 if posted:
                     self._deliver_posts()
                 if assigned:
-                    runner.state = ThreadState.EXITED
+                    runner.state = STATE_EXITED
                     thread.clear_assignment()
                     continue
                 self._mark_done(thread)
-                return SliceEnd.DONE
+                return SLICE_DONE
             except Exception as exc:  # noqa: BLE001 - fault isolation boundary
                 outcome = self._crash(thread, runner, assigned, exc)
                 if outcome is not None:
@@ -686,7 +710,7 @@ class Kernel:
                 if result is not None:
                     return result
             if self._reschedule:
-                return SliceEnd.INTERRUPTED
+                return SLICE_INTERRUPTED
 
     def _crash(
         self, thread: SimThread, runner: SimThread, assigned: bool, exc: Exception
@@ -706,12 +730,12 @@ class Kernel:
         if self.crash_handler is not None:
             self.crash_handler(runner, exc)
         else:
-            runner.state = ThreadState.EXITED
+            runner.state = STATE_EXITED
         if assigned:
             thread.clear_assignment()
             return None
         self._mark_done(thread)
-        return SliceEnd.DONE
+        return SLICE_DONE
 
     def _mark_done(self, thread: SimThread, overtime: bool = False) -> None:
         """The thread finished its period's work at the current tick."""
@@ -735,7 +759,7 @@ class Kernel:
                 thread.clear_assignment()
                 return None
             self._mark_done(thread, overtime=op.overtime)
-            return SliceEnd.DONE
+            return SLICE_DONE
         if isinstance(op, Block):
             if op.channel.try_take():
                 return None
@@ -754,15 +778,15 @@ class Kernel:
                 thread.clear_assignment()
                 return None
             thread.blocked_this_period = True
-            return SliceEnd.BLOCKED
+            return SLICE_BLOCKED
         if isinstance(op, AssignGrant):
             if assigned:
                 raise TaskError("a sporadic task cannot re-assign a grant")
             target = self.threads.get(op.task_id)
             if (
                 target is not None
-                and target.kind is ThreadKind.SPORADIC
-                and target.state is ThreadState.ACTIVE
+                and target.kind is THREAD_SPORADIC
+                and target.state is STATE_ACTIVE
                 and not target.gen_exhausted
             ):
                 thread.assignment_target = target
@@ -789,7 +813,7 @@ class Kernel:
         end = self.clock.advance(run)
         runner.pending_compute -= run
         if thread.remaining > 0 and not thread.declared_done:
-            kind = SegmentKind.ASSIGNED if assigned else SegmentKind.GRANTED
+            kind = SEGMENT_ASSIGNED if assigned else SEGMENT_GRANTED
             thread.remaining -= run
             thread.used += run
             if thread.remaining <= 0:
@@ -799,7 +823,7 @@ class Kernel:
                 if self._on_overtime_request is not None:
                     self._on_overtime_request(thread)
         else:
-            kind = SegmentKind.ASSIGNED if assigned else SegmentKind.OVERTIME
+            kind = SEGMENT_ASSIGNED if assigned else SEGMENT_OVERTIME
             thread.overtime_used += run
         self.trace.record_run(
             runner.tid,
@@ -826,7 +850,7 @@ class Kernel:
 
     def _block_on(self, runner: SimThread, channel: Channel) -> None:
         """Park ``runner`` on ``channel`` until a post is delivered."""
-        runner.state = ThreadState.BLOCKED
+        runner.state = STATE_BLOCKED
         runner.blocked_channel = channel
         self._block_seq += 1
         runner.block_seq = self._block_seq
@@ -844,7 +868,7 @@ class Kernel:
 
     @staticmethod
     def _stale_waiter(seq: int, thread: SimThread) -> bool:
-        return thread.block_seq != seq or thread.state is not ThreadState.BLOCKED
+        return thread.block_seq != seq or thread.state is not STATE_BLOCKED
 
     def _deliver_posts(self) -> None:
         """Wake the waiters of every channel posted to since the last
@@ -883,7 +907,7 @@ class Kernel:
             self._wake(thread, channel)
 
     def _wake(self, thread: SimThread, channel: Channel) -> None:
-        thread.state = ThreadState.ACTIVE
+        thread.state = STATE_ACTIVE
         thread.blocked_channel = None
         self.trace.record_block(
             BlockRecord(
@@ -931,12 +955,12 @@ class Kernel:
         grant = thread.grant
         assert grant is not None
         delivered = min(thread.used, grant.cpu_ticks)
-        voided = thread.blocked_this_period or thread.state is ThreadState.BLOCKED
+        voided = thread.blocked_this_period or thread.state is STATE_BLOCKED
         missed = (
             not voided
             and not thread.declared_done
             and delivered < grant.cpu_ticks
-            and thread.state is ThreadState.ACTIVE
+            and thread.state is STATE_ACTIVE
         )
         record = DeadlineRecord(
             thread_id=thread.tid,
@@ -998,7 +1022,7 @@ class Kernel:
         thread.overtime_used = 0
         thread.declared_done = False
         thread.wants_overtime = False
-        thread.blocked_this_period = thread.state is ThreadState.BLOCKED
+        thread.blocked_this_period = thread.state is STATE_BLOCKED
         thread.completed_at = -1
 
         changed = new_grant.entry is not old_grant.entry
@@ -1034,7 +1058,7 @@ class Kernel:
         # will resume in the first full period in which the thread is
         # not blocked").  Fresh callbacks wait until it unblocks.
         if (
-            thread.state is ThreadState.BLOCKED
+            thread.state is STATE_BLOCKED
             and thread.gen is not None
             and not thread.gen_exhausted
         ):
@@ -1043,7 +1067,7 @@ class Kernel:
             return True
         definition = thread.definition
         assert definition is not None
-        if definition.semantics is Semantics.CALLBACK:
+        if definition.semantics is SEMANTICS_CALLBACK:
             return True
         if not changed:
             return False
@@ -1053,7 +1077,7 @@ class Kernel:
         # than taking the machine down.
         if definition.filter_callback is not None:
             try:
-                return definition.filter_callback(old, new) is Semantics.CALLBACK
+                return definition.filter_callback(old, new) is SEMANTICS_CALLBACK
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 self.trace.note(
                     self.now, f"thread {thread.tid} filter callback crashed: {exc!r}"
@@ -1069,11 +1093,11 @@ class Kernel:
         thread.gen = None
         thread.gen_exhausted = False
         thread.restart_pending = True
-        new_state = thread.pending_state or ThreadState.QUIESCENT
+        new_state = thread.pending_state or STATE_QUIESCENT
         thread.pending_state = None
-        if thread.state is not ThreadState.BLOCKED or new_state is ThreadState.EXITED:
+        if thread.state is not STATE_BLOCKED or new_state is STATE_EXITED:
             thread.state = new_state
-        if new_state is ThreadState.EXITED:
+        if new_state is STATE_EXITED:
             self.note_periodic_exit(thread)
         self.exclusive.release_thread(thread.tid)
         self._record_grant_change(
@@ -1083,6 +1107,6 @@ class Kernel:
                 period=0,
                 cpu_ticks=0,
                 entry_index=-1,
-                reason=f"grant removed ({new_state.value})",
+                reason=f"grant removed ({new_state._value_})",
             )
         )

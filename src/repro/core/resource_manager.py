@@ -29,7 +29,7 @@ from repro.core.grant_control import GrantController, GrantRequest, GrantSetResu
 from repro.core.kernel import Kernel
 from repro.core.policy_box import PolicyBox
 from repro.core.scheduler import RDScheduler
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import STATE_EXITED, STATE_QUIESCENT, SimThread
 from repro.errors import AdmissionError, ResourceListError
 from repro.obs.events import AdmissionEvent, GrantRecomputeEvent
 from repro.tasks.base import TaskDefinition
@@ -110,6 +110,9 @@ class ResourceManager:
         bandwidth = kernel.machine.bandwidth_capacity
         self.admission = AdmissionController(capacity, bandwidth)
         self.grant_control = GrantController(capacity, policy_box, bandwidth)
+        #: Admitted threads in tid order: tids are allocated monotonically
+        #: and a record is inserted only at admission, so insertion order
+        #: is tid order and the per-op walks below need no sort.
         self._records: dict[int, _AdmittedRecord] = {}
         self.last_result: GrantSetResult | None = None
         #: Optional telemetry bus; set alongside :attr:`Kernel.obs`.
@@ -213,9 +216,9 @@ class ResourceManager:
         if thread.in_period:
             # The grant is guaranteed through the current period; removal
             # takes effect at the boundary.
-            thread.pending_state = ThreadState.EXITED
+            thread.pending_state = STATE_EXITED
         else:
-            thread.state = ThreadState.EXITED
+            thread.state = STATE_EXITED
             self.kernel.note_periodic_exit(thread)
             self.kernel.exclusive.release_thread(tid)
         self._recompute()
@@ -232,9 +235,9 @@ class ResourceManager:
             return
         record.quiescent = True
         if record.thread.in_period:
-            record.thread.pending_state = ThreadState.QUIESCENT
+            record.thread.pending_state = STATE_QUIESCENT
         else:
-            record.thread.state = ThreadState.QUIESCENT
+            record.thread.state = STATE_QUIESCENT
         self._recompute()
 
     def wake(self, tid: int) -> None:
@@ -301,7 +304,7 @@ class ResourceManager:
             self.grant_control.capacity,
             tuple(
                 (tid, record.thread.policy_id, record.definition.resource_list, record.quiescent)
-                for tid, record in sorted(self._records.items())
+                for tid, record in self._records.items()
             ),
         )
 
@@ -378,7 +381,7 @@ class ResourceManager:
 
     def _requests(self) -> list[GrantRequest]:
         requests: list[GrantRequest] = []
-        for tid, record in sorted(self._records.items()):
+        for tid, record in self._records.items():
             request = record.request
             if (
                 request is None

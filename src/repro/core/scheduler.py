@@ -59,7 +59,7 @@ from repro import units
 from repro.core.grant_control import GrantSetResult
 from repro.core.grants import Grant, GrantSet
 from repro.core.kernel import Kernel
-from repro.core.threads import SimThread, ThreadKind, ThreadState
+from repro.core.threads import STATE_ACTIVE, STATE_EXITED, THREAD_PERIODIC, SimThread
 
 
 def _edf_key(thread: SimThread) -> tuple[int, int]:
@@ -205,8 +205,8 @@ class RDScheduler:
             thread = threads.get(tid)
             if (
                 thread is None
-                or thread.kind is not ThreadKind.PERIODIC
-                or thread.state is ThreadState.EXITED
+                or thread.kind is not THREAD_PERIODIC
+                or thread.state is STATE_EXITED
             ):
                 pending.pop(tid, None)
                 self._inflight.discard(tid)
@@ -258,7 +258,7 @@ class RDScheduler:
         # dict accretes entries across notifications in arbitrary order.
         for tid, grant in sorted(pending.items()):
             thread = self.kernel.threads.get(tid)
-            if thread is None or thread.state is ThreadState.EXITED:
+            if thread is None or thread.state is STATE_EXITED:
                 continue
             if thread.in_period:
                 # An increase for a running thread: applies at its next
@@ -314,7 +314,7 @@ class RDScheduler:
                 thread.deadline != deadline
                 or thread.remaining <= 0
                 or thread.declared_done
-                or thread.state is not ThreadState.ACTIVE
+                or thread.state is not STATE_ACTIVE
                 or thread.grant is None
             ):
                 heappop(heap)
@@ -388,7 +388,7 @@ class RDScheduler:
 
     def _fresh_allocation_time(self, thread: SimThread, now: int) -> int | None:
         """When ``thread`` next receives a fresh allocation, if ever."""
-        if thread.state is not ThreadState.ACTIVE or thread.grant is None:
+        if thread.state is not STATE_ACTIVE or thread.grant is None:
             return None
         if thread.period_start > now:
             return thread.period_start  # postponed period about to begin
@@ -452,7 +452,7 @@ class RDScheduler:
         expired = [
             t
             for t in self.kernel.periodic_threads()
-            if t.state is ThreadState.ACTIVE
+            if t.state is STATE_ACTIVE
             and t.period_started(now)
             and not t.eligible_time_remaining(now)
         ]

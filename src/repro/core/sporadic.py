@@ -22,7 +22,7 @@ from typing import Generator
 from repro import units
 from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.core.threads import SimThread, ThreadState
+from repro.core.threads import STATE_ACTIVE, STATE_EXITED, SimThread
 from repro.tasks.base import AssignGrant, Compute, DonePeriod, Op, TaskDefinition
 
 
@@ -74,7 +74,7 @@ class SporadicServer:
 
     def queue_length(self) -> int:
         """Sporadic tasks that have not exited."""
-        return sum(1 for t in self._queue if t.state is not ThreadState.EXITED)
+        return sum(1 for t in self._queue if t.state is not STATE_EXITED)
 
     def _next_ready(self) -> SimThread | None:
         """Rotate to the next runnable sporadic task (round-robin).
@@ -86,11 +86,11 @@ class SporadicServer:
         queue = self._queue
         for _ in range(len(queue)):
             task = queue[0]
-            if task.state is ThreadState.EXITED:
+            if task.state is STATE_EXITED:
                 queue.popleft()
                 continue
             queue.rotate(-1)
-            if task.state is ThreadState.ACTIVE and not task.gen_exhausted:
+            if task.state is STATE_ACTIVE and not task.gen_exhausted:
                 return task
         return None
 

@@ -33,6 +33,19 @@ class ThreadKind(enum.Enum):
     IDLE = "idle"
 
 
+# The members, bound once at import: hot paths read these globals, not
+# ``ThreadState.ACTIVE``, an unspecialised lookup through the enum
+# metaclass that costs an order of magnitude more than a global read on
+# CPython 3.11 (DESIGN.md §4 "A hot path reads names").
+STATE_ACTIVE = ThreadState.ACTIVE
+STATE_BLOCKED = ThreadState.BLOCKED
+STATE_QUIESCENT = ThreadState.QUIESCENT
+STATE_EXITED = ThreadState.EXITED
+THREAD_PERIODIC = ThreadKind.PERIODIC
+THREAD_SPORADIC = ThreadKind.SPORADIC
+THREAD_IDLE = ThreadKind.IDLE
+
+
 class SimThread:
     """Thread control block for the simulated system."""
 
@@ -49,9 +62,9 @@ class SimThread:
         self.kind = kind
         self.definition = definition
         self.policy_id = policy_id
-        self.state = ThreadState.ACTIVE
+        self.state = STATE_ACTIVE
         #: Fixed at construction: only the kernel's Idle thread is idle.
-        self.is_idle = kind is ThreadKind.IDLE
+        self.is_idle = kind is THREAD_IDLE
 
         # -- grant / period state (periodic threads only) --
         self.grant: Optional["Grant"] = None
@@ -142,7 +155,7 @@ class SimThread:
         # A period whose grant delivery has not started yet (the
         # generator is created lazily at first dispatch) counts as work.
         return (
-            self.kind is ThreadKind.PERIODIC
+            self.kind is THREAD_PERIODIC
             and self.in_period
             and self.restart_pending
             and not self.declared_done
@@ -157,7 +170,7 @@ class SimThread:
         return (
             self.remaining > 0
             and not self.declared_done
-            and self.state is ThreadState.ACTIVE
+            and self.state is STATE_ACTIVE
             and self.grant is not None
             and self.period_index >= 0
             and self.period_start <= now
@@ -173,7 +186,7 @@ class SimThread:
         if self.is_idle:
             return True
         if (
-            self.state is not ThreadState.ACTIVE
+            self.state is not STATE_ACTIVE
             or self.grant is None
             or self.period_index < 0
             or self.period_start > now

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro import units
 from repro.config import ContextSwitchCosts
-from repro.sim.trace import SwitchKind
+from repro.sim.trace import SWITCH_VOLUNTARY, SwitchKind
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,14 @@ class ContextSwitchModel:
         """Sample the cost of one switch of the given kind, in ticks."""
         if self._costs.is_zero:
             return 0
-        dist = self._voluntary if kind is SwitchKind.VOLUNTARY else self._involuntary
+        dist = self._voluntary if kind is SWITCH_VOLUNTARY else self._involuntary
         return max(0, units.us_to_ticks(dist.sample_us(self._rng)))
 
     def mean_cost_ticks(self, kind: SwitchKind) -> int:
         """The calibrated mean cost, in ticks (no sampling)."""
         mean_us = (
             self._costs.voluntary_mean_us
-            if kind is SwitchKind.VOLUNTARY
+            if kind is SWITCH_VOLUNTARY
             else self._costs.involuntary_mean_us
         )
         return units.us_to_ticks(mean_us)

@@ -22,6 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro import units
+from repro.sim.trace import SEGMENT_SYSTEM, RunSegment
+
 
 @dataclass
 class InterruptReserve:
@@ -90,8 +93,6 @@ class InterruptSource:
 
     def attach(self, kernel, horizon: int) -> None:
         """Start raising interrupts on ``kernel`` until ``horizon``."""
-        from repro import units
-
         interval = units.TCI_HZ / self.rate_hz
         service_ticks = units.us_to_ticks(self.service_us)
         rng: random.Random = kernel.rngs.stream(f"interrupts:{self.name}")
@@ -110,14 +111,12 @@ class InterruptSource:
                 kernel.reserve.charge(service_ticks)
                 self.fired += 1
                 self.stolen_ticks += service_ticks
-                from repro.sim.trace import RunSegment, SegmentKind
-
                 kernel.trace.record_segment(
                     RunSegment(
                         thread_id=-1,
                         start=start,
                         end=kernel.now,
-                        kind=SegmentKind.SYSTEM,
+                        kind=SEGMENT_SYSTEM,
                     )
                 )
                 schedule(kernel.now + next_gap())

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.threads import ThreadState
+from repro.core.threads import STATE_EXITED
 from repro.errors import SanitizerViolation
 from repro.metrics.validate import ValidationReport, Violation
 from repro.obs.events import ViolationEvent
@@ -126,7 +126,10 @@ class InvariantSanitizer:
         self.grant_sets_checked += 1
         machine = self.kernel.machine
         grant_set = result.grant_set
-        total = sum(g.rate for g in grant_set)
+        # Summed here, from the set itself (``entry.rate`` is a stored
+        # field): the sum is the check, so it must not reuse the
+        # controller's running totals.
+        total = sum(g.entry.rate for g in grant_set)
         if total > machine.schedulable_capacity + _EPS:
             self._fail(
                 "grant-conservation",
@@ -256,9 +259,10 @@ class InvariantSanitizer:
     def _check_never_terminated(self, now: int) -> None:
         if self.resource_manager is None:
             return
+        threads = self.kernel.threads
         for tid in self.resource_manager.admitted_ids():
-            thread = self.kernel.threads.get(tid)
-            if thread is None or thread.state is ThreadState.EXITED:
+            thread = threads.get(tid)
+            if thread is None or thread.state is STATE_EXITED:
                 self._fail(
                     "never-terminated",
                     now,

@@ -38,6 +38,17 @@ class SegmentKind(enum.Enum):
     IDLE = "idle"
 
 
+# The members, bound once at import for the hot paths that record runs
+# and switches (see ``repro.core.threads``; DESIGN.md §4).
+SWITCH_VOLUNTARY = SwitchKind.VOLUNTARY
+SWITCH_INVOLUNTARY = SwitchKind.INVOLUNTARY
+SEGMENT_GRANTED = SegmentKind.GRANTED
+SEGMENT_OVERTIME = SegmentKind.OVERTIME
+SEGMENT_ASSIGNED = SegmentKind.ASSIGNED
+SEGMENT_SYSTEM = SegmentKind.SYSTEM
+SEGMENT_IDLE = SegmentKind.IDLE
+
+
 @dataclass(frozen=True)
 class RunSegment:
     """A contiguous interval during which one thread held the CPU."""
@@ -150,7 +161,7 @@ class TraceRecorder:
         self._open_thread: int | None = None
         self._open_start = 0
         self._open_end = 0
-        self._open_kind = SegmentKind.IDLE
+        self._open_kind = SEGMENT_IDLE
         self._open_period = -1
         self._open_charged: int | None = None
 

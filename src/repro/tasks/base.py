@@ -129,6 +129,12 @@ class Semantics(enum.Enum):
     RETURN = "return"
 
 
+# The members, bound once at import for the kernel's period-open path
+# (see ``repro.core.threads``; DESIGN.md §4).
+SEMANTICS_CALLBACK = Semantics.CALLBACK
+SEMANTICS_RETURN = Semantics.RETURN
+
+
 @dataclass(frozen=True)
 class PreemptionConfig:
     """Controlled-preemption registration (section 5.6).

@@ -464,36 +464,6 @@ class TestQuietKernel:
         ]
 
 
-class TestHotPathImports:
-    def test_no_import_executes_per_dispatch(self):
-        """An ``import`` inside a function is a dict lookup and a lock
-        per call; none may sit on the per-dispatch path."""
-        import dis
-
-        from repro.core.kernel import Kernel
-        from repro.core.scheduler import RDScheduler
-        from repro.metrics.sanitizer import InvariantSanitizer
-
-        hot = [
-            Kernel.run_until,
-            Kernel._execute,
-            Kernel._consume,
-            RDScheduler.pick,
-            RDScheduler.timer_for,
-            InvariantSanitizer.on_pick,
-            InvariantSanitizer.on_period_close,
-            InvariantSanitizer.on_grant_set,
-            InvariantSanitizer.on_memo_reuse,
-            InvariantSanitizer._check_edf_order,
-            InvariantSanitizer._check_never_terminated,
-        ]
-        for function in hot:
-            imports = [
-                i for i in dis.get_instructions(function) if i.opname == "IMPORT_NAME"
-            ]
-            assert not imports, f"{function.__qualname__} imports {imports[0].argval}"
-
-
 class TestSlicedRuns:
     """``run_until`` leaves the open trace segment open; every reader
     goes through ``trace.segments``, which flushes."""

@@ -83,3 +83,38 @@ class TestExitEdges:
         t2 = admit_simple(ideal_rd, "app", period_ms=10, rate=0.3)
         assert t2.policy_id == pid1
         assert t2.tid != t1.tid
+
+
+class TestRecordOrder:
+    def test_records_stay_in_tid_order_through_churn(self, ideal_rd):
+        """``_requests`` and ``_signature`` walk ``_records`` unsorted:
+        insertion order must stay tid order through every lifecycle op."""
+        rm = ideal_rd.resource_manager
+
+        def check():
+            assert list(rm._records) == sorted(rm._records)
+            assert [r.thread_id for r in rm._requests()] == sorted(rm._records)
+
+        def admit(name):
+            return admit_simple(ideal_rd, name, period_ms=10, rate=0.1)
+
+        live = [admit(f"t{i}") for i in range(4)]
+        check()
+        for step in range(8):
+            ideal_rd.run_for(ms(7))
+            oldest, newest = live[0], live[-1]
+            ideal_rd.exit_thread(oldest.tid)
+            check()
+            live = live[1:] + [admit(oldest.name)]
+            check()
+            ideal_rd.enter_quiescent(newest.tid)
+            check()
+            smaller = single_entry_definition(
+                newest.name, period_ms=10, rate=0.05 + 0.01 * step
+            )
+            rm.change_resource_list(newest.tid, smaller)
+            check()
+            ideal_rd.wake(newest.tid)
+            check()
+        ideal_rd.run_for(ms(30))
+        assert len(rm._records) == 4
