@@ -34,12 +34,17 @@ guarantees to fit — with an explicit everyone-minimum fallback as the
 unconditional backstop to the paper's single-pass convergence claim.
 
 The passes read per-list tables, not entries: a :class:`ResourceList`
-is immutable, so its ``rates``, ``bandwidths``, smallest rate step and
-whether it names any exclusive unit are computed once at construction,
-and the correlation runs over rows indexed by position in the request
-list.  A candidate search answers with the list's shared index tuple
-whenever nothing can conflict (the list names no unit, or no unit is
-owned yet) and filters only otherwise.  The grant set itself stays a
+is immutable, so its ``rates``, ``bandwidths``, ``negated_rates``,
+smallest rate step and whether it names any exclusive unit are computed
+once at construction, and the correlation runs over rows indexed by
+position in the request list.  For a list that names no exclusive unit,
+pass 1 finds the entries just above and just below the target with one
+bisection of ``negated_rates``, pass 2 demotes to the saved "below"
+entry and pass 3 promotes in an inline loop, so such a thread costs the
+passes no Python call.  A list that names a unit goes through the
+candidate search instead, which answers with the list's shared index
+tuple while no unit is owned yet and filters only otherwise.  The grant
+set itself stays a
 pure function of the requests and the policy — nothing is carried from
 one computation to the next except the previous result's ``Grant``
 objects: every result, whichever path produced it, is built in one
@@ -50,6 +55,7 @@ only what changed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -166,11 +172,14 @@ class GrantController:
         active = [r for r in requests if not r.quiescent]
         if not active:
             return self._result(active, [], None, 0, False, {}, observe)
-        seen: set[int] = set()
-        for request in active:
-            if request.thread_id in seen:
-                raise GrantError(f"duplicate grant request for thread {request.thread_id}")
-            seen.add(request.thread_id)
+        if len({r.thread_id for r in active}) != len(active):
+            seen: set[int] = set()
+            for request in active:
+                if request.thread_id in seen:
+                    raise GrantError(
+                        f"duplicate grant request for thread {request.thread_id}"
+                    )
+                seen.add(request.thread_id)
 
         owners = self._fast_path(active)
         if owners is not None:
@@ -197,7 +206,7 @@ class GrantController:
         changed: set[int] = set()
         for request, index in zip(active, selection):
             tid = request.thread_id
-            entry = request.resource_list[index]
+            entry = request.resource_list.entries[index]
             grant = previous.get(tid)
             # Index as well as identity: two lists may share an entry
             # object at different positions.
@@ -229,15 +238,17 @@ class GrantController:
         None when that does not fit in both resources without
         exclusive-unit conflicts.  The sums read the lists' stored
         tables (index 0 is the maximum entry), not property chains."""
-        if sum(r.resource_list.rates[0] for r in active) > self._capacity + _EPS:
+        if sum([r.resource_list.rates[0] for r in active]) > self._capacity + _EPS:
             return None
         if (
-            sum(r.resource_list.bandwidths[0] for r in active)
+            sum([r.resource_list.bandwidths[0] for r in active])
             > self._bandwidth + _EPS
         ):
             return None
         owners: dict[str, int] = {}
         for request in active:
+            if not request.resource_list.names_exclusive:
+                continue
             for unit in request.resource_list.maximum.exclusive:
                 if unit in owners:
                     return None  # conflict: resolve through the policy path
@@ -254,21 +265,29 @@ class GrantController:
         )
         # Everything below is indexed by position in ``active``; the
         # lists' own tables supply rates and bandwidths by entry index.
+        # A thread whose list names no exclusive unit costs the passes
+        # no Python call: orders are sorts over plain keys and each
+        # selection is a table read (``tests/test_hot_paths.py`` counts).
         count = len(active)
         lists = [r.resource_list for r in active]
-        targets = [policy.share_of(r.policy_id) for r in active]
+        shares = policy.shares
+        targets = [shares.get(r.policy_id, 0.0) for r in active]
+        cpu_limit = self._capacity + _EPS
+        bw_limit = self._bandwidth + _EPS
 
         # Selection order: the policy's exclusive-preference thread first,
         # then by descending target share, then by thread id for
         # determinism.  This order settles exclusive-unit claims.
-        def claim_order(p: int) -> tuple:
-            request = active[p]
-            preferred = request.policy_id == policy.exclusive_preference
-            return (not preferred, -targets[p], request.thread_id)
-
-        ordered = sorted(range(count), key=claim_order)
+        preferred = policy.exclusive_preference
+        claim_keys = [
+            (r.policy_id != preferred, -target, r.thread_id)
+            for r, target in zip(active, targets)
+        ]
+        ordered = sorted(range(count), key=claim_keys.__getitem__)
         owners: dict[str, int] = {}
         selection = [0] * count
+        #: Pass 1's "below" entry for each unit-free thread.
+        below = [0] * count
 
         # Pass 1: entries just above the policy-specified QOS.  A
         # running ``total`` keeps every subsequent pass O(N), as the
@@ -277,11 +296,21 @@ class GrantController:
         bw_total = 0.0
         for p in ordered:
             entries = lists[p]
-            index = self._select_above(
-                entries.rates, self._candidates(active[p], owners), targets[p]
-            )
             if entries.names_exclusive:
+                index = self._select_above(
+                    entries.rates, self._candidates(active[p], owners), targets[p]
+                )
                 self._claim(active[p], index, owners)
+            else:
+                # The entries with rate >= target - eps are the first
+                # ``split`` (``_EPS - target`` is exactly the negated
+                # floor): "above" is the last of them (the best entry
+                # when there are none), "below" the next one (the
+                # minimum entry when there is none).
+                negated = entries.negated_rates
+                split = bisect_right(negated, _EPS - targets[p])
+                index = split - 1 if split else 0
+                below[p] = split if split < len(negated) else split - 1
             selection[p] = index
             total += entries.rates[index]
             bw_total += entries.bandwidths[index]
@@ -289,72 +318,82 @@ class GrantController:
         #: Each thread's policy-sanctioned level; pass 3 never exceeds it.
         ceiling = list(selection)
 
-        def move(p: int, index: int) -> None:
-            """Re-point ``active[p]`` at ``index``, handing units over."""
-            if lists[p].names_exclusive:
-                self._release(active[p], selection[p], owners)
-                self._claim(active[p], index, owners)
-            selection[p] = index
-
-        def over_budget() -> bool:
-            return total > self._capacity + _EPS or bw_total > self._bandwidth + _EPS
-
-        if over_budget():
+        if total > cpu_limit or bw_total > bw_limit:
             # Pass 2: turn higher entries into lower entries.  Demote
             # first the threads whose "above" entry overshoots their
             # policy target the most — they hold the least-entitled
-            # resources — breaking ties against the lowest-ranked.
-            # Bandwidth overload uses the same order: demotion lowers
-            # both dimensions level by level.
+            # resources — breaking ties against the lowest-ranked.  The
+            # key ``target - rate`` is exactly ``-(rate - target)``, and
+            # a stable sort of the claim order reversed puts the
+            # lowest-ranked first among equal keys.  Bandwidth overload
+            # uses the same order: demotion lowers both dimensions level
+            # by level.
             passes = 2
-            rank = [0] * count
-            for position, p in enumerate(ordered):
-                rank[p] = position
-
-            def overshoot(p: int) -> float:
-                return lists[p].rates[selection[p]] - targets[p]
-
-            demote_order = sorted(ordered, key=lambda p: (-overshoot(p), -rank[p]))
+            demote_keys = [
+                target - entries.rates[index]
+                for target, entries, index in zip(targets, lists, selection)
+            ]
+            demote_order = sorted(reversed(ordered), key=demote_keys.__getitem__)
             for p in demote_order:
-                if not over_budget():
+                if total <= cpu_limit and bw_total <= bw_limit:
                     break
+                entries = lists[p]
                 old_index = selection[p]
-                rates = lists[p].rates
-                index = self._select_below(
-                    rates, self._candidates(active[p], owners), targets[p], old_index
-                )
+                if entries.names_exclusive:
+                    index = self._select_below(
+                        entries.rates,
+                        self._candidates(active[p], owners),
+                        targets[p],
+                        old_index,
+                    )
+                else:
+                    index = below[p]
                 if index != old_index:
-                    bws = lists[p].bandwidths
+                    rates = entries.rates
+                    bws = entries.bandwidths
                     total += rates[index] - rates[old_index]
                     bw_total += bws[index] - bws[old_index]
-                    move(p, index)
-            if over_budget():
+                    if entries.names_exclusive:
+                        self._release(active[p], old_index, owners)
+                        self._claim(active[p], index, owners)
+                    selection[p] = index
+            if total > cpu_limit or bw_total > bw_limit:
                 # One demotion level may not free enough bandwidth
                 # (entries are ordered by CPU rate, not bandwidth); keep
                 # demoting toward the minima until both budgets fit.
                 for p in demote_order:
-                    rates = lists[p].rates
-                    bws = lists[p].bandwidths
-                    while over_budget() and selection[p] < len(rates) - 1:
+                    entries = lists[p]
+                    rates = entries.rates
+                    bws = entries.bandwidths
+                    last = len(rates) - 1
+                    while selection[p] < last and (
+                        total > cpu_limit or bw_total > bw_limit
+                    ):
                         old_index = selection[p]
-                        index = next(
-                            (
-                                i
-                                for i in self._candidates(active[p], owners)
-                                if i > old_index
-                            ),
-                            None,
-                        )
-                        if index is None:
-                            break
+                        if entries.names_exclusive:
+                            index = next(
+                                (
+                                    i
+                                    for i in self._candidates(active[p], owners)
+                                    if i > old_index
+                                ),
+                                None,
+                            )
+                            if index is None:
+                                break
+                        else:
+                            index = old_index + 1
                         total += rates[index] - rates[old_index]
                         bw_total += bws[index] - bws[old_index]
-                        move(p, index)
-                    if not over_budget():
+                        if entries.names_exclusive:
+                            self._release(active[p], old_index, owners)
+                            self._claim(active[p], index, owners)
+                        selection[p] = index
+                    if total <= cpu_limit and bw_total <= bw_limit:
                         break
 
         fallback = False
-        if over_budget():
+        if total > cpu_limit or bw_total > bw_limit:
             # The policy nominated targets below some minimum entries.
             # Fall back to the minimum set, which admission guarantees.
             fallback = True
@@ -363,7 +402,7 @@ class GrantController:
             bw_total = 0.0
             for p in ordered:
                 entries = lists[p]
-                index = len(entries) - 1
+                index = len(entries.rates) - 1
                 if entries.names_exclusive:
                     self._claim(active[p], index, owners)
                 selection[p] = index
@@ -372,8 +411,11 @@ class GrantController:
 
         slack = self._capacity - total
         bw_slack = self._bandwidth - bw_total
-        smallest_step = min(entries.smallest_step for entries in lists)
-        if passes == 2 and not fallback and slack >= smallest_step - _EPS:
+        if (
+            passes == 2
+            and not fallback
+            and slack >= min([entries.smallest_step for entries in lists]) - _EPS
+        ):
             # Pass 3: hand otherwise-unallocated resources back to
             # demoted threads, best-ranked first — but never beyond the
             # policy-sanctioned (pass 1) level: further slack belongs to
@@ -384,29 +426,48 @@ class GrantController:
                 if slack <= _EPS:
                     break
                 old_index = selection[p]
-                if old_index == ceiling[p]:
+                top = ceiling[p]
+                if old_index == top:
                     continue  # nothing between the ceiling and here
-                rates = lists[p].rates
-                bws = lists[p].bandwidths
-                index = self._promote(
-                    rates,
-                    bws,
-                    self._candidates(active[p], owners),
-                    old_index,
-                    ceiling[p],
-                    slack,
-                    bw_slack,
-                )
+                entries = lists[p]
+                rates = entries.rates
+                bws = entries.bandwidths
+                if entries.names_exclusive:
+                    index = self._promote(
+                        rates,
+                        bws,
+                        self._candidates(active[p], owners),
+                        old_index,
+                        top,
+                        slack,
+                        bw_slack,
+                    )
+                else:
+                    # The best entry from the ceiling down that fits in
+                    # both slacks.
+                    index = old_index
+                    rate = rates[old_index]
+                    bw = bws[old_index]
+                    for i in range(top, old_index):
+                        if (
+                            rates[i] - rate <= slack + _EPS
+                            and bws[i] - bw <= bw_slack + _EPS
+                        ):
+                            index = i
+                            break
                 if index != old_index:
                     slack -= rates[index] - rates[old_index]
                     bw_slack -= bws[index] - bws[old_index]
-                    move(p, index)
+                    if entries.names_exclusive:
+                        self._release(active[p], old_index, owners)
+                        self._claim(active[p], index, owners)
+                    selection[p] = index
 
         return self._result(
             active, selection, policy, passes, fallback, dict(owners), observe
         )
 
-    # -- selection helpers -----------------------------------------------------
+    # -- selection helpers: lists that name exclusive units --------------------
     #
     # Candidates ascend by index, and rates strictly descend with it, so
     # "the entries at or above a rate" are a prefix of the candidates
@@ -416,11 +477,11 @@ class GrantController:
         self, request: GrantRequest, owners: dict[str, int]
     ) -> Sequence[int]:
         """Entry indices whose exclusive needs are free (or already
-        ours), ascending.  Nothing can conflict while the list names no
-        unit or no unit is owned yet; the answer is then the list's own
-        shared index tuple, which callers must not mutate."""
+        ours), ascending.  Nothing can conflict while no unit is owned
+        yet; the answer is then the list's own shared index tuple, which
+        callers must not mutate."""
         entries = request.resource_list
-        if not owners or not entries.names_exclusive:
+        if not owners:
             return entries.indices
         tid = request.thread_id
         available = [

@@ -65,13 +65,13 @@ class GrantSet:
                 raise GrantError(
                     f"grant for thread {grant.thread_id} filed under key {tid}"
                 )
-        total = sum(g.entry.rate for g in grants.values())
+        total = sum([g.entry.rate for g in grants.values()])
         if total > capacity + 1e-9:
             raise GrantError(
                 f"grant set rate {total:.4f} exceeds schedulable capacity "
                 f"{capacity:.4f}; the Resource Manager must never emit such a set"
             )
-        total_bandwidth = sum(g.entry.bandwidth for g in grants.values())
+        total_bandwidth = sum([g.entry.bandwidth for g in grants.values()])
         if total_bandwidth > bandwidth_capacity + 1e-9:
             raise GrantError(
                 f"grant set bandwidth {total_bandwidth:.4f} exceeds the Data "

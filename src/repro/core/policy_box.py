@@ -168,9 +168,10 @@ class PolicyBox:
         key = frozenset(policy_ids)
         if not key:
             raise PolicyError("cannot resolve a policy for an empty task set")
-        unknown = [pid for pid in key if pid not in self._tasks]
-        if unknown:
-            raise PolicyError(f"unregistered policy ids {sorted(unknown)}")
+        tasks = self._tasks
+        if not key <= tasks.keys():
+            unknown = sorted(pid for pid in key if pid not in tasks)
+            raise PolicyError(f"unregistered policy ids {unknown}")
         if observe:
             self._lookups += 1
         rankings = self._overrides.get(key) or self._defaults.get(key)
@@ -199,7 +200,7 @@ class PolicyBox:
         if observe:
             self._inventions += 1
         share = self._capacity / len(key)
-        shares = {pid: share for pid in sorted(key)}
+        shares = dict.fromkeys(sorted(key), share)
         return Policy(
             shares=shares,
             exclusive_preference=min(key),

@@ -95,19 +95,25 @@ class ResourceList:
 
     A list is immutable, so what grant control asks of it on every
     correlation pass is computed once, here, and read as plain
-    attributes: the per-entry ``rates`` and ``bandwidths``, the
-    ``indices`` every candidate search starts from, the
-    ``smallest_step`` between adjacent rates, and whether any entry
-    ``names_exclusive`` units.
+    attributes: the ``entries`` tuple, the per-entry ``rates`` and
+    ``bandwidths``, the ascending ``negated_rates`` a bisection for a
+    target rate reads, the ``indices`` every candidate search starts
+    from, the ``smallest_step`` between adjacent rates, and whether any
+    entry ``names_exclusive`` units.
     """
 
     def __init__(self, entries: Sequence[ResourceListEntry]) -> None:
         if not entries:
             raise ResourceListError("a resource list needs at least one entry")
-        self._entries = entries = tuple(entries)
+        #: The entries, best QOS first.
+        self.entries = entries = tuple(entries)
         #: ``entry.rate`` / ``entry.bandwidth`` by index (0 = maximum QOS).
         self.rates = rates = tuple([entry.rate for entry in entries])
         self.bandwidths = tuple([entry.bandwidth for entry in entries])
+        #: ``-entry.rate`` by index, ascending because ``rates`` strictly
+        #: descends (checked below): ``bisect_right(negated_rates, -r)``
+        #: is the number of entries whose rate is at least ``r``.
+        self.negated_rates = tuple([-rate for rate in rates])
         #: ``(0, ..., len - 1)``, shared by every reader.
         self.indices = tuple(range(len(entries)))
         #: Smallest rate gap between adjacent entries (inf for one entry).
@@ -124,22 +130,18 @@ class ResourceList:
         self.names_exclusive = any([entry.exclusive for entry in entries])
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[ResourceListEntry]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __getitem__(self, index: int) -> ResourceListEntry:
-        return self._entries[index]
-
-    @property
-    def entries(self) -> tuple[ResourceListEntry, ...]:
-        return self._entries
+        return self.entries[index]
 
     @property
     def maximum(self) -> ResourceListEntry:
         """The top-quality entry (largest rate)."""
-        return self._entries[0]
+        return self.entries[0]
 
     @property
     def minimum(self) -> ResourceListEntry:
@@ -148,47 +150,16 @@ class ResourceList:
         Admission control admits a thread iff the sum of *minimum*
         entries of all threads fits on the machine.
         """
-        return self._entries[-1]
+        return self.entries[-1]
 
     def index_of(self, entry: ResourceListEntry) -> int:
         """Index of ``entry`` in this list (0 = maximum QOS)."""
-        for i, candidate in enumerate(self._entries):
+        for i, candidate in enumerate(self.entries):
             if candidate is entry:
                 return i
         raise ResourceListError("entry is not part of this resource list")
 
-    def best_fitting(self, max_rate: float) -> ResourceListEntry | None:
-        """The highest-QOS entry whose rate is at most ``max_rate``.
-
-        This is the "quantum" selection at the heart of grant control:
-        an allocation between two levels is rounded *down* to the nearest
-        useful level, never handed out fractionally.  Returns None when
-        even the minimum entry does not fit.
-        """
-        for entry in self._entries:
-            if entry.rate <= max_rate + 1e-12:
-                return entry
-        return None
-
-    def straddling(self, rate: float) -> tuple[ResourceListEntry | None, ResourceListEntry | None]:
-        """The entries just above and just below a target ``rate``.
-
-        Grant control's policy-correlation step (section 6.3) notes, for
-        each thread, "the resource list entries just above and below the
-        QOS specified by the policy".  "Above" is the lowest entry with
-        rate >= target; "below" is the highest entry with rate < target.
-        Either may be None at the ends of the list.
-        """
-        above: ResourceListEntry | None = None
-        below: ResourceListEntry | None = None
-        for entry in self._entries:
-            if entry.rate >= rate - 1e-12:
-                above = entry  # keep descending: the last such is the lowest above
-            elif below is None:
-                below = entry  # first entry strictly under the target
-        return above, below
-
     def describe(self) -> str:
         """Render the list in the paper's Table 1 format."""
         header = f"{'Period':>12} {'CPU Req.':>12} {'Rate':>7}  Function"
-        return "\n".join([header] + [entry.describe() for entry in self._entries])
+        return "\n".join([header] + [entry.describe() for entry in self.entries])

@@ -129,7 +129,7 @@ class InvariantSanitizer:
         # Summed here, from the set itself (``entry.rate`` is a stored
         # field): the sum is the check, so it must not reuse the
         # controller's running totals.
-        total = sum(g.entry.rate for g in grant_set)
+        total = sum([g.entry.rate for g in grant_set])
         if total > machine.schedulable_capacity + _EPS:
             self._fail(
                 "grant-conservation",
@@ -138,7 +138,7 @@ class InvariantSanitizer:
                 f"{machine.schedulable_capacity:.4f} is schedulable "
                 f"(interrupt reserve {machine.interrupt_reserve:.2f})",
             )
-        bandwidth = sum(g.entry.bandwidth for g in grant_set)
+        bandwidth = sum([g.entry.bandwidth for g in grant_set])
         if bandwidth > machine.bandwidth_capacity + _EPS:
             self._fail(
                 "grant-conservation",

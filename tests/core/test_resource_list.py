@@ -1,11 +1,14 @@
 """Resource lists: Table 1 semantics and validation."""
 
 import dataclasses
+from bisect import bisect_right
 
 import pytest
 
+from repro.core.grant_control import _EPS, GrantController, GrantRequest
+from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.errors import ResourceListError
+from repro.errors import GrantError, ResourceListError
 
 
 def _fn(ctx):
@@ -114,6 +117,8 @@ class TestTables:
         )
         assert rl.rates == tuple(e.cpu_ticks / e.period for e in rl)
         assert rl.bandwidths == (0.1, 0.4, 0.0)
+        assert rl.negated_rates == tuple(-rate for rate in rl.rates)
+        assert rl.entries == tuple(rl)
         assert rl.indices == (0, 1, 2)
         assert rl.smallest_step == min(
             rl.rates[0] - rl.rates[1], rl.rates[1] - rl.rates[2]
@@ -123,46 +128,77 @@ class TestTables:
     def test_single_entry_list(self):
         rl = ResourceList([entry(900_000, 300_000)])
         assert rl.rates == (1 / 3,) and rl.indices == (0,)
+        assert rl.negated_rates == (-1 / 3,)
         assert rl.smallest_step == float("inf")
         assert not rl.names_exclusive
 
 
+def split(rl, target):
+    """How many entries grant control counts as at or above ``target``:
+    pass 1's "above" is the last of them, its "below" the next one."""
+    return bisect_right(rl.negated_rates, _EPS - target)
+
+
+def one_thread(rl, share):
+    """(entry index, passes) granted to a lone thread that the invented
+    policy gives all of a machine with capacity ``share``."""
+    box = PolicyBox(capacity=share)
+    request = GrantRequest(
+        thread_id=1, policy_id=box.register_task("t"), resource_list=rl
+    )
+    result = GrantController(share, box).compute([request])
+    return result.grant_set[1].entry_index, result.passes
+
+
 class TestSelection:
+    """Pass 1's split of a list around a policy target, and what a lone
+    thread is granted through it."""
+
     @pytest.fixture
     def rl(self):
         return ResourceList(
             [entry(900_000, 450_000), entry(900_000, 270_000), entry(900_000, 90_000)]
         )  # 50 %, 30 %, 10 %
 
-    def test_best_fitting_exact(self, rl):
-        assert rl.best_fitting(0.5).cpu_ticks == 450_000
+    def test_split_middle(self, rl):
+        # 50 % is just above a 40 % target, 30 % just below it; a lone
+        # thread that cannot have the level above drops to the one below.
+        assert split(rl, 0.4) == 1
+        assert one_thread(rl, 0.4) == (1, 2)
 
-    def test_best_fitting_rounds_down_to_useful_level(self, rl):
+    def test_split_above_every_level(self, rl):
+        # Nothing is at or above 90 %: "above" is the best entry there is.
+        assert split(rl, 0.9) == 0
+
+    def test_split_below_every_level(self, rl):
+        # Every level is above 1 %: "above" is the minimum entry, and
+        # "below" clamps to it.
+        assert split(rl, 0.01) == 3
+
+    def test_split_counts_an_exact_level_as_above(self, rl):
+        assert split(rl, 0.3) == 2
+        assert split(rl, 0.3 + _EPS / 2) == 2
+        assert split(rl, 0.3 + 2 * _EPS) == 1
+        # On the boundary itself the level sits exactly ``_EPS`` under
+        # the target, and still counts: a lone thread takes it in pass 1.
+        target = 0.3 + _EPS
+        assert target - _EPS == rl.rates[1]
+        assert split(rl, target) == 2
+        assert one_thread(rl, target) == (1, 1)
+
+    def test_one_thread_gets_a_level_equal_to_its_share(self, rl):
+        assert one_thread(rl, 0.3) == (1, 1)
+        assert one_thread(rl, 0.5) == (0, 0)  # everyone's maximum fits
+
+    def test_one_thread_rounds_down_to_a_useful_level(self, rl):
         # 45 % cannot run the 50 % level; the useful quantum is 30 %.
-        assert rl.best_fitting(0.45).cpu_ticks == 270_000
+        assert one_thread(rl, 0.45) == (1, 2)
 
-    def test_best_fitting_below_minimum_is_none(self, rl):
-        assert rl.best_fitting(0.05) is None
-
-    def test_straddling_middle(self, rl):
-        above, below = rl.straddling(0.4)
-        assert above.rate == pytest.approx(0.5)
-        assert below.rate == pytest.approx(0.3)
-
-    def test_straddling_above_all(self, rl):
-        above, below = rl.straddling(0.9)
-        assert above is None
-        assert below.rate == pytest.approx(0.5)
-
-    def test_straddling_below_all(self, rl):
-        above, below = rl.straddling(0.01)
-        assert above.rate == pytest.approx(0.1)
-        assert below is None
-
-    def test_straddling_exact_level_counts_as_above(self, rl):
-        above, below = rl.straddling(0.3)
-        assert above.rate == pytest.approx(0.3)
-        assert below.rate == pytest.approx(0.1)
+    def test_one_thread_under_its_minimum_is_refused(self, rl):
+        # Admission never lets this happen: no entry fits in 5 %, so
+        # demotion stops at the minimum and the set is rejected.
+        with pytest.raises(GrantError):
+            one_thread(rl, 0.05)
 
     def test_index_of(self, rl):
         assert rl.index_of(rl.minimum) == 2

@@ -6,9 +6,11 @@ through ``any()`` over ``entry.exclusive`` on every ``_select_*`` /
 ``_promote`` call and keys everything by thread id.  It is kept here,
 verbatim, as the from-scratch reference the shipped controller must
 agree with — selection, pass count, fallback, unit ownership and any
-``GrantError`` — over populations built to reach every branch.
+``GrantError`` — over populations built to reach every branch, and on
+every op of a Resource Manager stream held in overload.
 """
 
+import itertools
 import random
 
 import pytest
@@ -16,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.config import SimConfig
+from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest, GrantSetResult
 from repro.core.grants import Grant, GrantSet
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.errors import GrantError
+from repro.errors import AdmissionError, GrantError
+from repro.tasks.base import TaskDefinition
 from repro.workloads import grant_follower, random_resource_list
 
 CAPACITY = 0.96
@@ -492,12 +497,58 @@ def contended_population(seed, count, quiescent_mask, policy_mode, tight, cyclic
     return box, bandwidth_capacity, requests
 
 
+CHURN_PERIODS_MS = (5, 10, 20, 30, 40, 50, 100)
+
+
+def churn_list(rng, count):
+    """A ``dense_churn``-shaped list: up to five levels — a top rate in
+    U(0.2, 0.9), its half, fifth and fifteenth — over a minimum small
+    enough that ``count`` of them stay admissible.  No exclusive unit,
+    no bandwidth."""
+    period = units.ms_to_ticks(rng.choice(CHURN_PERIODS_MS))
+    top = rng.uniform(0.2, 0.9)
+    floor = 0.5 / count * rng.uniform(0.5, 1.0)
+    entries = []
+    for rate in (top, top / 2, top / 5, top / 15, floor):
+        cpu = max(1, round(period * rate))
+        if entries and cpu >= entries[-1].cpu_ticks:
+            continue
+        entries.append(ResourceListEntry(period, cpu, grant_follower))
+    return ResourceList(entries)
+
+
+def churn_population(seed, count, quiescent_mask):
+    """``count`` churn-shaped requests under the invented 1/N policy, so
+    every awake thread has the same target; half of them share a few
+    lists, which ties their demotion keys exactly."""
+    rng = random.Random(seed)
+    box = PolicyBox(capacity=CAPACITY)
+    shapes = [churn_list(rng, count) for _ in range(rng.randint(1, 8))]
+    requests = [
+        GrantRequest(
+            thread_id=i,
+            policy_id=box.register_task(f"churn{i}"),
+            resource_list=rng.choice(shapes) if rng.random() < 0.5 else churn_list(rng, count),
+            quiescent=bool(quiescent_mask & (1 << i)),
+        )
+        for i in range(count)
+    ]
+    return box, 1.0, requests
+
+
 @st.composite
 def contended_populations(draw):
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    if draw(st.booleans()):
+        count = draw(st.integers(min_value=1, max_value=256))
+        return churn_population(
+            seed, count, draw(st.integers(min_value=0, max_value=(1 << count) - 1))
+            & draw(st.integers(min_value=0, max_value=(1 << count) - 1))
+        )
     # Small populations deadlock and tie; large ones exercise the rows.
     count = draw(st.integers(min_value=1, max_value=6) | st.integers(min_value=1, max_value=64))
     return contended_population(
-        seed=draw(st.integers(min_value=0, max_value=100_000)),
+        seed=seed,
         count=count,
         # Mostly-awake masks: AND of two draws would thin them too far.
         quiescent_mask=draw(st.integers(min_value=0, max_value=(1 << count) - 1))
@@ -514,6 +565,12 @@ def outcome(controller, requests):
         result = controller.compute(requests)
     except GrantError as exc:
         return ("error", str(exc))
+    return summary(result, requests)
+
+
+def summary(result, requests):
+    """Selection, passes, fallback, owners and whether the policy was
+    invented; every grant checked to be its list's entry at its index."""
     by_id = {r.thread_id: r for r in requests}
     for grant in result.grant_set:
         assert by_id[grant.thread_id].resource_list[grant.entry_index] is grant.entry
@@ -538,28 +595,37 @@ class TestTablesMatchPerCallLists:
     def test_fixed_sample_reaches_every_branch_and_agrees(self):
         """The strategy is only as good as what it reaches.  A fixed
         sample — half of it small populations whose minimum entries
-        name units, where demotion can deadlock — must take all three
-        passes, the fallback, both errors and contended-unit paths, and
-        agree with the reference on every one of them."""
+        name units, where demotion can deadlock, then churn-shaped ones
+        up to N = 256 — must take all three passes, the fallback, both
+        errors and contended-unit paths, and, on lists that name no
+        unit, a "below" entry clamped at the minimum, a pass-3
+        promotion and a demotion-order tie; and it must agree with the
+        reference on every one of them."""
         seen = set()
         rng = random.Random(0)
-        for seed in range(1200):
-            cyclic = bool(seed & 2)
-            count = rng.randint(2, 6 if cyclic else 64)
-            box, bandwidth_capacity, requests = contended_population(
-                seed,
-                count,
-                rng.getrandbits(count) & rng.getrandbits(count),
-                policy_mode=seed % 3,
-                tight=bool(seed & 1),
-                cyclic=cyclic,
-            )
+        for seed in range(1400):
+            if seed < 1200:
+                cyclic = bool(seed & 2)
+                count = rng.randint(2, 6 if cyclic else 64)
+                box, bandwidth_capacity, requests = contended_population(
+                    seed,
+                    count,
+                    rng.getrandbits(count) & rng.getrandbits(count),
+                    policy_mode=seed % 3,
+                    tight=bool(seed & 1),
+                    cyclic=cyclic,
+                )
+            else:
+                count = rng.randint(2, 256)
+                box, bandwidth_capacity, requests = churn_population(
+                    seed, count, rng.getrandbits(count) & rng.getrandbits(count)
+                )
+            reference = WatchedReference(CAPACITY, box, bandwidth_capacity)
             result = outcome(
                 GrantController(CAPACITY, box, bandwidth_capacity), requests
             )
-            assert result == outcome(
-                ReferenceCorrelator(CAPACITY, box, bandwidth_capacity), requests
-            )
+            assert result == outcome(reference, requests)
+            seen |= reference.reached
             if result[0] == "error":
                 seen.add("claimed" if "already claimed" in result[1] else "no-entry")
                 continue
@@ -574,4 +640,115 @@ class TestTablesMatchPerCallLists:
             "passes=0", "passes=1", "passes=2", "passes=3", "fallback",
             "claimed", "no-entry", "both-units-owned",
             "invented=True", "invented=False",
+            "clamped", "promoted", "tie",
         }
+
+
+class WatchedReference(ReferenceCorrelator):
+    """The reference, noting three cases of passes 2 and 3 as it takes
+    them on a list that names no unit: a demotion whose "below" entry is
+    clamped at the minimum (nothing sits under the target), a pass-3
+    promotion, and two threads demoted back to back on equal keys, where
+    only the tie-break orders them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reached = set()
+        self._last_key = None
+
+    def _select_below(self, request, target, owners, current):
+        index = super()._select_below(request, target, owners, current)
+        entries = request.resource_list
+        key = entries[current].rate - target
+        if not entries.names_exclusive:
+            if entries[index].rate >= target - _EPS:
+                self.reached.add("clamped")
+            if key == self._last_key:
+                self.reached.add("tie")
+        self._last_key = key
+        return index
+
+    def _promote(self, request, current, slack, owners, floor=0, bw_slack=1.0):
+        index = super()._promote(request, current, slack, owners, floor, bw_slack)
+        if index != current and not request.resource_list.names_exclusive:
+            self.reached.add("promoted")
+        return index
+
+
+# -- the RM-op stream against the reference ------------------------------------
+
+#: Fewest runnable tasks a stream keeps: five tops of at least 20 % each
+#: overload a 96 % machine, so every op takes the policy path.
+MIN_RUNNABLE = 5
+
+
+def run_op_stream(seed, count, ops):
+    """Admit ``count`` churn-shaped tasks, then run one op per simulated
+    ms under the strict sanitizer; after each, the Resource Manager's
+    last result must be what the reference computes from its requests."""
+    rng = random.Random(seed)
+    rd = ResourceDistributor(
+        sim=SimConfig(seed=seed), sanitize=True, sanitize_strict=True
+    )
+    manager = rd.resource_manager
+    names = itertools.count()
+    # Shared lists tie demotion keys exactly, as in ``churn_population``.
+    shapes = [churn_list(rng, count) for _ in range(rng.randint(1, 4))]
+
+    def fresh(name=None):
+        return TaskDefinition(
+            name=name or f"churn{next(names)}",
+            resource_list=rng.choice(shapes) if rng.random() < 0.5 else churn_list(rng, count),
+        )
+
+    rd.admit_many([fresh() for _ in range(count)])
+    for kind in ops:
+        rd.run_for(units.ms_to_ticks(1))
+        live = list(manager.admitted_ids())
+        runnable = [tid for tid in live if not manager.is_quiescent(tid)]
+        quiescent = [tid for tid in live if manager.is_quiescent(tid)]
+        try:
+            if kind == "admit":
+                rd.admit(fresh())
+            elif kind == "exit" and len(runnable) > MIN_RUNNABLE:
+                rd.exit_thread(rng.choice(runnable))
+            elif kind == "exit" and quiescent:
+                rd.exit_thread(rng.choice(quiescent))
+            elif kind == "quiesce" and len(runnable) > MIN_RUNNABLE:
+                rd.enter_quiescent(rng.choice(runnable))
+            elif kind == "wake" and quiescent:
+                rd.wake(rng.choice(quiescent))
+            elif kind == "relist":
+                tid = rng.choice(live)
+                manager.change_resource_list(tid, fresh(rd.thread(tid).name))
+        except AdmissionError:
+            pass  # a denied minimum changes nothing
+        result = manager.last_result
+        assert result.passes >= 1  # held in overload
+        requests = manager._requests()
+        reference = ReferenceCorrelator(
+            manager.grant_control.capacity,
+            rd.policy_box,
+            manager.grant_control.bandwidth_capacity,
+        )
+        assert summary(result, requests) == outcome(reference, requests)
+    assert rd.sanitizer.ok
+
+
+class TestRMOpStream:
+    """The reference watches the RM-op stream, not only single
+    populations: admits, exits, quiesces, wakes and list changes on a
+    distributor held in overload, each checked as it lands."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        count=st.integers(min_value=MIN_RUNNABLE, max_value=64),
+        ops=st.lists(
+            st.sampled_from(("admit", "exit", "quiesce", "wake", "relist")),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_every_op_matches_the_reference(self, seed, count, ops):
+        run_op_stream(seed, count, ops)

@@ -1,6 +1,8 @@
 """Property tests: event queue ordering, clock arithmetic, resource
 lists, policy box invention."""
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,10 @@ from repro.core.clock_sync import (
     postpone_for_period,
     ticks_per_external_period,
 )
+from repro.core.grant_control import _EPS, GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.errors import GrantError
 from repro.sim.events import EventQueue
 
 
@@ -75,34 +79,38 @@ class TestResourceListProperties:
         unique=True,
     )
 
-    @given(rate_lists)
-    def test_best_fitting_is_highest_fitting_level(self, rates):
+    @staticmethod
+    def _list(rates):
         period = units.ms_to_ticks(10)
         cpu = sorted({max(1, round(period * r)) for r in rates}, reverse=True)
-        entries = [ResourceListEntry(period, c, _fn) for c in cpu]
-        rl = ResourceList(entries)
-        for probe in [r / 2 for r in rates] + list(rates):
-            best = rl.best_fitting(probe)
-            if best is None:
-                assert all(e.rate > probe + 1e-12 for e in rl)
-            else:
-                assert best.rate <= probe + 1e-9
-                better = [e for e in rl if e.rate > best.rate]
-                assert all(e.rate > probe for e in better)
+        return ResourceList([ResourceListEntry(period, c, _fn) for c in cpu])
 
     @given(rate_lists)
-    def test_straddling_brackets_the_target(self, rates):
-        period = units.ms_to_ticks(10)
-        cpu = sorted({max(1, round(period * r)) for r in rates}, reverse=True)
-        rl = ResourceList([ResourceListEntry(period, c, _fn) for c in cpu])
-        for target in (0.005, 0.3, 0.77, 1.0):
-            above, below = rl.straddling(target)
-            if above is not None:
-                assert above.rate >= target - 1e-9
-            if below is not None:
-                assert below.rate < target
-            if above is not None and below is not None:
-                assert above.rate > below.rate
+    def test_one_thread_takes_best_fit(self, rates):
+        """A lone thread the invented policy gives a whole machine of
+        capacity ``probe`` gets the highest-QOS level that fits in it,
+        rounded down, never fractional; with none, there is no set."""
+        rl = self._list(rates)
+        for probe in [r / 2 for r in rates] + list(rates):
+            box = PolicyBox(capacity=probe)
+            request = GrantRequest(1, box.register_task("t"), rl)
+            fitting = [i for i, rate in enumerate(rl.rates) if rate <= probe + _EPS]
+            if not fitting:
+                with pytest.raises(GrantError):
+                    GrantController(probe, box).compute([request])
+                continue
+            result = GrantController(probe, box).compute([request])
+            assert result.grant_set[1].entry_index == fitting[0]
+
+    @given(rate_lists)
+    def test_split_brackets_the_target(self, rates):
+        """Pass 1's bisection splits a list into the levels at or above a
+        target (within ``_EPS``) and those below it."""
+        rl = self._list(rates)
+        for target in (0.005, 0.3, 0.77, 1.0, *rates):
+            split = bisect_right(rl.negated_rates, _EPS - target)
+            assert all(rate >= target - _EPS for rate in rl.rates[:split])
+            assert all(rate < target - _EPS for rate in rl.rates[split:])
 
 
 class TestPolicyBoxProperties:

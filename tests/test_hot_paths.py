@@ -18,6 +18,13 @@ The code is compiled from each module's source, so a function is seen
 whether or not it is reachable as an attribute; its globals are the
 module's dict, which is what ``function.__globals__`` is for every
 function defined there.  DESIGN.md §4 "A hot path reads names".
+
+A grant set pays for the §6.3 passes, not for per-thread calls: a warm
+``GrantController.compute`` over threads whose lists name no exclusive
+unit makes as many Python-level calls at N = 256 as at N = 16, in
+underload and in overload.  A helper, closure or property called per
+thread, or a ``sum(<genexpr>)`` (each resumption is a call), breaks it.
+DESIGN.md §4 "Grant control reads per-list tables".
 """
 
 from __future__ import annotations
@@ -28,9 +35,18 @@ import functools
 import importlib
 import inspect
 import pkgutil
+import random
+import sys
 import types
 
 import pytest
+
+from repro import units
+from repro.core.grant_control import GrantController, GrantRequest
+from repro.core.policy_box import PolicyBox
+from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.workloads import grant_follower
+from tests.properties.test_prop_grant_control import churn_list
 
 PACKAGES = ("repro.core", "repro.sim", "repro.machine", "repro.baselines")
 MODULES = ("repro.metrics.sanitizer",)
@@ -183,3 +199,70 @@ class TestHotPaths:
                     and value.__module__ == module.__name__
                 ):
                     assert value in enums, f"{module.__name__}.{name} has no aliases"
+
+
+# -- the §6.3 passes stay inline ----------------------------------------------
+
+
+def _unit_free_population(n: int, overload: bool):
+    """A controller and ``n`` requests under the invented 1/N policy.
+    Underload: two levels, maxima summing to 0.9.  Overload: the
+    ``dense_churn``-shaped lists the grant-control reference is checked
+    on; seed 1 takes all three passes at both sizes the test uses."""
+    rng = random.Random(1)
+    box = PolicyBox(capacity=0.96)
+    period = units.ms_to_ticks(10)
+    requests = []
+    for i in range(n):
+        if overload:
+            resource_list = churn_list(rng, n)
+        else:
+            resource_list = ResourceList(
+                [
+                    ResourceListEntry(period, round(period * rate), grant_follower)
+                    for rate in (0.9 / n, 0.45 / n)
+                ]
+            )
+        requests.append(GrantRequest(i, box.register_task(f"t{i}"), resource_list))
+    return GrantController(0.96, box), requests
+
+
+def _python_calls(function) -> int:
+    """Python-level calls made while ``function()`` runs, itself
+    included.  ``sys.setprofile`` reports a Python frame starting or
+    resuming (a generator's next item) as ``"call"``; builtins such as
+    ``sorted``, ``sum`` or ``bisect_right`` are ``"c_call"`` and not
+    counted.  The count is deterministic."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+class TestGrantPassesStayInline:
+    @pytest.mark.parametrize("overload", [False, True], ids=["underload", "overload"])
+    def test_calls_do_not_grow_with_threads(self, overload):
+        counts = {}
+        for n in (16, 256):
+            controller, requests = _unit_free_population(n, overload)
+            assert controller.compute(requests).passes == (3 if overload else 0)
+            # Warm: every thread keeps its Grant, as between RM ops.
+            counts[n] = _python_calls(lambda: controller.compute(requests))
+        assert counts[16] == counts[256], counts
+
+    def test_counter_sees_generator_resumptions(self):
+        short, long = list(range(10)), list(range(100))
+        generator = [_python_calls(lambda: sum(v for v in xs)) for xs in (short, long)]
+        listed = [_python_calls(lambda: sum([v for v in xs])) for xs in (short, long)]
+        assert generator[1] - generator[0] == 90
+        assert listed[1] == listed[0]
