@@ -15,9 +15,6 @@ policy.  Two workload regimes:
 Timing (pytest-benchmark) covers the pure policy-ordering step — the
 per-admission cost the broker adds on top of the node's own O(1)
 admission test.
-
-The summary dict is written to ``BENCH_cluster.json`` at the repo root
-by the conftest's session hook.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ from repro.cluster import BrokerConfig, ClusterSimulation, NodeView, make_policy
 from repro.cluster.report import cluster_metrics
 from repro.config import ContextSwitchCosts, MachineConfig
 from repro.tasks.mpeg import MpegDecoder
-
-from benchmarks.conftest import CLUSTER_SUMMARY
 
 POLICIES = ("first-fit", "best-fit", "aimd")
 QUIET = MachineConfig(switch_costs=ContextSwitchCosts.zero())
@@ -66,15 +61,13 @@ def run_rack(policy: str, decoders: int, seed: int = 7) -> dict:
 
 @pytest.fixture(scope="module")
 def results() -> dict:
-    if not CLUSTER_SUMMARY:
-        CLUSTER_SUMMARY["workloads"] = {
-            # 18 decoders: minima alone want 18 x 16.7% = 3.0 racks'
-            # worth on 3 x 96% of capacity — genuine overload.
-            "overload": {p: run_rack(p, decoders=18) for p in POLICIES},
-            # 12 decoders fit, but only if placement spreads them.
-            "imbalance": {p: run_rack(p, decoders=12) for p in POLICIES},
-        }
-    return CLUSTER_SUMMARY["workloads"]
+    return {
+        # 18 decoders: minima alone want 18 x 16.7% = 3.0 racks' worth on
+        # 3 x 96% of capacity — genuine overload.
+        "overload": {p: run_rack(p, decoders=18) for p in POLICIES},
+        # 12 decoders fit, but only if placement spreads them.
+        "imbalance": {p: run_rack(p, decoders=12) for p in POLICIES},
+    }
 
 
 def test_cluster_overload_admission(results, report):
@@ -115,7 +108,7 @@ def test_cluster_imbalance_qos(results, report):
     assert imbalance["aimd"]["admitted"] >= imbalance["first-fit"]["admitted"]
 
 
-def test_policy_ordering_cost(benchmark, results):
+def test_policy_ordering_cost(benchmark):
     """The broker-side cost per admission: ranking the node views."""
     views = [
         NodeView(name=f"node{i:02d}", index=i, capacity=0.96, headroom=0.96 - 0.01 * i)
@@ -123,4 +116,3 @@ def test_policy_ordering_cost(benchmark, results):
     ]
     policy = make_policy("aimd")
     benchmark(lambda: policy.order(views, 0.167))
-    CLUSTER_SUMMARY["order_cost_us_32_nodes"] = benchmark.stats.stats.mean * 1e6

@@ -9,25 +9,11 @@ not compared against the MAP1000.
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-#: Filled in by bench_cluster_placement.py; flushed to BENCH_cluster.json
-#: at the repo root when the session ends (only if the bench ran).
-CLUSTER_SUMMARY: dict = {}
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not CLUSTER_SUMMARY:
-        return
-    path = pathlib.Path(__file__).resolve().parent.parent / "BENCH_cluster.json"
-    path.write_text(
-        json.dumps(CLUSTER_SUMMARY, indent=2, sort_keys=True) + "\n"
-    )
 
 
 @pytest.fixture(scope="session")

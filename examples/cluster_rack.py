@@ -34,7 +34,7 @@ def main() -> int:
         "--obs-out",
         metavar="DIR",
         help="write the obs artifacts (events.jsonl, metrics.prom, "
-        "trace.perfetto.json, events.col.json, pipeline.{json,prom}) to DIR",
+        "trace.perfetto.json, pipeline.json) to DIR",
     )
     args = parser.parse_args()
 

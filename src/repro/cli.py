@@ -36,6 +36,7 @@ import sys
 from repro import scenarios, units
 from repro.config import SimConfig
 from repro.core.distributor import ResourceDistributor
+from repro.errors import SimulationError
 from repro.tasks.busyloop import busyloop_resource_list
 from repro.tasks.mpeg import MpegDecoder
 from repro.viz import format_table, render_gantt
@@ -292,7 +293,11 @@ def cmd_obs_report(args) -> int:
         render_markdown,
     )
 
-    events = load_events(args.dir)
+    try:
+        events = load_events(args.dir)
+    except SimulationError as exc:
+        print(exc)
+        return 2
     specs = load_slo_file(args.slo) if args.slo else None
     analysis = analyze(events, slo_specs=specs)
     rendered = (
@@ -310,10 +315,15 @@ def cmd_obs_report(args) -> int:
 
 
 def cmd_obs_check(args) -> int:
-    """Gate on SLOs: exit 1 when any objective is violated."""
+    """Gate on SLOs: exit 1 when any objective is violated, 2 when the
+    event log cannot be read."""
     from repro.obs.analysis import analyze, load_events, load_slo_file
 
-    events = load_events(args.dir)
+    try:
+        events = load_events(args.dir)
+    except SimulationError as exc:
+        print(exc)
+        return 2
     specs = load_slo_file(args.slo)
     analysis = analyze(events, slo_specs=specs)
     violations = analysis.slo_violations
@@ -345,7 +355,6 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 def cmd_obs_query(args) -> int:
     """Filter a recorded event stream; print one line per match."""
-    from repro.errors import SimulationError
     from repro.obs.analysis import load_events
     from repro.obs.pipeline.query import Query, format_line, select
 
@@ -380,7 +389,6 @@ def cmd_obs_explain(args) -> int:
     import json as _json
     from pathlib import Path
 
-    from repro.errors import SimulationError
     from repro.obs.analysis import load_events
     from repro.obs.pipeline.explain import explain_miss
 
@@ -479,10 +487,8 @@ def cmd_obs(args) -> int:
     print("  metrics.prom          the metrics registry, Prometheus text format")
     print("  trace.perfetto.json   scheduler segments + cluster span trees +")
     print("                        decision markers, for https://ui.perfetto.dev")
-    print("  events.col.json       the same stream as schema-versioned columns")
     print("  pipeline.json         loss accounting per node and kind (emitted,")
     print("                        delivered, dropped, sampled_out, overwritten)")
-    print("  pipeline.prom         the loss accounting as Prometheus counters")
     print("\nAll artifacts are byte-identical across same-seed runs.")
     return 0
 
@@ -601,7 +607,7 @@ def _obs_out(p) -> None:
         metavar="DIR",
         default=None,
         help="write the obs artifacts (events.jsonl, metrics.prom, "
-        "trace.perfetto.json, events.col.json, pipeline.{json,prom}) to DIR",
+        "trace.perfetto.json, pipeline.json) to DIR",
     )
 
 
@@ -688,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also evaluate the SLO spec at PATH (TOML)",
     )
     p_query = obs_sub.add_parser(
-        "query", help="filter a recorded event stream (jsonl or columnar)"
+        "query", help="filter a recorded event stream (events.jsonl)"
     )
     p_query.set_defaults(func=cmd_obs_query)
     p_query.add_argument(

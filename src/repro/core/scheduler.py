@@ -70,13 +70,9 @@ def _edf_key(thread: SimThread) -> tuple[int, int]:
 class RDScheduler:
     """The Resource Distributor's EDF scheduler policy."""
 
-    def __init__(self, kernel: Kernel, overlap_override_ticks: int | None = None) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
-        self.overlap_override_ticks = (
-            kernel.machine.overlap_override_ticks
-            if overlap_override_ticks is None
-            else overlap_override_ticks
-        )
+        self.overlap_override_ticks = kernel.machine.overlap_override_ticks
         #: Grants awaiting unallocated CPU time: tid -> Grant.
         self._pending_activation: dict[int, Grant] = {}
         #: Count of Resource Manager callbacks taken at unallocated time.

@@ -78,30 +78,11 @@ def load_events_text(text: str, *, source: str = "events.jsonl") -> list[ObsEven
 
 
 def load_events(path: str | Path) -> list[ObsEvent]:
-    """Load an event log: ``events.jsonl``, ``events.col.json``, or a dir.
-
-    A directory prefers ``events.jsonl`` and falls back to the columnar
-    ``events.col.json`` — the two encode the same stream losslessly
-    (:mod:`repro.obs.colfile`), so every analysis over either is
-    identical.  A ``*.col.json`` path is decoded as columnar directly.
-    """
+    """Load an event log: an ``events.jsonl`` file, or the directory
+    ``--obs-out`` wrote it into."""
     target = Path(path)
     if target.is_dir():
-        jsonl = target / "events.jsonl"
-        if jsonl.is_file():
-            target = jsonl
-        else:
-            columnar = target / "events.col.json"
-            if not columnar.is_file():
-                raise SimulationError(
-                    f"no event log in {path} (expected events.jsonl or "
-                    f"events.col.json written by --obs-out)"
-                )
-            target = columnar
-    if target.name.endswith(".col.json"):
-        from repro.obs.colfile import load_columnar
-
-        return load_columnar(target)
+        target = target / "events.jsonl"
     if not target.is_file():
         raise SimulationError(
             f"no event log at {target} (expected an events.jsonl written "

@@ -240,6 +240,13 @@ EVENT_TYPES: dict[str, type[ObsEvent]] = {
     )
 }
 
+#: Wire tag -> field names in declaration order: the row layout of an
+#: event arena (:mod:`repro.obs.pipeline.arena`).
+FIELD_PLANS: dict[str, tuple[str, ...]] = {
+    tag: tuple(f.name for f in dataclasses.fields(cls))
+    for tag, cls in EVENT_TYPES.items()
+}
+
 
 class ObsBus:
     """Fan-out of events to subscribers, in subscription order.

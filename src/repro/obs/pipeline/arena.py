@@ -24,8 +24,7 @@ first and last halves, count the sampled-out middle per kind).
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.obs.colfile import FIELD_PLANS
-from repro.obs.events import EVENT_TYPES, ObsBus, ObsEvent
+from repro.obs.events import EVENT_TYPES, FIELD_PLANS, ObsBus, ObsEvent
 
 #: Compact a column (or the order list) once this many dead rows sit in
 #: front of it *and* they outnumber the live rows — amortized O(1).
@@ -368,23 +367,3 @@ class ArenaBus(ObsBus):
             )
             for kind, row in self._walk(cursor)
         ]
-
-    def snapshot_columns(self) -> tuple[dict[str, dict[str, list]], list[str]]:
-        """The live stream as merged ``(kinds, order)`` columnar data.
-
-        This is the zero-materialization export path: the columns feed
-        :func:`repro.obs.colfile.columnar_payload` directly, so writing
-        ``events.col.json`` never constructs an event object.
-        """
-        out_columns: dict[str, dict[str, list]] = {}
-        out_order: list[str] = []
-        for kind, row in self._walk(StreamCursor()):
-            columns = out_columns.get(kind.tag)
-            if columns is None:
-                columns = out_columns[kind.tag] = {
-                    name: [] for name in kind.fields
-                }
-            for name, column in zip(kind.fields, kind.lists):
-                columns[name].append(column[row])
-            out_order.append(kind.tag)
-        return out_columns, out_order

@@ -1,8 +1,7 @@
 """Deterministic queries over a recorded event stream.
 
-``python -m repro obs query DIR`` filters a run's events — from
-``events.jsonl`` or its columnar twin ``events.col.json``, whichever
-the directory holds — by any combination of
+``python -m repro obs query DIR`` filters a run's events — from the
+directory's ``events.jsonl`` — by any combination of
 
 * **kind** — wire tags from :data:`repro.obs.events.EVENT_TYPES`;
 * **task** — by name, resolved through the admission record: an event

@@ -17,19 +17,15 @@ path.  Typed events and metrics are *views* over the arenas:
   mid-run reader (the cluster's per-node telemetry) sees exactly the
   stream so far.
 
-At the end of the run :meth:`write` emits six artifacts —
+At the end of the run :meth:`write` emits four artifacts —
 
 * ``events.jsonl``  — every event, one canonical JSON object per line;
 * ``metrics.prom``  — the registry in Prometheus text format;
 * ``trace.perfetto.json`` — scheduler segments + spans + decision
   markers for Perfetto / chrome://tracing;
-* ``events.col.json`` — the schema-versioned columnar artifact
-  (:mod:`repro.obs.colfile`), with loss accounting embedded;
-* ``pipeline.json`` — the accounting report itself (per node / per
-  kind emitted, delivered, dropped, sampled_out, overwritten, plus
-  chunk-level totals);
-* ``pipeline.prom`` — the same counts as Prometheus metrics, kept out
-  of ``metrics.prom`` so that file describes the run, not its recorder —
+* ``pipeline.json`` — the loss accounting (per node / per kind emitted,
+  delivered, dropped, sampled_out, overwritten, plus chunk-level
+  totals) —
 
 all derived purely from sim-tick-stamped data, so two same-seed runs
 write byte-identical files (the CI determinism gate compares them).
@@ -47,15 +43,10 @@ import json
 from pathlib import Path
 
 from repro.errors import SimulationError
-from repro.obs.colfile import columnar_payload, columnar_to_json
 from repro.obs.events import ObsEvent, ScopedBus
 from repro.obs.log import events_to_jsonl
 from repro.obs.perfetto import perfetto_trace_json
-from repro.obs.pipeline.aggregate import (
-    LOSS_COUNTERS,
-    RootCollector,
-    check_loss_invariant,
-)
+from repro.obs.pipeline.aggregate import RootCollector, check_loss_invariant
 from repro.obs.pipeline.arena import ArenaBus, StreamCursor
 from repro.obs.prom import render_prometheus
 from repro.obs.registry import MetricsRegistry
@@ -319,33 +310,6 @@ class ObsSession:
             }
         return local.accounting(truth=truth)
 
-    def pipeline_registry(self, accounting: dict) -> MetricsRegistry:
-        """The accounting as first-class metrics (for ``pipeline.prom``)."""
-        registry = MetricsRegistry()
-        counters = {
-            name: registry.counter(
-                f"repro_pipeline_events_{name}_total",
-                f"Pipeline events {name.replace('_', ' ')}, per node and kind",
-                ("node", "kind"),
-            )
-            for name in LOSS_COUNTERS
-        }
-        chunks = registry.counter(
-            "repro_pipeline_chunks_total",
-            "Node chunks by outcome (sent / delivered / lost)",
-            ("node", "outcome"),
-        )
-        for node, payload in accounting["nodes"].items():
-            for tag, row in payload["kinds"].items():
-                for name in LOSS_COUNTERS:
-                    if row[name]:
-                        counters[name].inc(row[name], node=node, kind=tag)
-            for outcome in ("sent", "delivered", "lost"):
-                count = payload["chunks"][outcome]
-                if count:
-                    chunks.inc(count, node=node, outcome=outcome)
-        return registry
-
     # -- exports -----------------------------------------------------------
 
     def events_jsonl(self) -> str:
@@ -355,9 +319,6 @@ class ObsSession:
         return render_prometheus(self.registry)
 
     def perfetto_json(self, now: int) -> str:
-        return self._perfetto(self.events, now)
-
-    def _perfetto(self, events: list[ObsEvent], now: int) -> str:
         self.spans.finish_open(now)
         schedules = {
             node: (
@@ -369,11 +330,11 @@ class ObsSession:
         return perfetto_trace_json(
             spans=self.spans.spans,
             schedules=schedules,
-            events=events,
+            events=self.events,
         )
 
     def write(self, directory: str | Path, now: int) -> dict[str, Path]:
-        """Write the six artifacts (see the module docstring)."""
+        """Write the four artifacts (see the module docstring)."""
         if self.shipping is not None:
             self.shipping.finalize(now)
         accounting = self.loss_accounting()
@@ -383,24 +344,14 @@ class ObsSession:
                 "pipeline loss accounting is inconsistent: "
                 + "; ".join(problems)
             )
-        events = self.events
-        columns, order = self.bus.snapshot_columns()
         texts = {
-            "events": ("events.jsonl", events_to_jsonl(events)),
+            "events": ("events.jsonl", self.events_jsonl()),
             "metrics": ("metrics.prom", self.metrics_prom()),
-            "trace": ("trace.perfetto.json", self._perfetto(events, now)),
-            "events_col": (
-                "events.col.json",
-                columnar_to_json(columnar_payload(columns, order, loss=accounting)),
-            ),
+            "trace": ("trace.perfetto.json", self.perfetto_json(now)),
             "pipeline": (
                 "pipeline.json",
                 json.dumps(accounting, sort_keys=True, separators=(",", ":"))
                 + "\n",
-            ),
-            "pipeline_prom": (
-                "pipeline.prom",
-                render_prometheus(self.pipeline_registry(accounting)),
             ),
         }
         out = Path(directory)

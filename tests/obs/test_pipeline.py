@@ -1,6 +1,5 @@
 """Unit tests for the columnar obs pipeline: arenas, shipping, the
-colfile format, the session's arena-backed views, and the query/explain
-engine."""
+session's arena-backed views, and the query/explain engine."""
 
 import hashlib
 import json
@@ -9,14 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs.colfile import (
-    ColumnarFormatError,
-    columnar_payload,
-    encode_columnar,
-    load_columnar,
-    read_columnar,
-    write_columnar,
-)
 from repro.obs.events import (
     AdmissionEvent,
     GraceEvent,
@@ -123,14 +114,6 @@ class TestArenaBus:
         assert ArenaBus()
         assert len(ArenaBus().arena()) == 0
 
-    def test_snapshot_columns_matches_eager_encoding(self):
-        events = switches(3, node="a") + switches(2, node="b", start=1000)
-        bus = ArenaBus()
-        for event in events:
-            bus.emit(event)
-        columns, order = bus.snapshot_columns()
-        assert columnar_payload(columns, order) == encode_columnar(events)
-
     def test_subscribers_still_see_typed_events_from_fast_paths(self):
         bus = ArenaBus()
         seen = []
@@ -147,32 +130,6 @@ class TestArenaBus:
             )
         ]
         assert bus.materialize() == seen
-
-
-class TestColfile:
-    def test_disk_round_trip(self, tmp_path):
-        events = switches(4, node="n0")
-        path = write_columnar(tmp_path / "events.col.json", encode_columnar(events))
-        assert load_columnar(path) == events
-        assert read_columnar(path)["count"] == 4
-
-    def test_wrong_format_is_rejected_with_location(self, tmp_path):
-        path = tmp_path / "events.col.json"
-        path.write_text(json.dumps({"format": "not-columnar"}))
-        with pytest.raises(ColumnarFormatError, match="events.col.json"):
-            load_columnar(path)
-
-    def test_unknown_version_is_rejected(self):
-        payload = encode_columnar(switches(1))
-        payload["version"] = 999
-        with pytest.raises(ColumnarFormatError, match="version"):
-            from repro.obs.colfile import decode_columnar
-
-            decode_columnar(payload)
-
-    def test_loss_accounting_rides_the_payload(self):
-        payload = encode_columnar(switches(1), loss={"totals": {"dropped": 3}})
-        assert payload["loss"] == {"totals": {"dropped": 3}}
 
 
 class TestSeqTracker:
@@ -338,21 +295,20 @@ class TestShipping:
 
 
 class TestPipelineObsSession:
-    def test_write_emits_the_columnar_artifacts_too(self, tmp_path):
+    def test_write_emits_exactly_four_artifacts(self, tmp_path):
         session = ObsSession()
         for event in switches(3, node="n0"):
             session.bus.emit(event)
         session.write(tmp_path, now=1000)
-        for name in (
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
             "events.jsonl",
             "metrics.prom",
-            "trace.perfetto.json",
-            "events.col.json",
             "pipeline.json",
-            "pipeline.prom",
-        ):
-            assert (tmp_path / name).is_file(), name
-        assert load_columnar(tmp_path / "events.col.json") == session.events
+            "trace.perfetto.json",
+        ]
+        assert (tmp_path / "events.jsonl").read_text() == events_to_jsonl(
+            session.events
+        )
         report = json.loads((tmp_path / "pipeline.json").read_text())
         assert report["totals"]["emitted"] == 3
 
@@ -364,6 +320,7 @@ class TestPipelineObsSession:
         for name, run in GOLDEN["runs"].items():
             out = tmp_path / name
             main(run["argv"] + ["--obs-out", str(out)])
+            assert sorted(p.name for p in out.iterdir()) == sorted(run["sha256"])
             digests = {
                 artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
                 for artifact in run["sha256"]

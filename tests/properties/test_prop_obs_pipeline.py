@@ -3,10 +3,10 @@
 Three invariants the whole observability tier leans on:
 
 1. **Round-trip byte identity** — any event stream pushed through the
-   columnar arena, exported via ``snapshot_columns`` -> columnar JSON ->
-   ``decode_columnar``, must serialize to *byte-identical* events.jsonl
-   v2 as serializing the event objects directly.  The arenas are the
-   only record an observed run keeps, so they may lose nothing.
+   columnar arena and materialized back must serialize to
+   *byte-identical* events.jsonl v2 as serializing the event objects
+   directly.  The arenas are the only record an observed run keeps, so
+   they may lose nothing.
 
 2. **Exact loss accounting** — under arbitrary ring capacities, chunk
    sampling, flush cadences, and transport misbehavior (drops,
@@ -20,12 +20,9 @@ Three invariants the whole observability tier leans on:
    stream and read once at the end.
 """
 
-import json
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.colfile import columnar_payload, columnar_to_json, decode_columnar
 from repro.obs.events import (
     ActivationEvent,
     AdmissionEvent,
@@ -118,21 +115,6 @@ class TestColumnarRoundTrip:
         for event in events:
             bus.emit(event)
         assert events_to_jsonl(bus.materialize()) == reference
-
-    @settings(max_examples=150)
-    @given(event_streams)
-    def test_columnar_encode_decode_is_byte_identical(self, events):
-        """snapshot_columns -> events.col.json -> decode round-trips to
-        byte-identical events.jsonl v2 — floats, empty strings, empty
-        streams, and multi-node interleaves included."""
-        reference = events_to_jsonl(events)
-        bus = ArenaBus()
-        for event in events:
-            bus.emit(event)
-        columns, order = bus.snapshot_columns()
-        text = columnar_to_json(columnar_payload(columns, order))
-        decoded = decode_columnar(json.loads(text))
-        assert events_to_jsonl(decoded) == reference
 
     @settings(max_examples=100)
     @given(event_streams)

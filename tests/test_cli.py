@@ -291,6 +291,30 @@ class TestObsAnalysisCli:
         assert "slo-alert" in out
 
 
+FOUR_ARTIFACTS = ["events.jsonl", "metrics.prom", "pipeline.json", "trace.perfetto.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["report"], ["check", "--slo", "slo.toml"],
+    ["query"], ["explain", "--task", "video"],
+])
+@pytest.mark.parametrize("log", ["missing", "no-events-jsonl", "columnar.json"])
+def test_obs_reader_rejects_a_bad_event_log(command, log, tmp_path, capsys):
+    """A log the loader cannot read — no path, a directory without
+    events.jsonl, a leftover columnar file — is a usage error (exit 2,
+    one line), not an SLO violation (exit 1) and not a traceback."""
+    target = tmp_path / log
+    if log == "no-events-jsonl":
+        target.mkdir()
+        (target / "pipeline.json").write_text("{}\n")
+    elif log == "columnar.json":
+        target.write_text('{"format":"repro-obs-columnar","version":1}\n')
+    argv = ["obs", command[0], str(target), *command[1:]]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and str(target) in out
+
+
 class TestObsPipelineCli:
     @pytest.fixture(scope="class")
     def pipeline_dir(self, tmp_path_factory):
@@ -299,9 +323,8 @@ class TestObsPipelineCli:
                      "--duration-ms", "200", "--obs-out", str(out)]) == 0
         return out
 
-    def test_pipeline_writes_the_columnar_artifacts(self, pipeline_dir):
-        for name in ("events.col.json", "pipeline.json", "pipeline.prom"):
-            assert (pipeline_dir / name).is_file(), name
+    def test_pipeline_writes_the_four_artifacts(self, pipeline_dir):
+        assert sorted(p.name for p in pipeline_dir.iterdir()) == FOUR_ARTIFACTS
 
     def test_obs_pipeline_flag_is_rejected_by_argparse(self, capsys):
         for argv in (
@@ -314,16 +337,13 @@ class TestObsPipelineCli:
             assert exit_info.value.code == 2
             assert "--obs-pipeline" in capsys.readouterr().err
 
-    def test_observed_cluster_writes_six_artifacts_and_ships(
+    def test_observed_cluster_writes_four_artifacts_and_ships(
         self, tmp_path, capsys
     ):
         out = tmp_path / "obs"
         assert main(["cluster", "--nodes", "2", "--duration-ms", "200",
                      "--obs-out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "events.col.json", "events.jsonl", "metrics.prom",
-            "pipeline.json", "pipeline.prom", "trace.perfetto.json",
-        ]
+        assert sorted(p.name for p in out.iterdir()) == FOUR_ARTIFACTS
         assert "\npipeline: " in capsys.readouterr().out
 
     def test_max_chunk_events_still_samples(self, tmp_path):
