@@ -72,24 +72,15 @@ def admission_preview(
             ),
         )
 
-    # Rebuild the current grant requests plus the hypothetical newcomer.
-    requests: list[GrantRequest] = []
+    # The current grant requests plus the hypothetical newcomer.
+    requests = rm._requests()  # advisory tooling: intimate by design
     names: dict[int, str] = {}
     current_grants = {}
     for tid in rm.admitted_ids():
-        record = rm._record(tid)  # advisory tooling: intimate by design
-        thread = record.thread
+        thread = rd.thread(tid)
         names[tid] = thread.name
         if thread.grant is not None:
             current_grants[tid] = thread.grant
-        requests.append(
-            GrantRequest(
-                thread_id=tid,
-                policy_id=thread.policy_id,
-                resource_list=record.definition.resource_list,
-                quiescent=record.quiescent,
-            )
-        )
     probe_tid = max(rm.admitted_ids(), default=0) + 1_000_000
     probe_pid = rd.policy_box.register_task(definition.name)
     requests.append(

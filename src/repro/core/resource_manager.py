@@ -40,9 +40,15 @@ class _AdmittedRecord:
     thread: SimThread
     definition: TaskDefinition
     quiescent: bool
-    #: Memoized grant request; rebuilt whenever the fields it mirrors
-    #: drift (the cache validates itself, so no invalidation hooks).
-    request: GrantRequest | None = None
+
+    def request(self) -> GrantRequest:
+        """The grant request this record stands for, built afresh."""
+        return GrantRequest(
+            thread_id=self.thread.tid,
+            policy_id=self.thread.policy_id,
+            resource_list=self.definition.resource_list,
+            quiescent=self.quiescent,
+        )
 
 
 @dataclass(frozen=True)
@@ -114,16 +120,22 @@ class ResourceManager:
         #: and a record is inserted only at admission, so insertion order
         #: is tid order and the per-op walks below need no sort.
         self._records: dict[int, _AdmittedRecord] = {}
+        #: Each admitted thread's standing grant request, keyed and
+        #: ordered like ``_records``.  Written only by the ops that change
+        #: a request — admit, exit, quiesce, wake, change_resource_list —
+        #: so a recompute reads it without a per-thread call.
+        self._grant_requests: dict[int, GrantRequest] = {}
         self.last_result: GrantSetResult | None = None
         #: Optional telemetry bus; set alongside :attr:`Kernel.obs`.
         self.obs = None
         #: Optional phase profiler; set alongside :attr:`Kernel.prof`.
         self.prof = None
         #: Memoization signature of the population the last grant set
-        #: was computed for: (policy revision, capacity, per-thread
-        #: (tid, policy id, resource list, quiescent) tuples).  Holding
-        #: the resource-list objects keeps the comparison sound (no id
-        #: reuse) and invalidates whenever a list is replaced.
+        #: was computed for: (policy revision, capacity, the grant
+        #: requests in tid order).  A request compares its (tid, policy
+        #: id, resource list, quiescent) fields; holding the resource-list
+        #: objects keeps the comparison sound (no id reuse) and
+        #: invalidates whenever a list is replaced.
         self._memo_signature: tuple | None = None
         #: Number of grant-set computations actually performed.
         self.recompute_count = 0
@@ -172,11 +184,13 @@ class ResourceManager:
         policy_id = self.policy_box.register_task(definition.name)
         thread = self.kernel.create_periodic(definition, policy_id)
         self.admission.admit(thread.tid, minimum.rate, minimum.bandwidth)
-        self._records[thread.tid] = _AdmittedRecord(
+        record = _AdmittedRecord(
             thread=thread,
             definition=definition,
             quiescent=definition.start_quiescent,
         )
+        self._records[thread.tid] = record
+        self._grant_requests[thread.tid] = record.request()
         if self.obs:
             self.obs.emit(
                 AdmissionEvent(
@@ -212,6 +226,7 @@ class ResourceManager:
         record = self._record(tid)
         thread = record.thread
         del self._records[tid]
+        del self._grant_requests[tid]
         self.admission.release(tid)
         if thread.in_period:
             # The grant is guaranteed through the current period; removal
@@ -234,6 +249,7 @@ class ResourceManager:
         if record.quiescent:
             return
         record.quiescent = True
+        self._grant_requests[tid] = record.request()
         if record.thread.in_period:
             record.thread.pending_state = STATE_QUIESCENT
         else:
@@ -250,6 +266,7 @@ class ResourceManager:
         if not record.quiescent:
             return
         record.quiescent = False
+        self._grant_requests[tid] = record.request()
         record.thread.pending_state = None
         self._recompute()
 
@@ -261,6 +278,7 @@ class ResourceManager:
         self.admission.change_min_rate(tid, minimum.rate, minimum.bandwidth)
         record.definition = definition
         record.thread.definition = definition
+        self._grant_requests[tid] = record.request()
         self._recompute()
 
     def policy_changed(self) -> None:
@@ -302,10 +320,7 @@ class ResourceManager:
         return (
             self.policy_box.revision,
             self.grant_control.capacity,
-            tuple(
-                (tid, record.thread.policy_id, record.definition.resource_list, record.quiescent)
-                for tid, record in self._records.items()
-            ),
+            tuple(self._grant_requests.values()),
         )
 
     def _recompute(self) -> None:
@@ -380,24 +395,7 @@ class ResourceManager:
         self.scheduler.notify_grant_set(result)
 
     def _requests(self) -> list[GrantRequest]:
-        requests: list[GrantRequest] = []
-        for tid, record in self._records.items():
-            request = record.request
-            if (
-                request is None
-                or request.quiescent is not record.quiescent
-                or request.resource_list is not record.definition.resource_list
-                or request.policy_id != record.thread.policy_id
-            ):
-                request = GrantRequest(
-                    thread_id=tid,
-                    policy_id=record.thread.policy_id,
-                    resource_list=record.definition.resource_list,
-                    quiescent=record.quiescent,
-                )
-                record.request = request
-            requests.append(request)
-        return requests
+        return list(self._grant_requests.values())
 
     def _record(self, tid: int) -> _AdmittedRecord:
         try:

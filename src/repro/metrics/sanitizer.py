@@ -7,8 +7,12 @@ happens — with the live scheduler state still inspectable — instead of
 thousands of ticks later in a post-mortem.
 
 The sanitizer is opt-in (``ResourceDistributor(..., sanitize=True)`` or
-``--sanitize`` on the CLI) because every check costs a queue scan per
-dispatch.  Checked invariants:
+``--sanitize`` on the CLI) because it re-derives every decision from
+scratch: a dispatch costs one pass over the periodic threads and one
+over the admitted tids.  Neither makes a Python call per thread
+(``tests/test_hot_paths.py`` counts them); only a pick made with the
+TimeRemaining queue empty pays a second, per-thread scan, of
+OvertimeRequested.  Checked invariants:
 
 * **grant conservation** — every grant set the Resource Manager emits
   fits in the schedulable capacity (Σ rates + interrupt reserve ≤ 1)
@@ -18,7 +22,7 @@ dispatch.  Checked invariants:
   TimeRemaining is empty; the Idle thread runs only when both are empty;
 * **never-terminated** — an admitted thread is never in the EXITED
   state (admission is a contract; only the task itself or the user ends
-  it);
+  it); each such thread is reported once;
 * **per-period grant delivery** — every period of an admitted thread
   that closes non-voided delivered the full grant (no missed
   deadlines), and never more than the grant.
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.threads import STATE_EXITED
+from repro.core.threads import STATE_ACTIVE, STATE_EXITED
 from repro.errors import SanitizerViolation
 from repro.metrics.validate import ValidationReport, Violation
 from repro.obs.events import ViolationEvent
@@ -78,6 +82,8 @@ class InvariantSanitizer:
         self.periods_checked = 0
         #: Number of memoized grant-set reuses cross-checked.
         self.memo_reuses_checked = 0
+        #: Admitted tids already reported terminated (each is reported once).
+        self._terminated_reported: set[int] = set()
         #: Optional telemetry bus; violations become structured
         #: ``ViolationEvent`` records *before* strict mode raises, so a
         #: ``--sanitize --obs-out`` run leaves a machine-readable log.
@@ -148,10 +154,54 @@ class InvariantSanitizer:
             )
 
     def on_pick(self, chosen: "SimThread", now: int) -> None:
-        """EDF ordering of the ready queues + the never-terminated rule."""
+        """EDF ordering of the ready queues + the never-terminated rule.
+
+        Both are re-derived from scratch in one pass each, with no
+        Python call per thread: the TimeRemaining head is found by
+        testing :meth:`SimThread.eligible_time_remaining`'s predicate
+        field by field and keeping the minimum ``(deadline, tid)`` as
+        the pass goes.  Only when that queue is empty does the
+        OvertimeRequested scan run, calling its predicate per thread.
+        The loop that words a never-terminated violation runs only once
+        the walk has found one.
+        """
         self.decisions_checked += 1
-        self._check_edf_order(chosen, now)
-        self._check_never_terminated(now)
+        head = None
+        head_deadline = 0
+        for t in self.kernel.periodic_threads():
+            if (
+                t.remaining > 0
+                and not t.declared_done
+                and t.state is STATE_ACTIVE
+                and t.grant is not None
+                and t.period_index >= 0
+                and t.period_start <= now
+            ):
+                deadline = t.deadline
+                if (
+                    head is None
+                    or deadline < head_deadline
+                    or (deadline == head_deadline and t.tid < head.tid)
+                ):
+                    head = t
+                    head_deadline = deadline
+        if head is None:
+            self._check_overtime_order(chosen, now)
+        elif chosen is not head:
+            self._fail(
+                "edf-order",
+                now,
+                f"scheduler picked thread {chosen.tid} ({chosen.name!r}, "
+                f"deadline {chosen.deadline}) over TimeRemaining head "
+                f"{head.tid} ({head.name!r}, deadline {head.deadline})",
+            )
+        if self.resource_manager is None:
+            return
+        admitted = self.resource_manager.admitted_ids()
+        for thread in map(self.kernel.threads.get, admitted):
+            if thread is None or thread.state is STATE_EXITED:
+                self._report_terminated(admitted, now)
+                break
 
     def on_memo_reuse(
         self, cached: "GrantSetResult", fresh: "GrantSetResult", now: int
@@ -220,21 +270,8 @@ class InvariantSanitizer:
 
     # -- individual checks ---------------------------------------------------
 
-    def _check_edf_order(self, chosen: "SimThread", now: int) -> None:
-        eligible = [
-            t for t in self.kernel.periodic_threads() if t.eligible_time_remaining(now)
-        ]
-        if eligible:
-            head = min(eligible, key=_edf_key)
-            if chosen is not head:
-                self._fail(
-                    "edf-order",
-                    now,
-                    f"scheduler picked thread {chosen.tid} ({chosen.name!r}, "
-                    f"deadline {chosen.deadline}) over TimeRemaining head "
-                    f"{head.tid} ({head.name!r}, deadline {head.deadline})",
-                )
-            return
+    def _check_overtime_order(self, chosen: "SimThread", now: int) -> None:
+        """EDF ordering when TimeRemaining is empty."""
         overtime = [
             t for t in self.kernel.periodic_threads() if t.eligible_overtime(now)
         ]
@@ -256,13 +293,17 @@ class InvariantSanitizer:
                 f"with both queues empty; only Idle may run",
             )
 
-    def _check_never_terminated(self, now: int) -> None:
-        if self.resource_manager is None:
-            return
+    def _report_terminated(self, admitted: tuple[int, ...], now: int) -> None:
+        """Word a never-terminated breach, once per thread: a recording
+        sanitizer would otherwise log the same dead thread at every
+        later pick."""
         threads = self.kernel.threads
-        for tid in self.resource_manager.admitted_ids():
+        for tid in admitted:
+            if tid in self._terminated_reported:
+                continue
             thread = threads.get(tid)
             if thread is None or thread.state is STATE_EXITED:
+                self._terminated_reported.add(tid)
                 self._fail(
                     "never-terminated",
                     now,

@@ -59,6 +59,18 @@ class TestInjection:
         assert result.ticks == 2 * period  # inject._KILL_AT_MS
         assert result.decisions_checked == 6
 
+    def test_terminate_admitted_is_recorded_once_per_killed_thread(self):
+        """A recording run keeps going after the kill; the dead thread
+        stays admitted for every later pick but is reported once."""
+        result = run_spec(
+            generate(0), inject="terminate-admitted", sanitize="record"
+        )
+        assert result.outcome == "invariant:never-terminated"
+        killed = [v for v in result.violations if v.startswith("[never-terminated]")]
+        assert len(killed) == 1
+        assert "thread 1 is still admitted" in killed[0]
+        assert result.ticks == generate(0).horizon_ticks
+
     def test_trace_double_count_passes_the_sanitizer_and_fails_the_audit(self):
         """One tick recorded twice: nothing the live checks look at
         moved, so only the offline trace audit can object."""

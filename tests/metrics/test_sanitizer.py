@@ -112,6 +112,24 @@ class TestNeverTerminated:
         with pytest.raises(SanitizerViolation, match="never-terminated"):
             rd.run_for(ms(20))
 
+    def test_recording_reports_each_killed_thread_once(self):
+        rd = ResourceDistributor(
+            sim=SimConfig(seed=1), sanitize=True, sanitize_strict=False
+        )
+        first = admit_simple(rd, "first", period_ms=10, rate=0.3)
+        second = admit_simple(rd, "second", period_ms=10, rate=0.3)
+        rd.run_for(ms(20))
+        first.state = ThreadState.EXITED
+        rd.run_for(ms(20))
+        second.state = ThreadState.EXITED
+        rd.run_for(ms(20))
+        killed = [
+            v.detail.split()[1]
+            for v in rd.sanitizer.report.violations
+            if v.rule == "never-terminated"
+        ]
+        assert killed == [str(first.tid), str(second.tid)]
+
     def test_clean_exit_through_rm_is_fine(self):
         rd = ResourceDistributor(sim=SimConfig(seed=1), sanitize=True)
         thread = admit_simple(rd, "leaver", period_ms=10, rate=0.3)

@@ -24,7 +24,10 @@ A grant set pays for the §6.3 passes, not for per-thread calls: a warm
 unit makes as many Python-level calls at N = 256 as at N = 16, in
 underload and in overload.  A helper, closure or property called per
 thread, or a ``sum(<genexpr>)`` (each resumption is a call), breaks it.
-DESIGN.md §4 "Grant control reads per-list tables".
+DESIGN.md §4 "Grant control reads per-list tables".  The same holds
+for a strict ``InvariantSanitizer.on_pick`` with a TimeRemaining head
+and for ``ResourceManager._requests`` / ``_signature`` (§4 "The audit
+is one pass").
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ import types
 
 import pytest
 
-from repro import units
+from repro import SimConfig, units
+from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.workloads import grant_follower
+from repro.workloads import grant_follower, single_entry_definition
 from tests.properties.test_prop_grant_control import churn_list
 
 PACKAGES = ("repro.core", "repro.sim", "repro.machine", "repro.baselines")
@@ -266,3 +270,39 @@ class TestGrantPassesStayInline:
         listed = [_python_calls(lambda: sum([v for v in xs])) for xs in (short, long)]
         assert generator[1] - generator[0] == 90
         assert listed[1] == listed[0]
+
+
+# -- the audit and the RM's requests stay inline -------------------------------
+
+
+def _live_distributor(n: int):
+    """``n`` admitted tasks under the strict sanitizer, a millisecond
+    in: each is mid-period, so the TimeRemaining queue has a head."""
+    rd = ResourceDistributor(sim=SimConfig(seed=1), sanitize=True, sanitize_strict=True)
+    rd.admit_many([single_entry_definition(f"t{i}", 10, 0.9 / n) for i in range(n)])
+    rd.run_for(units.ms_to_ticks(1))
+    now = rd.kernel.now
+    assert any(t.eligible_time_remaining(now) for t in rd.kernel.periodic_threads())
+    return rd, now
+
+
+class TestAuditAndRequestsStayInline:
+    """A strict ``on_pick`` re-derives the decision in one pass with no
+    per-thread call; ``_requests`` and ``_signature`` copy the RM's
+    request map.  DESIGN.md §4 "The audit is one pass"."""
+
+    @pytest.mark.parametrize("what", ["on_pick", "_requests", "_signature"])
+    def test_calls_do_not_grow_with_threads(self, what):
+        counts = {}
+        for n in (16, 256):
+            rd, now = _live_distributor(n)
+            manager = rd.resource_manager
+            chosen = rd.scheduler.pick(now)
+            call = {
+                "on_pick": lambda: rd.sanitizer.on_pick(chosen, now),
+                "_requests": manager._requests,
+                "_signature": manager._signature,
+            }[what]
+            counts[n] = _python_calls(call)
+            assert rd.sanitizer.ok
+        assert counts[16] == counts[256], counts
