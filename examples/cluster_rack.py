@@ -7,8 +7,8 @@ adjusts per-node weights from periodic load reports, and migrates a
 task if a node stays overloaded.  The message layer between broker and
 nodes has configurable latency and (optionally) drops, yet the run is
 fully deterministic: the same seed always produces byte-identical
-metrics JSON — the CI determinism gate runs this script twice and
-compares the bytes.
+metrics JSON — ``tests/test_cli.py`` pins the ``--seed 7 --json``
+bytes.
 
 Run:  python examples/cluster_rack.py [--seed N] [--drop-rate R] [--json]
       python examples/cluster_rack.py --obs-out /tmp/rack-obs

@@ -74,13 +74,7 @@ def admission_preview(
 
     # The current grant requests plus the hypothetical newcomer.
     requests = rm._requests()  # advisory tooling: intimate by design
-    names: dict[int, str] = {}
-    current_grants = {}
-    for tid in rm.admitted_ids():
-        thread = rd.thread(tid)
-        names[tid] = thread.name
-        if thread.grant is not None:
-            current_grants[tid] = thread.grant
+    admitted = [rd.thread(request.thread_id) for request in requests]
     probe_tid = max(rm.admitted_ids(), default=0) + 1_000_000
     probe_pid = rd.policy_box.register_task(definition.name)
     requests.append(
@@ -101,15 +95,15 @@ def admission_preview(
     newcomer = result.grant_set.get(probe_tid)
 
     changes = []
-    for tid, name in names.items():
-        predicted = result.grant_set.get(tid)
+    for thread in admitted:
+        predicted = result.grant_set.get(thread.tid)
         if predicted is None:
             continue  # quiescent: no grant either way
-        current = current_grants.get(tid)
+        current = thread.grant
         changes.append(
             QosChange(
-                thread_id=tid,
-                name=name,
+                thread_id=thread.tid,
+                name=thread.name,
                 current_index=current.entry_index if current else None,
                 predicted_index=predicted.entry_index,
                 current_rate=current.rate if current else 0.0,

@@ -14,13 +14,15 @@ from repro import units
 from repro.config import MachineConfig, SimConfig
 from repro.core.grants import Grant
 from repro.core.kernel import Kernel
-from repro.core.threads import STATE_ACTIVE, SimThread
+from repro.core.threads import (
+    STATE_ACTIVE,
+    SimThread,
+    earlier_time_remaining,
+    scan_overtime,
+    scan_time_remaining,
+)
 from repro.sim.trace import TraceRecorder
 from repro.tasks.base import TaskDefinition
-
-
-def edf_key(thread: SimThread) -> tuple[int, int]:
-    return (thread.deadline, thread.tid)
 
 
 class EnforcingEdfPolicy:
@@ -32,31 +34,13 @@ class EnforcingEdfPolicy:
         self.kernel = kernel
         kernel.bind_policy(self)
 
-    # -- queue views -------------------------------------------------------
-
-    def _time_remaining(self, now: int) -> list[SimThread]:
-        return sorted(
-            (
-                t
-                for t in self.kernel.periodic_threads()
-                if t.eligible_time_remaining(now)
-            ),
-            key=edf_key,
-        )
-
-    def _overtime(self, now: int) -> list[SimThread]:
-        return sorted(
-            (t for t in self.kernel.periodic_threads() if t.eligible_overtime(now)),
-            key=edf_key,
-        )
-
     # -- policy interface ------------------------------------------------------
 
     def pick(self, now: int) -> SimThread:
-        remaining = self._time_remaining(now)
+        remaining = scan_time_remaining(self.kernel.periodic_threads(), now)
         if remaining:
             return remaining[0]
-        overtime = self._overtime(now)
+        overtime = scan_overtime(self.kernel.periodic_threads(), now)
         if overtime:
             return overtime[0]
         return self.kernel.idle
@@ -70,15 +54,7 @@ class EnforcingEdfPolicy:
         return boundary if boundary is not None else limit
 
     def preemption_imminent(self, thread: SimThread, now: int) -> bool:
-        for other in self.kernel.periodic_threads():
-            if other is thread:
-                continue
-            if other.eligible_time_remaining(now):
-                if not thread.eligible_time_remaining(now):
-                    return True
-                if edf_key(other) < edf_key(thread):
-                    return True
-        return False
+        return earlier_time_remaining(thread, self.kernel.periodic_threads(), now)
 
     # -- timer helpers --------------------------------------------------------
 

@@ -10,8 +10,8 @@ Distributor's first principles rule out.
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy, edf_key
-from repro.core.threads import STATE_ACTIVE, SimThread
+from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
+from repro.core.threads import STATE_ACTIVE, SimThread, edf_key
 
 
 class NaiveEdfPolicy(EnforcingEdfPolicy):

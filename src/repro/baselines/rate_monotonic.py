@@ -15,7 +15,12 @@ from __future__ import annotations
 from repro import units
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
 from repro.core.grants import Grant
-from repro.core.threads import STATE_EXITED, SimThread
+from repro.core.threads import (
+    STATE_EXITED,
+    SimThread,
+    scan_overtime,
+    scan_time_remaining,
+)
 from repro.errors import AdmissionError
 
 
@@ -36,18 +41,11 @@ class RateMonotonicPolicy(EnforcingEdfPolicy):
     """Fixed-priority preemptive scheduling with grant enforcement."""
 
     def pick(self, now: int) -> SimThread:
-        ready = [
-            t
-            for t in self.kernel.periodic_threads()
-            if t.eligible_time_remaining(now)
-        ]
-        if ready:
-            return min(ready, key=_priority_key)
-        overtime = [
-            t for t in self.kernel.periodic_threads() if t.eligible_overtime(now)
-        ]
-        if overtime:
-            return min(overtime, key=_priority_key)
+        # The EDF queues' members, taken in priority order instead.
+        for scan in (scan_time_remaining, scan_overtime):
+            queue = scan(self.kernel.periodic_threads(), now)
+            if queue:
+                return min(queue, key=_priority_key)
         return self.kernel.idle
 
     def timer_for(self, thread: SimThread, now: int) -> int:

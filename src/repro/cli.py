@@ -512,18 +512,22 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_fuzz_replay(args) -> int:
-    """Replay trace files; exit 1 when any diverges from its expectation."""
+    """Replay trace files; exit 1 on a divergence, 2 on an unreadable trace."""
     from pathlib import Path
 
     from repro.fuzz import replay_corpus, replay_trace
 
     target = Path(args.path)
     kwargs = {"sanitize": args.sanitize, "obs_out": args.obs_out}
-    results = (
-        replay_corpus(target, **kwargs)
-        if target.is_dir()
-        else [replay_trace(target, **kwargs)]
-    )
+    try:
+        results = (
+            replay_corpus(target, **kwargs)
+            if target.is_dir()
+            else [replay_trace(target, **kwargs)]
+        )
+    except SimulationError as exc:
+        print(exc)
+        return 2
     if not results:
         print(f"no *.trace.json under {target}")
         return 2

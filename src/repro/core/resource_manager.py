@@ -21,7 +21,7 @@ committed to an admitted task.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.core.admission import AdmissionController
@@ -33,22 +33,6 @@ from repro.core.threads import STATE_EXITED, STATE_QUIESCENT, SimThread
 from repro.errors import AdmissionError, ResourceListError
 from repro.obs.events import AdmissionEvent, GrantRecomputeEvent
 from repro.tasks.base import TaskDefinition
-
-
-@dataclass
-class _AdmittedRecord:
-    thread: SimThread
-    definition: TaskDefinition
-    quiescent: bool
-
-    def request(self) -> GrantRequest:
-        """The grant request this record stands for, built afresh."""
-        return GrantRequest(
-            thread_id=self.thread.tid,
-            policy_id=self.thread.policy_id,
-            resource_list=self.definition.resource_list,
-            quiescent=self.quiescent,
-        )
 
 
 @dataclass(frozen=True)
@@ -116,14 +100,11 @@ class ResourceManager:
         bandwidth = kernel.machine.bandwidth_capacity
         self.admission = AdmissionController(capacity, bandwidth)
         self.grant_control = GrantController(capacity, policy_box, bandwidth)
-        #: Admitted threads in tid order: tids are allocated monotonically
-        #: and a record is inserted only at admission, so insertion order
-        #: is tid order and the per-op walks below need no sort.
-        self._records: dict[int, _AdmittedRecord] = {}
-        #: Each admitted thread's standing grant request, keyed and
-        #: ordered like ``_records``.  Written only by the ops that change
-        #: a request — admit, exit, quiesce, wake, change_resource_list —
-        #: so a recompute reads it without a per-thread call.
+        #: The admitted population: tid -> standing grant request, in tid
+        #: order (tids grow and an entry is inserted only at admission).
+        #: Only the ops that change a request write it — admit, exit,
+        #: quiesce, wake, change_resource_list — so a recompute copies it
+        #: with no per-thread call.  The thread is ``kernel.threads[tid]``.
         self._grant_requests: dict[int, GrantRequest] = {}
         self.last_result: GrantSetResult | None = None
         #: Optional telemetry bus; set alongside :attr:`Kernel.obs`.
@@ -184,13 +165,9 @@ class ResourceManager:
         policy_id = self.policy_box.register_task(definition.name)
         thread = self.kernel.create_periodic(definition, policy_id)
         self.admission.admit(thread.tid, minimum.rate, minimum.bandwidth)
-        record = _AdmittedRecord(
-            thread=thread,
-            definition=definition,
-            quiescent=definition.start_quiescent,
+        self._grant_requests[thread.tid] = GrantRequest(
+            thread.tid, policy_id, definition.resource_list, definition.start_quiescent
         )
-        self._records[thread.tid] = record
-        self._grant_requests[thread.tid] = record.request()
         if self.obs:
             self.obs.emit(
                 AdmissionEvent(
@@ -223,10 +200,9 @@ class ResourceManager:
 
     def exit_thread(self, tid: int) -> None:
         """A task terminated (naturally or by the user)."""
-        record = self._record(tid)
-        thread = record.thread
-        del self._records[tid]
+        self._request(tid)
         del self._grant_requests[tid]
+        thread = self.kernel.threads[tid]
         self.admission.release(tid)
         if thread.in_period:
             # The grant is guaranteed through the current period; removal
@@ -245,15 +221,15 @@ class ResourceManager:
         never be denied when it wakes; its grant is released so other
         threads can deliver a higher QOS meanwhile (section 5.3).
         """
-        record = self._record(tid)
-        if record.quiescent:
+        request = self._request(tid)
+        if request.quiescent:
             return
-        record.quiescent = True
-        self._grant_requests[tid] = record.request()
-        if record.thread.in_period:
-            record.thread.pending_state = STATE_QUIESCENT
+        self._grant_requests[tid] = replace(request, quiescent=True)
+        thread = self.kernel.threads[tid]
+        if thread.in_period:
+            thread.pending_state = STATE_QUIESCENT
         else:
-            record.thread.state = STATE_QUIESCENT
+            thread.state = STATE_QUIESCENT
         self._recompute()
 
     def wake(self, tid: int) -> None:
@@ -262,23 +238,23 @@ class ResourceManager:
         Guaranteed to succeed: at worst, every thread drops to its
         minimum entry, which admission control has already reserved.
         """
-        record = self._record(tid)
-        if not record.quiescent:
+        request = self._request(tid)
+        if not request.quiescent:
             return
-        record.quiescent = False
-        self._grant_requests[tid] = record.request()
-        record.thread.pending_state = None
+        self._grant_requests[tid] = replace(request, quiescent=False)
+        self.kernel.threads[tid].pending_state = None
         self._recompute()
 
     def change_resource_list(self, tid: int, definition: TaskDefinition) -> None:
         """Replace a task's resource list (re-running admission)."""
-        record = self._record(tid)
+        request = self._request(tid)
         self._validate_definition(definition)
         minimum = definition.resource_list.minimum
         self.admission.change_min_rate(tid, minimum.rate, minimum.bandwidth)
-        record.definition = definition
-        record.thread.definition = definition
-        self._grant_requests[tid] = record.request()
+        self.kernel.threads[tid].definition = definition
+        self._grant_requests[tid] = replace(
+            request, resource_list=definition.resource_list
+        )
         self._recompute()
 
     def policy_changed(self) -> None:
@@ -292,7 +268,7 @@ class ResourceManager:
         boundaries and increases at unallocated time — so a policy
         change can never break a guarantee mid-period.
         """
-        if self._records:
+        if self._grant_requests:
             self._recompute()
 
     # -- grant recomputation -------------------------------------------------
@@ -397,19 +373,19 @@ class ResourceManager:
     def _requests(self) -> list[GrantRequest]:
         return list(self._grant_requests.values())
 
-    def _record(self, tid: int) -> _AdmittedRecord:
+    def _request(self, tid: int) -> GrantRequest:
         try:
-            return self._records[tid]
+            return self._grant_requests[tid]
         except KeyError:
             raise AdmissionError(f"thread {tid} is not admitted") from None
 
     # -- introspection ------------------------------------------------------
 
     def admitted_ids(self) -> tuple[int, ...]:
-        return tuple(self._records)
+        return tuple(self._grant_requests)
 
     def is_quiescent(self, tid: int) -> bool:
-        return self._record(tid).quiescent
+        return self._request(tid).quiescent
 
     def usage(self, tid: int) -> "UsageRecord":
         """Accounting for one admitted thread.
@@ -419,8 +395,8 @@ class ResourceManager:
         the RM exposes them — the application-visible answer to "what
         did my grants actually deliver?"
         """
-        record = self._record(tid)
-        thread = record.thread
+        request = self._request(tid)
+        thread = self.kernel.threads[tid]
         return UsageRecord(
             thread_id=tid,
             name=thread.name,
@@ -428,12 +404,12 @@ class ResourceManager:
             granted_ticks=thread.total_granted_ticks,
             used_ticks=thread.total_used_ticks,
             overtime_ticks=thread.total_overtime_ticks,
-            quiescent=record.quiescent,
+            quiescent=request.quiescent,
         )
 
     def usage_summary(self) -> list["UsageRecord"]:
         """Accounting for the whole admitted population."""
-        return [self.usage(tid) for tid in sorted(self._records)]
+        return [self.usage(tid) for tid in self._grant_requests]
 
     def capacity_snapshot(self) -> CapacitySnapshot:
         """Capacity/headroom introspection for coordinators above core.
@@ -445,16 +421,17 @@ class ResourceManager:
         degraded = 0
         qos_sum = 0.0
         granted = 0
+        requests = self._grant_requests
         if self.last_result is not None:
             for grant in self.last_result.grant_set:
-                record = self._records.get(grant.thread_id)
-                if record is None:
+                request = requests.get(grant.thread_id)
+                if request is None:
                     continue
                 granted += 1
                 histogram[grant.entry_index] = histogram.get(grant.entry_index, 0) + 1
                 if grant.entry_index > 0:
                     degraded += 1
-                maximum = record.definition.resource_list.maximum.rate
+                maximum = request.resource_list.maximum.rate
                 if maximum > 0:
                     qos_sum += grant.entry.rate / maximum
         return CapacitySnapshot(
@@ -463,8 +440,8 @@ class ResourceManager:
             headroom=self.admission.headroom,
             bandwidth_capacity=self.admission.bandwidth_capacity,
             committed_bandwidth=self.admission.committed_bandwidth,
-            admitted=len(self._records),
-            quiescent=sum(1 for r in self._records.values() if r.quiescent),
+            admitted=len(requests),
+            quiescent=sum(1 for r in requests.values() if r.quiescent),
             degraded=degraded,
             qos_levels=tuple(sorted(histogram.items())),
             qos_fraction=qos_sum / granted if granted else 1.0,

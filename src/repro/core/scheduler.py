@@ -45,10 +45,10 @@ meets the boundaries below the running thread's limit in time order,
 setting aside the valid ones that do not preempt and pushing them
 back.  A grant notification revisits only the threads the controller
 reports as changed, those that joined or left the set, and those with
-a change still in flight.  The full scans survive as debug views
-(:meth:`RDScheduler.time_remaining_queue`,
+a change still in flight.  The full scans (:mod:`repro.core.threads`)
+survive as debug views (:meth:`RDScheduler.time_remaining_queue`,
 :meth:`~RDScheduler.overtime_queue`, :meth:`~RDScheduler.snapshot`) and
-in the sanitizer, which re-derives every decision from scratch.
+behind :meth:`~RDScheduler.preemption_imminent`.
 """
 
 from __future__ import annotations
@@ -59,12 +59,15 @@ from repro import units
 from repro.core.grant_control import GrantSetResult
 from repro.core.grants import Grant, GrantSet
 from repro.core.kernel import Kernel
-from repro.core.threads import STATE_ACTIVE, STATE_EXITED, THREAD_PERIODIC, SimThread
-
-
-def _edf_key(thread: SimThread) -> tuple[int, int]:
-    """Deadline order with a stable tid tie-break."""
-    return (thread.deadline, thread.tid)
+from repro.core.threads import (
+    STATE_ACTIVE,
+    STATE_EXITED,
+    THREAD_PERIODIC,
+    SimThread,
+    earlier_time_remaining,
+    scan_overtime,
+    scan_time_remaining,
+)
 
 
 class RDScheduler:
@@ -274,20 +277,10 @@ class RDScheduler:
     # -- queue views -----------------------------------------------------------
 
     def time_remaining_queue(self, now: int) -> list[SimThread]:
-        return sorted(
-            (
-                t
-                for t in self.kernel.periodic_threads()
-                if t.eligible_time_remaining(now)
-            ),
-            key=_edf_key,
-        )
+        return scan_time_remaining(self.kernel.periodic_threads(), now)
 
     def overtime_queue(self, now: int) -> list[SimThread]:
-        return sorted(
-            (t for t in self.kernel.periodic_threads() if t.eligible_overtime(now)),
-            key=_edf_key,
-        )
+        return scan_overtime(self.kernel.periodic_threads(), now)
 
     # -- kernel policy interface ---------------------------------------------------
 
@@ -465,12 +458,4 @@ class RDScheduler:
         Used only to decide whether a grace period is worth starting."""
         if self._pending_activation:
             return True
-        for other in self.kernel.periodic_threads():
-            if other is thread:
-                continue
-            if other.eligible_time_remaining(now):
-                if not thread.eligible_time_remaining(now):
-                    return True
-                if _edf_key(other) < _edf_key(thread):
-                    return True
-        return False
+        return earlier_time_remaining(thread, self.kernel.periodic_threads(), now)

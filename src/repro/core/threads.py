@@ -10,7 +10,7 @@ and makes invariants easy to assert in tests.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Iterable, Optional
 
 from repro import units
 from repro.tasks.base import Op, TaskContext, TaskDefinition
@@ -212,3 +212,39 @@ class SimThread:
             f"{self.state.value} period={self.period_index} "
             f"remaining={self.remaining}>"
         )
+
+
+# -- the EDF queues, scanned ---------------------------------------------------
+#
+# The baselines' picks, the debug views and grace decisions scan the
+# paper's queues here, with the predicates above.  The sanitizer's
+# one-pass audit and the test oracles keep their own scans on purpose.
+
+
+def edf_key(thread: SimThread) -> tuple[int, int]:
+    """Deadline order with a stable tid tie-break: every EDF queue's key."""
+    return (thread.deadline, thread.tid)
+
+
+def scan_time_remaining(threads: Iterable[SimThread], now: int) -> list[SimThread]:
+    """The TimeRemaining queue at ``now``, in EDF order."""
+    return sorted([t for t in threads if t.eligible_time_remaining(now)], key=edf_key)
+
+
+def scan_overtime(threads: Iterable[SimThread], now: int) -> list[SimThread]:
+    """The OvertimeRequested queue at ``now``, in EDF order (Idle is not
+    among ``threads``; the caller runs it when this is empty)."""
+    return sorted([t for t in threads if t.eligible_overtime(now)], key=edf_key)
+
+
+def earlier_time_remaining(
+    thread: SimThread, threads: Iterable[SimThread], now: int
+) -> bool:
+    """Does another thread on TimeRemaining come before ``thread`` — an
+    earlier ``edf_key``, or any at all while ``thread`` is off the queue?"""
+    mine = edf_key(thread) if thread.eligible_time_remaining(now) else None
+    for other in threads:
+        if other is not thread and other.eligible_time_remaining(now):
+            if mine is None or edf_key(other) < mine:
+                return True
+    return False

@@ -211,7 +211,7 @@ def replay_trace(
     explain``.  ``sanitize`` is a
     :data:`~repro.fuzz.runner.SANITIZE_MODES` mode; ``record`` lets a
     reproducer run to its horizon so the stream covers the aftermath,
-    at the cost of possibly classifying later violations.
+    and the run is still named by its first violation.
     """
     target = Path(path)
     trace = load_trace(target)

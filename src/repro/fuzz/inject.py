@@ -15,6 +15,7 @@ production code knows about them, so a clean run is provably clean.
 from __future__ import annotations
 
 from repro import units
+from repro.core.threads import STATE_EXITED, scan_time_remaining
 from repro.errors import SimulationError
 from repro.sim.trace import SegmentKind
 
@@ -30,11 +31,9 @@ def _edf_invert(rd) -> None:
     kernel = rd.kernel
 
     def pick(now: int):
-        eligible = [
-            t for t in kernel.periodic_threads() if t.eligible_time_remaining(now)
-        ]
+        eligible = scan_time_remaining(kernel.periodic_threads(), now)
         if len(eligible) > 1:
-            return max(eligible, key=lambda t: (t.deadline, t.tid))
+            return eligible[-1]
         return real_pick(now)
 
     # The kernel dispatches through ``policy.pick``; the instance
@@ -48,11 +47,9 @@ def _terminate_admitted(rd) -> None:
     ``never-terminated`` on the next scheduling decision."""
 
     def kill() -> None:
-        from repro.core.threads import ThreadState
-
-        tids = sorted(rd.resource_manager.admitted_ids())
+        tids = rd.resource_manager.admitted_ids()  # in tid order
         if tids:
-            rd.kernel.threads[tids[0]].state = ThreadState.EXITED
+            rd.kernel.threads[tids[0]].state = STATE_EXITED
 
     rd.at(units.ms_to_ticks(_KILL_AT_MS), kill, "inject: terminate admitted")
 

@@ -9,7 +9,9 @@ happened:
 
 * ``ok`` — the run completed; every sanitizer stayed clean.
 * ``invariant:<rule>`` — an :class:`InvariantSanitizer` rule fired
-  (``edf-order``, ``never-terminated``, ``grant-delivery``, ...).
+  (``edf-order``, ``never-terminated``, ``grant-delivery``, ...); the
+  run is named by its first violation (across cluster nodes, the
+  earliest by time, then node name), in strict and record mode alike.
 * ``invariant:trace-<rule>`` — the live sanitizer stayed clean but the
   offline audit of the *recorded trace*
   (:func:`repro.metrics.validate.validate_trace`: ``cpu-overlap``,
@@ -63,17 +65,6 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.outcome == "ok"
-
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "detail": self.detail,
-            "admitted": list(self.admitted),
-            "denied": list(self.denied),
-            "decisions_checked": self.decisions_checked,
-            "violations": list(self.violations),
-            "ticks": self.ticks,
-        }
 
 
 # -- task behaviors ---------------------------------------------------------
@@ -177,14 +168,14 @@ def sporadic_arrivals(spec: ScenarioSpec, task: TaskSpec) -> list[int]:
 
 
 class _CoreRun:
-    """One wired single-node run: distributor + scripted events."""
+    """One single-node run: a distributor, then (:meth:`script`) its
+    Sporadic Server and scripted events."""
 
     def __init__(
         self, spec: ScenarioSpec, obs=None, sanitize: str = "strict"
     ) -> None:
         from repro.config import SimConfig
         from repro.core.distributor import ResourceDistributor
-        from repro.core.sporadic import SporadicServer
         from repro.scenarios import _machine
 
         self.spec = spec
@@ -200,12 +191,24 @@ class _CoreRun:
         self.admitted: list[str] = []
         self.denied: list[str] = []
         self._tids: dict[str, int] = {}
-        self.server = SporadicServer(self.rd, greedy=True) if spec.server else None
-        for task in spec.tasks:
+        self.server = None
+
+    def script(self, inject_fn=None) -> "_CoreRun":
+        """Admit what arrives at t=0, schedule everything else, then arm
+        ``inject_fn``; returns self.  Admission already runs under the
+        sanitizer."""
+        from repro.core.sporadic import SporadicServer
+
+        if self.spec.server:
+            self.server = SporadicServer(self.rd, greedy=True)
+        for task in self.spec.tasks:
             if task.sporadic is not None:
                 self._script_sporadic(task)
             else:
                 self._script_periodic(task)
+        if inject_fn is not None:
+            inject_fn(self.rd)
+        return self
 
     # -- scripting ----------------------------------------------------------
 
@@ -258,53 +261,6 @@ class _CoreRun:
             else:
                 self.rd.at(time, action, f"sporadic {name}")
 
-    # -- running ------------------------------------------------------------
-
-    def run(self) -> RunResult:
-        sanitizer = self.rd.sanitizer
-        outcome, detail = "ok", ""
-        try:
-            self.rd.run_for(self.spec.horizon_ticks)
-        except SanitizerViolation as exc:
-            rule = _last_rule(sanitizer)
-            outcome, detail = f"invariant:{rule}", str(exc)
-        except ReproError as exc:
-            outcome, detail = f"crash:{type(exc).__name__}", str(exc)
-        violations = (
-            tuple(str(v) for v in sanitizer.report.violations)
-            if sanitizer is not None
-            else ()
-        )
-        if outcome == "ok" and violations:
-            outcome, detail = f"invariant:{_last_rule(sanitizer)}", violations[-1]
-        if outcome == "ok":
-            audit = _trace_audit(self.rd)
-            if audit:
-                outcome, detail = f"invariant:trace-{audit[0].rule}", str(audit[0])
-                violations += tuple(str(v) for v in audit)
-        return RunResult(
-            outcome=outcome,
-            detail=detail,
-            admitted=tuple(self.admitted),
-            denied=tuple(self.denied),
-            decisions_checked=(
-                sanitizer.decisions_checked if sanitizer is not None else 0
-            ),
-            violations=violations,
-            ticks=self.rd.now,
-        )
-
-
-def _trace_audit(rd) -> list:
-    """Violations the offline validator finds in ``rd``'s recorded trace."""
-    return validate_trace(rd.trace, end_time=rd.now).violations
-
-
-def _last_rule(sanitizer) -> str:
-    if sanitizer is not None and sanitizer.report.violations:
-        return sanitizer.report.violations[-1].rule
-    return "unknown"
-
 
 # -- cluster runs -----------------------------------------------------------
 
@@ -343,46 +299,58 @@ def build_cluster(spec: ScenarioSpec, inject_fn=None, obs=None, sanitize: str = 
     return sim
 
 
-def _run_cluster(
-    spec: ScenarioSpec, inject_fn=None, obs=None, sanitize: str = "strict"
-) -> RunResult:
-    sim = build_cluster(spec, inject_fn, obs=obs, sanitize=sanitize)
+# -- classifying a run ------------------------------------------------------
+
+
+def _at(node: str, violation) -> str:
+    """A violation as a run reports it: prefixed by its node, if named."""
+    return f"{node}: {violation}" if node else str(violation)
+
+
+def _classify(nodes: dict, body) -> RunResult:
+    """Run ``body`` and name what happened on ``nodes`` ({node name:
+    distributor}, in name order; a core run is the one node ``""``).
+
+    A :class:`ReproError` other than a sanitizer's is ``crash:<type>``.
+    Otherwise the first sanitizer violation names the run: on one node
+    the first recorded (the one strict mode raises on), across nodes the
+    earliest by ``(time, node name)`` — so record mode changes how far a
+    run goes, not what it is called.  A run no sanitizer objected to has
+    each node's recorded trace audited (``invariant:trace-<rule>``).
+    """
     outcome, detail = "ok", ""
     try:
-        sim.run_until(spec.horizon_ticks)
-        sim.settle()
+        body()
     except SanitizerViolation as exc:
-        rule = "unknown"
-        for node in sim.nodes.values():
-            if node.rd.sanitizer is not None and node.rd.sanitizer.report.violations:
-                rule = node.rd.sanitizer.report.violations[-1].rule
-        outcome, detail = f"invariant:{rule}", str(exc)
+        detail = str(exc)  # strict mode: the message carries a trace excerpt
     except ReproError as exc:
         outcome, detail = f"crash:{type(exc).__name__}", str(exc)
-    violations: list[str] = []
     decisions = 0
-    for name in sorted(sim.nodes):
-        sanitizer = sim.nodes[name].rd.sanitizer
+    violations: list[str] = []
+    firsts = []
+    for name, rd in nodes.items():
+        sanitizer = rd.sanitizer
         if sanitizer is None:
             continue
         decisions += sanitizer.decisions_checked
-        violations.extend(f"{name}: {v}" for v in sanitizer.report.violations)
-    if outcome == "ok" and not sim.all_sanitizers_ok:
-        outcome, detail = "invariant:unknown", violations[-1] if violations else ""
+        found = sanitizer.report.violations
+        if found:
+            firsts.append((found[0].time, name, found[0]))
+        violations += [_at(name, v) for v in found]
+    if outcome == "ok" and firsts:
+        _, name, violation = min(firsts)  # node names are unique
+        outcome, detail = f"invariant:{violation.rule}", detail or _at(name, violation)
     if outcome == "ok":
-        for name in sorted(sim.nodes):
-            audit = _trace_audit(sim.nodes[name].rd)
+        for name, rd in nodes.items():
+            audit = validate_trace(rd.trace, end_time=rd.now).violations
             if audit and outcome == "ok":
-                outcome, detail = f"invariant:trace-{audit[0].rule}", f"{name}: {audit[0]}"
-            violations.extend(f"{name}: {v}" for v in audit)
-    placed = tuple(sorted(sim.broker.placements))
+                outcome, detail = f"invariant:trace-{audit[0].rule}", _at(name, audit[0])
+            violations += [_at(name, v) for v in audit]
     return RunResult(
         outcome=outcome,
         detail=detail,
-        admitted=placed,
         decisions_checked=decisions,
         violations=tuple(violations),
-        ticks=sim.now,
     )
 
 
@@ -414,16 +382,18 @@ def run_spec(
         )
     spec.validate()
     inject_fn = injector(inject)
-    try:
-        if spec.cluster is not None:
-            return _run_cluster(spec, inject_fn, obs=obs, sanitize=sanitize)
+    horizon = spec.horizon_ticks
+    if spec.cluster is None:
         run = _CoreRun(spec, obs=obs, sanitize=sanitize)
-        if inject_fn is not None:
-            inject_fn(run.rd)
-        return run.run()
-    except SanitizerViolation as exc:
-        # A violation raised outside run_until (e.g. at admission time,
-        # while wiring the scenario) still classifies, not crashes.
-        return RunResult(outcome="invariant:unknown", detail=str(exc))
-    except ReproError as exc:
+        result = _classify({"": run.rd}, lambda: run.script(inject_fn).rd.run_for(horizon))
+        result.admitted, result.denied = tuple(run.admitted), tuple(run.denied)
+        result.ticks = run.rd.now
+        return result
+    try:
+        sim = build_cluster(spec, inject_fn, obs=obs, sanitize=sanitize)
+    except ReproError as exc:  # levels that make no valid resource list
         return RunResult(outcome=f"crash:{type(exc).__name__}", detail=str(exc))
+    nodes = {name: sim.nodes[name].rd for name in sorted(sim.nodes)}
+    result = _classify(nodes, lambda: (sim.run_until(horizon), sim.settle()))
+    result.admitted, result.ticks = tuple(sorted(sim.broker.placements)), sim.now
+    return result

@@ -18,8 +18,10 @@ future version is rejected loudly rather than misread silently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from repro import units
 from repro.errors import SimulationError
@@ -41,6 +43,86 @@ class SpecError(SimulationError):
     """A ScenarioSpec (or a trace file wrapping one) is malformed."""
 
 
+# -- the codec --------------------------------------------------------------
+#
+# Every class below is a frozen dataclass of JSON-ready fields, and one
+# codec driven by those fields reads and writes them all.  Encoding
+# writes every field, tuples as lists.  Decoding coerces each present
+# field as its annotation says (``int(v)``, a tuple item by item, ``X |
+# None``, ...) and leaves a missing one to the dataclass default; a
+# missing required field or a rejected value is a :class:`SpecError`
+# naming the field.  ``ScenarioSpec`` and ``TraceFile`` stamp and check
+# their header in their own ``to_dict`` / ``from_dict``, which the codec
+# calls for a field of that type.
+
+
+def _encode(value):
+    if is_dataclass(value):
+        stamped = getattr(value, "to_dict", None)
+        return stamped() if stamped else _encode_fields(value)
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def _encode_fields(obj) -> dict:
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _decode(hint, value, where: str, path: str):
+    """``value`` read as a ``hint``; ``path`` names it inside ``where``."""
+    if isinstance(hint, UnionType):  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
+    if is_dataclass(hint):
+        stamped = getattr(hint, "from_dict", None)
+        if stamped:
+            return stamped(value, where=f"{where}: {path}")
+        return _decode_fields(hint, value, where, path)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise SpecError(f"{where}: {path} must be a list, got {value!r}")
+        hints = get_args(hint)
+        if hints[-1] is Ellipsis:
+            hints = hints[:1] * len(value)
+        elif len(hints) != len(value):
+            raise SpecError(
+                f"{where}: {path} must have {len(hints)} items, got {value!r}"
+            )
+        return tuple(
+            _decode(item_hint, item, where, f"{path}[{i}]")
+            for i, (item_hint, item) in enumerate(zip(hints, value))
+        )
+    try:
+        return hint(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(
+            f"{where}: {path} must be {hint.__name__}, got {value!r}"
+        ) from None
+
+
+def _decode_fields(cls, data, where: str, path: str = ""):
+    """A ``cls`` read field by field from the object ``data``."""
+    if not isinstance(data, dict):
+        what = f"{where}: {path}" if path else where
+        raise SpecError(f"{what} must be an object, got {data!r}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        name = f"{path}.{f.name}" if path else f.name
+        if f.name in data:
+            values[f.name] = _decode(hints[f.name], data[f.name], where, name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise SpecError(f"{where}: {name} is missing")
+    return cls(**values)
+
+
+# -- the spec ---------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """One QOS level: a period and a CPU requirement, both in ticks."""
@@ -51,15 +133,6 @@ class LevelSpec:
     @property
     def rate(self) -> float:
         return self.cpu_ticks / self.period_ticks
-
-    def to_dict(self) -> dict:
-        return {"period_ticks": self.period_ticks, "cpu_ticks": self.cpu_ticks}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LevelSpec":
-        return cls(
-            period_ticks=int(data["period_ticks"]), cpu_ticks=int(data["cpu_ticks"])
-        )
 
 
 @dataclass(frozen=True)
@@ -75,21 +148,6 @@ class SporadicSpec:
     interarrival_ticks: int
     jitter_ticks: int
     burst_ticks: int
-
-    def to_dict(self) -> dict:
-        return {
-            "interarrival_ticks": self.interarrival_ticks,
-            "jitter_ticks": self.jitter_ticks,
-            "burst_ticks": self.burst_ticks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SporadicSpec":
-        return cls(
-            interarrival_ticks=int(data["interarrival_ticks"]),
-            jitter_ticks=int(data["jitter_ticks"]),
-            burst_ticks=int(data["burst_ticks"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -117,38 +175,6 @@ class TaskSpec:
     drift_ticks_per_period: int = 0
     sporadic: SporadicSpec | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "behavior": self.behavior,
-            "levels": [level.to_dict() for level in self.levels],
-            "arrival_ticks": self.arrival_ticks,
-            "departure_ticks": self.departure_ticks,
-            "quiescent_spans": [list(span) for span in self.quiescent_spans],
-            "start_quiescent": self.start_quiescent,
-            "drift_ticks_per_period": self.drift_ticks_per_period,
-            "sporadic": self.sporadic.to_dict() if self.sporadic else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskSpec":
-        departure = data.get("departure_ticks")
-        sporadic = data.get("sporadic")
-        return cls(
-            name=str(data["name"]),
-            behavior=str(data["behavior"]),
-            levels=tuple(LevelSpec.from_dict(lv) for lv in data["levels"]),
-            arrival_ticks=int(data["arrival_ticks"]),
-            departure_ticks=None if departure is None else int(departure),
-            quiescent_spans=tuple(
-                (int(span[0]), int(span[1]))
-                for span in data.get("quiescent_spans", ())
-            ),
-            start_quiescent=bool(data.get("start_quiescent", False)),
-            drift_ticks_per_period=int(data.get("drift_ticks_per_period", 0)),
-            sporadic=None if sporadic is None else SporadicSpec.from_dict(sporadic),
-        )
-
     @property
     def min_rate(self) -> float:
         """The admission-relevant rate (the lowest level's)."""
@@ -165,27 +191,6 @@ class ClusterSpec:
     jitter_ticks: int = 0
     drop_rate: float = 0.0
     migrate: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "policy": self.policy,
-            "latency_ticks": self.latency_ticks,
-            "jitter_ticks": self.jitter_ticks,
-            "drop_rate": self.drop_rate,
-            "migrate": self.migrate,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterSpec":
-        return cls(
-            nodes=int(data["nodes"]),
-            policy=str(data.get("policy", "aimd")),
-            latency_ticks=int(data.get("latency_ticks", units.us_to_ticks(100))),
-            jitter_ticks=int(data.get("jitter_ticks", 0)),
-            drop_rate=float(data.get("drop_rate", 0.0)),
-            migrate=bool(data.get("migrate", True)),
-        )
 
 
 @dataclass(frozen=True)
@@ -266,36 +271,20 @@ class ScenarioSpec:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "seed": self.seed,
-            "horizon_ticks": self.horizon_ticks,
-            "machine": self.machine,
-            "tasks": [task.to_dict() for task in self.tasks],
-            "server": self.server,
-            "cluster": self.cluster.to_dict() if self.cluster else None,
-            "notes": dict(self.notes),
-        }
+        return {"schema_version": TRACE_SCHEMA_VERSION, **_encode_fields(self)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
+    def from_dict(cls, data: dict, *, where: str = "spec") -> "ScenarioSpec":
+        if not isinstance(data, dict):
+            raise SpecError(f"{where} must be an object, got {data!r}")
         version = data.get("schema_version", TRACE_SCHEMA_VERSION)
         if version != TRACE_SCHEMA_VERSION:
             raise SpecError(
-                f"spec schema_version {version!r} is not supported (this "
+                f"{where} schema_version {version!r} is not supported (this "
                 f"reader understands {TRACE_SCHEMA_VERSION}); the spec was "
                 f"written by a newer repro"
             )
-        cluster = data.get("cluster")
-        return cls(
-            seed=int(data["seed"]),
-            horizon_ticks=int(data["horizon_ticks"]),
-            machine=str(data["machine"]),
-            tasks=tuple(TaskSpec.from_dict(t) for t in data["tasks"]),
-            server=bool(data.get("server", False)),
-            cluster=None if cluster is None else ClusterSpec.from_dict(cluster),
-            notes=dict(data.get("notes", {})),
-        )
+        return _decode_fields(cls, data, where)
 
     # -- stable JSON -----------------------------------------------------
 
@@ -310,8 +299,6 @@ class ScenarioSpec:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecError(f"spec is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise SpecError("spec JSON must be an object")
         return cls.from_dict(data)
 
     @property
@@ -343,10 +330,7 @@ class TraceFile:
         return {
             "schema_version": TRACE_SCHEMA_VERSION,
             "kind": TRACE_KIND,
-            "spec": self.spec.to_dict(),
-            "expect": self.expect,
-            "inject": self.inject,
-            "meta": dict(self.meta),
+            **_encode_fields(self),
         }
 
     @classmethod
@@ -365,16 +349,7 @@ class TraceFile:
                 f"{where}: kind {kind!r} is not a fuzz trace "
                 f"(expected {TRACE_KIND!r})"
             )
-        spec = data.get("spec")
-        if not isinstance(spec, dict):
-            raise SpecError(f"{where}: trace has no spec object")
-        inject = data.get("inject")
-        return cls(
-            spec=ScenarioSpec.from_dict(spec),
-            expect=str(data.get("expect", "ok")),
-            inject=None if inject is None else str(inject),
-            meta=dict(data.get("meta", {})),
-        )
+        return _decode_fields(cls, data, where)
 
 
 def write_trace(path: str | Path, trace: TraceFile) -> Path:
@@ -393,7 +368,7 @@ def load_trace(path: str | Path) -> TraceFile:
         raise SpecError(f"no trace file at {target}")
     try:
         data = json.loads(target.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise SpecError(f"{target}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SpecError(f"{target}: expected a JSON object")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.threads import STATE_ACTIVE, STATE_EXITED
+from repro.core.threads import STATE_ACTIVE, STATE_EXITED, scan_overtime
 from repro.errors import SanitizerViolation
 from repro.metrics.validate import ValidationReport, Violation
 from repro.obs.events import ViolationEvent
@@ -49,10 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import DeadlineRecord
 
 _EPS = 1e-9
-
-
-def _edf_key(thread: "SimThread") -> tuple[int, int]:
-    return (thread.deadline, thread.tid)
 
 
 class InvariantSanitizer:
@@ -272,11 +268,9 @@ class InvariantSanitizer:
 
     def _check_overtime_order(self, chosen: "SimThread", now: int) -> None:
         """EDF ordering when TimeRemaining is empty."""
-        overtime = [
-            t for t in self.kernel.periodic_threads() if t.eligible_overtime(now)
-        ]
+        overtime = scan_overtime(self.kernel.periodic_threads(), now)
         if overtime:
-            head = min(overtime, key=_edf_key)
+            head = overtime[0]
             if chosen is not head:
                 self._fail(
                     "edf-order",

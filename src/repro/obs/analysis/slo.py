@@ -206,15 +206,8 @@ def _period_metric_value(metric: str, records: list[PeriodRecord]) -> float:
     if match.group(3) == "ticks":
         value = percentile([r.latency for r in records if r.latency >= 0], q)
         return float(value) if value >= 0 else 0.0
-    ratios = sorted(
-        r.latency / r.length
-        for r in records
-        if r.latency >= 0 and r.length > 0
-    )
-    if not ratios:
-        return 0.0
-    rank = -(-int(q * len(ratios)) // 100)
-    return ratios[max(min(rank, len(ratios)) - 1, 0)]
+    ratios = [r.latency / r.length for r in records if r.latency >= 0 and r.length > 0]
+    return percentile(ratios, q) if ratios else 0.0
 
 
 def _scope_metric_value(

@@ -3,8 +3,8 @@
 One event per line, keys sorted, no floats formatted with locale or
 platform variance — ``json.dumps`` with ``sort_keys=True`` over plain
 dataclass fields.  Two runs with the same seed therefore produce
-byte-identical ``events.jsonl`` files, which the CI determinism gate
-diffs directly.
+byte-identical ``events.jsonl`` files, whose digests tier-1 pins
+(``tests/obs/golden_artifacts.json``).
 """
 
 from __future__ import annotations

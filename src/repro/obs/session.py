@@ -28,7 +28,8 @@ At the end of the run :meth:`write` emits four artifacts —
   totals) —
 
 all derived purely from sim-tick-stamped data, so two same-seed runs
-write byte-identical files (the CI determinism gate compares them).
+write byte-identical files (tier-1 pins their digests in
+``tests/obs/golden_artifacts.json``).
 
 When the cluster layer ships chunks it attaches its
 :class:`~repro.cluster.obs_pipeline.PipelineShipping` plane as

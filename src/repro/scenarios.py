@@ -317,7 +317,7 @@ def fuzzed(seed: int = 0, cluster: bool = False):
     spec = generate(seed, cluster=cluster)
     if cluster:
         return build_cluster(spec)
-    run = _CoreRun(spec)
+    run = _CoreRun(spec).script()
     threads = {
         name: run.rd.kernel.threads[tid] for name, tid in run._tids.items()
     }

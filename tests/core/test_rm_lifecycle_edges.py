@@ -87,13 +87,14 @@ class TestExitEdges:
 
 class TestRecordOrder:
     def test_records_stay_in_tid_order_through_churn(self, ideal_rd):
-        """``_requests`` and ``_signature`` walk ``_records`` unsorted:
-        insertion order must stay tid order through every lifecycle op."""
+        """``_requests`` and ``_signature`` walk the request map unsorted:
+        insertion order must stay tid order through every lifecycle op,
+        and each entry is keyed by its own thread."""
         rm = ideal_rd.resource_manager
 
         def check():
-            assert list(rm._records) == sorted(rm._records)
-            assert [r.thread_id for r in rm._requests()] == sorted(rm._records)
+            assert list(rm._grant_requests) == sorted(rm._grant_requests)
+            assert [r.thread_id for r in rm._requests()] == list(rm._grant_requests)
 
         def admit(name):
             return admit_simple(ideal_rd, name, period_ms=10, rate=0.1)
@@ -117,4 +118,4 @@ class TestRecordOrder:
             ideal_rd.wake(newest.tid)
             check()
         ideal_rd.run_for(ms(30))
-        assert len(rm._records) == 4
+        assert len(rm._grant_requests) == 4

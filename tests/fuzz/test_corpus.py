@@ -30,6 +30,14 @@ def test_corpus_entry_reproduces(path):
     assert replayed.matches, replayed.summary()
 
 
+@pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
+def test_corpus_entry_reproduces_in_record_mode(path):
+    """A recording run goes on past its first violation but is named by
+    it, so every entry's strict-mode expectation holds here too."""
+    replayed = replay_trace(path, sanitize="record")
+    assert replayed.matches, replayed.summary()
+
+
 class TestKernelDispatchRaceRegression:
     """The fuzzer's first real catch: a stale Idle pick dispatched after
     the switch cost carried the clock across another thread's period

@@ -3,10 +3,11 @@ expected outcomes, and sporadic schedules are pure functions of the spec."""
 
 import pytest
 
-from repro import units
+from repro import MachineConfig, units
+from repro.core.distributor import ResourceDistributor
 from repro.errors import SimulationError
 from repro.fuzz import LevelSpec, ScenarioSpec, TaskSpec, generate, run_spec
-from repro.fuzz.runner import sporadic_arrivals
+from repro.fuzz.runner import _classify, sporadic_arrivals
 from repro.fuzz.spec import SporadicSpec
 
 
@@ -153,3 +154,45 @@ class TestClusterRuns:
         spec = generate(0, cluster=True)
         result = run_spec(spec)
         assert set(result.admitted) <= {t.name for t in spec.tasks}
+
+
+def _recording_node():
+    return ResourceDistributor(
+        machine=MachineConfig.ideal(), sanitize=True, sanitize_strict=False
+    )
+
+
+class TestClassifier:
+    """One classifier names every run by its first violation."""
+
+    def test_earliest_violation_across_nodes_names_the_run(self):
+        """The later node in name order violated first: it names the
+        run, though both violations are reported, in node order."""
+        nodes = {"node00": _recording_node(), "node01": _recording_node()}
+
+        def body():
+            nodes["node00"].sanitizer._fail("grant-delivery", 500, "late")
+            nodes["node01"].sanitizer._fail("edf-order", 100, "early")
+            nodes["node01"].sanitizer._fail("never-terminated", 50, "after")
+
+        result = _classify(nodes, body)
+        assert result.outcome == "invariant:edf-order"
+        assert result.detail == "node01: [edf-order] t=100: early"
+        assert [v.split(":")[0] for v in result.violations] == [
+            "node00", "node01", "node01"
+        ]
+
+    def test_a_time_tie_goes_to_the_first_node_name(self):
+        nodes = {"node00": _recording_node(), "node01": _recording_node()}
+
+        def body():
+            nodes["node01"].sanitizer._fail("edf-order", 100, "b")
+            nodes["node00"].sanitizer._fail("grant-delivery", 100, "a")
+
+        assert _classify(nodes, body).outcome == "invariant:grant-delivery"
+
+    def test_a_core_run_is_the_unnamed_node(self):
+        rd = _recording_node()
+        result = _classify({"": rd}, lambda: rd.sanitizer._fail("edf-order", 7, "x"))
+        assert result.outcome == "invariant:edf-order"
+        assert result.violations == ("[edf-order] t=7: x",)

@@ -131,6 +131,51 @@ class TestRoundTrip:
         with pytest.raises(SpecError, match="object"):
             ScenarioSpec.from_json("[1, 2]")
 
+    def test_decoding_coerces_and_takes_dataclass_defaults(self):
+        data = {
+            "seed": "7",
+            "horizon_ticks": 1000.0,
+            "machine": "ideal",
+            "tasks": [
+                {
+                    "name": "a",
+                    "behavior": "follower",
+                    "levels": [{"period_ticks": 100, "cpu_ticks": 10}],
+                    "arrival_ticks": 0,
+                    "quiescent_spans": [[10, 20]],
+                }
+            ],
+            "cluster": {"nodes": 2},
+        }
+        spec = ScenarioSpec.from_dict(data)
+        assert spec.seed == 7 and spec.horizon_ticks == 1000
+        assert spec.tasks[0].quiescent_spans == ((10, 20),)
+        assert spec.tasks[0].departure_ticks is None
+        assert spec.cluster == ClusterSpec(nodes=2)
+        assert spec.server is False and spec.notes == {}
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["tasks"][0].pop("behavior"), r"tasks\[0\]\.behavior is missing"),
+            (lambda d: d.update(tasks=5), "tasks must be a list"),
+            (lambda d: d.pop("seed"), "seed is missing"),
+            (lambda d: d["tasks"][0].update(arrival_ticks="soon"), "arrival_ticks must be int"),
+            (lambda d: d["tasks"][0].update(levels=[7]), r"levels\[0\] must be an object"),
+            (lambda d: d["tasks"][0].update(quiescent_spans=[[1]]), "must have 2 items"),
+            (lambda d: d.update(cluster={"policy": "aimd"}), r"cluster\.nodes is missing"),
+        ],
+        ids=[
+            "missing-behavior", "tasks-not-a-list", "missing-seed", "mistyped-int",
+            "level-not-an-object", "short-span", "cluster-without-nodes",
+        ],
+    )
+    def test_missing_or_mistyped_field_is_a_spec_error(self, edit, message):
+        data = make_spec().to_dict()
+        edit(data)
+        with pytest.raises(SpecError, match=message):
+            ScenarioSpec.from_dict(data)
+
 
 class TestTraceFile:
     def test_write_load_round_trip(self, tmp_path):
@@ -165,3 +210,21 @@ class TestTraceFile:
     def test_missing_file_is_loud(self, tmp_path):
         with pytest.raises(SpecError, match="no trace file"):
             load_trace(tmp_path / "absent.trace.json")
+
+    def test_a_bad_field_names_the_file_and_the_path(self, tmp_path):
+        path = write_trace(tmp_path / "t.trace.json", TraceFile(spec=make_spec()))
+        data = json.loads(path.read_text())
+        del data["spec"]["tasks"][0]["levels"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(SpecError) as raised:
+            load_trace(path)
+        assert str(raised.value) == f"{path}: spec: tasks[0].levels is missing"
+
+    def test_committed_corpus_writes_back_byte_identical(self, tmp_path):
+        from pathlib import Path
+
+        corpus = sorted((Path(__file__).parent / "corpus").glob("*.trace.json"))
+        assert corpus
+        for path in corpus:
+            again = write_trace(tmp_path / path.name, load_trace(path))
+            assert again.read_bytes() == path.read_bytes(), path.name

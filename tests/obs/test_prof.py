@@ -1,7 +1,9 @@
 """The profiler: deterministic phase books, report/diff rendering, and
-the determinism contracts the CI gate relies on (same-seed count tables
-byte-diff equal; ``--profile`` never perturbs the obs artifacts)."""
+the determinism contracts (same-seed count tables byte-diff equal, the
+rack capture's count table pinned; ``--profile`` never perturbs the obs
+artifacts)."""
 
+import hashlib
 import json
 
 import pytest
@@ -201,6 +203,18 @@ class TestDeterminism:
             "broker.epoch",
             "cluster.settle",
         } <= phases
+
+    def test_counts_match_the_parent(self, tmp_path, capsys):
+        """``prof_counts.json`` of the rack capture the ``prof-smoke``
+        job renders, pinned at c956e06: a change that moves any phase
+        count moves these bytes."""
+        from repro.cli import main
+
+        assert main(["run", "--scenario", "cluster_rack", "--seed", "7",
+                     "--duration-ms", "400", "--profile", str(tmp_path)]) == 0
+        counts = (tmp_path / "prof_counts.json").read_bytes()
+        assert hashlib.sha256(counts).hexdigest()[:16] == "d99f500839dda30c"
+        capsys.readouterr()
 
 
 class TestReport:

@@ -1,14 +1,12 @@
-"""Property: the Resource Manager's request map is what its records say.
+"""Property: the Resource Manager's request map is what its ops did.
 
-``ResourceManager._requests`` and ``_signature`` read one ``tid →
-GrantRequest`` map that only the ops changing a request write (admit,
-exit, quiesce, wake, ``change_resource_list``).  After every op of a
-drawn stream — a ``deferred_recompute`` batch and a crash-handler exit
-included — the map must equal the requests rebuilt from ``_records``
-from scratch, in tid order.  The memo must also decide as it did when
-the signature was built per record: two consecutive states compare
-equal under the map's signature exactly when they compare equal under
-the per-record ``(tid, policy id, resource list, quiescent)`` tuples.
+``ResourceManager._grant_requests`` is the RM's one record of the
+admitted population — ``_requests``, ``_signature``, ``admitted_ids``,
+``is_quiescent``, ``usage`` and ``capacity_snapshot`` all read it — and
+only the ops changing a request write it (admit, exit, quiesce, wake,
+``change_resource_list``).  After every op of a drawn stream — a
+``deferred_recompute`` batch and a crash-handler exit included — the
+map must equal a model the stream keeps of its own ops, in tid order.
 """
 
 from __future__ import annotations
@@ -29,31 +27,6 @@ from repro.workloads import grant_follower
 OPS = ("admit", "exit", "quiesce", "wake", "relist", "batch", "crash", "none")
 
 
-def from_scratch(manager) -> list[GrantRequest]:
-    records = manager._records
-    return [
-        GrantRequest(
-            thread_id=tid,
-            policy_id=records[tid].thread.policy_id,
-            resource_list=records[tid].definition.resource_list,
-            quiescent=records[tid].quiescent,
-        )
-        for tid in sorted(records)
-    ]
-
-
-def per_record_signature(manager) -> tuple:
-    """The memo signature as it was built before the map."""
-    return (
-        manager.policy_box.revision,
-        manager.grant_control.capacity,
-        tuple(
-            (tid, r.thread.policy_id, r.definition.resource_list, r.quiescent)
-            for tid, r in sorted(manager._records.items())
-        ),
-    )
-
-
 def _crasher(ctx):
     yield Compute(units.ms_to_ticks(1))
     raise RuntimeError("corrupt bitstream")
@@ -70,7 +43,8 @@ class Stream:
         )
         self.manager = self.rd.resource_manager
         self.names = itertools.count()
-        self.signatures = (self.manager._signature(), per_record_signature(self.manager))
+        #: tid -> [policy id, resource list, quiescent], as the ops left it.
+        self.model: dict[int, list] = {}
 
     def definition(self, name=None, body=grant_follower) -> TaskDefinition:
         rng = self.rng
@@ -87,33 +61,43 @@ class Stream:
         )
 
     def check(self) -> None:
-        manager = self.manager
-        assert manager._requests() == from_scratch(manager)
-        assert list(manager._grant_requests) == sorted(manager._records)
-        now = (manager._signature(), per_record_signature(manager))
-        before = self.signatures
-        assert (now[0] == before[0]) == (now[1] == before[1])
-        self.signatures = now
+        for _, tid, _ in self.rd.kernel.crashes:
+            self.model.pop(tid, None)  # the crash handler exits it
+        expected = [GrantRequest(tid, *self.model[tid]) for tid in sorted(self.model)]
+        assert self.manager._requests() == expected
+        assert self.manager.admitted_ids() == tuple(sorted(self.model))
+
+    def admit(self, definition: TaskDefinition) -> None:
+        thread = self.rd.admit(definition)
+        self.model[thread.tid] = [thread.policy_id, definition.resource_list, False]
 
     def op(self, kind: str) -> None:
-        rd, manager, rng = self.rd, self.manager, self.rng
-        live = list(manager.admitted_ids())
-        quiescent = [tid for tid in live if manager.is_quiescent(tid)]
-        runnable = [tid for tid in live if tid not in quiescent]
+        rd, manager, rng, model = self.rd, self.manager, self.rng, self.model
+        live = sorted(model)
+        quiescent = [tid for tid in live if model[tid][2]]
+        runnable = [tid for tid in live if not model[tid][2]]
         try:
             if kind == "admit":
-                rd.admit(self.definition())
+                self.admit(self.definition())
             elif kind == "crash":
-                rd.admit(self.definition(body=_crasher))
+                self.admit(self.definition(body=_crasher))
             elif kind == "exit" and live:
-                rd.exit_thread(rng.choice(live))
+                tid = rng.choice(live)
+                rd.exit_thread(tid)
+                del model[tid]
             elif kind == "quiesce" and runnable:
-                rd.enter_quiescent(rng.choice(runnable))
+                tid = rng.choice(runnable)
+                rd.enter_quiescent(tid)
+                model[tid][2] = True
             elif kind == "wake" and quiescent:
-                rd.wake(rng.choice(quiescent))
+                tid = rng.choice(quiescent)
+                rd.wake(tid)
+                model[tid][2] = False
             elif kind == "relist" and live:
                 tid = rng.choice(live)
-                manager.change_resource_list(tid, self.definition(rd.thread(tid).name))
+                definition = self.definition(rd.thread(tid).name)
+                manager.change_resource_list(tid, definition)
+                model[tid][1] = definition.resource_list
         except AdmissionError:
             pass  # a denied minimum changes nothing
 

@@ -1,5 +1,7 @@
 """CLI: every command runs, prints the right artifact, and exits 0."""
 
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -99,16 +101,26 @@ def test_stdout_matches_the_parent(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "script, digest",
-    [("scheduler_faceoff.py", "756459520d2b3f9e"), ("settop_box.py", "433bba7c89ba896b")],
+    "argv, digest",
+    [
+        (("scheduler_faceoff.py",), "756459520d2b3f9e"),
+        (("settop_box.py",), "433bba7c89ba896b"),
+        # The lossy multi-node rack's metrics; pinned at c956e06.
+        (("cluster_rack.py", "--seed", "7", "--json"), "b0a5bd8e76cfca11"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else value,
 )
-def test_example_stdout_matches_the_parent(script, digest, capsys):
+def test_example_stdout_matches_the_parent(argv, digest, capsys, monkeypatch):
     import hashlib
     import runpy
     from pathlib import Path
 
-    examples = Path(__file__).parent.parent / "examples"
-    runpy.run_path(str(examples / script), run_name="__main__")
+    script = Path(__file__).parent.parent / "examples" / argv[0]
+    monkeypatch.setattr(sys, "argv", [str(script), *argv[1:]])
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+    except SystemExit as exit_info:
+        assert exit_info.code == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest()[:16] == digest
 
@@ -432,6 +444,35 @@ class TestFuzzCli:
     def test_replay_empty_directory_is_an_error(self, tmp_path, capsys):
         assert main(["fuzz", "replay", str(tmp_path)]) == 2
         assert "no *.trace.json" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (None, "no trace file"),
+            (lambda text, data: "{not json", "not valid JSON"),
+            (lambda text, data: {**data, "schema_version": 99}, "newer repro"),
+            (lambda text, data: {**data, "kind": "repro.obs.events"}, "not a fuzz trace"),
+            (lambda text, data: {**data, "spec": {**data["spec"], "tasks": 5}},
+             "tasks must be a list"),
+        ],
+        ids=["missing-file", "bad-json", "schema-version", "kind", "mistyped-field"],
+    )
+    def test_replay_of_an_unreadable_trace_is_a_usage_error(
+        self, damage, message, tmp_path, capsys
+    ):
+        """Exit 2 and the loader's one line: exit 1 means "diverged"."""
+        import json
+        from pathlib import Path
+
+        target = tmp_path / "bad.trace.json"
+        if damage is not None:
+            source = Path(__file__).parent / "fuzz" / "corpus" / "core-plain.trace.json"
+            text = source.read_text()
+            damaged = damage(text, json.loads(text))
+            target.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+        assert main(["fuzz", "replay", str(target)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and str(target) in out and message in out
 
     def test_sweep_renders_and_writes_the_curve(self, tmp_path, capsys):
         import json
