@@ -23,7 +23,10 @@ them keeps polling thread state, as the baselines do)::
     on_overtime_request(thread)  # ran out of granted time, or DonePeriod(overtime=True)
 
 With them the policy keeps its queues current from events instead of
-walking the thread population on every dispatch.
+walking the thread population on every dispatch.  The overtime hook
+also selects the poll continuation in :meth:`Kernel._execute`: a thread
+already on OvertimeRequested that asks again keeps its slice, where a
+hookless policy re-picks.
 """
 
 from __future__ import annotations
@@ -628,10 +631,27 @@ class Kernel:
         ``stop``, however long it is — a ``Compute`` is interruptible at
         any tick, so how a body divides a unit of work into ops changes
         nothing unless the body acts in between.
+
+        A poll is not a scheduling decision.  A thread picked from
+        OvertimeRequested that asks for overtime again
+        (``DonePeriod(overtime=True)``) changes no queue: its overtime
+        entry and stamp stand, TimeRemaining was empty and no activation
+        was pending.  So the slice goes on while nothing the pick or the
+        timer reads can have moved — time short of ``stop`` and of the
+        next rollover, the next event still the one ``stop`` was set
+        from (a body may book one), no reschedule asked for, not a grace
+        slice, and time spent since the last poll (or a body that polls
+        without computing would never leave the loop).  Only a policy
+        with the overtime hook keeps OvertimeRequested current from
+        events, so only it is continued; the baselines re-pick.  The
+        poll is still audited and still one phase.
         """
         ops_at_stop = 0
         clock = self.clock
         posted = self._posted
+        event_heap = self._event_heap
+        next_event = event_heap[0] if event_heap else None
+        polled = clock.now
         while True:
             if thread.assignment_target is None:
                 runner, assigned = thread, False
@@ -699,6 +719,28 @@ class Kernel:
                 # The common op, without the call into _apply_op (which
                 # still handles Compute subclasses).
                 runner.pending_compute = op.ticks
+            elif (
+                op.__class__ is DonePeriod
+                and op.overtime
+                and thread.wants_overtime  # declared done, with overtime
+                and not assigned
+                and self._on_overtime_request is not None
+                and polled < (now := clock.now) < stop
+                and now < self._next_rollover
+                and (event_heap[0] if event_heap else None) is next_event
+                and not self._reschedule
+                and not thread.grace_pending
+            ):
+                # A poll (see the docstring): the decision the loop would
+                # re-make, audited and profiled as one.
+                polled = now
+                prof = self.prof
+                if prof:
+                    prof.end("kernel.dispatch")
+                    prof.begin("kernel.dispatch")
+                if self.sanitizer is not None:
+                    self.sanitizer.on_pick(thread, now)
+                continue
             else:
                 try:
                     result = self._apply_op(thread, runner, assigned, op)

@@ -38,12 +38,14 @@ a head that fails it.  Nothing is ever removed from the middle, and
 writes the Scheduler is not told about (an exit, a termination) need no
 hook because they only make entries fail validation.  A per-thread
 stamp (``SimThread.queued_*``) records the deadline already queued, so
-a thread that re-requests overtime 56 000 times a second holds one
-entry; the stamp is cleared when that entry is dropped, so the next
-event re-queues it.  Timer rule (2) reads the third heap as well: it
-meets the boundaries below the running thread's limit in time order,
-setting aside the valid ones that do not preempt and pushing them
-back.  A grant notification revisits only the threads the controller
+a thread holds one OvertimeRequested entry per period however often it
+asks; the stamp is cleared when that entry is dropped, so the next
+event re-queues it.  A greedy Sporadic Server's repeated request (a
+poll) is therefore no queue change, and the kernel does not re-pick on
+it: the server keeps its slice to the next scheduling event.  Timer
+rule (2) reads the third heap as well: it meets the boundaries below
+the running thread's limit in time order, setting aside the valid ones
+that do not preempt and pushing them back.  A grant notification revisits only the threads the controller
 reports as changed, those that joined or left the set, and those with
 a change still in flight.  The full scans (:mod:`repro.core.threads`)
 survive as debug views (:meth:`RDScheduler.time_remaining_queue`,

@@ -79,7 +79,7 @@ class SporadicServer:
     def _next_ready(self) -> SimThread | None:
         """Rotate to the next runnable sporadic task (round-robin).
 
-        The server polls this on every dispatch, so an exited task is
+        The server calls this on every poll, so an exited task is
         dropped when the rotation meets it rather than by filtering the
         whole queue first.
         """
@@ -98,7 +98,8 @@ class SporadicServer:
 
     def _run(self, ctx) -> Generator[Op, None, None]:
         # Ops are immutable; a greedy server yields these two on every
-        # dispatch of otherwise-unallocated time.
+        # poll of otherwise-unallocated time, many polls to a slice: the
+        # kernel does not re-pick on a poll (``Kernel._execute``).
         poll = Compute(POLL_COST)
         done = DonePeriod(overtime=self.greedy)
         while True:

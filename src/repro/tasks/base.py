@@ -65,7 +65,12 @@ class DonePeriod(Op):
 
     With ``overtime=True`` the thread also asks to be placed on the
     OvertimeRequested queue: it would use more CPU if unallocated time
-    becomes available (the Sporadic Server always does this).
+    becomes available (the greedy Sporadic Server always does this).
+    Asked again by a thread already running on that queue, the request
+    is a poll, not a yield: it changes no queue, so under the RD
+    scheduler the thread keeps the processor until the next scheduling
+    event (a timer stop, a period boundary, an external event, a wake)
+    and the kernel does not re-pick.
     """
 
     overtime: bool = False

@@ -4,11 +4,14 @@ waiters, and the scheduler's heaps stay current from kernel events.
 Each test here fails on a plausible wrong design: waking in channel
 order instead of block order, waking every waiter on one post, waking
 from the notification rather than from the pending count, leaving the
-channel pointing at a kernel nobody is blocked in, or letting a thread
-that re-requests overtime on every dispatch pile up heap entries.
+channel pointing at a kernel nobody is blocked in, letting a thread
+that re-requests overtime on every poll pile up heap entries, or
+re-picking on such a poll (or continuing one that spends no time).
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro import MachineConfig, SimConfig, SporadicServer, TaskDefinition, units
 from repro.baselines.base import BaselineSystem
@@ -16,6 +19,7 @@ from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.sporadic import POLL_COST
 from repro.core.threads import ThreadState
+from repro.errors import SchedulerError
 from repro.tasks.base import Block, Compute, DonePeriod, InsertIdleCycles
 from repro.tasks.channels import Channel
 from repro.workloads import grant_follower, single_entry_definition
@@ -184,6 +188,74 @@ class TestHooklessPolicy:
         ]
         # Every later period of the waiter blocks again; none is a miss.
         assert system.trace.misses() == []
+
+
+def poller(polls):
+    """Spends its grant, asks for overtime, then polls on it — a unit of
+    work and another request — as the greedy Sporadic Server does,
+    counting each poll into ``polls``."""
+
+    def task(ctx):
+        yield Compute(ctx.grant.cpu_ticks)
+        yield DonePeriod(overtime=True)
+        while True:
+            yield Compute(POLL_COST)
+            polls.append(ctx.now)
+            yield DonePeriod(overtime=True)
+
+    return task
+
+
+def counted_picks(policy):
+    """Shadow ``policy.pick`` with a wrapper that notes each call's
+    time; returns that list."""
+    calls = []
+    real = policy.pick
+
+    def pick(now):
+        calls.append(now)
+        return real(now)
+
+    policy.pick = pick
+    return calls
+
+
+class TestPolls:
+    """A poll — ``DonePeriod(overtime=True)`` from a thread already on
+    OvertimeRequested — changes no queue.  The kernel keeps the slice
+    going under a policy whose overtime hook keeps that queue current,
+    and re-picks under one without."""
+
+    def test_the_rd_continues_and_a_baseline_re_picks(self):
+        rd = ResourceDistributor(
+            machine=MachineConfig.ideal(), sim=SimConfig(seed=3),
+            sanitize=True, sanitize_strict=True,
+        )
+        system = BaselineSystem(machine=MachineConfig.ideal(), sim=SimConfig(seed=3))
+        runs = []
+        for owner, policy in ((rd, rd.scheduler), (system, system.policy)):
+            polls = []
+            owner.admit(one_entry("poller", poller(polls)))
+            picks = counted_picks(policy)
+            owner.run_for(ms(100))
+            runs.append((polls, picks))
+        (rd_polls, rd_picks), (base_polls, base_picks) = runs
+        assert rd.trace.segments == system.trace.segments
+        assert rd_polls == base_polls and len(rd_polls) > 7_000
+        # Ten periods: a pick at each open and one when the grant runs out.
+        assert len(rd_picks) <= 30
+        assert rd.sanitizer.ok and rd.sanitizer.decisions_checked > len(rd_polls)
+        assert len(base_picks) > len(base_polls)
+
+    def test_a_poll_that_spends_no_time_is_still_a_livelock(self, ideal_rd):
+        def spinner(ctx):
+            yield Compute(ctx.grant.cpu_ticks)
+            while True:
+                yield DonePeriod(overtime=True)
+
+        ideal_rd.admit(one_entry("spinner", spinner))
+        with pytest.raises(SchedulerError, match="no progress"):
+            ideal_rd.run_for(ms(10))
 
 
 class TestBoundaryRearm:

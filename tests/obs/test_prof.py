@@ -216,6 +216,18 @@ class TestDeterminism:
         assert hashlib.sha256(counts).hexdigest()[:16] == "d99f500839dda30c"
         capsys.readouterr()
 
+    def test_greedy_server_counts_match_the_parent(self, tmp_path, capsys):
+        """The same for a greedy Sporadic Server's run, pinned at
+        e4b4528, when every poll was re-picked: a continued poll is
+        still one ``kernel.dispatch`` phase (4,585 in 400 ms)."""
+        from repro.cli import main
+
+        assert main(["run", "--scenario", "figure5", "--duration-ms", "400",
+                     "--profile", str(tmp_path)]) == 0
+        counts = (tmp_path / "prof_counts.json").read_bytes()
+        assert hashlib.sha256(counts).hexdigest()[:16] == "8ecc4b09af8d4733"
+        capsys.readouterr()
+
 
 class TestReport:
     @pytest.fixture(scope="class")

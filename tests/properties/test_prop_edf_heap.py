@@ -66,7 +66,9 @@ class FromScratchScheduler(RDScheduler):
     """RDScheduler with every heap read replaced by the scan it retired.
 
     The heaps are still pushed to (the hooks are the same object's), but
-    nothing here reads them.
+    nothing here reads them.  The kernel is not told of overtime
+    requests (:func:`run_stream` unbinds that hook), so like a baseline
+    it re-picks after every poll instead of continuing the slice.
     """
 
     def _scan_ready(self, now):
@@ -249,10 +251,22 @@ def _definition(rd, name, period_ms, rate, body, channel, n, unit, seen, victim)
         yield DonePeriod()
 
     def overtimer(ctx):
-        # Runs out of granted time with work left, then asks for more.
+        # Runs out of granted time with work left, asks for more, then
+        # polls on it as the greedy server does: a unit of work and
+        # another request, which the kernel may continue, not re-pick.
+        # Between two polls n=1 books an event due inside the stretch,
+        # n=2 posts its channel (the blocker's); n=3 is registered for
+        # controlled preemption, so a grace slice can meet a poll.
         yield from unit(cpu + chunk)
         yield DonePeriod(overtime=True)
-        yield from unit(chunk)
+        for i in range(4):
+            yield from unit(small)
+            if i == 1 and n == 1:
+                when = ctx.now + small // 2
+                rd.at(when, lambda: seen.append((name, "event", when, ctx.now)))
+            elif i == 1 and n == 2:
+                channel.post()
+            yield DonePeriod(overtime=True)
 
     def macroblock(ctx):
         # Reports done early, returns with grant to spare, returns on
@@ -319,10 +333,10 @@ def _definition(rd, name, period_ms, rate, body, channel, n, unit, seen, victim)
         yield from unit(cpu + cpu // 5 if n % 2 else cpu)
         yield DonePeriod()
 
-    if body in ("polite", "oblivious"):
+    if body in ("polite", "oblivious") or (body == "overtimer" and n == 3):
         # Controlled preemption, noticing inside / after the 200 us grace.
         preemption = PreemptionConfig(
-            units.us_to_ticks(100 if body == "polite" else 500)
+            units.us_to_ticks(100 if body != "oblivious" else 500)
         )
     function = {
         "follower": follower,
@@ -361,6 +375,11 @@ def run_stream(stream, reference=False, unit=merged):
         # wakes are found.
         rd.scheduler.__class__ = FromScratchScheduler
         rd.kernel.__class__ = FromScratchKernel
+        # ... and in how often the queue heads are asked for: a kernel
+        # continues a slice across a poll only for a policy whose
+        # overtime hook keeps OvertimeRequested current, and the scans
+        # read no heap the hook feeds.
+        rd.kernel._on_overtime_request = None
     names = itertools.count()
     channels = [Channel("c0"), Channel("c1")]
     admitted = []
@@ -385,6 +404,9 @@ def run_stream(stream, reference=False, unit=merged):
         def job(ctx):
             for _ in range(40):
                 yield Compute(units.us_to_ticks(200))
+                # A sporadic task pausing hands the rest of its slice
+                # back to the server: not the server's own poll.
+                yield DonePeriod(overtime=True)
                 yield Block(channels[1])
 
         server = SporadicServer(rd, period=units.ms_to_ticks(20), greedy=True)
@@ -475,6 +497,27 @@ def assert_same_run(a, b):
     assert _accounts(a) == _accounts(b)
 
 
+# The kernel keeps a slice going across a poll — DonePeriod(overtime=True)
+# from a thread picked from OvertimeRequested — only while nothing the
+# re-pick reads can have moved; the reference re-picks after every poll.
+# One stream per guard, each found to separate the kernel from the
+# mutant without that guard: (1) an admit event inside the server's
+# overtime stretch, and (2) a postponer's delayed start, bound the
+# slice's stop; (3) an exit's removal rolls over mid-stretch, at a
+# boundary that is no timer stop; (4) the overtimer books an event due
+# inside its own stretch; (5) it posts the channel the blocker waits on
+# right before a poll; (6) a post wakes the server's job, whose pause is
+# not the server's poll; (7) an overtimer registered for controlled
+# preemption polls in a grace slice; (8) 10 ms run_for horizons fall
+# mid-poll.
+@example((True, False, [(87, "admit", 15, 20, "follower", 0)]))
+@example((True, False, [(1, "admit", 10, 20, "postponer", 0)]))
+@example((True, False, [(5, "exit", 10, 20, "follower", 0)]))
+@example((False, False, [(1, "admit", 10, 20, "overtimer", 1)]))
+@example((False, False, [(1, "admit", 10, 20, "overtimer", 2)]))
+@example((True, False, [(87, "post", 10, 20, "follower", 1)]))
+@example((False, False, [(1, "admit", 5, 20, "overtimer", 3)]))
+@example((True, True, [(87, "post", 10, 20, "follower", 1)]))
 @given(change_streams())
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -422,6 +422,38 @@ class TestFuzzCli:
         assert "failing scenario" in capsys.readouterr().out
         assert list(tmp_path.glob("*.trace.json"))
 
+    def test_campaign_summary_matches_the_parent(self, tmp_path, capsys):
+        """Pinned at e4b4528, where every greedy-server poll was a
+        re-pick: the audit still checks each poll as one decision."""
+        import re
+
+        assert main(
+            ["fuzz", "--budget", "25", "--seed", "0", "--out", str(tmp_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert re.sub(r" \(\d+\.\ds\)$", "", out.rstrip("\n")) == (
+            "fuzz[core] seed=0: 25 scenarios, 48073 decisions checked, "
+            "5 admission denials, clean"
+        )
+
+    def test_injected_reproducers_match_the_parent(self, tmp_path, capsys):
+        """sha256[:16] over the reproducers' names and bytes, pinned at
+        e4b4528: shrinking re-runs each spec, so any moved decision
+        moves a file."""
+        import hashlib
+
+        assert main(
+            [
+                "fuzz", "--budget", "5", "--seed", "0",
+                "--inject", "edf-invert", "--out", str(tmp_path),
+            ]
+        ) == 1
+        capsys.readouterr()
+        files = sorted(tmp_path.glob("*.trace.json"))
+        blob = b"".join(p.name.encode() + p.read_bytes() for p in files)
+        assert len(files) == 5
+        assert hashlib.sha256(blob).hexdigest()[:16] == "985c837554540169"
+
     def test_replay_corpus_directory(self, capsys):
         from pathlib import Path
 

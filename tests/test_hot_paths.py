@@ -49,7 +49,9 @@ from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.scenarios import av_pipeline, figure5
 from repro.workloads import grant_follower, single_entry_definition
+from tests.core.test_event_driven_dispatch import counted_picks
 from tests.properties.test_prop_grant_control import churn_list
 
 PACKAGES = ("repro.core", "repro.sim", "repro.machine", "repro.baselines")
@@ -306,3 +308,29 @@ class TestAuditAndRequestsStayInline:
             counts[n] = _python_calls(call)
             assert rd.sanitizer.ok
         assert counts[16] == counts[256], counts
+
+
+# -- a poll is not a scheduling decision ----------------------------------------
+
+
+class TestPollsDoNotRepick:
+    """A greedy Sporadic Server's poll — ``Compute(POLL_COST)`` then
+    ``DonePeriod(overtime=True)`` — changes no queue, so the kernel keeps
+    the slice going rather than re-running ``pick`` and ``timer_for``
+    (DESIGN.md §4 "A slice costs its scheduling events").  The audit
+    still sees every poll."""
+
+    def test_picks_follow_switches_not_polls(self):
+        scenario = av_pipeline(61)
+        picks = counted_picks(scenario.rd.scheduler)
+        scenario.rd.run_for(units.sec_to_ticks(1))
+        # Re-picking after every poll made 56,394 picks for 133 switches.
+        assert len(picks) <= 2 * len(scenario.rd.trace.switches)
+
+    def test_every_poll_is_still_audited(self):
+        scenario = figure5(seed=0)
+        scenario.rd.attach_sanitizer(strict=True)
+        scenario.rd.run_for(units.ms_to_ticks(400))
+        assert scenario.rd.sanitizer.ok
+        # One decision per poll, as when every poll was re-picked.
+        assert scenario.rd.sanitizer.decisions_checked == 4_585
