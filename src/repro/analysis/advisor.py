@@ -45,10 +45,6 @@ class AdmissionPreview:
     #: Predicted movements for the existing population.
     changes: list[QosChange] = field(default_factory=list)
 
-    @property
-    def anyone_degraded(self) -> bool:
-        return any(c.degraded for c in self.changes)
-
 
 def admission_preview(
     rd: ResourceDistributor, definition: TaskDefinition

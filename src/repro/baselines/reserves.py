@@ -39,11 +39,3 @@ class ReservesSystem(BaselineSystem):
                 f"would commit {committed:.1%} > capacity {capacity:.1%} "
                 f"(no load-shedding levels to fall back on)"
             )
-
-    def reserved_total(self) -> float:
-        """Sum of active reservations (for the over-reservation bench)."""
-        return sum(
-            t.grant.rate
-            for t in self.kernel.periodic_threads()
-            if t.grant is not None and t.state is not STATE_EXITED
-        )

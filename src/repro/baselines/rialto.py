@@ -48,11 +48,6 @@ class DenialLog:
         bucket = self.granted if granted else self.denied
         bucket[tid] = bucket.get(tid, 0) + 1
 
-    def denial_rate(self, tid: int) -> float:
-        g = self.granted.get(tid, 0)
-        d = self.denied.get(tid, 0)
-        return d / (g + d) if (g + d) else 0.0
-
 
 class RialtoPolicy(EnforcingEdfPolicy):
     """Enforcing EDF over granted constraints; denial at request time."""

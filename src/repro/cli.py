@@ -294,11 +294,11 @@ def cmd_obs_report(args) -> int:
     )
 
     try:
+        specs = load_slo_file(args.slo) if args.slo else None
         events = load_events(args.dir)
     except SimulationError as exc:
         print(exc)
         return 2
-    specs = load_slo_file(args.slo) if args.slo else None
     analysis = analyze(events, slo_specs=specs)
     rendered = (
         analysis_to_json(analysis)
@@ -316,15 +316,15 @@ def cmd_obs_report(args) -> int:
 
 def cmd_obs_check(args) -> int:
     """Gate on SLOs: exit 1 when any objective is violated, 2 when the
-    event log cannot be read."""
+    SLO spec or the event log cannot be read."""
     from repro.obs.analysis import analyze, load_events, load_slo_file
 
     try:
+        specs = load_slo_file(args.slo)
         events = load_events(args.dir)
     except SimulationError as exc:
         print(exc)
         return 2
-    specs = load_slo_file(args.slo)
     analysis = analyze(events, slo_specs=specs)
     violations = analysis.slo_violations
     for result in analysis.slo_results:

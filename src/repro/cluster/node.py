@@ -160,5 +160,3 @@ class ClusterNode:
 
     # -- introspection ------------------------------------------------------
 
-    def has_task(self, task: str) -> bool:
-        return task in self.tasks

@@ -144,34 +144,26 @@ class GrantController:
     def bandwidth_capacity(self) -> float:
         return self._bandwidth
 
-    def compute(
-        self, requests: list[GrantRequest], observe: bool = True
-    ) -> GrantSetResult:
+    def compute(self, requests: list[GrantRequest]) -> GrantSetResult:
         """Compute the grant set for the current task population.
 
         ``requests`` covers every admitted thread; quiescent threads are
         skipped for grants (their resources flow to the others) but were
         already counted by admission control.
-
-        ``observe=False`` keeps the computation side-effect free (no
-        Policy Box counters or telemetry) — used by the sanitizer to
-        cross-check memoized results against a fresh computation.
         """
         prof = self.prof
-        if prof and observe:
+        if prof:
             prof.begin("grant.compute")
             try:
-                return self._compute(requests, observe)
+                return self._compute(requests)
             finally:
                 prof.end("grant.compute")
-        return self._compute(requests, observe)
+        return self._compute(requests)
 
-    def _compute(
-        self, requests: list[GrantRequest], observe: bool
-    ) -> GrantSetResult:
+    def _compute(self, requests: list[GrantRequest]) -> GrantSetResult:
         active = [r for r in requests if not r.quiescent]
         if not active:
-            return self._result(active, [], None, 0, False, {}, observe)
+            return self._result(active, [], None, 0, False, {})
         if len({r.thread_id for r in active}) != len(active):
             seen: set[int] = set()
             for request in active:
@@ -183,10 +175,8 @@ class GrantController:
 
         owners = self._fast_path(active)
         if owners is not None:
-            return self._result(
-                active, [0] * len(active), None, 0, False, owners, observe
-            )
-        return self._policy_path(active, observe=observe)
+            return self._result(active, [0] * len(active), None, 0, False, owners)
+        return self._policy_path(active)
 
     def _result(
         self,
@@ -196,7 +186,6 @@ class GrantController:
         passes: int,
         fallback: bool,
         owners: dict[str, int],
-        observe: bool,
     ) -> GrantSetResult:
         """The one place a result is built: ``selection[p]`` is the entry
         index chosen for ``active[p]``.  A thread keeps its previous
@@ -215,13 +204,10 @@ class GrantController:
                 changed.add(tid)
             grants[tid] = grant
         grant_set = GrantSet(grants, self._capacity, self._bandwidth)
-        if observe:
-            # Only a set that validated, and that the caller will act on,
-            # replaces the cache (GrantSet copied the dict): ``changed``
-            # is always relative to the last result handed on to the
-            # Scheduler, and an ``observe=False`` cross-check leaves no
-            # trace.
-            self._grant_cache = grants
+        # Only a set that validated replaces the cache (GrantSet copied
+        # the dict): ``changed`` is always relative to the last result
+        # handed on to the Scheduler.
+        self._grant_cache = grants
         return GrantSetResult(
             grant_set=grant_set,
             policy=policy,
@@ -257,12 +243,8 @@ class GrantController:
 
     # -- policy correlation ----------------------------------------------------
 
-    def _policy_path(
-        self, active: list[GrantRequest], observe: bool = True
-    ) -> GrantSetResult:
-        policy = self._policy_box.resolve(
-            {r.policy_id for r in active}, observe=observe
-        )
+    def _policy_path(self, active: list[GrantRequest]) -> GrantSetResult:
+        policy = self._policy_box.resolve({r.policy_id for r in active})
         # Everything below is indexed by position in ``active``; the
         # lists' own tables supply rates and bandwidths by entry index.
         # A thread whose list names no exclusive unit costs the passes
@@ -463,9 +445,7 @@ class GrantController:
                         self._claim(active[p], index, owners)
                     selection[p] = index
 
-        return self._result(
-            active, selection, policy, passes, fallback, dict(owners), observe
-        )
+        return self._result(active, selection, policy, passes, fallback, dict(owners))
 
     # -- selection helpers: lists that name exclusive units --------------------
     #

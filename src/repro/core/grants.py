@@ -130,18 +130,6 @@ class GrantSet:
     def bandwidth_capacity(self) -> float:
         return self._bandwidth_capacity
 
-    def thread_ids(self) -> tuple[int, ...]:
-        return tuple(self._grants)
-
-    def exclusive_owner(self, unit: str) -> int | None:
-        """The thread whose grant includes exclusive unit ``unit``."""
-        owners = [g.thread_id for g in self._grants.values() if unit in g.exclusive]
-        if len(owners) > 1:
-            raise GrantError(
-                f"exclusive unit {unit!r} granted to multiple threads {owners}"
-            )
-        return owners[0] if owners else None
-
     def describe(self) -> str:
         """Render in the paper's Table 4 format."""
         header = f"{'Thread':>8} {'Period':>12} {'CPU Req':>12} {'Rate':>7}  Function"

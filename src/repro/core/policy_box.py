@@ -36,9 +36,6 @@ class Policy:
     exclusive_preference: int | None = None
     invented: bool = False
 
-    def share_of(self, policy_id: int) -> float:
-        return self.shares.get(policy_id, 0.0)
-
 
 @dataclass
 class _TaskRecord:
@@ -68,10 +65,6 @@ class PolicyBox:
         self._overrides: dict[frozenset[int], dict[int, float]] = {}
         self._lookups = 0
         self._inventions = 0
-        #: Bumped on every ranking-table mutation; the Resource Manager
-        #: folds it into its memoization signature so cached grant sets
-        #: are invalidated the moment a policy changes.
-        self._revision = 0
         #: Optional telemetry bus, plus the clock it stamps events with
         #: (the box itself has no notion of simulated time; the
         #: distributor wires ``clock`` to the kernel's).
@@ -118,17 +111,14 @@ class PolicyBox:
         """
         key = self._validate(rankings)
         self._defaults[key] = dict(rankings)
-        self._revision += 1
 
     def set_override(self, rankings: dict[int, float]) -> None:
         """Install a user override, taking precedence over the default."""
         key = self._validate(rankings)
         self._overrides[key] = dict(rankings)
-        self._revision += 1
 
     def clear_override(self, policy_ids: frozenset[int] | set[int]) -> None:
-        if self._overrides.pop(frozenset(policy_ids), None) is not None:
-            self._revision += 1
+        self._overrides.pop(frozenset(policy_ids), None)
 
     def known_policies(self) -> list[frozenset[int]]:
         """Every task set for which a ranking exists (default or override)."""
@@ -139,32 +129,23 @@ class PolicyBox:
 
     # -- resolution --------------------------------------------------------
 
-    def resolve(
-        self, policy_ids: frozenset[int] | set[int], observe: bool = True
-    ) -> Policy:
+    def resolve(self, policy_ids: frozenset[int] | set[int]) -> Policy:
         """Return the policy for the given set of threads.
 
         Looks for a user override first, then a default.  If neither
         matches, invents the 1/N policy, giving exclusive resources to an
         arbitrary (deterministically the lowest-id) thread.
-
-        ``observe=False`` makes the resolution side-effect free: no
-        lookup/invention counters, no telemetry.  The sanitizer's
-        memoization cross-check uses it to recompute a grant set without
-        perturbing the observable event stream.
         """
         prof = self.prof
-        if prof and observe:
+        if prof:
             prof.begin("policy.resolve")
             try:
-                return self._resolve(policy_ids, observe)
+                return self._resolve(policy_ids)
             finally:
                 prof.end("policy.resolve")
-        return self._resolve(policy_ids, observe)
+        return self._resolve(policy_ids)
 
-    def _resolve(
-        self, policy_ids: frozenset[int] | set[int], observe: bool
-    ) -> Policy:
+    def _resolve(self, policy_ids: frozenset[int] | set[int]) -> Policy:
         key = frozenset(policy_ids)
         if not key:
             raise PolicyError("cannot resolve a policy for an empty task set")
@@ -172,18 +153,15 @@ class PolicyBox:
         if not key <= tasks.keys():
             unknown = sorted(pid for pid in key if pid not in tasks)
             raise PolicyError(f"unregistered policy ids {unknown}")
-        if observe:
-            self._lookups += 1
+        self._lookups += 1
         rankings = self._overrides.get(key) or self._defaults.get(key)
         if rankings is not None:
             shares = {pid: pct / 100.0 for pid, pct in rankings.items()}
             preference = max(shares, key=lambda pid: (shares[pid], -pid))
-            if observe:
-                self._emit_resolution(key, invented=False)
+            self._emit_resolution(key, invented=False)
             return Policy(shares=shares, exclusive_preference=preference)
-        if observe:
-            self._emit_resolution(key, invented=True)
-        return self._invent(key, observe=observe)
+        self._emit_resolution(key, invented=True)
+        return self._invent(key)
 
     def _emit_resolution(self, key: frozenset[int], invented: bool) -> None:
         if self.obs:
@@ -196,9 +174,8 @@ class PolicyBox:
                 )
             )
 
-    def _invent(self, key: frozenset[int], observe: bool = True) -> Policy:
-        if observe:
-            self._inventions += 1
+    def _invent(self, key: frozenset[int]) -> Policy:
+        self._inventions += 1
         share = self._capacity / len(key)
         shares = dict.fromkeys(sorted(key), share)
         return Policy(
@@ -226,46 +203,6 @@ class PolicyBox:
             )
         return frozenset(rankings)
 
-    # -- persistence -----------------------------------------------------------
-
-    def export_policies(self) -> dict:
-        """Serialize tasks and rankings to plain data (JSON-safe).
-
-        Task identity is exported by *name*, so a saved policy file can
-        be loaded into a fresh box (ids are reassigned on load).
-        """
-
-        def rows(table: dict[frozenset[int], dict[int, float]]) -> list[dict]:
-            return [
-                {
-                    "tasks": {self.task_name(pid): pct for pid, pct in rankings.items()},
-                }
-                for rankings in table.values()
-            ]
-
-        return {
-            "capacity": self._capacity,
-            "tasks": [self._tasks[pid].name for pid in sorted(self._tasks)],
-            "defaults": rows(self._defaults),
-            "overrides": rows(self._overrides),
-        }
-
-    @classmethod
-    def load_policies(cls, data: dict) -> "PolicyBox":
-        """Rebuild a box from :meth:`export_policies` output."""
-        box = cls(capacity=data.get("capacity", 0.96))
-        for name in data.get("tasks", []):
-            box.register_task(name)
-        for row in data.get("defaults", []):
-            box.set_default(
-                {box.register_task(name): pct for name, pct in row["tasks"].items()}
-            )
-        for row in data.get("overrides", []):
-            box.set_override(
-                {box.register_task(name): pct for name, pct in row["tasks"].items()}
-            )
-        return box
-
     # -- introspection -------------------------------------------------------
 
     @property
@@ -275,11 +212,6 @@ class PolicyBox:
     @property
     def invention_count(self) -> int:
         return self._inventions
-
-    @property
-    def revision(self) -> int:
-        """Monotone counter of ranking-table mutations (memoization key)."""
-        return self._revision
 
     def describe(self) -> str:
         """Render the ranking tables in the paper's Table 5 format."""

@@ -152,13 +152,6 @@ class ResourceList:
         """
         return self.entries[-1]
 
-    def index_of(self, entry: ResourceListEntry) -> int:
-        """Index of ``entry`` in this list (0 = maximum QOS)."""
-        for i, candidate in enumerate(self.entries):
-            if candidate is entry:
-                return i
-        raise ResourceListError("entry is not part of this resource list")
-
     def describe(self) -> str:
         """Render the list in the paper's Table 1 format."""
         header = f"{'Period':>12} {'CPU Req.':>12} {'Rate':>7}  Function"

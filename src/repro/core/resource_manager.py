@@ -76,13 +76,6 @@ class UsageRecord:
     overtime_ticks: int
     quiescent: bool
 
-    @property
-    def grant_utilization(self) -> float:
-        """Fraction of granted time the thread actually consumed."""
-        if self.granted_ticks == 0:
-            return 0.0
-        return self.used_ticks / self.granted_ticks
-
 
 class ResourceManager:
     """Owns the admitted-task population and its grants."""
@@ -111,16 +104,11 @@ class ResourceManager:
         self.obs = None
         #: Optional phase profiler; set alongside :attr:`Kernel.prof`.
         self.prof = None
-        #: Memoization signature of the population the last grant set
-        #: was computed for: (policy revision, capacity, the grant
-        #: requests in tid order).  A request compares its (tid, policy
-        #: id, resource list, quiescent) fields; holding the resource-list
-        #: objects keeps the comparison sound (no id reuse) and
-        #: invalidates whenever a list is replaced.
-        self._memo_signature: tuple | None = None
-        #: Number of grant-set computations actually performed.
+        #: Number of grant-set computations performed: one per recompute.
         self.recompute_count = 0
-        #: Number of :meth:`_recompute` calls served from the memo.
+        #: Frozen benchmark surface: ``benchmarks/e2e`` reads this name.
+        #: A grant set is computed on every request, never remembered, so
+        #: it stays 0.
         self.memo_hits = 0
         #: Recompute-deferral nesting depth (see :meth:`deferred_recompute`).
         self._defer_depth = 0
@@ -292,13 +280,6 @@ class ResourceManager:
                 self._defer_dirty = False
                 self._recompute()
 
-    def _signature(self) -> tuple:
-        return (
-            self.policy_box.revision,
-            self.grant_control.capacity,
-            tuple(self._grant_requests.values()),
-        )
-
     def _recompute(self) -> None:
         if self._defer_depth:
             self._defer_dirty = True
@@ -314,30 +295,9 @@ class ResourceManager:
         self._recompute_now()
 
     def _recompute_now(self) -> None:
-        signature = self._signature()
-        if (
-            self.last_result is not None
-            and self._memo_signature is not None
-            and signature == self._memo_signature
-        ):
-            # Population, resource lists, and policy tables are unchanged
-            # since the last computation: the grant set is a pure function
-            # of them, so reuse it.  The scheduler is still notified (a
-            # no-op diff that re-asserts in-flight pending state).
-            self.memo_hits += 1
-            if self.kernel.sanitizer is not None:
-                fresh = self.grant_control.compute(
-                    self._requests(), observe=False
-                )
-                self.kernel.sanitizer.on_memo_reuse(
-                    self.last_result, fresh, self.kernel.now
-                )
-            self.scheduler.notify_grant_set(self.last_result)
-            return
         requests = self._requests()
         result = self.grant_control.compute(requests)
         self.recompute_count += 1
-        self._memo_signature = signature
         if self.kernel.sanitizer is not None:
             self.kernel.sanitizer.on_grant_set(result)
         self.last_result = result
@@ -384,9 +344,6 @@ class ResourceManager:
     def admitted_ids(self) -> tuple[int, ...]:
         return tuple(self._grant_requests)
 
-    def is_quiescent(self, tid: int) -> bool:
-        return self._request(tid).quiescent
-
     def usage(self, tid: int) -> "UsageRecord":
         """Accounting for one admitted thread.
 
@@ -406,10 +363,6 @@ class ResourceManager:
             overtime_ticks=thread.total_overtime_ticks,
             quiescent=request.quiescent,
         )
-
-    def usage_summary(self) -> list["UsageRecord"]:
-        """Accounting for the whole admitted population."""
-        return [self.usage(tid) for tid in self._grant_requests]
 
     def capacity_snapshot(self) -> CapacitySnapshot:
         """Capacity/headroom introspection for coordinators above core.

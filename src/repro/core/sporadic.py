@@ -72,10 +72,6 @@ class SporadicServer:
         self._queue.append(task)
         return task
 
-    def queue_length(self) -> int:
-        """Sporadic tasks that have not exited."""
-        return sum(1 for t in self._queue if t.state is not STATE_EXITED)
-
     def _next_ready(self) -> SimThread | None:
         """Rotate to the next runnable sporadic task (round-robin).
 

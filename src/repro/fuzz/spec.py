@@ -286,21 +286,6 @@ class ScenarioSpec:
             )
         return _decode_fields(cls, data, where)
 
-    # -- stable JSON -----------------------------------------------------
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, no whitespace variance — the
-        byte-identity target of the determinism property tests."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
     @property
     def min_rate_sum(self) -> float:
         """Sum of every periodic task's minimum rate — the quantity

@@ -38,17 +38,6 @@ class RegisterFile:
     callee_saved_per_bank: int = 14
     system_registers: int = 64
 
-    @property
-    def voluntary_saved(self) -> int:
-        """Registers saved on a synchronous switch: 14 per bank."""
-        return self.callee_saved_per_bank * self.banks
-
-    @property
-    def involuntary_saved(self) -> int:
-        """Registers saved on an asynchronous switch: both full banks plus
-        the system registers."""
-        return self.registers_per_bank * self.banks + self.system_registers
-
 
 class _ShiftedLognormal:
     """``min + LogNormal(mu, sigma)`` sampler over microseconds."""
@@ -109,12 +98,3 @@ class ContextSwitchModel:
             return 0
         dist = self._voluntary if kind is SWITCH_VOLUNTARY else self._involuntary
         return max(0, units.us_to_ticks(dist.sample_us(self._rng)))
-
-    def mean_cost_ticks(self, kind: SwitchKind) -> int:
-        """The calibrated mean cost, in ticks (no sampling)."""
-        mean_us = (
-            self._costs.voluntary_mean_us
-            if kind is SWITCH_VOLUNTARY
-            else self._costs.involuntary_mean_us
-        )
-        return units.us_to_ticks(mean_us)

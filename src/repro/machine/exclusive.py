@@ -54,7 +54,3 @@ class ExclusiveUnitRegistry:
         for unit, owner in self._owners.items():
             if owner == thread_id:
                 self._owners[unit] = None
-
-    def holdings(self, thread_id: int) -> frozenset[str]:
-        """Units currently held by ``thread_id``."""
-        return frozenset(u for u, owner in self._owners.items() if owner == thread_id)

@@ -37,11 +37,6 @@ class InterruptReserve:
         if not 0.0 <= self.fraction < 1.0:
             raise ValueError(f"reserve fraction must be in [0, 1), got {self.fraction}")
 
-    @property
-    def schedulable_fraction(self) -> float:
-        """Fraction of the processor available to admitted tasks."""
-        return 1.0 - self.fraction
-
     def charge(self, ticks: int) -> None:
         """Charge interrupt/overhead time against the reserve."""
         if ticks < 0:
@@ -53,10 +48,6 @@ class InterruptReserve:
         if elapsed_ticks <= 0:
             return 0.0
         return self.consumed_ticks / elapsed_ticks
-
-    def within_reserve(self, elapsed_ticks: int) -> bool:
-        """True when consumed overhead fits inside the reserved fraction."""
-        return self.consumed_fraction(elapsed_ticks) <= self.fraction
 
 
 class InterruptSource:

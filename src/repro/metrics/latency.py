@@ -60,7 +60,7 @@ class LatencyStats:
 
     @property
     def bound_utilization(self) -> float:
-        """How much of the theoretical worst-case latency was observed."""
+        """How much of the theoretical worst-case latency was used."""
         return self.max_service_gap / self.bound if self.bound else 0.0
 
 

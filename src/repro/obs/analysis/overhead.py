@@ -40,13 +40,6 @@ class OverheadBreakdown:
     def grace_total(self) -> int:
         return self.grace_honoured + self.grace_burned
 
-    @property
-    def grace_honour_ratio(self) -> float:
-        """Fraction of grace periods the thread yielded within; 1.0 if none."""
-        if self.grace_total == 0:
-            return 1.0
-        return self.grace_honoured / self.grace_total
-
 
 def overhead_breakdown(events: Iterable[ObsEvent]) -> list[OverheadBreakdown]:
     """One breakdown per node that produced switch or grace events."""

@@ -29,9 +29,6 @@ class TraceContext:
     trace_id: str
     span_id: int
 
-    def as_tuple(self) -> tuple[str, int]:
-        return (self.trace_id, self.span_id)
-
 
 @dataclass
 class Span:
@@ -123,19 +120,5 @@ class SpanTracker:
                 closed += 1
         return closed
 
-    def by_trace(self) -> dict[str, list[Span]]:
-        """Spans grouped by trace id, in start order within each trace."""
-        groups: dict[str, list[Span]] = {}
-        for span in self.spans:
-            groups.setdefault(span.trace_id, []).append(span)
-        return groups
-
     def roots(self) -> list[Span]:
         return [s for s in self.spans if s.parent_id is None]
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [
-            s
-            for s in self.spans
-            if s.trace_id == span.trace_id and s.parent_id == span.span_id
-        ]

@@ -301,29 +301,6 @@ def cluster_rack(
     return sim
 
 
-def fuzzed(seed: int = 0, cluster: bool = False):
-    """The fuzz generator's scenario for ``seed``, wired and ready.
-
-    The same mix ``python -m repro fuzz`` would run for that scenario
-    seed, as a first-class builder: handy for poking at a reproducer's
-    neighborhood interactively.  Core seeds return a :class:`Scenario`
-    (threads admitted at t=0 are in ``threads``; later arrivals are
-    scripted on the event queue); cluster seeds return a ready-to-run
-    :class:`repro.cluster.simulation.ClusterSimulation`.
-    """
-    from repro.fuzz import generate
-    from repro.fuzz.runner import _CoreRun, build_cluster
-
-    spec = generate(seed, cluster=cluster)
-    if cluster:
-        return build_cluster(spec)
-    run = _CoreRun(spec).script()
-    threads = {
-        name: run.rd.kernel.threads[tid] for name, tid in run._tids.items()
-    }
-    return Scenario(rd=run.rd, threads=threads, extras={"spec": spec, "run": run})
-
-
 def dual_stream(
     seed: int = 0, skew_ppm: float = 2_000.0, horizon_sec: float = 10.0, obs=None
 ) -> Scenario:

@@ -30,6 +30,7 @@ import signal
 import time
 import traceback
 
+from repro.errors import SimulationError
 from repro.obs.log import event_to_json
 from repro.serve.engine import ServeEngine
 from repro.serve.http import HttpServer, Request, Response
@@ -323,10 +324,7 @@ class ServeApp:
         )
 
 
-async def _amain(args) -> int:
-    from repro.obs.analysis import load_slo_file
-
-    specs = load_slo_file(args.slo) if args.slo else None
+async def _amain(args, specs) -> int:
     prof = None
     if args.profile:
         from repro.obs.prof import ProfSession
@@ -372,5 +370,13 @@ async def _amain(args) -> int:
 
 
 def serve_main(args) -> int:
-    """Entry point for ``python -m repro serve``."""
-    return asyncio.run(_amain(args))
+    """Entry point for ``python -m repro serve``; exit 2 on an unreadable
+    SLO spec, before anything boots."""
+    from repro.obs.analysis import load_slo_file
+
+    try:
+        specs = load_slo_file(args.slo) if args.slo else None
+    except SimulationError as exc:
+        print(exc)
+        return 2
+    return asyncio.run(_amain(args, specs))

@@ -78,10 +78,6 @@ class DriftingClock:
         elapsed = master_now - self._anchor_master
         return self._anchor_reading + elapsed * (1.0 + self.skew_ppm / 1e6)
 
-    def read_ticks(self, master_now: int) -> int:
-        """Like :meth:`read`, truncated to an integer tick count."""
-        return int(self.read(master_now))
-
     def set_skew_ppm(self, skew_ppm: float, master_now: int) -> None:
         """Change the crystal's skew from ``master_now`` onward.
 

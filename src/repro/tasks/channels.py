@@ -17,7 +17,7 @@ A channel knows nothing about kernels.  While a thread is blocked on
 it, the kernel that owns the thread parks a callable in :attr:`waker`;
 :meth:`post` calls it with the channel, and the kernel delivers the
 wake at its next delivery point.  With nobody blocked the slot is
-``None`` and a post is two additions.  One slot means a channel wakes
+``None`` and a post is one addition.  One slot means a channel wakes
 the blocked threads of one kernel at a time.
 """
 
@@ -30,7 +30,6 @@ class Channel:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._pending = 0
-        self._posts = 0
         #: Called with this channel after every post while a thread is
         #: blocked here; set and cleared by the kernel owning the waiters.
         self.waker = None
@@ -44,16 +43,11 @@ class Channel:
     def pending(self) -> int:
         return self._pending
 
-    @property
-    def total_posts(self) -> int:
-        return self._posts
-
     def post(self, count: int = 1) -> None:
         """Make ``count`` items available, waking blocked takers."""
         if count <= 0:
             raise ValueError(f"post count must be positive, got {count}")
         self._pending += count
-        self._posts += count
         if self.waker is not None:
             self.waker(self)
 

@@ -68,10 +68,6 @@ class DecodeStats:
         return sum(self.decoded.values())
 
     @property
-    def total_dropped(self) -> int:
-        return sum(self.dropped.values())
-
-    @property
     def i_frames_lost(self) -> int:
         """Must stay zero for acceptable QOS."""
         return self.dropped["I"]

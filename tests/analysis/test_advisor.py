@@ -23,14 +23,14 @@ class TestAdmissible:
         assert preview.admissible
         assert preview.newcomer_index == 0
         assert preview.newcomer_rate == pytest.approx(0.3)
-        assert not preview.anyone_degraded
+        assert not any(c.degraded for c in preview.changes)
 
     def test_overload_preview_predicts_degradations(self, ideal_rd):
         ideal_rd.admit(busyloop_definition("existing"))
         ideal_rd.run_for(ms(20))  # let the first grant activate
         preview = admission_preview(ideal_rd, busyloop_definition("newcomer"))
         assert preview.admissible
-        assert preview.anyone_degraded
+        assert any(c.degraded for c in preview.changes)
         existing = preview.changes[0]
         assert existing.current_rate == pytest.approx(0.9)
         assert existing.predicted_rate < 0.9

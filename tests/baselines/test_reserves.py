@@ -60,7 +60,8 @@ class TestOverReservation:
         system = make_system()
         system.admit(single_entry_definition("a", 10, 0.5))
         system.admit(single_entry_definition("b", 10, 0.3))
-        assert system.reserved_total() == pytest.approx(0.8)
+        reserved = sum(t.grant.rate for t in system.kernel.periodic_threads())
+        assert reserved == pytest.approx(0.8)
 
     def test_reserved_but_unused_time_is_wasted_capacity(self):
         # A task reserving 60 % but using 10 % still blocks admission of

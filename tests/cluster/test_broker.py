@@ -78,7 +78,7 @@ class TestPlacement:
             submit(sim, f"t{i}", 0.25, at_ms=1 + 2 * i)
         sim.run_until(sim.horizon)
         for task, placed in sim.broker.placements.items():
-            assert sim.nodes[placed.node].has_task(task)
+            assert task in sim.nodes[placed.node].tasks
 
 
 class TestWithdrawal:
@@ -101,7 +101,7 @@ class TestWithdrawal:
         sim.withdraw_at(ms(95), "a")
         sim.run_until(sim.horizon)
         node = sim.nodes["node00"]
-        assert not node.has_task("a")
+        assert "a" not in node.tasks
         assert node.rd.trace.misses() == []
 
 
@@ -116,7 +116,7 @@ class TestRetries:
         assert stats.admitted == 4
         # Idempotency: each task lives on exactly one node.
         for i in range(4):
-            holders = [n for n in sim.nodes.values() if n.has_task(f"t{i}")]
+            holders = [n for n in sim.nodes.values() if f"t{i}" in n.tasks]
             assert len(holders) == 1
 
     def test_fault_free_run_needs_no_retries(self):

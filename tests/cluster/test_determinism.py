@@ -86,7 +86,7 @@ class TestLossyGuarantees:
     def test_no_task_is_ever_double_placed(self):
         sim = run(seed=11, drop_rate=0.2)
         for task, placed in sim.broker.placements.items():
-            holders = [n.name for n in sim.nodes.values() if n.has_task(task)]
+            holders = [n.name for n in sim.nodes.values() if task in n.tasks]
             assert placed.node in holders
 
     def test_report_renders_under_loss(self):

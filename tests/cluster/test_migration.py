@@ -47,7 +47,7 @@ class TestMigrationTrigger:
         per_node = {name: 0 for name in sim.nodes}
         for task, placed in sim.broker.placements.items():
             per_node[placed.node] += 1
-            assert sim.nodes[placed.node].has_task(task)
+            assert task in sim.nodes[placed.node].tasks
         assert per_node == {"node00": 2, "node01": 2}
 
     def test_migration_master_switch(self):
@@ -89,7 +89,7 @@ class TestNeverTerminated:
             sim.run_for(step)
             placed = set(sim.broker.placements)
             for task in placed:
-                holders = [n.name for n in sim.nodes.values() if n.has_task(task)]
+                holders = [n.name for n in sim.nodes.values() if task in n.tasks]
                 holders_per_check.append((task, holders))
         assert sim.broker.stats.migrations_completed >= 1
         # A placed task is always on at least one node; transiently on two.

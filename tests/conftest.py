@@ -6,6 +6,7 @@ import pytest
 
 from repro import MachineConfig, SimConfig
 from repro.core.distributor import ResourceDistributor
+from repro.core.threads import ThreadState
 from repro.workloads import single_entry_definition
 
 
@@ -25,3 +26,8 @@ def real_rd() -> ResourceDistributor:
 def admit_simple(rd: ResourceDistributor, name: str, period_ms: float, rate: float, greedy: bool = False):
     """Admit a one-level task and return its thread."""
     return rd.admit(single_entry_definition(name, period_ms, rate, greedy=greedy))
+
+
+def live_sporadic(server) -> int:
+    """Sporadic tasks in ``server``'s queue that have not exited."""
+    return sum(1 for t in server._queue if t.state is not ThreadState.EXITED)

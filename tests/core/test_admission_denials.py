@@ -125,7 +125,7 @@ class TestResourceManagerDenials:
         )
         grant_set = rd.resource_manager.last_result.grant_set
         admitted = set(rd.resource_manager.admitted_ids())
-        assert set(grant_set.thread_ids()) <= admitted
+        assert grant_set.ids() <= admitted
         assert len(admitted) == 1
 
     def test_denied_admission_does_not_disturb_running_threads(self):
@@ -145,7 +145,6 @@ class TestResourceManagerDenials:
             ideal_rd.enter_quiescent,
             ideal_rd.wake,
             ideal_rd.resource_manager.usage,
-            ideal_rd.resource_manager.is_quiescent,
         ):
             with pytest.raises(errors.AdmissionError, match="thread 999 is not admitted"):
                 call(999)

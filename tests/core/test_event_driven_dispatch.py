@@ -24,6 +24,8 @@ from repro.tasks.base import Block, Compute, DonePeriod, InsertIdleCycles
 from repro.tasks.channels import Channel
 from repro.workloads import grant_follower, single_entry_definition
 
+from tests.conftest import live_sporadic
+
 
 def ms(x):
     return units.ms_to_ticks(x)
@@ -408,4 +410,4 @@ class TestSporadicRotation:
         # b leaves after its turn; a and c keep alternating in the same
         # relative order, with no turn skipped or repeated.
         assert order == ["a", "b", "c", "a", "c", "a", "c", "a", "c"]
-        assert server.queue_length() == 0
+        assert live_sporadic(server) == 0

@@ -93,7 +93,7 @@ class TestEnterQuiescent:
         ideal_rd.run_for(ms(15))
         assert t.state is ThreadState.QUIESCENT
         assert t.grant is None
-        assert ideal_rd.resource_manager.is_quiescent(t.tid)
+        assert ideal_rd.resource_manager.usage(t.tid).quiescent
 
     def test_quiescence_toggle_round_trip(self, ideal_rd):
         modem = Modem()

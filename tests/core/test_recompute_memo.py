@@ -1,10 +1,10 @@
-"""Grant-set recompute memoization and burst coalescing.
+"""Grant-set recomputation and burst coalescing.
 
-The grant set is a pure function of (admitted resource lists, policy
-tables, capacity); the Resource Manager memoizes on that signature and
+The Resource Manager computes a fresh grant set on every request and
+remembers nothing but the previous result's ``Grant`` objects;
 ``deferred_recompute`` / ``admit_many`` coalesce admission bursts into
 one computation.  These are the regression tests pinning down how many
-computations a burst actually costs.
+computations an op and a burst actually cost.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.obs.events import ObsBus
 from repro.tasks.base import TaskDefinition
 from repro.workloads import grant_follower, single_entry_definition
 
@@ -55,8 +56,8 @@ class TestBurstCoalescing:
         batched.admit_many(burst(6))
         a = sequential.resource_manager.last_result.grant_set
         b = batched.resource_manager.last_result.grant_set
-        assert a.thread_ids() == b.thread_ids()
-        for tid in a.thread_ids():
+        assert list(a.ids()) == list(b.ids())
+        for tid in a.ids():
             assert a.get(tid).cpu_ticks == b.get(tid).cpu_ticks
             assert a.get(tid).period == b.get(tid).period
 
@@ -86,9 +87,7 @@ class TestBurstCoalescing:
         # The deferred recompute still ran on unwind, so the survivors
         # have grants.
         assert manager.recompute_count == 1
-        assert set(manager.last_result.grant_set.thread_ids()) == set(
-            manager.admitted_ids()
-        )
+        assert manager.last_result.grant_set.ids() == set(manager.admitted_ids())
 
     def test_batch_runs_identically_to_sequential(self):
         """Whole-run equivalence: grants only activate at unallocated
@@ -107,24 +106,39 @@ class TestBurstCoalescing:
 
 
 class TestMemoization:
-    def test_unchanged_signature_is_a_memo_hit(self):
-        rd = make_rd()
+    """There is no memo: every recompute request computes, audits and
+    notifies, whether or not anything changed since the last one."""
+
+    def test_unchanged_population_still_computes(self):
+        rd = make_rd(sanitize=True, sanitize_strict=True)
+        events = []
+        bus = ObsBus()
+        bus.subscribe(events.append)
+        rd.resource_manager.obs = bus
         rd.admit(single_entry_definition("a", 10, 0.2))
+        rd.admit(single_entry_definition("b", 10, 0.3))
         manager = rd.resource_manager
         before = manager.recompute_count
-        result = manager.last_result
+        audited = rd.sanitizer.grant_sets_checked
+        previous = manager.last_result
+        events.clear()
         manager._recompute()  # nothing changed since the admission
-        assert manager.recompute_count == before
-        assert manager.memo_hits == 1
-        assert manager.last_result is result
+        result = manager.last_result
+        assert manager.recompute_count == before + 1
+        assert rd.sanitizer.grant_sets_checked == audited + 1
+        assert [e.type for e in events] == ["grant-recompute"]
+        assert result is not previous
+        assert result.changed == frozenset()
+        assert result.grant_set.ids() == previous.grant_set.ids()
+        for grant in result.grant_set:
+            assert grant is previous.grant_set[grant.thread_id]
+        assert manager.memo_hits == 0
 
     def test_population_change_invalidates(self):
         rd = make_rd()
         rd.admit(single_entry_definition("a", 10, 0.2))
         rd.admit(single_entry_definition("b", 10, 0.2))
-        manager = rd.resource_manager
-        assert manager.recompute_count == 2
-        assert manager.memo_hits == 0
+        assert rd.resource_manager.recompute_count == 2
 
     def test_quiescence_and_wake_invalidate(self):
         rd = make_rd()
@@ -135,7 +149,6 @@ class TestMemoization:
         rd.enter_quiescent(t.tid)
         rd.wake(t.tid)
         assert manager.recompute_count == base + 2
-        assert manager.memo_hits == 0
 
     def test_policy_revision_invalidates(self):
         rd = make_rd()
@@ -149,39 +162,6 @@ class TestMemoization:
         assert manager.recompute_count == base + 1
         rd.clear_policy_override({a.policy_id, b.policy_id})
         assert manager.recompute_count == base + 2
-        assert manager.memo_hits == 0
-
-    def test_memo_hit_under_sanitizer_cross_checks_silently(self):
-        rd = make_rd(sanitize=True, sanitize_strict=True)
-        rd.admit(single_entry_definition("a", 10, 0.2))
-        manager = rd.resource_manager
-        box = rd.policy_box
-        lookups = box.lookup_count
-        manager._recompute()
-        assert manager.memo_hits == 1
-        assert rd.sanitizer.ok
-        assert rd.sanitizer.memo_reuses_checked == 1
-        # The cross-check recomputation is side-effect free: no policy
-        # lookups were recorded.
-        assert box.lookup_count == lookups
-
-    def test_sanitizer_catches_a_stale_memo(self):
-        rd = make_rd(sanitize=True, sanitize_strict=False)
-        rd.admit(single_entry_definition("a", 10, 0.2))
-        manager = rd.resource_manager
-        # Corrupt the memo: change the population while forcing the
-        # signature to look unchanged.
-        rd.admit(single_entry_definition("b", 10, 0.2))
-        manager._memo_signature = manager._signature()
-        stale = manager.last_result
-        rd.admit(single_entry_definition("c", 10, 0.2))
-        manager._memo_signature = manager._signature()
-        manager.last_result = stale
-        manager._recompute()
-        assert not rd.sanitizer.ok
-        assert any(
-            "memo" in v.rule for v in rd.sanitizer.report.violations
-        )
 
 
 # -- the one grant cache and the `changed` contract --------------------------
@@ -223,7 +203,7 @@ def run_churn_stream(seed=5, steps=STREAM_STEPS, force_full_revisit=False, check
     for step in range(steps):
         rd.run_for(units.ms_to_ticks(1))
         live = list(manager.admitted_ids())
-        quiescent = [tid for tid in live if manager.is_quiescent(tid)]
+        quiescent = [tid for tid in live if manager.usage(tid).quiescent]
         runnable = [tid for tid in live if tid not in quiescent]
         growing = (step // 125) % 2 == 0
         kind = rng.choice(
@@ -267,7 +247,7 @@ class TestChangedContract:
             manager = rd.resource_manager
             result = manager.last_result
             if manager.recompute_count == state["computes"]:
-                return  # the op was a no-op or a memo hit
+                return  # the op changed no request
             state["computes"] = manager.recompute_count
             previous = state["previous"]
             state["previous"] = result
@@ -322,17 +302,6 @@ class TestChangedContract:
         assert (first.grant_set[1].entry_index, second.grant_set[1].entry_index) == (0, 1)
         assert second.changed == {1}
         assert second.grant_set[2] is first.grant_set[2]
-
-    def test_unobserved_compute_leaves_the_cache_alone(self):
-        """The sanitizer's memo cross-check must not move what the next
-        ``changed`` is relative to."""
-        rd = make_rd()
-        a = rd.admit(single_entry_definition("a", 10, 0.2))
-        controller = rd.resource_manager.grant_control
-        cache = controller._grant_cache
-        fresh = controller.compute([], observe=False)
-        assert len(fresh.grant_set) == 0
-        assert controller._grant_cache is cache and a.tid in cache
 
     def test_notify_by_diff_equals_notify_by_full_revisit(self):
         """``changed=None`` makes the Scheduler revisit every thread in

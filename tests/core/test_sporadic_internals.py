@@ -6,6 +6,8 @@ from repro import SporadicServer, units
 from repro.core.threads import ThreadState
 from repro.tasks.base import Compute
 
+from tests.conftest import live_sporadic
+
 
 def ms(x):
     return units.ms_to_ticks(x)
@@ -25,16 +27,16 @@ def finite(total_ms):
 class TestQueue:
     def test_queue_length_tracks_spawns(self, ideal_rd):
         server = SporadicServer(ideal_rd, greedy=False)
-        assert server.queue_length() == 0
+        assert live_sporadic(server) == 0
         server.spawn("a", finite(1))
         server.spawn("b", finite(1))
-        assert server.queue_length() == 2
+        assert live_sporadic(server) == 2
 
     def test_finished_tasks_pruned(self, ideal_rd):
         server = SporadicServer(ideal_rd, greedy=False)
         server.spawn("a", finite(0.5))
         ideal_rd.run_for(units.sec_to_ticks(1))
-        assert server.queue_length() == 0
+        assert live_sporadic(server) == 0
 
     def test_next_ready_skips_blocked(self, ideal_rd):
         from repro.tasks.base import Block
@@ -51,7 +53,7 @@ class TestQueue:
         ideal_rd.run_for(units.sec_to_ticks(1))
         # The blocked task did not wedge the queue.
         assert runner.state is ThreadState.EXITED
-        assert server.queue_length() == 1  # the stuck one remains
+        assert live_sporadic(server) == 1  # the stuck one remains
 
 
 class TestConfiguration:

@@ -19,7 +19,7 @@ class TestUsage:
         assert usage.periods == 10
         assert usage.granted_ticks == 10 * ms(4)
         assert usage.used_ticks == usage.granted_ticks
-        assert usage.grant_utilization == pytest.approx(1.0)
+        assert usage.used_ticks / usage.granted_ticks == pytest.approx(1.0)
         assert usage.overtime_ticks == 0
 
     def test_greedy_user_shows_overtime(self, ideal_rd):
@@ -47,13 +47,14 @@ class TestUsage:
         )
         ideal_rd.run_for(ms(100))
         usage = ideal_rd.resource_manager.usage(thread.tid)
-        assert usage.grant_utilization == pytest.approx(0.25)
+        assert usage.used_ticks / usage.granted_ticks == pytest.approx(0.25)
 
     def test_summary_covers_population(self, ideal_rd):
         admit_simple(ideal_rd, "a", period_ms=10, rate=0.3)
         admit_simple(ideal_rd, "b", period_ms=20, rate=0.3)
         ideal_rd.run_for(ms(60))
-        summary = ideal_rd.resource_manager.usage_summary()
+        rm = ideal_rd.resource_manager
+        summary = [rm.usage(tid) for tid in rm.admitted_ids()]
         assert [u.name for u in summary] == ["a", "b"]
         assert all(u.periods > 0 for u in summary)
 
@@ -65,7 +66,7 @@ class TestUsage:
         usage = ideal_rd.resource_manager.usage(thread.tid)
         assert usage.quiescent
         assert usage.used_ticks == 0
-        assert usage.grant_utilization == 0.0
+        assert usage.granted_ticks == 0
 
     def test_unknown_thread_raises(self, ideal_rd):
         with pytest.raises(AdmissionError):

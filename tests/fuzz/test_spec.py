@@ -1,5 +1,5 @@
-"""ScenarioSpec / trace-format unit tests: validation, canonical JSON,
-round-tripping, and loud schema-version rejection."""
+"""ScenarioSpec / trace-format unit tests: validation, round-tripping
+through the trace file, and loud schema-version rejection."""
 
 import json
 
@@ -109,27 +109,26 @@ class TestValidation:
 
 
 class TestRoundTrip:
-    def test_json_round_trip_is_identity(self):
+    def test_json_round_trip_is_identity(self, tmp_path):
         spec = make_spec(
             server=True,
             cluster=ClusterSpec(nodes=3, drop_rate=0.05),
             notes={"mode": "test"},
         )
-        again = ScenarioSpec.from_json(spec.to_json())
+        first = write_trace(tmp_path / "a.trace.json", TraceFile(spec))
+        again = load_trace(first).spec
         assert again == spec
-        assert again.to_json() == spec.to_json()
+        second = write_trace(tmp_path / "b.trace.json", TraceFile(again))
+        assert first.read_bytes() == second.read_bytes()
 
-    def test_canonical_json_is_key_sorted_and_compact(self):
-        text = make_spec().to_json()
-        assert " " not in text
-        data = json.loads(text)
-        assert list(data) == sorted(data)
-
-    def test_bad_json_is_a_spec_error(self):
+    def test_bad_json_is_a_spec_error(self, tmp_path):
+        path = tmp_path / "bad.trace.json"
+        path.write_text("{nope")
         with pytest.raises(SpecError, match="not valid JSON"):
-            ScenarioSpec.from_json("{nope")
+            load_trace(path)
+        path.write_text("[1, 2]")
         with pytest.raises(SpecError, match="object"):
-            ScenarioSpec.from_json("[1, 2]")
+            load_trace(path)
 
     def test_decoding_coerces_and_takes_dataclass_defaults(self):
         data = {

@@ -19,11 +19,11 @@ def model():
 class TestRegisterFile:
     def test_voluntary_saves_14_per_bank(self):
         rf = RegisterFile()
-        assert rf.voluntary_saved == 28
+        assert rf.callee_saved_per_bank * rf.banks == 28
 
     def test_involuntary_saves_both_banks_plus_system(self):
         rf = RegisterFile()
-        assert rf.involuntary_saved == 2 * 64 + 64
+        assert rf.registers_per_bank * rf.banks + rf.system_registers == 2 * 64 + 64
 
 
 class TestCalibration:
@@ -66,9 +66,10 @@ class TestZeroCost:
 
 
 class TestMeanCost:
-    def test_mean_cost_ticks(self, model):
-        assert model.mean_cost_ticks(SwitchKind.VOLUNTARY) == units.us_to_ticks(20.7)
-        assert model.mean_cost_ticks(SwitchKind.INVOLUNTARY) == units.us_to_ticks(35.0)
+    def test_mean_cost_ticks(self):
+        costs = ContextSwitchCosts()
+        assert units.us_to_ticks(costs.voluntary_mean_us) == units.us_to_ticks(20.7)
+        assert units.us_to_ticks(costs.involuntary_mean_us) == units.us_to_ticks(35.0)
 
 
 class TestDeterminism:

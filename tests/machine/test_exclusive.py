@@ -27,8 +27,8 @@ class TestOwnership:
 
     def test_holdings(self, registry):
         registry.assign({"ffu.video_scaler": 3})
-        assert registry.holdings(3) == frozenset({"ffu.video_scaler"})
-        assert registry.holdings(4) == frozenset()
+        held = {unit: registry.owner(unit) for unit in registry.unit_names}
+        assert held == {"ffu.video_scaler": 3, "data_streamer": None}
 
     def test_assign_none_releases(self, registry):
         registry.assign({"data_streamer": 5})

@@ -39,7 +39,7 @@ class TestInjection:
         assert rd.kernel.reserve.consumed_fraction(rd.now) == pytest.approx(
             0.02, rel=0.15
         )
-        assert rd.kernel.reserve.within_reserve(rd.now)
+        assert rd.kernel.reserve.consumed_fraction(rd.now) <= rd.kernel.reserve.fraction
 
     def test_validation_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ class TestReserve:
         assert InterruptReserve().fraction == 0.04
 
     def test_schedulable_fraction(self):
-        assert InterruptReserve(0.04).schedulable_fraction == pytest.approx(0.96)
+        assert 1.0 - InterruptReserve(0.04).fraction == pytest.approx(0.96)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -36,9 +36,9 @@ class TestReserve:
     def test_within_reserve(self):
         reserve = InterruptReserve(0.04)
         reserve.charge(30)
-        assert reserve.within_reserve(1000)
+        assert reserve.consumed_fraction(1000) <= reserve.fraction
         reserve.charge(20)
-        assert not reserve.within_reserve(1000)
+        assert reserve.consumed_fraction(1000) > reserve.fraction
 
     def test_zero_elapsed_is_zero_fraction(self):
         assert InterruptReserve().consumed_fraction(0) == 0.0

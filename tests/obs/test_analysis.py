@@ -322,7 +322,7 @@ class TestOverhead:
         assert b.total_switch_cost == 189 + 2 * 513
         assert b.grace_total == 2
         assert b.grace_burned_ticks == 2_700
-        assert b.grace_honour_ratio == pytest.approx(0.5)
+        assert b.grace_honoured / b.grace_total == pytest.approx(0.5)
 
 
 # -- the assembled report -----------------------------------------------------

@@ -29,8 +29,10 @@ class TestTree:
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
         assert tracker.roots() == [root]
-        assert tracker.children_of(root) == [child]
-        assert tracker.by_trace() == {root.trace_id: [root, child]}
+        assert [s for s in tracker.spans if s.parent_id == root.span_id] == [child]
+        assert [s for s in tracker.spans if s.trace_id == root.trace_id] == [
+            root, child
+        ]
 
     def test_context_propagates_across_a_hop(self):
         """A TraceContext (what the MessageBus envelope carries) parents
@@ -39,7 +41,6 @@ class TestTree:
         local = tracker.start("admit:node00", 10)
         context = local.context()
         assert context == TraceContext(local.trace_id, local.span_id)
-        assert context.as_tuple() == (local.trace_id, local.span_id)
         remote = tracker.start("handle", 12, parent=context)
         assert remote.trace_id == local.trace_id
         assert remote.parent_id == local.span_id

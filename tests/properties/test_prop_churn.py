@@ -113,7 +113,7 @@ class TestChurn:
             assert thread.grant is not None
         for thread in quiescent:
             assert thread.state is ThreadState.QUIESCENT
-            assert rd.resource_manager.is_quiescent(thread.tid)
+            assert rd.resource_manager.usage(thread.tid).quiescent
         # Admission ledger matches the surviving population.
         expected = {t.tid for t in live} | {t.tid for t in quiescent}
         assert set(rd.resource_manager.admitted_ids()) == expected

@@ -304,7 +304,7 @@ def _definition(rd, name, period_ms, rate, body, channel, n, unit, seen, victim)
         for i in range(8):
             yield from unit(small)
             if i in (n, n + 4) and victim.tid in manager.admitted_ids():
-                if manager.is_quiescent(victim.tid):
+                if manager.usage(victim.tid).quiescent:
                     rd.wake(victim.tid)
                 else:
                     rd.enter_quiescent(victim.tid)
@@ -444,7 +444,7 @@ def run_stream(stream, reference=False, unit=merged):
                 if target.state is not ThreadState.EXITED:
                     rd.enter_quiescent(target.tid)
             elif kind == "wake":
-                quiescent = [t for t in live if manager.is_quiescent(t.tid)]
+                quiescent = [t for t in live if manager.usage(t.tid).quiescent]
                 if quiescent:
                     rd.wake(quiescent[0].tid)
             elif kind == "drop-blocked":

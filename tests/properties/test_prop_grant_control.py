@@ -172,13 +172,9 @@ class ReferenceCorrelator:
 
     # -- policy correlation ----------------------------------------------------
 
-    def _policy_path(
-        self, active: list[GrantRequest], observe: bool = True
-    ) -> GrantSetResult:
-        policy = self._policy_box.resolve(
-            {r.policy_id for r in active}, observe=observe
-        )
-        targets = {r.thread_id: policy.share_of(r.policy_id) for r in active}
+    def _policy_path(self, active: list[GrantRequest]) -> GrantSetResult:
+        policy = self._policy_box.resolve({r.policy_id for r in active})
+        targets = {r.thread_id: policy.shares.get(r.policy_id, 0.0) for r in active}
 
         # Selection order: the policy's exclusive-preference thread first,
         # then by descending target share, then by thread id for
@@ -705,8 +701,8 @@ def run_op_stream(seed, count, ops):
     for kind in ops:
         rd.run_for(units.ms_to_ticks(1))
         live = list(manager.admitted_ids())
-        runnable = [tid for tid in live if not manager.is_quiescent(tid)]
-        quiescent = [tid for tid in live if manager.is_quiescent(tid)]
+        runnable = [tid for tid in live if not manager.usage(tid).quiescent]
+        quiescent = [tid for tid in live if manager.usage(tid).quiescent]
         try:
             if kind == "admit":
                 rd.admit(fresh())

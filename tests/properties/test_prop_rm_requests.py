@@ -1,8 +1,8 @@
 """Property: the Resource Manager's request map is what its ops did.
 
 ``ResourceManager._grant_requests`` is the RM's one record of the
-admitted population — ``_requests``, ``_signature``, ``admitted_ids``,
-``is_quiescent``, ``usage`` and ``capacity_snapshot`` all read it — and
+admitted population — ``_requests``, ``admitted_ids``, ``usage`` and
+``capacity_snapshot`` all read it — and
 only the ops changing a request write it (admit, exit, quiesce, wake,
 ``change_resource_list``).  After every op of a drawn stream — a
 ``deferred_recompute`` batch and a crash-handler exit included — the

@@ -30,7 +30,7 @@ class TestChannel:
         ch.post(2)
         ch.try_take()
         ch.post()
-        assert ch.total_posts == 3
+        assert ch.pending == 2
 
     def test_post_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -327,6 +327,27 @@ def test_obs_reader_rejects_a_bad_event_log(command, log, tmp_path, capsys):
     assert out.count("\n") == 1 and str(target) in out
 
 
+@pytest.mark.parametrize("command", [["obs", "report", "{log}"],
+                                     ["obs", "check", "{log}"], ["serve"]],
+                         ids=["report", "check", "serve"])
+@pytest.mark.parametrize("spec", [None, "[[slo]\n", '[[slo]]\nname = "x"\n'
+                                  'metric = "nope"\nthreshold = 1.0\n'],
+                         ids=["missing", "invalid-toml", "unknown-metric"])
+def test_a_bad_slo_spec_is_a_usage_error(command, spec, tmp_path, capsys):
+    """An SLO spec the loader rejects fails before any work starts:
+    one line naming the file and exit 2, not a traceback."""
+    log = tmp_path / "run"
+    log.mkdir()
+    (log / "events.jsonl").write_text("")
+    slo = tmp_path / "slo.toml"
+    if spec is not None:
+        slo.write_text(spec, encoding="utf-8")
+    argv = [arg.format(log=log) for arg in command]
+    assert main([*argv, "--slo", str(slo)]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and str(slo) in out
+
+
 class TestObsPipelineCli:
     @pytest.fixture(scope="class")
     def pipeline_dir(self, tmp_path_factory):

@@ -26,8 +26,7 @@ underload and in overload.  A helper, closure or property called per
 thread, or a ``sum(<genexpr>)`` (each resumption is a call), breaks it.
 DESIGN.md §4 "Grant control reads per-list tables".  The same holds
 for a strict ``InvariantSanitizer.on_pick`` with a TimeRemaining head
-and for ``ResourceManager._requests`` / ``_signature`` (§4 "The audit
-is one pass").
+and for ``ResourceManager._requests`` (§4 "The audit is one pass").
 """
 
 from __future__ import annotations
@@ -290,10 +289,9 @@ def _live_distributor(n: int):
 
 class TestAuditAndRequestsStayInline:
     """A strict ``on_pick`` re-derives the decision in one pass with no
-    per-thread call; ``_requests`` and ``_signature`` copy the RM's
-    request map.  DESIGN.md §4 "The audit is one pass"."""
+    per-thread call; ``_requests`` copies the RM's request map.  DESIGN.md §4 "The audit is one pass"."""
 
-    @pytest.mark.parametrize("what", ["on_pick", "_requests", "_signature"])
+    @pytest.mark.parametrize("what", ["on_pick", "_requests"])
     def test_calls_do_not_grow_with_threads(self, what):
         counts = {}
         for n in (16, 256):
@@ -303,7 +301,6 @@ class TestAuditAndRequestsStayInline:
             call = {
                 "on_pick": lambda: rd.sanitizer.on_pick(chosen, now),
                 "_requests": manager._requests,
-                "_signature": manager._signature,
             }[what]
             counts[n] = _python_calls(call)
             assert rd.sanitizer.ok

@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` is on a path something runs.
+"""Every module and every public name under ``src/repro`` is on a path
+something runs.
 
 DESIGN.md §4 "Paths": a module stays only while a command, gate or
 artifact consumes it.  This follows the import statements (module-level
@@ -9,10 +10,18 @@ kept alive only by its package ``__init__`` re-exporting a name nobody
 asks for.  What it cannot see is a reachable module whose *output*
 nothing reads (the stack sampler was one); the module table in
 DESIGN.md is where that is reviewed.
+
+The same holds one level down: a public function, class or method whose
+name appears nowhere in ``src/``, ``benchmarks/`` or ``examples/`` but
+in its own definition is reached only by tests, and goes (its tests are
+restated against the data it read).  A plain word search decides it, so
+a name shared with anything else in those trees counts as used.
 """
 
 import ast
+import re
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).parent.parent
@@ -22,6 +31,20 @@ REPO = Path(__file__).parent.parent
 #: graphics): ``tests/tasks`` is their consumer.  The audit covers the
 #: tooling around the paper's mechanism, not the mechanism.
 PAPER_MODELS = {"repro.tasks.cooldown", "repro.tasks.drc", "repro.tasks.graphics2d"}
+
+#: Public names kept with no caller in ``src/``, ``benchmarks/`` or
+#: ``examples/``, each with its reason.  Everything else unreferenced
+#: is a test's private accessor and fails ``test_every_public_name_is_used``.
+KEPT_NAMES = {
+    "CooldownTask": "§5.3's cool-down task model (PAPER_MODELS)",
+    "attach_drc": "§5.4's display refresh controller model (PAPER_MODELS)",
+    "FrameBuffer.begin_frame": "§5.4's frame buffer the DRC model drives",
+    "FrameBuffer.finish_frame": "§5.4's frame buffer the DRC model drives",
+    "Renderer2D": "§3.1's 2D graphics task model (PAPER_MODELS)",
+    "TaskContext.preemption_pending": "§5.6: a task may poll for a pending preemption",
+    "ResourceDistributor.set_policy_override": "§7: the user's policy override",
+    "ResourceDistributor.clear_policy_override": "§7: the user's policy override",
+}
 
 
 def _modules(src: Path) -> dict[str, Path]:
@@ -117,6 +140,33 @@ def find_orphans(repo: Path) -> list[str]:
     return sorted(set(modules) - live)
 
 
+def find_unused_names(repo: Path) -> list[str]:
+    """Public ``src/repro`` functions, classes and methods (as
+    ``Class.method``) whose name occurs in the ``src``, ``benchmarks``
+    and ``examples`` trees no more often than it is defined."""
+    words: Counter[str] = Counter()
+    for directory in ("src", "benchmarks", "examples"):
+        for path in sorted((repo / directory).rglob("*.py")):
+            words.update(re.findall(r"\w+", path.read_text()))
+    defined: dict[str, list[str]] = {}
+
+    def visit(body, owner: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(owner + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{node.name}.")
+
+    for path in sorted((repo / "src" / "repro").rglob("*.py")):
+        visit(ast.parse(path.read_text()).body, "")
+    return sorted(
+        qualified
+        for name, places in defined.items()
+        if not name.startswith("_") and words[name] <= len(places)
+        for qualified in places
+    )
+
+
 def test_every_module_is_imported_or_an_entry_point():
     assert set(find_orphans(REPO)) == PAPER_MODELS
 
@@ -148,3 +198,22 @@ def test_an_orphan_is_caught(tmp_path):
     (pkg / "sampler.py").write_text("import pkg.flame\nclass Sampler: pass\n")
     (pkg / "flame.py").write_text("import pkg.used\n")
     assert find_orphans(tmp_path) == ["pkg.flame", "pkg.sampler"]
+
+
+def test_every_public_name_is_used():
+    assert find_unused_names(REPO) == sorted(KEPT_NAMES)
+
+
+def test_an_unused_name_is_caught(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (tmp_path / "examples").mkdir()
+    (pkg / "box.py").write_text(
+        "class Box:\n"
+        "    def size(self):\n        return self._hidden()\n"
+        "    def _hidden(self):\n        return 1\n"
+        "    def as_tuple(self):\n        return ()\n"
+        "def helper():\n    return Box().size()\n"
+    )
+    (tmp_path / "examples" / "demo.py").write_text("from repro.box import helper\n")
+    assert find_unused_names(tmp_path) == ["Box.as_tuple"]

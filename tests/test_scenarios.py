@@ -75,7 +75,7 @@ class TestAvPipeline:
     def test_runs_within_reserve(self):
         scenario = av_pipeline().run_for(units.sec_to_ticks(1))
         assert miss_rate(scenario.trace) == 0.0
-        assert scenario.rd.kernel.reserve.within_reserve(scenario.rd.now)
+        assert scenario.rd.kernel.reserve.consumed_fraction(scenario.rd.now) <= scenario.rd.kernel.reserve.fraction
 
 
 class TestDualStream:
@@ -116,27 +116,32 @@ class TestRunReport:
 
 
 class TestFuzzed:
-    def test_core_builder_runs_clean(self):
-        from repro.scenarios import fuzzed
+    """The fuzz generator's scenario for a seed, wired by the runner's
+    own builders: what ``python -m repro fuzz`` runs for that seed."""
 
-        scenario = fuzzed(3)
-        scenario.run_for(ms(100))
-        assert scenario.rd.sanitizer.ok
-        assert scenario.extras["spec"].seed == 3
+    def test_core_builder_runs_clean(self):
+        from repro.fuzz import generate
+        from repro.fuzz.runner import _CoreRun
+
+        spec = generate(3)
+        run = _CoreRun(spec).script()
+        run.rd.run_for(ms(100))
+        assert run.rd.sanitizer.ok
+        assert spec.seed == 3
         # Threads admitted at t=0 are named; later arrivals are scripted.
-        for name in scenario.threads:
-            assert name in {t.name for t in scenario.extras["spec"].tasks}
+        for name in run._tids:
+            assert name in {t.name for t in spec.tasks}
 
     def test_cluster_builder_returns_a_simulation(self):
-        from repro.scenarios import fuzzed
+        from repro.fuzz import generate
+        from repro.fuzz.runner import build_cluster
 
-        sim = fuzzed(2, cluster=True)
+        sim = build_cluster(generate(2, cluster=True))
         sim.run_until(sim.horizon)
         sim.settle()
         assert sim.all_sanitizers_ok
 
     def test_same_seed_same_mix(self):
-        from repro.scenarios import fuzzed
+        from repro.fuzz import generate
 
-        a, b = fuzzed(7), fuzzed(7)
-        assert a.extras["spec"] == b.extras["spec"]
+        assert generate(7) == generate(7)
