@@ -16,6 +16,7 @@ from repro.core.grants import Grant
 from repro.core.kernel import Kernel
 from repro.core.threads import (
     STATE_ACTIVE,
+    STATE_EXITED,
     SimThread,
     earlier_time_remaining,
     scan_overtime,
@@ -55,6 +56,17 @@ class EnforcingEdfPolicy:
 
     def preemption_imminent(self, thread: SimThread, now: int) -> bool:
         return earlier_time_remaining(thread, self.kernel.periodic_threads(), now)
+
+    def _runnable(self, thread: SimThread, now: int) -> bool:
+        """Has work in a started period, grant budget or not: the test
+        of the policies that do not enforce grants (naive EDF, SMART's
+        fair share)."""
+        return (
+            thread.state is STATE_ACTIVE
+            and thread.period_started(now)
+            and thread.has_pending_work()
+            and not thread.declared_done
+        )
 
     # -- timer helpers --------------------------------------------------------
 
@@ -125,6 +137,14 @@ class BaselineSystem:
 
     def _admission_check(self, thread: SimThread, grant: Grant) -> None:
         """Override to enforce an admission test (default: admit all)."""
+
+    def _committed_rates(self, thread: SimThread) -> list[float]:
+        """The reservations of every live thread other than ``thread``."""
+        return [
+            t.grant.rate
+            for t in self.kernel.periodic_threads()
+            if t is not thread and t.grant is not None and t.state is not STATE_EXITED
+        ]
 
     # -- running --------------------------------------------------------------------
 

@@ -11,19 +11,11 @@ Distributor's first principles rule out.
 from __future__ import annotations
 
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
-from repro.core.threads import STATE_ACTIVE, SimThread, edf_key
+from repro.core.threads import SimThread, edf_key
 
 
 class NaiveEdfPolicy(EnforcingEdfPolicy):
     """EDF over pending work, ignoring grant budgets entirely."""
-
-    def _runnable(self, thread: SimThread, now: int) -> bool:
-        return (
-            thread.state is STATE_ACTIVE
-            and thread.period_started(now)
-            and thread.has_pending_work()
-            and not thread.declared_done
-        )
 
     def pick(self, now: int) -> SimThread:
         runnable = sorted(

@@ -15,12 +15,7 @@ from __future__ import annotations
 from repro import units
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
 from repro.core.grants import Grant
-from repro.core.threads import (
-    STATE_EXITED,
-    SimThread,
-    scan_overtime,
-    scan_time_remaining,
-)
+from repro.core.threads import SimThread, scan_overtime, scan_time_remaining
 from repro.errors import AdmissionError
 
 
@@ -82,11 +77,7 @@ class RateMonotonicSystem(BaselineSystem):
     policy_class = RateMonotonicPolicy
 
     def _admission_check(self, thread: SimThread, grant: Grant) -> None:
-        existing = [
-            t.grant.rate
-            for t in self.kernel.periodic_threads()
-            if t is not thread and t.grant is not None and t.state is not STATE_EXITED
-        ]
+        existing = self._committed_rates(thread)
         n = len(existing) + 1
         total = sum(existing) + grant.rate
         bound = min(liu_layland_bound(n), self.machine.schedulable_capacity)

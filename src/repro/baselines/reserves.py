@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.baselines.base import BaselineSystem, EnforcingEdfPolicy
 from repro.core.grants import Grant
-from repro.core.threads import STATE_EXITED, SimThread
+from repro.core.threads import SimThread
 from repro.errors import AdmissionError
 
 
@@ -27,11 +27,7 @@ class ReservesSystem(BaselineSystem):
     policy_class = EnforcingEdfPolicy
 
     def _admission_check(self, thread: SimThread, grant: Grant) -> None:
-        committed = grant.rate + sum(
-            t.grant.rate
-            for t in self.kernel.periodic_threads()
-            if t is not thread and t.grant is not None and t.state is not STATE_EXITED
-        )
+        committed = grant.rate + sum(self._committed_rates(thread))
         capacity = self.machine.schedulable_capacity
         if committed > capacity + 1e-9:
             raise AdmissionError(

@@ -51,14 +51,6 @@ class SmartPolicy(EnforcingEdfPolicy):
         demand = sum(t.grant.rate for t in self._active(now) if t.grant is not None)
         return demand > self.kernel.machine.schedulable_capacity + 1e-9
 
-    def _runnable(self, thread: SimThread, now: int) -> bool:
-        return (
-            thread.state is STATE_ACTIVE
-            and thread.period_started(now)
-            and thread.has_pending_work()
-            and not thread.declared_done
-        )
-
     # -- policy interface --------------------------------------------------------
 
     def pick(self, now: int) -> SimThread:

@@ -30,8 +30,10 @@ is the whole truth and an unread flag is a usage error, not a no-op.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
+from pathlib import Path
 
 from repro import scenarios, units
 from repro.config import SimConfig
@@ -178,40 +180,24 @@ def cmd_export(args) -> int:
 def cmd_cluster(args) -> int:
     """Run the multi-node set-top-box rack behind the cluster broker."""
     from repro.cluster import cluster_metrics_json, cluster_report
-    from repro.scenarios import cluster_rack
+    from repro.obs import ObsSession
 
-    session = None
-    if args.obs_out:
-        from repro.obs import ObsSession
-
-        session = ObsSession()
+    session = ObsSession() if args.obs_out else None
     if args.telemetry and session is None:
         print("--telemetry needs --obs-out (snapshots come from its registry)")
         return 2
-    sim = cluster_rack(
-        seed=args.seed,
+    sim = _run_rack(
+        args,
+        session,
+        cluster_metrics_json if args.format == "json" else cluster_report,
         nodes=args.nodes,
         policy=args.policy,
         drop_rate=args.drop_rate,
         latency_us=args.latency_us,
-        horizon_sec=max(args.duration_ms, 200.0) / 1000.0,
         migrate=not args.no_migrate,
-        sanitize=True,
-        obs=session,
         telemetry=args.telemetry,
-        obs_pipeline=session is not None,
         max_chunk_events=args.max_chunk_events,
     )
-    prof = _attach_prof(args.profile, sim)
-    sim.run_until(sim.horizon)
-    _write_prof(prof, args.profile, sim.now)
-    if args.format == "json":
-        print(cluster_metrics_json(sim), end="")
-    else:
-        print(cluster_report(sim), end="")
-    if session is not None:
-        _write_obs(session, args.obs_out, sim.now)
-        print(sim.pipeline.summary())
     return 0 if sim.all_sanitizers_ok else 1
 
 
@@ -223,21 +209,7 @@ def cmd_run(args) -> int:
     if args.scenario == "cluster_rack":
         # The cluster scenario has its own driver loop (and ships
         # per-node telemetry to the broker when observed).
-        sim = scenarios.cluster_rack(
-            seed=args.seed,
-            horizon_sec=max(args.duration_ms, 200.0) / 1000.0,
-            sanitize=True,
-            obs=session,
-            telemetry=True,
-            obs_pipeline=bool(args.obs_out),
-        )
-        prof = _attach_prof(args.profile, sim)
-        sim.run_until(sim.horizon)
-        _write_prof(prof, args.profile, sim.now)
-        print(session.summary())
-        if args.obs_out:
-            _write_obs(session, args.obs_out, sim.now)
-            print(sim.pipeline.summary())
+        _run_rack(args, session, lambda sim: session.summary() + "\n", telemetry=True)
         return 0
     if args.scenario not in scenarios.SCENARIOS:
         return _unknown_scenario(args.scenario)
@@ -258,21 +230,46 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _run_rack(args, session, report, **options):
+    """The observed rack behind ``run --scenario cluster_rack`` and
+    ``cluster``: build it with ``options``, profile it on ``--profile``,
+    run it to its horizon, write the profile, print ``report(sim)``,
+    and on ``--obs-out`` write the artifacts and the loss summary."""
+    sim = scenarios.cluster_rack(
+        seed=args.seed,
+        horizon_sec=max(args.duration_ms, 200.0) / 1000.0,
+        sanitize=True,
+        obs=session,
+        obs_pipeline=bool(args.obs_out),
+        **options,
+    )
+    prof = _attach_prof(args.profile, sim)
+    sim.run_until(sim.horizon)
+    _write_prof(prof, args.profile, sim.now)
+    print(report(sim), end="")
+    if args.obs_out:
+        _write_obs(session, args.obs_out, sim.now)
+        print(sim.pipeline.summary())
+    return sim
+
+
 def _write_obs(session, directory: str, now: int) -> None:
     paths = session.write(directory, now)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
 
 
-def _attach_prof(directory: str | None, target):
-    """Wire a ProfSession into ``target`` (a distributor or a cluster
-    simulation) when ``--profile DIR`` was given."""
+def _attach_prof(directory: str | None, *targets):
+    """A ProfSession when ``--profile DIR`` was given, its ``phases``
+    wired into each of ``targets`` (a distributor or a cluster
+    simulation; ``serve`` hands them to its engine)."""
     if not directory:
         return None
     from repro.obs.prof import ProfSession
 
     prof = ProfSession()
-    target.attach_prof(prof)
+    for target in targets:
+        target.attach_prof(prof.phases)
     return prof
 
 
@@ -281,6 +278,35 @@ def _write_prof(prof, directory: str | None, now: int) -> None:
         return
     out = prof.write(directory, now)
     print(f"wrote profile to {out}")
+
+
+def _write_out(text: str, path: str) -> None:
+    """Write ``text`` to an ``--out`` path and say so."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
+def _emit_rendered(rendered: str, out: str | None) -> None:
+    if out:
+        _write_out(rendered, out)
+    else:
+        print(rendered, end="")
+
+
+class _Unreadable(Exception):
+    """An input a command cannot read: :func:`main` prints it as one
+    line and exits 2."""
+
+
+def _read(loader, *inputs, **options):
+    """``loader(*inputs, **options)``, with an input it rejects raised as
+    :class:`_Unreadable`.  Only loaders and lookups go through here: a
+    ``SimulationError`` in the middle of a run is not a usage error."""
+    try:
+        return loader(*inputs, **options)
+    except (SimulationError, ValueError) as exc:
+        raise _Unreadable(str(exc)) from None
 
 
 def cmd_obs_report(args) -> int:
@@ -293,24 +319,15 @@ def cmd_obs_report(args) -> int:
         render_markdown,
     )
 
-    try:
-        specs = load_slo_file(args.slo) if args.slo else None
-        events = load_events(args.dir)
-    except SimulationError as exc:
-        print(exc)
-        return 2
+    specs = _read(load_slo_file, args.slo) if args.slo else None
+    events = _read(load_events, args.dir)
     analysis = analyze(events, slo_specs=specs)
     rendered = (
         analysis_to_json(analysis)
         if args.format == "json"
         else render_markdown(analysis) + "\n"
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        print(f"wrote {args.out}")
-    else:
-        print(rendered, end="")
+    _emit_rendered(rendered, args.out)
     return 0
 
 
@@ -319,12 +336,8 @@ def cmd_obs_check(args) -> int:
     SLO spec or the event log cannot be read."""
     from repro.obs.analysis import analyze, load_events, load_slo_file
 
-    try:
-        specs = load_slo_file(args.slo)
-        events = load_events(args.dir)
-    except SimulationError as exc:
-        print(exc)
-        return 2
+    specs = _read(load_slo_file, args.slo)
+    events = _read(load_events, args.dir)
     analysis = analyze(events, slo_specs=specs)
     violations = analysis.slo_violations
     for result in analysis.slo_results:
@@ -342,15 +355,17 @@ def cmd_obs_check(args) -> int:
     return 1 if violations else 0
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    """``LO:HI`` in sim ticks; either side may be omitted."""
+def _window(text: str) -> tuple[int, int]:
+    """``--window LO:HI`` in sim ticks; either side may be omitted."""
     lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(
-            f"--window wants LO:HI in sim ticks (got {text!r}); "
-            f"either side may be empty"
-        )
-    return (int(lo) if lo else 0, int(hi) if hi else (1 << 62))
+    try:
+        if sep:
+            return (int(lo) if lo else 0, int(hi) if hi else (1 << 62))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"wants LO:HI in sim ticks (got {text!r}); either side may be empty"
+    )
 
 
 def cmd_obs_query(args) -> int:
@@ -358,25 +373,14 @@ def cmd_obs_query(args) -> int:
     from repro.obs.analysis import load_events
     from repro.obs.pipeline.query import Query, format_line, select
 
-    try:
-        window = _parse_window(args.window) if args.window else None
-    except ValueError as exc:
-        print(exc)
-        return 2
-    try:
-        events = load_events(args.dir)
-        matched = select(
-            events,
-            Query(
-                kinds=frozenset(args.kind) if args.kind else None,
-                task=args.task,
-                nodes=frozenset(args.node) if args.node else None,
-                window=window,
-            ),
-        )
-    except SimulationError as exc:
-        print(exc)
-        return 2
+    events = _read(load_events, args.dir)
+    query = Query(
+        kinds=frozenset(args.kind) if args.kind else None,
+        task=args.task,
+        nodes=frozenset(args.node) if args.node else None,
+        window=args.window,
+    )
+    matched = _read(select, events, query)
     if not args.count:
         for event in matched:
             print(format_line(event))
@@ -384,50 +388,37 @@ def cmd_obs_query(args) -> int:
     return 0
 
 
+def _load_loss(directory: str) -> dict | None:
+    """The loss accounting (``pipeline.json``) beside an event stream,
+    when ``directory`` is an ``--obs-out`` directory that has one."""
+    path = Path(directory) / "pipeline.json"
+    if not path.is_file():
+        return None
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise SimulationError(f"{path}: not valid JSON: {exc}") from None
+
+
 def cmd_obs_explain(args) -> int:
     """Print the causal chain behind one deadline miss."""
-    import json as _json
-    from pathlib import Path
-
     from repro.obs.analysis import load_events
     from repro.obs.pipeline.explain import explain_miss
 
-    loss = None
-    target = Path(args.dir)
-    if target.is_dir():
-        pipeline_json = target / "pipeline.json"
-        if pipeline_json.is_file():
-            loss = _json.loads(pipeline_json.read_text(encoding="utf-8"))
-    try:
-        events = load_events(args.dir)
-        rendered = explain_miss(
-            events, args.task, miss_index=args.miss, loss=loss
-        )
-    except SimulationError as exc:
-        print(exc)
-        return 2
-    print(rendered, end="")
+    loss = _read(_load_loss, args.dir)
+    events = _read(load_events, args.dir)
+    print(
+        _read(explain_miss, events, args.task, miss_index=args.miss, loss=loss),
+        end="",
+    )
     return 0
-
-
-def _emit_rendered(rendered: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        print(f"wrote {out}")
-    else:
-        print(rendered, end="")
 
 
 def cmd_obs_prof_report(args) -> int:
     """Render the phase-cost report for a ``--profile`` directory."""
     from repro.obs.prof import load_profile, render_json, render_markdown
 
-    try:
-        profile = load_profile(args.dir)
-    except ValueError as exc:
-        print(exc)
-        return 2
+    profile = _read(load_profile, args.dir)
     rendered = (
         render_json(profile, top=args.top)
         if args.format == "json"
@@ -446,13 +437,7 @@ def cmd_obs_prof_diff(args) -> int:
         render_diff_markdown,
     )
 
-    try:
-        before = load_profile(args.a)
-        after = load_profile(args.b)
-    except ValueError as exc:
-        print(exc)
-        return 2
-    diff = diff_profiles(before, after)
+    diff = diff_profiles(_read(load_profile, args.a), _read(load_profile, args.b))
     rendered = (
         render_diff_json(diff)
         if args.format == "json"
@@ -513,24 +498,15 @@ def cmd_fuzz(args) -> int:
 
 def cmd_fuzz_replay(args) -> int:
     """Replay trace files; exit 1 on a divergence, 2 on an unreadable trace."""
-    from pathlib import Path
-
-    from repro.fuzz import replay_corpus, replay_trace
+    from repro.fuzz import load_corpus, replay
 
     target = Path(args.path)
-    kwargs = {"sanitize": args.sanitize, "obs_out": args.obs_out}
-    try:
-        results = (
-            replay_corpus(target, **kwargs)
-            if target.is_dir()
-            else [replay_trace(target, **kwargs)]
-        )
-    except SimulationError as exc:
-        print(exc)
-        return 2
-    if not results:
-        print(f"no *.trace.json under {target}")
-        return 2
+    results = []
+    for path, trace in _read(load_corpus, target):
+        obs_out = args.obs_out
+        if obs_out and target.is_dir():  # one subdirectory per corpus trace
+            obs_out = Path(obs_out) / path.name[: -len(".trace.json")]
+        results.append(replay(path, trace, sanitize=args.sanitize, obs_out=obs_out))
     for result in results:
         print(result.summary())
     diverged = [r for r in results if not r.matches]
@@ -540,38 +516,132 @@ def cmd_fuzz_replay(args) -> int:
 
 def cmd_fuzz_sweep(args) -> int:
     """Bisect per-mix admission thresholds; ``--out`` writes the curve."""
-    import json
-
     from repro.fuzz.sweep import render_sweep, run_sweep
 
     payload = run_sweep(args.seed, mixes=args.mixes, iterations=args.iterations)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_sweep(payload))
+    rendered = json.dumps(payload, indent=2, sort_keys=True)
+    print(rendered if args.json else render_sweep(payload))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_out(rendered + "\n", args.out)
     return 0
 
 
 def cmd_serve(args) -> int:
-    """Boot the live HTTP control plane (blocks until SIGTERM/SIGINT)."""
-    from repro.serve import serve_main
+    """Boot the live HTTP control plane (blocks until SIGTERM/SIGINT);
+    an unreadable SLO spec exits 2 before anything boots."""
+    import asyncio
 
-    return serve_main(args)
+    from repro.obs.analysis import load_slo_file
+
+    specs = _read(load_slo_file, args.slo) if args.slo else None
+    return asyncio.run(_serve(args, specs))
+
+
+async def _serve(args, specs) -> int:
+    import asyncio
+    import signal
+
+    from repro.serve import ServeApp, ServeEngine
+
+    prof = _attach_prof(args.profile)
+    engine = ServeEngine(
+        nodes=args.nodes,
+        seed=args.seed,
+        policy=args.policy,
+        latency_us=args.latency_us,
+        migrate=args.migrate,
+        slo_specs=specs,
+        prof=prof.phases if prof else None,
+    )
+    app = ServeApp(engine, host=args.host, port=args.port)
+    await app.start()
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(signum, stop.set)
+    print(
+        json.dumps(
+            {
+                "serving": f"http://{args.host}:{app.server.port}",
+                "nodes": args.nodes,
+                "seed": args.seed,
+            }
+        ),
+        flush=True,
+    )
+    await stop.wait()
+    print("draining ...", flush=True)
+    await app.stop()
+    if args.obs_out:
+        _write_obs(engine.session, args.obs_out, engine.sim.now)
+    _write_prof(prof, args.profile, engine.sim.now)
+    print(json.dumps({"final": engine.stats()}), flush=True)
+    return 0
 
 
 def cmd_loadgen(args) -> int:
-    """Drive a running control plane with the seeded open-loop generator."""
-    from repro.serve import loadgen_main
+    """Drive a running control plane with the seeded open-loop
+    generator; exit 1 on any 5xx or connection failure."""
+    import asyncio
 
-    return loadgen_main(args)
+    from repro.serve import run_loadgen
+
+    report = asyncio.run(
+        run_loadgen(
+            host=args.host,
+            port=args.port,
+            clients=args.clients,
+            duration_s=args.duration,
+            seed=args.seed,
+            rps_per_client=args.rps_per_client,
+        )
+    )
+    rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        _write_out(rendered, args.out)
+    measured = report["measured"]
+    if args.json:
+        print(rendered, end="")
+    else:
+        latency = measured["latency_s"]
+        print(
+            f"loadgen: {measured['completed']} requests in "
+            f"{measured['wall_s']:.2f}s = {measured['rps']:.0f} req/s, "
+            f"p50 {latency['p50'] * 1e3:.2f}ms p95 {latency['p95'] * 1e3:.2f}ms "
+            f"p99 {latency['p99'] * 1e3:.2f}ms, "
+            f"statuses {measured['statuses']}, "
+            f"{measured['failures']} failures, "
+            f"{measured['retries_429']} backpressure retries"
+        )
+        print(
+            f"deterministic: schedule {report['deterministic']['schedule_digest'][:16]}… "
+            f"outcomes {report['deterministic']['outcome_digest'][:16]}…"
+        )
+    bad = measured["statuses"].get("5xx", 0) + measured["failures"]
+    if bad:
+        print(f"FAIL: {bad} failed or 5xx responses")
+    return 1 if bad else 0
 
 
 # -- entry point ----------------------------------------------------------------
+
+
+def _checked(kind, want: str, ok):
+    """An argparse ``type=`` that parses ``kind`` and makes a value
+    outside ``want`` a usage error (exit 2) before any work starts."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {want}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names a malformed value by it
+    return parse
+
+
+_positive_int = _checked(int, "> 0", lambda v: v > 0)
+_positive_float = _checked(float, "> 0", lambda v: v > 0)
 
 
 def _seed(p) -> None:
@@ -580,7 +650,7 @@ def _seed(p) -> None:
 
 def _duration_ms(p) -> None:
     p.add_argument(
-        "--duration-ms", type=float, default=500.0, help="simulated duration"
+        "--duration-ms", type=_positive_float, default=500.0, help="simulated duration"
     )
 
 
@@ -605,23 +675,59 @@ def _scenario(p) -> None:
     )
 
 
-def _obs_out(p) -> None:
+def _obs_out(
+    p,
+    help_text: str = "write the obs artifacts (events.jsonl, metrics.prom, "
+    "trace.perfetto.json, pipeline.json) to DIR",
+) -> None:
+    p.add_argument("--obs-out", metavar="DIR", default=None, help=help_text)
+
+
+def _profile(
+    p,
+    help_text: str = "profile the run: deterministic phase counts and wall "
+    "timings land in DIR",
+) -> None:
+    p.add_argument("--profile", metavar="DIR", default=None, help=help_text)
+
+
+def _dir(p, help_text: str) -> None:
+    p.add_argument("dir", metavar="DIR", help=help_text)
+
+
+def _format(p, help_text: str) -> None:
     p.add_argument(
-        "--obs-out",
-        metavar="DIR",
-        default=None,
-        help="write the obs artifacts (events.jsonl, metrics.prom, "
-        "trace.perfetto.json, pipeline.json) to DIR",
+        "--format", choices=["markdown", "json"], default="markdown", help=help_text
     )
 
 
-def _profile(p) -> None:
+def _out(p, help_text: str) -> None:
+    p.add_argument("--out", metavar="PATH", default=None, help=help_text)
+
+
+def _slo(p, default: str | None, help_text: str) -> None:
+    p.add_argument("--slo", metavar="PATH", default=default, help=help_text)
+
+
+def _rack(p, nodes: int, latency_us: float, policy_help: str) -> None:
+    """The rack shape ``serve`` and ``cluster`` share."""
     p.add_argument(
-        "--profile",
-        metavar="DIR",
-        default=None,
-        help="profile the run: deterministic phase counts and wall "
-        "timings land in DIR",
+        "--nodes",
+        type=_checked(int, "in 1..99", lambda v: 1 <= v <= 99),
+        default=nodes,
+        help="distributor node count",
+    )
+    p.add_argument(
+        "--policy",
+        choices=["aimd", "best-fit", "first-fit"],
+        default="aimd",
+        help=policy_help,
+    )
+    p.add_argument(
+        "--latency-us",
+        type=_checked(float, ">= 0", lambda v: v >= 0),
+        default=latency_us,
+        help="one-way bus latency",
     )
 
 
@@ -633,9 +739,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(name: str, func, help_text: str, *flags) -> argparse.ArgumentParser:
+    def command(
+        name: str, func, help_text: str, *flags, under=sub
+    ) -> argparse.ArgumentParser:
         """A subcommand with exactly the shared ``flags`` its handler reads."""
-        p = sub.add_parser(name, help=help_text)
+        p = under.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         for flag in flags:
             flag(p)
@@ -675,151 +783,107 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = command("obs", cmd_obs, "telemetry surface: describe / report / check")
     obs_sub = p.add_subparsers(dest="obs_command", metavar="subcommand")
-    p_report = obs_sub.add_parser(
-        "report", help="analytics report over an --obs-out directory"
+    p = command(
+        "report", cmd_obs_report, "analytics report over an --obs-out directory",
+        under=obs_sub,
     )
-    p_report.set_defaults(func=cmd_obs_report)
-    p_report.add_argument(
-        "dir", metavar="DIR", help="directory written by --obs-out"
+    _dir(p, "directory written by --obs-out")
+    _format(p, "report format")
+    _out(p, "write the report to PATH")
+    _slo(p, None, "also evaluate the SLO spec at PATH (TOML)")
+    p = command(
+        "query", cmd_obs_query, "filter a recorded event stream (events.jsonl)",
+        under=obs_sub,
     )
-    p_report.add_argument(
-        "--format",
-        choices=["markdown", "json"],
-        default="markdown",
-        help="report format",
-    )
-    p_report.add_argument(
-        "--out", metavar="PATH", default=None, help="write the report to PATH"
-    )
-    p_report.add_argument(
-        "--slo",
-        metavar="PATH",
-        default=None,
-        help="also evaluate the SLO spec at PATH (TOML)",
-    )
-    p_query = obs_sub.add_parser(
-        "query", help="filter a recorded event stream (events.jsonl)"
-    )
-    p_query.set_defaults(func=cmd_obs_query)
-    p_query.add_argument(
-        "dir",
-        metavar="DIR",
-        help="directory written by --obs-out (or an event-log file)",
-    )
-    p_query.add_argument(
+    _dir(p, "directory written by --obs-out (or an event-log file)")
+    p.add_argument(
         "--kind",
         action="append",
         metavar="TAG",
         default=None,
         help="keep only this event kind (repeatable)",
     )
-    p_query.add_argument(
+    p.add_argument(
         "--task",
         default=None,
         metavar="NAME",
         help="keep only events of this task (resolved via the admission "
         "record: named events plus its threads' events)",
     )
-    p_query.add_argument(
+    p.add_argument(
         "--node",
         action="append",
         metavar="NODE",
         default=None,
         help="keep only events stamped with this node (repeatable)",
     )
-    p_query.add_argument(
+    p.add_argument(
         "--window",
+        type=_window,
         default=None,
         metavar="LO:HI",
         help="keep only events in [LO, HI] sim ticks (either side "
         "may be empty)",
     )
-    p_query.add_argument(
+    p.add_argument(
         "--count",
         action="store_true",
         help="print only the match count",
     )
-    p_explain = obs_sub.add_parser(
-        "explain", help="causal chain behind one deadline miss"
+    p = command(
+        "explain", cmd_obs_explain, "causal chain behind one deadline miss",
+        under=obs_sub,
     )
-    p_explain.set_defaults(func=cmd_obs_explain)
-    p_explain.add_argument(
-        "dir",
-        metavar="DIR",
-        help="directory written by --obs-out (or an event-log file)",
-    )
-    p_explain.add_argument(
+    _dir(p, "directory written by --obs-out (or an event-log file)")
+    p.add_argument(
         "--task",
         required=True,
         metavar="NAME",
         help="task name (or node/name label) whose miss to explain",
     )
-    p_explain.add_argument(
+    p.add_argument(
         "--miss",
         type=int,
         default=0,
         metavar="N",
         help="which miss, 0-based in deadline order (default: 0)",
     )
-    p_check = obs_sub.add_parser(
-        "check", help="evaluate SLOs; exit 1 on any violation"
+    p = command(
+        "check", cmd_obs_check, "evaluate SLOs; exit 1 on any violation",
+        under=obs_sub,
     )
-    p_check.set_defaults(func=cmd_obs_check)
-    p_check.add_argument(
-        "dir", metavar="DIR", help="directory written by --obs-out"
-    )
-    p_check.add_argument(
-        "--slo",
-        metavar="PATH",
-        default="slo.toml",
-        help="SLO spec to enforce (default: slo.toml)",
-    )
+    _dir(p, "directory written by --obs-out")
+    _slo(p, "slo.toml", "SLO spec to enforce (default: slo.toml)")
     p_prof = obs_sub.add_parser(
         "prof", help="phase-cost reports over --profile directories"
     )
     prof_sub = p_prof.add_subparsers(
         dest="prof_command", metavar="subcommand", required=True
     )
-    pp_report = prof_sub.add_parser(
-        "report", help="top-N self-time table for one profile"
+    p = command(
+        "report", cmd_obs_prof_report, "top-N self-time table for one profile",
+        under=prof_sub,
     )
-    pp_report.set_defaults(func=cmd_obs_prof_report)
-    pp_report.add_argument(
-        "dir", metavar="DIR", help="directory written by --profile"
-    )
-    pp_report.add_argument(
-        "--format",
-        choices=["markdown", "json"],
-        default="markdown",
-        help="report format",
-    )
-    pp_report.add_argument(
+    _dir(p, "directory written by --profile")
+    _format(p, "report format")
+    p.add_argument(
         "--top",
         type=int,
         default=0,
         help="limit the table to the N most expensive phases (0 = all)",
     )
-    pp_report.add_argument(
-        "--out", metavar="PATH", default=None, help="write the report to PATH"
+    _out(p, "write the report to PATH")
+    p = command(
+        "diff", cmd_obs_prof_diff, "per-phase cost deltas between two profiles",
+        under=prof_sub,
     )
-    pp_diff = prof_sub.add_parser(
-        "diff", help="per-phase cost deltas between two profiles"
-    )
-    pp_diff.set_defaults(func=cmd_obs_prof_diff)
-    pp_diff.add_argument("a", metavar="A", help="baseline profile directory")
-    pp_diff.add_argument("b", metavar="B", help="comparison profile directory")
-    pp_diff.add_argument(
-        "--format",
-        choices=["markdown", "json"],
-        default="markdown",
-        help="diff format",
-    )
-    pp_diff.add_argument(
-        "--out", metavar="PATH", default=None, help="write the diff to PATH"
-    )
+    p.add_argument("a", metavar="A", help="baseline profile directory")
+    p.add_argument("b", metavar="B", help="comparison profile directory")
+    _format(p, "diff format")
+    _out(p, "write the diff to PATH")
     p = command("fuzz", cmd_fuzz, "seeded scenario fuzzing / trace replay", _seed)
     p.add_argument(
-        "--budget", type=int, default=25, help="number of scenarios to run"
+        "--budget", type=_positive_int, default=25, help="number of scenarios to run"
     )
     p.add_argument(
         "--cluster",
@@ -853,23 +917,20 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_sub = p.add_subparsers(dest="fuzz_command", metavar="subcommand")
     # A trace is self-contained (its spec carries seed and horizon), and
     # replay's --sanitize is a mode, not a flag.
-    p_replay = fuzz_sub.add_parser(
-        "replay", help="replay .trace.json files"
+    p = command(
+        "replay", cmd_fuzz_replay, "replay .trace.json files", under=fuzz_sub
     )
-    p_replay.set_defaults(func=cmd_fuzz_replay)
-    p_replay.add_argument(
+    p.add_argument(
         "path",
         metavar="PATH",
         help="one .trace.json, or a directory of them (a corpus)",
     )
-    p_replay.add_argument(
-        "--obs-out",
-        metavar="DIR",
-        default=None,
-        help="write the replay's obs artifacts to DIR (a corpus writes "
+    _obs_out(
+        p,
+        "write the replay's obs artifacts to DIR (a corpus writes "
         "one subdirectory per trace) for obs report / query / explain",
     )
-    p_replay.add_argument(
+    p.add_argument(
         "--sanitize",
         choices=["strict", "record", "off"],
         default="strict",
@@ -877,80 +938,62 @@ def build_parser() -> argparse.ArgumentParser:
         "(default), record logs violations and runs to the horizon, "
         "off disables the sanitizer",
     )
-    p_sweep = fuzz_sub.add_parser(
-        "sweep", help="bisect the empirical admission-threshold curve"
+    p = command(
+        "sweep", cmd_fuzz_sweep, "bisect the empirical admission-threshold curve",
+        _seed, under=fuzz_sub,
     )
-    p_sweep.set_defaults(func=cmd_fuzz_sweep)
-    _seed(p_sweep)
-    p_sweep.add_argument(
+    p.add_argument(
         "--mixes", type=int, default=8, help="generated mixes to bisect"
     )
-    p_sweep.add_argument(
+    p.add_argument(
         "--iterations", type=int, default=10, help="bisection steps per mix"
     )
-    p_sweep.add_argument(
+    p.add_argument(
         "--json", action="store_true", help="emit the sweep payload on stdout"
     )
-    p_sweep.add_argument(
-        "--out", metavar="PATH", default=None, help="write the payload to PATH"
-    )
+    _out(p, "write the payload to PATH")
     p = command(
         "serve", cmd_serve, "live HTTP control plane over a broker rack", _seed
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8642, help="bind port (0 = ephemeral)")
-    p.add_argument("--nodes", type=int, default=16, help="distributor node count")
-    p.add_argument(
-        "--policy",
-        choices=["aimd", "best-fit", "first-fit"],
-        default="aimd",
-        help="placement policy (aimd spreads load, keeping per-node "
+    _rack(
+        p, nodes=16, latency_us=20.0,
+        policy_help="placement policy (aimd spreads load, keeping per-node "
         "kernel scans short under churn)",
-    )
-    p.add_argument(
-        "--latency-us", type=float, default=20.0, help="one-way bus latency"
     )
     p.add_argument(
         "--migrate", action="store_true", help="enable epoch migration passes"
     )
-    p.add_argument(
-        "--slo",
-        metavar="PATH",
-        default=None,
-        help="attach a streaming SLO engine fed from this TOML spec",
-    )
-    p.add_argument(
-        "--obs-out",
-        metavar="DIR",
-        default=None,
-        help="write the obs artifacts on graceful shutdown",
-    )
-    p.add_argument(
-        "--profile",
-        metavar="DIR",
-        default=None,
-        help="profile the service; /debug/prof goes live and the profile "
+    _slo(p, None, "attach a streaming SLO engine fed from this TOML spec")
+    _obs_out(p, "write the obs artifacts on graceful shutdown")
+    _profile(
+        p,
+        "profile the service; /debug/prof goes live and the profile "
         "directory is written on graceful shutdown",
     )
     p = command("loadgen", cmd_loadgen, "seeded open-loop load generator", _seed)
     p.add_argument("--host", default="127.0.0.1", help="target address")
     p.add_argument("--port", type=int, default=8642, help="target port")
-    p.add_argument("--clients", type=int, default=100, help="concurrent clients")
     p.add_argument(
-        "--duration", type=float, default=5.0, help="schedule length in seconds"
+        "--clients", type=_positive_int, default=100, help="concurrent clients"
+    )
+    p.add_argument(
+        "--duration",
+        type=_positive_float,
+        default=5.0,
+        help="schedule length in seconds",
     )
     p.add_argument(
         "--rps-per-client",
-        type=float,
+        type=_positive_float,
         default=4.0,
         help="open-loop request rate per client",
     )
     p.add_argument(
         "--json", action="store_true", help="emit the full report on stdout"
     )
-    p.add_argument(
-        "--out", metavar="PATH", default=None, help="write the report to PATH"
-    )
+    _out(p, "write the report to PATH")
     p = command(
         "cluster", cmd_cluster, "multi-node rack behind a broker",
         _seed, _duration_ms, _obs_out, _profile,
@@ -963,24 +1006,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-chunk-events",
-        type=int,
+        type=_checked(int, ">= 2", lambda v: v >= 2),
         default=None,
         metavar="N",
         help="head/tail-sample the event chunks an observed run ships "
         "down to N events (sampled-out rows are counted, never silent)",
     )
-    p.add_argument("--nodes", type=int, default=4, help="distributor node count")
+    _rack(p, nodes=4, latency_us=100.0, policy_help="placement policy")
     p.add_argument(
-        "--policy",
-        choices=["aimd", "best-fit", "first-fit"],
-        default="aimd",
-        help="placement policy",
-    )
-    p.add_argument(
-        "--drop-rate", type=float, default=0.0, help="message drop probability"
-    )
-    p.add_argument(
-        "--latency-us", type=float, default=100.0, help="one-way bus latency"
+        "--drop-rate",
+        type=_checked(float, "in [0, 1)", lambda v: 0 <= v < 1),
+        default=0.0,
+        help="message drop probability",
     )
     p.add_argument(
         "--no-migrate", action="store_true", help="disable task migration"
@@ -996,7 +1033,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unreadable as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

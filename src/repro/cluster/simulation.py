@@ -159,14 +159,13 @@ class ClusterSimulation:
         self.prof = None
 
     def attach_prof(self, prof) -> None:
-        """Wire a phase profiler (:class:`repro.obs.prof.PhaseProfiler`
-        or a :class:`~repro.obs.prof.ProfSession`) through the whole
+        """Wire a phase profiler (a :class:`repro.obs.prof.PhaseProfiler`,
+        which is a ``ProfSession``'s ``phases``) through the whole
         cluster: the bus, the broker, and every node's distributor.
 
         Mirrors the obs wiring — the simulated layers only hold
         duck-typed ``prof`` slots, so an unprofiled run pays one falsy
         branch per hook site."""
-        prof = getattr(prof, "phases", prof)
         self.prof = prof
         self.bus.prof = prof
         self.broker.prof = prof

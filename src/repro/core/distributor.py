@@ -75,13 +75,13 @@ class ResourceDistributor:
         self.sanitizer.obs = self.obs
 
     def attach_prof(self, prof) -> None:
-        """Wire a phase profiler (duck-typed ``begin``/``end``, e.g.
-        :class:`repro.obs.prof.PhaseProfiler`) into every hook slot.
+        """Wire a phase profiler (duck-typed ``begin``/``end``: a
+        :class:`repro.obs.prof.PhaseProfiler`, which is a
+        ``ProfSession``'s ``phases``) into every hook slot.
 
         Mirrors the obs wiring: core never imports the profiler — it
         only holds ``prof`` attributes that default to ``None``, so an
         unprofiled run costs one falsy branch per hook site."""
-        prof = getattr(prof, "phases", prof)
         self.kernel.prof = prof
         self.resource_manager.prof = prof
         self.resource_manager.grant_control.prof = prof

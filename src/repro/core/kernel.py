@@ -304,30 +304,14 @@ class Kernel:
         if thread.kind is not THREAD_PERIODIC:
             raise SchedulerError(f"thread {thread.tid} is not periodic")
         thread.state = STATE_ACTIVE
-        thread.grant = grant
         thread.pending_grant = None
         thread.has_pending_change = False
-        thread.period_index += 1
-        thread.period_start = now
-        thread.deadline = now + grant.period
+        self._open_period(thread, grant, now)
         if thread.deadline < self._next_rollover:
             self._next_rollover = thread.deadline
-        thread.remaining = grant.cpu_ticks
-        thread.used = 0
-        thread.overtime_used = 0
-        thread.declared_done = False
-        thread.wants_overtime = False
         thread.blocked_this_period = False
-        thread.completed_at = -1
         thread.restart_pending = True
         thread.pending_compute = 0
-        self._periods_opened += 1
-        thread.ctx.delivery = GrantDelivery(
-            previous_completed=thread.last_completed,
-            previous_used=thread.last_used,
-            grant=grant,
-            period_start=now,
-        )
         self._record_grant_change(
             GrantChangeRecord(
                 time=now,
@@ -716,8 +700,7 @@ class Kernel:
                 self._deliver_posts()  # the generator body posted a waited-on channel
 
             if op.__class__ is Compute:
-                # The common op, without the call into _apply_op (which
-                # still handles Compute subclasses).
+                # The common op, without the call into _apply_op.
                 runner.pending_compute = op.ticks
             elif (
                 op.__class__ is DonePeriod
@@ -792,9 +775,6 @@ class Kernel:
         self, thread: SimThread, runner: SimThread, assigned: bool, op
     ) -> SliceEnd | None:
         """Process one yielded op; returns a SliceEnd to stop the slice."""
-        if isinstance(op, Compute):
-            runner.pending_compute = op.ticks
-            return None
         if isinstance(op, DonePeriod):
             if assigned:
                 # A sporadic task pausing: end the assignment early.
@@ -1056,16 +1036,8 @@ class Kernel:
 
         start = thread.deadline + thread.postpone_next
         thread.postpone_next = 0
-        thread.period_index += 1
-        thread.period_start = start
-        thread.deadline = start + new_grant.period
-        thread.remaining = new_grant.cpu_ticks
-        thread.used = 0
-        thread.overtime_used = 0
-        thread.declared_done = False
-        thread.wants_overtime = False
+        self._open_period(thread, new_grant, start)
         thread.blocked_this_period = thread.state is STATE_BLOCKED
-        thread.completed_at = -1
 
         changed = new_grant.entry is not old_grant.entry
         if changed:
@@ -1079,18 +1051,32 @@ class Kernel:
                     reason="grant change",
                 )
             )
-        thread.grant = new_grant
-        thread.ctx.delivery = GrantDelivery(
-            previous_completed=thread.last_completed,
-            previous_used=thread.last_used,
-            grant=new_grant,
-            period_start=start,
-        )
         thread.restart_pending = self._needs_restart(thread, old_grant, new_grant, changed)
         if thread.restart_pending:
             thread.pending_compute = 0
-        self._periods_opened += 1
         self._notify_period_open(thread)
+
+    def _open_period(self, thread: SimThread, grant: Grant, start: int) -> None:
+        """Reset ``thread``'s per-period books for a period of ``grant``
+        opening at ``start`` and hand the grant to its context.  The
+        caller records the grant change and notifies the policy."""
+        thread.grant = grant
+        thread.period_index += 1
+        thread.period_start = start
+        thread.deadline = start + grant.period
+        thread.remaining = grant.cpu_ticks
+        thread.used = 0
+        thread.overtime_used = 0
+        thread.declared_done = False
+        thread.wants_overtime = False
+        thread.completed_at = -1
+        thread.ctx.delivery = GrantDelivery(
+            previous_completed=thread.last_completed,
+            previous_used=thread.last_used,
+            grant=grant,
+            period_start=start,
+        )
+        self._periods_opened += 1
 
     def _needs_restart(
         self, thread: SimThread, old: Grant, new: Grant, changed: bool

@@ -17,7 +17,8 @@ from repro.fuzz.driver import (
     CampaignStats,
     Failure,
     ReplayResult,
-    replay_corpus,
+    load_corpus,
+    replay,
     replay_trace,
     run_campaign,
 )
@@ -56,8 +57,9 @@ __all__ = [
     "TraceFile",
     "admission_threshold",
     "generate",
+    "load_corpus",
     "load_trace",
-    "replay_corpus",
+    "replay",
     "replay_trace",
     "run_campaign",
     "run_spec",

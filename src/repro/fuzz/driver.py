@@ -22,7 +22,7 @@ from typing import Callable
 from repro.fuzz.generator import generate, scenario_seed
 from repro.fuzz.runner import RunResult, run_spec
 from repro.fuzz.shrink import shrink
-from repro.fuzz.spec import ScenarioSpec, TraceFile, load_trace, write_trace
+from repro.fuzz.spec import ScenarioSpec, SpecError, TraceFile, load_trace, write_trace
 
 
 @dataclass
@@ -200,7 +200,17 @@ def replay_trace(
     sanitize: str = "strict",
     obs_out: str | Path | None = None,
 ) -> ReplayResult:
-    """Re-run one ``.trace.json`` and compare against its expectation.
+    """Load one ``.trace.json`` and :func:`replay` it."""
+    return replay(Path(path), load_trace(path), sanitize=sanitize, obs_out=obs_out)
+
+
+def replay(
+    path: Path,
+    trace: TraceFile,
+    sanitize: str = "strict",
+    obs_out: str | Path | None = None,
+) -> ReplayResult:
+    """Re-run a loaded trace and compare against its expectation.
 
     For an ``expect: ok`` corpus entry, a match means the invariants
     still hold on that scenario; for a reproducer, a match means the
@@ -213,8 +223,6 @@ def replay_trace(
     reproducer run to its horizon so the stream covers the aftermath,
     and the run is still named by its first violation.
     """
-    target = Path(path)
-    trace = load_trace(target)
     session = None
     if obs_out is not None:
         from repro.obs import ObsSession
@@ -223,27 +231,18 @@ def replay_trace(
     result = run_spec(
         trace.spec, inject=trace.inject, obs=session, sanitize=sanitize
     )
-    replay = ReplayResult(path=target, expect=trace.expect, result=result)
+    replayed = ReplayResult(path=path, expect=trace.expect, result=result)
     if session is not None:
-        replay.obs_paths = session.write(obs_out, result.ticks)
-    return replay
+        replayed.obs_paths = session.write(obs_out, result.ticks)
+    return replayed
 
 
-def replay_corpus(
-    corpus_dir: str | Path,
-    sanitize: str = "strict",
-    obs_out: str | Path | None = None,
-) -> list[ReplayResult]:
-    """Replay every ``*.trace.json`` under ``corpus_dir``, sorted by name.
-
-    With ``obs_out``, each trace's artifacts land in their own
-    subdirectory (``obs_out/<trace-name>/``).
-    """
-    root = Path(corpus_dir)
-    results = []
-    for path in sorted(root.glob("*.trace.json")):
-        per_trace = None
-        if obs_out is not None:
-            per_trace = Path(obs_out) / path.name[: -len(".trace.json")]
-        results.append(replay_trace(path, sanitize=sanitize, obs_out=per_trace))
-    return results
+def load_corpus(path: str | Path) -> list[tuple[Path, TraceFile]]:
+    """Load one ``.trace.json``, or every one under a directory sorted
+    by name, before anything replays; an empty directory is a
+    :class:`SpecError`."""
+    target = Path(path)
+    paths = sorted(target.glob("*.trace.json")) if target.is_dir() else [target]
+    if not paths:
+        raise SpecError(f"no *.trace.json under {target}")
+    return [(trace_path, load_trace(trace_path)) for trace_path in paths]

@@ -11,10 +11,10 @@ Nothing below this package may import it; the layering lint enforces
 that edge.
 """
 
-from repro.serve.app import ServeApp, serve_main
+from repro.serve.app import ServeApp
 from repro.serve.engine import ServeEngine
 from repro.serve.http import HttpServer, Request, Response
-from repro.serve.loadgen import loadgen_main, plan_client, run_loadgen
+from repro.serve.loadgen import plan_client, run_loadgen
 
 __all__ = [
     "HttpServer",
@@ -22,8 +22,6 @@ __all__ = [
     "Response",
     "ServeApp",
     "ServeEngine",
-    "loadgen_main",
     "plan_client",
     "run_loadgen",
-    "serve_main",
 ]

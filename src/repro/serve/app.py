@@ -17,20 +17,16 @@ is answered ``429 Too Many Requests`` with a ``Retry-After`` hint
 instead of queueing unboundedly.  Shutdown is a drain, not a kill:
 ``SIGTERM`` (or ``POST /admin/drain``) flips readiness to 503, lets
 queued mutations finish, withdraws every placement through the broker
-(the never-terminated guarantee holds all the way down), and — when
-``--obs-out`` was given — writes the standard observability artifacts
-for the run.
+(the never-terminated guarantee holds all the way down); ``repro
+serve`` (:mod:`repro.cli`) then writes the run's artifacts.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import signal
 import time
 import traceback
 
-from repro.errors import SimulationError
 from repro.obs.log import event_to_json
 from repro.serve.engine import ServeEngine
 from repro.serve.http import HttpServer, Request, Response
@@ -96,7 +92,7 @@ class ServeApp:
         )
         # The serving boundary may import the profiler directly; the
         # HTTP parser's hook slot shares the engine's phase books.
-        self.server.prof = engine._phases
+        self.server.prof = engine.prof
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -224,7 +220,7 @@ class ServeApp:
         if path == "/metrics":
             return "/metrics", Response.text(self.engine.session.metrics_prom())
         if path == "/debug/prof":
-            phases = self.engine._phases
+            phases = self.engine.prof
             if phases is None:
                 return "/debug/prof", Response.error(
                     404, "profiling is off (restart with --profile DIR)"
@@ -322,61 +318,3 @@ class ServeApp:
             headers={"Content-Type": "application/x-ndjson"},
             stream=stream(),
         )
-
-
-async def _amain(args, specs) -> int:
-    prof = None
-    if args.profile:
-        from repro.obs.prof import ProfSession
-
-        prof = ProfSession()
-    engine = ServeEngine(
-        nodes=args.nodes,
-        seed=args.seed,
-        policy=args.policy,
-        latency_us=args.latency_us,
-        migrate=args.migrate,
-        slo_specs=specs,
-        prof=prof,
-    )
-    app = ServeApp(engine, host=args.host, port=args.port)
-    await app.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    print(
-        json.dumps(
-            {
-                "serving": f"http://{args.host}:{app.server.port}",
-                "nodes": args.nodes,
-                "seed": args.seed,
-            }
-        ),
-        flush=True,
-    )
-    await stop.wait()
-    print("draining ...", flush=True)
-    await app.stop()
-    if args.obs_out:
-        paths = engine.session.write(args.obs_out, engine.sim.now)
-        for path in paths.values():
-            print(f"wrote {path}", flush=True)
-    if prof is not None:
-        out = prof.write(args.profile, engine.sim.now)
-        print(f"wrote profile to {out}", flush=True)
-    print(json.dumps({"final": engine.stats()}), flush=True)
-    return 0
-
-
-def serve_main(args) -> int:
-    """Entry point for ``python -m repro serve``; exit 2 on an unreadable
-    SLO spec, before anything boots."""
-    from repro.obs.analysis import load_slo_file
-
-    try:
-        specs = load_slo_file(args.slo) if args.slo else None
-    except SimulationError as exc:
-        print(exc)
-        return 2
-    return asyncio.run(_amain(args, specs))

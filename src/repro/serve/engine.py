@@ -55,10 +55,10 @@ class ServeEngine:
         slo_specs: Iterable[SloSpec] | None = None,
         prof=None,
     ) -> None:
-        """``prof`` is an optional :class:`repro.obs.prof.ProfSession`
-        (or bare :class:`~repro.obs.prof.PhaseProfiler`): its phase
-        books are wired through the cluster, and the engine brackets
-        its own commit path with ``serve.commit``."""
+        """``prof`` is an optional :class:`repro.obs.prof.PhaseProfiler`
+        (a ``ProfSession``'s ``phases``): it is wired through the
+        cluster, and the engine brackets its own commit path with
+        ``serve.commit``."""
         self.session = ObsSession()
         self.sim = ClusterSimulation(
             node_count=nodes,
@@ -71,9 +71,8 @@ class ServeEngine:
             obs=self.session,
         )
         self.prof = prof
-        self._phases = getattr(prof, "phases", prof)
         if prof is not None:
-            self.sim.attach_prof(self._phases)
+            self.sim.attach_prof(prof)
         self.slo: SloEngine | None = None
         if slo_specs is not None:
             self.slo = SloEngine(self.session.bus, slo_specs)
@@ -111,7 +110,7 @@ class ServeEngine:
         reproduces the same batch boundaries — and therefore the same
         :meth:`state_digest` — as the live run.
         """
-        prof = self._phases
+        prof = self.prof
         if prof:
             prof.begin("serve.commit")
             try:

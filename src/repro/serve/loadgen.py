@@ -293,44 +293,3 @@ async def run_loadgen(
             },
         },
     }
-
-
-def loadgen_main(args) -> int:
-    """Entry point for ``python -m repro loadgen``."""
-    report = asyncio.run(
-        run_loadgen(
-            host=args.host,
-            port=args.port,
-            clients=args.clients,
-            duration_s=args.duration,
-            seed=args.seed,
-            rps_per_client=args.rps_per_client,
-        )
-    )
-    rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-        print(f"wrote {args.out}")
-    measured = report["measured"]
-    if args.json:
-        print(rendered, end="")
-    else:
-        latency = measured["latency_s"]
-        print(
-            f"loadgen: {measured['completed']} requests in "
-            f"{measured['wall_s']:.2f}s = {measured['rps']:.0f} req/s, "
-            f"p50 {latency['p50'] * 1e3:.2f}ms p95 {latency['p95'] * 1e3:.2f}ms "
-            f"p99 {latency['p99'] * 1e3:.2f}ms, "
-            f"statuses {measured['statuses']}, "
-            f"{measured['failures']} failures, "
-            f"{measured['retries_429']} backpressure retries"
-        )
-        print(
-            f"deterministic: schedule {report['deterministic']['schedule_digest'][:16]}… "
-            f"outcomes {report['deterministic']['outcome_digest'][:16]}…"
-        )
-    bad = measured["statuses"].get("5xx", 0) + measured["failures"]
-    if bad:
-        print(f"FAIL: {bad} failed or 5xx responses")
-    return 1 if bad else 0

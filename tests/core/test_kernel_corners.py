@@ -386,22 +386,22 @@ class TestWholeOpRuns:
             (0, ms(2))
         ]
 
-    def test_compute_subclass_never_enters_the_run(self, ideal_rd):
+    def test_a_compute_subclass_is_an_unknown_op(self, ideal_rd):
+        """The kernel dispatches ``Compute`` by its exact class, so a
+        subclass is refused like any foreign op: a contained crash."""
         class Tagged(Compute):
             pass
 
         def task(ctx):
             yield SETTLE
-            for _ in range(3):
-                yield Tagged(ms(1))
+            yield Tagged(ms(1))
             yield DonePeriod()
 
         thread = ideal_rd.admit(one_entry("tagged", task))
         ideal_rd.run_for(ms(5))
-        assert thread.completed_at == ms(3)
-        assert [(s.start, s.end) for s in ideal_rd.trace.segments_for(thread.tid)] == [
-            (0, ms(3))
-        ]
+        [(when, tid, error)] = ideal_rd.kernel.crashes
+        assert (when, tid) == (0, thread.tid) and "unknown op" in error
+        assert ideal_rd.trace.segments_for(thread.tid) == []
 
 
 class TestQuietKernel:

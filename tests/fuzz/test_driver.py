@@ -2,8 +2,9 @@
 and the trace-replay loop."""
 
 from repro.fuzz import (
+    load_corpus,
     load_trace,
-    replay_corpus,
+    replay,
     replay_trace,
     run_campaign,
 )
@@ -70,6 +71,6 @@ class TestReplay:
 
     def test_replay_corpus_sorts_by_name(self, tmp_path):
         run_campaign(4, seed=2, inject="edf-invert", out_dir=tmp_path)
-        results = replay_corpus(tmp_path)
+        results = [replay(path, trace) for path, trace in load_corpus(tmp_path)]
         names = [r.path.name for r in results]
         assert names == sorted(names)

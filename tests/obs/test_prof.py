@@ -160,7 +160,7 @@ class TestProfSession:
 def _profiled_rack(seed, horizon_sec=0.1, obs=None):
     sim = cluster_rack(seed=seed, horizon_sec=horizon_sec, obs=obs)
     prof = ProfSession()
-    sim.attach_prof(prof)
+    sim.attach_prof(prof.phases)
     sim.run_until(sim.horizon)
     return sim, prof
 
@@ -189,7 +189,7 @@ class TestDeterminism:
     def test_all_core_phases_fire_on_the_rack(self):
         sim = cluster_rack(seed=7, horizon_sec=0.2)
         prof = ProfSession()
-        sim.attach_prof(prof)
+        sim.attach_prof(prof.phases)
         sim.run_until(sim.horizon)
         sim.settle()
         phases = set(prof.phases.count_table())

@@ -52,7 +52,7 @@ class TestDebugProfEndpoint:
                 for row in phases.values()
             )
 
-        run_with_app(scenario, prof=prof)
+        run_with_app(scenario, prof=prof.phases)
 
     def test_engine_phases_reach_the_cluster_hooks(self):
         prof = ProfSession()
@@ -63,7 +63,7 @@ class TestDebugProfEndpoint:
             assert "cluster.settle" in body["phases"]
             assert "kernel.dispatch" in body["phases"]
 
-        run_with_app(scenario, prof=prof)
+        run_with_app(scenario, prof=prof.phases)
 
 
 class TestBackpressureMetrics:

@@ -176,6 +176,31 @@ def _args_reads(func, seen=None) -> set[str]:
     return reads
 
 
+def _flag_surface(parser, path=()) -> list[dict]:
+    """Every argparse action under ``parser`` as (command path, option
+    strings, dest, default, choices, nargs, required, metavar), sorted."""
+    import argparse
+
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        rows.append({
+            "command": " ".join(path),
+            "option_strings": list(action.option_strings),
+            "dest": action.dest,
+            "default": action.default,
+            "choices": None if action.choices is None else list(action.choices),
+            "nargs": action.nargs,
+            "required": action.required,
+            "metavar": action.metavar,
+        })
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                rows += _flag_surface(child, path + (name,))
+    return sorted(rows, key=lambda r: (r["command"], r["dest"], r["option_strings"]))
+
+
 def _ignored_flags(parser, handler=None) -> list[str]:
     """Flags no handler reads.  ``handler`` is the function that reads a
     parser without subcommands; otherwise each leaf's ``func`` default."""
@@ -233,6 +258,47 @@ class TestParser:
             with pytest.raises(SystemExit) as exit_info:
                 main(argv)
             assert exit_info.value.code == 2
+
+    def test_flag_surface_matches_the_parent(self):
+        """No flag added or dropped, no default, choice or arity moved:
+        ``cli_flags.json`` is what ``build_parser()`` yielded at 1b58b8c.
+        ``type`` is left out, so range checkers may land."""
+        import json
+        from pathlib import Path
+
+        from repro.cli import build_parser
+
+        pinned = json.loads((Path(__file__).parent / "cli_flags.json").read_text())
+        assert _flag_surface(build_parser()) == pinned
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--nodes", "0"],
+        ["serve", "--nodes", "0"],
+        ["cluster", "--nodes", "100"],
+        ["cluster", "--drop-rate", "1.5"],
+        ["cluster", "--drop-rate", "1"],
+        ["cluster", "--latency-us", "-5"],
+        ["serve", "--latency-us", "-5"],
+        ["cluster", "--max-chunk-events", "1", "--obs-out", "{tmp}"],
+        ["figure3", "--duration-ms", "-5"],
+        ["run", "--duration-ms", "0"],
+        ["loadgen", "--rps-per-client", "0"],
+        ["loadgen", "--clients", "0"],
+        ["loadgen", "--duration", "-1"],
+        ["fuzz", "--budget", "-1"],
+        ["fuzz", "--budget", "0"],
+        ["cluster", "--nodes", "four"],
+    ], ids=" ".join)
+    def test_an_out_of_range_number_is_a_usage_error(self, argv, tmp_path, capsys):
+        """Rejected by the parser: exit 2 before any work starts, no
+        traceback and nothing written."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(tmp=tmp_path / "obs") for arg in argv])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[1]}: " in captured.err
+        assert not (tmp_path / "obs").exists()
 
     def test_seed_changes_runs_deterministically(self, capsys):
         main(["figure4", "--seed", "1", "--duration-ms", "400"])
@@ -411,9 +477,23 @@ class TestObsPipelineCli:
         assert main(["obs", "query", str(pipeline_dir),
                      "--kind", "nope"]) == 2
         assert "unknown event kind" in capsys.readouterr().out
-        assert main(["obs", "query", str(pipeline_dir),
-                     "--window", "oops"]) == 2
-        assert "LO:HI" in capsys.readouterr().out
+        # A malformed window is the parser's usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "query", str(pipeline_dir), "--window", "oops"])
+        assert exit_info.value.code == 2
+        assert "LO:HI" in capsys.readouterr().err
+
+    def test_explain_rejects_a_pipeline_json_that_is_not_json(
+        self, pipeline_dir, tmp_path, capsys
+    ):
+        import shutil
+
+        target = tmp_path / "run"
+        shutil.copytree(pipeline_dir, target)
+        (target / "pipeline.json").write_text("{not json")
+        assert main(["obs", "explain", str(target), "--task", "video"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "pipeline.json" in out
 
     def test_explain_names_known_tasks_on_a_bad_task(self, pipeline_dir, capsys):
         assert main(["obs", "explain", str(pipeline_dir),

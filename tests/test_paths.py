@@ -167,6 +167,33 @@ def find_unused_names(repo: Path) -> list[str]:
     )
 
 
+#: The modules that parse a command line: only they read an argparse
+#: namespace; everything below takes plain arguments.
+COMMAND_LAYER = {"repro/cli.py", "repro/lint/cli.py"}
+
+
+def find_args_readers(src: Path) -> list[str]:
+    """Functions outside :data:`COMMAND_LAYER` that read an attribute of
+    a parameter named ``args``, as ``path:function``."""
+    found = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        relative = path.relative_to(src).as_posix()
+        if relative in COMMAND_LAYER:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if "args" in {a.arg for a in params} and any(
+                isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name)
+                and n.value.id == "args"
+                for n in ast.walk(node)
+            ):
+                found.append(f"{relative}:{node.name}")
+    return sorted(found)
+
+
 def test_every_module_is_imported_or_an_entry_point():
     assert set(find_orphans(REPO)) == PAPER_MODELS
 
@@ -217,3 +244,24 @@ def test_an_unused_name_is_caught(tmp_path):
     )
     (tmp_path / "examples" / "demo.py").write_text("from repro.box import helper\n")
     assert find_unused_names(tmp_path) == ["Box.as_tuple"]
+
+
+def test_argparse_stops_at_the_command_layer():
+    assert find_args_readers(REPO / "src") == []
+
+
+def test_an_args_reader_is_caught(tmp_path):
+    pkg = tmp_path / "repro"
+    (pkg / "lint").mkdir(parents=True)
+    (pkg / "cli.py").write_text("def cmd(args):\n    return args.port\n")
+    (pkg / "lint" / "cli.py").write_text("def main(args):\n    return args.fmt\n")
+    (pkg / "serve.py").write_text(
+        "def serve_main(args):\n    return args.port\n"
+        "async def boot(host, args=None):\n    return args.nodes\n"
+        "def plain(port):\n    args = parse()\n    return args.port\n"
+        "def spread(*args):\n    return len(args)\n"
+    )
+    assert find_args_readers(tmp_path) == [
+        "repro/serve.py:boot",
+        "repro/serve.py:serve_main",
+    ]
