@@ -26,7 +26,8 @@ With them the policy keeps its queues current from events instead of
 walking the thread population on every dispatch.  The overtime hook
 also selects the poll continuation in :meth:`Kernel._execute`: a thread
 already on OvertimeRequested that asks again keeps its slice, where a
-hookless policy re-picks.
+hookless policy re-picks, and a run of such polls stated as ``Poll``
+ops is charged in one step.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ from repro.tasks.base import (
     Compute,
     DonePeriod,
     InsertIdleCycles,
+    Poll,
     TaskDefinition,
 )
 from repro.tasks.channels import Channel
@@ -629,6 +631,18 @@ class Kernel:
         with the overtime hook keeps OvertimeRequested current from
         events, so only it is continued; the baselines re-pick.  The
         poll is still audited and still one phase.
+
+        A run of polls is charged in one step.  When the op before a
+        continued poll was the thread's own ``Poll(ticks)``, the body
+        promises (see :class:`~repro.tasks.base.Poll`) to yield the same
+        two ops again after every further ``Poll``, and nothing that
+        could change them happens before ``limit`` (``stop`` or the next
+        rollover, whichever is first).  So every poll that ends strictly
+        before ``limit`` would be continued too: they are consumed in
+        one ``_consume`` and each is audited and profiled at its end,
+        the ``(tid, now)`` the loop would have given.  The next poll,
+        resumed from the body, reaches ``limit`` and ends the slice as
+        it always did.
         """
         ops_at_stop = 0
         clock = self.clock
@@ -636,6 +650,9 @@ class Kernel:
         event_heap = self._event_heap
         next_event = event_heap[0] if event_heap else None
         polled = clock.now
+        # The ticks of the thread's own Poll when that was the last op
+        # fetched, else 0.
+        poll = 0
         while True:
             if thread.assignment_target is None:
                 runner, assigned = thread, False
@@ -702,6 +719,10 @@ class Kernel:
             if op.__class__ is Compute:
                 # The common op, without the call into _apply_op.
                 runner.pending_compute = op.ticks
+                poll = 0
+            elif op.__class__ is Poll:
+                runner.pending_compute = op.ticks
+                poll = 0 if assigned else op.ticks
             elif (
                 op.__class__ is DonePeriod
                 and op.overtime
@@ -718,13 +739,35 @@ class Kernel:
                 # re-make, audited and profiled as one.
                 polled = now
                 prof = self.prof
+                sanitizer = self.sanitizer
                 if prof:
                     prof.end("kernel.dispatch")
                     prof.begin("kernel.dispatch")
-                if self.sanitizer is not None:
-                    self.sanitizer.on_pick(thread, now)
+                if sanitizer is not None:
+                    sanitizer.on_pick(thread, now)
+                if poll:
+                    # The run of polls that end before the limit (see
+                    # the docstring), charged in one step.
+                    limit = self._next_rollover
+                    if stop < limit:
+                        limit = stop
+                    count = (limit - now - 1) // poll
+                    if count > 0:
+                        run = count * poll
+                        thread.pending_compute = run
+                        self._consume(thread, thread, run, False)
+                        polled = clock.now
+                        if prof or sanitizer is not None:
+                            for at in range(now + poll, polled + 1, poll):
+                                if prof:
+                                    prof.end("kernel.dispatch")
+                                    prof.begin("kernel.dispatch")
+                                if sanitizer is not None:
+                                    sanitizer.on_pick(thread, at)
+                    poll = 0
                 continue
             else:
+                poll = 0
                 try:
                     result = self._apply_op(thread, runner, assigned, op)
                 except Exception as exc:  # noqa: BLE001 - protocol misuse etc.

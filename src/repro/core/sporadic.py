@@ -23,7 +23,7 @@ from repro import units
 from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.threads import STATE_ACTIVE, STATE_EXITED, SimThread
-from repro.tasks.base import AssignGrant, Compute, DonePeriod, Op, TaskDefinition
+from repro.tasks.base import AssignGrant, DonePeriod, Op, Poll, TaskDefinition
 
 
 #: What one look at the sporadic queue costs the server.
@@ -75,9 +75,10 @@ class SporadicServer:
     def _next_ready(self) -> SimThread | None:
         """Rotate to the next runnable sporadic task (round-robin).
 
-        The server calls this on every poll, so an exited task is
-        dropped when the rotation meets it rather than by filtering the
-        whole queue first.
+        The server calls this after each poll it is resumed for, so an
+        exited task is dropped when the rotation meets it rather than by
+        filtering the whole queue first.  A pass that finds nothing
+        ready is a full rotation: the queue's order is what it was.
         """
         queue = self._queue
         for _ in range(len(queue)):
@@ -93,10 +94,15 @@ class SporadicServer:
     # -- the server's own task body -------------------------------------------------
 
     def _run(self, ctx) -> Generator[Op, None, None]:
-        # Ops are immutable; a greedy server yields these two on every
-        # poll of otherwise-unallocated time, many polls to a slice: the
-        # kernel does not re-pick on a poll (``Kernel._execute``).
-        poll = Compute(POLL_COST)
+        # Ops are immutable.  A greedy server polls otherwise-unallocated
+        # time many times to a slice, and the kernel neither re-picks on
+        # a poll nor resumes this body for each one (``Kernel._execute``
+        # charges a run of them in one step).  That rests on ``Poll``'s
+        # contract, which the server keeps: once a pass of _next_ready
+        # finds nothing ready, a further pass is a full rotation that
+        # changes nothing, so what follows a poll depends on the tasks'
+        # states alone, never on the clock or on the polls before it.
+        poll = Poll(POLL_COST)
         done = DonePeriod(overtime=self.greedy)
         while True:
             yield poll

@@ -16,6 +16,7 @@ from repro.tasks.base import (
     DonePeriod,
     InsertIdleCycles,
     Op,
+    Poll,
     PreemptionConfig,
     Semantics,
     TaskContext,
@@ -31,6 +32,7 @@ __all__ = [
     "DonePeriod",
     "InsertIdleCycles",
     "Op",
+    "Poll",
     "PreemptionConfig",
     "Semantics",
     "TaskContext",

@@ -60,6 +60,28 @@ class Compute(Op):
 
 
 @dataclass(frozen=True)
+class Poll(Op):
+    """Consume ``ticks`` of CPU time looking for work (a ``Compute`` that
+    promises what comes after it).
+
+    The contract: the op that follows a ``Poll`` may depend on
+    scheduling state — which threads are ready, blocked or gone — but
+    not on the clock, and not on how many polls came before it.  So
+    while no scheduling event can happen, a run of ``Poll`` /
+    ``DonePeriod(overtime=True)`` pairs yields the same ops whenever it
+    is resumed, and the kernel may charge such a run in one step
+    instead of resuming the body once per poll.  A body that reads the
+    clock or counts its polls must yield ``Compute`` instead.
+    """
+
+    ticks: int
+
+    def __post_init__(self) -> None:
+        if self.ticks <= 0:
+            raise TaskError(f"Poll needs a positive tick count, got {self.ticks}")
+
+
+@dataclass(frozen=True)
 class DonePeriod(Op):
     """Declare this period's work finished and yield the processor.
 

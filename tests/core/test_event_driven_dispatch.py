@@ -6,21 +6,38 @@ order instead of block order, waking every waiter on one post, waking
 from the notification rather than from the pending count, leaving the
 channel pointing at a kernel nobody is blocked in, letting a thread
 that re-requests overtime on every poll pile up heap entries, or
-re-picking on such a poll (or continuing one that spends no time).
+re-picking on such a poll (or continuing one that spends no time), or
+charging a run of ``Poll``s in one step that a per-poll loop would have
+ended, audited or profiled differently.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import MachineConfig, SimConfig, SporadicServer, TaskDefinition, units
+from repro import (
+    MachineConfig,
+    SimConfig,
+    SporadicServer,
+    TaskDefinition,
+    scenarios,
+    units,
+)
 from repro.baselines.base import BaselineSystem
 from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.sporadic import POLL_COST
 from repro.core.threads import ThreadState
-from repro.errors import SchedulerError
-from repro.tasks.base import Block, Compute, DonePeriod, InsertIdleCycles
+from repro.errors import SchedulerError, TaskError
+from repro.obs.prof import PhaseProfiler
+from repro.tasks.base import (
+    AssignGrant,
+    Block,
+    Compute,
+    DonePeriod,
+    InsertIdleCycles,
+    Poll,
+)
 from repro.tasks.channels import Channel
 from repro.workloads import grant_follower, single_entry_definition
 
@@ -208,6 +225,51 @@ def poller(polls):
     return task
 
 
+class ComputePollServer(SporadicServer):
+    """The greedy server's body with its poll stated as a ``Compute``,
+    which promises nothing about the op after it: the kernel resumes
+    the body once per poll."""
+
+    def _run(self, ctx):
+        done = DonePeriod(overtime=self.greedy)
+        while True:
+            yield Compute(POLL_COST)
+            task = self._next_ready()
+            if task is not None:
+                yield AssignGrant(task.tid, self.slice_ticks)
+            else:
+                yield done
+
+
+def audited_run(scenario, duration):
+    """Run ``scenario`` under a strict sanitizer and a phase profiler;
+    return its trace records, every audit's ``(tid, now)`` and the
+    profiler's counts."""
+    rd = scenario.rd
+    rd.attach_sanitizer(strict=True)
+    audits = []
+    check = rd.sanitizer.on_pick
+
+    def on_pick(thread, now):
+        audits.append((thread.tid, now))
+        check(thread, now)
+
+    rd.sanitizer.on_pick = on_pick
+    prof = PhaseProfiler()
+    rd.attach_prof(prof)
+    rd.run_for(duration)
+    assert rd.sanitizer.ok
+    trace = rd.trace
+    return {
+        "segments": trace.segments,
+        "switches": trace.switches,
+        "deadlines": trace.deadlines,
+        "grant_changes": trace.grant_changes,
+        "audits": audits,
+        "prof": prof.counts,
+    }
+
+
 def counted_picks(policy):
     """Shadow ``policy.pick`` with a wrapper that notes each call's
     time; returns that list."""
@@ -258,6 +320,40 @@ class TestPolls:
         ideal_rd.admit(one_entry("spinner", spinner))
         with pytest.raises(SchedulerError, match="no progress"):
             ideal_rd.run_for(ms(10))
+
+    @pytest.mark.parametrize("ticks", [0, -1])
+    def test_a_poll_needs_positive_ticks(self, ticks):
+        with pytest.raises(TaskError, match="Poll needs a positive tick count"):
+            Poll(ticks)
+
+    @pytest.mark.parametrize(
+        "build, duration",
+        [
+            (lambda: scenarios.av_pipeline(61), units.sec_to_ticks(1)),
+            (lambda: scenarios.figure5(seed=0), ms(400)),
+            (lambda: scenarios.figure4(), ms(400)),
+        ],
+        ids=["av_pipeline", "figure5", "figure4"],
+    )
+    def test_a_run_of_polls_charged_in_one_step_is_the_per_poll_run(
+        self, build, duration, monkeypatch
+    ):
+        """The server's ``Poll`` lets the kernel charge every poll that
+        ends before the slice's limit in one step; the same body stating
+        its poll as a ``Compute`` is resumed once per poll.  Nothing a
+        reader of the run can see may tell the two apart — not the
+        trace, not the audit of each poll at its own end, not the
+        profiler's counts."""
+        runs = []
+        for server in (SporadicServer, ComputePollServer):
+            monkeypatch.setattr(scenarios, "SporadicServer", server)
+            runs.append(audited_run(build(), duration))
+        charged, per_poll = runs
+        for name in ("segments", "switches", "deadlines", "grant_changes"):
+            assert charged[name] == per_poll[name], name
+        assert charged["audits"] == per_poll["audits"]
+        assert charged["prof"] == per_poll["prof"]
+        assert len(charged["audits"]) > 10 * len(charged["switches"])
 
 
 class TestBoundaryRearm:

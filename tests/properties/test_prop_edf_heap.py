@@ -509,7 +509,14 @@ def assert_same_run(a, b):
 # right before a poll; (6) a post wakes the server's job, whose pause is
 # not the server's poll; (7) an overtimer registered for controlled
 # preemption polls in a grace slice; (8) 10 ms run_for horizons fall
-# mid-poll.
+# mid-poll.  The server's run of polls is charged in one step up to a
+# limit, ``stop`` or the next rollover; one stream per bound, each found
+# to separate the kernel from the mutant that gets that bound wrong:
+# (9) batches stopped by ``stop`` short of a whole poll (a mutant
+# bounded by the rollover alone diverges); (10) batches stopped by the
+# next rollover short of a whole poll (bounded by ``stop`` alone); (11)
+# a poll that ends exactly at the limit (a batch that takes it in too);
+# (12) a post at a poll boundary that makes the sporadic ``job`` ready.
 @example((True, False, [(87, "admit", 15, 20, "follower", 0)]))
 @example((True, False, [(1, "admit", 10, 20, "postponer", 0)]))
 @example((True, False, [(5, "exit", 10, 20, "follower", 0)]))
@@ -518,6 +525,16 @@ def assert_same_run(a, b):
 @example((True, False, [(87, "post", 10, 20, "follower", 1)]))
 @example((False, False, [(1, "admit", 5, 20, "overtimer", 3)]))
 @example((True, True, [(87, "post", 10, 20, "follower", 1)]))
+@example(
+    (
+        True,
+        False,
+        [(89, "drop-blocked", 30, 10, "crasher", 3), (39, "admit", 5, 11, "postponer", 3)],
+    )
+)
+@example((True, False, [(100, "admit", 15, 15, "crasher", 2)]))
+@example((True, False, [(80, "admit", 10, 5, "follower", 1)]))
+@example((True, False, [(49, "post", 10, 15, "fidgeter", 3)]))
 @given(change_streams())
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]

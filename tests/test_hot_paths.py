@@ -48,6 +48,7 @@ from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.core.sporadic import SporadicServer
 from repro.scenarios import av_pipeline, figure5
 from repro.workloads import grant_follower, single_entry_definition
 from tests.core.test_event_driven_dispatch import counted_picks
@@ -311,11 +312,12 @@ class TestAuditAndRequestsStayInline:
 
 
 class TestPollsDoNotRepick:
-    """A greedy Sporadic Server's poll — ``Compute(POLL_COST)`` then
+    """A greedy Sporadic Server's poll — ``Poll(POLL_COST)`` then
     ``DonePeriod(overtime=True)`` — changes no queue, so the kernel keeps
     the slice going rather than re-running ``pick`` and ``timer_for``
-    (DESIGN.md §4 "A slice costs its scheduling events").  The audit
-    still sees every poll."""
+    (DESIGN.md §4 "A slice costs its scheduling events"), and charges a
+    run of such polls in one step rather than resuming the server's body
+    for each.  The audit still sees every poll."""
 
     def test_picks_follow_switches_not_polls(self):
         scenario = av_pipeline(61)
@@ -331,3 +333,26 @@ class TestPollsDoNotRepick:
         assert scenario.rd.sanitizer.ok
         # One decision per poll, as when every poll was re-picked.
         assert scenario.rd.sanitizer.decisions_checked == 4_585
+
+    def test_the_server_body_runs_per_event_not_per_poll(self, monkeypatch):
+        scenario = av_pipeline(61)
+        looks = []
+        look = SporadicServer._next_ready
+
+        def counted(server):
+            looks.append(None)
+            return look(server)
+
+        monkeypatch.setattr(SporadicServer, "_next_ready", counted)
+        scenario.rd.run_for(units.sec_to_ticks(1))
+        # Resuming the body once per poll looked at the queue 56,269
+        # times for 133 switches.
+        assert len(looks) <= 2 * len(scenario.rd.trace.switches)
+
+    def test_every_poll_of_a_charged_run_is_still_audited(self):
+        scenario = av_pipeline(61)
+        scenario.rd.attach_sanitizer(strict=True)
+        scenario.rd.run_for(units.sec_to_ticks(1))
+        assert scenario.rd.sanitizer.ok
+        # One decision per poll, as when every poll was re-picked.
+        assert scenario.rd.sanitizer.decisions_checked == 56_394
