@@ -6,17 +6,18 @@ architectural invariants as checkable rules:
 * **layering** — imports point down the architecture, never up
   (``repro.core`` never imports ``viz``/``cli``/``metrics.report``;
   the Scheduler never imports the Policy Box);
-* **wallclock** / **unseeded-rng** — simulation determinism: simulated
-  ticks only, randomness only through ``sim.rng``'s seeded streams;
 * **float-ticks** — units discipline: tick counts are integers;
-* **bare-except** / **silent-except** — error hygiene in the core.
+* **bare-except** / **silent-except** — error hygiene in the core;
+* **obs-unguarded-emit** — an uninstrumented run never pays for a hook.
 
 Every run also joins the parsed modules into a project index
 (:mod:`repro.lint.flow`) — symbol tables, a resolved call graph, a
 lightweight abstract interpreter — for the rules that check what no
 single module can show: **tick-units** dimensional analysis,
-**determinism-reach** (wallclock/RNG sinks reachable through any call
-chain), and **rpc-exception-safety**.  The tree gates at zero findings.
+**determinism** (simulated ticks only, randomness only through
+``sim.rng``'s seeded streams: no wall-clock read or unseeded RNG
+reachable through any call chain, per one scope table), and
+**rpc-exception-safety**.  The tree gates at zero findings.
 
 Run as ``python -m repro.lint src/`` (or the ``repro-lint`` console
 script); see :mod:`repro.lint.cli` for flags and exit codes, and
@@ -24,21 +25,12 @@ script); see :mod:`repro.lint.cli` for flags and exit codes, and
 static pass is :class:`repro.metrics.sanitizer.InvariantSanitizer`.
 """
 
-from repro.lint.config import LintConfig, LintConfigError, load_config
-from repro.lint.engine import (
-    collect_files,
-    module_name,
-    parse_module,
-    rule_catalog_hash,
-    run_lint,
-)
-from repro.lint.resolve import ModuleResolver
+from repro.lint.engine import collect_files, module_name, parse_module, run_lint
+from repro.lint.flow.index import ModuleResolver
 from repro.lint.rules import RULE_CLASSES, all_rules
 from repro.lint.rules.base import LintViolation, ModuleInfo, Rule
 
 __all__ = [
-    "LintConfig",
-    "LintConfigError",
     "LintViolation",
     "ModuleInfo",
     "ModuleResolver",
@@ -46,9 +38,7 @@ __all__ = [
     "RULE_CLASSES",
     "all_rules",
     "collect_files",
-    "load_config",
     "module_name",
     "parse_module",
-    "rule_catalog_hash",
     "run_lint",
 ]

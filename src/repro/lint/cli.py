@@ -7,14 +7,11 @@ Usage::
     python -m repro.lint --list-rules
     python -m repro.lint --explain tick-units
 
-Exit codes: 0 = clean, 1 = violations found, 2 = usage/config error —
-so CI can gate on the return code directly.
+Exit codes: 0 = clean, 1 = violations found, 2 = usage error — so CI
+can gate on the return code directly.
 
 The JSON payload is byte-deterministic (stable violation order, sorted
-keys) and self-describing: ``schema_version`` plus a
-``rule_catalog_hash`` digest of the active rule set, so the CI diff
-gate can compare two runs byte-for-byte and a mismatch names its own
-cause (different findings vs different rules).
+keys) and carries its ``schema_version``.
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.config import LintConfigError, load_config
-from repro.lint.engine import iter_rule_catalog, rule_catalog_hash, run_lint
+from repro.lint.engine import run_lint
 from repro.lint.rules import RULE_CLASSES
 from repro.lint.rules.base import Rule
 
@@ -35,8 +31,8 @@ EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
 
 #: Version of the ``--format=json`` payload.  Bump when its shape
-#: changes; consumers (the CI diff gate) reject unknown versions.
-JSON_SCHEMA_VERSION = 4
+#: changes.
+JSON_SCHEMA_VERSION = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,13 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--config",
-        type=Path,
-        default=None,
-        help="pyproject.toml to read [tool.repro-lint] from "
-        "(default: search upward from the current directory)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -84,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_rules() -> None:
     width = max(len(cls.id) for cls in RULE_CLASSES)
-    for rule_id, rationale in iter_rule_catalog():
-        print(f"{rule_id:<{width}}  {rationale}")
+    for cls in RULE_CLASSES:
+        print(f"{cls.id:<{width}}  {cls.rationale}")
 
 
 def _explain(rule_id: str) -> int:
@@ -116,14 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.explain is not None:
         return _explain(args.explain)
 
-    known_ids = {cls.id for cls in RULE_CLASSES}
-    try:
-        config = load_config(args.config)
-        config.validate_rule_ids(known_ids)
-    except LintConfigError as exc:
-        print(f"repro-lint: config error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
     paths = args.paths or [Path("src")]
     missing = [p for p in paths if not p.exists()]
     if missing:
@@ -133,12 +114,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         return EXIT_ERROR
 
-    violations = run_lint(paths, config=config)
+    violations = run_lint(paths)
 
     if args.format == "json":
         payload = {
             "schema_version": JSON_SCHEMA_VERSION,
-            "rule_catalog_hash": rule_catalog_hash(),
             "count": len(violations),
             "violations": [v.to_dict() for v in violations],
         }

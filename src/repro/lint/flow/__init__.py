@@ -9,9 +9,9 @@ function bodies — to reason across function and module boundaries:
 
 * **tick-units** — dimensional analysis over the 27 MHz tick timebase:
   cross-unit arithmetic and ms-into-ticks parameter passing;
-* **determinism-reach** — wallclock/unseeded-RNG sinks *reachable*
-  from the simulation core through helpers the direct rules cannot
-  see, with an interprocedural path witness;
+* **determinism** — wall-clock reads and global or unseeded RNG draws
+  reachable from the packages its scope table names, at any call
+  depth, with an interprocedural path witness;
 * **rpc-exception-safety** — RPC transmissions whose failure paths can
   leak a registered idempotency token.
 

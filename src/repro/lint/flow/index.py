@@ -21,7 +21,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.lint.resolve import ModuleResolver
 from repro.lint.rules.base import ModuleInfo, dotted_name
 
 __all__ = [
@@ -35,13 +34,65 @@ __all__ = [
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+class ModuleResolver:
+    """Resolve names inside ONE module through its import aliases."""
+
+    def __init__(self, module: ModuleInfo) -> None:
+        self.module = module
+        #: Local alias -> imported dotted target (``rnd`` -> ``random``,
+        #: ``monotonic`` -> ``time.monotonic``).
+        self.imports: dict[str, str] = {}
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    target = alias.name if alias.asname else alias.name.split(".")[0]
+                    self.imports[local] = target
+            elif isinstance(node, ast.ImportFrom):
+                if node.level or node.module is None:
+                    base = relative_base(module.module, node.level, node.module)
+                else:
+                    base = node.module
+                if base is None:
+                    continue
+                for alias in node.names:
+                    if alias.name == "*":
+                        continue
+                    self.imports[alias.asname or alias.name] = f"{base}.{alias.name}"
+
+    def canonical(self, name: str) -> str:
+        """Expand the leading alias of a dotted name, if any."""
+        head, _, rest = name.partition(".")
+        target = self.imports.get(head)
+        if target is None:
+            return name
+        return f"{target}.{rest}" if rest else target
+
+
+def relative_base(module: str, level: int, target: str | None) -> str | None:
+    """Resolve ``from ..x import y``'s base package relative to ``module``."""
+    if level == 0:
+        return target
+    parts = module.split(".")
+    if len(parts) < level:
+        return None
+    base_parts = parts[: len(parts) - level]
+    if target:
+        base_parts.append(target)
+    return ".".join(base_parts) if base_parts else None
+
+
 @dataclass
 class FunctionInfo:
-    """One function or method, located by its fully qualified name."""
+    """One function or method, located by its fully qualified name.
+
+    The call graph also gives each module's top-level code one entry,
+    ``<module>.<module>``, whose ``node`` is the module itself.
+    """
 
     qname: str
     module: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
     #: Simple name of the enclosing class, ``None`` for module level.
     class_name: str | None = None
 
@@ -60,6 +111,8 @@ class FunctionInfo:
     def param_annotations(self) -> dict[str, str]:
         """Parameter name -> annotation rendered as a dotted name."""
         out: dict[str, str] = {}
+        if isinstance(self.node, ast.Module):
+            return out
         args = self.node.args
         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             if a.annotation is not None:
@@ -160,10 +213,8 @@ class ProjectIndex:
 
     def __init__(self, modules: list[ModuleInfo]) -> None:
         self.tables: dict[str, ModuleTable] = {}
-        self.by_path: dict[str, ModuleInfo] = {}
         for info in modules:
             self.tables[info.module] = _build_table(info)
-            self.by_path[str(info.path)] = info
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         for table in self.tables.values():

@@ -3,35 +3,32 @@
 Adding a rule: write a :class:`~repro.lint.rules.base.Rule` subclass
 with a unique ``id`` in a module here (or, for a rule that needs the
 whole tree, in :mod:`repro.lint.flow`), import it below, and add it to
-:data:`RULE_CLASSES`.  The engine, CLI, config table, and
-``--list-rules`` all discover it from the registry.
+:data:`RULE_CLASSES`.  The engine, ``--list-rules`` and ``--explain``
+all discover it from the registry.
 """
 
 from __future__ import annotations
 
 from repro.lint.rules.base import LintViolation, ModuleInfo, Rule
-from repro.lint.rules.determinism import UnseededRandomRule, WallClockRule
 from repro.lint.rules.hygiene import BareExceptRule, SilentExceptRule
 from repro.lint.rules.layering import LayeringRule
 from repro.lint.rules.obs import ObsUnguardedEmitRule
 from repro.lint.rules.units import FloatTickRule
 
-# The whole-program rules import ``rules.base`` and ``rules.determinism``,
-# so they come after every submodule above.
-from repro.lint.flow.reach import DeterminismReachRule
+# The whole-program rules import ``rules.base``, so they come after
+# every submodule above.
+from repro.lint.flow.determinism import DeterminismRule
 from repro.lint.flow.rpc import RpcExceptionSafetyRule
 from repro.lint.flow.tick_units import TickUnitsRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     LayeringRule,
-    WallClockRule,
-    UnseededRandomRule,
     FloatTickRule,
     BareExceptRule,
     SilentExceptRule,
     ObsUnguardedEmitRule,
     TickUnitsRule,
-    DeterminismReachRule,
+    DeterminismRule,
     RpcExceptionSafetyRule,
 )
 
@@ -48,13 +45,11 @@ __all__ = [
     "RULE_CLASSES",
     "all_rules",
     "BareExceptRule",
-    "DeterminismReachRule",
+    "DeterminismRule",
     "FloatTickRule",
     "LayeringRule",
     "ObsUnguardedEmitRule",
     "RpcExceptionSafetyRule",
     "SilentExceptRule",
     "TickUnitsRule",
-    "UnseededRandomRule",
-    "WallClockRule",
 ]

@@ -1,9 +1,8 @@
 """Rule plumbing shared by every repro-lint rule.
 
-A rule is a class with a stable ``id`` (the name used in output, in
-``# repro-lint: disable=<id>`` suppressions, and in the
-``[tool.repro-lint]`` config), a docstring explaining the invariant it
-enforces, and one of two methods: ``check`` yields violations for one
+A rule is a class with a stable ``id`` (the name used in output and by
+``--explain``), a docstring explaining the invariant it enforces, and
+one of two methods: ``check`` yields violations for one
 parsed module, ``check_project`` for the whole scanned tree (a
 :class:`~repro.lint.flow.index.ProjectIndex`: symbol tables, call
 graph), and then carries the interprocedural ``witness`` path that
@@ -31,7 +30,6 @@ class ModuleInfo:
     #: ``__init__.py`` chain above the file; bare stem for loose files.
     module: str
     tree: ast.Module
-    lines: tuple[str, ...]
 
     def in_package(self, prefix: str) -> bool:
         """Is this module ``prefix`` itself or inside package ``prefix``?"""
@@ -74,7 +72,7 @@ class LintViolation:
 class Rule:
     """Base class for repro-lint rules."""
 
-    #: Stable identifier used in output, suppressions, and config.
+    #: Stable identifier used in output and by ``--explain``.
     id: str = ""
     #: One-line rationale shown by ``--list-rules`` / ``--explain``.
     rationale: str = ""

@@ -11,7 +11,7 @@ three things, which this package models:
 * the exclusive functional units a grant can confer (``exclusive``).
 """
 
-from repro.machine.cpu import ContextSwitchModel, RegisterFile
+from repro.machine.cpu import ContextSwitchModel
 from repro.machine.exclusive import ExclusiveUnitRegistry
 from repro.machine.interrupts import InterruptReserve
 
@@ -19,5 +19,4 @@ __all__ = [
     "ContextSwitchModel",
     "ExclusiveUnitRegistry",
     "InterruptReserve",
-    "RegisterFile",
 ]

@@ -20,23 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from repro import units
 from repro.config import ContextSwitchCosts
 from repro.sim.trace import SWITCH_VOLUNTARY, SwitchKind
-
-
-@dataclass(frozen=True)
-class RegisterFile:
-    """Register counts of the MAP1000, used for documentation and for the
-    analytic lower bound on switch cost in the §6.1 bench."""
-
-    banks: int = 2
-    registers_per_bank: int = 64
-    caller_saved_per_bank: int = 50  # 64 - 14 callee-saved
-    callee_saved_per_bank: int = 14
-    system_registers: int = 64
 
 
 class _ShiftedLognormal:

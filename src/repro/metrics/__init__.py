@@ -6,9 +6,7 @@ apply to the Resource Distributor and to every baseline scheduler.
 """
 
 from repro.metrics.accounting import (
-    PeriodOutcome,
     allocation_series,
-    delivered_per_period,
     miss_rate,
     qos_timeline,
     utilization,
@@ -16,7 +14,6 @@ from repro.metrics.accounting import (
 from repro.metrics.analysis import (
     SwitchStats,
     overhead_fraction,
-    preemptions_per_thread,
     summarize_switches,
 )
 from repro.metrics.export import deadlines_to_csv, segments_to_csv, trace_to_json
@@ -34,7 +31,6 @@ from repro.metrics.validate import TraceValidator, ValidationReport, validate_tr
 __all__ = [
     "InvariantSanitizer",
     "LatencyStats",
-    "PeriodOutcome",
     "SwitchStats",
     "TraceValidator",
     "ValidationReport",
@@ -47,10 +43,8 @@ __all__ = [
     "trace_to_json",
     "validate_trace",
     "allocation_series",
-    "delivered_per_period",
     "miss_rate",
     "overhead_fraction",
-    "preemptions_per_thread",
     "qos_timeline",
     "run_report",
     "summarize_switches",

@@ -2,40 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.trace import SegmentKind, TraceRecorder
-
-
-@dataclass(frozen=True)
-class PeriodOutcome:
-    """One thread-period, summarized."""
-
-    thread_id: int
-    period_index: int
-    period_start: int
-    deadline: int
-    granted: int
-    delivered: int
-    missed: bool
-    voided: bool
-
-
-def delivered_per_period(trace: TraceRecorder, thread_id: int) -> list[PeriodOutcome]:
-    """Each period's delivered-vs-granted outcome, in period order."""
-    return [
-        PeriodOutcome(
-            thread_id=d.thread_id,
-            period_index=d.period_index,
-            period_start=d.period_start,
-            deadline=d.deadline,
-            granted=d.granted,
-            delivered=d.delivered,
-            missed=d.missed,
-            voided=d.voided,
-        )
-        for d in sorted(trace.deadlines_for(thread_id), key=lambda d: d.period_index)
-    ]
 
 
 def miss_rate(trace: TraceRecorder, thread_id: int | None = None) -> float:

@@ -56,15 +56,6 @@ def overhead_fraction(trace: TraceRecorder, start: int = 0, end: int | None = No
     return cost / elapsed
 
 
-def preemptions_per_thread(trace: TraceRecorder) -> dict[int, int]:
-    """How many times each thread was involuntarily switched out."""
-    counts: dict[int, int] = {}
-    for s in trace.switches:
-        if s.kind is SwitchKind.INVOLUNTARY and s.from_thread is not None:
-            counts[s.from_thread] = counts.get(s.from_thread, 0) + 1
-    return counts
-
-
 def switches_per_second(trace: TraceRecorder, start: int = 0, end: int | None = None) -> float:
     """Context switches per simulated second over ``[start, end)``."""
     if end is None:

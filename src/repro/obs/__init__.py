@@ -27,7 +27,7 @@ the stack.  ``repro.core``, ``repro.sim``, and ``repro.cluster`` may
 all emit into it; ``repro.obs`` itself imports nothing above it (and
 never ``repro.cluster`` — the lint ``layering`` rule enforces both
 directions).  All timestamps are simulated ticks, never wall-clock
-(the ``wallclock`` lint rule covers this package), so two runs with
+(the ``determinism`` lint rule covers this package), so two runs with
 the same seed write byte-identical artifacts.
 
 Instrumentation is off by default: every hook site guards on the

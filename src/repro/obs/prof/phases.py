@@ -31,7 +31,7 @@ Two books are kept:
 
 The clock is injectable so unit tests script it; production uses
 ``time.perf_counter_ns`` — this module is part of the observability
-layer's sanctioned wall-clock funnel (see the ``wallclock`` lint rule).
+layer's sanctioned wall-clock funnel (see the ``determinism`` lint rule).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ pipelining of concurrent requests on one connection, no multipart.
 Unlike every layer below it, this module lives in wall-clock land:
 ``asyncio`` timeouts and socket readiness are real time.  That is the
 design, not an accident — the serving layer is the boundary where the
-deterministic simulation meets live clients, and ``repro.lint`` scopes
-its wall-clock rules to the simulated layers precisely so this one can
-be honest about being a network service.
+deterministic simulation meets live clients, and the ``determinism``
+lint rule's scope table names only the simulated layers precisely so
+this one can be honest about being a network service.
 """
 
 from __future__ import annotations

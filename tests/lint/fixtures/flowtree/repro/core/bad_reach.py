@@ -1,4 +1,4 @@
-"""Fixture: determinism sinks reachable from the core (determinism-reach).
+"""Fixture: determinism sinks reachable from the core (determinism).
 
 No wall-clock call appears in this file — every violation is one or
 more hops away, through ``repro.helpers.util``.

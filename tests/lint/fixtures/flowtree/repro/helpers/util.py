@@ -1,10 +1,10 @@
 """Fixture: helpers OUTSIDE the determinism scope.
 
-The direct ``wallclock`` / ``unseeded-rng`` rules do not cover
-``repro.helpers`` — that blindness is exactly what the
-``determinism-reach`` flow rule exists to close: a scoped caller that
-reaches ``stamp``/``jitter``/``chain`` gets flagged with the path
-witness.
+The ``determinism`` rule's scope table does not cover
+``repro.helpers``, so a sink here is no finding by itself.  A covered
+caller that reaches ``stamp``/``jitter``/``chain`` is flagged at its
+call site, with the path witness (``caller -> helper -> sink``) in
+the diagnostic.
 """
 
 import random

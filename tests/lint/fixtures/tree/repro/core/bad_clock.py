@@ -1,4 +1,4 @@
-"""Fixture: wall-clock reads inside the simulation core (wallclock)."""
+"""Fixture: wall-clock reads inside the simulation core (determinism)."""
 
 import time
 from datetime import datetime

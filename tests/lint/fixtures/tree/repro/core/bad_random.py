@@ -1,4 +1,4 @@
-"""Fixture: unseeded randomness inside the simulation core (unseeded-rng)."""
+"""Fixture: unseeded randomness inside the simulation core (determinism)."""
 
 import random
 from random import choice

@@ -1,5 +1,5 @@
 """Fixture: a wall-clock timestamp inside the telemetry layer
-(wallclock) — event times must be simulated ticks."""
+(determinism) — event times must be simulated ticks."""
 
 import time
 

@@ -1,7 +1,7 @@
 """Fixture: everything the serving layer is allowed to do (all
 negatives).  It imports freely *downward* (cluster, obs, core) and it
 reads the wall clock — the one layer where that is architecture-legal,
-because the determinism rules scope their checks to the simulated
+because the determinism rule scopes its checks to the simulated
 packages rather than exempting call sites."""
 
 import time

@@ -1,4 +1,4 @@
-"""Fixture: the sanctioned RNG funnel is exempt from unseeded-rng."""
+"""Fixture: the sanctioned RNG funnel is exempt from determinism's RNG row."""
 
 import random
 

@@ -6,6 +6,7 @@ from pathlib import Path
 from repro.lint import ModuleResolver, collect_files, parse_module
 from repro.lint.flow.callgraph import CallGraph, ext
 from repro.lint.flow.index import ProjectIndex
+from repro.lint.rules.base import dotted_name
 
 FLOWTREE = Path(__file__).parent / "fixtures" / "flowtree"
 
@@ -37,15 +38,14 @@ class TestModuleResolver:
         resolver = ModuleResolver(module)
         assert resolver.canonical("monotonic") == "time.monotonic"
         assert resolver.canonical("c") == "random.choice"
-        assert "monotonic" in resolver.from_imports
-        assert "c" not in resolver.from_imports  # aliased, not bare
 
     def test_resolve_call_handles_attribute_chains(self, tmp_path):
         module = parse_source(tmp_path, "import time as t\nx = t.monotonic()\n")
         call = next(
             n for n in ast.walk(module.tree) if isinstance(n, ast.Call)
         )
-        assert ModuleResolver(module).resolve_call(call) == "time.monotonic"
+        name = dotted_name(call.func)
+        assert ModuleResolver(module).canonical(name) == "time.monotonic"
 
     def test_unimported_names_pass_through(self, tmp_path):
         module = parse_source(tmp_path, "y = foo.bar()\n")
@@ -116,3 +116,30 @@ class TestCallGraph:
             skip=lambda key: key == "repro.helpers.util.chain",
         )
         assert path is None
+
+    def test_a_target_can_be_a_test_on_the_call(self):
+        index = build_index()
+        graph = CallGraph(index)
+        path = graph.reaches(
+            "repro.core.bad_determinism.seeded",
+            lambda site: site.callee == ext("random.Random") and not site.node.args,
+        )
+        assert path is None
+        path = graph.reaches(
+            "repro.core.bad_determinism.seeded",
+            lambda site: site.callee == ext("random.Random"),
+        )
+        assert path == ["repro.core.bad_determinism.seeded", "ext:random.Random"]
+
+    def test_top_level_code_is_one_node_per_module(self):
+        index = build_index()
+        graph = CallGraph(index)
+        top = "repro.cluster.bad_determinism.<module>"
+        assert {s.callee for s in graph.callees(top)} == {
+            ext("time.time"),
+            ext("random.random"),
+        }
+        assert top in {caller.qname for caller in graph.callers}
+        # A method's body belongs to the method, not to the module.
+        method = "repro.cluster.bad_determinism.Jitter.skew"
+        assert {s.callee for s in graph.callees(method)} == {ext("random.randint")}

@@ -82,12 +82,15 @@ class TestFuzzSporadicTickUnits:
 
 
 class TestDeterminismReachRule:
+    """The ``determinism`` rule across calls: a sink reached through
+    helpers outside its scope table's packages, at any depth."""
+
     def test_flags_all_seeded_sites(self, flow_violations):
         found = by_file(flow_violations, "bad_reach.py")
         assert [(v.line, v.rule_id) for v in found] == [
-            (11, "determinism-reach"),
-            (15, "determinism-reach"),
-            (19, "determinism-reach"),
+            (11, "determinism"),
+            (15, "determinism"),
+            (19, "determinism"),
         ]
 
     def test_two_hop_witness(self, flow_violations):
@@ -116,6 +119,43 @@ class TestDeterminismReachRule:
 
     def test_clean_fixture_is_silent(self, flow_violations):
         assert by_file(flow_violations, "good_reach.py") == []
+
+    @pytest.mark.parametrize(
+        "relpath",
+        [
+            "repro/cluster/bad_determinism.py",
+            "repro/obs/bad_determinism.py",
+            "repro/core/bad_determinism.py",
+        ],
+    )
+    def test_every_marked_line_is_flagged(self, flow_violations, relpath):
+        """Direct sinks in cluster and obs, at module level, in a class
+        body and at the end of an in-package chain, and RNGs seeded from
+        OS entropy: each ``# flagged`` line is one finding, no other
+        line of the file is (so a chain inside the package is reported
+        once, where it reaches the sink)."""
+        path = FLOWTREE / relpath
+        marked = [
+            number
+            for number, text in enumerate(path.read_text().splitlines(), 1)
+            if text.endswith("# flagged")
+        ]
+        found = [v for v in flow_violations if Path(v.path) == path]
+        assert marked
+        assert [v.line for v in found] == marked
+        assert {v.rule_id for v in found} == {"determinism"}
+
+    def test_a_direct_call_is_a_witness_of_one_call(self, flow_violations):
+        (v,) = [
+            v
+            for v in by_file(flow_violations, "bad_determinism.py")
+            if "SystemRandom" in v.message
+        ]
+        assert v.witness == (
+            "repro.core.bad_determinism.entropy",
+            "random.SystemRandom",
+        )
+        assert "random.SystemRandom() in repro.core.bad_determinism.entropy" in v.message
 
 
 class TestRpcExceptionSafetyRule:
@@ -154,18 +194,6 @@ class TestArenaHooksUnderFlow:
 
 
 class TestFlowTierWiring:
-    def test_flow_rules_honor_rule_config(self, flow_violations):
-        from repro.lint.config import LintConfig
-
-        violations = run_lint(
-            [FLOWTREE],
-            config=LintConfig(disable=("tick-units", "determinism-reach")),
-        )
-        got = {v.rule_id for v in violations}
-        assert "tick-units" not in got
-        assert "determinism-reach" not in got
-        assert "rpc-exception-safety" in got
-
     def test_output_is_deterministic_across_runs(self, flow_violations):
         again = run_lint([FLOWTREE])
         assert [v.to_dict() for v in again] == [

@@ -104,15 +104,18 @@ class TestLayering:
 
 
 class TestWallClock:
+    """The wall-clock row of the ``determinism`` scope table."""
+
     def test_wallclock_reads_in_core_are_flagged(self):
-        violations = [v for v in lint("repro/core/bad_clock.py") if v.rule_id == "wallclock"]
+        violations = [v for v in lint("repro/core/bad_clock.py") if v.rule_id == "determinism"]
         assert len(violations) == 2
+        assert all(v.message.startswith("wall-clock read ") for v in violations)
         assert any("time.time" in v.message for v in violations)
         assert any("datetime.now" in v.message for v in violations)
 
     def test_wallclock_reads_in_obs_are_flagged(self):
         violations = lint("repro/obs/bad_clock.py")
-        assert rule_ids(violations) == ["wallclock"]
+        assert rule_ids(violations) == ["determinism"]
         assert "time.time" in violations[0].message
 
     def test_wallclock_outside_sim_core_is_ignored(self):
@@ -126,10 +129,15 @@ class TestWallClock:
 
 
 class TestUnseededRandom:
+    """The RNG row of the ``determinism`` scope table."""
+
     def test_global_random_use_in_core_is_flagged(self):
         violations = lint("repro/core/bad_random.py")
-        assert rule_ids(violations) == ["unseeded-rng"] * 3
-        assert any("choice" in v.message for v in violations)
+        assert rule_ids(violations) == ["determinism"] * 3
+        # ``from random import choice`` is reported at the import (line
+        # 4), not again at the call through the imported name (line 16).
+        assert [v.line for v in violations] == [4, 8, 12]
+        assert "random.choice() imported by name" in violations[0].message
         assert any("random.random()" in v.message for v in violations)
         assert any("random.Random()" in v.message for v in violations)
 
@@ -220,7 +228,19 @@ class TestWholeTree:
         assert "clean.py" not in by_file
         assert "rng.py" not in by_file
         assert "outside_scope.py" not in by_file
-        assert len(by_file["suppressed.py"]) == 1
+        determinism = {
+            (Path(v.path).relative_to(TREE).as_posix(), v.line)
+            for v in violations
+            if v.rule_id == "determinism"
+        }
+        assert determinism == {
+            ("repro/core/bad_clock.py", 8),
+            ("repro/core/bad_clock.py", 12),
+            ("repro/core/bad_random.py", 4),
+            ("repro/core/bad_random.py", 8),
+            ("repro/core/bad_random.py", 12),
+            ("repro/obs/bad_clock.py", 8),
+        }
 
     def test_shipped_src_tree_is_clean(self):
         """Acceptance: the real src/ tree lints clean."""

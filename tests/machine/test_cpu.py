@@ -7,23 +7,13 @@ import pytest
 
 from repro import units
 from repro.config import ContextSwitchCosts
-from repro.machine.cpu import ContextSwitchModel, RegisterFile
+from repro.machine.cpu import ContextSwitchModel
 from repro.sim.trace import SwitchKind
 
 
 @pytest.fixture
 def model():
     return ContextSwitchModel(ContextSwitchCosts(), random.Random(1234))
-
-
-class TestRegisterFile:
-    def test_voluntary_saves_14_per_bank(self):
-        rf = RegisterFile()
-        assert rf.callee_saved_per_bank * rf.banks == 28
-
-    def test_involuntary_saves_both_banks_plus_system(self):
-        rf = RegisterFile()
-        assert rf.registers_per_bank * rf.banks + rf.system_registers == 2 * 64 + 64
 
 
 class TestCalibration:

@@ -5,7 +5,6 @@ import pytest
 from repro import units
 from repro.metrics import (
     allocation_series,
-    delivered_per_period,
     miss_rate,
     qos_timeline,
     utilization,
@@ -67,7 +66,7 @@ class TestMissRate:
 
 class TestPerPeriod:
     def test_delivered_per_period_ordered(self, trace):
-        outcomes = delivered_per_period(trace, 2)
+        outcomes = trace.deadlines_for(2)
         assert [o.period_index for o in outcomes] == [0, 1]
         assert outcomes[0].missed and not outcomes[0].voided
         assert outcomes[1].voided

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.metrics import SwitchStats, overhead_fraction, preemptions_per_thread, summarize_switches
+from repro.metrics import SwitchStats, overhead_fraction, summarize_switches
 from repro.metrics.analysis import switches_per_second
 from repro.sim.trace import ContextSwitchRecord, SwitchKind, TraceRecorder
 
@@ -52,7 +52,8 @@ class TestOverhead:
 
 class TestCounting:
     def test_preemptions_per_thread(self, trace):
-        assert preemptions_per_thread(trace) == {2: 1}
+        preempted = [s.from_thread for s in trace.switches if s.kind is SwitchKind.INVOLUNTARY]
+        assert preempted == [2]
 
     def test_switches_per_second(self, trace):
         rate = switches_per_second(trace, 0, units.sec_to_ticks(1))

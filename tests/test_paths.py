@@ -15,7 +15,9 @@ The same holds one level down: a public function, class or method whose
 name appears nowhere in ``src/``, ``benchmarks/`` or ``examples/`` but
 in its own definition is reached only by tests, and goes (its tests are
 restated against the data it read).  A plain word search decides it, so
-a name shared with anything else in those trees counts as used.
+a name shared with anything else in those trees counts as used; a
+package ``__init__``'s imports and ``__all__`` do not count, since
+re-exporting a name is not using it.
 """
 
 import ast
@@ -140,6 +142,29 @@ def find_orphans(repo: Path) -> list[str]:
     return sorted(set(modules) - live)
 
 
+def _uses(path: Path) -> str:
+    """A file's text, less a package ``__init__``'s imports and
+    ``__all__``: re-exporting a name is not a use of it."""
+    text = path.read_text()
+    if path.name != "__init__.py":
+        return text
+    lines = text.splitlines()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _binds_all(node):
+            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def _binds_all(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
 def find_unused_names(repo: Path) -> list[str]:
     """Public ``src/repro`` functions, classes and methods (as
     ``Class.method``) whose name occurs in the ``src``, ``benchmarks``
@@ -147,7 +172,7 @@ def find_unused_names(repo: Path) -> list[str]:
     words: Counter[str] = Counter()
     for directory in ("src", "benchmarks", "examples"):
         for path in sorted((repo / directory).rglob("*.py")):
-            words.update(re.findall(r"\w+", path.read_text()))
+            words.update(re.findall(r"\w+", _uses(path)))
     defined: dict[str, list[str]] = {}
 
     def visit(body, owner: str) -> None:
@@ -242,8 +267,15 @@ def test_an_unused_name_is_caught(tmp_path):
         "    def as_tuple(self):\n        return ()\n"
         "def helper():\n    return Box().size()\n"
     )
+    (pkg / "__init__.py").write_text(
+        "from repro.box import Box, helper\n"
+        "from repro.crate import (\n    Crate,\n)\n"
+        "__all__ = [\"Box\", \"Crate\", \"helper\"]\n"
+    )
+    # Only re-exported: the package's import and ``__all__`` are not uses.
+    (pkg / "crate.py").write_text("class Crate:\n    pass\n")
     (tmp_path / "examples" / "demo.py").write_text("from repro.box import helper\n")
-    assert find_unused_names(tmp_path) == ["Box.as_tuple"]
+    assert find_unused_names(tmp_path) == ["Box.as_tuple", "Crate"]
 
 
 def test_argparse_stops_at_the_command_layer():
