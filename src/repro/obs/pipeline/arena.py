@@ -5,7 +5,7 @@ dataclass per event and hands it to every subscriber.  An
 :class:`EventArena` stores the same record as one scalar append per
 field into parallel per-kind column lists — no per-event object, no
 per-event dict — and the typed events become *views* materialized on
-demand (for export, analysis, metrics, or a live subscriber).
+demand (for export, analysis or a live subscriber; metrics fold the columns).
 :class:`ArenaBus` is the drop-in bus: hot sites keep their
 ``if self.obs:`` guard and their one ``emit_*`` call; only the bus
 decides that the record lands in columns instead of an object.
@@ -348,16 +348,6 @@ class ArenaBus(ObsBus):
 
     def materialize(self) -> list[ObsEvent]:
         """Every live event across all nodes, in global emission order."""
-        return self.materialize_since(StreamCursor())
-
-    def materialize_since(self, cursor: StreamCursor) -> list[ObsEvent]:
-        """The live events emitted since ``cursor`` last read, in global
-        order; advances ``cursor`` past them.
-
-        A ring-buffered bus may have evicted rows the cursor never
-        reached: they are skipped here exactly as :meth:`materialize`
-        skips them (and counted in ``overwritten`` as always).
-        """
         return [
             EVENT_TYPES[kind.tag](
                 **{
@@ -365,5 +355,5 @@ class ArenaBus(ObsBus):
                     for name, column in zip(kind.fields, kind.lists)
                 }
             )
-            for kind, row in self._walk(cursor)
+            for kind, row in self._walk(StreamCursor())
         ]

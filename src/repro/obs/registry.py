@@ -26,43 +26,51 @@ def _label_key(
     return tuple(str(labels[name]) for name in label_names)
 
 
-class Counter:
-    """A monotonically increasing count, optionally per label set."""
+class _Metric:
+    """Name, help, label names and one series per label key.  An update's
+    keyed form (``inc_key``, ...) takes the key — each label value's
+    ``str``, in ``label_names`` order — built by a caller that checked
+    its label plan once; the keyword forms check theirs on every call."""
 
-    kind = "counter"
+    kind = ""
 
     def __init__(self, name: str, help_text: str, label_names: tuple[str, ...] = ()) -> None:
         self.name = name
         self.help = help_text
         self.label_names = label_names
-        self._series: dict[tuple[str, ...], float] = {}
+        self._series: dict[tuple[str, ...], object] = {}
+
+    def series(self) -> list[tuple[tuple[str, ...], object]]:
+        return sorted(self._series.items())
+
+
+class Counter(_Metric):
+    """A monotonically increasing count, optionally per label set."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1, **labels: str) -> None:
+        self.inc_key(_label_key(self.label_names, labels), amount)
+
+    def inc_key(self, key: tuple[str, ...], amount: float = 1) -> None:
         if amount < 0:
             raise SimulationError(f"counter {self.name} cannot decrease")
-        key = _label_key(self.label_names, labels)
         self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, **labels: str) -> float:
         return self._series.get(_label_key(self.label_names, labels), 0)
 
-    def series(self) -> list[tuple[tuple[str, ...], float]]:
-        return sorted(self._series.items())
 
-
-class Gauge:
+class Gauge(_Metric):
     """A value that can go up and down (headroom, weights, queue depth)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str, label_names: tuple[str, ...] = ()) -> None:
-        self.name = name
-        self.help = help_text
-        self.label_names = label_names
-        self._series: dict[tuple[str, ...], float] = {}
-
     def set(self, value: float, **labels: str) -> None:
-        self._series[_label_key(self.label_names, labels)] = value
+        self.set_key(_label_key(self.label_names, labels), value)
+
+    def set_key(self, key: tuple[str, ...], value: float) -> None:
+        self._series[key] = value
 
     def add(self, amount: float, **labels: str) -> None:
         key = _label_key(self.label_names, labels)
@@ -72,12 +80,10 @@ class Gauge:
         """The series' value; ``default`` for one that was never set."""
         return self._series.get(_label_key(self.label_names, labels), default)
 
-    def series(self) -> list[tuple[tuple[str, ...], float]]:
-        return sorted(self._series.items())
 
-
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus ``le`` semantics)."""
+class Histogram(_Metric):
+    """Cumulative-bucket histogram (Prometheus ``le`` semantics); a
+    series is ``[per-bucket counts, +Inf count, sum]``."""
 
     kind = "histogram"
 
@@ -92,23 +98,22 @@ class Histogram:
             raise SimulationError(
                 f"histogram {name} needs sorted, non-empty buckets, got {buckets}"
             )
-        self.name = name
-        self.help = help_text
-        self.label_names = label_names
+        super().__init__(name, help_text, label_names)
         self.buckets = tuple(buckets)
-        #: label key -> (per-bucket counts, +Inf count, sum)
-        self._series: dict[tuple[str, ...], list] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(self.label_names, labels)
-        if key not in self._series:
-            self._series[key] = [[0] * len(self.buckets), 0, 0.0]
-        counts, inf_count, total = self._series[key]
+        self.observe_key(_label_key(self.label_names, labels), value)
+
+    def observe_key(self, key: tuple[str, ...], value: float) -> None:
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = [[0] * len(self.buckets), 0, 0.0]
+        counts = series[0]
         for i, bound in enumerate(self.buckets):
             if value <= bound:
                 counts[i] += 1
-        self._series[key][1] = inf_count + 1
-        self._series[key][2] = total + value
+        series[1] += 1
+        series[2] += value
 
     def count(self, **labels: str) -> int:
         series = self._series.get(_label_key(self.label_names, labels))
@@ -117,9 +122,6 @@ class Histogram:
     def sum(self, **labels: str) -> float:
         series = self._series.get(_label_key(self.label_names, labels))
         return 0.0 if series is None else series[2]
-
-    def series(self) -> list[tuple[tuple[str, ...], list]]:
-        return sorted(self._series.items())
 
 
 class MetricsRegistry:

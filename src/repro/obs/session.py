@@ -10,12 +10,12 @@ path.  Typed events and metrics are *views* over the arenas:
 * :attr:`events` materializes the whole stream on demand;
 * :attr:`registry` (and :meth:`metrics_prom`) first *catch up*: the
   session keeps a cursor into the bus's global emission order and folds
-  only the events emitted since the previous read through the
-  event->metric table, never resetting a series.  Metrics registered on
-  the same registry by other layers (the serve front-end's HTTP
-  counters) therefore live undisturbed beside the derived ones, and a
-  mid-run reader (the cluster's per-node telemetry) sees exactly the
-  stream so far.
+  the rows emitted since the previous read, straight from their
+  columns, into the metrics, never resetting a series.  Metrics
+  registered on the same registry by other layers (the serve
+  front-end's HTTP counters) live undisturbed beside the derived ones,
+  and a mid-run reader (the cluster's per-node telemetry) sees exactly
+  the stream so far.
 
 At the end of the run :meth:`write` emits four artifacts —
 
@@ -44,7 +44,7 @@ import json
 from pathlib import Path
 
 from repro.errors import SimulationError
-from repro.obs.events import ObsEvent, ScopedBus
+from repro.obs.events import FIELD_PLANS, ObsEvent, ScopedBus
 from repro.obs.log import events_to_jsonl
 from repro.obs.perfetto import perfetto_trace_json
 from repro.obs.pipeline.aggregate import RootCollector, check_loss_invariant
@@ -62,7 +62,7 @@ class ObsSession:
     """Everything one observed run accumulates.
 
     Metric values are read through :attr:`registry` (by name) or
-    :meth:`metrics_prom`; both fold pending events in first.
+    :meth:`metrics_prom`; both fold pending rows in first.
     """
 
     def __init__(self) -> None:
@@ -74,7 +74,7 @@ class ObsSession:
         self._registry = MetricsRegistry()
         #: How far into the bus's global order the metrics have caught up.
         self._cursor = StreamCursor()
-        self._build_metrics()
+        self._folders = self._build_metrics()
         #: node name -> kernel, read at export time for the Perfetto timeline.
         self._kernels: dict[str, object] = {}
 
@@ -104,172 +104,220 @@ class ObsSession:
     def registry(self) -> MetricsRegistry:
         """The metrics registry, caught up to the stream on every read.
 
-        Only events emitted since the previous read are folded in, so a
-        quiet epoch costs nothing and a long run is walked once in
-        total, not once per reader.
+        Only rows emitted since the previous read are folded in, straight
+        from the arena columns, so a quiet epoch costs nothing and a long
+        run is walked once in total, not once per reader.
         """
-        for event in self.bus.materialize_since(self._cursor):
-            self._update_metrics(event)
+        folders = self._folders
+        rows = self.bus._walk(self._cursor)
+        try:
+            for kind, row in rows:
+                folders[kind.tag](kind.columns, row)
+        finally:
+            for _ in rows:  # a failed fold still moves the cursor to the end
+                pass
         return self._registry
 
     # -- the event -> metrics table ----------------------------------------
 
-    def _build_metrics(self) -> None:
+    def _build_metrics(self) -> dict:
+        """Register the derived metrics; return the event -> metric table:
+        kind -> ``fold(columns, row)``, folding one arena row (``columns``:
+        field name -> column) through keyed updates with no event object.
+        Each label is the row field of the same name, checked here, once.
+        Rows fold in stream order, so the headroom gauge, which admissions
+        and grant recomputes both set, keeps the last writer.
+        """
         r = self._registry
-        self._m_switches = r.counter(
+        switches = r.counter(
             "repro_context_switches_total",
             "Context switches by SwitchKind",
             ("node", "kind"),
         )
-        self._m_switch_cost = r.counter(
+        switch_cost = r.counter(
             "repro_context_switch_cost_ticks_total",
             "Simulated ticks spent on context-switch overhead",
             ("node", "kind"),
         )
-        self._m_admissions = r.counter(
+        admissions = r.counter(
             "repro_admissions_total",
             "Admission decisions by outcome",
             ("node", "outcome"),
         )
-        self._m_headroom = r.gauge(
+        self._m_headroom = headroom = r.gauge(
             "repro_headroom_ratio",
             "Uncommitted fraction of the schedulable capacity",
             ("node",),
         )
-        self._m_degraded = r.gauge(
+        self._m_degraded = degraded = r.gauge(
             "repro_degraded_tasks",
             "Tasks currently granted below their maximum entry",
             ("node",),
         )
-        self._m_qos = r.gauge(
+        self._m_qos = qos = r.gauge(
             "repro_qos_fraction",
             "Delivered fraction of requested top QOS",
             ("node",),
         )
-        self._m_recomputes = r.counter(
+        recomputes = r.counter(
             "repro_grant_recomputes_total",
             "Grant-set recomputations",
             ("node",),
         )
-        self._m_recompute_size = r.histogram(
+        sizes = r.histogram(
             "repro_grant_recompute_requests",
             "Admitted threads per grant-set recomputation",
             _SIZE_BUCKETS,
             ("node",),
         )
-        self._m_policy = r.counter(
+        policy = r.counter(
             "repro_policy_resolutions_total",
             "Policy Box resolutions (resolved vs invented)",
             ("node", "invented"),
         )
-        self._m_policy_latency = r.histogram(
+        latency = r.histogram(
             "repro_policy_latency_ticks",
             "Sim-tick latency charged to policy-box consultation",
             _TICK_BUCKETS,
             ("node",),
         )
-        self._m_periods = r.counter(
+        periods = r.counter(
             "repro_periods_closed_total",
             "Periods closed, healthy or not",
             ("node",),
         )
-        self._m_delivery_latency = r.histogram(
+        delivery_latency = r.histogram(
             "repro_grant_delivery_latency_ticks",
             "Ticks from period start to full grant delivery (completed periods)",
             _TICK_BUCKETS,
             ("node",),
         )
-        self._m_misses = r.counter(
+        self._m_misses = misses = r.counter(
             "repro_deadline_misses_total",
             "Periods closed with the grant undelivered",
             ("node",),
         )
-        self._m_voided = r.counter(
+        voided = r.counter(
             "repro_voided_periods_total",
             "Periods voided by blocking (guarantee suspended)",
             ("node",),
         )
-        self._m_grace = r.counter(
+        grace = r.counter(
             "repro_grace_periods_total",
             "Controlled-preemption grace periods by outcome",
             ("node", "honoured"),
         )
-        self._m_activations = r.counter(
+        activations = r.counter(
             "repro_scheduler_activations_total",
             "Unallocated-time Resource Manager callbacks",
             ("node",),
         )
-        self._m_rpc = r.counter(
+        rpc = r.counter(
             "repro_rpc_total",
             "MessageBus RPC hops by action and message kind",
             ("action", "kind"),
         )
-        self._m_rpc_attempts = r.histogram(
+        rpc_attempts = r.histogram(
             "repro_rpc_retry_attempts",
             "Transmissions per logical RPC at the point it was retried",
             _ATTEMPT_BUCKETS,
         )
-        self._m_migrations = r.counter(
+        migrations = r.counter(
             "repro_migrations_total",
             "Broker migrations by outcome",
             ("outcome",),
         )
-        self._m_violations = r.counter(
+        violations = r.counter(
             "repro_sanitizer_violations_total",
             "Invariant sanitizer violations by rule",
             ("node", "rule"),
         )
-        self._m_slo_alerts = r.counter(
+        slo_alerts = r.counter(
             "repro_slo_alerts_total",
             "Rolling-window SLO alerts by objective name",
             ("slo",),
         )
 
-    def _update_metrics(self, event: ObsEvent) -> None:
-        kind = event.type
-        if kind == "context-switch":
-            self._m_switches.inc(node=event.node, kind=event.kind)
-            self._m_switch_cost.inc(event.cost_ticks, node=event.node, kind=event.kind)
-        elif kind == "admission":
-            self._m_admissions.inc(node=event.node, outcome=event.outcome)
-            self._m_headroom.set(event.headroom, node=event.node)
-        elif kind == "grant-recompute":
-            self._m_recomputes.inc(node=event.node)
-            self._m_recompute_size.observe(event.requests, node=event.node)
-            self._m_degraded.set(event.degraded, node=event.node)
-            self._m_qos.set(event.qos_fraction, node=event.node)
-            self._m_headroom.set(event.headroom, node=event.node)
-            self._m_policy_latency.observe(event.latency_ticks, node=event.node)
-        elif kind == "policy-resolution":
-            self._m_policy.inc(
-                node=event.node, invented="true" if event.invented else "false"
+        table = dict.fromkeys(FIELD_PLANS, lambda c, row: None)
+
+        def folds(tag: str, *metrics):
+            """Enter ``tag``'s fold once its rows carry every label of ``metrics``."""
+            for metric in metrics:
+                missing = set(metric.label_names).difference(FIELD_PLANS[tag])
+                if missing:
+                    raise SimulationError(
+                        f"{tag} rows cannot key {metric.name} by {sorted(missing)}"
+                    )
+
+            def enter(fold):
+                table[tag] = fold
+                return fold
+
+            return enter
+
+        @folds("context-switch", switches, switch_cost)
+        def context_switch(c, row):
+            key = (str(c["node"][row]), str(c["kind"][row]))
+            switches.inc_key(key)
+            switch_cost.inc_key(key, c["cost_ticks"][row])
+
+        @folds("admission", admissions, headroom)
+        def admission(c, row):
+            node = str(c["node"][row])
+            admissions.inc_key((node, str(c["outcome"][row])))
+            headroom.set_key((node,), c["headroom"][row])
+
+        @folds("grant-recompute", recomputes, sizes, degraded, qos, headroom, latency)
+        def grant_recompute(c, row):
+            key = (str(c["node"][row]),)
+            recomputes.inc_key(key)
+            sizes.observe_key(key, c["requests"][row])
+            degraded.set_key(key, c["degraded"][row])
+            qos.set_key(key, c["qos_fraction"][row])
+            headroom.set_key(key, c["headroom"][row])
+            latency.observe_key(key, c["latency_ticks"][row])
+
+        @folds("period-close", periods, delivery_latency, misses, voided)
+        def period_close(c, row):
+            key = (str(c["node"][row]),)
+            periods.inc_key(key)
+            start, completion = c["start"][row], c["completion"][row]
+            if completion >= 0 and start >= 0:
+                delivery_latency.observe_key(key, completion - start)
+            if c["missed"][row]:
+                misses.inc_key(key)
+            if c["voided"][row]:
+                voided.inc_key(key)
+
+        @folds("rpc", rpc, rpc_attempts)
+        def rpc_hop(c, row):
+            action = c["action"][row]
+            rpc.inc_key((str(action), str(c["kind"][row])))
+            if action == "retry":
+                rpc_attempts.observe_key((), c["attempt"][row])
+
+        @folds("policy-resolution", policy)
+        def policy_resolution(c, row):
+            invented = "true" if c["invented"][row] else "false"
+            policy.inc_key((str(c["node"][row]), invented))
+
+        @folds("grace-period", grace)
+        def grace_period(c, row):
+            honoured = "true" if c["honoured"][row] else "false"
+            grace.inc_key((str(c["node"][row]), honoured))
+
+        def count(tag, metric):
+            """One per row, keyed by the fields named like its labels."""
+            labels = metric.label_names
+            folds(tag, metric)(
+                lambda c, row: metric.inc_key(tuple(str(c[n][row]) for n in labels))
             )
-        elif kind == "period-close":
-            self._m_periods.inc(node=event.node)
-            if event.completion >= 0 and event.start >= 0:
-                self._m_delivery_latency.observe(
-                    event.completion - event.start, node=event.node
-                )
-            if event.missed:
-                self._m_misses.inc(node=event.node)
-            if event.voided:
-                self._m_voided.inc(node=event.node)
-        elif kind == "grace-period":
-            self._m_grace.inc(
-                node=event.node, honoured="true" if event.honoured else "false"
-            )
-        elif kind == "activation":
-            self._m_activations.inc(node=event.node)
-        elif kind == "rpc":
-            self._m_rpc.inc(action=event.action, kind=event.kind)
-            if event.action == "retry":
-                self._m_rpc_attempts.observe(event.attempt)
-        elif kind == "migration":
-            self._m_migrations.inc(outcome=event.outcome)
-        elif kind == "violation":
-            self._m_violations.inc(node=event.node, rule=event.rule)
-        elif kind == "slo-alert":
-            self._m_slo_alerts.inc(slo=event.slo)
+
+        count("activation", activations)
+        count("migration", migrations)
+        count("violation", violations)
+        count("slo-alert", slo_alerts)
+        return table
 
     def load_signal(self, node: str) -> tuple[int, float, int, float]:
         """``node``'s observed load, caught up to the stream: cumulative
@@ -279,7 +327,7 @@ class ObsSession:
         epoch.  A node that has not recomputed a grant set yet is at
         full QOS and full headroom, not at the gauges' unset zero.
         """
-        self.registry  # fold pending events in first
+        self.registry  # fold pending rows in first
         return (
             int(self._m_misses.value(node=node)),
             self._m_qos.value(1.0, node=node),

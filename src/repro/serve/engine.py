@@ -201,6 +201,9 @@ class ServeEngine:
         self.draining = True
         placed = sorted(self.sim.broker.placements)
         ok = self.sim.drain()
+        # The withdrawals bypass the oplog, so its generation cannot
+        # tell the memoized fleet view that placement changed.
+        self._nodes_cache = None
         for name in placed:
             record = self.tasks.get(name)
             if record is not None:

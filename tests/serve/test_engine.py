@@ -208,6 +208,18 @@ class TestViews:
         eng.submit(spec("b"))
         assert eng.nodes() is not first
 
+    def test_nodes_view_fresh_after_drain(self):
+        eng = engine()
+        eng.submit(spec("a"))
+        before = eng.nodes()
+        assert [n["tasks"] for n in before] == [1, 0]
+        assert before[0]["headroom"] < before[1]["headroom"]
+        eng.drain()
+        assert eng.sim.broker.placements == {}
+        after = eng.nodes()
+        assert [n["tasks"] for n in after] == [0, 0]
+        assert [n["headroom"] for n in after] == [n["capacity"] for n in after]
+
     def test_stats_counts(self):
         eng = engine()
         eng.submit(spec("a"))

@@ -195,13 +195,18 @@ class TestBackpressureAndDrain:
     def test_drain_refuses_new_mutations(self):
         async def scenario(app):
             await call(app, "POST", "/v1/tasks", spec("a"))
+            status, body = await call(app, "GET", "/v1/nodes")
+            assert [node["tasks"] for node in body["nodes"]] == [1, 0]
             status, body = await call(app, "POST", "/admin/drain")
             assert status == 200 and body["status"] == "drained"
             assert body["withdrawn"] == 1
             assert (await call(app, "GET", "/readyz"))[0] == 503
             assert (await call(app, "POST", "/v1/tasks", spec("b")))[0] == 503
-            # Reads still work while draining.
+            # Reads still work while draining, and see the withdrawal.
             assert (await call(app, "GET", "/v1/stats"))[0] == 200
+            status, body = await call(app, "GET", "/v1/nodes")
+            assert status == 200
+            assert [node["tasks"] for node in body["nodes"]] == [0, 0]
 
         run_with_app(scenario)
 

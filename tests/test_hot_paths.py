@@ -27,6 +27,11 @@ thread, or a ``sum(<genexpr>)`` (each resumption is a call), breaks it.
 DESIGN.md §4 "Grant control reads per-list tables".  The same holds
 for a strict ``InvariantSanitizer.on_pick`` with a TimeRemaining head
 and for ``ResourceManager._requests`` (§4 "The audit is one pass").
+
+A metrics read folds arena rows, not events: ``ObsSession.registry``
+over new rows constructs no ``ObsEvent`` and makes at most
+``FOLD_CALLS_PER_ROW`` Python-level calls a row (§4 "Metrics fold from
+columns").
 """
 
 from __future__ import annotations
@@ -49,6 +54,16 @@ from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.sporadic import SporadicServer
+from repro.errors import SimulationError
+from repro.obs.events import (
+    EVENT_TYPES,
+    AdmissionEvent,
+    GrantRecomputeEvent,
+    PolicyResolutionEvent,
+    RpcEvent,
+    ViolationEvent,
+)
+from repro.obs.session import ObsSession
 from repro.scenarios import av_pipeline, figure5
 from repro.workloads import grant_follower, single_entry_definition
 from tests.core.test_event_driven_dispatch import counted_picks
@@ -356,3 +371,80 @@ class TestPollsDoNotRepick:
         assert scenario.rd.sanitizer.ok
         # One decision per poll, as when every poll was re-picked.
         assert scenario.rd.sanitizer.decisions_checked == 56_394
+
+
+# -- a metrics read folds columns, not events ------------------------------------
+
+#: Python-level calls a registry read may make per new row: the walk's
+#: resumption, the kind's fold, and one keyed update per metric it
+#: feeds — six for a grant recompute, the most any kind feeds.
+FOLD_CALLS_PER_ROW = 8
+
+
+def _observed(rows: int) -> ObsSession:
+    """A session with ``rows`` unread rows cycling over the folded
+    kinds, through the fast paths and the generic emit alike."""
+    session = ObsSession()
+    bus = session.bus
+    for i in range(rows):
+        node = f"node{i % 3:02d}"
+        slot = i % 8
+        if slot == 0:
+            bus.emit_switch(i, 1, 2, "involuntary", 54, node=node)
+        elif slot == 1:
+            bus.emit_period_close(
+                i, 1, i, i - 270, i - 27, 270, 243, True, True, node=node
+            )
+        elif slot == 2:
+            bus.emit_activation(i, 2, node=node)
+        elif slot == 3:
+            bus.emit(GrantRecomputeEvent(time=i, node=node, requests=3, headroom=0.2))
+        elif slot == 4:
+            bus.emit(AdmissionEvent(time=i, node=node, headroom=0.4))
+        elif slot == 5:
+            bus.emit(
+                RpcEvent(time=i, node=node, action="retry", kind="admit", attempt=2)
+            )
+        elif slot == 6:
+            bus.emit(PolicyResolutionEvent(time=i, node=node, invented=True))
+        else:
+            bus.emit(ViolationEvent(time=i, node=node, rule="edf"))
+    return session
+
+
+class TestMetricsFoldFromColumns:
+    """``ObsSession.registry`` folds each new arena row through the
+    metrics' keyed updates: no typed event, no per-row label check."""
+
+    @pytest.mark.parametrize("rows", [100, 1_000])
+    def test_a_read_constructs_no_event(self, rows):
+        inits = {cls.__init__.__code__ for cls in EVENT_TYPES.values()}
+        built = []
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in inits:
+                built.append(frame.f_code)
+
+        session = _observed(rows)
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            session.registry
+        finally:
+            sys.setprofile(previous)
+        assert built == []
+        closed = session.registry.get("repro_periods_closed_total")
+        assert closed.value(node="node00") > 0
+
+    def test_calls_grow_by_a_constant_per_row(self):
+        counts = {}
+        for rows in (100, 1_000):
+            session = _observed(rows)
+            counts[rows] = _python_calls(lambda: session.registry)
+        assert counts[1_000] - counts[100] <= FOLD_CALLS_PER_ROW * 900, counts
+
+    def test_a_negative_switch_cost_still_raises_on_the_read(self):
+        session = ObsSession()
+        session.bus.emit_switch(1, 1, 2, "voluntary", -5)
+        with pytest.raises(SimulationError, match="cannot decrease"):
+            session.registry
