@@ -288,9 +288,13 @@ class ObsBus:
         """
         return bool(self._subscribers)
 
-    def emit(self, event: ObsEvent) -> None:
+    def emit(self, event: ObsEvent, node: str = "") -> None:
+        """Hand ``event`` to every subscriber; ``node`` names where a
+        node-less event happened (a :class:`ScopedBus` passes its own)."""
         if not self._subscribers:
             return
+        if node and not event.node:
+            event = dataclasses.replace(event, node=node)
         for sink in self._subscribers:
             sink(event)
 
@@ -353,13 +357,40 @@ class ObsBus:
         if self._subscribers:
             self.emit(ActivationEvent(time=time, pending=pending, node=node))
 
+    def emit_rpc(
+        self,
+        time: int,
+        action: str,
+        src: str,
+        dst: str,
+        kind: str,
+        request_id: str,
+        trace_id: str,
+    ) -> None:
+        """Fast path for a bus hop's :class:`RpcEvent` (no node, ``attempt`` 0)."""
+        if self._subscribers:
+            self.emit(
+                RpcEvent(
+                    time=time,
+                    action=action,
+                    src=src,
+                    dst=dst,
+                    kind=kind,
+                    request_id=request_id,
+                    trace_id=trace_id,
+                )
+            )
+
 
 class ScopedBus:
     """A bus view that stamps every event with a node name.
 
     A cluster run shares one :class:`ObsBus` across all nodes; each
     node's distributor holds a scope so its events say where they
-    happened without core ever learning it is clustered.
+    happened without core ever learning it is clustered.  The stamp is
+    the ``node`` argument of the bus it wraps: a columnar bus writes it
+    into the row, and a typed copy of the event is made only for a
+    subscriber to see.
     """
 
     def __init__(self, bus: ObsBus, node: str) -> None:
@@ -376,9 +407,7 @@ class ScopedBus:
         return bool(self._bus)
 
     def emit(self, event: ObsEvent) -> None:
-        if not event.node:
-            event = dataclasses.replace(event, node=self.node)
-        self._bus.emit(event)
+        self._bus.emit(event, node=self.node)
 
     def emit_switch(
         self,

@@ -23,8 +23,17 @@ first and last halves, count the sampled-out middle per kind).
 
 from __future__ import annotations
 
+import operator
+
 from repro.errors import SimulationError
 from repro.obs.events import EVENT_TYPES, FIELD_PLANS, ObsBus, ObsEvent
+
+#: Wire tag -> the getter that reads an event's row, in
+#: ``FIELD_PLANS[tag]`` order (every plan has ``time`` and ``node``, so
+#: each getter returns a tuple).
+_ROW_GETTERS = {
+    tag: operator.attrgetter(*names) for tag, names in FIELD_PLANS.items()
+}
 
 #: Compact a column (or the order list) once this many dead rows sit in
 #: front of it *and* they outnumber the live rows — amortized O(1).
@@ -113,9 +122,7 @@ class EventArena:
 
     def append_event(self, event: ObsEvent) -> None:
         tag = event.type
-        self.append_row(
-            tag, tuple(getattr(event, name) for name in FIELD_PLANS[tag])
-        )
+        self.append_row(tag, _ROW_GETTERS[tag](event))
 
     def _evict_one(self) -> None:
         tag = self.order[self._order_head]
@@ -265,14 +272,16 @@ class ArenaBus(ObsBus):
             for sink in self._subscribers:
                 sink(event)
 
-    def emit(self, event: ObsEvent) -> None:
+    def emit(self, event: ObsEvent, node: str = "") -> None:
+        """Record ``event``'s row; ``node`` stamps a node-less event (a
+        :class:`~repro.obs.events.ScopedBus` passes its own) in the row,
+        so the typed copy is built only for a subscriber."""
         tag = event.type
-        self._append(
-            event.node,
-            tag,
-            tuple(getattr(event, name) for name in FIELD_PLANS[tag]),
-            event,
-        )
+        values = _ROW_GETTERS[tag](event)
+        if node and not values[1]:
+            self._append(node, tag, (values[0], node, *values[2:]))
+        else:
+            self._append(values[1], tag, values, event)
 
     def emit_switch(
         self,
@@ -321,6 +330,20 @@ class ArenaBus(ObsBus):
 
     def emit_activation(self, time: int, pending: int, node: str = "") -> None:
         self._append(node, "activation", (time, node, pending))
+
+    def emit_rpc(
+        self,
+        time: int,
+        action: str,
+        src: str,
+        dst: str,
+        kind: str,
+        request_id: str,
+        trace_id: str,
+    ) -> None:
+        self._append(
+            "", "rpc", (time, "", action, src, dst, kind, request_id, 0, trace_id)
+        )
 
     # -- whole-stream views ------------------------------------------------
 

@@ -3,33 +3,40 @@
 ``ServeApp`` glues the three serving pieces together:
 
 * the :class:`~repro.serve.engine.ServeEngine` holding the live
-  simulation — mutated ONLY by the single writer task, which drains a
-  bounded mutation queue in strict arrival order (the serialization
-  point that makes concurrent clients equivalent to a sequential
-  replay);
+  simulation — mutated ONLY by the group commit, a loop callback that
+  applies the waiting mutations in strict arrival order (the
+  serialization point that makes concurrent clients equivalent to a
+  sequential replay);
 * the :class:`~repro.serve.http.HttpServer` speaking the wire;
 * per-endpoint request metrics (counts and wall-clock latency) folded
   into the engine's :class:`~repro.obs.session.ObsSession` registry so
   ``GET /metrics`` exposes the service beside the simulation.
 
-Backpressure is explicit: when the mutation queue is full the request
-is answered ``429 Too Many Requests`` with a ``Retry-After`` hint
-instead of queueing unboundedly.  Shutdown is a drain, not a kill:
-``SIGTERM`` (or ``POST /admin/drain``) flips readiness to 503, lets
-queued mutations finish, withdraws every placement through the broker
-(the never-terminated guarantee holds all the way down); ``repro
-serve`` (:mod:`repro.cli`) then writes the run's artifacts.
+The handler answers a read now, with a :class:`Response`, and a
+mutation with a future the group commit resolves — no request runs in
+a Task of its own, and no Task sits between a mutation and its commit.
+
+Backpressure is explicit: when ``queue_limit`` mutations are waiting
+the request is answered ``429 Too Many Requests`` with a
+``Retry-After`` hint instead of queueing unboundedly.  Shutdown is a
+drain, not a kill: ``SIGTERM`` (or ``POST /admin/drain``) flips
+readiness to 503, commits the waiting mutations, withdraws every
+placement through the broker (the never-terminated guarantee holds all
+the way down); ``repro serve`` (:mod:`repro.cli`) then writes the
+run's artifacts.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 import traceback
+from collections import deque
 
 from repro.obs.log import event_to_json
 from repro.serve.engine import ServeEngine
-from repro.serve.http import HttpServer, Request, Response
+from repro.serve.http import HttpProtocolError, HttpServer, Request, Response
 
 #: Mutations a client may queue before the service pushes back (429).
 DEFAULT_QUEUE_LIMIT = 1024
@@ -50,7 +57,7 @@ _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 
 class ServeApp:
-    """Routes + single-writer mutation loop over one :class:`ServeEngine`."""
+    """Routes + single-writer group commit over one :class:`ServeEngine`."""
 
     def __init__(
         self,
@@ -61,10 +68,16 @@ class ServeApp:
     ) -> None:
         self.engine = engine
         self.server = HttpServer(self._handle, host=host, port=port)
-        self._ops: asyncio.Queue = asyncio.Queue(maxsize=queue_limit)
-        self._writer_task: asyncio.Task | None = None
+        #: Mutations waiting for the group commit: ``(op, future)`` in
+        #: arrival order.
+        self._ops: deque[tuple[dict, asyncio.Future]] = deque()
+        self._queue_limit = queue_limit
+        self._commit_scheduled = False
         self.ready = False
-        self._drained = asyncio.Event()
+        self._drained = False
+        #: ``(fleet view, its encoded /v1/nodes body)``: the engine
+        #: hands out one view list per fleet generation.
+        self._nodes_body: tuple[list, bytes] | None = None
         registry = engine.session.registry
         self.m_requests = registry.counter(
             "repro_http_requests_total",
@@ -97,7 +110,6 @@ class ServeApp:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        self._writer_task = asyncio.create_task(self._writer())
         await self.server.start()
         self.ready = True
 
@@ -105,28 +117,25 @@ class ServeApp:
         """Drain, then tear the server down."""
         await self.drain()
         await self.server.close()
-        if self._writer_task is not None:
-            self._writer_task.cancel()
-            try:
-                await self._writer_task
-            except asyncio.CancelledError:
-                pass
 
     async def drain(self) -> dict:
         """Refuse new mutations, finish queued ones, withdraw the cluster."""
-        if self._drained.is_set():
+        return self._drain()
+
+    def _drain(self) -> dict:
+        if self._drained:
             return {"status": "drained", "withdrawn": 0, "now": self.engine.sim.now}
         self.ready = False
         self.engine.draining = True
-        await self._ops.join()
+        self._commit()
         result = self.engine.drain()
-        self._drained.set()
+        self._drained = True
         return result
 
     # -- the single writer ---------------------------------------------------
 
-    async def _writer(self) -> None:
-        """Drain queued mutations in arrival order, group-committing them.
+    def _commit(self) -> None:
+        """Apply the waiting mutations in arrival order, group-committing them.
 
         Settling a withdraw costs up to a full period of cluster
         activity no matter how many mutations ride along, so the writer
@@ -135,44 +144,45 @@ class ServeApp:
         load the batch is one op and behaves exactly like the naive
         loop; under heavy load throughput scales with queue depth.
         """
-        while True:
-            batch = [await self._ops.get()]
-            while len(batch) < _MAX_COMMIT:
-                try:
-                    batch.append(self._ops.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            self.m_queue_depth.set(self._ops.qsize())
-            self.m_batch_size.observe(len(batch))
+        self._commit_scheduled = False
+        ops = self._ops
+        while ops:
+            batch = [ops.popleft() for _ in range(min(len(ops), _MAX_COMMIT))]
+            self.m_queue_depth.set_key((), len(ops))
+            self.m_batch_size.observe_key((), len(batch))
             try:
                 results = self.engine.commit([op for op, _ in batch])
-                for (_, future), result in zip(batch, results):
-                    if not future.cancelled():
-                        future.set_result(result)
-            except Exception as exc:  # noqa: BLE001 — surfaces as a 500
+            except Exception:  # noqa: BLE001 — every op of the group gets a 500
+                traceback.print_exc()
+                failed = Response.error(500, "internal server error")
                 for _, future in batch:
                     if not future.cancelled():
-                        future.set_exception(exc)
-            finally:
-                for _ in batch:
-                    self._ops.task_done()
+                        future.set_result(failed)
+                continue
+            for (op, future), result in zip(batch, results):
+                if not future.cancelled():
+                    future.set_result(self._mutation_response(op, result))
 
-    async def _mutate(self, op: dict) -> Response:
+    def _mutate(self, op: dict) -> Response | asyncio.Future:
         if self.engine.draining:
             return Response.error(503, "service is draining")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        try:
-            self._ops.put_nowait((op, future))
-            self.m_queue_depth.set(self._ops.qsize())
-        except asyncio.QueueFull:
+        if len(self._ops) >= self._queue_limit:
             self.m_backpressure.inc()
             return Response.json(
                 {"error": "mutation queue is full; retry shortly"},
                 status=429,
                 **{"Retry-After": "1"},
             )
-        result = await future
-        return self._mutation_response(op, result)
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self._ops.append((op, future))
+        self.m_queue_depth.set_key((), len(self._ops))
+        if not self._commit_scheduled:
+            # The first mutation of a loop turn schedules the commit;
+            # the rest of the turn's arrivals ride in the same group.
+            self._commit_scheduled = True
+            loop.call_soon(self._commit)
+        return future
 
     @staticmethod
     def _mutation_response(op: dict, result: dict) -> Response:
@@ -193,22 +203,37 @@ class ServeApp:
 
     # -- routing -------------------------------------------------------------
 
-    async def _handle(self, request: Request) -> Response:
+    def _handle(self, request: Request) -> Response | asyncio.Future:
+        """Route one request: a read is answered now, a mutation with the
+        future its group commit resolves; either is counted once its
+        answer is known."""
         start = time.perf_counter()
         try:
-            route, response = await self._route(request)
+            route, answer = self._route(request)
         except Exception:  # noqa: BLE001 — keep serving, count the 500
             traceback.print_exc()
-            route, response = "(error)", Response.error(
-                500, "internal server error"
+            route, answer = "(error)", Response.error(500, "internal server error")
+        if isinstance(answer, Response):
+            self._count(route, request.method, start, answer)
+        else:
+            answer.add_done_callback(
+                functools.partial(self._counted, route, request.method, start)
             )
-        self.m_requests.inc(
-            route=route, method=request.method, status=str(response.status)
-        )
-        self.m_latency.observe(time.perf_counter() - start, route=route)
-        return response
+        return answer
 
-    async def _route(self, request: Request) -> tuple[str, Response]:
+    def _count(
+        self, route: str, method: str, start: float, response: Response
+    ) -> None:
+        self.m_requests.inc_key((route, method, str(response.status)))
+        self.m_latency.observe_key((route,), time.perf_counter() - start)
+
+    def _counted(
+        self, route: str, method: str, start: float, future: asyncio.Future
+    ) -> None:
+        if not future.cancelled():
+            self._count(route, method, start, future.result())
+
+    def _route(self, request: Request) -> tuple[str, Response | asyncio.Future]:
         """Dispatch; returns (route label, response) for the metrics."""
         method, path = request.method, request.path.rstrip("/") or "/"
         if path == "/healthz":
@@ -227,7 +252,7 @@ class ServeApp:
                 )
             return "/debug/prof", Response.json(phases.snapshot())
         if path == "/v1/nodes" and method == "GET":
-            return "/v1/nodes", Response.json({"nodes": self.engine.nodes()})
+            return "/v1/nodes", self._nodes_response()
         if path == "/v1/slo" and method == "GET":
             return "/v1/slo", Response.json(self.engine.slo_status())
         if path == "/v1/stats" and method == "GET":
@@ -244,7 +269,10 @@ class ServeApp:
                     {"tasks": sorted(self.engine.tasks)}
                 )
             if method == "POST":
-                body = request.json()
+                try:
+                    body = request.json()
+                except HttpProtocolError as exc:
+                    return "/v1/tasks", Response.error(exc.status, exc.message)
                 if isinstance(body, list):
                     op = {"op": "batch", "specs": body}
                 elif isinstance(body, dict):
@@ -253,7 +281,7 @@ class ServeApp:
                     return "/v1/tasks", Response.error(
                         400, "body must be a task spec or a list of specs"
                     )
-                return "/v1/tasks", await self._mutate(op)
+                return "/v1/tasks", self._mutate(op)
             return "/v1/tasks", Response.error(405, f"{method} not allowed")
         if path.startswith("/v1/tasks/"):
             name = path[len("/v1/tasks/"):]
@@ -265,13 +293,22 @@ class ServeApp:
                     )
                 return "/v1/tasks/{id}", Response.json(record)
             if method == "DELETE":
-                return "/v1/tasks/{id}", await self._mutate(
+                return "/v1/tasks/{id}", self._mutate(
                     {"op": "remove", "task": name}
                 )
             return "/v1/tasks/{id}", Response.error(405, f"{method} not allowed")
         if path == "/admin/drain" and method == "POST":
-            return "/admin/drain", Response.json(await self.drain())
+            return "/admin/drain", Response.json(self._drain())
         return "(unmatched)", Response.error(404, f"no route for {method} {path}")
+
+    def _nodes_response(self) -> Response:
+        """``GET /v1/nodes``, encoded once per fleet view."""
+        view = self.engine.nodes()
+        if self._nodes_body is None or self._nodes_body[0] is not view:
+            self._nodes_body = (view, Response.json({"nodes": view}).body)
+        return Response(
+            headers={"Content-Type": "application/json"}, body=self._nodes_body[1]
+        )
 
     # -- event streaming -----------------------------------------------------
 

@@ -6,19 +6,34 @@ narrow dialect — JSON request bodies sized by ``Content-Length``,
 JSON or text responses, keep-alive connections, and one streaming
 endpoint (``/v1/events``) that uses chunked transfer encoding.  This
 module implements exactly that dialect and nothing more: no TLS, no
-pipelining of concurrent requests on one connection, no multipart.
+multipart, and pipelined requests on one connection are answered one
+at a time, in order.
+
+Framing is an :class:`asyncio.Protocol`: a connection buffers bytes
+and parses a request only once its head and body are both complete,
+so neither the parse nor the handler ever waits on the wire.  The
+handler contract (:data:`Handler`) is one call per request returning
+an awaitable :class:`Response`:
+
+* a :class:`Response` — answered now, written from ``data_received``
+  with no Task and no extra loop turn;
+* an :class:`asyncio.Future` resolving to one — answered from the
+  future's done callback (the app's group commit resolves these);
+* any other awaitable, such as a coroutine — run as a Task and answered
+  when it finishes.
 
 Unlike every layer below it, this module lives in wall-clock land:
-``asyncio`` timeouts and socket readiness are real time.  That is the
-design, not an accident — the serving layer is the boundary where the
-deterministic simulation meets live clients, and the ``determinism``
-lint rule's scope table names only the simulated layers precisely so
-this one can be honest about being a network service.
+socket readiness is real time.  That is the design, not an accident —
+the serving layer is the boundary where the deterministic simulation
+meets live clients, and the ``determinism`` lint rule's scope table
+names only the simulated layers precisely so this one can be honest
+about being a network service.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Awaitable, Callable
@@ -28,6 +43,10 @@ from urllib.parse import parse_qsl, urlsplit
 #: is a client bug and gets a 4xx rather than unbounded buffering.
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: A connection that is still answering stops reading once this much
+#: of the next requests is buffered (TCP then pushes back on the peer).
+_READ_PAUSE_BYTES = 2 * MAX_HEADER_BYTES
 
 _STATUS_TEXT = {
     200: "OK",
@@ -74,7 +93,12 @@ class Request:
 
 @dataclass
 class Response:
-    """One HTTP response: a byte body or a chunked async stream."""
+    """One HTTP response: a byte body or a chunked async stream.
+
+    A response is its own awaitable: ``await response`` returns it
+    without suspending, so a handler may answer now and a caller that
+    wraps the handler in a coroutine still gets a ``Response``.
+    """
 
     status: int = 200
     headers: dict[str, str] = field(default_factory=dict)
@@ -82,6 +106,10 @@ class Response:
     #: When set, the response is sent with chunked transfer encoding,
     #: one chunk per yielded ``bytes``; ``body`` is ignored.
     stream: AsyncIterator[bytes] | None = None
+
+    def __await__(self):
+        return self
+        yield  # unreachable: the ``yield`` makes this a generator
 
     @classmethod
     def json(cls, payload, status: int = 200, **headers: str) -> "Response":
@@ -105,39 +133,12 @@ class Response:
         return cls.json({"error": message, **extra}, status=status)
 
 
+#: One call per request; the result is awaited for its ``Response``.
 Handler = Callable[[Request], Awaitable[Response]]
 
 
-async def read_request(
-    reader: asyncio.StreamReader, prof=None
-) -> Request | None:
-    """Parse one request off the wire; ``None`` on a clean EOF.
-
-    ``prof`` is an optional phase profiler; the ``serve.http-parse``
-    phase brackets the parse work only — never the wait for bytes.
-    """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # peer closed between requests: normal keep-alive end
-        raise HttpProtocolError(400, "truncated request head") from None
-    except asyncio.LimitOverrunError:
-        raise HttpProtocolError(413, "request head too large") from None
-    if prof:
-        prof.begin("serve.http-parse")
-        try:
-            return await _parse_request(head, reader)
-        finally:
-            prof.end("serve.http-parse")
-    return await _parse_request(head, reader)
-
-
-async def _parse_request(
-    head: bytes, reader: asyncio.StreamReader
-) -> Request:
-    if len(head) > MAX_HEADER_BYTES:
-        raise HttpProtocolError(413, "request head too large")
+def _parse_head(head: bytes) -> tuple[Request, int]:
+    """The request a complete head announces, and its body size."""
     lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
@@ -152,7 +153,7 @@ async def _parse_request(
         if not sep:
             raise HttpProtocolError(400, f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
-    body = b""
+    size = 0
     length = headers.get("content-length")
     if length is not None:
         try:
@@ -161,16 +162,15 @@ async def _parse_request(
             raise HttpProtocolError(400, f"bad Content-Length: {length!r}") from None
         if size < 0 or size > MAX_BODY_BYTES:
             raise HttpProtocolError(413, f"body of {size} bytes refused")
-        body = await reader.readexactly(size)
     elif headers.get("transfer-encoding"):
         raise HttpProtocolError(400, "chunked request bodies are not supported")
-    return Request(
+    request = Request(
         method=method.upper(),
         path=split.path,
         query=dict(parse_qsl(split.query)),
         headers=headers,
-        body=body,
     )
+    return request, size
 
 
 def _head_bytes(response: Response, *, chunked: bool, keep_alive: bool) -> bytes:
@@ -186,101 +186,265 @@ def _head_bytes(response: Response, *, chunked: bool, keep_alive: bool) -> bytes
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-async def write_response(
-    writer: asyncio.StreamWriter, response: Response, *, keep_alive: bool
-) -> None:
-    """Serialize one response; streams go out chunk by chunk."""
-    if response.stream is None:
+class _ServerConnection(asyncio.Protocol):
+    """One keep-alive connection: frame complete requests out of the
+    byte stream and answer them one at a time, in arrival order."""
+
+    def __init__(self, server: "HttpServer") -> None:
+        self._server = server
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        #: Where the next search for the end of a head starts.
+        self._scanned = 0
+        #: ``(request, head end, body end)`` of a head whose body is
+        #: still arriving.
+        self._head: tuple[Request, int, int] | None = None
+        #: What the request being answered waits on (a future, or the
+        #: Task of a coroutine handler or a streamed body), else None.
+        self._pending: asyncio.Future | None = None
+        #: The Task writing a streamed body (also ``_pending`` then).
+        self._streaming: asyncio.Task | None = None
+        self._write_paused = False
+        self._drain_waiter: asyncio.Future | None = None
+        self._read_paused = False
+        self._eof = False
+        #: Set once the connection answers no more requests.
+        self._closing = False
+
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self._closing = True
+        self._server._connections.discard(self)
+        self._wake_drain()
+        # A handler's future is left alone: a mutation the peer gave up
+        # on is still committed, and its answer is dropped.  A streamed
+        # body has nobody left to read it.
+        if self._streaming is not None:
+            self._streaming.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        if self._closing:
+            return
+        self._buffer += data
+        if self._pending is None and not self._write_paused:
+            self._serve()
+        elif len(self._buffer) > _READ_PAUSE_BYTES and not self._read_paused:
+            self._read_paused = True
+            self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if self._pending is None and not self._write_paused:
+            self._serve()
+        # Keep the write side open for the answers still owed; _serve
+        # closes the connection once they are written.
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake_drain()
+        if self._pending is None:
+            self._serve()
+
+    # -- framing and answering -----------------------------------------------
+
+    def _serve(self) -> None:
+        """Answer every complete buffered request that can be answered
+        now; stop at one that must wait, or at the end of the buffer."""
+        while not self._closing:
+            if self._pending is not None or self._write_paused:
+                return
+            try:
+                request = self._frame()
+            except HttpProtocolError as exc:
+                # A request we cannot frame is answered, then hung up on.
+                self._respond(Response.error(exc.status, exc.message), False)
+                return
+            if request is None:
+                break
+            self._dispatch(request)
+        if self._closing:
+            return
+        if self._eof:
+            if self._buffer:
+                self._respond(Response.error(400, "truncated request"), False)
+            else:
+                self._close()
+        elif self._read_paused:
+            self._read_paused = False
+            self._transport.resume_reading()
+
+    def _frame(self) -> Request | None:
+        """The next complete request off the buffer, or None."""
+        buffer = self._buffer
+        if self._head is None:
+            end = buffer.find(b"\r\n\r\n", self._scanned)
+            if end < 0:
+                if len(buffer) > MAX_HEADER_BYTES:
+                    raise HttpProtocolError(413, "request head too large")
+                self._scanned = max(0, len(buffer) - 3)
+                return None
+            end += 4
+            if end > MAX_HEADER_BYTES:
+                raise HttpProtocolError(413, "request head too large")
+            prof = self._server.prof
+            if prof:
+                prof.begin("serve.http-parse")
+                try:
+                    request, size = _parse_head(bytes(buffer[:end]))
+                finally:
+                    prof.end("serve.http-parse")
+            else:
+                request, size = _parse_head(bytes(buffer[:end]))
+            self._head = (request, end, end + size)
+        request, start, end = self._head
+        if len(buffer) < end:
+            return None
+        request.body = bytes(buffer[start:end])
+        del buffer[:end]
+        self._head = None
+        self._scanned = 0
+        return request
+
+    def _dispatch(self, request: Request) -> None:
+        keep_alive = request.headers.get("connection", "").lower() != "close"
+        try:
+            answer = self._server.handler(request)
+            if not isinstance(answer, Response) and not asyncio.isfuture(answer):
+                answer = asyncio.ensure_future(answer)
+        except HttpProtocolError as exc:
+            answer = Response.error(exc.status, exc.message)
+        except Exception as exc:  # noqa: BLE001 — the wire gets a 500
+            answer = Response.error(500, f"{type(exc).__name__}: {exc}")
+        if isinstance(answer, Response):
+            self._respond(answer, keep_alive)
+            return
+        self._pending = answer
+        answer.add_done_callback(functools.partial(self._answered, keep_alive))
+
+    def _answered(self, keep_alive: bool, future: asyncio.Future) -> None:
+        self._pending = None
+        if self._closing:
+            return
+        try:
+            response = future.result()
+        except asyncio.CancelledError:
+            self._close()
+            return
+        except HttpProtocolError as exc:
+            response = Response.error(exc.status, exc.message)
+        except Exception as exc:  # noqa: BLE001 — the wire gets a 500
+            response = Response.error(500, f"{type(exc).__name__}: {exc}")
+        self._respond(response, keep_alive)
+        self._serve()
+
+    def _respond(self, response: Response, keep_alive: bool) -> None:
+        if response.stream is not None:
+            task = asyncio.ensure_future(self._stream(response, keep_alive))
+            self._pending = self._streaming = task
+            task.add_done_callback(self._streamed)
+            return
         # Head and body in one write: one send and one TCP segment, so
         # a keep-alive client wakes once per response.
-        writer.write(
+        self._transport.write(
             _head_bytes(response, chunked=False, keep_alive=keep_alive)
             + response.body
         )
-        await writer.drain()
-        return
-    writer.write(_head_bytes(response, chunked=True, keep_alive=keep_alive))
-    await writer.drain()
-    async for chunk in response.stream:
-        if not chunk:
-            continue
-        writer.write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
-        await writer.drain()
-    writer.write(b"0\r\n\r\n")
-    await writer.drain()
+        if not keep_alive:
+            self._close()
+
+    async def _stream(self, response: Response, keep_alive: bool) -> bool:
+        write = self._transport.write
+        write(_head_bytes(response, chunked=True, keep_alive=keep_alive))
+        await self._drain()
+        async for chunk in response.stream:
+            if not chunk:
+                continue
+            write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
+            await self._drain()
+        write(b"0\r\n\r\n")
+        return keep_alive
+
+    def _streamed(self, task: asyncio.Task) -> None:
+        self._pending = self._streaming = None
+        finished = not task.cancelled() and task.exception() is None
+        if self._closing:
+            return
+        if not finished or not task.result():
+            self._close()
+            return
+        self._serve()
+
+    async def _drain(self) -> None:
+        if self._closing:
+            raise ConnectionResetError("connection lost")
+        if self._write_paused:
+            self._drain_waiter = asyncio.get_running_loop().create_future()
+            await self._drain_waiter
+
+    def _wake_drain(self) -> None:
+        waiter, self._drain_waiter = self._drain_waiter, None
+        if waiter is not None and not waiter.done():
+            if self._closing:
+                waiter.cancel()  # the stream ends with its connection
+            else:
+                waiter.set_result(None)
+
+    def _close(self) -> None:
+        self._closing = True
+        self._buffer.clear()
+        self._head = None
+        self._transport.close()
+
+    def shutdown(self) -> asyncio.Task | None:
+        """Hang up now; returns the Task still running for this
+        connection, cancelled, for the server to wait on."""
+        pending = self._pending
+        self._close()
+        if isinstance(pending, asyncio.Task):
+            pending.cancel()
+            return pending
+        return None
 
 
 class HttpServer:
-    """Serve ``handler`` over asyncio; one task per connection."""
+    """Serve ``handler`` over asyncio; one protocol object per connection."""
 
     def __init__(self, handler: Handler, host: str = "127.0.0.1", port: int = 0):
         self.handler = handler
         self.host = host
         self.port = port
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_ServerConnection] = set()
         #: Optional phase profiler (duck-typed, wired by the app layer).
         self.prof = None
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port, limit=MAX_HEADER_BYTES
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _ServerConnection(self), self.host, self.port
         )
         # Port 0 means "pick one"; report what the kernel chose.
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def close(self) -> None:
-        """Stop accepting, then wait for in-flight connections to end."""
+        """Stop accepting, hang up every connection, wait for its Tasks."""
         if self._server is not None:
             self._server.close()
+        tasks = [
+            task
+            for task in (conn.shutdown() for conn in list(self._connections))
+            if task is not None
+        ]
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            await self._serve_connection(reader, writer)
-        except (asyncio.CancelledError, ConnectionError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            try:
-                request = await read_request(reader, self.prof)
-            except HttpProtocolError as exc:
-                await write_response(
-                    writer,
-                    Response.error(exc.status, exc.message),
-                    keep_alive=False,
-                )
-                return
-            if request is None:
-                return
-            keep_alive = request.headers.get("connection", "").lower() != "close"
-            try:
-                response = await self.handler(request)
-            except HttpProtocolError as exc:
-                response = Response.error(exc.status, exc.message)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — the wire gets a 500
-                response = Response.error(500, f"{type(exc).__name__}: {exc}")
-            await write_response(writer, response, keep_alive=keep_alive)
-            if not keep_alive:
-                return

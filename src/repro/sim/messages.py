@@ -12,12 +12,12 @@ arrives in deterministic ``(deliver_at, seq)`` order.
 
 This module sits in the simulation substrate: it knows nothing about
 resource lists, grants, or brokers, and must stay importable without
-``repro.core`` or ``repro.cluster``.  It *may* import ``repro.obs``
-(telemetry sits below the substrate): when a bus is given an
-:class:`~repro.obs.events.ObsBus`, every send/deliver/drop becomes an
-``RpcEvent``, and envelopes carry an optional
-:class:`~repro.obs.spans.TraceContext` so a request/reply chain can be
-stitched into one causal trace.
+``repro.core`` or ``repro.cluster``.  When a bus is given an
+:class:`~repro.obs.events.ObsBus`, every send/deliver/drop is recorded
+through its ``emit_rpc`` fast path (one ``rpc`` row; a typed
+``RpcEvent`` exists only for a subscriber), and envelopes carry an
+optional :class:`~repro.obs.spans.TraceContext` so a request/reply
+chain can be stitched into one causal trace.
 """
 
 from __future__ import annotations
@@ -27,7 +27,13 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.obs.events import RpcEvent
+
+
+def _request_id(payload: object) -> str:
+    """The logical RPC a payload belongs to ("" when it names none)."""
+    if isinstance(payload, dict):
+        return str(payload.get("request_id", ""))
+    return str(getattr(payload, "request_id", ""))
 
 
 @dataclass(frozen=True, order=True)
@@ -152,32 +158,19 @@ class MessageBus:
         )
         self._seq += 1
         self.stats.sent += 1
-        if self.obs:
-            self.obs.emit(self._rpc_event("send", envelope, now))
+        obs = self.obs
+        if obs:
+            request_id = _request_id(payload)
+            trace_id = getattr(trace, "trace_id", "")
+            obs.emit_rpc(now, "send", src, dst, kind, request_id, trace_id)
         if self.drop_rate and self._rng.random() < self.drop_rate:
             self.stats.dropped += 1
             self.dropped.append(envelope)
-            if self.obs:
-                self.obs.emit(self._rpc_event("drop", envelope, now))
+            if obs:
+                obs.emit_rpc(now, "drop", src, dst, kind, request_id, trace_id)
             return envelope
         heapq.heappush(self._heap, envelope)
         return envelope
-
-    def _rpc_event(self, action: str, envelope: Envelope, now: int) -> RpcEvent:
-        payload = envelope.payload
-        if isinstance(payload, dict):
-            request_id = str(payload.get("request_id", ""))
-        else:
-            request_id = str(getattr(payload, "request_id", ""))
-        return RpcEvent(
-            time=now,
-            action=action,
-            src=envelope.src,
-            dst=envelope.dst,
-            kind=envelope.kind,
-            request_id=request_id,
-            trace_id=getattr(envelope.trace, "trace_id", ""),
-        )
 
     def next_time(self) -> int | None:
         """Delivery time of the earliest in-flight message, or None."""
@@ -195,9 +188,18 @@ class MessageBus:
         while self._heap and self._heap[0].deliver_at <= now:
             due.append(heapq.heappop(self._heap))
         self.stats.delivered += len(due)
-        if self.obs:
+        obs = self.obs
+        if obs:
             for envelope in due:
-                self.obs.emit(self._rpc_event("receive", envelope, now))
+                obs.emit_rpc(
+                    now,
+                    "receive",
+                    envelope.src,
+                    envelope.dst,
+                    envelope.kind,
+                    _request_id(envelope.payload),
+                    getattr(envelope.trace, "trace_id", ""),
+                )
         if prof:
             prof.end("bus.rpc")
         return due

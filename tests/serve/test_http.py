@@ -5,7 +5,7 @@ import json
 
 from repro.serve.app import ServeApp
 from repro.serve.engine import ServeEngine
-from repro.serve.http import Request, Response, write_response
+from repro.serve.http import HttpServer, Request, Response, _ServerConnection
 from repro.serve.loadgen import PlannedRequest, _Connection
 
 
@@ -41,6 +41,16 @@ async def call(app, method, path, body=None):
 
 def spec(name, rate=0.1):
     return {"name": name, "rate": rate, "period_ms": 10.0}
+
+
+def post_request(body):
+    return Request(
+        method="POST",
+        path="/v1/tasks",
+        query={},
+        headers={},
+        body=json.dumps(body).encode(),
+    )
 
 
 class TestRoutes:
@@ -115,6 +125,21 @@ class TestRoutes:
 
         run_with_app(scenario)
 
+    def test_nodes_body_is_fresh_after_each_mutation(self):
+        # The body is encoded once per fleet view; a mutation or a drain
+        # hands out a new view, so no read sees a stale one.
+        async def scenario(app):
+            counts = []
+            for step in (None, spec("a"), spec("b")):
+                if step is not None:
+                    await call(app, "POST", "/v1/tasks", step)
+                for _ in range(2):
+                    _, body = await call(app, "GET", "/v1/nodes")
+                    counts.append(sum(node["tasks"] for node in body["nodes"]))
+            assert counts == [0, 0, 1, 1, 2, 2]
+
+        run_with_app(scenario)
+
     def test_metrics_exposes_request_counters(self):
         async def scenario(app):
             await call(app, "POST", "/v1/tasks", spec("a"))
@@ -179,16 +204,19 @@ class TestRoutes:
 
 class TestBackpressureAndDrain:
     def test_full_queue_answers_429(self):
-        # No writer running: the queue cannot drain, so the second
-        # mutation must be refused with Retry-After.
+        # Two mutations in one loop turn against a one-op queue: the
+        # first waits for the group commit, the second is refused with
+        # Retry-After, and the refusal leaves the first one's commit alone.
         async def main():
             engine = ServeEngine(nodes=2, seed=7)
             app = ServeApp(engine, port=0, queue_limit=1)
-            app._ops.put_nowait(({"op": "remove", "task": "x"}, asyncio.Future()))
-            response = await app._mutate({"op": "submit", "spec": spec("a")})
-            assert response.status == 429
-            assert response.headers["Retry-After"] == "1"
+            first = app.server.handler(post_request(spec("a")))
+            second = app.server.handler(post_request(spec("b")))
+            assert second.status == 429
+            assert second.headers["Retry-After"] == "1"
             assert app.m_backpressure.value() == 1
+            assert (await first).status == 201
+            assert sorted(engine.tasks) == ["a"]
 
         asyncio.run(main())
 
@@ -215,7 +243,7 @@ class TestBackpressureAndDrain:
             engine = ServeEngine(nodes=2, seed=7)
             app = ServeApp(engine, port=0)
 
-            async def boom(request):
+            def boom(request):
                 raise RuntimeError("kaboom")
 
             app._route = boom
@@ -244,28 +272,45 @@ class TestWriterBatching:
         run_with_app(scenario)
 
 
+class SpyTransport:
+    """What a connection touches of its transport."""
+
+    def __init__(self):
+        self.writes = []
+        self.closed = False
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def close(self):
+        self.closed = True
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+def spy_connection(handler):
+    """A server connection over a :class:`SpyTransport`."""
+    connection = _ServerConnection(HttpServer(handler))
+    transport = SpyTransport()
+    connection.connection_made(transport)
+    return connection, transport
+
+
 class TestResponseWrites:
-    class SpyWriter:
-        """What ``write_response`` touches of a StreamWriter."""
-
-        def __init__(self):
-            self.writes = []
-
-        def write(self, data):
-            self.writes.append(bytes(data))
-
-        async def drain(self):
-            pass
-
     def test_a_plain_response_is_one_write(self):
-        writer = self.SpyWriter()
         response = Response.json({"status": "admitted"}, status=201)
-        asyncio.run(write_response(writer, response, keep_alive=True))
-        (sent,) = writer.writes  # head and body: one send, one segment
+        connection, transport = spy_connection(lambda request: response)
+        connection.data_received(b"GET / HTTP/1.1\r\nHost: t\r\n\r\n")
+        (sent,) = transport.writes  # head and body: one send, one segment
         head, _, body = sent.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 201")
         assert b"Content-Length: %d" % len(response.body) in head
         assert body == response.body
+        assert not transport.closed  # keep-alive
 
     def test_a_streamed_response_keeps_one_write_per_chunk(self):
         async def chunks():
@@ -273,8 +318,21 @@ class TestResponseWrites:
             yield b""
             yield b"two\n"
 
-        writer = self.SpyWriter()
-        response = Response(stream=chunks())
-        asyncio.run(write_response(writer, response, keep_alive=False))
-        assert writer.writes[1:] == [b"4\r\none\n\r\n", b"4\r\ntwo\n\r\n", b"0\r\n\r\n"]
-        assert b"chunked" in writer.writes[0]
+        async def main():
+            connection, transport = spy_connection(
+                lambda request: Response(stream=chunks())
+            )
+            connection.data_received(
+                b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )
+            await connection._streaming
+            return transport
+
+        transport = asyncio.run(main())
+        assert transport.writes[1:] == [
+            b"4\r\none\n\r\n",
+            b"4\r\ntwo\n\r\n",
+            b"0\r\n\r\n",
+        ]
+        assert b"chunked" in transport.writes[0]
+        assert transport.closed

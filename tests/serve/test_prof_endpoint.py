@@ -3,12 +3,13 @@ snapshot endpoint and the backpressure gauges/histograms on
 ``/metrics``."""
 
 import asyncio
+import json
 
 from repro.obs.prof import ProfSession
 from repro.serve.app import ServeApp
 from repro.serve.engine import ServeEngine
 
-from tests.serve.test_http import call, spec
+from tests.serve.test_http import call, post_request, spec
 
 
 def run_with_app(scenario, prof=None, **engine_kwargs):
@@ -53,6 +54,44 @@ class TestDebugProfEndpoint:
             )
 
         run_with_app(scenario, prof=prof.phases)
+
+    def test_parse_is_charged_for_parsing_not_for_the_wait_for_the_body(self):
+        """A POST whose body arrives 200 ms after its head is parsed
+        once, when it is complete: the wait, and a commit that runs
+        during it, are not charged to ``serve.http-parse``."""
+        prof = ProfSession()
+        gap_ns = 200_000_000
+
+        async def scenario(app):
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", app.server.port
+            )
+            body = json.dumps(spec("a")).encode()
+            writer.write(
+                b"POST /v1/tasks HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            await writer.drain()
+            await asyncio.sleep(gap_ns / 2e9)
+            # Another mutation commits while the body is outstanding
+            # (straight through the handler: no second parse).
+            other = await app.server.handler(post_request(spec("b")))
+            assert other.status == 201
+            await asyncio.sleep(gap_ns / 2e9)
+            writer.write(body)
+            await writer.drain()
+            head = await reader.readuntil(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 201")
+            writer.close()
+            return prof.phases.snapshot()
+
+        snapshot = run_with_app(scenario, prof=prof.phases)
+        assert snapshot["open_frames"] == 0
+        parse = snapshot["phases"]["serve.http-parse"]
+        assert parse["calls"] == 1
+        assert parse["self_ns"] < gap_ns // 10
+        assert parse["cum_ns"] < gap_ns // 10
+        assert snapshot["phases"]["serve.commit"]["calls"] == 2
 
     def test_engine_phases_reach_the_cluster_hooks(self):
         prof = ProfSession()

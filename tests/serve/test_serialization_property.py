@@ -153,7 +153,8 @@ class TestLiveWireInterleaving:
                 await asyncio.gather(
                     *(run_client(app.server.port, s) for s in client_scripts)
                 )
-                await app._ops.join()
+                # Every mutation was answered, and a mutation is
+                # answered only once its group has committed.
                 # Snapshot before stop(): shutdown drains the cluster,
                 # which is deliberately not an oplog mutation.
                 return list(engine.oplog), engine.state_digest()

@@ -31,16 +31,25 @@ and for ``ResourceManager._requests`` (§4 "The audit is one pass").
 A metrics read folds arena rows, not events: ``ObsSession.registry``
 over new rows constructs no ``ObsEvent`` and makes at most
 ``FOLD_CALLS_PER_ROW`` Python-level calls a row (§4 "Metrics fold from
-columns").
+columns").  Recording is rows too: a bus hop and a node-scoped emit
+into an unsubscribed arena build no ``RpcEvent`` and call no
+``dataclasses.replace``.
+
+A control-plane request pays for its commit, not its envelope: a
+started ``ServeApp`` owns no Task, and the ``serve_closed`` cycle
+(POST, GET a task, DELETE, GET the fleet) creates none (§4 "Paths").
 """
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import dis
 import enum
 import functools
 import importlib
 import inspect
+import json
 import pkgutil
 import random
 import sys
@@ -65,9 +74,14 @@ from repro.obs.events import (
 )
 from repro.obs.session import ObsSession
 from repro.scenarios import av_pipeline, figure5
+from repro.serve.app import ServeApp
+from repro.serve.engine import ServeEngine
+from repro.sim.messages import MessageBus
+from repro.sim.rng import RngRegistry
 from repro.workloads import grant_follower, single_entry_definition
 from tests.core.test_event_driven_dispatch import counted_picks
 from tests.properties.test_prop_grant_control import churn_list
+from tests.serve.test_http import spec
 
 PACKAGES = ("repro.core", "repro.sim", "repro.machine", "repro.baselines")
 MODULES = ("repro.metrics.sanitizer",)
@@ -448,3 +462,113 @@ class TestMetricsFoldFromColumns:
         session.bus.emit_switch(1, 1, 2, "voluntary", -5)
         with pytest.raises(SimulationError, match="cannot decrease"):
             session.registry
+
+
+def _calls_into(codes: set, function) -> list:
+    """The code objects in ``codes`` entered while ``function()`` runs."""
+    entered = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            entered.append(frame.f_code.co_qualname)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+class TestRecordingIsRows:
+    """An unsubscribed arena takes a bus hop and a scoped emit as a row."""
+
+    def test_a_bus_hop_and_a_scoped_emit_build_no_event(self):
+        session = ObsSession()
+        bus = MessageBus(RngRegistry(7).stream("bus"), latency_ticks=10)
+        bus.obs = session.bus
+        scoped = session.scoped("node03")
+        admission = AdmissionEvent(time=5, task="t", headroom=0.5)
+
+        def record():
+            bus.send("broker", "node03", "admit", {"request_id": "admit:t:1"}, 0)
+            bus.pop_due(10)
+            scoped.emit(admission)
+
+        built = _calls_into(
+            {RpcEvent.__init__.__code__, dataclasses.replace.__code__}, record
+        )
+        assert built == []
+        hops = session.bus.arenas[""].kinds["rpc"].columns
+        assert hops["action"] == ["send", "receive"]
+        assert hops["request_id"] == ["admit:t:1", "admit:t:1"]
+        assert hops["time"] == [0, 10]
+        (stamped,) = [e for e in session.events if e.type == "admission"]
+        assert stamped == dataclasses.replace(admission, node="node03")
+
+
+async def _exchange(reader, writer, method: str, path: str, body: bytes = b"") -> int:
+    writer.write(
+        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+    )
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+    await reader.readexactly(length)
+    return int(head.split(b" ")[1])
+
+
+class TestRequestsRunNoTask:
+    """Reads are answered from ``data_received``, mutations from their
+    group commit's callback: no Task per request, no writer Task."""
+
+    def test_a_started_app_owns_no_task(self):
+        async def main():
+            app = ServeApp(ServeEngine(nodes=2, seed=7, policy="first-fit"))
+            await app.start()
+            try:
+                return asyncio.all_tasks() - {asyncio.current_task()}
+            finally:
+                await app.stop()
+
+        assert asyncio.run(main()) == set()
+
+    def test_the_serve_closed_cycle_creates_no_task(self):
+        async def main():
+            app = ServeApp(ServeEngine(nodes=2, seed=7, policy="first-fit"))
+            await app.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", app.server.port
+            )
+            try:
+                # Accepting the connection is the loop's own Task, done
+                # once the first answer is back.
+                assert await _exchange(reader, writer, "GET", "/healthz") == 200
+                created = []
+                loop = asyncio.get_running_loop()
+
+                def factory(loop, coro):
+                    created.append(coro.__qualname__)
+                    return asyncio.Task(coro, loop=loop)
+
+                loop.set_task_factory(factory)
+                body = json.dumps(spec("a")).encode()
+                statuses = [
+                    await _exchange(reader, writer, "POST", "/v1/tasks", body),
+                    await _exchange(reader, writer, "GET", "/v1/tasks/a"),
+                    await _exchange(reader, writer, "DELETE", "/v1/tasks/a"),
+                    await _exchange(reader, writer, "GET", "/v1/nodes"),
+                ]
+                loop.set_task_factory(None)
+                # ... and no Task of the server's was woken either.
+                running = asyncio.all_tasks() - {asyncio.current_task()}
+                return statuses, created, running
+            finally:
+                writer.close()
+                await app.stop()
+
+        statuses, created, running = asyncio.run(main())
+        assert statuses == [201, 200, 200, 200]
+        assert created == []
+        assert running == set()

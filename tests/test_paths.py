@@ -46,6 +46,11 @@ KEPT_NAMES = {
     "TaskContext.preemption_pending": "§5.6: a task may poll for a pending preemption",
     "ResourceDistributor.set_policy_override": "§7: the user's policy override",
     "ResourceDistributor.clear_policy_override": "§7: the user's policy override",
+    "_ServerConnection.connection_made": "asyncio.Protocol callback the transport calls",
+    "_ServerConnection.connection_lost": "asyncio.Protocol callback the transport calls",
+    "_ServerConnection.eof_received": "asyncio.Protocol callback the transport calls",
+    "_ServerConnection.pause_writing": "asyncio.Protocol callback the transport calls",
+    "_ServerConnection.resume_writing": "asyncio.Protocol callback the transport calls",
 }
 
 
