@@ -482,6 +482,10 @@ def cmd_fuzz(args) -> int:
     """Run a fuzz campaign: generate, run, classify, shrink, persist."""
     from repro.fuzz import run_campaign
 
+    if args.differential and args.cluster:
+        print("--differential runs core specs only (the cluster reference "
+              "is the test suite's lockstep loop)")
+        return 2
     stats = run_campaign(
         budget=args.budget,
         seed=args.seed,
@@ -491,6 +495,7 @@ def cmd_fuzz(args) -> int:
         shrink_failures=not args.no_shrink,
         time_budget_s=args.time_budget,
         progress=print,
+        differential=args.differential,
     )
     print(stats.summary())
     return 0 if stats.ok else 1
@@ -913,6 +918,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-shrink",
         action="store_true",
         help="write failing specs as-is instead of shrinking them",
+    )
+    p.add_argument(
+        "--differential",
+        action="store_true",
+        help="also run every core spec on the from-scratch reference "
+        "stack; a disagreement fails as divergence:<field>",
     )
     fuzz_sub = p.add_subparsers(dest="fuzz_command", metavar="subcommand")
     # A trace is self-contained (its spec carries seed and horizon), and

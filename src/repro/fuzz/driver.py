@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.fuzz.generator import generate, scenario_seed
-from repro.fuzz.runner import RunResult, run_spec
+from repro.fuzz.runner import DIVERGENCE, RunResult, run_spec
 from repro.fuzz.shrink import shrink
 from repro.fuzz.spec import ScenarioSpec, SpecError, TraceFile, load_trace, write_trace
 
@@ -45,6 +45,7 @@ class CampaignStats:
 
     seed: int
     cluster: bool
+    differential: bool = False
     scenarios: int = 0
     denials: int = 0
     decisions_checked: int = 0
@@ -57,6 +58,8 @@ class CampaignStats:
 
     def summary(self) -> str:
         mode = "cluster" if self.cluster else "core"
+        if self.differential:
+            mode += ", differential"
         status = (
             "clean" if self.ok else f"{len(self.failures)} failing scenario(s)"
         )
@@ -92,21 +95,24 @@ def run_campaign(
     shrink_failures: bool = True,
     time_budget_s: float | None = None,
     progress: Callable[[str], None] | None = None,
+    differential: bool = False,
 ) -> CampaignStats:
     """Run ``budget`` generated scenarios; shrink and persist failures.
 
     ``inject`` arms a synthetic bug in every run (self-test mode).
+    ``differential`` also runs every core scenario on the reference
+    stack, so a disagreement is a failure (``divergence:<field>``).
     ``time_budget_s`` stops the campaign early once the wall-time budget
     is spent (scenario granularity — the in-flight scenario finishes).
     """
-    stats = CampaignStats(seed=seed, cluster=cluster)
+    stats = CampaignStats(seed=seed, cluster=cluster, differential=differential)
     started = time.monotonic()
     for index in range(budget):
         if time_budget_s is not None and time.monotonic() - started >= time_budget_s:
             break
         sub_seed = scenario_seed(seed, index, cluster=cluster)
         spec = generate(sub_seed, cluster=cluster)
-        result = run_spec(spec, inject=inject)
+        result = run_spec(spec, inject=inject, differential=differential)
         stats.scenarios += 1
         stats.denials += len(result.denied)
         stats.decisions_checked += result.decisions_checked
@@ -215,6 +221,8 @@ def replay(
     For an ``expect: ok`` corpus entry, a match means the invariants
     still hold on that scenario; for a reproducer, a match means the
     recorded failure still reproduces (with its injection re-armed).
+    A reproducer that expects ``divergence:<field>`` replays
+    differentially.
 
     ``obs_out`` writes the replay's full obs artifacts there — the
     bridge from a committed reproducer to ``obs report`` / ``obs
@@ -229,7 +237,11 @@ def replay(
 
         session = ObsSession()
     result = run_spec(
-        trace.spec, inject=trace.inject, obs=session, sanitize=sanitize
+        trace.spec,
+        inject=trace.inject,
+        obs=session,
+        sanitize=sanitize,
+        differential=trace.expect.startswith(DIVERGENCE),
     )
     replayed = ReplayResult(path=path, expect=trace.expect, result=result)
     if session is not None:

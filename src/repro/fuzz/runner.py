@@ -20,6 +20,12 @@ happened:
   second, independent opinion on every run that ends ``ok``.
 * ``crash:<ExceptionType>`` — the run died some other way; a kernel /
   task-protocol error the fuzzer tripped over.
+* ``divergence:<field>`` — a differential run only (core specs): the
+  run was otherwise ``ok``, but the same spec on the from-scratch
+  reference stack (:mod:`repro.fuzz.reference`) recorded different
+  ``segments``, ``switches``, ``deadlines``, ``blocks`` or
+  ``grant-changes`` (the first that differs names the run), or
+  ended with another ``outcome``.
 
 Admission denials are **not** failures: the generator deliberately
 over-schedules, so arrival callbacks catch :class:`AdmissionError` and
@@ -41,6 +47,20 @@ from repro.sim.rng import derive
 #: Hard cap on sporadic arrivals per source (a runaway guard, not a tune).
 MAX_SPORADIC_ARRIVALS = 500
 
+
+#: The outcome prefix of a differential disagreement.  A trace that
+#: expects one replays differentially, and shrinking keeps it so.
+DIVERGENCE = "divergence:"
+
+#: What a differential run compares, in naming order: the outcome slug,
+#: then the :class:`~repro.sim.trace.TraceRecorder` list it reads.
+DIFFERENTIAL_FIELDS = (
+    ("segments", "segments"),
+    ("switches", "switches"),
+    ("deadlines", "deadlines"),
+    ("blocks", "blocks"),
+    ("grant-changes", "grant_changes"),
+)
 
 #: ``sanitize`` modes a run accepts: ``strict`` aborts at the first
 #: violation (the fuzz default), ``record`` logs violations as events
@@ -168,14 +188,20 @@ def sporadic_arrivals(spec: ScenarioSpec, task: TaskSpec) -> list[int]:
 
 
 class _CoreRun:
-    """One single-node run: a distributor, then (:meth:`script`) its
-    Sporadic Server and scripted events."""
+    """One single-node run: a distributor (on the reference stack when
+    ``reference``), then (:meth:`script`) its Sporadic Server and
+    scripted events."""
 
     def __init__(
-        self, spec: ScenarioSpec, obs=None, sanitize: str = "strict"
+        self,
+        spec: ScenarioSpec,
+        obs=None,
+        sanitize: str = "strict",
+        reference: bool = False,
     ) -> None:
         from repro.config import SimConfig
         from repro.core.distributor import ResourceDistributor
+        from repro.fuzz.reference import reference_stack
         from repro.scenarios import _machine
 
         self.spec = spec
@@ -186,6 +212,8 @@ class _CoreRun:
             sanitize_strict=sanitize == "strict",
             obs=obs,
         )
+        if reference:
+            reference_stack(self.rd)
         if obs is not None:
             obs.add_kernel("", self.rd.kernel)
         self.admitted: list[str] = []
@@ -354,6 +382,37 @@ def _classify(nodes: dict, body) -> RunResult:
     )
 
 
+def _divergence(spec: ScenarioSpec, shipped, inject_fn, sanitize: str):
+    """Run ``spec`` again on the reference stack; the first disagreement
+    with the ``shipped`` distributor's run as a :class:`RunResult`, or
+    None when the two runs are the same run."""
+    run = _CoreRun(spec, sanitize=sanitize, reference=True)
+    result = _classify(
+        {"": run.rd}, lambda: run.script(inject_fn).rd.run_for(spec.horizon_ticks)
+    )
+    if not result.ok:
+        return RunResult(
+            outcome=f"{DIVERGENCE}outcome",
+            detail=f"the reference run ended {result.outcome}: {result.detail}",
+        )
+    for slug, name in DIFFERENTIAL_FIELDS:
+        ours = getattr(shipped.trace, name)
+        theirs = getattr(run.rd.trace, name)
+        if ours == theirs:
+            continue
+        index = next(
+            (i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b),
+            min(len(ours), len(theirs)),
+        )
+        mine = ours[index] if index < len(ours) else "(end)"
+        ref = theirs[index] if index < len(theirs) else "(end)"
+        return RunResult(
+            outcome=f"{DIVERGENCE}{slug}",
+            detail=f"{name}[{index}]: shipped {mine}, reference {ref}",
+        )
+    return None
+
+
 # -- entry point ------------------------------------------------------------
 
 
@@ -362,6 +421,7 @@ def run_spec(
     inject: str | None = None,
     obs=None,
     sanitize: str = "strict",
+    differential: bool = False,
 ) -> RunResult:
     """Run one spec to its horizon under strict invariant checking.
 
@@ -372,6 +432,11 @@ def run_spec(
     ship their arenas), and ``sanitize`` picks
     one of :data:`SANITIZE_MODES`: ``record`` keeps the run going past
     a violation so the full event stream lands in the artifacts.
+
+    ``differential`` (core specs only) runs a spec that ends ``ok`` a
+    second time on the reference stack and classifies a disagreement
+    as ``divergence:<field>``; the admitted and denied names stay the
+    shipped run's.
     """
     from repro.fuzz.inject import injector
 
@@ -386,9 +451,16 @@ def run_spec(
     if spec.cluster is None:
         run = _CoreRun(spec, obs=obs, sanitize=sanitize)
         result = _classify({"": run.rd}, lambda: run.script(inject_fn).rd.run_for(horizon))
+        if differential and result.ok:
+            diverged = _divergence(spec, run.rd, inject_fn, sanitize)
+            if diverged is not None:
+                diverged.decisions_checked = result.decisions_checked
+                result = diverged
         result.admitted, result.denied = tuple(run.admitted), tuple(run.denied)
         result.ticks = run.rd.now
         return result
+    if differential:
+        raise ValueError("a differential run takes core specs only")
     try:
         sim = build_cluster(spec, inject_fn, obs=obs, sanitize=sanitize)
     except ReproError as exc:  # levels that make no valid resource list

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.fuzz.runner import run_spec
+from repro.fuzz.runner import DIVERGENCE, run_spec
 from repro.fuzz.spec import ScenarioSpec, SpecError, TaskSpec
 
 
@@ -35,6 +35,7 @@ class _Shrinker:
     def __init__(self, outcome: str, inject: str | None, max_runs: int) -> None:
         self.outcome = outcome
         self.inject = inject
+        self.differential = outcome.startswith(DIVERGENCE)
         self.max_runs = max_runs
         self.runs = 0
 
@@ -46,7 +47,10 @@ class _Shrinker:
         except SpecError:
             return False
         self.runs += 1
-        return run_spec(candidate, inject=self.inject).outcome == self.outcome
+        result = run_spec(
+            candidate, inject=self.inject, differential=self.differential
+        )
+        return result.outcome == self.outcome
 
     # -- passes --------------------------------------------------------------
 
@@ -133,7 +137,8 @@ def shrink(
     inject: str | None = None,
     max_runs: int = 250,
 ) -> ShrinkResult:
-    """Reduce ``spec`` while ``run_spec`` keeps producing ``outcome``.
+    """Reduce ``spec`` while ``run_spec`` keeps producing ``outcome``
+    (differentially, when ``outcome`` is a ``divergence:<field>``).
 
     The returned spec is re-validated and is guaranteed to still fail
     with the same classification (the original is returned unchanged if

@@ -469,9 +469,8 @@ class TestSlicedRuns:
     goes through ``trace.segments``, which flushes."""
 
     def test_segments_read_between_slices_match_the_flushing_kernel(self):
+        from repro.fuzz.reference import FromScratchKernel
         from repro.scenarios import av_pipeline
-
-        from tests.properties.test_prop_edf_heap import FromScratchKernel
 
         def readings(reference):
             scenario = av_pipeline(seed=7)

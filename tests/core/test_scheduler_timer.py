@@ -16,9 +16,9 @@ from repro import MachineConfig, SimConfig, TaskDefinition, units
 from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.scheduler import RDScheduler
+from repro.fuzz.reference import FromScratchScheduler
 from repro.tasks.base import Compute, DonePeriod, InsertIdleCycles
 from repro.workloads import grant_follower, single_entry_definition
-from tests.properties.test_prop_edf_heap import FromScratchScheduler
 
 
 def ms(x):

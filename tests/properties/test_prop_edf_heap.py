@@ -6,10 +6,12 @@ allocation that ends unallocated time, the earliest boundary that
 preempts a running grant (timer rule 2) — from lazy min-heaps fed by
 period-open, wake and overtime-request events, and the kernel wakes
 blocked threads from per-channel queues fed by ``Channel.post``.  The
-from-scratch reference below answers the same questions the way the
+from-scratch reference (``repro.fuzz.reference``, which the
+differential fuzzer runs too) answers the same questions the way the
 scheduler and kernel used to: scan every periodic thread, apply the
 eligibility predicate, take the (deadline, tid) minimum; walk every
-blocked thread and try its channel.  Both must produce the
+blocked thread and try its channel; build every grant set from
+scratch.  Both must produce the
 *identical* run for any stream of admissions, exits, quiescence,
 wake-ups, channel posts, postponed periods and grants removed from
 blocked threads, with a greedy Sporadic Server soaking up the
@@ -41,10 +43,9 @@ from hypothesis import strategies as st
 from repro import AdmissionError, MachineConfig, SimConfig, SporadicServer, units
 from repro.baselines import SmartSystem
 from repro.core.distributor import ResourceDistributor
-from repro.core.kernel import Kernel
 from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.core.scheduler import RDScheduler
 from repro.core.threads import ThreadState
+from repro.fuzz.reference import reference_stack
 from repro.tasks.base import (
     Block,
     Compute,
@@ -55,87 +56,6 @@ from repro.tasks.base import (
 )
 from repro.tasks.channels import Channel
 from repro.workloads import single_entry_definition
-
-
-def _edf_key(thread):
-    """The oracle's own EDF key, shared with nothing it judges."""
-    return (thread.deadline, thread.tid)
-
-
-class FromScratchScheduler(RDScheduler):
-    """RDScheduler with every heap read replaced by the scan it retired.
-
-    The heaps are still pushed to (the hooks are the same object's), but
-    nothing here reads them.  The kernel is not told of overtime
-    requests (:func:`run_stream` unbinds that hook), so like a baseline
-    it re-picks after every poll instead of continuing the slice.
-    """
-
-    def _scan_ready(self, now):
-        eligible = [
-            t
-            for t in self.kernel.periodic_threads()
-            if t.eligible_time_remaining(now)
-        ]
-        return min(eligible, key=_edf_key) if eligible else None
-
-    def pick(self, now):
-        head = self._scan_ready(now)
-        if head is None and self._pending_activation:
-            self._activate(now)
-            head = self._scan_ready(now)
-        if head is not None:
-            return head
-        best = None
-        for thread in self.kernel.periodic_threads():
-            if thread.eligible_overtime(now) and (
-                best is None or _edf_key(thread) < _edf_key(best)
-            ):
-                best = thread
-        return best if best is not None else self.kernel.idle
-
-    def _unallocated_timer(self, thread, now):
-        stop = units.INFINITE
-        if not thread.is_idle and thread.in_period:
-            stop = thread.deadline
-        for other in self.kernel.periodic_threads():
-            boundary = self._fresh_allocation_time(other, now)
-            if boundary is not None and boundary < stop:
-                stop = boundary
-        return stop
-
-    def _earliest_preempting_boundary(self, thread, now, limit):
-        best = None
-        for other in self.kernel.periodic_threads():
-            if other is thread:
-                continue
-            boundary = self._fresh_allocation_time(other, now)
-            if boundary is None or boundary <= now or boundary >= limit:
-                continue
-            if self._next_deadline_after(other, now) >= thread.deadline:
-                continue
-            if best is None or boundary < best:
-                best = boundary
-        return best
-
-
-class FromScratchKernel(Kernel):
-    """Kernel that delivers posts the way it used to — walk every
-    blocked thread in the order they blocked and try its channel — and
-    materializes the open trace segment at the end of every
-    ``run_until``."""
-
-    def run_until(self, horizon):
-        super().run_until(horizon)
-        self.trace.flush()
-
-    def _deliver_posts(self):
-        self._posted.clear()
-        blocked = [t for t in self.threads.values() if t.state is ThreadState.BLOCKED]
-        for thread in sorted(blocked, key=lambda t: t.block_seq):
-            channel = thread.blocked_channel
-            if channel.try_take():
-                self._wake(thread, channel)
 
 
 #: What an admitted task's body does each period.
@@ -370,16 +290,7 @@ def run_stream(stream, reference=False, unit=merged):
         sanitize_strict=True,
     )
     if reference:
-        # Same object layout, overridden reads: the two runs differ only
-        # in how the queue heads, the two timers and the threads a post
-        # wakes are found.
-        rd.scheduler.__class__ = FromScratchScheduler
-        rd.kernel.__class__ = FromScratchKernel
-        # ... and in how often the queue heads are asked for: a kernel
-        # continues a slice across a poll only for a policy whose
-        # overtime hook keeps OvertimeRequested current, and the scans
-        # read no heap the hook feeds.
-        rd.kernel._on_overtime_request = None
+        reference_stack(rd)
     names = itertools.count()
     channels = [Channel("c0"), Channel("c1")]
     admitted = []

@@ -1,11 +1,12 @@
 """Property tests: grant-set computation over random task populations.
 
 The second half holds the correlator as it was before grant control
-read per-list tables: ``ReferenceCorrelator`` rebuilds a candidate list
-through ``any()`` over ``entry.exclusive`` on every ``_select_*`` /
-``_promote`` call and keys everything by thread id.  It is kept here,
-verbatim, as the from-scratch reference the shipped controller must
-agree with — selection, pass count, fallback, unit ownership and any
+read per-list tables: ``ReferenceCorrelator`` (in
+``repro.fuzz.reference``, beside the differential fuzzer's other
+references) rebuilds a candidate list through ``any()`` over
+``entry.exclusive`` on every ``_select_*`` / ``_promote`` call and keys
+everything by thread id.  It is the from-scratch reference the shipped
+controller must agree with — selection, pass count, fallback, unit ownership and any
 ``GrantError`` — over populations built to reach every branch, and on
 every op of a Resource Manager stream held in overload.
 """
@@ -20,11 +21,11 @@ from hypothesis import strategies as st
 from repro import units
 from repro.config import SimConfig
 from repro.core.distributor import ResourceDistributor
-from repro.core.grant_control import GrantController, GrantRequest, GrantSetResult
-from repro.core.grants import Grant, GrantSet
+from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.errors import AdmissionError, GrantError
+from repro.fuzz.reference import ReferenceCorrelator
 from repro.tasks.base import TaskDefinition
 from repro.workloads import grant_follower, random_resource_list
 
@@ -125,293 +126,6 @@ def build_population_safe(population):
 
 
 # -- the table-driven correlator against its per-call-list reference --------
-
-
-class ReferenceCorrelator:
-    """Grant control with the policy correlation it shipped with before
-    the per-list tables: every helper call re-derives its candidates
-    from the entries.  No grant cache; a result is built from scratch."""
-
-    def __init__(self, capacity, policy_box, bandwidth_capacity=1.0):
-        self._capacity = capacity
-        self._bandwidth = bandwidth_capacity
-        self._policy_box = policy_box
-
-    def compute(self, requests):
-        active = [r for r in requests if not r.quiescent]
-        owners = self._maxima_fit(active)
-        if owners is None:
-            return self._policy_path(active)
-        grants = {
-            r.thread_id: Grant(r.thread_id, r.resource_list.maximum, 0)
-            for r in active
-        }
-        return GrantSetResult(
-            grant_set=GrantSet(grants, self._capacity, self._bandwidth),
-            policy=None,
-            passes=0,
-            exclusive_assignment=owners,
-        )
-
-    def _maxima_fit(self, active):
-        """Unit ownership if everyone can have their maximum, else None."""
-        if sum(r.max_rate for r in active) > self._capacity + _EPS:
-            return None
-        if (
-            sum(r.resource_list.maximum.bandwidth for r in active)
-            > self._bandwidth + _EPS
-        ):
-            return None
-        owners = {}
-        for request in active:
-            for unit in request.resource_list.maximum.exclusive:
-                if unit in owners:
-                    return None
-                owners[unit] = request.thread_id
-        return owners
-
-    # -- policy correlation ----------------------------------------------------
-
-    def _policy_path(self, active: list[GrantRequest]) -> GrantSetResult:
-        policy = self._policy_box.resolve({r.policy_id for r in active})
-        targets = {r.thread_id: policy.shares.get(r.policy_id, 0.0) for r in active}
-
-        # Selection order: the policy's exclusive-preference thread first,
-        # then by descending target share, then by thread id for
-        # determinism.  This order settles exclusive-unit claims.
-        def claim_order(request: GrantRequest) -> tuple:
-            preferred = request.policy_id == policy.exclusive_preference
-            return (not preferred, -targets[request.thread_id], request.thread_id)
-
-        ordered = sorted(active, key=claim_order)
-        owners: dict[str, int] = {}
-        selection: dict[int, int] = {}
-
-        # Pass 1: entries just above the policy-specified QOS.  A
-        # running ``total`` keeps every subsequent pass O(N), as the
-        # paper requires.
-        total = 0.0
-        bw_total = 0.0
-        for request in ordered:
-            index = self._select_above(request, targets[request.thread_id], owners)
-            self._claim(request, index, owners)
-            selection[request.thread_id] = index
-            total += request.resource_list[index].rate
-            bw_total += request.resource_list[index].bandwidth
-        passes = 1
-        #: Each thread's policy-sanctioned level; pass 3 never exceeds it.
-        ceiling = dict(selection)
-
-        def over_budget() -> bool:
-            return total > self._capacity + _EPS or bw_total > self._bandwidth + _EPS
-
-        if over_budget():
-            # Pass 2: turn higher entries into lower entries.  Demote
-            # first the threads whose "above" entry overshoots their
-            # policy target the most — they hold the least-entitled
-            # resources — breaking ties against the lowest-ranked.
-            # Bandwidth overload uses the same order: demotion lowers
-            # both dimensions level by level.
-            passes = 2
-            rank = {r.thread_id: i for i, r in enumerate(ordered)}
-
-            def overshoot(request: GrantRequest) -> float:
-                entry = request.resource_list[selection[request.thread_id]]
-                return entry.rate - targets[request.thread_id]
-
-            demote_order = sorted(
-                ordered, key=lambda r: (-overshoot(r), -rank[r.thread_id])
-            )
-            for request in demote_order:
-                if not over_budget():
-                    break
-                index = self._select_below(
-                    request, targets[request.thread_id], owners, selection[request.thread_id]
-                )
-                if index != selection[request.thread_id]:
-                    entries = request.resource_list
-                    old_index = selection[request.thread_id]
-                    total += entries[index].rate - entries[old_index].rate
-                    bw_total += entries[index].bandwidth - entries[old_index].bandwidth
-                    self._release(request, old_index, owners)
-                    self._claim(request, index, owners)
-                    selection[request.thread_id] = index
-            if over_budget():
-                # One demotion level may not free enough bandwidth
-                # (entries are ordered by CPU rate, not bandwidth); keep
-                # demoting toward the minima until both budgets fit.
-                for request in demote_order:
-                    entries = request.resource_list
-                    while over_budget() and selection[request.thread_id] < len(entries) - 1:
-                        old_index = selection[request.thread_id]
-                        candidates = [
-                            i
-                            for i in self._candidates(request, owners)
-                            if i > old_index
-                        ]
-                        if not candidates:
-                            break
-                        index = min(candidates)
-                        total += entries[index].rate - entries[old_index].rate
-                        bw_total += entries[index].bandwidth - entries[old_index].bandwidth
-                        self._release(request, old_index, owners)
-                        self._claim(request, index, owners)
-                        selection[request.thread_id] = index
-                    if not over_budget():
-                        break
-
-        fallback = False
-        if over_budget():
-            # The policy nominated targets below some minimum entries.
-            # Fall back to the minimum set, which admission guarantees.
-            fallback = True
-            owners.clear()
-            total = 0.0
-            bw_total = 0.0
-            for request in ordered:
-                index = len(request.resource_list) - 1
-                self._claim(request, index, owners)
-                selection[request.thread_id] = index
-                total += request.resource_list[index].rate
-                bw_total += request.resource_list[index].bandwidth
-
-        slack = self._capacity - total
-        bw_slack = self._bandwidth - bw_total
-        smallest_step = min(
-            (
-                request.resource_list[i - 1].rate - request.resource_list[i].rate
-                for request in active
-                for i in range(1, len(request.resource_list))
-            ),
-            default=float("inf"),
-        )
-        if passes == 2 and not fallback and slack >= smallest_step - _EPS:
-            # Pass 3: hand otherwise-unallocated resources back to
-            # demoted threads, best-ranked first — but never beyond the
-            # policy-sanctioned (pass 1) level: further slack belongs to
-            # the Scheduler's OvertimeRequested queue at run time, not
-            # to grants the policy declined to make.
-            passes = 3
-            for request in ordered:
-                if slack <= _EPS:
-                    break
-                index = self._promote(
-                    request,
-                    selection[request.thread_id],
-                    slack,
-                    owners,
-                    floor=ceiling[request.thread_id],
-                    bw_slack=bw_slack,
-                )
-                if index != selection[request.thread_id]:
-                    entries = request.resource_list
-                    old_index = selection[request.thread_id]
-                    slack -= entries[index].rate - entries[old_index].rate
-                    bw_slack -= entries[index].bandwidth - entries[old_index].bandwidth
-                    self._release(request, old_index, owners)
-                    self._claim(request, index, owners)
-                    selection[request.thread_id] = index
-
-        grants = {
-            r.thread_id: Grant(
-                thread_id=r.thread_id,
-                entry=r.resource_list[selection[r.thread_id]],
-                entry_index=selection[r.thread_id],
-            )
-            for r in active
-        }
-        return GrantSetResult(
-            grant_set=GrantSet(grants, self._capacity, self._bandwidth),
-            policy=policy,
-            passes=passes,
-            minimum_fallback=fallback,
-            exclusive_assignment=dict(owners),
-        )
-
-    # -- selection helpers -----------------------------------------------------
-
-    def _candidates(self, request: GrantRequest, owners: dict[str, int]) -> list[int]:
-        """Entry indices whose exclusive needs are free (or already ours)."""
-        available = []
-        for i, entry in enumerate(request.resource_list):
-            conflicted = any(
-                owners.get(unit, request.thread_id) != request.thread_id
-                for unit in entry.exclusive
-            )
-            if not conflicted:
-                available.append(i)
-        if not available:
-            raise GrantError(
-                f"thread {request.thread_id} has no conflict-free entry; minimum "
-                f"entries must not require exclusive units"
-            )
-        return available
-
-    def _select_above(
-        self, request: GrantRequest, target: float, owners: dict[str, int]
-    ) -> int:
-        """The entry just above the policy target (lowest rate >= target),
-        or the best entry below it when the target exceeds every level."""
-        entries = request.resource_list
-        candidates = self._candidates(request, owners)
-        above = [i for i in candidates if entries[i].rate >= target - _EPS]
-        if above:
-            return max(above)  # lowest QOS that still meets the target
-        return min(candidates)  # target above all levels: take the best we have
-
-    def _select_below(
-        self, request: GrantRequest, target: float, owners: dict[str, int], current: int
-    ) -> int:
-        """Demotion target: the entry just below the policy target, or the
-        minimum entry when nothing sits below the target."""
-        entries = request.resource_list
-        candidates = [i for i in self._candidates(request, owners) if i >= current]
-        below = [i for i in candidates if entries[i].rate < target - _EPS]
-        if below:
-            return min(below)  # highest QOS under the target
-        return max(candidates)  # floor: the minimum entry
-
-    def _promote(
-        self,
-        request: GrantRequest,
-        current: int,
-        slack: float,
-        owners: dict[str, int],
-        floor: int = 0,
-        bw_slack: float = 1.0,
-    ) -> int:
-        """The best entry reachable within the CPU and bandwidth slack,
-        no higher (lower index) than ``floor``."""
-        entries = request.resource_list
-        current_rate = entries[current].rate
-        current_bw = entries[current].bandwidth
-        for i in self._candidates(request, owners):
-            if i < floor:
-                continue
-            if i >= current:
-                break
-            if (
-                entries[i].rate - current_rate <= slack + _EPS
-                and entries[i].bandwidth - current_bw <= bw_slack + _EPS
-            ):
-                return i
-        return current
-
-    def _claim(self, request: GrantRequest, index: int, owners: dict[str, int]) -> None:
-        for unit in request.resource_list[index].exclusive:
-            holder = owners.get(unit)
-            if holder is not None and holder != request.thread_id:
-                raise GrantError(
-                    f"unit {unit!r} already claimed by thread {holder} while "
-                    f"granting thread {request.thread_id}"
-                )
-            owners[unit] = request.thread_id
-
-    def _release(self, request: GrantRequest, index: int, owners: dict[str, int]) -> None:
-        for unit in request.resource_list[index].exclusive:
-            if owners.get(unit) == request.thread_id:
-                del owners[unit]
-
 
 UNITS = ("ffu.video_scaler", "data_streamer")
 PERIOD = units.ms_to_ticks(10)

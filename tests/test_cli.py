@@ -261,8 +261,8 @@ class TestParser:
 
     def test_flag_surface_matches_the_parent(self):
         """No flag added or dropped, no default, choice or arity moved:
-        ``cli_flags.json`` is what ``build_parser()`` yielded at 1b58b8c.
-        ``type`` is left out, so range checkers may land."""
+        ``cli_flags.json`` is what ``build_parser()`` yielded at 1b58b8c,
+        plus ``fuzz --differential``.  ``type`` is left out, so range checkers may land."""
         import json
         from pathlib import Path
 
