@@ -92,7 +92,9 @@ class PipelineShipping:
             )
         session.shipping = self
 
-    # -- the lockstep hooks ------------------------------------------------
+    # -- the simulation's hooks --------------------------------------------
+    # ``ClusterSimulation`` runs every node to ``now`` before an epoch's
+    # cuts; a chunk delivery on this plane runs no node.
 
     def on_epoch(self, now: int) -> None:
         """Flush every tier: node arenas to racks, racks to the root.

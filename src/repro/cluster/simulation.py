@@ -1,12 +1,12 @@
-"""Deterministic lockstep simulation of a distributor cluster.
+"""Deterministic simulation of a distributor cluster.
 
 ``ClusterSimulation`` owns N independent :class:`ClusterNode` kernels
 (one full Resource Distributor each), the :class:`MessageBus` carrying
 broker traffic, and the :class:`ClusterBroker`.  Nothing shares a
-clock implicitly: the driver advances every node kernel in lockstep to
-the next *global* interesting time —
+clock implicitly.  The cluster clock steps to the next *global*
+interesting time —
 
-* the next message delivery on the bus,
+* the next message delivery on the bus (or the pipeline's plane),
 * the next external arrival/departure event,
 * the next load-report epoch,
 * the broker's earliest RPC timeout,
@@ -14,10 +14,23 @@ the next *global* interesting time —
 
 then fires events, routes delivered envelopes, retries overdue RPCs,
 and (on epoch boundaries) collects load reports and runs the broker's
-migration pass.  Every queue drains in a deterministic order (nodes by
-name, envelopes by send sequence, events by schedule order), so a
-cluster run is exactly reproducible from its seed: same seed, same
-message drops, same placements, byte-identical metrics.
+migration pass.  A node's kernel runs only when something *touches*
+it, and then only up to the cluster's ``now``: just before it handles
+a bus delivery, and — every node — before an epoch's reports and cuts
+and before due external events fire (an event is an arbitrary
+callable).  The nodes share nothing but messages, so between touches a
+node has nothing to react to, and a kernel's run does not depend on
+where its horizon is cut (``tests/properties/test_prop_edf_heap.py``
+holds that, and ``tests/cluster/test_touch_driven.py`` holds this loop
+to a lockstep reference that runs every node to every global stop).
+:meth:`~ClusterSimulation.run_until` returns with every
+node at its horizon; :meth:`~ClusterSimulation.settle` moves only the
+nodes its deliveries touch.
+
+Every queue drains in a deterministic order (nodes by name, envelopes
+by send sequence, events by schedule order), so a cluster run is
+exactly reproducible from its seed: same seed, same message drops,
+same placements, byte-identical metrics.
 """
 
 from __future__ import annotations
@@ -207,26 +220,47 @@ class ClusterSimulation:
         """Schedule a task departure."""
         self.at(time, lambda: self.broker.withdraw(task, self._now), f"withdraw {task}")
 
-    # -- the lockstep loop ---------------------------------------------------
+    # -- the touch-driven loop ----------------------------------------------
 
     def run_for(self, ticks: int) -> None:
         self.run_until(self._now + ticks)
 
     def run_until(self, horizon: int) -> None:
-        """Advance the whole cluster to absolute time ``horizon``."""
+        """Advance the whole cluster to absolute time ``horizon``; every
+        node's kernel is there on return (``run_until(now)`` only
+        catches the nodes up)."""
         while self._now < horizon:
-            target = self._next_time(horizon)
-            for name in sorted(self.nodes):
-                self.nodes[name].rd.run_until(target)
-            self._now = target
+            self._advance(horizon)
+        self._touch_all()
+
+    def _advance(self, horizon: int) -> None:
+        """Step the cluster clock to the next global time (at most
+        ``horizon``) and do what is due there, running a node only when
+        something touches it."""
+        self._now = now = self._next_time(horizon)
+        event_next = self.events.next_time()
+        if event_next is not None and event_next <= now:
+            self._touch_all()
             self._fire_events()
-            self._route_messages()
-            if self.pipeline is not None:
-                self.pipeline.route(self._now)
-            self.broker.check_timeouts(self._now)
-            while self._next_epoch <= self._now:
+        self._route_messages()
+        if self.pipeline is not None:
+            self.pipeline.route(now)
+        self.broker.check_timeouts(now)
+        if self._next_epoch <= now:
+            self._touch_all()
+            while self._next_epoch <= now:
                 self._epoch()
                 self._next_epoch += EPOCH_TICKS
+
+    def _touch(self, node: ClusterNode) -> None:
+        """Bring one node's kernel to the cluster's ``now``."""
+        rd = node.rd
+        if rd.now < self._now:
+            rd.run_until(self._now)
+
+    def _touch_all(self) -> None:
+        for name in sorted(self.nodes):
+            self._touch(self.nodes[name])
 
     def settle(self, max_rounds: int = 10_000) -> bool:
         """Advance sim time until every in-flight broker interaction has
@@ -236,10 +270,12 @@ class ClusterSimulation:
         it after each mutation batch so admit/withdraw outcomes are
         decided before the caller is answered, and once more on
         shutdown so the books are consistent when the final artifacts
-        are written.  Returns ``False`` when ``max_rounds`` advances
-        were not enough (a cycle that keeps feeding the bus — with a
-        reliable in-process bus this indicates a bug, and callers
-        should surface it rather than spin forever).
+        are written.  Only the nodes a delivery (or an epoch, or an
+        event) touches move; the rest stay where they were until a
+        later touch or :meth:`run_until`.  Returns ``False`` when
+        ``max_rounds`` advances were not enough (a cycle that keeps
+        feeding the bus — with a reliable in-process bus this indicates
+        a bug, and callers should surface it rather than spin forever).
         """
         prof = self.prof
         if prof:
@@ -263,18 +299,23 @@ class ClusterSimulation:
                 candidates.append(deadline)
             if not candidates:
                 break
-            self.run_until(max(self._now + 1, min(candidates)))
+            target = max(self._now + 1, min(candidates))
+            while self._now < target:
+                self._advance(target)
         return self.broker.idle and len(self.bus) == 0
 
     def drain(self, max_rounds: int = 10_000) -> bool:
         """Withdraw every placement, then :meth:`settle` the fallout.
 
         The graceful-shutdown hook: after a successful drain no task
-        holds a grant anywhere in the cluster and no RPC is in flight.
+        holds a grant anywhere in the cluster, no RPC is in flight, and
+        every node is at ``now``.
         """
         for task in sorted(self.broker.placements):
             self.broker.withdraw(task, self._now)
-        return self.settle(max_rounds=max_rounds)
+        settled = self.settle(max_rounds=max_rounds)
+        self._touch_all()
+        return settled
 
     def _next_time(self, horizon: int) -> int:
         """The next global time anything cluster-level can happen."""
@@ -311,6 +352,7 @@ class ClusterSimulation:
                     self.broker.on_message(envelope, self._now)
                 else:
                     node = self.nodes[envelope.dst]
+                    self._touch(node)
                     kind, payload = node.handle(
                         envelope.kind, envelope.payload, self._now
                     )

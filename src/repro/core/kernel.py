@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -143,6 +144,10 @@ class Kernel:
         #: across the switch-cost window to spot a stale pick (a period
         #: that opened while the switch was charged).
         self._periods_opened = 0
+        #: Starts of postponed periods still ahead when they opened
+        #: (a heap), popped at the next switch: one that falls inside
+        #: the switch-cost window makes the pick stale too.
+        self._postponed_starts: list[int] = []
         self._next_tid = self.IDLE_TID + 1
         self.idle = SimThread(self.IDLE_TID, "Idle", THREAD_IDLE)
         self.policy = None  # bound by the scheduler policy
@@ -425,6 +430,7 @@ class Kernel:
                 sanitizer.on_pick(thread, now)
             if thread is not self._current:
                 opened_before = self._periods_opened
+                picked_at = now
                 self._switch_to(thread)
                 now = clock.now
                 # The switch cost may have carried the clock across
@@ -440,26 +446,36 @@ class Kernel:
                     if prof:
                         prof.end("kernel.dispatch")
                     continue
-                if self._periods_opened != opened_before:
-                    # A period opened inside the switch-cost window, so
-                    # the pick is stale: the opened thread may now head
-                    # the EDF queue — and dispatching a stale Idle pick
-                    # would sleep through that thread's whole period.
-                    # Re-decide, exactly as the boundary's timer
-                    # interrupt would have forced.
+                started = False
+                postponed = self._postponed_starts
+                while postponed and postponed[0] <= now:
+                    if heappop(postponed) > picked_at:
+                        started = True
+                if self._periods_opened != opened_before or started:
+                    # A period opened — or a postponed one began —
+                    # inside the switch-cost window, so the pick is
+                    # stale: that thread may now head the EDF queue, and
+                    # dispatching a stale pick would sleep through its
+                    # whole period.  Re-decide, exactly as the
+                    # boundary's timer interrupt would have forced.
                     if prof:
                         prof.end("kernel.dispatch")
                     continue
             # The timer: the horizon, the next external event, or the
-            # policy's interrupt, whichever is first.
+            # policy's interrupt, whichever is first.  An event wins its
+            # tie with the policy's interrupt; the horizon does not — the
+            # interrupt due there is still an interrupt (a grace period
+            # may follow it), wherever a caller cuts the run.
             stop = horizon
+            interrupt_ties = True
             if event_heap:
                 next_event = events.next_time()
-                if next_event is not None and next_event < stop:
+                if next_event is not None and next_event <= stop:
                     stop = next_event
+                    interrupt_ties = False
             preemptive = False
             policy_stop = timer_for(thread, now)
-            if policy_stop < stop:
+            if policy_stop < stop or (policy_stop == stop and interrupt_ties):
                 stop = policy_stop
                 preemptive = True
             # A switch cost can land the clock just past a timer target;
@@ -493,10 +509,20 @@ class Kernel:
                         f"scheduler made no progress at t={self.now}; likely a "
                         f"policy/task livelock"
                     )
-        # Close any period ending exactly at the horizon so trace
-        # accounting covers the whole run.  The open trace segment
-        # stays open: ``trace.segments`` flushes on read, and the next
-        # slice of the same run extends it in place.
+        # Finish the instant the run stops at as the next iteration
+        # would begin it: boundaries before it close, events due at it
+        # fire, posts are delivered, and only then does a period ending
+        # exactly there close.  So trace accounting covers the whole
+        # run, and a caller that cuts a horizon into many calls gets
+        # the run one call makes.  The open trace segment stays open:
+        # ``trace.segments`` flushes on read, and the next slice of the
+        # same run extends it in place.
+        if self._next_rollover < clock.now:
+            self._rollover_all(strict=True)
+        if event_heap and event_heap[0].time <= clock.now:
+            self._fire_due_events()
+        if posted:
+            self._deliver_posts()
         self._rollover_all()
 
     def _fire_due_events(self) -> None:
@@ -990,30 +1016,67 @@ class Kernel:
 
     def _rollover_all(self, strict: bool = False) -> None:
         """Process every period boundary at or before the current time
-        (strictly before it when ``strict``).
+        (strictly before it when ``strict``), in boundary order.
 
         The earliest upcoming boundary is cached across calls, so the
         common case — nothing due yet — is O(1) instead of a scan of
         the whole periodic population.  Period opens that happen
         outside this scan (:meth:`start_first_period`) lower the cache;
         opens inside the scan are folded into the minimum it computes.
+
+        Due boundaries close by ``(deadline, tid)`` — the order they
+        fell in, ties by creation — so a late scan (after an idle
+        stretch or a long slice) records what an on-time one would
+        have, whenever the caller happens to look.  One due thread is
+        rolled in place; a heap is built only when two or more are.
         """
         now = self.clock.now
         cached = self._next_rollover
         if cached > now or (strict and cached == now):
             return
+        limit = now if strict else now + 1  # due: deadline < limit
         # Any first period started by a policy hook while the scan runs
         # lowers _next_rollover; fold it into the final minimum.
         self._next_rollover = units.INFINITE
         earliest = units.INFINITE
+        first = None
+        due = None
         for thread in self._periodic:
-            while thread.grant is not None and (
-                thread.deadline < now or (not strict and thread.deadline == now)
-            ):
+            if thread.grant is None:
+                continue
+            deadline = thread.deadline
+            if deadline >= limit:
+                if deadline < earliest:
+                    earliest = deadline
+            elif first is None:
+                first = thread
+            elif due is None:
+                due = [
+                    (first.deadline, first.tid, first),
+                    (deadline, thread.tid, thread),
+                ]
+            else:
+                due.append((deadline, thread.tid, thread))
+        if due is None:
+            if first is not None:
+                while first.grant is not None and first.deadline < limit:
+                    self._close_period(first)
+                    self._open_next_period(first)
+                if first.grant is not None and first.deadline < earliest:
+                    earliest = first.deadline
+        else:
+            heapify(due)
+            while due:
+                thread = heappop(due)[2]
                 self._close_period(thread)
                 self._open_next_period(thread)
-            if thread.grant is not None and thread.deadline < earliest:
-                earliest = thread.deadline
+                if thread.grant is None:
+                    continue
+                deadline = thread.deadline
+                if deadline < limit:
+                    heappush(due, (deadline, thread.tid, thread))
+                elif deadline < earliest:
+                    earliest = deadline
         self._next_rollover = min(self._next_rollover, earliest)
 
     def _close_period(self, thread: SimThread) -> None:
@@ -1120,6 +1183,8 @@ class Kernel:
             period_start=start,
         )
         self._periods_opened += 1
+        if start > self.clock.now:
+            heappush(self._postponed_starts, start)
 
     def _needs_restart(
         self, thread: SimThread, old: Grant, new: Grant, changed: bool
@@ -1157,7 +1222,8 @@ class Kernel:
         return True
 
     def _retire_grant(self, thread: SimThread) -> None:
-        """A pending removal took effect at the period boundary."""
+        """A pending removal took effect at the period boundary: the
+        closed period's deadline, which is when it is stamped."""
         thread.grant = None
         thread.remaining = 0
         thread.pending_compute = 0
@@ -1173,7 +1239,7 @@ class Kernel:
         self.exclusive.release_thread(thread.tid)
         self._record_grant_change(
             GrantChangeRecord(
-                time=self.now,
+                time=thread.deadline,
                 thread_id=thread.tid,
                 period=0,
                 cpu_ticks=0,

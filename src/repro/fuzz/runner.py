@@ -52,15 +52,9 @@ MAX_SPORADIC_ARRIVALS = 500
 #: expects one replays differentially, and shrinking keeps it so.
 DIVERGENCE = "divergence:"
 
-#: What a differential run compares, in naming order: the outcome slug,
-#: then the :class:`~repro.sim.trace.TraceRecorder` list it reads.
-DIFFERENTIAL_FIELDS = (
-    ("segments", "segments"),
-    ("switches", "switches"),
-    ("deadlines", "deadlines"),
-    ("blocks", "blocks"),
-    ("grant-changes", "grant_changes"),
-)
+#: The :class:`~repro.sim.trace.TraceRecorder` lists a differential run
+#: compares, in naming order (the outcome spells ``_`` as ``-``).
+DIFFERENTIAL_FIELDS = ("segments", "switches", "deadlines", "blocks", "grant_changes")
 
 #: ``sanitize`` modes a run accepts: ``strict`` aborts at the first
 #: violation (the fuzz default), ``record`` logs violations as events
@@ -395,7 +389,7 @@ def _divergence(spec: ScenarioSpec, shipped, inject_fn, sanitize: str):
             outcome=f"{DIVERGENCE}outcome",
             detail=f"the reference run ended {result.outcome}: {result.detail}",
         )
-    for slug, name in DIFFERENTIAL_FIELDS:
+    for name in DIFFERENTIAL_FIELDS:
         ours = getattr(shipped.trace, name)
         theirs = getattr(run.rd.trace, name)
         if ours == theirs:
@@ -407,7 +401,7 @@ def _divergence(spec: ScenarioSpec, shipped, inject_fn, sanitize: str):
         mine = ours[index] if index < len(ours) else "(end)"
         ref = theirs[index] if index < len(theirs) else "(end)"
         return RunResult(
-            outcome=f"{DIVERGENCE}{slug}",
+            outcome=f"{DIVERGENCE}{name.replace('_', '-')}",
             detail=f"{name}[{index}]: shipped {mine}, reference {ref}",
         )
     return None
@@ -466,6 +460,14 @@ def run_spec(
     except ReproError as exc:  # levels that make no valid resource list
         return RunResult(outcome=f"crash:{type(exc).__name__}", detail=str(exc))
     nodes = {name: sim.nodes[name].rd for name in sorted(sim.nodes)}
-    result = _classify(nodes, lambda: (sim.run_until(horizon), sim.settle()))
+
+    def body() -> None:
+        sim.run_until(horizon)
+        sim.settle()
+        # settle() moves only the nodes its deliveries touch; every
+        # node's run is audited up to sim.now.
+        sim.run_until(sim.now)
+
+    result = _classify(nodes, body)
     result.admitted, result.ticks = tuple(sorted(sim.broker.placements)), sim.now
     return result

@@ -206,14 +206,16 @@ class TestDeterminism:
 
     def test_counts_match_the_parent(self, tmp_path, capsys):
         """``prof_counts.json`` of the rack capture the ``prof-smoke``
-        job renders, pinned at c956e06: a change that moves any phase
-        count moves these bytes."""
+        job renders, pinned at c956e06 and re-recorded once when rack
+        nodes began to run only when touched (``kernel.dispatch`` 914 →
+        438, nothing else): a change that moves any phase count moves
+        these bytes."""
         from repro.cli import main
 
         assert main(["run", "--scenario", "cluster_rack", "--seed", "7",
                      "--duration-ms", "400", "--profile", str(tmp_path)]) == 0
         counts = (tmp_path / "prof_counts.json").read_bytes()
-        assert hashlib.sha256(counts).hexdigest()[:16] == "d99f500839dda30c"
+        assert hashlib.sha256(counts).hexdigest()[:16] == "e7416ccdff9984cf"
         capsys.readouterr()
 
     def test_greedy_server_counts_match_the_parent(self, tmp_path, capsys):

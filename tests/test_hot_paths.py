@@ -38,6 +38,12 @@ into an unsubscribed arena build no ``RpcEvent`` and call no
 A control-plane request pays for its commit, not its envelope: a
 started ``ServeApp`` owns no Task, and the ``serve_closed`` cycle
 (POST, GET a task, DELETE, GET the fleet) creates none (§4 "Paths").
+
+A rack node runs when something touches it: a ``settle`` carrying one
+admit round trip runs its target node's kernel and no other, and a
+rack run makes at most two kernel ``run_until`` calls per touch the
+test counts (deliveries, epoch and event syncs, ``run_until``
+returns).
 """
 
 from __future__ import annotations
@@ -58,8 +64,11 @@ import types
 import pytest
 
 from repro import SimConfig, units
+from repro.cluster.node import ClusterNode
+from repro.cluster.simulation import ClusterSimulation
 from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest
+from repro.core.kernel import Kernel
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.sporadic import SporadicServer
@@ -73,7 +82,7 @@ from repro.obs.events import (
     ViolationEvent,
 )
 from repro.obs.session import ObsSession
-from repro.scenarios import av_pipeline, figure5
+from repro.scenarios import av_pipeline, cluster_rack, figure5
 from repro.serve.app import ServeApp
 from repro.serve.engine import ServeEngine
 from repro.sim.messages import MessageBus
@@ -572,3 +581,67 @@ class TestRequestsRunNoTask:
         assert statuses == [201, 200, 200, 200]
         assert created == []
         assert running == set()
+
+
+def _count_kernel_runs(monkeypatch) -> dict:
+    """Count ``Kernel.run_until`` calls per kernel from now on."""
+    calls: dict = {}
+    original = Kernel.run_until
+
+    def counted(self, horizon):
+        calls[self] = calls.get(self, 0) + 1
+        return original(self, horizon)
+
+    monkeypatch.setattr(Kernel, "run_until", counted)
+    return calls
+
+
+def _count(monkeypatch, cls, name: str, counts: dict, key: str, when=None) -> None:
+    """Count calls of ``cls.name`` (those ``when(self)`` holds for)
+    under ``counts[key]``."""
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        if when is None or when(self):
+            counts[key] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+class TestNodesRunWhenTouched:
+    """A rack node's kernel runs only when something touches it — a bus
+    delivery to it, an epoch, due external events, a ``run_until``
+    return — not at every global stop (§4 "Paths": the lockstep loop
+    is the test suite's reference)."""
+
+    def test_a_settle_runs_only_the_node_it_touches(self, monkeypatch):
+        sim = ClusterSimulation(node_count=4, seed=0, policy="first-fit")
+        sim.run_until(units.ms_to_ticks(10))
+        calls = _count_kernel_runs(monkeypatch)
+        sim.broker.submit("one", single_entry_definition("one", 10.0, 0.2), sim.now)
+        assert sim.settle()
+        node = sim.nodes[sim.broker.placements["one"].node]
+        assert sim.now < units.ms_to_ticks(11)  # one round trip, no epoch
+        assert calls == {node.rd.kernel: 1}
+
+    def test_kernel_runs_stay_within_twice_the_touches(self, monkeypatch):
+        """``run --scenario cluster_rack --seed 7 --duration-ms 400``."""
+        sim = cluster_rack(seed=7, horizon_sec=0.4, sanitize=True)
+        nodes = len(sim.nodes)
+        counts = {"deliveries": 0, "epochs": 0, "event stops": 0, "returns": 0}
+        _count(monkeypatch, ClusterNode, "handle", counts, "deliveries")
+        _count(monkeypatch, ClusterSimulation, "_epoch", counts, "epochs")
+        _count(
+            monkeypatch, ClusterSimulation, "_fire_events", counts, "event stops",
+            when=lambda s: s.events.next_time() is not None
+            and s.events.next_time() <= s.now,
+        )
+        _count(monkeypatch, ClusterSimulation, "run_until", counts, "returns")
+        calls = _count_kernel_runs(monkeypatch)
+        sim.run_until(sim.horizon)
+        touches = counts["deliveries"] + nodes * (
+            counts["epochs"] + counts["event stops"] + counts["returns"]
+        )
+        assert counts["epochs"] == 8 and counts["deliveries"] > 0
+        assert sum(calls.values()) <= 2 * touches, (sum(calls.values()), counts)
