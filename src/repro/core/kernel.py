@@ -360,7 +360,16 @@ class Kernel:
         self.run_until(self.now + ticks)
 
     def run_until(self, horizon: int) -> None:
-        """Advance the simulation to absolute time ``horizon``."""
+        """Advance the simulation to absolute time ``horizon``.
+
+        The clock may end past ``horizon``: a switch cost or an
+        interrupt handler's stolen time can carry it there, and so can
+        a grace period — a policy interrupt due exactly at ``horizon``
+        is still an interrupt, and a thread under controlled preemption
+        runs on until it notices (at most ``grace_period_ticks``).  A
+        caller stepping with :meth:`run_for` steps from where the clock
+        ended, not from the horizon it asked for.
+        """
         if self.policy is None:
             raise SimulationError("no scheduler policy bound to the kernel")
         clock = self.clock
@@ -397,7 +406,7 @@ class Kernel:
                 prof.end("kernel.dispatch")
             self._no_progress = 0
             return
-        while clock.now < horizon:
+        while True:
             before = now = clock.now
             # Bring period accounting current *before* firing events:
             # an event handler (e.g. a wake -> grant recomputation) must
@@ -417,6 +426,15 @@ class Kernel:
                 self._deliver_posts()
             if self._next_rollover <= now:
                 self._rollover_all()
+            if before >= horizon:
+                # The run stops here, with the instant it stops at
+                # finished as the next call would begin it — so trace
+                # accounting covers the whole run, and a caller that
+                # cuts a horizon into many calls gets the run one call
+                # makes.  The open trace segment stays open:
+                # ``trace.segments`` flushes on read, and the next
+                # slice of the same run extends it in place.
+                break
             self._reschedule = False
             # One phase frame covers the whole decision: pick, context
             # switch, and the dispatched slice.  A begin/end pair costs
@@ -509,21 +527,6 @@ class Kernel:
                         f"scheduler made no progress at t={self.now}; likely a "
                         f"policy/task livelock"
                     )
-        # Finish the instant the run stops at as the next iteration
-        # would begin it: boundaries before it close, events due at it
-        # fire, posts are delivered, and only then does a period ending
-        # exactly there close.  So trace accounting covers the whole
-        # run, and a caller that cuts a horizon into many calls gets
-        # the run one call makes.  The open trace segment stays open:
-        # ``trace.segments`` flushes on read, and the next slice of the
-        # same run extends it in place.
-        if self._next_rollover < clock.now:
-            self._rollover_all(strict=True)
-        if event_heap and event_heap[0].time <= clock.now:
-            self._fire_due_events()
-        if posted:
-            self._deliver_posts()
-        self._rollover_all()
 
     def _fire_due_events(self) -> None:
         for event in self.events.pop_due(self.now):
@@ -1027,8 +1030,7 @@ class Kernel:
         Due boundaries close by ``(deadline, tid)`` — the order they
         fell in, ties by creation — so a late scan (after an idle
         stretch or a long slice) records what an on-time one would
-        have, whenever the caller happens to look.  One due thread is
-        rolled in place; a heap is built only when two or more are.
+        have, whenever the caller happens to look.
         """
         now = self.clock.now
         cached = self._next_rollover
@@ -1039,44 +1041,27 @@ class Kernel:
         # lowers _next_rollover; fold it into the final minimum.
         self._next_rollover = units.INFINITE
         earliest = units.INFINITE
-        first = None
-        due = None
+        due = []
         for thread in self._periodic:
             if thread.grant is None:
                 continue
             deadline = thread.deadline
-            if deadline >= limit:
-                if deadline < earliest:
-                    earliest = deadline
-            elif first is None:
-                first = thread
-            elif due is None:
-                due = [
-                    (first.deadline, first.tid, first),
-                    (deadline, thread.tid, thread),
-                ]
-            else:
+            if deadline < limit:
                 due.append((deadline, thread.tid, thread))
-        if due is None:
-            if first is not None:
-                while first.grant is not None and first.deadline < limit:
-                    self._close_period(first)
-                    self._open_next_period(first)
-                if first.grant is not None and first.deadline < earliest:
-                    earliest = first.deadline
-        else:
-            heapify(due)
-            while due:
-                thread = heappop(due)[2]
-                self._close_period(thread)
-                self._open_next_period(thread)
-                if thread.grant is None:
-                    continue
-                deadline = thread.deadline
-                if deadline < limit:
-                    heappush(due, (deadline, thread.tid, thread))
-                elif deadline < earliest:
-                    earliest = deadline
+            elif deadline < earliest:
+                earliest = deadline
+        heapify(due)
+        while due:
+            thread = heappop(due)[2]
+            self._close_period(thread)
+            self._open_next_period(thread)
+            if thread.grant is None:
+                continue
+            deadline = thread.deadline
+            if deadline < limit:
+                heappush(due, (deadline, thread.tid, thread))
+            elif deadline < earliest:
+                earliest = deadline
         self._next_rollover = min(self._next_rollover, earliest)
 
     def _close_period(self, thread: SimThread) -> None:

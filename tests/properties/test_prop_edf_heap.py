@@ -641,6 +641,41 @@ def test_a_split_horizon_is_inert(stream, cuts, reference, calibrated):
     assert whole_seen == split_seen
 
 
+@pytest.mark.parametrize("reference", [False, True], ids=["kernel", "reference"])
+def test_a_horizon_tied_preemption_ends_past_the_horizon(reference):
+    """A preempting boundary on the horizon is still an interrupt: the
+    thread under controlled preemption gets its grace slice, so
+    ``run_until(h)`` returns with the clock past ``h`` by the time the
+    thread takes to notice — and ``run_for`` steps on from there."""
+    rd = ResourceDistributor(
+        machine=MachineConfig.ideal(),
+        sim=SimConfig(seed=1),
+        sanitize=True,
+        sanitize_strict=True,
+    )
+    if reference:
+        reference_stack(rd)
+    seen = []
+    channel = Channel("c")
+    # The polite task runs from 0.5 ms; the follower's period opening at
+    # 5 ms has the earlier deadline and preempts it there.
+    polite = rd.admit(
+        _definition(rd, "polite", 20, 0.8, "polite", channel, 1, merged, seen, None)
+    )
+    rd.admit(
+        _definition(rd, "follower", 5, 0.1, "follower", channel, 0, merged, seen, None)
+    )
+    boundary = units.ms_to_ticks(5)
+    notice = units.us_to_ticks(100)
+    rd.run_until(boundary)
+    assert rd.kernel.now == boundary + notice
+    assert rd.kernel.trace.segments[-1].thread_id == polite.tid
+    assert rd.kernel.trace.segments[-1].end == boundary + notice
+    rd.run_for(units.ms_to_ticks(1))
+    assert rd.kernel.now == boundary + notice + units.ms_to_ticks(1)
+    assert rd.sanitizer.ok and not seen
+
+
 #: A cut that is still a scheduling decision.  The timer may let a slice
 #: run past a boundary a pick would act on — here the small-overlap
 #: override finishes a nearly done grant across the boundary at 100 ms
