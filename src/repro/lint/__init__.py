@@ -6,18 +6,19 @@ architectural invariants as checkable rules:
 * **layering** — imports point down the architecture, never up
   (``repro.core`` never imports ``viz``/``cli``/``metrics.report``;
   the Scheduler never imports the Policy Box);
-* **float-ticks** — units discipline: tick counts are integers;
-* **bare-except** / **silent-except** — error hygiene in the core;
-* **obs-unguarded-emit** — an uninstrumented run never pays for a hook.
+* **except-hygiene** — no bare or silent broad ``except`` in the core;
+* **obs-unguarded-emit** — an uninstrumented run never pays for a hook;
+* **tick-units** — ticks are integers of one timebase: no float literal
+  in a tick position, and no cross-unit flow through any function;
+* **determinism** — simulated ticks only, randomness only through
+  ``sim.rng``'s seeded streams: no wall-clock read or unseeded RNG
+  reachable through any call chain, per one scope table.
 
-Every run also joins the parsed modules into a project index
+Every run joins the parsed modules into a project index
 (:mod:`repro.lint.flow`) — symbol tables, a resolved call graph, a
-lightweight abstract interpreter — for the rules that check what no
-single module can show: **tick-units** dimensional analysis,
-**determinism** (simulated ticks only, randomness only through
-``sim.rng``'s seeded streams: no wall-clock read or unseeded RNG
-reachable through any call chain, per one scope table), and
-**rpc-exception-safety**.  The tree gates at zero findings.
+lightweight abstract interpreter — for the checks no single module can
+show.  One rule per contract, and none where a behaviour test already
+pins the contract.  The tree gates at zero findings.
 
 Run as ``python -m repro.lint src/`` (or the ``repro-lint`` console
 script); see :mod:`repro.lint.cli` for flags and exit codes, and

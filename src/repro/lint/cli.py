@@ -7,8 +7,9 @@ Usage::
     python -m repro.lint --list-rules
     python -m repro.lint --explain tick-units
 
-Exit codes: 0 = clean, 1 = violations found, 2 = usage error — so CI
-can gate on the return code directly.
+Exit codes: 0 = clean, 1 = violations found, 2 = usage error (an
+unknown rule, or a path that is missing or holds no Python file) — so
+CI can gate on the return code directly.
 
 The JSON payload is byte-deterministic (stable violation order, sorted
 keys) and carries its ``schema_version``.
@@ -22,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.engine import run_lint
+from repro.lint.engine import collect_files, run_lint
 from repro.lint.rules import RULE_CLASSES
 from repro.lint.rules.base import Rule
 
@@ -110,6 +111,13 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         print(
             f"repro-lint: no such path: {', '.join(map(str, missing))}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
+    empty = [p for p in paths if not collect_files([p])]
+    if empty:
+        print(
+            f"repro-lint: no Python file in: {', '.join(map(str, empty))}",
             file=sys.stderr,
         )
         return EXIT_ERROR

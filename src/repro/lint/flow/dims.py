@@ -36,6 +36,8 @@ MS = "ms"
 US = "us"
 SEC = "sec"
 FRACTION = "fraction"
+#: Core clock cycles: an integer count like ticks, at ``CORE_HZ``.
+CYCLES = "cycles"
 
 #: Conversion-factor constants in ``repro.units``: multiplying a
 #: quantity of the denominator dimension yields the numerator.
@@ -45,13 +47,12 @@ CONVERSION_CONSTANTS = {
     "TICKS_PER_SEC": (TICKS, SEC),
 }
 
-#: ``repro.units`` constants with a plain dimension.
+#: ``repro.units`` constants with a plain dimension (the ``*_HZ``
+#: frequencies have none).
 UNIT_CONSTANTS = {
     "MIN_PERIOD_TICKS": TICKS,
     "MAX_PERIOD_TICKS": TICKS,
     "INFINITE": TICKS,
-    "TCI_HZ": None,  # a frequency, not a duration
-    "CORE_HZ": None,
 }
 
 #: Conversion helpers: name -> (argument dimension, result dimension).
@@ -64,7 +65,7 @@ CONVERTERS: dict[str, tuple[str | None, str | None]] = {
     "ticks_to_ms": (TICKS, MS),
     "ticks_to_sec": (TICKS, SEC),
     "hz_to_period_ticks": (None, TICKS),
-    "core_cycles_to_ticks": (None, TICKS),
+    "core_cycles_to_ticks": (CYCLES, TICKS),
     "validate_period": (TICKS, TICKS),
 }
 
@@ -475,7 +476,7 @@ class SummaryTable:
             interp = DimInterpreter(fn, self.index, self)
             interp.run()
             dims = set()
-            for node in CallGraphFreeWalker.returns(fn.node):
+            for node in _returns(fn.node):
                 if node.value is not None:
                     dim = interp.eval(node.value)
                     if dim is not None:
@@ -490,18 +491,15 @@ class SummaryTable:
         return result
 
 
-class CallGraphFreeWalker:
-    """Tiny helper: return statements of a function, nested defs excluded."""
-
-    @staticmethod
-    def returns(func: ast.AST) -> list[ast.Return]:
-        out: list[ast.Return] = []
-        stack = list(ast.iter_child_nodes(func))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(node, ast.Return):
-                out.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        return out
+def _returns(func: ast.AST) -> list[ast.Return]:
+    """Return statements of a function, nested defs excluded."""
+    out: list[ast.Return] = []
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Return):
+            out.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return out

@@ -21,7 +21,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.lint.rules.base import ModuleInfo, dotted_name
+from repro.lint.rules.base import ModuleInfo, dotted_name, relative_base
 
 __all__ = [
     "ClassInfo",
@@ -38,7 +38,6 @@ class ModuleResolver:
     """Resolve names inside ONE module through its import aliases."""
 
     def __init__(self, module: ModuleInfo) -> None:
-        self.module = module
         #: Local alias -> imported dotted target (``rnd`` -> ``random``,
         #: ``monotonic`` -> ``time.monotonic``).
         self.imports: dict[str, str] = {}
@@ -49,10 +48,7 @@ class ModuleResolver:
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     self.imports[local] = target
             elif isinstance(node, ast.ImportFrom):
-                if node.level or node.module is None:
-                    base = relative_base(module.module, node.level, node.module)
-                else:
-                    base = node.module
+                base = relative_base(module, node.level, node.module)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -67,19 +63,6 @@ class ModuleResolver:
         if target is None:
             return name
         return f"{target}.{rest}" if rest else target
-
-
-def relative_base(module: str, level: int, target: str | None) -> str | None:
-    """Resolve ``from ..x import y``'s base package relative to ``module``."""
-    if level == 0:
-        return target
-    parts = module.split(".")
-    if len(parts) < level:
-        return None
-    base_parts = parts[: len(parts) - level]
-    if target:
-        base_parts.append(target)
-    return ".".join(base_parts) if base_parts else None
 
 
 @dataclass
@@ -142,9 +125,7 @@ class ModuleTable:
     """Symbol table for one module."""
 
     info: ModuleInfo
-    #: Local alias -> imported dotted target (``rnd`` -> ``random``,
-    #: ``monotonic`` -> ``time.monotonic``).
-    imports: dict[str, str] = field(default_factory=dict)
+    resolver: ModuleResolver
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
 
@@ -154,9 +135,7 @@ class ModuleTable:
 
 
 def _build_table(info: ModuleInfo) -> ModuleTable:
-    table = ModuleTable(info=info)
-    resolver = ModuleResolver(info)
-    table.imports = dict(resolver.imports)
+    table = ModuleTable(info=info, resolver=ModuleResolver(info))
     for stmt in info.tree.body:
         if isinstance(stmt, _FUNC_NODES):
             qname = f"{info.module}.{stmt.name}"
@@ -224,7 +203,6 @@ class ProjectIndex:
                 self.classes[cls.qname] = cls
                 for fn in cls.methods.values():
                     self.functions[fn.qname] = fn
-        self._resolvers: dict[str, ModuleResolver] = {}
 
     # -- lookup -------------------------------------------------------------
 
@@ -233,13 +211,7 @@ class ProjectIndex:
 
     def resolver(self, module: str) -> ModuleResolver | None:
         table = self.tables.get(module)
-        if table is None:
-            return None
-        cached = self._resolvers.get(module)
-        if cached is None:
-            cached = ModuleResolver(table.info)
-            self._resolvers[module] = cached
-        return cached
+        return table.resolver if table else None
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for table in self.tables.values():
@@ -277,11 +249,7 @@ class ProjectIndex:
             method = cls.methods.get(rest)
             return method.qname if method else None
         # Through an import alias.
-        resolver = self.resolver(module)
-        if resolver is None:
-            return None
-        canonical = resolver.canonical(name)
-        return self._resolve_canonical(canonical)
+        return self._resolve_canonical(table.resolver.canonical(name))
 
     def _resolve_canonical(self, dotted: str) -> str | None:
         """Map an absolute dotted name onto an indexed symbol."""
@@ -307,7 +275,7 @@ class ProjectIndex:
                     return cls.methods[rest[1]].qname
                 return None
             # Re-export: ``from pkg.mod import name`` in pkg/__init__.
-            alias = table.imports.get(rest[0])
+            alias = table.resolver.imports.get(rest[0])
             if alias is not None:
                 return self._resolve_canonical(".".join([alias, *rest[1:]]))
             return None

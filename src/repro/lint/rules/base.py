@@ -120,3 +120,23 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def relative_base(module: ModuleInfo, level: int, target: str | None) -> str | None:
+    """Absolute base of ``from <level dots><target> import ...`` in ``module``.
+
+    One dot is the module's own package: the module itself for a package
+    ``__init__``, its parent otherwise.  ``None`` when the dots climb
+    past the top of the tree.
+    """
+    if level == 0:
+        return target
+    parts = module.module.split(".")
+    if module.path.name != "__init__.py":
+        parts.pop()
+    if level - 1 > len(parts):
+        return None
+    parts = parts[: len(parts) - level + 1]
+    if target:
+        parts.append(target)
+    return ".".join(parts) or None

@@ -1,11 +1,4 @@
-"""Error-hygiene rules: no swallowed failures in the mechanism layer.
-
-The Resource Distributor's correctness argument rests on errors
-surfacing: a swallowed ``GrantError`` or ``ScheduleError`` in the core
-turns a broken invariant into silent mis-scheduling.  The typed
-hierarchy in ``repro.errors`` exists precisely so callers can catch
-narrowly.
-"""
+"""Error hygiene: no swallowed failures in the mechanism layer."""
 
 from __future__ import annotations
 
@@ -19,10 +12,8 @@ _BROAD_TYPES = frozenset({"Exception", "BaseException"})
 
 
 def _handler_types(handler: ast.ExceptHandler) -> list[str]:
-    """Dotted names of the exception types a handler catches."""
+    """Dotted names of the exception types a typed handler catches."""
     t = handler.type
-    if t is None:
-        return []
     nodes = t.elts if isinstance(t, ast.Tuple) else [t]
     return [dotted_name(n) or "<?>" for n in nodes]
 
@@ -38,52 +29,40 @@ def _body_is_silent(body: list[ast.stmt]) -> bool:
     return True
 
 
-class BareExceptRule(Rule):
-    """Forbid ``except:`` with no exception type in the core.
+class ExceptHygieneRule(Rule):
+    """Forbid ``except:`` and silent broad catches in the core.
 
-    A bare ``except:`` catches ``KeyboardInterrupt`` and ``SystemExit``
+    The Resource Distributor's correctness argument rests on errors
+    surfacing, and the typed hierarchy in ``repro.errors`` exists so
+    callers can catch narrowly.  A bare ``except:`` catches ``KeyboardInterrupt`` and ``SystemExit``
     along with every real error, hiding scheduler bugs behind whatever
-    recovery the handler attempts.  Catch a concrete type from
-    ``repro.errors`` instead.
+    recovery the handler attempts.  Catching the broad
+    ``Exception``/``BaseException`` and doing nothing (``pass`` or
+    ``...``) turns any broken invariant — a failed grant recomputation,
+    a corrupted ready queue — into silent mis-scheduling.  Catch a
+    concrete type from ``repro.errors`` and handle it, or let the error
+    propagate.
     """
 
-    id = "bare-except"
+    id = "except-hygiene"
     rationale = (
-        "a bare except: in the mechanism layer hides invariant "
-        "violations; catch a concrete repro.errors type"
-    )
-    scope_prefixes = ("repro.core", "repro.sim")
-
-    def check(self, module: ModuleInfo) -> Iterator[LintViolation]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.violation(
-                    module,
-                    node,
-                    "bare except: catches everything including "
-                    "KeyboardInterrupt; name a concrete exception type",
-                )
-
-
-class SilentExceptRule(Rule):
-    """Forbid ``except Exception: pass`` (and variants) in the core.
-
-    Catching the broad ``Exception``/``BaseException`` and doing nothing
-    turns any broken invariant — a failed grant recomputation, a
-    corrupted ready queue — into silent mis-scheduling.  Either handle
-    the narrow error or let it propagate.
-    """
-
-    id = "silent-except"
-    rationale = (
-        "except Exception: pass converts broken invariants into silent "
-        "mis-scheduling; handle narrowly or propagate"
+        "a bare except: or a silent except Exception: in the mechanism "
+        "layer hides broken invariants; catch a concrete repro.errors "
+        "type or propagate"
     )
     scope_prefixes = ("repro.core", "repro.sim")
 
     def check(self, module: ModuleInfo) -> Iterator[LintViolation]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                yield self.violation(
+                    module,
+                    node,
+                    "bare except: catches everything including "
+                    "KeyboardInterrupt; name a concrete exception type",
+                )
                 continue
             broad = [t for t in _handler_types(node) if t in _BROAD_TYPES]
             if broad and _body_is_silent(node.body):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.rules.base import LintViolation, ModuleInfo, Rule
+from repro.lint.rules.base import LintViolation, ModuleInfo, Rule, relative_base
 
 
 def _in_prefix(name: str, prefix: str) -> bool:
@@ -189,24 +189,10 @@ def _imports(module: ModuleInfo) -> Iterator[tuple[ast.AST, str]]:
             for alias in node.names:
                 yield node, alias.name
         elif isinstance(node, ast.ImportFrom):
-            base = _resolve_from(module, node)
+            base = relative_base(module, node.level, node.module)
+            if base is None:
+                continue
             yield node, base
             for alias in node.names:
                 if alias.name != "*":
-                    yield node, f"{base}.{alias.name}" if base else alias.name
-
-
-def _resolve_from(module: ModuleInfo, node: ast.ImportFrom) -> str:
-    if node.level == 0:
-        return node.module or ""
-    # Relative import: resolve against this module's package.
-    package_parts = module.module.split(".")
-    # ``from . import x`` in a module drops the module's own name first.
-    if not module.path.name == "__init__.py":
-        package_parts = package_parts[:-1]
-    if node.level > 1:
-        package_parts = package_parts[: -(node.level - 1)] or []
-    base = ".".join(package_parts)
-    if node.module:
-        return f"{base}.{node.module}" if base else node.module
-    return base
+                    yield node, f"{base}.{alias.name}"

@@ -1,4 +1,4 @@
-"""Fixture: the mini MessageBus seam the RPC fixtures send through."""
+"""Fixture: the mini MessageBus seam `cluster/mini_broker.py` sends through."""
 
 
 class BusError(Exception):

@@ -1,4 +1,4 @@
-"""Fixture: float literals in tick positions (float-ticks)."""
+"""Fixture: float literals in tick positions (tick-units)."""
 
 from repro.units import ms_to_ticks, ticks_to_ms
 

@@ -1,4 +1,4 @@
-"""Fixture: swallowed errors in the core (bare-except, silent-except)."""
+"""Fixture: swallowed errors in the core (except-hygiene)."""
 
 
 def swallow(fn):

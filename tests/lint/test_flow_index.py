@@ -47,6 +47,24 @@ class TestModuleResolver:
         name = dotted_name(call.func)
         assert ModuleResolver(module).canonical(name) == "time.monotonic"
 
+    def test_relative_imports_resolve_against_the_package(self, tmp_path):
+        """One dot is the package itself in its ``__init__``, and the
+        module's parent package elsewhere."""
+        package = tmp_path / "pkg"
+        package.mkdir()
+        (package / "__init__.py").write_text("from .kernel import run\n")
+        (package / "mod.py").write_text("from .kernel import run\n")
+        (package / "deep.py").write_text("from ...kernel import run\n")
+        init, mod, deep = (
+            parse_module(package / name)
+            for name in ("__init__.py", "mod.py", "deep.py")
+        )
+        assert init.module == "pkg"
+        assert ModuleResolver(init).canonical("run") == "pkg.kernel.run"
+        assert ModuleResolver(mod).canonical("run") == "pkg.kernel.run"
+        # Dots past the top of the tree resolve to nothing.
+        assert ModuleResolver(deep).imports == {}
+
     def test_unimported_names_pass_through(self, tmp_path):
         module = parse_source(tmp_path, "y = foo.bar()\n")
         resolver = ModuleResolver(module)
@@ -64,12 +82,12 @@ class TestProjectIndex:
 
     def test_resolves_through_from_import(self):
         index = build_index()
-        qname = index.resolve_name("repro.cluster.bad_rpc", "MessageBus.send")
+        qname = index.resolve_name("repro.cluster.mini_broker", "MessageBus.send")
         assert qname == "repro.sim.messages.MessageBus.send"
 
     def test_self_attr_type_from_annotated_param(self):
         index = build_index()
-        cls = index.classes["repro.cluster.bad_rpc.MiniBroker"]
+        cls = index.classes["repro.cluster.mini_broker.MiniBroker"]
         assert cls.attr_types["bus"] == "MessageBus"
 
 
@@ -98,6 +116,13 @@ class TestCallGraph:
             "repro.helpers.util.stamp",
             "ext:time.monotonic",
         ]
+
+    def test_annotated_self_attr_receiver_resolves(self):
+        """``self.bus.send`` where ``__init__`` took ``bus: MessageBus``."""
+        graph = CallGraph(build_index())
+        place = "repro.cluster.mini_broker.MiniBroker.place"
+        callees = {s.callee for s in graph.callees(place)}
+        assert callees == {"repro.sim.messages.MessageBus.send"}
 
     def test_unreachable_returns_none(self):
         index = build_index()

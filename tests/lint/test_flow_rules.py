@@ -145,6 +145,18 @@ class TestDeterminismReachRule:
         assert [v.line for v in found] == marked
         assert {v.rule_id for v in found} == {"determinism"}
 
+    def test_a_package_init_resolves_its_relative_imports(self, flow_violations):
+        """``repro.clocks``' ``__init__`` reaches the host clock through
+        ``from .host import read``: its covered caller is a finding."""
+        (v,) = by_file(flow_violations, "bad_package_reach.py")
+        assert (v.line, v.rule_id) == (8, "determinism")
+        assert v.witness == (
+            "repro.core.bad_package_reach.skew",
+            "repro.clocks.drift",
+            "repro.clocks.host.read",
+            "time.monotonic",
+        )
+
     def test_a_direct_call_is_a_witness_of_one_call(self, flow_violations):
         (v,) = [
             v
@@ -156,27 +168,6 @@ class TestDeterminismReachRule:
             "random.SystemRandom",
         )
         assert "random.SystemRandom() in repro.core.bad_determinism.entropy" in v.message
-
-
-class TestRpcExceptionSafetyRule:
-    def test_flags_stranded_token(self, flow_violations):
-        found = by_file(flow_violations, "bad_rpc.py")
-        assert [(v.line, v.rule_id) for v in found] == [
-            (18, "rpc-exception-safety"),
-        ]
-        (v,) = found
-        assert "registered into self._pending" in v.message
-        assert "try/finally or except path" in v.message
-
-    def test_witness_resolves_annotated_attr_receiver(self, flow_violations):
-        (v,) = by_file(flow_violations, "bad_rpc.py")
-        assert v.witness == (
-            "repro.cluster.bad_rpc.MiniBroker.place",
-            "repro.sim.messages.MessageBus.send",
-        )
-
-    def test_guarded_and_post_send_registration_are_clean(self, flow_violations):
-        assert by_file(flow_violations, "good_rpc.py") == []
 
 
 class TestArenaHooksUnderFlow:

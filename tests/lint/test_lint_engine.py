@@ -27,7 +27,7 @@ class TestEveryRuleRuns:
     def test_a_disable_comment_is_an_ordinary_comment(self, tmp_path):
         mod = tmp_path / "marked.py"
         mod.write_text("A = ticks_to_ms(1.5)  # repro-lint: disable=all\n")
-        assert [(v.line, v.rule_id) for v in run_lint([mod])] == [(1, "float-ticks")]
+        assert [(v.line, v.rule_id) for v in run_lint([mod])] == [(1, "tick-units")]
 
 
 class TestParseErrors:

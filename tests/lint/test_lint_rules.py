@@ -151,7 +151,7 @@ class TestUnseededRandom:
 class TestFloatTicks:
     def test_float_literals_in_tick_positions_are_flagged(self):
         violations = lint("loose_float.py")
-        assert rule_ids(violations) == ["float-ticks"] * 4
+        assert rule_ids(violations) == ["tick-units"] * 4
         assert {v.line for v in violations} == {6, 10, 11, 13}
 
     def test_integer_ticks_and_converted_values_pass(self):
@@ -159,11 +159,19 @@ class TestFloatTicks:
         assert 5 not in lines  # ticks_to_ms(270000)
         assert 12 not in lines  # horizon=ms_to_ticks(10)
 
+    def test_the_converter_table_names_the_integer_consumers(self, tmp_path):
+        """Cycles are integers like ticks; a rate in Hz may be a float."""
+        mod = tmp_path / "rates.py"
+        mod.write_text("A = core_cycles_to_ticks(2.0)\nB = hz_to_period_ticks(29.97)\n")
+        assert [(v.line, v.rule_id) for v in run_lint([mod])] == [(1, "tick-units")]
+
 
 class TestExceptHygiene:
     def test_bare_and_silent_excepts_in_core_are_flagged(self):
         violations = lint("repro/core/bad_except.py")
-        assert rule_ids(violations) == ["bare-except", "silent-except"]
+        assert rule_ids(violations) == ["except-hygiene"] * 2
+        assert "bare except:" in violations[0].message
+        assert "except Exception with an empty body" in violations[1].message
 
     def test_bare_except_outside_scope_is_ignored(self):
         assert lint("outside_scope.py") == []
