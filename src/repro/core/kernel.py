@@ -27,7 +27,9 @@ walking the thread population on every dispatch.  The overtime hook
 also selects the poll continuation in :meth:`Kernel._execute`: a thread
 already on OvertimeRequested that asks again keeps its slice, where a
 hookless policy re-picks, and a run of such polls stated as ``Poll``
-ops is charged in one step.
+ops is charged in one step.  It selects the held cut too (see
+:meth:`Kernel.run_until`): a slice a caller's horizon stopped resumes in
+the next call without a pick.
 """
 
 from __future__ import annotations
@@ -128,14 +130,13 @@ class Kernel:
         #: Periodic threads in creation order — the rollover scan runs
         #: several times per dispatch-loop iteration and must not pay
         #: for filtering sporadic/idle threads out of ``threads`` each
-        #: time.  EXITED threads are swept out amortized (see
-        #: :meth:`reap_exited`) so a long-lived system with task churn
-        #: — the serving layer admits and withdraws tasks forever —
-        #: keeps the scan proportional to *live* threads, not to every
-        #: thread ever admitted.  ``threads`` itself never shrinks: tid
-        #: lookups and trace exports still see retired names.
+        #: time.  A thread is swept out when it exits (see
+        #: :meth:`note_periodic_exit`), so a long-lived system with task
+        #: churn — the serving layer admits and withdraws tasks forever
+        #: — keeps every scan proportional to *live* threads, not to
+        #: every thread ever admitted.  ``threads`` itself never shrinks:
+        #: tid lookups and trace exports still see retired names.
         self._periodic: list[SimThread] = []
-        self._exited_periodic = 0
         #: Earliest upcoming period boundary, or 0 when unknown —
         #: lets the rollover scan (run several times per dispatch-loop
         #: iteration) return O(1) when no boundary is due.
@@ -144,9 +145,9 @@ class Kernel:
         #: across the switch-cost window to spot a stale pick (a period
         #: that opened while the switch was charged).
         self._periods_opened = 0
-        #: Starts of postponed periods still ahead when they opened
-        #: (a heap), popped at the next switch: one that falls inside
-        #: the switch-cost window makes the pick stale too.
+        #: Starts of postponed periods still ahead when they opened (a
+        #: heap), popped as decisions pass them: one inside a switch-cost
+        #: window makes the pick stale, one since a held cut ends it.
         self._postponed_starts: list[int] = []
         self._next_tid = self.IDLE_TID + 1
         self.idle = SimThread(self.IDLE_TID, "Idle", THREAD_IDLE)
@@ -160,6 +161,9 @@ class Kernel:
         self._event_heap = self.events._heap
 
         self._current: SimThread | None = None
+        #: The slice the last call's horizon cut — (thread, ``timer_for``
+        #: target, ``_next_rollover``, time the target was set) — or None.
+        self._held: tuple[SimThread, int, int, int] | None = None
         self._pending_switch_kind = SWITCH_VOLUNTARY
         self._reschedule = False
         self._no_progress = 0
@@ -253,30 +257,21 @@ class Kernel:
         return iter(self._periodic)
 
     def note_periodic_exit(self, thread: SimThread) -> None:
-        """A periodic thread reached EXITED; sweep the scan list when
-        the dead outnumber the living (amortized O(1) per exit)."""
-        if thread.kind is not THREAD_PERIODIC:
-            return
-        self._exited_periodic += 1
-        if (
-            self._exited_periodic >= 32
-            and self._exited_periodic * 2 >= len(self._periodic)
-        ):
+        """A thread reached EXITED; a periodic one leaves the scan list."""
+        if thread.kind is THREAD_PERIODIC:
             self.reap_exited()
 
     def reap_exited(self) -> None:
         """Drop EXITED threads from the periodic scan list.
 
-        An EXITED periodic thread has no grant and no open period, so
-        it contributes nothing to rollover, overtime election, or timer
-        computation — removing it cannot change any scheduling
-        decision.  It stays in :attr:`threads` for tid lookups and
-        trace thread names.
+        An EXITED periodic thread has no grant and no open period (or,
+        crashed with no ``crash_handler``, a grant every policy's queues
+        skip), so removing it cannot change any scheduling decision.  It
+        stays in :attr:`threads` for tid lookups and trace thread names.
         """
         self._periodic = [
             t for t in self._periodic if t.state is not STATE_EXITED
         ]
-        self._exited_periodic = 0
 
     def thread(self, tid: int) -> SimThread:
         try:
@@ -357,7 +352,7 @@ class Kernel:
     # -- the main loop ----------------------------------------------------------
 
     def run_for(self, ticks: int) -> None:
-        self.run_until(self.now + ticks)
+        self.run_until(self.clock.now + ticks)
 
     def run_until(self, horizon: int) -> None:
         """Advance the simulation to absolute time ``horizon``.
@@ -369,6 +364,17 @@ class Kernel:
         runs on until it notices (at most ``grace_period_ticks``).  A
         caller stepping with :meth:`run_for` steps from where the clock
         ended, not from the horizon it asked for.
+
+        A cut is not a pick.  When the horizon stops a slice — it came
+        before the policy's timer and the next event — the slice is
+        held, and the next call resumes it after its preamble without
+        calling ``pick`` or ``timer_for``: they would return the same
+        thread and the same target while no reschedule was requested,
+        the thread is still current, no rollover scan ran since the
+        target was set (``_next_rollover`` unchanged) and no postponed
+        period began since.  Only a policy with the overtime hook holds
+        a slice, the selector of the poll continuation; the baselines
+        re-pick.  The resume is still audited and still one phase.
         """
         if self.policy is None:
             raise SimulationError("no scheduler policy bound to the kernel")
@@ -382,30 +388,7 @@ class Kernel:
         events = self.events
         event_heap = self._event_heap
         posted = self._posted
-        now = clock.now
-        if (
-            now < horizon
-            and len(self._periodic) == self._exited_periodic
-            and not event_heap
-            and not posted
-            and self._current is self.idle
-        ):
-            # A quiet kernel — no live periodic thread, nothing queued,
-            # Idle on the CPU — idles to the horizon: the one iteration
-            # the loop below would make of it, without the rollover
-            # scans, the pick and the timer.  The decision is still
-            # audited and still one phase, so the sanitizer's counts and
-            # the profiler's are what the loop gives.
-            if prof:
-                prof.begin("kernel.dispatch")
-            if sanitizer is not None:
-                sanitizer.on_pick(self.idle, now)
-            clock.advance_to(horizon)
-            self.trace.record_run(self.IDLE_TID, now, horizon, SEGMENT_IDLE)
-            if prof:
-                prof.end("kernel.dispatch")
-            self._no_progress = 0
-            return
+        postponed = self._postponed_starts
         while True:
             before = now = clock.now
             # Bring period accounting current *before* firing events:
@@ -435,7 +418,6 @@ class Kernel:
                 # ``trace.segments`` flushes on read, and the next
                 # slice of the same run extends it in place.
                 break
-            self._reschedule = False
             # One phase frame covers the whole decision: pick, context
             # switch, and the dispatched slice.  A begin/end pair costs
             # about a microsecond (the prof-smoke CI gate holds it
@@ -443,42 +425,59 @@ class Kernel:
             # per step.
             if prof:
                 prof.begin("kernel.dispatch")
-            thread = pick(now)
-            if sanitizer is not None:
-                sanitizer.on_pick(thread, now)
-            if thread is not self._current:
-                opened_before = self._periods_opened
-                picked_at = now
-                self._switch_to(thread)
-                now = clock.now
-                # The switch cost may have carried the clock across
-                # period boundaries; bring accounting current before
-                # setting the timer.
-                if self._next_rollover <= now:
-                    self._rollover_all()
-                if not thread.is_idle and thread.grant is None:
-                    # The boundary that just rolled over retired this
-                    # thread's grant (a pending removal took effect
-                    # inside the switch-cost window); there is nothing
-                    # to dispatch.
-                    if prof:
-                        prof.end("kernel.dispatch")
-                    continue
-                started = False
-                postponed = self._postponed_starts
-                while postponed and postponed[0] <= now:
-                    if heappop(postponed) > picked_at:
-                        started = True
-                if self._periods_opened != opened_before or started:
-                    # A period opened — or a postponed one began —
-                    # inside the switch-cost window, so the pick is
-                    # stale: that thread may now head the EDF queue, and
-                    # dispatching a stale pick would sleep through its
-                    # whole period.  Re-decide, exactly as the
-                    # boundary's timer interrupt would have forced.
-                    if prof:
-                        prof.end("kernel.dispatch")
-                    continue
+            held = self._held
+            self._held = None
+            if (
+                held is not None
+                and not self._reschedule
+                and held[0] is self._current
+                and held[2] == self._next_rollover
+                and not (
+                    postponed and postponed[0] <= now and self._began_since(held[3])
+                )
+            ):
+                # The held cut (see the docstring), audited as a pick.
+                thread, policy_stop = held[0], held[1]
+                if sanitizer is not None:
+                    sanitizer.on_pick(thread, now)
+            else:
+                self._reschedule = False
+                thread = pick(now)
+                if sanitizer is not None:
+                    sanitizer.on_pick(thread, now)
+                if thread is not self._current:
+                    opened_before = self._periods_opened
+                    picked_at = now
+                    self._switch_to(thread)
+                    now = clock.now
+                    # The switch cost may have carried the clock across
+                    # period boundaries; bring accounting current before
+                    # setting the timer.
+                    if self._next_rollover <= now:
+                        self._rollover_all()
+                    if not thread.is_idle and thread.grant is None:
+                        # The boundary that just rolled over retired
+                        # this thread's grant (a pending removal took
+                        # effect inside the switch-cost window); there
+                        # is nothing to dispatch.
+                        if prof:
+                            prof.end("kernel.dispatch")
+                        continue
+                    if (
+                        self._periods_opened != opened_before
+                        or self._began_since(picked_at)
+                    ):
+                        # A period opened — or a postponed one began —
+                        # inside the switch-cost window, so the pick is
+                        # stale: that thread may now head the EDF
+                        # queue, and dispatching a stale pick would
+                        # sleep through its whole period.  Re-decide,
+                        # exactly as the boundary's timer interrupt
+                        # would have forced.
+                        if prof:
+                            prof.end("kernel.dispatch")
+                        continue
+                policy_stop = timer_for(thread, now)
             # The timer: the horizon, the next external event, or the
             # policy's interrupt, whichever is first.  An event wins its
             # tie with the policy's interrupt; the horizon does not — the
@@ -492,7 +491,6 @@ class Kernel:
                     stop = next_event
                     interrupt_ties = False
             preemptive = False
-            policy_stop = timer_for(thread, now)
             if policy_stop < stop or (policy_stop == stop and interrupt_ties):
                 stop = policy_stop
                 preemptive = True
@@ -506,16 +504,24 @@ class Kernel:
                     clock.advance_to(stop)
                     self.trace.record_run(thread.tid, now, stop, SEGMENT_IDLE)
                 self._pending_switch_kind = SWITCH_VOLUNTARY
+                outcome = SLICE_FORCED  # a cut idle slice is held too
             else:
                 outcome = self._execute(thread, stop)
                 if outcome is SLICE_DONE or outcome is SLICE_BLOCKED:
                     self._pending_switch_kind = SWITCH_VOLUNTARY
                 elif outcome is SLICE_INTERRUPTED:
                     self._pending_switch_kind = SWITCH_INVOLUNTARY
-                else:  # FORCED: timer interrupt
-                    self._pending_switch_kind = self._handle_forced_stop(
-                        thread, stop, preemptive
-                    )
+                elif preemptive:  # FORCED by the policy's timer interrupt
+                    self._pending_switch_kind = self._handle_forced_stop(thread)
+                else:  # FORCED by an event or the horizon
+                    self._pending_switch_kind = SWITCH_INVOLUNTARY
+            if (
+                stop == horizon
+                and not preemptive
+                and outcome is SLICE_FORCED
+                and self._on_overtime_request is not None
+            ):
+                self._held = (thread, policy_stop, self._next_rollover, now)
             if prof:
                 prof.end("kernel.dispatch")
             if clock.now != before:
@@ -527,6 +533,18 @@ class Kernel:
                         f"scheduler made no progress at t={self.now}; likely a "
                         f"policy/task livelock"
                     )
+
+    def _began_since(self, since: int) -> bool:
+        """Whether a postponed period began after ``since`` and by now.
+        The starts up to now are popped: every later decision is made
+        at or after now, so none of them reads those again."""
+        began = False
+        postponed = self._postponed_starts
+        now = self.clock.now
+        while postponed and postponed[0] <= now:
+            if heappop(postponed) > since:
+                began = True
+        return began
 
     def _fire_due_events(self) -> None:
         for event in self.events.pop_due(self.now):
@@ -567,14 +585,11 @@ class Kernel:
 
     # -- dispatching ------------------------------------------------------------
 
-    def _handle_forced_stop(
-        self, thread: SimThread, stop: int, preemptive: bool
-    ) -> SwitchKind:
+    def _handle_forced_stop(self, thread: SimThread) -> SwitchKind:
         """Apply controlled-preemption grace periods (section 5.6)."""
         definition = thread.definition
         if (
-            not preemptive
-            or definition is None
+            definition is None
             or definition.preemption is None
             or not thread.has_pending_work()
         ):
@@ -828,6 +843,7 @@ class Kernel:
             self.crash_handler(runner, exc)
         else:
             runner.state = STATE_EXITED
+            self.note_periodic_exit(runner)
         if assigned:
             thread.clear_assignment()
             return None

@@ -410,9 +410,9 @@ def reference_stack(rd) -> None:
     stacks differ only in how the queue heads, the two timers, the
     threads a post wakes and the grant set are found — and in how often
     the queue heads are asked for, since a kernel continues a slice
-    across a poll only for a policy whose overtime hook keeps
-    OvertimeRequested current, and the scans read no heap the hook
-    feeds."""
+    across a poll, and resumes one a horizon cut, only for a policy
+    whose overtime hook keeps OvertimeRequested current, and the scans
+    read no heap the hook feeds."""
     rd.scheduler.__class__ = FromScratchScheduler
     rd.kernel.__class__ = FromScratchKernel
     rd.kernel._on_overtime_request = None

@@ -405,9 +405,10 @@ class TestWholeOpRuns:
 
 
 class TestQuietKernel:
-    """A kernel with no live periodic thread, nothing queued and Idle on
-    the CPU idles to the horizon in one step — the one iteration the
-    dispatch loop would make of it."""
+    """A kernel with no live periodic thread and Idle on the CPU idles to
+    each horizon in one decision: the call resumes the Idle slice the
+    last call's horizon cut, without a pick (DESIGN.md §4 "A cut is not
+    a pick"), audited and profiled as the picked iteration was."""
 
     @staticmethod
     def _run(quiet):
@@ -429,7 +430,7 @@ class TestQuietKernel:
         assert all(t.state is ThreadState.EXITED for t in threads)
         if not quiet:
             # Something queued — an event far past every horizon below —
-            # keeps the kernel on the dispatch loop.
+            # changes nothing a held Idle slice reads.
             rd.at(ms(10_000), lambda: None)
         before = rd.sanitizer.decisions_checked
         rd.run_until(ms(40))

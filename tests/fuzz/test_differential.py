@@ -3,19 +3,24 @@ reference stack (``repro.fuzz.reference``).
 
 The corpus replays differentially here, so a change that makes the
 shipped core and the from-scratch reference disagree on a committed
-scenario fails tier-1 as ``divergence:<field>``.  A seeded
-disagreement proves the outcome is named, shrunk, written and replayed
-like any other."""
+scenario fails tier-1 as ``divergence:<field>``.  Each core entry also
+replays in 1 ms calls on both stacks: the shipped kernel resumes a
+slice a call's horizon cut, the reference re-picks at every cut.  A
+seeded disagreement proves the outcome is named, shrunk, written and
+replayed like any other."""
 
 import dataclasses
 from pathlib import Path
 
 import pytest
 
+from repro import units
 from repro.cli import main
 from repro.core.kernel import Kernel
 from repro.fuzz import generate, load_trace, replay_trace, run_campaign, run_spec
 from repro.fuzz import reference
+from repro.fuzz.inject import injector
+from repro.fuzz.runner import DIFFERENTIAL_FIELDS, _CoreRun
 
 CORPUS = Path(__file__).parent / "corpus"
 CORE_ENTRIES = [
@@ -36,6 +41,29 @@ def test_core_corpus_entry_replays_differentially(path):
     trace = load_trace(path)
     result = run_spec(trace.spec, inject=trace.inject, differential=True)
     assert result.outcome == trace.expect, result.detail
+
+
+def _stepped(trace, on_reference: bool):
+    """``trace``'s spec run to its horizon in 1 ms calls, in record mode
+    so an injected entry runs on past its violation."""
+    run = _CoreRun(trace.spec, sanitize="record", reference=on_reference)
+    rd = run.script(injector(trace.inject)).rd
+    horizon = trace.spec.horizon_ticks
+    for cut in range(units.ms_to_ticks(1), horizon, units.ms_to_ticks(1)):
+        rd.run_until(cut)
+    rd.run_until(horizon)
+    return rd
+
+
+@pytest.mark.parametrize("path", CORE_ENTRIES, ids=lambda p: p.stem)
+def test_core_corpus_entry_agrees_when_cut_every_ms(path):
+    """A held cut resumes what a re-pick would decide: stepped in 1 ms
+    calls, the shipped and the reference stack make the same run."""
+    trace = load_trace(path)
+    shipped, ref = _stepped(trace, False), _stepped(trace, True)
+    for name in DIFFERENTIAL_FIELDS:
+        assert getattr(shipped.trace, name) == getattr(ref.trace, name), name
+    assert shipped.sanitizer.decisions_checked == ref.sanitizer.decisions_checked
 
 
 def _upper_reasons(self, record):

@@ -31,6 +31,13 @@ the places an op boundary could matter: one reads the clock between two
 units, one posts a waited-on channel, one raises, one sits on zero-time
 ops at a slice end, and two are registered for controlled preemption
 with a check interval on either side of the grace period.
+
+Two more cut the run into ``run_until`` calls at drawn ticks.  *A
+split horizon is inert*: the cut run is the one-call run.  *A held cut
+is the pick it replaces*: the kernel resumes a slice a call's horizon
+cut without ``pick`` and ``timer_for``, and a kernel made to re-pick at
+every cut gives the same run, the same audited ``(tid, now)`` decisions
+and the same profiled phase counts.
 """
 
 from __future__ import annotations
@@ -44,9 +51,11 @@ from hypothesis import strategies as st
 from repro import AdmissionError, MachineConfig, SimConfig, SporadicServer, units
 from repro.baselines import SmartSystem
 from repro.core.distributor import ResourceDistributor
+from repro.core.kernel import Kernel
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.threads import ThreadState
 from repro.fuzz.reference import reference_stack
+from repro.obs.prof import PhaseProfiler
 from repro.tasks.base import (
     Block,
     Compute,
@@ -282,10 +291,13 @@ def _definition(rd, name, period_ms, rate, body, channel, n, unit, seen, victim)
     )
 
 
-def run_stream(stream, reference=False, unit=merged, cuts=None, machine=None):
+def run_stream(
+    stream, reference=False, unit=merged, cuts=None, machine=None, prepare=None
+):
     """Run ``stream`` to 130 ms: in 10 ms slices or one ``run_for`` as
     the stream says, or — given ``cuts`` — in one ``run_until`` per
-    cut, then one to the horizon."""
+    cut, then one to the horizon.  ``prepare(rd)`` runs before anything
+    is admitted."""
     with_server, sliced, ops = stream
     rd = ResourceDistributor(
         machine=machine or MachineConfig.ideal(),
@@ -295,6 +307,8 @@ def run_stream(stream, reference=False, unit=merged, cuts=None, machine=None):
     )
     if reference:
         reference_stack(rd)
+    if prepare is not None:
+        prepare(rd)
     names = itertools.count()
     channels = [Channel("c0"), Channel("c1")]
     admitted = []
@@ -676,16 +690,126 @@ def test_a_horizon_tied_preemption_ends_past_the_horizon(reference):
     assert rd.sanitizer.ok and not seen
 
 
+class RepickingKernel(Kernel):
+    """The kernel with its held cut dropped before every call, so each
+    call re-picks where the last one was cut."""
+
+    def run_until(self, horizon):
+        self._held = None
+        super().run_until(horizon)
+
+
+def watched(repick, audits, prof):
+    """A ``run_stream`` preparation: swap in :class:`RepickingKernel`
+    when ``repick``, attach ``prof``, and note every audited decision's
+    ``(tid, now)`` in ``audits``."""
+
+    def prepare(rd):
+        if repick:
+            rd.kernel.__class__ = RepickingKernel
+        rd.attach_prof(prof)
+        on_pick = rd.sanitizer.on_pick
+
+        def audited(thread, now):
+            audits.append((thread.tid, now))
+            on_pick(thread, now)
+
+        rd.sanitizer.on_pick = audited
+
+    return prepare
+
+
+# Found by the property against a scratch kernel whose resume ignored
+# ``_reschedule``: admissions due on the cut that ends a held Idle slice.
+@example(
+    (
+        False,
+        False,
+        [(13, "admit", 5, 5, "follower", 0)] + [(1, "admit", 5, 5, "follower", 0)] * 4,
+    ),
+    [units.ms_to_ticks(13)],
+    False,
+)
+@given(cut_streams(), cut_times, st.booleans())
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_a_held_cut_is_the_pick_it_replaces(stream, cuts, calibrated):
+    """A slice a call's horizon cut resumes in the next call without
+    ``pick`` and ``timer_for``; a kernel that re-picks at every cut
+    makes the same run, the same audited decisions and the same
+    profiled phases, on either machine."""
+    machine = MachineConfig() if calibrated else MachineConfig.ideal()
+    runs = []
+    for repick in (False, True):
+        audits, prof = [], PhaseProfiler()
+        rd, seen = run_stream(
+            stream, cuts=cuts, machine=machine, prepare=watched(repick, audits, prof)
+        )
+        assert rd.sanitizer.ok
+        runs.append((rd.kernel, seen, audits, prof.counts))
+    (held, held_seen, held_audits, held_counts), (fresh, *rest) = runs
+    assert_same_run(held, fresh)
+    assert [held_seen, held_audits, held_counts] == rest
+
+
+def test_a_postponed_start_ends_a_hold():
+    """A postponed period that begins after the held slice's timer was
+    set is no rollover, yet the pick after it acts on it: here it ties
+    the running thread's deadline with the lower tid, so the cut at 13 ms
+    hands the CPU over.  A scratch kernel whose resume did not read the
+    postponed starts failed this under the strict sanitizer."""
+    ms = units.ms_to_ticks
+
+    def postponer(ctx):
+        yield Compute(ms(1))
+        yield InsertIdleCycles(ms(2))  # its second period: 12 to 22 ms
+        yield DonePeriod()
+
+    def worker(ctx):
+        yield Compute(ms(15))  # deadline 22 ms, no timer stop before 16
+        yield DonePeriod()
+
+    runs = []
+    for repick in (False, True):
+        audits, prof = [], PhaseProfiler()
+        rd = ResourceDistributor(
+            machine=MachineConfig.ideal(),
+            sim=SimConfig(seed=0),
+            sanitize=True,
+            sanitize_strict=True,
+        )
+        watched(repick, audits, prof)(rd)
+        for name, period, cpu, body in (("a", 10, 1, postponer), ("b", 22, 15, worker)):
+            rd.admit(
+                TaskDefinition(
+                    name=name,
+                    resource_list=ResourceList(
+                        [ResourceListEntry(ms(period), ms(cpu), body, name)]
+                    ),
+                )
+            )
+        for cut in (11, 13, 40):
+            rd.run_until(ms(cut))
+        runs.append((rd.kernel, audits, prof.counts))
+    (held, *held_books), (fresh, *fresh_books) = runs
+    assert_same_run(held, fresh)
+    assert held_books == fresh_books
+    assert [s.thread_id for s in held.trace.segments[:3]] == [1, 2, 1]
+
+
 #: A cut that is still a scheduling decision.  The timer may let a slice
 #: run past a boundary a pick would act on — here the small-overlap
 #: override finishes a nearly done grant across the boundary at 100 ms
 #: (rule (2) likewise does not preempt on an equal deadline, which the
 #: pick breaks by tid) — and a ``run_until`` that ends inside that
 #: overlap makes the next call re-pick, handing the CPU over where one
-#: call would not.  Holding the cut slice into the next call fixes it,
-#: but the benchmark's ``dense_churn`` cuts its run every simulated ms,
-#: so the fix moves that workload's counts and ``sim_digest``: it waits
-#: for a change that owns that re-recording (ROADMAP item 3).
+#: call would not.  The kernel holds a cut slice into the next call only
+#: while no rollover scan has run since its timer was set, so it
+#: re-picks here.  Holding across the closed boundary fixes it, but the
+#: benchmark's ``dense_churn`` cuts its run every simulated ms, so that
+#: moves the workload's counts and ``sim_digest``: it waits for a change
+#: that owns that re-recording (ROADMAP item 3).
 OVERRIDE_CUT = (
     (
         True,

@@ -39,6 +39,9 @@ A control-plane request pays for its commit, not its envelope: a
 started ``ServeApp`` owns no Task, and the ``serve_closed`` cycle
 (POST, GET a task, DELETE, GET the fleet) creates none (§4 "Paths").
 
+A cut is not a pick: ``av_pipeline(0)`` stepped in 1,200 calls of
+2.5 ms makes at most 1.25 times the picks of one 3 s call.
+
 A rack node runs when something touches it: a ``settle`` carrying one
 admit round trip runs its target node's kernel and no other, and a
 rack run makes at most two kernel ``run_until`` calls per touch the
@@ -394,6 +397,30 @@ class TestPollsDoNotRepick:
         assert scenario.rd.sanitizer.ok
         # One decision per poll, as when every poll was re-picked.
         assert scenario.rd.sanitizer.decisions_checked == 56_394
+
+
+# -- a cut is not a pick ---------------------------------------------------------
+
+
+class TestCutsDoNotRepick:
+    """A slice the caller's horizon stopped resumes in the next call
+    without ``pick`` and ``timer_for`` while nothing they read can have
+    moved (DESIGN.md §4 "A cut is not a pick"), so stepping a run in
+    short calls costs about the picks of one call."""
+
+    @staticmethod
+    def _picks(calls: int, step_ms: float) -> int:
+        scenario = av_pipeline(0)
+        picks = counted_picks(scenario.rd.scheduler)
+        for _ in range(calls):
+            scenario.rd.run_for(units.ms_to_ticks(step_ms))
+        return len(picks)
+
+    def test_short_calls_pick_about_as_often_as_one(self):
+        whole = self._picks(1, 3_000)
+        stepped = self._picks(1_200, 2.5)
+        # Re-picking at every cut made 1,600 picks against 401.
+        assert stepped <= 1.25 * whole, (stepped, whole)
 
 
 # -- a metrics read folds columns, not events ------------------------------------
