@@ -482,10 +482,6 @@ def cmd_fuzz(args) -> int:
     """Run a fuzz campaign: generate, run, classify, shrink, persist."""
     from repro.fuzz import run_campaign
 
-    if args.differential and args.cluster:
-        print("--differential runs core specs only (the cluster reference "
-              "is the test suite's lockstep loop)")
-        return 2
     stats = run_campaign(
         budget=args.budget,
         seed=args.seed,
@@ -922,8 +918,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--differential",
         action="store_true",
-        help="also run every core spec on the from-scratch reference "
-        "stack; a disagreement fails as divergence:<field>",
+        help="also run every spec on the reference (the from-scratch "
+        "stack for core specs, the lockstep loop for cluster specs); a "
+        "disagreement fails as divergence:<field>",
     )
     fuzz_sub = p.add_subparsers(dest="fuzz_command", metavar="subcommand")
     # A trace is self-contained (its spec carries seed and horizon), and

@@ -148,14 +148,14 @@ class ClusterNode:
 
     def load_report(self, now: int) -> NodeLoadReport:
         """The periodic headroom/QOS report the broker's AIMD loop eats."""
-        deadlines = self.rd.trace.deadlines
-        fresh = deadlines[self._deadlines_reported :]
-        self._deadlines_reported = len(deadlines)
+        trace = self.rd.trace
+        misses = trace.missed_count(self._deadlines_reported)
+        self._deadlines_reported = len(trace.deadlines)
         return NodeLoadReport(
             node=self.name,
             time=now,
             snapshot=self.rd.capacity_snapshot(),
-            misses_delta=sum(1 for record in fresh if record.missed),
+            misses_delta=misses,
         )
 
     # -- introspection ------------------------------------------------------

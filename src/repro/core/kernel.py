@@ -73,8 +73,6 @@ from repro.sim.trace import (
     SWITCH_INVOLUNTARY,
     SWITCH_VOLUNTARY,
     BlockRecord,
-    ContextSwitchRecord,
-    DeadlineRecord,
     GrantChangeRecord,
     SwitchKind,
     TraceRecorder,
@@ -414,9 +412,9 @@ class Kernel:
                 # finished as the next call would begin it — so trace
                 # accounting covers the whole run, and a caller that
                 # cuts a horizon into many calls gets the run one call
-                # makes.  The open trace segment stays open:
-                # ``trace.segments`` flushes on read, and the next
-                # slice of the same run extends it in place.
+                # makes.  The open trace segment is the trace's last
+                # row: the next slice of the same run extends it in
+                # place.
                 break
             # One phase frame covers the whole decision: pick, context
             # switch, and the dispatched slice.  A begin/end pair costs
@@ -565,15 +563,7 @@ class Kernel:
                 self.clock.advance(cost)
                 self.reserve.charge(cost)
                 self.trace.record_run(-1, start, self.clock.now, SEGMENT_SYSTEM)
-            self.trace.record_switch(
-                ContextSwitchRecord(
-                    time=self.now,
-                    from_thread=prev.tid,
-                    to_thread=thread.tid,
-                    kind=kind,
-                    cost_ticks=cost,
-                )
-            )
+            self.trace.record_switch(self.now, prev.tid, thread.tid, kind, cost)
             if self.obs:
                 # ``_value_`` is the member's own attribute; ``.value``
                 # is a property resolved through the enum machinery.
@@ -1091,17 +1081,16 @@ class Kernel:
             and delivered < grant.cpu_ticks
             and thread.state is STATE_ACTIVE
         )
-        record = DeadlineRecord(
-            thread_id=thread.tid,
-            period_index=thread.period_index,
-            period_start=thread.period_start,
-            deadline=thread.deadline,
-            granted=grant.cpu_ticks,
-            delivered=delivered,
-            missed=missed,
-            voided=voided,
+        self.trace.record_deadline(
+            thread.tid,
+            thread.period_index,
+            thread.period_start,
+            thread.deadline,
+            grant.cpu_ticks,
+            delivered,
+            missed,
+            voided,
         )
-        self.trace.record_deadline(record)
         if self.obs:
             # One event per close: the analysis layer needs every
             # period's start/completion to compute delivery ratios and
@@ -1121,7 +1110,7 @@ class Kernel:
                 voided,
             )
         if self.sanitizer is not None:
-            self.sanitizer.on_period_close(thread, record)
+            self.sanitizer.on_period_close(thread, grant.cpu_ticks, delivered, missed)
         thread.periods_completed += 1
         thread.total_granted_ticks += grant.cpu_ticks
         thread.total_used_ticks += thread.used

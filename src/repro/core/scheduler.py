@@ -178,6 +178,19 @@ class RDScheduler:
         wait for unallocated time ("the next time there is unallocated
         CPU time, the Scheduler makes a callback to the Resource Manager
         to get the new grant information").
+
+        Only the threads in ``result.changed``, those entering or
+        leaving the set, and the in-flight set are revisited, and that
+        must leave the state a revisit of every thread leaves.  The
+        in-flight set is what makes it so: an increase the activation
+        callback has handed to a running thread, still waiting for its
+        boundary, goes back to pending activation at every
+        notification, listed in ``changed`` or not
+        (``tests/core/test_recompute_memo.py::TestChangedContract::
+        test_an_activated_increase_in_flight_is_revisited``, shrunk
+        from a lossy two-node rack).  The pending-activation set rides
+        along: a pending thread the result does not list is re-filed
+        with the grant it already waits for.
         """
         prof = self.kernel.prof
         if prof:

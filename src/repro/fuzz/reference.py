@@ -7,22 +7,26 @@ incrementally the way the core used to answer it, from scratch:
   timer and the earliest preempting boundary by scanning every periodic
   thread, never reading the scheduler's lazy heaps;
 * :class:`FromScratchKernel` — channel wakes by walking every blocked
-  thread in block order, and the open trace segment flushed at the end
-  of every ``run_until``;
+  thread in block order;
 * :class:`ReferenceCorrelator` — grant control without the per-list
   tables or the grant cache: every helper re-derives its candidates
-  from the entries, and every result is built from scratch.
+  from the entries, and every result is built from scratch;
+* :class:`LockstepSimulation` — the cluster loop that advances every
+  node kernel to every global interesting time, where the shipped
+  loop runs a node only when something touches it.
 
-:func:`reference_stack` swaps all three into a fresh distributor; the
-two stacks must then produce the identical run.  ``repro fuzz
---differential`` runs every core spec on both
-(:func:`repro.fuzz.runner.run_spec`), and the property tests in
-``tests/properties`` drive the same classes with hypothesis streams.
+:func:`reference_stack` swaps the first three into a fresh distributor
+and :func:`lockstep` the last into a built cluster; the two stacks must
+then produce the identical run.  ``repro fuzz --differential`` runs
+every spec on both (:func:`repro.fuzz.runner.run_spec`), and the
+property tests in ``tests/properties`` and ``tests/cluster`` drive the
+same classes with hypothesis streams and generated specs.
 """
 
 from __future__ import annotations
 
 from repro import units
+from repro.cluster.simulation import EPOCH_TICKS, ClusterSimulation
 from repro.core.grant_control import GrantRequest, GrantSetResult
 from repro.core.grants import Grant, GrantSet
 from repro.core.kernel import Kernel
@@ -97,14 +101,8 @@ class FromScratchScheduler(RDScheduler):
 
 
 class FromScratchKernel(Kernel):
-    """Kernel that delivers posts the way it used to — walk every
-    blocked thread in the order they blocked and try its channel — and
-    materializes the open trace segment at the end of every
-    ``run_until``."""
-
-    def run_until(self, horizon):
-        super().run_until(horizon)
-        self.trace.flush()
+    """Kernel that delivers posts the way it used to: walk every
+    blocked thread in the order they blocked and try its channel."""
 
     def _deliver_posts(self):
         self._posted.clear()
@@ -421,3 +419,48 @@ def reference_stack(rd) -> None:
     manager.grant_control = ReferenceCorrelator(
         shipped.capacity, rd.policy_box, shipped.bandwidth_capacity
     )
+
+
+class LockstepSimulation(ClusterSimulation):
+    """Every node at every global stop: the loop ``ClusterSimulation``
+    ran until the touch-driven one replaced it, verbatim."""
+
+    def run_until(self, horizon: int) -> None:
+        while self._now < horizon:
+            target = self._next_time(horizon)
+            for name in sorted(self.nodes):
+                self.nodes[name].rd.run_until(target)
+            self._now = target
+            self._fire_events()
+            self._route_messages()
+            if self.pipeline is not None:
+                self.pipeline.route(self._now)
+            self.broker.check_timeouts(self._now)
+            while self._next_epoch <= self._now:
+                self._epoch()
+                self._next_epoch += EPOCH_TICKS
+
+    def _settle(self, max_rounds: int) -> bool:
+        for _ in range(max_rounds):
+            if self.broker.idle and len(self.bus) == 0:
+                return True
+            candidates = []
+            bus_next = self.bus.next_time()
+            if bus_next is not None:
+                candidates.append(bus_next)
+            deadline = self.broker.next_deadline()
+            if deadline is not None:
+                candidates.append(deadline)
+            if not candidates:
+                break
+            self.run_until(max(self._now + 1, min(candidates)))
+        return self.broker.idle and len(self.bus) == 0
+
+
+def lockstep(sim: ClusterSimulation) -> ClusterSimulation:
+    """``sim``, built and not yet run, on the lockstep loop (same object
+    layout, two overridden methods), so every builder — ``cluster_rack``,
+    ``fuzz.runner.build_cluster``, ``ServeEngine`` — yields a reference
+    run without a second constructor."""
+    sim.__class__ = LockstepSimulation
+    return sim

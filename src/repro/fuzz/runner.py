@@ -20,12 +20,15 @@ happened:
   second, independent opinion on every run that ends ``ok``.
 * ``crash:<ExceptionType>`` — the run died some other way; a kernel /
   task-protocol error the fuzzer tripped over.
-* ``divergence:<field>`` — a differential run only (core specs): the
-  run was otherwise ``ok``, but the same spec on the from-scratch
-  reference stack (:mod:`repro.fuzz.reference`) recorded different
+* ``divergence:<field>`` — a differential run only: the run was
+  otherwise ``ok``, but the same spec on the reference
+  (:mod:`repro.fuzz.reference`: the from-scratch stack for a core
+  spec, the lockstep loop for a cluster spec) recorded different
   ``segments``, ``switches``, ``deadlines``, ``blocks`` or
-  ``grant-changes`` (the first that differs names the run), or
-  ended with another ``outcome``.
+  ``grant-changes`` (on any node), ended at another ``now``, or
+  booked different ``placements``, ``denials``, ``broker-stats``,
+  ``bus-stats`` or ``cluster-metrics`` (the first that differs names
+  the run), or ended with another ``outcome``.
 
 Admission denials are **not** failures: the generator deliberately
 over-schedules, so arrival callbacks catch :class:`AdmissionError` and
@@ -35,6 +38,7 @@ record the denial as an expected outcome of the admission test.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -376,35 +380,118 @@ def _classify(nodes: dict, body) -> RunResult:
     )
 
 
+def _first_difference(name: str, ours, theirs, where: str = "") -> RunResult | None:
+    """``divergence:<name>`` naming where ``ours`` and ``theirs`` first
+    differ — a record's index, a mapping's key — or None if equal."""
+    if ours == theirs:
+        return None
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        keys = sorted({*ours, *theirs}, key=str)
+        key = next(k for k in keys if ours.get(k) != theirs.get(k))
+        where, ours, theirs = f"{where}[{key!r}]", ours.get(key), theirs.get(key)
+    elif isinstance(ours, Sequence):
+        index = next(
+            (i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b),
+            min(len(ours), len(theirs)),
+        )
+        where = f"{where}[{index}]"
+        ours = ours[index] if index < len(ours) else "(end)"
+        theirs = theirs[index] if index < len(theirs) else "(end)"
+    return RunResult(
+        outcome=f"{DIVERGENCE}{name.replace('_', '-')}",
+        detail=f"{name}{where}: shipped {ours}, reference {theirs}",
+    )
+
+
+def _reference_failed(result: RunResult) -> RunResult:
+    return RunResult(
+        outcome=f"{DIVERGENCE}outcome",
+        detail=f"the reference run ended {result.outcome}: {result.detail}",
+    )
+
+
 def _divergence(spec: ScenarioSpec, shipped, inject_fn, sanitize: str):
-    """Run ``spec`` again on the reference stack; the first disagreement
-    with the ``shipped`` distributor's run as a :class:`RunResult`, or
-    None when the two runs are the same run."""
+    """Run core ``spec`` again on the reference stack; the first
+    disagreement with the ``shipped`` distributor's run as a
+    :class:`RunResult`, or None when the two runs are the same run."""
     run = _CoreRun(spec, sanitize=sanitize, reference=True)
     result = _classify(
         {"": run.rd}, lambda: run.script(inject_fn).rd.run_for(spec.horizon_ticks)
     )
     if not result.ok:
-        return RunResult(
-            outcome=f"{DIVERGENCE}outcome",
-            detail=f"the reference run ended {result.outcome}: {result.detail}",
-        )
+        return _reference_failed(result)
     for name in DIFFERENTIAL_FIELDS:
-        ours = getattr(shipped.trace, name)
-        theirs = getattr(run.rd.trace, name)
-        if ours == theirs:
-            continue
-        index = next(
-            (i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b),
-            min(len(ours), len(theirs)),
+        diverged = _first_difference(
+            name, getattr(shipped.trace, name), getattr(run.rd.trace, name)
         )
-        mine = ours[index] if index < len(ours) else "(end)"
-        ref = theirs[index] if index < len(theirs) else "(end)"
-        return RunResult(
-            outcome=f"{DIVERGENCE}{name.replace('_', '-')}",
-            detail=f"{name}[{index}]: shipped {mine}, reference {ref}",
-        )
+        if diverged is not None:
+            return diverged
     return None
+
+
+def _cluster_books(sim) -> dict:
+    """What a cluster run is judged by beyond each node's trace: the
+    broker's and the bus's books and the metrics document, less each
+    node's count of audited decisions (the lockstep loop re-audits a
+    pick at every stop it forces)."""
+    from repro.cluster import cluster_metrics
+
+    broker = sim.broker
+    metrics = cluster_metrics(sim)
+    for node in metrics["nodes"].values():
+        if node["sanitizer"] is not None:
+            del node["sanitizer"]["decisions"]
+    return {
+        "now": sim.now,
+        "placements": {
+            name: (placed.node, placed.min_rate, placed.max_rate, placed.migrations)
+            for name, placed in sorted(broker.placements.items())
+        },
+        "denials": list(broker.denials),
+        "broker_stats": broker.stats,
+        "bus_stats": sim.bus.stats,
+        "cluster_metrics": metrics,
+    }
+
+
+def _cluster_divergence(spec: ScenarioSpec, shipped, inject_fn, sanitize: str):
+    """Run cluster ``spec`` again on the lockstep loop; the first
+    disagreement with the ``shipped`` cluster's run as a
+    :class:`RunResult`, or None when the two runs are the same run."""
+    from repro.fuzz.reference import lockstep
+
+    sim = lockstep(build_cluster(spec, inject_fn, sanitize=sanitize))
+    result = _classify(
+        {name: sim.nodes[name].rd for name in sorted(sim.nodes)},
+        lambda: _run_cluster(sim, spec.horizon_ticks),
+    )
+    if not result.ok:
+        return _reference_failed(result)
+    ours, theirs = _cluster_books(shipped), _cluster_books(sim)
+    diverged = _first_difference("now", ours.pop("now"), theirs.pop("now"))
+    if diverged is not None:
+        return diverged
+    for node in sorted(shipped.nodes):
+        mine, ref = shipped.nodes[node].rd.trace, sim.nodes[node].rd.trace
+        for name in DIFFERENTIAL_FIELDS:
+            diverged = _first_difference(
+                name, getattr(mine, name), getattr(ref, name), f" on {node}"
+            )
+            if diverged is not None:
+                return diverged
+    for name in ours:
+        diverged = _first_difference(name, ours[name], theirs[name])
+        if diverged is not None:
+            return diverged
+    return None
+
+
+def _run_cluster(sim, horizon: int) -> None:
+    sim.run_until(horizon)
+    sim.settle()
+    # settle() moves only the nodes its deliveries touch; every node's
+    # run is audited up to sim.now.
+    sim.run_until(sim.now)
 
 
 # -- entry point ------------------------------------------------------------
@@ -427,9 +514,10 @@ def run_spec(
     one of :data:`SANITIZE_MODES`: ``record`` keeps the run going past
     a violation so the full event stream lands in the artifacts.
 
-    ``differential`` (core specs only) runs a spec that ends ``ok`` a
-    second time on the reference stack and classifies a disagreement
-    as ``divergence:<field>``; the admitted and denied names stay the
+    ``differential`` runs a spec that ends ``ok`` a second time on the
+    reference — the from-scratch stack for a core spec, the lockstep
+    loop for a cluster spec — and classifies a disagreement as
+    ``divergence:<field>``; the admitted and denied names stay the
     shipped run's.
     """
     from repro.fuzz.inject import injector
@@ -453,21 +541,16 @@ def run_spec(
         result.admitted, result.denied = tuple(run.admitted), tuple(run.denied)
         result.ticks = run.rd.now
         return result
-    if differential:
-        raise ValueError("a differential run takes core specs only")
     try:
         sim = build_cluster(spec, inject_fn, obs=obs, sanitize=sanitize)
     except ReproError as exc:  # levels that make no valid resource list
         return RunResult(outcome=f"crash:{type(exc).__name__}", detail=str(exc))
     nodes = {name: sim.nodes[name].rd for name in sorted(sim.nodes)}
-
-    def body() -> None:
-        sim.run_until(horizon)
-        sim.settle()
-        # settle() moves only the nodes its deliveries touch; every
-        # node's run is audited up to sim.now.
-        sim.run_until(sim.now)
-
-    result = _classify(nodes, body)
+    result = _classify(nodes, lambda: _run_cluster(sim, horizon))
+    if differential and result.ok:
+        diverged = _cluster_divergence(spec, sim, inject_fn, sanitize)
+        if diverged is not None:
+            diverged.decisions_checked = result.decisions_checked
+            result = diverged
     result.admitted, result.ticks = tuple(sorted(sim.broker.placements)), sim.now
     return result

@@ -52,7 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.kernel import Kernel
     from repro.core.resource_manager import ResourceManager
     from repro.core.threads import SimThread
-    from repro.sim.trace import DeadlineRecord
 
 _EPS = 1e-9
 
@@ -209,24 +208,27 @@ class InvariantSanitizer:
         """Frozen benchmark surface: ``benchmarks/e2e`` wraps this name.
         A grant set is never remembered, so nothing calls it."""
 
-    def on_period_close(self, thread: "SimThread", record: "DeadlineRecord") -> None:
-        """Per-period grant delivery for the period just closed."""
+    def on_period_close(
+        self, thread: "SimThread", granted: int, delivered: int, missed: bool
+    ) -> None:
+        """Per-period grant delivery for the period ``thread`` is closing
+        (its ``deadline`` and ``period_index`` are still that period's)."""
         self.periods_checked += 1
-        if record.delivered > record.granted:
+        if delivered > granted:
             self._fail(
                 "grant-delivery",
-                record.deadline,
+                thread.deadline,
                 f"thread {thread.tid} ({thread.name!r}) period "
-                f"{record.period_index} charged {record.delivered} granted "
-                f"ticks against a {record.granted}-tick grant",
+                f"{thread.period_index} charged {delivered} granted "
+                f"ticks against a {granted}-tick grant",
             )
-        if record.missed:
+        if missed:
             self._fail(
                 "grant-delivery",
-                record.deadline,
+                thread.deadline,
                 f"thread {thread.tid} ({thread.name!r}) period "
-                f"{record.period_index} closed with only {record.delivered} "
-                f"of {record.granted} granted ticks delivered — the "
+                f"{thread.period_index} closed with only {delivered} "
+                f"of {granted} granted ticks delivered — the "
                 f"guarantee of a grant in every period was broken",
             )
 

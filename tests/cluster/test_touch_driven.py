@@ -3,8 +3,8 @@
 ``ClusterSimulation`` runs a node's kernel only when something touches
 the node — a bus delivery to it, an epoch, due external events — and
 ``run_until(t)`` returns with every node at ``t``.  The lockstep loop
-(``lockstep.py``) kept every node at every global stop.  The nodes
-share nothing but messages, and a kernel's run does not depend on where
+(``repro.fuzz.reference.LockstepSimulation``) kept every node at every
+global stop.  The nodes share nothing but messages, and a kernel's run does not depend on where
 its horizon is cut, so the two must be the same run: per node the same
 segments, switches, deadline records, blocks and grant changes; the
 same broker placements, denials and stats and the same bus stats; the
@@ -27,7 +27,7 @@ from repro.fuzz.runner import build_cluster
 from repro.obs import ObsSession
 from repro.scenarios import cluster_rack
 from repro.serve.engine import ServeEngine
-from tests.cluster.lockstep import lockstep
+from repro.fuzz.reference import lockstep
 from tests.fuzz.test_corpus import CORPUS
 
 TRACE_FIELDS = ("segments", "switches", "deadlines", "blocks", "grant_changes")

@@ -466,8 +466,9 @@ class TestQuietKernel:
 
 
 class TestSlicedRuns:
-    """``run_until`` leaves the open trace segment open; every reader
-    goes through ``trace.segments``, which flushes."""
+    """``run_until`` leaves the open trace segment as the trace's last
+    row, and the next slice of the same run extends it: a reader
+    between slices sees what the reference kernel records."""
 
     def test_segments_read_between_slices_match_the_flushing_kernel(self):
         from repro.fuzz.reference import FromScratchKernel

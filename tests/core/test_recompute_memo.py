@@ -303,6 +303,66 @@ class TestChangedContract:
         assert second.changed == {1}
         assert second.grant_set[2] is first.grant_set[2]
 
+    def test_an_activated_increase_in_flight_is_revisited(self):
+        """Shrunk from ``cluster_rack(seed=5, nodes=2, drop_rate=0.1)``
+        (node00, t = 29,709,037, the audio decoders ``stb02-audio`` and
+        ``stb04-audio``): an increase the unallocated-time callback has
+        handed to a running thread waits for its period boundary, and the
+        next result does not list the thread in ``changed``.  A full
+        revisit sends the increase back to pending activation, and so
+        must the diff — only the in-flight set brings the thread into
+        its work set.  Without it the thread's activation is one
+        callback short, which no trace record shows (the obs stream's
+        activation events do)."""
+
+        def scenario(full_revisit):
+            rd = make_rd(sanitize=True, sanitize_strict=True)
+            scheduler = rd.scheduler
+            if full_revisit:
+                notify = scheduler.notify_grant_set
+                scheduler.notify_grant_set = lambda result: notify(
+                    dataclasses.replace(result, changed=None)
+                )
+            period = units.ms_to_ticks(30)
+            riser = rd.admit(
+                TaskDefinition(
+                    name="riser",
+                    resource_list=ResourceList(
+                        [
+                            ResourceListEntry(period, round(period * rate), grant_follower)
+                            for rate in (0.4, 0.2)
+                        ]
+                    ),
+                )
+            )
+            hog = rd.admit(single_entry_definition("hog", 10, 0.7))
+            rd.admit(single_entry_definition("ticker", 5, 0.05))  # picks often
+            rd.run_for(units.ms_to_ticks(5))
+            assert riser.grant.entry_index == 1 and riser.in_period
+            rd.exit_thread(hog.tid)  # the increase waits for unallocated time
+            assert riser.tid in scheduler._pending_activation
+            rd.run_for(units.ms_to_ticks(10))  # ... which comes: handed over
+            assert riser.tid not in scheduler._pending_activation
+            assert riser.tid in scheduler._inflight
+            assert riser.pending_grant.entry_index == 0 and riser.in_period
+            late = rd.admit(single_entry_definition("late", 10, 0.05))
+            assert rd.resource_manager.last_result.changed == {late.tid}
+            return scheduler, riser
+
+        def state(scheduler):
+            return (
+                {tid: g.entry_index for tid, g in scheduler._pending_activation.items()},
+                sorted(scheduler._inflight),
+                [
+                    (t.tid, t.pending_grant and t.pending_grant.entry_index, t.has_pending_change)
+                    for t in scheduler.kernel.periodic_threads()
+                ],
+            )
+
+        (diff, riser), (full, _) = scenario(False), scenario(True)
+        assert state(diff) == state(full)
+        assert diff._pending_activation[riser.tid].entry_index == 0
+
     def test_notify_by_diff_equals_notify_by_full_revisit(self):
         """``changed=None`` makes the Scheduler revisit every thread in
         either set — the reference semantics.  The diff must produce

@@ -1,5 +1,6 @@
-"""Differential fuzzing: every core spec on the shipped and the
-reference stack (``repro.fuzz.reference``).
+"""Differential fuzzing: every spec on the shipped and the reference
+stack (``repro.fuzz.reference``: the from-scratch core, the lockstep
+cluster loop).
 
 The corpus replays differentially here, so a change that makes the
 shipped core and the from-scratch reference disagree on a committed
@@ -17,7 +18,14 @@ import pytest
 from repro import units
 from repro.cli import main
 from repro.core.kernel import Kernel
-from repro.fuzz import generate, load_trace, replay_trace, run_campaign, run_spec
+from repro.fuzz import (
+    generate,
+    load_trace,
+    replay_trace,
+    run_campaign,
+    run_spec,
+    scenario_seed,
+)
 from repro.fuzz import reference
 from repro.fuzz.inject import injector
 from repro.fuzz.runner import DIFFERENTIAL_FIELDS, _CoreRun
@@ -95,8 +103,16 @@ def test_a_divergence_is_named_shrunk_written_and_replayed(monkeypatch, tmp_path
     assert not replay_trace(failure.trace_path).matches
 
 
-def test_a_differential_run_takes_core_specs_only(capsys):
-    with pytest.raises(ValueError, match="core specs only"):
-        run_spec(generate(0, cluster=True), differential=True)
-    assert main(["fuzz", "--cluster", "--differential", "--budget", "1"]) == 2
-    assert "core specs only" in capsys.readouterr().out
+def test_a_cluster_spec_runs_differentially(monkeypatch, capsys):
+    """A cluster spec runs on the lockstep loop too; a reference that
+    stops short of settling is named by the first book that differs."""
+    spec = generate(scenario_seed(0, 0, cluster=True), cluster=True)
+    assert run_spec(spec, differential=True).ok
+    assert main(["fuzz", "--cluster", "--differential", "--budget", "1"]) == 0
+    assert "fuzz[cluster, differential]" in capsys.readouterr().out
+    monkeypatch.setattr(
+        reference.LockstepSimulation, "_settle", lambda self, max_rounds: True
+    )
+    result = run_spec(spec, differential=True)
+    assert result.outcome == "divergence:now", result.detail
+    assert result.detail.startswith("now: shipped ")

@@ -1,5 +1,7 @@
 """Metrics: utilization, miss rates, allocation series."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro import units
@@ -25,13 +27,17 @@ def trace():
     t.record_segment(RunSegment(2, 60, 80, SegmentKind.GRANTED, period_index=0))
     t.record_segment(RunSegment(1, 80, 100, SegmentKind.OVERTIME, period_index=0))
     t.record_deadline(
-        DeadlineRecord(1, 0, 0, 100, granted=60, delivered=60, missed=False)
+        *astuple(DeadlineRecord(1, 0, 0, 100, granted=60, delivered=60, missed=False))
     )
     t.record_deadline(
-        DeadlineRecord(2, 0, 0, 100, granted=40, delivered=20, missed=True)
+        *astuple(DeadlineRecord(2, 0, 0, 100, granted=40, delivered=20, missed=True))
     )
     t.record_deadline(
-        DeadlineRecord(2, 1, 100, 200, granted=40, delivered=0, missed=False, voided=True)
+        *astuple(
+            DeadlineRecord(
+                2, 1, 100, 200, granted=40, delivered=0, missed=False, voided=True
+            )
+        )
     )
     return t
 

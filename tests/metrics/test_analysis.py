@@ -1,5 +1,7 @@
 """Switch-cost analysis (section 6.1 metrics)."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro import units
@@ -21,9 +23,9 @@ def switch(time, kind, cost_us, frm=1, to=2):
 @pytest.fixture
 def trace():
     t = TraceRecorder()
-    t.record_switch(switch(100, SwitchKind.VOLUNTARY, 12.0))
-    t.record_switch(switch(200, SwitchKind.VOLUNTARY, 20.0))
-    t.record_switch(switch(300, SwitchKind.INVOLUNTARY, 30.0, frm=2, to=1))
+    t.record_switch(*astuple(switch(100, SwitchKind.VOLUNTARY, 12.0)))
+    t.record_switch(*astuple(switch(200, SwitchKind.VOLUNTARY, 20.0)))
+    t.record_switch(*astuple(switch(300, SwitchKind.INVOLUNTARY, 30.0, frm=2, to=1)))
     return t
 
 

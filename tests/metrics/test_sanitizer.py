@@ -9,7 +9,6 @@ from repro.core.grant_control import GrantSetResult
 from repro.core.grants import Grant, GrantSet
 from repro.core.resource_list import ResourceListEntry
 from repro.core.threads import ThreadState
-from repro.sim.trace import DeadlineRecord
 from repro.workloads import grant_follower
 
 from tests.conftest import admit_simple
@@ -143,34 +142,14 @@ class TestGrantDelivery:
     def test_detects_missed_period(self):
         rd = ResourceDistributor(sim=SimConfig(seed=1), sanitize=True)
         thread = admit_simple(rd, "t", period_ms=10, rate=0.3)
-        record = DeadlineRecord(
-            thread_id=thread.tid,
-            period_index=0,
-            period_start=0,
-            deadline=ms(10),
-            granted=ms(3),
-            delivered=ms(1),
-            missed=True,
-            voided=False,
-        )
         with pytest.raises(SanitizerViolation, match="grant-delivery"):
-            rd.sanitizer.on_period_close(thread, record)
+            rd.sanitizer.on_period_close(thread, ms(3), ms(1), True)
 
     def test_detects_over_delivery(self):
         rd = ResourceDistributor(sim=SimConfig(seed=1), sanitize=True)
         thread = admit_simple(rd, "t", period_ms=10, rate=0.3)
-        record = DeadlineRecord(
-            thread_id=thread.tid,
-            period_index=0,
-            period_start=0,
-            deadline=ms(10),
-            granted=ms(3),
-            delivered=ms(4),
-            missed=False,
-            voided=False,
-        )
         with pytest.raises(SanitizerViolation, match="grant-delivery"):
-            rd.sanitizer.on_period_close(thread, record)
+            rd.sanitizer.on_period_close(thread, ms(3), ms(4), False)
 
     def test_every_period_checked_on_a_real_run(self):
         rd = ResourceDistributor(sim=SimConfig(seed=3), sanitize=True)

@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.metrics import validate_trace
-from repro.sim.trace import DeadlineRecord, RunSegment, SegmentKind, TraceRecorder
+from repro.sim.trace import RunSegment, SegmentKind, TraceRecorder
 
 
 def seg(tid, start, end, kind=SegmentKind.GRANTED, period=0, charged=None):
@@ -19,16 +19,8 @@ def seg(tid, start, end, kind=SegmentKind.GRANTED, period=0, charged=None):
 
 
 def deadline(tid, idx, start, end, granted, delivered, missed=False, voided=False):
-    return DeadlineRecord(
-        thread_id=tid,
-        period_index=idx,
-        period_start=start,
-        deadline=end,
-        granted=granted,
-        delivered=delivered,
-        missed=missed,
-        voided=voided,
-    )
+    """A period close's fields, in ``record_deadline`` order."""
+    return (tid, idx, start, end, granted, delivered, missed, voided)
 
 
 class TestCleanTrace:
@@ -51,21 +43,21 @@ class TestCleanTrace:
 class TestViolationDetection:
     def test_cpu_overlap_detected(self):
         trace = TraceRecorder()
-        trace.segments.append(seg(1, 0, 100))
-        trace.segments.append(seg(2, 50, 150))
+        trace.record_segment(seg(1, 0, 100))
+        trace.record_segment(seg(2, 50, 150))
         report = validate_trace(trace)
         assert any(v.rule == "cpu-overlap" for v in report.violations)
 
     def test_over_delivery_detected(self):
         trace = TraceRecorder()
-        trace.record_deadline(deadline(1, 0, 0, 100, granted=50, delivered=60))
+        trace.record_deadline(*deadline(1, 0, 0, 100, granted=50, delivered=60))
         report = validate_trace(trace)
         assert any(v.rule == "over-delivery" for v in report.violations)
 
     def test_phantom_miss_detected(self):
         trace = TraceRecorder()
         trace.record_deadline(
-            deadline(1, 0, 0, 100, granted=50, delivered=50, missed=True)
+            *deadline(1, 0, 0, 100, granted=50, delivered=50, missed=True)
         )
         report = validate_trace(trace)
         assert any(v.rule == "phantom-miss" for v in report.violations)
@@ -73,41 +65,41 @@ class TestViolationDetection:
     def test_miss_and_void_conflict_detected(self):
         trace = TraceRecorder()
         trace.record_deadline(
-            deadline(1, 0, 0, 100, granted=50, delivered=0, missed=True, voided=True)
+            *deadline(1, 0, 0, 100, granted=50, delivered=0, missed=True, voided=True)
         )
         report = validate_trace(trace)
         assert any(v.rule == "miss-and-void" for v in report.violations)
 
     def test_grant_overrun_detected(self):
         trace = TraceRecorder()
-        trace.segments.append(seg(1, 0, 80, period=0))
-        trace.record_deadline(deadline(1, 0, 0, 100, granted=50, delivered=50))
+        trace.record_segment(seg(1, 0, 80, period=0))
+        trace.record_deadline(*deadline(1, 0, 0, 100, granted=50, delivered=50))
         report = validate_trace(trace)
         assert any(v.rule == "grant-overrun" for v in report.violations)
 
     def test_period_index_gap_detected(self):
         trace = TraceRecorder()
-        trace.record_deadline(deadline(1, 0, 0, 100, 50, 50))
-        trace.record_deadline(deadline(1, 2, 200, 300, 50, 50))
+        trace.record_deadline(*deadline(1, 0, 0, 100, 50, 50))
+        trace.record_deadline(*deadline(1, 2, 200, 300, 50, 50))
         report = validate_trace(trace)
         assert any(v.rule == "period-index-gap" for v in report.violations)
 
     def test_period_pulled_in_detected(self):
         trace = TraceRecorder()
-        trace.record_deadline(deadline(1, 0, 0, 100, 50, 50))
-        trace.record_deadline(deadline(1, 1, 90, 190, 50, 50))
+        trace.record_deadline(*deadline(1, 0, 0, 100, 50, 50))
+        trace.record_deadline(*deadline(1, 1, 90, 190, 50, 50))
         report = validate_trace(trace)
         assert any(v.rule == "period-pulled-in" for v in report.violations)
 
     def test_conservation_gap_detected(self):
         trace = TraceRecorder()
-        trace.segments.append(seg(1, 0, 40))
+        trace.record_segment(seg(1, 0, 40))
         report = validate_trace(trace, end_time=100)
         assert any(v.rule == "conservation" for v in report.violations)
 
     def test_assigned_without_charge_detected(self):
         trace = TraceRecorder()
-        trace.segments.append(seg(3, 0, 10, kind=SegmentKind.ASSIGNED))
+        trace.record_segment(seg(3, 0, 10, kind=SegmentKind.ASSIGNED))
         report = validate_trace(trace)
         assert any(v.rule == "assigned-charge" for v in report.violations)
 
@@ -115,7 +107,7 @@ class TestViolationDetection:
 class TestReport:
     def test_summary_mentions_status(self):
         trace = TraceRecorder()
-        trace.segments.append(seg(1, 0, 40))
+        trace.record_segment(seg(1, 0, 40))
         ok = validate_trace(trace)
         assert "OK" in ok.summary()
         bad = validate_trace(trace, end_time=100)

@@ -12,7 +12,6 @@ from repro.core.distributor import ResourceDistributor
 from repro.errors import AdmissionError
 from repro.obs.session import ObsSession
 from repro.scenarios import figure5
-from repro.sim.trace import DeadlineRecord
 from repro.workloads import single_entry_definition
 
 
@@ -79,19 +78,12 @@ class TestViolationRoundTrip:
         event (severity=error) and survives into events.jsonl."""
         session, rd = observed_rd(sanitize=True, sanitize_strict=False)
         thread = rd.admit(single_entry_definition("video", 30, 0.4))
-        # Inject through the public hook: a period that closed with the
-        # grant undelivered breaks the per-period guarantee.
-        record = DeadlineRecord(
-            thread_id=thread.tid,
-            period_index=0,
-            period_start=0,
-            deadline=ms(30),
-            granted=ms(12),
-            delivered=ms(5),
-            missed=True,
-            voided=False,
-        )
-        rd.sanitizer.on_period_close(thread, record)
+        # Inject through the public hook: the first period (ending at
+        # 30 ms) closing with the grant undelivered breaks the
+        # per-period guarantee.
+        rd.run_for(ms(1))
+        assert (thread.period_index, thread.deadline) == (0, ms(30))
+        rd.sanitizer.on_period_close(thread, ms(12), ms(5), True)
         assert not rd.sanitizer.ok  # non-strict: collected, not raised
         violations = of_type(session, "violation")
         assert len(violations) == 1

@@ -1,16 +1,12 @@
-"""TraceRecorder batching: the open-segment buffer and its flush rules.
+"""TraceRecorder coalescing: the open segment is the last row.
 
-``record_run`` holds the most recent run in scalar fields and extends
-it in place when the next run continues it (same thread, kind, period,
-charge, and contiguous in time), materializing a RunSegment only when a
-non-continuing run arrives or a reader forces a flush.  The queries all
-go through the flushing ``segments`` property, so batching is invisible
-to every consumer.  That property is the reader contract: nothing else
-flushes — the kernel leaves the open run open when ``run_until``
-returns, so the next slice of the same run extends it in place — and a
-captured reference to the list is only as fresh as the last read.  The
-obs session therefore registers ``lambda: trace.segments`` for its lazy
-Perfetto export, never the list object.
+``record_run`` compares a run with cached copies of the last row's
+fields and, when the run continues it (same thread, kind, period,
+charge, and contiguous in time), rewrites that row's ``end`` in place.
+``flush`` has nothing to do.  ``trace.segments`` is a live view over the
+columns: a reference held from an earlier read sees every row recorded
+since, the open run included, so the obs session's lazy Perfetto export
+and any other reader see the run still on the CPU.
 """
 
 from repro import MachineConfig, ResourceDistributor, SimConfig, units
@@ -62,9 +58,8 @@ class TestCoalescing:
         assert len(trace.segments) == 2
 
     def test_coalescing_survives_an_interleaved_read(self):
-        """A reader mid-run flushes the open buffer; a continuing run
-        arriving afterwards must still merge (de-materialization), so
-        observation never changes the recorded trace."""
+        """A read between two chunks of one run changes nothing: the
+        continuing chunk still extends the last row."""
         trace = TraceRecorder()
         record(trace, 1, 0, 10)
         assert [(s.start, s.end) for s in trace.segments] == [(0, 10)]
@@ -81,32 +76,32 @@ class TestFlushSemantics:
         trace.flush()
         assert len(trace.segments) == 1
 
-    def test_segments_property_returns_the_live_list_object(self):
-        """Every read flushes into and returns the same list object —
-        and only a read does: a captured reference lacks the open run
-        until somebody goes through the property again."""
+    def test_segments_view_is_live(self):
+        """Every read returns the same view object, and a reference held
+        from an earlier read sees the rows recorded since — the open
+        run's extension included."""
         trace = TraceRecorder()
         captured = trace.segments
         record(trace, 1, 0, 10)
         record(trace, 2, 10, 20)
-        assert [(s.thread_id, s.start, s.end) for s in captured] == [(1, 0, 10)]
         assert trace.segments is captured
         assert [(s.thread_id, s.start, s.end) for s in captured] == [
             (1, 0, 10),
             (2, 10, 20),
         ]
+        record(trace, 2, 20, 30)
+        assert captured[-1].end == 30
 
     def test_run_until_leaves_the_open_run_open(self):
-        """Nobody flushes on the way out of the kernel: the run that is
-        on the CPU when ``run_until`` returns stays in the buffer, and
-        the next slice extends it instead of reopening it."""
+        """The run on the CPU when ``run_until`` returns is the last
+        row, and the next slice extends that row instead of adding
+        one."""
         rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=7))
         rd.admit(single_entry_definition("greedy", 10, 0.5, greedy=True))
         rd.run_for(units.ms_to_ticks(2))
-        assert rd.trace._open_thread is not None
-        materialized = len(rd.trace._segments)
+        rows = len(rd.trace.segments)
         rd.run_for(units.ms_to_ticks(2))
-        assert len(rd.trace._segments) == materialized
+        assert len(rd.trace.segments) == rows
         assert [(s.start, s.end) for s in rd.trace.segments] == [
             (0, units.ms_to_ticks(4))
         ]
