@@ -8,11 +8,14 @@ passes.
 
 Reproduced shape: the underload path is substantially cheaper than the
 overload path at equal N, and the overload path scales linearly —
-doubling N roughly doubles time, never quadratically.  (The paper's
-underload check is O(1) against running sums maintained inside the
-Resource Manager; this implementation recomputes the sum, so both paths
-are Theta(N) with very different constants — documented in
-EXPERIMENTS.md.)
+doubling N roughly doubles time, never quadratically.  The running sums
+the paper's O(1) check reads live in the Resource Manager
+(``ResourceManager._max_rate`` / ``_max_bandwidth``), which hands them
+to ``GrantController.compute``.  The compute-level lines here call the
+controller with none, so both verdicts recount in Theta(N); the
+``rm_op`` line goes through the Resource Manager, where an overload
+verdict costs O(1) and the correlation passes stay Theta(N)
+(EXPERIMENTS.md §6.3).
 
 The ``rm_op`` regime measures the same line one level up, where an
 application pays it: a whole ``exit_thread`` + ``admit`` pair on a

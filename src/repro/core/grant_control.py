@@ -3,10 +3,15 @@
 Section 6.3 describes the algorithm:
 
 * **Fast path** (system not overloaded): check whether every thread can
-  have its *maximum* resource-list entry; if so, done.  (The paper
-  makes this O(1) with a running sum inside the Resource Manager; here
-  the request list is rebuilt per recomputation, so the check is a
-  Theta(N) sum — same verdicts, documented in EXPERIMENTS.md.)
+  have its *maximum* resource-list entry; if so, done.  As in the
+  paper, the Resource Manager keeps running sums of the active
+  requests' maximum rate and bandwidth (``ResourceManager._max_rate``,
+  ``_max_bandwidth``) and hands them to :meth:`GrantController.compute`
+  with a bound on their rounding drift.  When they exceed a capacity by
+  more than that bound the machine is overloaded, and the check costs
+  O(1).  Otherwise the sums are recounted from the requests in Θ(N), so
+  the verdict is always the recount's; a caller without running sums
+  (``analysis.advisor``) passes none and always recounts.
 * **Overloaded**: the Resource Manager asks the Policy Box for a policy
   over the admitted, non-quiescent threads, then *correlates* the policy
   with the actual resource lists in up to three O(N) passes:
@@ -65,6 +70,9 @@ from repro.core.resource_list import ResourceList
 from repro.errors import GrantError
 
 _EPS = 1e-9
+#: Twice the unit roundoff of a float: an add or subtract rounds by
+#: less than this times the result it returns.
+ROUNDING = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,20 @@ class GrantSetResult:
     changed: frozenset[int] | None = None
 
 
+def _claim_order(
+    tids: list[int], pids: list[int], targets: list[float], preferred: int | None
+) -> list[int]:
+    """Positions in selection order: the policy's exclusive-preference
+    thread first, then by descending target share, then by thread id
+    for determinism — the order of ``(pid != preferred, -target, tid)``.
+    Three stable sorts over plain key lists, least significant key
+    first, give it without building a key tuple per thread."""
+    order = sorted(range(len(tids)), key=tids.__getitem__)
+    order.sort(key=[-target for target in targets].__getitem__)
+    order.sort(key=[pid != preferred for pid in pids].__getitem__)
+    return order
+
+
 class GrantController:
     """Computes grant sets for the Resource Manager."""
 
@@ -144,23 +166,34 @@ class GrantController:
     def bandwidth_capacity(self) -> float:
         return self._bandwidth
 
-    def compute(self, requests: list[GrantRequest]) -> GrantSetResult:
+    def compute(
+        self,
+        requests: list[GrantRequest],
+        maxima: tuple[float, float, float] | None = None,
+    ) -> GrantSetResult:
         """Compute the grant set for the current task population.
 
         ``requests`` covers every admitted thread; quiescent threads are
         skipped for grants (their resources flow to the others) but were
-        already counted by admission control.
+        already counted by admission control.  ``maxima`` is the caller's
+        running sums of the active requests' maximum rate and bandwidth
+        plus a bound on how far updates have rounded them: when they
+        prove the machine overloaded the fast path's recount is skipped.
         """
         prof = self.prof
         if prof:
             prof.begin("grant.compute")
             try:
-                return self._compute(requests)
+                return self._compute(requests, maxima)
             finally:
                 prof.end("grant.compute")
-        return self._compute(requests)
+        return self._compute(requests, maxima)
 
-    def _compute(self, requests: list[GrantRequest]) -> GrantSetResult:
+    def _compute(
+        self,
+        requests: list[GrantRequest],
+        maxima: tuple[float, float, float] | None,
+    ) -> GrantSetResult:
         active = [r for r in requests if not r.quiescent]
         if not active:
             return self._result(active, [], None, 0, False, {})
@@ -173,6 +206,19 @@ class GrantController:
                     )
                 seen.add(request.thread_id)
 
+        if maxima is not None:
+            rate, bandwidth, drift = maxima
+            # The exact sums are within ``drift`` of the running ones.
+            # The recount's n additions each round by less than
+            # ``ROUNDING`` times the total, one more term covers the
+            # subtraction below, and the factor of two in ``ROUNDING``
+            # absorbs the rounding of this bound's own arithmetic.
+            slop = drift + (len(active) + 1) * (rate + bandwidth + drift) * ROUNDING
+            if (
+                rate - slop > self._capacity + _EPS
+                or bandwidth - slop > self._bandwidth + _EPS
+            ):
+                return self._policy_path(active)
         owners = self._fast_path(active)
         if owners is not None:
             return self._result(active, [0] * len(active), None, 0, False, owners)
@@ -252,20 +298,16 @@ class GrantController:
         # selection is a table read (``tests/test_hot_paths.py`` counts).
         count = len(active)
         lists = [r.resource_list for r in active]
+        pids = [r.policy_id for r in active]
         shares = policy.shares
-        targets = [shares.get(r.policy_id, 0.0) for r in active]
+        targets = [shares.get(pid, 0.0) for pid in pids]
         cpu_limit = self._capacity + _EPS
         bw_limit = self._bandwidth + _EPS
 
-        # Selection order: the policy's exclusive-preference thread first,
-        # then by descending target share, then by thread id for
-        # determinism.  This order settles exclusive-unit claims.
-        preferred = policy.exclusive_preference
-        claim_keys = [
-            (r.policy_id != preferred, -target, r.thread_id)
-            for r, target in zip(active, targets)
-        ]
-        ordered = sorted(range(count), key=claim_keys.__getitem__)
+        # This order settles exclusive-unit claims.
+        ordered = _claim_order(
+            [r.thread_id for r in active], pids, targets, policy.exclusive_preference
+        )
         owners: dict[str, int] = {}
         selection = [0] * count
         #: Pass 1's "below" entry for each unit-free thread.
@@ -413,6 +455,10 @@ class GrantController:
                     continue  # nothing between the ceiling and here
                 entries = lists[p]
                 rates = entries.rates
+                if rates[old_index - 1] - rates[old_index] > slack + _EPS:
+                    # Rates descend with the index, so if one step up
+                    # does not fit, no higher entry does.
+                    continue
                 bws = entries.bandwidths
                 if entries.names_exclusive:
                     index = self._promote(

@@ -177,7 +177,7 @@ class PolicyBox:
     def _invent(self, key: frozenset[int]) -> Policy:
         self._inventions += 1
         share = self._capacity / len(key)
-        shares = dict.fromkeys(sorted(key), share)
+        shares = dict.fromkeys(key, share)
         return Policy(
             shares=shares,
             exclusive_preference=min(key),

@@ -25,9 +25,15 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.core.admission import AdmissionController
-from repro.core.grant_control import GrantController, GrantRequest, GrantSetResult
+from repro.core.grant_control import (
+    ROUNDING,
+    GrantController,
+    GrantRequest,
+    GrantSetResult,
+)
 from repro.core.kernel import Kernel
 from repro.core.policy_box import PolicyBox
+from repro.core.resource_list import ResourceList
 from repro.core.scheduler import RDScheduler
 from repro.core.threads import STATE_EXITED, STATE_QUIESCENT, SimThread
 from repro.errors import AdmissionError, ResourceListError
@@ -99,6 +105,14 @@ class ResourceManager:
         #: quiesce, wake, change_resource_list — so a recompute copies it
         #: with no per-thread call.  The thread is ``kernel.threads[tid]``.
         self._grant_requests: dict[int, GrantRequest] = {}
+        #: Running sums of the active (non-quiescent) requests' maximum
+        #: entries, rate and bandwidth, kept by the same ops, and a
+        #: bound on the rounding the updates have added to them: grant
+        #: control skips its Θ(N) underload recount when these prove
+        #: the machine overloaded (section 6.2's O(1) check).
+        self._max_rate = 0.0
+        self._max_bandwidth = 0.0
+        self._max_drift = 0.0
         self.last_result: GrantSetResult | None = None
         #: Optional telemetry bus; set alongside :attr:`Kernel.obs`.
         self.obs = None
@@ -156,6 +170,8 @@ class ResourceManager:
         self._grant_requests[thread.tid] = GrantRequest(
             thread.tid, policy_id, definition.resource_list, definition.start_quiescent
         )
+        if not definition.start_quiescent:
+            self._count_maximum(definition.resource_list, 1.0)
         if self.obs:
             self.obs.emit(
                 AdmissionEvent(
@@ -188,8 +204,10 @@ class ResourceManager:
 
     def exit_thread(self, tid: int) -> None:
         """A task terminated (naturally or by the user)."""
-        self._request(tid)
+        request = self._request(tid)
         del self._grant_requests[tid]
+        if not request.quiescent:
+            self._count_maximum(request.resource_list, -1.0)
         thread = self.kernel.threads[tid]
         self.admission.release(tid)
         if thread.in_period:
@@ -213,6 +231,7 @@ class ResourceManager:
         if request.quiescent:
             return
         self._grant_requests[tid] = replace(request, quiescent=True)
+        self._count_maximum(request.resource_list, -1.0)
         thread = self.kernel.threads[tid]
         if thread.in_period:
             thread.pending_state = STATE_QUIESCENT
@@ -230,6 +249,7 @@ class ResourceManager:
         if not request.quiescent:
             return
         self._grant_requests[tid] = replace(request, quiescent=False)
+        self._count_maximum(request.resource_list, 1.0)
         self.kernel.threads[tid].pending_state = None
         self._recompute()
 
@@ -243,7 +263,21 @@ class ResourceManager:
         self._grant_requests[tid] = replace(
             request, resource_list=definition.resource_list
         )
+        if not request.quiescent:
+            self._count_maximum(request.resource_list, -1.0)
+            self._count_maximum(definition.resource_list, 1.0)
         self._recompute()
+
+    def _count_maximum(self, resource_list: ResourceList, sign: float) -> None:
+        """Add (``sign`` 1.0) or take away (-1.0) one active request's
+        maximum entry from the running sums.  Each update rounds by less
+        than ``ROUNDING`` times its result, which the drift bound takes
+        in."""
+        rate = self._max_rate + sign * resource_list.rates[0]
+        bandwidth = self._max_bandwidth + sign * resource_list.bandwidths[0]
+        self._max_rate = rate
+        self._max_bandwidth = bandwidth
+        self._max_drift += (abs(rate) + abs(bandwidth)) * ROUNDING
 
     def policy_changed(self) -> None:
         """The Policy Box was modified; recompute grants under it.
@@ -296,7 +330,9 @@ class ResourceManager:
 
     def _recompute_now(self) -> None:
         requests = self._requests()
-        result = self.grant_control.compute(requests)
+        result = self.grant_control.compute(
+            requests, (self._max_rate, self._max_bandwidth, self._max_drift)
+        )
         self.recompute_count += 1
         if self.kernel.sanitizer is not None:
             self.kernel.sanitizer.on_grant_set(result)

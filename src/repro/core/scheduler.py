@@ -45,9 +45,10 @@ poll) is therefore no queue change, and the kernel does not re-pick on
 it: the server keeps its slice to the next scheduling event.  Timer
 rule (2) reads the third heap as well: it meets the boundaries below
 the running thread's limit in time order, setting aside the valid ones
-that do not preempt and pushing them back.  A grant notification revisits only the threads the controller
-reports as changed, those that joined or left the set, and those with
-a change still in flight.  The full scans (:mod:`repro.core.threads`)
+that do not preempt and pushing them back.  A grant notification
+revisits only the threads the controller reports as changed, those that
+joined or left the set, and those whose state can move unlisted: an
+activated increase in flight, a pending increase of a running thread.  The full scans (:mod:`repro.core.threads`)
 survive as debug views (:meth:`RDScheduler.time_remaining_queue`,
 :meth:`~RDScheduler.overtime_queue`, :meth:`~RDScheduler.snapshot`) and
 behind :meth:`~RDScheduler.preemption_imminent`.
@@ -96,11 +97,18 @@ class RDScheduler:
         #: The grant set delivered by the last ``notify_grant_set`` call,
         #: diffed against to skip threads whose grant did not change.
         self._last_notified: GrantSet | None = None
-        #: Threads with a scheduler-applied pending boundary change
-        #: (decrease/removal, or an activated increase).  Every
-        #: notification re-asserts these, so the diff always revisits
-        #: them even when their grant is unchanged.
-        self._inflight: set[int] = set()
+        #: The threads whose state can move between two notifications
+        #: without the next result listing them, so every notification
+        #: revisits them (DESIGN.md §4 "A notification revisits what can
+        #: move").  Activated increases still in flight: the
+        #: unallocated-time callback handed the increase to a running
+        #: thread, which waits for its boundary.
+        self._activated: set[int] = set()
+        #: Pending increases of running threads: the subset of
+        #: ``_pending_activation`` filed for a thread in its period,
+        #: whose boundary may apply the increase an earlier callback
+        #: handed over.
+        self._pending_increases: set[int] = set()
         kernel.bind_policy(self)
         # Threads that started periods before this policy was bound (test
         # harnesses drive start_first_period directly) never saw the
@@ -180,17 +188,22 @@ class RDScheduler:
         to get the new grant information").
 
         Only the threads in ``result.changed``, those entering or
-        leaving the set, and the in-flight set are revisited, and that
-        must leave the state a revisit of every thread leaves.  The
-        in-flight set is what makes it so: an increase the activation
-        callback has handed to a running thread, still waiting for its
-        boundary, goes back to pending activation at every
-        notification, listed in ``changed`` or not
+        leaving the set, and the two sets of threads whose state can
+        move unlisted (:attr:`_activated`, :attr:`_pending_increases`)
+        are revisited, and that must leave the state a revisit of every
+        thread leaves.  A pending first grant, a held removal and a held
+        decrease are not revisited: for each, a revisit writes back the
+        values it reads until the result lists the thread again.  An
+        increase the activation callback has handed to a running thread
+        goes back to pending activation at every notification, listed
+        in ``changed`` or not, and a pending increase is dropped once
+        the thread's boundary has applied it
         (``tests/core/test_recompute_memo.py::TestChangedContract::
         test_an_activated_increase_in_flight_is_revisited``, shrunk
-        from a lossy two-node rack).  The pending-activation set rides
-        along: a pending thread the result does not list is re-filed
-        with the grant it already waits for.
+        from a lossy two-node rack).  A hand-built result
+        (``changed=None``) revisits every thread in either set and
+        every live periodic thread: the reference semantics the reduced
+        revisit is checked against.
         """
         prof = self.kernel.prof
         if prof:
@@ -198,45 +211,36 @@ class RDScheduler:
         grant_set = result.grant_set
         previous = self._last_notified
         pending = self._pending_activation
-        # Diff: only threads whose grant changed need their pending
-        # state recomputed, plus membership changes (a thread that left
-        # and returned needs its pending state re-seeded even when its
-        # Grant object is the same one) and threads still in flight —
-        # ones with a pending boundary change or an activation awaiting
-        # unallocated time, whose state a full revisit re-asserts on
-        # every call.
-        work = set(self._inflight)
-        work.update(pending)
+        activated = self._activated
+        increases = self._pending_increases
         before = previous.ids() if previous is not None else frozenset()
+        work = activated | increases
         if result.changed is None:
-            # A hand-built result: revisit every thread in either set,
-            # the reference semantics the diff is an optimization of.
-            work.update(before, grant_set.ids())
+            work.update(before, grant_set.ids(), pending)
+            work.update([t.tid for t in self.kernel.periodic_threads()])
         else:
             work.update(result.changed, grant_set.ids() ^ before)
         threads = self.kernel.threads
         for tid in sorted(work):
+            activated.discard(tid)
+            increases.discard(tid)
+            pending.pop(tid, None)
             thread = threads.get(tid)
             if (
                 thread is None
                 or thread.kind is not THREAD_PERIODIC
                 or thread.state is STATE_EXITED
             ):
-                pending.pop(tid, None)
-                self._inflight.discard(tid)
                 continue
             new = grant_set.get(tid)
-            pending.pop(tid, None)
             if thread.in_period:
                 assert thread.grant is not None
                 if new is None:
                     thread.pending_grant = None
                     thread.has_pending_change = True
-                    self._inflight.add(tid)
                 elif new.entry is thread.grant.entry:
                     thread.pending_grant = None
                     thread.has_pending_change = False
-                    self._inflight.discard(tid)
                     # May cancel a pending removal, whose boundary entry
                     # was free to be dropped: the deadline is a fresh
                     # allocation again.
@@ -244,15 +248,12 @@ class RDScheduler:
                 elif new.rate <= thread.grant.rate:
                     thread.pending_grant = new
                     thread.has_pending_change = True
-                    self._inflight.add(tid)
                     self._push_boundary(thread)  # likewise
                 else:
                     pending[tid] = new
-                    self._inflight.discard(tid)
-            else:
-                self._inflight.discard(tid)
-                if new is not None:
-                    pending[tid] = new
+                    increases.add(tid)
+            elif new is not None:
+                pending[tid] = new
         self._last_notified = grant_set
         self.kernel.request_reschedule()
         if prof:
@@ -265,6 +266,7 @@ class RDScheduler:
         if prof:
             prof.begin("sched.activate")
         pending, self._pending_activation = self._pending_activation, {}
+        self._pending_increases.clear()
         obs = self.kernel.obs
         if obs:
             obs.emit_activation(now, len(pending))
@@ -279,7 +281,7 @@ class RDScheduler:
                 # period boundary, so the grant never changes mid-period.
                 thread.pending_grant = grant
                 thread.has_pending_change = True
-                self._inflight.add(tid)
+                self._activated.add(tid)
                 self._push_boundary(thread)  # may replace a pending removal
             else:
                 # A new thread or a quiescent thread waking up: its first

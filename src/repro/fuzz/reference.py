@@ -125,7 +125,9 @@ class ReferenceCorrelator:
         self._bandwidth = bandwidth_capacity
         self._policy_box = policy_box
 
-    def compute(self, requests):
+    def compute(self, requests, maxima=None):
+        """``maxima`` (the Resource Manager's running sums) is ignored:
+        the verdict is always a recount."""
         active = [r for r in requests if not r.quiescent]
         owners = self._maxima_fit(active)
         if owners is None:

@@ -343,7 +343,7 @@ class TestChangedContract:
             assert riser.tid in scheduler._pending_activation
             rd.run_for(units.ms_to_ticks(10))  # ... which comes: handed over
             assert riser.tid not in scheduler._pending_activation
-            assert riser.tid in scheduler._inflight
+            assert riser.has_pending_change
             assert riser.pending_grant.entry_index == 0 and riser.in_period
             late = rd.admit(single_entry_definition("late", 10, 0.05))
             assert rd.resource_manager.last_result.changed == {late.tid}
@@ -352,7 +352,7 @@ class TestChangedContract:
         def state(scheduler):
             return (
                 {tid: g.entry_index for tid, g in scheduler._pending_activation.items()},
-                sorted(scheduler._inflight),
+                scheduler.activation_count,
                 [
                     (t.tid, t.pending_grant and t.pending_grant.entry_index, t.has_pending_change)
                     for t in scheduler.kernel.periodic_threads()

@@ -38,7 +38,7 @@ class TestGrantConservation:
         more than the schedulable capacity (capacity minus reserve)."""
         rd = ResourceDistributor(sim=SimConfig(seed=1), sanitize=True)
         rd.resource_manager.grant_control.compute = (
-            lambda requests: over_capacity_result(1)
+            lambda requests, maxima: over_capacity_result(1)
         )
         with pytest.raises(SanitizerViolation, match="grant-conservation"):
             admit_simple(rd, "victim", period_ms=10, rate=0.2)
@@ -48,7 +48,7 @@ class TestGrantConservation:
         admit_simple(rd, "warmup", period_ms=10, rate=0.2)
         rd.run_for(ms(30))
         rd.resource_manager.grant_control.compute = (
-            lambda requests: over_capacity_result(1)
+            lambda requests, maxima: over_capacity_result(1)
         )
         with pytest.raises(SanitizerViolation) as exc:
             admit_simple(rd, "victim", period_ms=10, rate=0.2)
@@ -165,7 +165,7 @@ class TestNonStrictMode:
             sim=SimConfig(seed=1), sanitize=True, sanitize_strict=False
         )
         rd.resource_manager.grant_control.compute = (
-            lambda requests: over_capacity_result(1)
+            lambda requests, maxima: over_capacity_result(1)
         )
         admit_simple(rd, "victim", period_ms=10, rate=0.2)  # does not raise
         assert not rd.sanitizer.ok

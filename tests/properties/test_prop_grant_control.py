@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro import units
 from repro.config import SimConfig
 from repro.core.distributor import ResourceDistributor
-from repro.core.grant_control import GrantController, GrantRequest
+from repro.core.grant_control import GrantController, GrantRequest, _claim_order
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.errors import AdmissionError, GrantError
@@ -462,3 +462,49 @@ class TestRMOpStream:
     @settings(max_examples=100, deadline=None)
     def test_every_op_matches_the_reference(self, seed, count, ops):
         run_op_stream(seed, count, ops)
+
+
+# -- the claim order is three stable sorts --------------------------------------
+
+
+@st.composite
+def claim_keys(draw):
+    """Distinct tids in any order, policy ids drawn from a few (two
+    live tasks with one name share a pid), targets from a coarse grid
+    (ties, a zero share for a pid the policy does not rank), and a
+    preferred pid that may be None or name no live task."""
+    count = draw(st.integers(min_value=1, max_value=40))
+    tids = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=500),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    pids = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=count, max_size=count))
+    shares = {pid: draw(st.sampled_from((0.0, 0.05, 0.12, 0.12, 0.3))) for pid in range(1, 7)}
+    targets = [shares[pid] for pid in pids]
+    preferred = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=7)))
+    return tids, pids, targets, preferred
+
+
+class TestClaimOrder:
+    """``_claim_order`` sorts three plain key lists in turn; the order
+    must be the one the key tuple ``(pid != preferred, -target, tid)``
+    gives."""
+
+    @given(claim_keys())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_tuple_sort(self, keys):
+        tids, pids, targets, preferred = keys
+        expected = sorted(
+            range(len(tids)),
+            key=lambda p: (pids[p] != preferred, -targets[p], tids[p]),
+        )
+        assert _claim_order(tids, pids, targets, preferred) == expected
+
+    def test_a_shared_pid_and_no_preference(self):
+        tids, pids, targets = [9, 4, 7, 2], [3, 1, 3, 2], [0.1, 0.1, 0.1, 0.2]
+        assert _claim_order(tids, pids, targets, 3) == [2, 0, 3, 1]
+        assert _claim_order(tids, pids, targets, None) == [3, 1, 2, 0]

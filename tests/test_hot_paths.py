@@ -74,6 +74,11 @@ import weakref
 
 import pytest
 
+from benchmarks.builders import (
+    build_overloaded_distributor,
+    sheddable_list,
+    swap_oldest_task,
+)
 from repro import SimConfig, units
 from repro.cluster.node import ClusterNode
 from repro.cluster.simulation import ClusterSimulation
@@ -405,6 +410,37 @@ class TestAuditAndRequestsStayInline:
             }[what]
             counts[n] = _python_calls(call)
             assert rd.sanitizer.ok
+        assert counts[16] == counts[256], counts
+
+
+# -- an RM op pays for what it changed -------------------------------------------
+
+
+class TestRMOpPaysForWhatChanged:
+    """A warm ``exit_thread`` + ``admit`` pair on a distributor held in
+    permanent overload, every thread's first grant still pending: the
+    Resource Manager's running sums settle the overload verdict, the
+    claim order is sorted over plain keys, and the Scheduler's
+    notification revisits the changed and the moved threads only, so
+    the pair makes the same calls at any population (DESIGN.md §4 "A
+    notification revisits what can move").  A notification that
+    re-files every pending thread makes 1,123 calls at N = 256 against
+    163 at N = 16, the difference all ``GrantSet.get`` and
+    ``SimThread.in_period``."""
+
+    def test_calls_do_not_grow_with_threads(self):
+        counts = {}
+        for n in (16, 256):
+            rd, tids = build_overloaded_distributor(n)
+            fresh = [
+                TaskDefinition(name=f"swap{i}", resource_list=sheddable_list(n))
+                for i in range(3)
+            ]
+            swap_oldest_task(rd, tids, fresh[0])
+            swap_oldest_task(rd, tids, fresh[1])
+            counts[n] = _python_calls(lambda: swap_oldest_task(rd, tids, fresh[2]))
+            result = rd.resource_manager.last_result
+            assert result.passes >= 2 and len(rd.scheduler._pending_activation) == n
         assert counts[16] == counts[256], counts
 
 
