@@ -31,18 +31,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
 from repro import scenarios, units
-from repro.config import SimConfig
-from repro.core.distributor import ResourceDistributor
 from repro.errors import SimulationError
 from repro.tasks.busyloop import busyloop_resource_list
 from repro.tasks.mpeg import MpegDecoder
 from repro.viz import format_table, render_gantt
-from repro.workloads import random_task_set
 
 
 def _ms(x: float) -> int:
@@ -141,42 +137,6 @@ def cmd_settop(args) -> int:
     return 0
 
 
-def _unknown_scenario(name: str) -> int:
-    print(f"unknown scenario {name!r}; pick one of "
-          f"{', '.join(sorted(scenarios.SCENARIOS))}")
-    return 2
-
-
-def cmd_report(args) -> int:
-    """Run a named scenario and print the operator report."""
-    from repro.metrics import run_report
-
-    if args.scenario not in scenarios.SCENARIOS:
-        return _unknown_scenario(args.scenario)
-    scenario = scenarios.SCENARIOS[args.scenario](seed=args.seed)
-    scenario.run_for(_ms(max(args.duration_ms, 200)))
-    print(run_report(scenario.rd, scenario.names()))
-    return 0
-
-
-def cmd_export(args) -> int:
-    """Run a seeded random workload and dump the trace (CSV or JSON)."""
-    from repro.metrics import deadlines_to_csv, segments_to_csv, trace_to_json
-
-    rng = random.Random(args.seed)
-    rd = ResourceDistributor(sim=SimConfig(seed=args.seed), sanitize=args.sanitize)
-    for definition in random_task_set(rng, count=4, capacity=0.9):
-        rd.admit(definition)
-    rd.run_for(_ms(max(args.duration_ms, 100)))
-    if args.format == "json":
-        print(trace_to_json(rd.trace))
-    elif args.format == "deadlines":
-        print(deadlines_to_csv(rd.trace), end="")
-    else:
-        print(segments_to_csv(rd.trace), end="")
-    return 0
-
-
 def cmd_cluster(args) -> int:
     """Run the multi-node set-top-box rack behind the cluster broker."""
     from repro.cluster import cluster_metrics_json, cluster_report
@@ -203,6 +163,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_run(args) -> int:
     """Run a named scenario with full observability instrumentation."""
+    from repro.metrics import validate_trace
     from repro.obs import ObsSession
 
     session = ObsSession()
@@ -212,7 +173,9 @@ def cmd_run(args) -> int:
         _run_rack(args, session, lambda sim: session.summary() + "\n", telemetry=True)
         return 0
     if args.scenario not in scenarios.SCENARIOS:
-        return _unknown_scenario(args.scenario)
+        print(f"unknown scenario {args.scenario!r}; pick one of "
+              f"{', '.join(sorted(scenarios.SCENARIOS))}")
+        return 2
     scenario = scenarios.SCENARIOS[args.scenario](seed=args.seed, obs=session)
     rd = scenario.rd
     if args.sanitize and rd.sanitizer is None:
@@ -223,8 +186,11 @@ def cmd_run(args) -> int:
     _write_prof(prof, args.profile, rd.now)
     print(session.summary())
     print(f"deadline misses: {len(rd.trace.misses())}")
+    if rd.kernel.crashes:
+        print(f"task crashes: {len(rd.kernel.crashes)}")
     if rd.sanitizer is not None:
         print(rd.sanitizer.summary())
+    print(validate_trace(rd.trace, end_time=rd.now).summary().splitlines()[0])
     if args.obs_out:
         _write_obs(session, args.obs_out, rd.now)
     return 0
@@ -667,15 +633,6 @@ def _width(p) -> None:
     p.add_argument("--width", type=int, default=96, help="gantt width")
 
 
-def _scenario(p) -> None:
-    p.add_argument(
-        "--scenario",
-        default="settop",
-        help=f"scenario name ({', '.join(scenarios.SCENARIOS)}; "
-        "run also takes cluster_rack)",
-    )
-
-
 def _obs_out(
     p,
     help_text: str = "write the obs artifacts (events.jsonl, metrics.prom, "
@@ -765,22 +722,13 @@ def build_parser() -> argparse.ArgumentParser:
     command("faceoff", cmd_faceoff, "RD vs the baseline schedulers", _seed, _duration_ms)
     command("settop", cmd_settop, "the section 5.3 scenario", _seed)
     p = command(
-        "export", cmd_export, "dump a seeded run's trace",
-        _seed, _duration_ms, _sanitize,
+        "run", cmd_run, "observed run of a named scenario",
+        _seed, _duration_ms, _sanitize, _obs_out, _profile,
     )
     p.add_argument(
-        "--format",
-        choices=["segments", "deadlines", "json"],
-        default="segments",
-        help="export format",
-    )
-    command(
-        "report", cmd_report, "operator report for a named scenario",
-        _seed, _duration_ms, _scenario,
-    )
-    command(
-        "run", cmd_run, "observed run of a named scenario",
-        _seed, _duration_ms, _sanitize, _scenario, _obs_out, _profile,
+        "--scenario",
+        default="settop",
+        help=f"scenario name ({', '.join(scenarios.SCENARIOS)}, cluster_rack)",
     )
     p = command("obs", cmd_obs, "telemetry surface: describe / report / check")
     obs_sub = p.add_subparsers(dest="obs_command", metavar="subcommand")

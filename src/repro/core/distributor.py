@@ -64,8 +64,8 @@ class ResourceDistributor:
         """Wire an invariant sanitizer into the kernel's hook slot.  A
         non-strict one logs a violation (as an obs event, when a bus is
         attached) instead of aborting the run."""
-        # Imported lazily: repro.metrics.report (pulled in by the
-        # metrics package) sits above core in the layering.
+        # Imported lazily: a run without a sanitizer never loads the
+        # metrics package.
         from repro.metrics.sanitizer import InvariantSanitizer
 
         self.sanitizer = InvariantSanitizer(

@@ -4,7 +4,7 @@ An AST-based linter (stdlib only) that encodes this repository's
 architectural invariants as checkable rules:
 
 * **layering** — imports point down the architecture, never up
-  (``repro.core`` never imports ``viz``/``cli``/``metrics.report``;
+  (``repro.core`` never imports ``viz``/``cli``;
   the Scheduler never imports the Policy Box);
 * **except-hygiene** — no bare or silent broad ``except`` in the core;
 * **obs-unguarded-emit** — an uninstrumented run never pays for a hook;

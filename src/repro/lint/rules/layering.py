@@ -4,8 +4,7 @@ The Resource Distributor's components talk through narrow interfaces
 (paper Figure 2): the Scheduler communicates only with the Resource
 Manager — never with the Policy Box, users, or applications — and the
 core mechanism layer must not reach up into presentation (``viz``,
-``cli``) or reporting (``metrics.report``, which itself sits above
-core).  Violating an edge here silently couples mechanism to policy or
+``cli``).  Violating an edge here silently couples mechanism to policy or
 simulation to presentation, which is exactly what the paper's design
 forbids.
 """
@@ -28,9 +27,8 @@ class LayeringRule(Rule):
     The layering table maps a source package/module prefix to the
     prefixes it must never import:
 
-    * ``repro.core`` -> ``repro.viz``, ``repro.cli``,
-      ``repro.metrics.report``, ``repro.cluster`` (presentation,
-      reporting, and cluster coordination sit above the mechanism
+    * ``repro.core`` -> ``repro.viz``, ``repro.cli``, ``repro.cluster``
+      (presentation and cluster coordination sit above the mechanism
       layer: a distributor never learns it is being clustered), plus
       ``repro.obs.prof`` (hook sites hold a duck-typed ``prof`` slot;
       the profiler is injected from above, never imported from below
@@ -77,7 +75,7 @@ class LayeringRule(Rule):
     id = "layering"
     rationale = (
         "policy/mechanism separation and layer ordering (core below "
-        "viz/cli/report; scheduler never imports policy_box)"
+        "viz/cli; scheduler never imports policy_box)"
     )
 
     #: (source prefix, forbidden import prefixes) — first match wins for
@@ -89,7 +87,6 @@ class LayeringRule(Rule):
             (
                 "repro.viz",
                 "repro.cli",
-                "repro.metrics.report",
                 "repro.cluster",
                 "repro.serve",
                 "repro.fuzz",

@@ -1,8 +1,10 @@
-"""Metrics derived from simulation traces.
+"""Metrics derived from simulation traces, and the online sanitizer.
 
-Everything here is computed from :class:`repro.sim.trace.TraceRecorder`
-records only — never from scheduler internals — so the same functions
-apply to the Resource Distributor and to every baseline scheduler.
+Everything but :class:`InvariantSanitizer` is computed from
+:class:`repro.sim.trace.TraceRecorder` records only — never from
+scheduler internals — so the same functions apply to the Resource
+Distributor and to every baseline scheduler.  The sanitizer is online:
+it sits in the kernel's hook slot and checks the live run as it goes.
 """
 
 from repro.metrics.accounting import (
@@ -16,7 +18,6 @@ from repro.metrics.analysis import (
     overhead_fraction,
     summarize_switches,
 )
-from repro.metrics.export import deadlines_to_csv, segments_to_csv, trace_to_json
 from repro.metrics.latency import (
     LatencyStats,
     completion_times,
@@ -24,7 +25,6 @@ from repro.metrics.latency import (
     max_service_gap,
     service_intervals,
 )
-from repro.metrics.report import run_report
 from repro.metrics.sanitizer import InvariantSanitizer
 from repro.metrics.validate import TraceValidator, ValidationReport, validate_trace
 
@@ -35,18 +35,14 @@ __all__ = [
     "TraceValidator",
     "ValidationReport",
     "completion_times",
-    "deadlines_to_csv",
     "latency_stats",
     "max_service_gap",
-    "segments_to_csv",
     "service_intervals",
-    "trace_to_json",
     "validate_trace",
     "allocation_series",
     "miss_rate",
     "overhead_fraction",
     "qos_timeline",
-    "run_report",
     "summarize_switches",
     "utilization",
 ]

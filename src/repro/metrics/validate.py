@@ -7,7 +7,7 @@ invariants the Resource Distributor promises.  It is used three ways:
   (outcome ``invariant:trace-<rule>``);
 * in property-based and integration tests, as the oracle for
   randomized runs;
-* by ``repro report``, for the one-line verdict under the tables.
+* by ``repro run``, for the one-line verdict under the run summary.
 
 Violations are collected (not raised) so a single audit reports every
 problem at once.

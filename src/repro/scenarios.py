@@ -325,8 +325,8 @@ def dual_stream(
     )
 
 
-#: The single-machine scenarios ``repro report`` and ``repro run`` know
-#: by name; every builder takes ``seed=`` and ``obs=``.
+#: The single-machine scenarios ``repro run`` knows by name; every
+#: builder takes ``seed=`` and ``obs=``.
 SCENARIOS = {
     "table4": table4_trio,
     "figure4": figure4,

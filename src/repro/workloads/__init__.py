@@ -1,17 +1,13 @@
-"""Synthetic workload generation for tests and benchmarks."""
+"""Task bodies and single-entry task definitions."""
 
 from repro.workloads.generators import (
     grant_follower,
     greedy_worker,
-    random_resource_list,
-    random_task_set,
     single_entry_definition,
 )
 
 __all__ = [
     "grant_follower",
     "greedy_worker",
-    "random_resource_list",
-    "random_task_set",
     "single_entry_definition",
 ]

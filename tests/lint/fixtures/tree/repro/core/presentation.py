@@ -1,9 +1,8 @@
 """Fixture: a core module importing up into presentation (layering)."""
 
 import repro.cli
-from repro.metrics.report import run_report
 from repro.viz.timeline import plot
 
 
 def render(trace):
-    return plot(run_report(trace)), repro.cli
+    return plot(trace), repro.cli

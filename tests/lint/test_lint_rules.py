@@ -26,10 +26,9 @@ class TestLayering:
 
     def test_core_importing_presentation_is_flagged(self):
         violations = lint("repro/core/presentation.py")
-        assert rule_ids(violations) == ["layering"] * 3
+        assert rule_ids(violations) == ["layering"] * 2
         assert any("repro.cli" in v.message for v in violations)
         assert any("repro.viz" in v.message for v in violations)
-        assert any("repro.metrics.report" in v.message for v in violations)
 
     def test_sim_importing_core_or_metrics_is_flagged(self):
         violations = lint("repro/sim/bad_layering.py")

@@ -1,19 +1,9 @@
-"""Latency stats (2P-2C bound) and trace export formats."""
-
-import csv
-import io
-import json
+"""Latency stats (2P-2C bound)."""
 
 import pytest
 
 from repro import units
-from repro.metrics import (
-    completion_times,
-    deadlines_to_csv,
-    latency_stats,
-    segments_to_csv,
-    trace_to_json,
-)
+from repro.metrics import completion_times, latency_stats
 
 from tests.conftest import admit_simple
 
@@ -70,45 +60,3 @@ class TestLatency:
         thread = admit_simple(ideal_rd, "t", period_ms=100, rate=0.1)
         ideal_rd.run_for(ms(50))  # period 0 not even closed
         assert latency_stats(ideal_rd.trace, thread.tid, ms(100), ms(10)) is None
-
-
-class TestCsvExport:
-    def test_segments_csv_parses(self, busy_run):
-        rd, thread = busy_run
-        rows = list(csv.DictReader(io.StringIO(segments_to_csv(rd.trace))))
-        assert rows
-        assert {r["kind"] for r in rows} >= {"granted"}
-        covered = sum(int(r["end"]) - int(r["start"]) for r in rows)
-        assert covered == rd.now
-
-    def test_deadlines_csv_parses(self, busy_run):
-        rd, thread = busy_run
-        rows = list(csv.DictReader(io.StringIO(deadlines_to_csv(rd.trace))))
-        assert rows
-        assert all(r["missed"] == "0" for r in rows)
-
-    def test_csv_exports_use_unix_line_endings(self, busy_run):
-        """Regression: ``csv.writer`` defaults to ``\\r\\n`` row endings,
-        which made the exports differ byte-for-byte across platforms."""
-        rd, thread = busy_run
-        for text in (segments_to_csv(rd.trace), deadlines_to_csv(rd.trace)):
-            assert "\r" not in text
-            assert text.endswith("\n")
-
-
-class TestJsonExport:
-    def test_round_trips_counts(self, busy_run):
-        rd, thread = busy_run
-        doc = json.loads(trace_to_json(rd.trace))
-        assert len(doc["segments"]) == len(rd.trace.segments)
-        assert len(doc["deadlines"]) == len(rd.trace.deadlines)
-        assert len(doc["switches"]) == len(rd.trace.switches)
-        assert doc["grant_changes"]
-
-    def test_json_is_plain_data(self, busy_run):
-        rd, thread = busy_run
-        doc = json.loads(trace_to_json(rd.trace))
-        first = doc["segments"][0]
-        assert set(first) == {
-            "thread_id", "start", "end", "kind", "period_index", "charged_to",
-        }

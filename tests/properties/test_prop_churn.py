@@ -16,8 +16,8 @@ from repro import AdmissionError, MachineConfig, SimConfig, units
 from repro.core.distributor import ResourceDistributor
 from repro.core.threads import ThreadState
 from repro.metrics import validate_trace
-from repro.workloads import random_resource_list
 from repro.tasks.base import TaskDefinition
+from tests.random_workloads import random_resource_list
 
 
 def ms(x):

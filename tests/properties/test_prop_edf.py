@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro import MachineConfig, SimConfig, units
 from repro.core.distributor import ResourceDistributor
 from repro.sim.trace import SegmentKind
-from repro.workloads import random_task_set
+from tests.random_workloads import random_task_set
 
 
 @st.composite

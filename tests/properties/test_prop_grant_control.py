@@ -27,7 +27,8 @@ from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.errors import AdmissionError, GrantError
 from repro.fuzz.reference import ReferenceCorrelator
 from repro.tasks.base import TaskDefinition
-from repro.workloads import grant_follower, random_resource_list
+from repro.workloads import grant_follower
+from tests.random_workloads import random_resource_list
 
 CAPACITY = 0.96
 _EPS = 1e-9

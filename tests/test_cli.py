@@ -47,31 +47,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "I frames lost: 0" in out
 
-    def test_export_segments_csv(self, capsys):
-        assert main(["export", "--duration-ms", "100"]) == 0
+    def test_run_unknown_scenario(self, capsys):
+        assert main(["run", "--scenario", "nope"]) == 2
+
+    def test_run_prints_the_trace_audit(self, capsys):
+        assert main(["run", "--scenario", "settop", "--duration-ms", "400"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("thread_id,start,end,kind")
-
-    def test_export_json(self, capsys):
-        import json
-
-        assert main(["export", "--format", "json", "--duration-ms", "100"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert "segments" in doc and "deadlines" in doc
-
-    def test_export_deadlines(self, capsys):
-        assert main(["export", "--format", "deadlines", "--duration-ms", "100"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("thread_id,period_index")
-
-    def test_report_settop(self, capsys):
-        assert main(["report", "--scenario", "settop", "--duration-ms", "400"]) == 0
-        out = capsys.readouterr().out
-        assert "run report" in out
         assert "trace audit: OK" in out
+        assert "task crashes" not in out
 
-    def test_report_unknown_scenario(self, capsys):
-        assert main(["report", "--scenario", "nope"]) == 2
+    def test_run_counts_crashes(self, monkeypatch, capsys):
+        from repro import MachineConfig, SimConfig, scenarios, units
+        from repro.core.distributor import ResourceDistributor
+        from repro.core.resource_list import ResourceList, ResourceListEntry
+        from repro.tasks.base import Compute, TaskDefinition
+
+        ms = units.ms_to_ticks
+
+        def boom(ctx):
+            yield Compute(ms(1))
+            raise RuntimeError("x")
+
+        def crashing(seed, obs):
+            rd = ResourceDistributor(
+                machine=MachineConfig.ideal(), sim=SimConfig(seed=seed), obs=obs
+            )
+            entry = ResourceListEntry(ms(10), ms(2), boom)
+            rd.admit(TaskDefinition(name="boom", resource_list=ResourceList([entry])))
+            return scenarios.Scenario(rd=rd)
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "crashing", crashing)
+        assert main(["run", "--scenario", "crashing"]) == 0
+        assert "task crashes: 1" in capsys.readouterr().out
 
 
 #: sha256[:16] of stdout as the commits that still carried hand-built
@@ -85,9 +92,6 @@ PARENT_STDOUT = {
     ("figure4", "--seed", "3"): "0b1826308f868944",
     ("figure5", "--seed", "3"): "26f510e2093b1a98",
     ("settop", "--seed", "3"): "caedfb254cffd991",
-    ("report", "--scenario", "settop", "--seed", "3"): "45a988e49eb1b3c2",
-    ("report", "--scenario", "av", "--seed", "3"): "f21b488ebee37fc3",
-    ("report", "--scenario", "figure5", "--seed", "3"): "d4c182fa0dd98905",
 }
 
 
@@ -265,7 +269,8 @@ class TestParser:
     def test_flag_surface_matches_the_parent(self):
         """No flag added or dropped, no default, choice or arity moved:
         ``cli_flags.json`` is what ``build_parser()`` yielded at 1b58b8c,
-        plus ``fuzz --differential``.  ``type`` is left out, so range checkers may land."""
+        plus ``fuzz --differential``, minus the retired ``report`` and
+        ``export`` commands.  ``type`` is left out, so range checkers may land."""
         import json
         from pathlib import Path
 

@@ -115,8 +115,8 @@ MODULES = ("repro.metrics.sanitizer",)
 
 #: Functions allowed an ``import``, by qualified name.
 IMPORT_EXEMPT = {
-    # ``repro.metrics`` pulls in ``metrics.report``, which sits above
-    # core in the layering; runs once, when a sanitizer is attached.
+    # Runs once, when a sanitizer is attached: a run without one never
+    # loads the metrics package.
     "repro.core.distributor.ResourceDistributor.attach_sanitizer",
 }
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.metrics import miss_rate, run_report
+from repro.metrics import miss_rate
 from repro.scenarios import (
     av_pipeline,
     dual_stream,
@@ -85,34 +85,6 @@ class TestDualStream:
         stream2 = scenario.extras["stream2"]
         assert stream2.stats.total_overflow == 0
         assert not scenario.trace.misses()
-
-
-class TestRunReport:
-    def test_report_covers_the_run(self):
-        scenario = settop(ring_ms=100.0).run_for(ms(400))
-        report = run_report(scenario.rd, scenario.names())
-        assert "run report" in report
-        assert "Modem" in report
-        assert "grant changes" in report
-        assert "trace audit: OK" in report
-        assert "miss rate: 0.00%" in report
-
-    def test_report_counts_crashes(self, ideal_rd):
-        from repro.core.resource_list import ResourceList, ResourceListEntry
-        from repro.tasks.base import Compute, TaskDefinition
-
-        def boom(ctx):
-            yield Compute(ms(1))
-            raise RuntimeError("x")
-
-        ideal_rd.admit(
-            TaskDefinition(
-                name="boom",
-                resource_list=ResourceList([ResourceListEntry(ms(10), ms(2), boom)]),
-            )
-        )
-        ideal_rd.run_for(ms(30))
-        assert "task crashes: 1" in run_report(ideal_rd)
 
 
 class TestFuzzed:

@@ -5,13 +5,8 @@ import random
 import pytest
 
 from repro import units
-from repro.workloads import (
-    grant_follower,
-    greedy_worker,
-    random_resource_list,
-    random_task_set,
-    single_entry_definition,
-)
+from repro.workloads import grant_follower, greedy_worker, single_entry_definition
+from tests.random_workloads import random_resource_list, random_task_set
 
 
 class TestRandomResourceList:
