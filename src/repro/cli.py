@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -987,13 +988,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The status of a command whose reader closed stdout early (``| head``):
+#: 128 + SIGPIPE, what a shell reports for a writer the signal killed.
+_CLOSED_PIPE_STATUS = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except _Unreadable as exc:
         print(exc)
         return 2
+    except BrokenPipeError:
+        # What is still buffered goes nowhere, so the flush at exit
+        # cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _CLOSED_PIPE_STATUS
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,8 +13,10 @@
   ``GET /metrics`` exposes the service beside the simulation.
 
 The handler answers a read now, with a :class:`Response`, and a
-mutation with a future the group commit resolves — no request runs in
-a Task of its own, and no Task sits between a mutation and its commit.
+mutation with an :class:`_Answer` the group commit resolves — no
+request runs in a Task of its own, no Task sits between a mutation and
+its commit, and every answer of a group is on the wire before the loop
+takes new work.
 
 Backpressure is explicit: when ``queue_limit`` mutations are waiting
 the request is answered ``429 Too Many Requests`` with a
@@ -56,6 +58,77 @@ _MAX_COMMIT = 512
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 
+class _Answer(asyncio.Future):
+    """The future a mutation is answered with: its done callbacks run
+    inside ``set_result``, so the group commit writes each answer
+    before control returns to the loop.
+
+    A plain future hands its callbacks to ``call_soon``: the answer
+    would wait behind every callback the loop queued in the commit's
+    turn (the other connections' requests among them) plus one more
+    poll.  A callback that raises goes to the loop's exception handler
+    and the others still run.  While a Task runs (a drain awaited in a
+    coroutine), or once cancelled, the callbacks are scheduled as
+    usual: no Task is stepped inside another one.
+    """
+
+    __slots__ = ("_waiting",)
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        super().__init__(loop=loop)
+        self._waiting: list = []
+
+    def add_done_callback(self, fn, *, context=None) -> None:
+        if self.done():
+            super().add_done_callback(fn, context=context)
+        else:
+            self._waiting.append((fn, context))
+
+    def remove_done_callback(self, fn) -> int:
+        kept = [entry for entry in self._waiting if entry[0] != fn]
+        removed = len(self._waiting) - len(kept)
+        self._waiting = kept
+        return removed + super().remove_done_callback(fn)
+
+    def set_result(self, result) -> None:
+        super().set_result(result)
+        self._run_callbacks()
+
+    def set_exception(self, exception) -> None:
+        super().set_exception(exception)
+        self._run_callbacks()
+
+    def cancel(self, msg=None) -> bool:
+        if not super().cancel(msg=msg):
+            return False
+        self._run_callbacks()
+        return True
+
+    def _run_callbacks(self) -> None:
+        callbacks, self._waiting = self._waiting, []
+        loop = self.get_loop()
+        if self.cancelled() or asyncio.current_task(loop) is not None:
+            for fn, context in callbacks:
+                loop.call_soon(fn, self, context=context)
+            return
+        for fn, context in callbacks:
+            try:
+                if context is None:
+                    fn(self)
+                else:
+                    context.run(fn, self)
+            except (SystemExit, KeyboardInterrupt):
+                raise
+            except BaseException as exc:  # noqa: BLE001 — as asyncio's Handle does
+                loop.call_exception_handler(
+                    {
+                        "message": f"Exception in answer callback {fn!r}",
+                        "exception": exc,
+                        "future": self,
+                    }
+                )
+
+
 class ServeApp:
     """Routes + single-writer group commit over one :class:`ServeEngine`."""
 
@@ -68,9 +141,9 @@ class ServeApp:
     ) -> None:
         self.engine = engine
         self.server = HttpServer(self._handle, host=host, port=port)
-        #: Mutations waiting for the group commit: ``(op, future)`` in
+        #: Mutations waiting for the group commit: ``(op, answer)`` in
         #: arrival order.
-        self._ops: deque[tuple[dict, asyncio.Future]] = deque()
+        self._ops: deque[tuple[dict, _Answer]] = deque()
         self._queue_limit = queue_limit
         self._commit_scheduled = False
         self.ready = False
@@ -143,6 +216,12 @@ class ServeApp:
         one :meth:`~repro.serve.engine.ServeEngine.commit`.  Under light
         load the batch is one op and behaves exactly like the naive
         loop; under heavy load throughput scales with queue depth.
+
+        Each :class:`_Answer` writes its response as it is resolved, so
+        the group is answered before the loop runs again.  A request an
+        answer unblocks (the next one pipelined on its connection) is
+        served right there; a mutation among them joins the deque and
+        is committed by this same loop.
         """
         self._commit_scheduled = False
         ops = self._ops
@@ -163,7 +242,7 @@ class ServeApp:
                 if not future.cancelled():
                     future.set_result(self._mutation_response(op, result))
 
-    def _mutate(self, op: dict) -> Response | asyncio.Future:
+    def _mutate(self, op: dict) -> Response | _Answer:
         if self.engine.draining:
             return Response.error(503, "service is draining")
         if len(self._ops) >= self._queue_limit:
@@ -174,7 +253,7 @@ class ServeApp:
                 **{"Retry-After": "1"},
             )
         loop = asyncio.get_running_loop()
-        future = loop.create_future()
+        future = _Answer(loop)
         self._ops.append((op, future))
         self.m_queue_depth.set_key((), len(self._ops))
         if not self._commit_scheduled:
@@ -205,8 +284,8 @@ class ServeApp:
 
     def _handle(self, request: Request) -> Response | asyncio.Future:
         """Route one request: a read is answered now, a mutation with the
-        future its group commit resolves; either is counted once its
-        answer is known."""
+        :class:`_Answer` its group commit resolves; either is counted
+        once its answer is known."""
         start = time.perf_counter()
         try:
             route, answer = self._route(request)

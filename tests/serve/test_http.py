@@ -2,8 +2,9 @@
 
 import asyncio
 import json
+from collections import deque
 
-from repro.serve.app import ServeApp
+from repro.serve.app import ServeApp, _Answer
 from repro.serve.engine import ServeEngine
 from repro.serve.http import HttpServer, Request, Response, _ServerConnection
 from repro.serve.loadgen import PlannedRequest, _Connection
@@ -336,3 +337,249 @@ class TestResponseWrites:
         ]
         assert b"chunked" in transport.writes[0]
         assert transport.closed
+
+
+def wire(method, path, body=None):
+    """One request's bytes, as a keep-alive client sends them."""
+    data = b"" if body is None else json.dumps(body).encode()
+    return (
+        f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
+        f"Content-Length: {len(data)}\r\n\r\n".encode() + data
+    )
+
+
+def answers(transport):
+    """``(status, JSON body)`` of each response written to ``transport``."""
+    out = []
+    for sent in transport.writes:
+        head, _, body = sent.partition(b"\r\n\r\n")
+        out.append((int(head.split(b" ", 2)[1]), json.loads(body)))
+    return out
+
+
+def committed(app):
+    """The task names of each oplog entry, one list per commit."""
+    return [
+        [op["spec"]["name"] for op in entry.get("ops", [entry])]
+        for entry in app.engine.oplog
+    ]
+
+
+class TestAnswersLeaveWithTheirCommit:
+    """A group commit writes every answer of its group before control
+    returns to the loop, and whatever those answers unblock on their
+    connections is served in the same turn."""
+
+    @staticmethod
+    def app_with_spied_commit():
+        """An unstarted app, a factory of spy connections to it, and
+        the writes on every spy transport as each commit returned."""
+        app = ServeApp(ServeEngine(nodes=2, seed=7, policy="first-fit"))
+        after_commit = []
+        transports = []
+        commit = app._commit
+
+        def spied():
+            commit()
+            after_commit.append([list(t.writes) for t in transports])
+
+        app._commit = spied
+
+        def connect(transport_type=SpyTransport):
+            connection = _ServerConnection(app.server)
+            transport = transport_type()
+            connection.connection_made(transport)
+            transports.append(transport)
+            return connection, transport
+
+        return app, connect, after_commit
+
+    def test_the_group_is_on_the_wire_when_the_commit_returns(self):
+        async def main():
+            app, connect, after_commit = self.app_with_spied_commit()
+            (one, t1), (two, t2) = connect(), connect()
+            one.data_received(wire("POST", "/v1/tasks", spec("a")))
+            two.data_received(wire("DELETE", "/v1/tasks/ghost"))
+            assert t1.writes == t2.writes == []
+            await asyncio.sleep(0)  # exactly one loop turn: the commit's
+            return after_commit, t1, t2
+
+        after_commit, t1, t2 = asyncio.run(main())
+        (writes,) = after_commit
+        assert [len(w) for w in writes] == [1, 1]
+        assert [status for status, _ in answers(t1)] == [201]
+        assert [status for status, _ in answers(t2)] == [404]
+
+    def test_a_pipelined_read_sees_the_commit_in_the_same_turn(self):
+        async def main():
+            app, connect, after_commit = self.app_with_spied_commit()
+            connection, transport = connect()
+            connection.data_received(
+                wire("POST", "/v1/tasks", spec("a")) + wire("GET", "/v1/tasks/a")
+            )
+            assert transport.writes == []  # the GET waits behind the POST
+            await asyncio.sleep(0)
+            return after_commit, transport
+
+        after_commit, transport = asyncio.run(main())
+        (written,) = after_commit[0]
+        assert len(written) == 2
+        (post_status, _), (get_status, task) = answers(transport)
+        assert (post_status, get_status, task["status"]) == (201, 200, "admitted")
+
+    def test_a_pipelined_write_is_committed_by_the_same_commit_call(self):
+        async def main():
+            app, connect, after_commit = self.app_with_spied_commit()
+            groups = []
+            engine_commit = app.engine.commit
+
+            def commit(ops):
+                groups.append([op["spec"]["name"] for op in ops])
+                return engine_commit(ops)
+
+            app.engine.commit = commit
+            connection, transport = connect()
+            connection.data_received(
+                wire("POST", "/v1/tasks", spec("a"))
+                + wire("POST", "/v1/tasks", spec("b"))
+            )
+            await asyncio.sleep(0)
+            first = list(groups)
+            # The answer to "a" unblocked "b", which scheduled a commit
+            # of its own; the running one took "b" off the deque first.
+            assert app._commit_scheduled
+            await asyncio.sleep(0)
+            return first, groups, after_commit, transport, app
+
+        first, groups, after_commit, transport, app = asyncio.run(main())
+        assert first == [["a"], ["b"]]
+        assert groups == first  # the scheduled commit found nothing to do
+        assert [len(writes[0]) for writes in after_commit] == [2, 2]
+        assert [status for status, _ in answers(transport)] == [201, 201]
+        assert committed(app) == [["a"], ["b"]]
+
+    def test_a_pipelined_drain_reenters_the_commit_and_answers_each_op_once(self):
+        async def main():
+            app, connect, after_commit = self.app_with_spied_commit()
+            (one, t1), (two, t2) = connect(), connect()
+            # "x" and "a" form the group; answering "x" queues "y", and
+            # answering "a" runs the drain, whose own commit takes "y".
+            two.data_received(
+                wire("POST", "/v1/tasks", spec("x"))
+                + wire("POST", "/v1/tasks", spec("y"))
+            )
+            one.data_received(
+                wire("POST", "/v1/tasks", spec("a")) + wire("POST", "/admin/drain")
+            )
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            return app, t1, t2
+
+        app, t1, t2 = asyncio.run(main())
+        assert [status for status, _ in answers(t2)] == [201, 201]
+        (a_status, _), (drain_status, drained) = answers(t1)
+        assert (a_status, drain_status) == (201, 200)
+        assert (drained["status"], drained["withdrawn"]) == ("drained", 3)
+        assert committed(app) == [["x", "a"], ["y"]]
+        assert app._ops == deque()
+
+    def test_a_client_gone_mid_commit_is_committed_and_its_answer_dropped(self):
+        async def main():
+            app, connect, after_commit = self.app_with_spied_commit()
+            connection, transport = connect()
+            engine_commit = app.engine.commit
+
+            def commit(ops):
+                connection.connection_lost(None)
+                return engine_commit(ops)
+
+            app.engine.commit = commit
+            connection.data_received(wire("POST", "/v1/tasks", spec("a")))
+            await asyncio.sleep(0)
+            return app, transport
+
+        app, transport = asyncio.run(main())
+        assert sorted(app.engine.tasks) == ["a"]
+        assert transport.writes == []
+        counted = app.m_requests.value(route="/v1/tasks", method="POST", status="201")
+        assert counted == 1
+
+    def test_a_raising_answer_callback_leaves_the_rest_answered(self):
+        class BrokenTransport(SpyTransport):
+            def write(self, data):
+                raise RuntimeError("socket on fire")
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda loop, context: reported.append(context))
+            app, connect, after_commit = self.app_with_spied_commit()
+            (broken, _), (fine, transport) = connect(BrokenTransport), connect()
+            broken.data_received(wire("POST", "/v1/tasks", spec("a")))
+            fine.data_received(
+                wire("POST", "/v1/tasks", spec("b"))
+                + wire("POST", "/v1/tasks", spec("c"))
+            )
+            await asyncio.sleep(0)
+            fine.data_received(wire("DELETE", "/v1/tasks/a"))
+            await asyncio.sleep(0)
+            return app, transport, reported
+
+        app, transport, reported = asyncio.run(main())
+        (context,) = reported
+        assert str(context["exception"]) == "socket on fire"
+        assert [status for status, _ in answers(transport)] == [201, 201, 200]
+        statuses = {name: record["status"] for name, record in app.engine.tasks.items()}
+        assert statuses == {"a": "removed", "b": "admitted", "c": "admitted"}
+
+
+class TestAnswer:
+    """``_Answer`` runs its done callbacks inside ``set_result`` — except
+    where a plain future's scheduling is the only safe choice."""
+
+    def test_callbacks_run_in_order_inside_set_result(self):
+        def boom(future):
+            raise RuntimeError("boom")
+
+        loop = asyncio.new_event_loop()
+        try:
+            reported = []
+            loop.set_exception_handler(lambda loop, context: reported.append(context))
+            answer, seen = _Answer(loop), []
+            answer.add_done_callback(lambda f: seen.append(("first", f.result())))
+            answer.add_done_callback(boom)
+            answer.add_done_callback(lambda f: seen.append(("last", f.result())))
+            answer.set_result(7)  # the loop never runs
+        finally:
+            loop.close()
+        assert seen == [("first", 7), ("last", 7)]
+        (context,) = reported
+        assert str(context["exception"]) == "boom"
+
+    def test_inside_a_task_the_callbacks_are_scheduled(self):
+        async def main():
+            answer, seen = _Answer(asyncio.get_running_loop()), []
+            answer.add_done_callback(seen.append)
+            answer.set_result(None)
+            inline = list(seen)
+            await asyncio.sleep(0)
+            return inline, seen, answer
+
+        inline, seen, answer = asyncio.run(main())
+        assert inline == []
+        assert seen == [answer]
+
+    def test_a_task_awaiting_an_answer_can_be_cancelled(self):
+        async def main():
+            answer = _Answer(asyncio.get_running_loop())
+
+            async def wait():
+                return await answer
+
+            waiter = asyncio.ensure_future(wait())
+            await asyncio.sleep(0)
+            waiter.cancel()
+            done, _ = await asyncio.wait({waiter}, timeout=5)
+            return done == {waiter}, waiter.cancelled(), answer.cancelled()
+
+        assert asyncio.run(main()) == (True, True, True)

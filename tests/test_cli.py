@@ -377,6 +377,35 @@ class TestObsAnalysisCli:
         assert "slo-alert" in out
 
 
+def test_a_reader_that_hangs_up_ends_obs_query_quietly(tmp_path, capsys):
+    """``obs query DIR | head -n 1``: once the reader closes the pipe the
+    command exits 141 (128 + SIGPIPE) with nothing on stderr.  The
+    query prints about 116 KB, more than a pipe holds, so the writer
+    meets the closed pipe whatever the timing."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import repro
+
+    out = tmp_path / "settop"
+    assert main(["run", "--scenario", "settop", "--seed", "3",
+                 "--duration-ms", "4000", "--obs-out", str(out)]) == 0
+    capsys.readouterr()
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    query = subprocess.Popen(
+        [sys.executable, "-m", "repro", "obs", "query", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = query.stdout.readline()
+    query.stdout.close()
+    _, stderr = query.communicate(timeout=120)
+    assert query.returncode == 141
+    assert stderr == b""
+    assert b"admission: accepted" in first
+
+
 FOUR_ARTIFACTS = ["events.jsonl", "metrics.prom", "pipeline.json", "trace.perfetto.json"]
 
 

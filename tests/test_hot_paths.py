@@ -651,8 +651,10 @@ async def _exchange(reader, writer, method: str, path: str, body: bytes = b"") -
 
 
 class TestRequestsRunNoTask:
-    """Reads are answered from ``data_received``, mutations from their
-    group commit's callback: no Task per request, no writer Task."""
+    """Reads are answered from ``data_received``, mutations in the loop
+    turn of the group commit that applies them (their answers' done
+    callbacks run inside ``set_result``): no Task per request, no
+    writer Task."""
 
     def test_a_started_app_owns_no_task(self):
         async def main():
