@@ -24,12 +24,9 @@ them keeps polling thread state, as the baselines do)::
 
 With them the policy keeps its queues current from events instead of
 walking the thread population on every dispatch.  The overtime hook
-also selects the poll continuation in :meth:`Kernel._execute`: a thread
-already on OvertimeRequested that asks again keeps its slice, where a
-hookless policy re-picks, and a run of such polls stated as ``Poll``
-ops is charged in one step.  It selects the held cut too (see
-:meth:`Kernel.run_until`): a slice a caller's horizon stopped resumes in
-the next call without a pick.
+also selects the hold rule (see :meth:`Kernel.run_until`): a slice goes
+on without a pick across a poll or a caller's cut, where a hookless
+policy re-picks.
 """
 
 from __future__ import annotations
@@ -135,18 +132,11 @@ class Kernel:
         #: every thread ever admitted.  ``threads`` itself never shrinks:
         #: tid lookups and trace exports still see retired names.
         self._periodic: list[SimThread] = []
-        #: Earliest upcoming period boundary, or 0 when unknown —
-        #: lets the rollover scan (run several times per dispatch-loop
-        #: iteration) return O(1) when no boundary is due.
+        #: Earliest upcoming period boundary or postponed period start,
+        #: or 0 when unknown — lets the rollover scan (run several times
+        #: per dispatch-loop iteration) return O(1) when none is due,
+        #: and tells a switch that crossed one.
         self._next_rollover = 0
-        #: Monotone count of period opens; the dispatch loop compares it
-        #: across the switch-cost window to spot a stale pick (a period
-        #: that opened while the switch was charged).
-        self._periods_opened = 0
-        #: Starts of postponed periods still ahead when they opened (a
-        #: heap), popped as decisions pass them: one inside a switch-cost
-        #: window makes the pick stale, one since a held cut ends it.
-        self._postponed_starts: list[int] = []
         self._next_tid = self.IDLE_TID + 1
         self.idle = SimThread(self.IDLE_TID, "Idle", THREAD_IDLE)
         self.policy = None  # bound by the scheduler policy
@@ -160,9 +150,11 @@ class Kernel:
 
         self._current: SimThread | None = None
         #: The slice the last call's horizon cut — (thread, ``timer_for``
-        #: target, ``_next_rollover``, time the target was set) — or None.
-        self._held: tuple[SimThread, int, int, int] | None = None
+        #: target) — or None.
+        self._held: tuple[SimThread, int] | None = None
         self._pending_switch_kind = SWITCH_VOLUNTARY
+        #: The hold rule's one input (see :meth:`run_until`): a
+        #: scheduling event has fired since the last pick.
         self._reschedule = False
         self._no_progress = 0
         #: Blocked threads per channel, as (block sequence, thread) in
@@ -312,32 +304,25 @@ class Kernel:
         thread.blocked_this_period = False
         thread.restart_pending = True
         thread.pending_compute = 0
-        self._record_grant_change(
-            GrantChangeRecord(
-                time=now,
-                thread_id=thread.tid,
-                period=grant.period,
-                cpu_ticks=grant.cpu_ticks,
-                entry_index=grant.entry_index,
-                reason="first grant",
-            )
-        )
+        self._record_grant_change(now, thread, grant, "first grant")
         self._notify_period_open(thread)
         self._reschedule = True
 
-    def _record_grant_change(self, record: GrantChangeRecord) -> None:
-        self.trace.record_grant_change(record)
+    def _record_grant_change(
+        self, time: int, thread: SimThread, grant: Grant | None, reason: str
+    ) -> None:
+        """``thread`` holds ``grant`` from ``time`` on (None: removed)."""
+        fields = {
+            "time": time,
+            "thread_id": thread.tid,
+            "period": grant.period if grant is not None else 0,
+            "cpu_ticks": grant.cpu_ticks if grant is not None else 0,
+            "entry_index": grant.entry_index if grant is not None else -1,
+            "reason": reason,
+        }
+        self.trace.record_grant_change(GrantChangeRecord(**fields))
         if self.obs:
-            self.obs.emit(
-                GrantChangeEvent(
-                    time=record.time,
-                    thread_id=record.thread_id,
-                    period=record.period,
-                    cpu_ticks=record.cpu_ticks,
-                    entry_index=record.entry_index,
-                    reason=record.reason,
-                )
-            )
+            self.obs.emit(GrantChangeEvent(**fields))
 
     def _notify_period_open(self, thread: SimThread) -> None:
         """Tell the policy a period opened (the RD scheduler queues the
@@ -363,16 +348,20 @@ class Kernel:
         caller stepping with :meth:`run_for` steps from where the clock
         ended, not from the horizon it asked for.
 
-        A cut is not a pick.  When the horizon stops a slice — it came
-        before the policy's timer and the next event — the slice is
-        held, and the next call resumes it after its preamble without
-        calling ``pick`` or ``timer_for``: they would return the same
-        thread and the same target while no reschedule was requested,
-        the thread is still current, no rollover scan ran since the
-        target was set (``_next_rollover`` unchanged) and no postponed
-        period began since.  Only a policy with the overtime hook holds
-        a slice, the selector of the poll continuation; the baselines
-        re-pick.  The resume is still audited and still one phase.
+        The hold rule: a slice goes on without a pick while no
+        scheduling event has fired since the last pick — ``_reschedule``
+        is clear; an event, a wake, a first period and every grant
+        notification set it.  A period boundary or postponed start is no
+        such event: the policy's timer already chose the ones that stop
+        the slice and let it run past the rest.  The rule holds at a
+        cut: a slice the horizon stopped (it came before the timer and
+        the next event) is held, and the next call resumes it after its
+        preamble without ``pick`` or ``timer_for``, so a caller that cuts
+        a horizon into many calls gets the run one call makes.  It holds
+        across a poll too (see :meth:`_execute`).  The ``on_overtime_request``
+        hook selects it; the baselines re-pick.  A resume is no decision,
+        so it is not audited; it is one ``kernel.dispatch`` phase, the
+        loop iteration it is.
         """
         if self.policy is None:
             raise SimulationError("no scheduler policy bound to the kernel")
@@ -386,7 +375,6 @@ class Kernel:
         events = self.events
         event_heap = self._event_heap
         posted = self._posted
-        postponed = self._postponed_starts
         while True:
             before = now = clock.now
             # Bring period accounting current *before* firing events:
@@ -425,53 +413,22 @@ class Kernel:
                 prof.begin("kernel.dispatch")
             held = self._held
             self._held = None
-            if (
-                held is not None
-                and not self._reschedule
-                and held[0] is self._current
-                and held[2] == self._next_rollover
-                and not (
-                    postponed and postponed[0] <= now and self._began_since(held[3])
-                )
-            ):
-                # The held cut (see the docstring), audited as a pick.
-                thread, policy_stop = held[0], held[1]
-                if sanitizer is not None:
-                    sanitizer.on_pick(thread, now)
+            if held is not None and not self._reschedule:
+                # The held cut (see the docstring): no decision.
+                thread, policy_stop = held
             else:
                 self._reschedule = False
                 thread = pick(now)
                 if sanitizer is not None:
                     sanitizer.on_pick(thread, now)
                 if thread is not self._current:
-                    opened_before = self._periods_opened
-                    picked_at = now
                     self._switch_to(thread)
                     now = clock.now
-                    # The switch cost may have carried the clock across
-                    # period boundaries; bring accounting current before
-                    # setting the timer.
                     if self._next_rollover <= now:
-                        self._rollover_all()
-                    if not thread.is_idle and thread.grant is None:
-                        # The boundary that just rolled over retired
-                        # this thread's grant (a pending removal took
-                        # effect inside the switch-cost window); there
-                        # is nothing to dispatch.
-                        if prof:
-                            prof.end("kernel.dispatch")
-                        continue
-                    if (
-                        self._periods_opened != opened_before
-                        or self._began_since(picked_at)
-                    ):
-                        # A period opened — or a postponed one began —
-                        # inside the switch-cost window, so the pick is
-                        # stale: that thread may now head the EDF
-                        # queue, and dispatching a stale pick would
-                        # sleep through its whole period.  Re-decide,
-                        # exactly as the boundary's timer interrupt
-                        # would have forced.
+                        # The switch cost carried the clock to a period
+                        # boundary or a postponed start that no timer
+                        # covered, so the pick may be stale: re-decide,
+                        # as that boundary's interrupt would have.
                         if prof:
                             prof.end("kernel.dispatch")
                         continue
@@ -481,22 +438,16 @@ class Kernel:
             # tie with the policy's interrupt; the horizon does not — the
             # interrupt due there is still an interrupt (a grace period
             # may follow it), wherever a caller cuts the run.
-            stop = horizon
-            interrupt_ties = True
+            preemptive = policy_stop <= horizon
+            stop = policy_stop if preemptive else horizon
             if event_heap:
                 next_event = events.next_time()
                 if next_event is not None and next_event <= stop:
                     stop = next_event
-                    interrupt_ties = False
-            preemptive = False
-            if policy_stop < stop or (policy_stop == stop and interrupt_ties):
-                stop = policy_stop
-                preemptive = True
-            # A switch cost can land the clock just past a timer target;
-            # a zero-length slice then lets the scheduler re-evaluate.
-            # The progress guard below catches genuine livelocks.
-            if stop < now:
-                stop = now
+                    preemptive = False
+            # A switch cost can land the clock past the stop: the slice
+            # is then of zero length (the progress guard below catches
+            # genuine livelocks), and one the horizon cut is still held.
             if thread.is_idle:
                 if stop > now:
                     clock.advance_to(stop)
@@ -519,7 +470,7 @@ class Kernel:
                 and outcome is SLICE_FORCED
                 and self._on_overtime_request is not None
             ):
-                self._held = (thread, policy_stop, self._next_rollover, now)
+                self._held = (thread, policy_stop)
             if prof:
                 prof.end("kernel.dispatch")
             if clock.now != before:
@@ -531,18 +482,6 @@ class Kernel:
                         f"scheduler made no progress at t={self.now}; likely a "
                         f"policy/task livelock"
                     )
-
-    def _began_since(self, since: int) -> bool:
-        """Whether a postponed period began after ``since`` and by now.
-        The starts up to now are popped: every later decision is made
-        at or after now, so none of them reads those again."""
-        began = False
-        postponed = self._postponed_starts
-        now = self.clock.now
-        while postponed and postponed[0] <= now:
-            if heappop(postponed) > since:
-                began = True
-        return began
 
     def _fire_due_events(self) -> None:
         for event in self.events.pop_due(self.now):
@@ -589,42 +528,32 @@ class Kernel:
             return SWITCH_INVOLUNTARY
         grace = self.machine.grace_period_ticks
         notice = definition.preemption.check_interval
+        # The task's next preemption check falls inside the grace period,
+        # and it yields voluntarily once it notices; or it cannot notice
+        # in time, burns the whole grace period and is involuntarily
+        # preempted, with an exception callback so it can clean up when
+        # next run.
+        honoured = notice <= grace
         thread.grace_pending = True
         try:
-            if notice <= grace:
-                # The task's next preemption check falls inside the grace
-                # period; it yields voluntarily once it notices.
-                self._execute(thread, self.now + notice)
-                if self.obs:
-                    self.obs.emit(
-                        GraceEvent(
-                            time=self.now,
-                            thread_id=thread.tid,
-                            honoured=True,
-                            grace_ticks=grace,
-                        )
-                    )
-                return SWITCH_VOLUNTARY
-            # The task cannot notice in time: it burns the whole grace
-            # period and is involuntarily preempted, with an exception
-            # callback so it can clean up when next run.
-            self._execute(thread, self.now + grace)
+            self._execute(thread, self.now + (notice if honoured else grace))
+        finally:
+            thread.grace_pending = False
+        if not honoured:
             thread.missed_grace_count += 1
             thread.ctx.missed_grace = True
             if definition.exception_callback is not None:
                 definition.exception_callback(self.now)
-            if self.obs:
-                self.obs.emit(
-                    GraceEvent(
-                        time=self.now,
-                        thread_id=thread.tid,
-                        honoured=False,
-                        grace_ticks=grace,
-                    )
+        if self.obs:
+            self.obs.emit(
+                GraceEvent(
+                    time=self.now,
+                    thread_id=thread.tid,
+                    honoured=honoured,
+                    grace_ticks=grace,
                 )
-            return SWITCH_INVOLUNTARY
-        finally:
-            thread.grace_pending = False
+            )
+        return SWITCH_VOLUNTARY if honoured else SWITCH_INVOLUNTARY
 
     def _current_runner(self, thread: SimThread) -> tuple[SimThread, bool]:
         """The generator actually running: the thread itself, or the
@@ -652,31 +581,25 @@ class Kernel:
         any tick, so how a body divides a unit of work into ops changes
         nothing unless the body acts in between.
 
-        A poll is not a scheduling decision.  A thread picked from
-        OvertimeRequested that asks for overtime again
-        (``DonePeriod(overtime=True)``) changes no queue: its overtime
-        entry and stamp stand, TimeRemaining was empty and no activation
-        was pending.  So the slice goes on while nothing the pick or the
-        timer reads can have moved — time short of ``stop`` and of the
-        next rollover, the next event still the one ``stop`` was set
-        from (a body may book one), no reschedule asked for, not a grace
-        slice, and time spent since the last poll (or a body that polls
-        without computing would never leave the loop).  Only a policy
-        with the overtime hook keeps OvertimeRequested current from
-        events, so only it is continued; the baselines re-pick.  The
-        poll is still audited and still one phase.
+        Before a body runs, the boundaries its slice ran past are
+        closed (those before now, as before an event fires), so what it
+        does — a Resource Manager call, a post — lands on the periods a
+        cut there would have shown it.
 
-        A run of polls is charged in one step.  When the op before a
-        continued poll was the thread's own ``Poll(ticks)``, the body
-        promises (see :class:`~repro.tasks.base.Poll`) to yield the same
-        two ops again after every further ``Poll``, and nothing that
-        could change them happens before ``limit`` (``stop`` or the next
-        rollover, whichever is first).  So every poll that ends strictly
-        before ``limit`` would be continued too: they are consumed in
-        one ``_consume`` and each is audited and profiled at its end,
-        the ``(tid, now)`` the loop would have given.  The next poll,
-        resumed from the body, reaches ``limit`` and ends the slice as
-        it always did.
+        A poll is the hold rule (see :meth:`run_until`) inside a slice.
+        A thread picked from OvertimeRequested that asks for overtime
+        again (``DonePeriod(overtime=True)``) changes no queue, so the
+        slice goes on while no scheduling event has fired — time short
+        of ``stop``, the next event still the one ``stop`` was set from
+        (a body may book one), not a grace slice, and time spent since
+        the last poll (or a body that polls without computing would
+        never leave the loop).  A continued poll is still a decision:
+        audited, and one phase.  When the op before it was the thread's
+        own ``Poll(ticks)``, the body promises (see
+        :class:`~repro.tasks.base.Poll`) to yield the same two ops again
+        after every further ``Poll``, so every poll that ends strictly
+        before ``stop`` is charged in one ``_consume``, each audited and
+        profiled at its end, the ``(tid, now)`` the loop would give.
         """
         ops_at_stop = 0
         clock = self.clock
@@ -730,6 +653,8 @@ class Kernel:
                     continue
                 self._mark_done(thread)
                 return SLICE_DONE
+            if self._next_rollover < now:
+                self._rollover_all(strict=True)
             try:
                 op = runner.gen.send(None)
             except StopIteration:
@@ -764,7 +689,6 @@ class Kernel:
                 and not assigned
                 and self._on_overtime_request is not None
                 and polled < (now := clock.now) < stop
-                and now < self._next_rollover
                 and (event_heap[0] if event_heap else None) is next_event
                 and not self._reschedule
                 and not thread.grace_pending
@@ -780,12 +704,9 @@ class Kernel:
                 if sanitizer is not None:
                     sanitizer.on_pick(thread, now)
                 if poll:
-                    # The run of polls that end before the limit (see
+                    # The run of polls that end before the stop (see
                     # the docstring), charged in one step.
-                    limit = self._next_rollover
-                    if stop < limit:
-                        limit = stop
-                    count = (limit - now - 1) // poll
+                    count = (stop - now - 1) // poll
                     if count > 0:
                         run = count * poll
                         thread.pending_compute = run
@@ -1027,11 +948,13 @@ class Kernel:
         """Process every period boundary at or before the current time
         (strictly before it when ``strict``), in boundary order.
 
-        The earliest upcoming boundary is cached across calls, so the
-        common case — nothing due yet — is O(1) instead of a scan of
-        the whole periodic population.  Period opens that happen
-        outside this scan (:meth:`start_first_period`) lower the cache;
-        opens inside the scan are folded into the minimum it computes.
+        The earliest upcoming boundary — or postponed start, a boundary
+        of its own to a switch that crosses it — is cached across
+        calls, so the common case — nothing due yet — is O(1) instead of
+        a scan of the whole periodic population.  Period opens that
+        happen outside this scan (:meth:`start_first_period`) lower the
+        cache; opens inside the scan are folded into the minimum it
+        computes.
 
         Due boundaries close by ``(deadline, tid)`` — the order they
         fell in, ties by creation — so a late scan (after an idle
@@ -1054,8 +977,11 @@ class Kernel:
             deadline = thread.deadline
             if deadline < limit:
                 due.append((deadline, thread.tid, thread))
-            elif deadline < earliest:
-                earliest = deadline
+            else:
+                start = thread.period_start
+                upcoming = start if start > now else deadline
+                if upcoming < earliest:
+                    earliest = upcoming
         heapify(due)
         while due:
             thread = heappop(due)[2]
@@ -1066,8 +992,11 @@ class Kernel:
             deadline = thread.deadline
             if deadline < limit:
                 heappush(due, (deadline, thread.tid, thread))
-            elif deadline < earliest:
-                earliest = deadline
+            else:
+                start = thread.period_start
+                upcoming = start if start > now else deadline
+                if upcoming < earliest:
+                    earliest = upcoming
         self._next_rollover = min(self._next_rollover, earliest)
 
     def _close_period(self, thread: SimThread) -> None:
@@ -1137,16 +1066,7 @@ class Kernel:
 
         changed = new_grant.entry is not old_grant.entry
         if changed:
-            self._record_grant_change(
-                GrantChangeRecord(
-                    time=start,
-                    thread_id=thread.tid,
-                    period=new_grant.period,
-                    cpu_ticks=new_grant.cpu_ticks,
-                    entry_index=new_grant.entry_index,
-                    reason="grant change",
-                )
-            )
+            self._record_grant_change(start, thread, new_grant, "grant change")
         thread.restart_pending = self._needs_restart(thread, old_grant, new_grant, changed)
         if thread.restart_pending:
             thread.pending_compute = 0
@@ -1172,9 +1092,6 @@ class Kernel:
             grant=grant,
             period_start=start,
         )
-        self._periods_opened += 1
-        if start > self.clock.now:
-            heappush(self._postponed_starts, start)
 
     def _needs_restart(
         self, thread: SimThread, old: Grant, new: Grant, changed: bool
@@ -1228,12 +1145,5 @@ class Kernel:
             self.note_periodic_exit(thread)
         self.exclusive.release_thread(thread.tid)
         self._record_grant_change(
-            GrantChangeRecord(
-                time=thread.deadline,
-                thread_id=thread.tid,
-                period=0,
-                cpu_ticks=0,
-                entry_index=-1,
-                reason=f"grant removed ({new_state._value_})",
-            )
+            thread.deadline, thread, None, f"grant removed ({new_state._value_})"
         )

@@ -250,6 +250,11 @@ class RDScheduler:
                     thread.has_pending_change = True
                     self._push_boundary(thread)  # likewise
                 else:
+                    if thread.has_pending_change and thread.pending_grant is None:
+                        # A woken thread's held removal: it keeps its
+                        # grant, and its boundary is fresh again.
+                        thread.has_pending_change = False
+                        self._push_boundary(thread)
                     pending[tid] = new
                     increases.add(tid)
             elif new is not None:

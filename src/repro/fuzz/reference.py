@@ -409,10 +409,12 @@ def reference_stack(rd) -> None:
     been admitted to yet.  Same object layout, overridden reads: the two
     stacks differ only in how the queue heads, the two timers, the
     threads a post wakes and the grant set are found — and in how often
-    the queue heads are asked for, since a kernel continues a slice
-    across a poll, and resumes one a horizon cut, only for a policy
-    whose overtime hook keeps OvertimeRequested current, and the scans
-    read no heap the hook feeds."""
+    the queue heads are asked for: the kernel holds a slice across a
+    poll and across a horizon cut only for a policy whose overtime hook
+    keeps OvertimeRequested current, and the scans read no heap the hook
+    feeds, so the reference re-picks after every poll and at every cut.
+    A cut is no decision on the shipped stack alone: judge a cut run by
+    the reference's one-call run."""
     rd.scheduler.__class__ = FromScratchScheduler
     rd.kernel.__class__ = FromScratchKernel
     rd.kernel._on_overtime_request = None

@@ -406,9 +406,9 @@ class TestWholeOpRuns:
 
 class TestQuietKernel:
     """A kernel with no live periodic thread and Idle on the CPU idles to
-    each horizon in one decision: the call resumes the Idle slice the
-    last call's horizon cut, without a pick (DESIGN.md §4 "A cut is not
-    a pick"), audited and profiled as the picked iteration was."""
+    each horizon without a decision: the call resumes the Idle slice the
+    last call's horizon cut, neither picked nor audited (DESIGN.md §4
+    "The hold rule"), one profiled iteration."""
 
     @staticmethod
     def _run(quiet):
@@ -445,7 +445,7 @@ class TestQuietKernel:
         assert quiet.trace.segments == loop.trace.segments
         assert quiet.trace.segments[-1].end == ms(70)
         assert quiet.trace.switches == loop.trace.switches
-        assert quiet_decisions == loop_decisions == 2
+        assert quiet_decisions == loop_decisions == 0
         assert quiet_counts == loop_counts
 
     def test_quiet_step_is_taken(self):

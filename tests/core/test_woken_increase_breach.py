@@ -1,23 +1,18 @@
-"""An open breach of the never-involuntarily-quiesced promise, pinned loudly.
+"""A woken thread is never retired to quiescent: the breach once open here.
 
 On the ideal machine: admit ``a`` (0.6 / 0.3 of a 20 ms period) and
 ``b`` (0.7 of 40 ms), run 3 ms, quiesce ``a``, relist ``b`` to 0.4,
 then wake ``a``.  The wake's grant set gives ``a`` its larger entry.
 ``RDScheduler.notify_grant_set``'s increase branch files that grant for
-activation, but it leaves the held removal the quiesce set
-(``pending_grant=None``, ``has_pending_change=True``).  No unallocated
-time comes before ``a``'s boundary, so at t = 540,000 the boundary
-retires the awake, admitted thread: the trace records "grant removed
-(quiescent)" for ``a``, and ``a`` waits for a new "first grant" at
-918,000, while the Resource Manager still reports it not quiescent.
-EXPERIMENTS.md "Known deviations" lists it as an open breach; when a
-change mends it, this test passes, and strict xfail makes that a
-failure until the marker is dropped.
+activation; it used to leave the held removal the quiesce set
+(``pending_grant=None``, ``has_pending_change=True``), so with no
+unallocated time before ``a``'s boundary the boundary retired the
+awake, admitted thread at t = 540,000 ("grant removed (quiescent)") and
+``a`` waited for a new "first grant" at 918,000.  The branch now clears
+that removal: ``a`` keeps its grant through the boundary.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro import MachineConfig, SimConfig, units
 from repro.core.distributor import ResourceDistributor
@@ -34,14 +29,6 @@ def definition(name: str, period_ms: float, *rates: float) -> TaskDefinition:
     return TaskDefinition(name=name, resource_list=ResourceList(entries))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "open breach: notify_grant_set's increase branch keeps the held "
-        "removal of a woken thread, so its boundary retires it to quiescent"
-    ),
-)
 def test_a_woken_thread_is_never_retired_to_quiescent():
     rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=0))
     a = rd.admit(definition("a", 20, 0.6, 0.3))

@@ -5,12 +5,13 @@ cluster loop).
 The corpus replays differentially here, so a change that makes the
 shipped core and the from-scratch reference disagree on a committed
 scenario fails tier-1 as ``divergence:<field>``.  Each core entry also
-replays in 1 ms calls on both stacks: the shipped kernel resumes a
-slice a call's horizon cut, the reference re-picks at every cut.  A
-seeded disagreement proves the outcome is named, shrunk, written and
-replayed like any other."""
+replays on the shipped stack in 1 ms calls, against the reference run
+in one call: the shipped kernel resumes a slice a call's horizon cut,
+so the cut run is the one-call run (the reference re-picks at every
+cut, so only its one-call run is the yardstick).  A seeded
+disagreement proves the outcome is named, shrunk, written and replayed
+like any other."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -51,13 +52,14 @@ def test_core_corpus_entry_replays_differentially(path):
     assert result.outcome == trace.expect, result.detail
 
 
-def _stepped(trace, on_reference: bool):
-    """``trace``'s spec run to its horizon in 1 ms calls, in record mode
-    so an injected entry runs on past its violation."""
+def _run(trace, on_reference: bool, step: int | None):
+    """``trace``'s spec run to its horizon in calls of ``step`` ticks
+    (one call when None), in record mode so an injected entry runs on
+    past its violation."""
     run = _CoreRun(trace.spec, sanitize="record", reference=on_reference)
     rd = run.script(injector(trace.inject)).rd
     horizon = trace.spec.horizon_ticks
-    for cut in range(units.ms_to_ticks(1), horizon, units.ms_to_ticks(1)):
+    for cut in range(step or horizon, horizon, step or horizon):
         rd.run_until(cut)
     rd.run_until(horizon)
     return rd
@@ -65,21 +67,20 @@ def _stepped(trace, on_reference: bool):
 
 @pytest.mark.parametrize("path", CORE_ENTRIES, ids=lambda p: p.stem)
 def test_core_corpus_entry_agrees_when_cut_every_ms(path):
-    """A held cut resumes what a re-pick would decide: stepped in 1 ms
-    calls, the shipped and the reference stack make the same run."""
+    """A cut is no decision: stepped in 1 ms calls, the shipped stack
+    makes the reference's one-call run, with the same audit count."""
     trace = load_trace(path)
-    shipped, ref = _stepped(trace, False), _stepped(trace, True)
+    shipped = _run(trace, False, units.ms_to_ticks(1))
+    ref = _run(trace, True, None)
     for name in DIFFERENTIAL_FIELDS:
         assert getattr(shipped.trace, name) == getattr(ref.trace, name), name
     assert shipped.sanitizer.decisions_checked == ref.sanitizer.decisions_checked
 
 
-def _upper_reasons(self, record):
+def _upper_reasons(self, time, thread, grant, reason):
     """A reference kernel that spells its grant-change reasons in
     capitals: a disagreement on that one field and nothing else."""
-    Kernel._record_grant_change(
-        self, dataclasses.replace(record, reason=record.reason.upper())
-    )
+    Kernel._record_grant_change(self, time, thread, grant, reason.upper())
 
 
 def test_a_divergence_is_named_shrunk_written_and_replayed(monkeypatch, tmp_path):

@@ -34,10 +34,10 @@ with a check interval on either side of the grace period.
 
 Two more cut the run into ``run_until`` calls at drawn ticks.  *A
 split horizon is inert*: the cut run is the one-call run.  *A held cut
-is the pick it replaces*: the kernel resumes a slice a call's horizon
-cut without ``pick`` and ``timer_for``, and a kernel made to re-pick at
-every cut gives the same run, the same audited ``(tid, now)`` decisions
-and the same profiled phase counts.
+is no decision*: the kernel resumes a slice a call's horizon cut
+without ``pick`` and ``timer_for``, so the cut run also makes the
+one-call run's audited ``(tid, now)`` decisions and profiled phases,
+plus at most one ``kernel.dispatch`` phase per cut.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from hypothesis import strategies as st
 from repro import AdmissionError, MachineConfig, SimConfig, SporadicServer, units
 from repro.baselines import SmartSystem
 from repro.core.distributor import ResourceDistributor
-from repro.core.kernel import Kernel
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.threads import ThreadState
 from repro.fuzz.reference import reference_stack
@@ -559,15 +558,6 @@ def test_granularity_is_inert_under_a_baseline_timer(sizes):
     assert whole_seen == cut_seen
 
 
-@st.composite
-def cut_streams(draw):
-    """A change stream whose bodies make no Resource Manager call of
-    their own: a meddler's call in its own slice is the one kind of
-    change a cut can reorder (see the strict xfail below)."""
-    with_server, sliced, ops = draw(change_streams())
-    return with_server, sliced, [op for op in ops if op[4] != "meddler"]
-
-
 #: Where a caller stops a kernel: on a round millisecond — where the
 #: streams' events, admissions and period boundaries fall — or on any
 #: tick.
@@ -637,19 +627,18 @@ cut_times = st.lists(
     False,
     True,
 )
-@given(cut_streams(), cut_times, st.booleans(), st.just(False))
+@given(change_streams(), cut_times, st.booleans(), st.booleans())
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_a_split_horizon_is_inert(stream, cuts, reference, calibrated):
-    """One ``run_until(h)`` and the same horizon cut into many calls are
-    the same run, on the kernel and on the reference kernel.  Drawn on
-    the ideal machine: with switch costs the small-overlap override lets
-    a slice run past a boundary that a pick at a cut would act on (the
-    strict xfail below); the explicit cases above run both machines."""
+    """The kernel's run with the horizon cut into many calls is the run
+    of one ``run_until(h)``, on the kernel or on the reference kernel
+    (which re-picks at every cut, so only its one-call run is the
+    yardstick), on either machine."""
     machine = MachineConfig() if calibrated else MachineConfig.ideal()
     whole, whole_seen = run_stream(stream, reference, cuts=[], machine=machine)
-    split, split_seen = run_stream(stream, reference, cuts=cuts, machine=machine)
+    split, split_seen = run_stream(stream, cuts=cuts, machine=machine)
     assert whole.sanitizer.ok and split.sanitizer.ok
     assert_same_run(whole.kernel, split.kernel)
     assert whole_seen == split_seen
@@ -690,23 +679,11 @@ def test_a_horizon_tied_preemption_ends_past_the_horizon(reference):
     assert rd.sanitizer.ok and not seen
 
 
-class RepickingKernel(Kernel):
-    """The kernel with its held cut dropped before every call, so each
-    call re-picks where the last one was cut."""
-
-    def run_until(self, horizon):
-        self._held = None
-        super().run_until(horizon)
-
-
-def watched(repick, audits, prof):
-    """A ``run_stream`` preparation: swap in :class:`RepickingKernel`
-    when ``repick``, attach ``prof``, and note every audited decision's
-    ``(tid, now)`` in ``audits``."""
+def watched(audits, prof):
+    """A ``run_stream`` preparation: attach ``prof`` and note every
+    audited decision's ``(tid, now)`` in ``audits``."""
 
     def prepare(rd):
-        if repick:
-            rd.kernel.__class__ = RepickingKernel
         rd.attach_prof(prof)
         on_pick = rd.sanitizer.on_pick
 
@@ -717,6 +694,29 @@ def watched(repick, audits, prof):
         rd.sanitizer.on_pick = audited
 
     return prepare
+
+
+def assert_cut_is_no_decision(run, cuts):
+    """``run(cuts, prepare)`` cut at ``cuts`` and run in one call make
+    the same run and the same audited decisions; the cut run's phases
+    are the one-call run's plus at most one ``kernel.dispatch`` per cut
+    (the loop iteration a held resume is)."""
+    books = []
+    for at in (cuts, []):
+        audits, prof = [], PhaseProfiler()
+        rd, seen = run(at, watched(audits, prof))
+        assert rd.sanitizer.ok
+        books.append((rd.kernel, seen, audits, dict(prof.counts)))
+    (split, split_seen, split_audits, split_counts), whole_books = books
+    whole, whole_seen, whole_audits, whole_counts = whole_books
+    assert_same_run(split, whole)
+    assert split_seen == whole_seen
+    assert split_audits == whole_audits
+    resumes = split_counts.pop("kernel.dispatch", 0) - whole_counts.pop(
+        "kernel.dispatch", 0
+    )
+    assert 0 <= resumes <= len(set(cuts))
+    assert split_counts == whole_counts
 
 
 # Found by the property against a scratch kernel whose resume ignored
@@ -730,35 +730,29 @@ def watched(repick, audits, prof):
     [units.ms_to_ticks(13)],
     False,
 )
-@given(cut_streams(), cut_times, st.booleans())
+@given(change_streams(), cut_times, st.booleans())
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-def test_a_held_cut_is_the_pick_it_replaces(stream, cuts, calibrated):
+def test_a_held_cut_is_no_decision(stream, cuts, calibrated):
     """A slice a call's horizon cut resumes in the next call without
-    ``pick`` and ``timer_for``; a kernel that re-picks at every cut
-    makes the same run, the same audited decisions and the same
-    profiled phases, on either machine."""
+    ``pick`` and ``timer_for``, unaudited: against one call, the same
+    run, the same audited decisions and the same profiled phases but
+    the resumes', on either machine."""
     machine = MachineConfig() if calibrated else MachineConfig.ideal()
-    runs = []
-    for repick in (False, True):
-        audits, prof = [], PhaseProfiler()
-        rd, seen = run_stream(
-            stream, cuts=cuts, machine=machine, prepare=watched(repick, audits, prof)
-        )
-        assert rd.sanitizer.ok
-        runs.append((rd.kernel, seen, audits, prof.counts))
-    (held, held_seen, held_audits, held_counts), (fresh, *rest) = runs
-    assert_same_run(held, fresh)
-    assert [held_seen, held_audits, held_counts] == rest
+    assert_cut_is_no_decision(
+        lambda at, prepare: run_stream(stream, cuts=at, machine=machine, prepare=prepare),
+        cuts,
+    )
 
 
-def test_a_postponed_start_ends_a_hold():
+def test_a_postponed_start_the_timer_ran_past_holds():
     """A postponed period that begins after the held slice's timer was
-    set is no rollover, yet the pick after it acts on it: here it ties
-    the running thread's deadline with the lower tid, so the cut at 13 ms
-    hands the CPU over.  A scratch kernel whose resume did not read the
-    postponed starts failed this under the strict sanitizer."""
+    set is a boundary the timer judged: here it ties the running
+    thread's deadline with the lower tid, which rule (2) does not
+    preempt for, so the cut at 13 ms resumes the running thread, as one
+    call runs it to its grant's end.  A resume that read the postponed
+    starts, as one once did, handed the CPU over there."""
     ms = units.ms_to_ticks
 
     def postponer(ctx):
@@ -770,16 +764,14 @@ def test_a_postponed_start_ends_a_hold():
         yield Compute(ms(15))  # deadline 22 ms, no timer stop before 16
         yield DonePeriod()
 
-    runs = []
-    for repick in (False, True):
-        audits, prof = [], PhaseProfiler()
+    def run(cuts, prepare):
         rd = ResourceDistributor(
             machine=MachineConfig.ideal(),
             sim=SimConfig(seed=0),
             sanitize=True,
             sanitize_strict=True,
         )
-        watched(repick, audits, prof)(rd)
+        prepare(rd)
         for name, period, cpu, body in (("a", 10, 1, postponer), ("b", 22, 15, worker)):
             rd.admit(
                 TaskDefinition(
@@ -789,27 +781,27 @@ def test_a_postponed_start_ends_a_hold():
                     ),
                 )
             )
-        for cut in (11, 13, 40):
+        for cut in cuts:
             rd.run_until(ms(cut))
-        runs.append((rd.kernel, audits, prof.counts))
-    (held, *held_books), (fresh, *fresh_books) = runs
-    assert_same_run(held, fresh)
-    assert held_books == fresh_books
-    assert [s.thread_id for s in held.trace.segments[:3]] == [1, 2, 1]
+        rd.run_until(ms(40))
+        return rd, []
+
+    assert_cut_is_no_decision(run, [11, 13])
+    rd, _ = run([11, 13], watched([], PhaseProfiler()))
+    assert [(s.thread_id, s.start, s.end) for s in rd.trace.segments[:3]] == [
+        (1, 0, ms(1)),
+        (2, ms(1), ms(16)),
+        (1, ms(16), ms(17)),
+    ]
 
 
-#: A cut that is still a scheduling decision.  The timer may let a slice
-#: run past a boundary a pick would act on — here the small-overlap
-#: override finishes a nearly done grant across the boundary at 100 ms
-#: (rule (2) likewise does not preempt on an equal deadline, which the
-#: pick breaks by tid) — and a ``run_until`` that ends inside that
-#: overlap makes the next call re-pick, handing the CPU over where one
-#: call would not.  The kernel holds a cut slice into the next call only
-#: while no rollover scan has run since its timer was set, so it
-#: re-picks here.  Holding across the closed boundary fixes it, but the
-#: benchmark's ``dense_churn`` cuts its run every simulated ms, so that
-#: moves the workload's counts and ``sim_digest``: it waits for a change
-#: that owns that re-recording (ROADMAP item 3).
+#: A cut inside an overlap.  The timer may let a slice run past a
+#: boundary a pick would act on — here the small-overlap override
+#: finishes a nearly done grant across the boundary at 100 ms (rule (2)
+#: likewise does not preempt on an equal deadline, which the pick breaks
+#: by tid).  A kernel that held a cut slice only while no rollover scan
+#: had run since its timer was set re-picked at a ``run_until`` ending
+#: inside that overlap, handing the CPU over where one call does not.
 OVERRIDE_CUT = (
     (
         True,
@@ -823,10 +815,11 @@ OVERRIDE_CUT = (
 )
 
 
-#: A Resource Manager call a body makes in its own slice sees the
-#: boundaries its slice ran past as not yet closed, so its change lands
-#: on the period that ended there; a cut in between closes them first.
-#: Found by the property above before meddlers left its streams.
+#: A Resource Manager call a body makes in its own slice.  A kernel that
+#: left the boundaries the slice ran past open until the slice ended
+#: landed the call's change on a period that had already ended, where a
+#: cut in between closed them first.  Found by the split-horizon
+#: property when its streams first drew meddlers.
 MEDDLER_CUT = (
     (
         False,
@@ -841,7 +834,6 @@ MEDDLER_CUT = (
 )
 
 
-@pytest.mark.xfail(strict=True, reason="a cut is still a scheduling decision here")
 @pytest.mark.parametrize(
     "case, machine",
     [(OVERRIDE_CUT, MachineConfig()), (MEDDLER_CUT, MachineConfig.ideal())],

@@ -39,7 +39,7 @@ A control-plane request pays for its commit, not its envelope: a
 started ``ServeApp`` owns no Task, and the ``serve_closed`` cycle
 (POST, GET a task, DELETE, GET the fleet) creates none (§4 "Paths").
 
-A cut is not a pick: ``av_pipeline(0)`` stepped in 1,200 calls of
+A cut is no decision: ``av_pipeline(0)`` stepped in 1,200 calls of
 2.5 ms makes at most 1.25 times the picks of one 3 s call.
 
 The trace keeps columns: 200 ms of a 64-task ``dense_churn``-shaped
@@ -499,9 +499,9 @@ class TestPollsDoNotRepick:
 
 class TestCutsDoNotRepick:
     """A slice the caller's horizon stopped resumes in the next call
-    without ``pick`` and ``timer_for`` while nothing they read can have
-    moved (DESIGN.md §4 "A cut is not a pick"), so stepping a run in
-    short calls costs about the picks of one call."""
+    without ``pick`` and ``timer_for`` while no scheduling event has
+    fired (DESIGN.md §4 "The hold rule"), so stepping a run in short
+    calls costs about the picks of one call."""
 
     @staticmethod
     def _picks(calls: int, step_ms: float) -> int:
