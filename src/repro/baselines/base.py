@@ -1,61 +1,37 @@
 """Shared machinery for baseline schedulers.
 
-A baseline system pairs a scheduler policy (implementing the kernel's
-``pick``/``timer_for``/``preemption_imminent`` interface) with a simple
-admission facade.  Unlike the Resource Distributor, baselines hand a
-thread its reservation directly at admission time — none of them has the
-RD's unallocated-time activation dance, which is part of what the paper
-is comparing.
+A baseline system pairs a scheduler policy with a simple admission
+facade.  Every baseline policy is an :class:`EnforcingEdfPolicy`: the
+Resource Distributor's own Scheduler (``repro.core.scheduler``) with
+the small-overlap override off and no Resource Manager, so it gets the
+kernel's hooks, lazy heaps and hold rule, and a baseline overrides only
+what makes it that baseline — its pick order (SMART, naive EDF,
+Rate-Monotonic) or its period-open rule (Rialto).  Unlike the Resource
+Distributor, baselines hand a thread its reservation directly at
+admission time — none of them has the RD's unallocated-time activation
+dance, which is part of what the paper is comparing.
 """
 
 from __future__ import annotations
 
-from repro import units
 from repro.config import MachineConfig, SimConfig
 from repro.core.grants import Grant
 from repro.core.kernel import Kernel
-from repro.core.threads import (
-    STATE_ACTIVE,
-    STATE_EXITED,
-    SimThread,
-    earlier_time_remaining,
-    scan_overtime,
-    scan_time_remaining,
-)
+from repro.core.scheduler import RDScheduler
+from repro.core.threads import STATE_ACTIVE, STATE_EXITED, SimThread
 from repro.sim.trace import TraceRecorder
 from repro.tasks.base import TaskDefinition
 
 
-class EnforcingEdfPolicy:
+class EnforcingEdfPolicy(RDScheduler):
     """EDF with grant enforcement and overtime, minus the RD's Resource
-    Manager coordination.  This is the scheduling core shared by the
-    Reserves baseline (and reused by others via subclassing)."""
+    Manager coordination: nothing ever notifies it of a grant set, so
+    its pick never takes the unallocated-time callback.  This is the
+    Reserves baseline, and the base of the others."""
 
     def __init__(self, kernel: Kernel) -> None:
-        self.kernel = kernel
-        kernel.bind_policy(self)
-
-    # -- policy interface ------------------------------------------------------
-
-    def pick(self, now: int) -> SimThread:
-        remaining = scan_time_remaining(self.kernel.periodic_threads(), now)
-        if remaining:
-            return remaining[0]
-        overtime = scan_overtime(self.kernel.periodic_threads(), now)
-        if overtime:
-            return overtime[0]
-        return self.kernel.idle
-
-    def timer_for(self, thread: SimThread, now: int) -> int:
-        if thread.is_idle or not thread.eligible_time_remaining(now):
-            return self._unallocated_timer(thread, now)
-        grant_end = now + thread.remaining
-        limit = min(grant_end, thread.deadline)
-        boundary = self._earliest_preempting_boundary(thread, now, limit)
-        return boundary if boundary is not None else limit
-
-    def preemption_imminent(self, thread: SimThread, now: int) -> bool:
-        return earlier_time_remaining(thread, self.kernel.periodic_threads(), now)
+        super().__init__(kernel)
+        self.overlap_override_ticks = 0
 
     def _runnable(self, thread: SimThread, now: int) -> bool:
         """Has work in a started period, grant budget or not: the test
@@ -67,44 +43,6 @@ class EnforcingEdfPolicy:
             and thread.has_pending_work()
             and not thread.declared_done
         )
-
-    # -- timer helpers --------------------------------------------------------
-
-    def _boundary(self, thread: SimThread, now: int) -> int | None:
-        if thread.state is not STATE_ACTIVE or not thread.in_period:
-            return None
-        return thread.period_start if thread.period_start > now else thread.deadline
-
-    def _unallocated_timer(self, thread: SimThread, now: int) -> int:
-        stop = units.INFINITE
-        if not thread.is_idle and thread.in_period:
-            stop = thread.deadline
-        for other in self.kernel.periodic_threads():
-            boundary = self._boundary(other, now)
-            if boundary is not None and now < boundary < stop:
-                stop = boundary
-        return stop
-
-    def _earliest_preempting_boundary(
-        self, thread: SimThread, now: int, limit: int
-    ) -> int | None:
-        best: int | None = None
-        for other in self.kernel.periodic_threads():
-            if other is thread:
-                continue
-            boundary = self._boundary(other, now)
-            if boundary is None or boundary <= now or boundary >= limit:
-                continue
-            next_deadline = (
-                other.deadline
-                if other.period_start > now
-                else boundary + (other.grant.period if other.grant else units.INFINITE)
-            )
-            if next_deadline >= thread.deadline:
-                continue
-            if best is None or boundary < best:
-                best = boundary
-        return best
 
 
 class BaselineSystem:

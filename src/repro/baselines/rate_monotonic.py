@@ -57,7 +57,7 @@ class RateMonotonicPolicy(EnforcingEdfPolicy):
                 continue
             if (other.grant.period, other.tid) >= (my_period, thread.tid):
                 continue
-            boundary = self._boundary(other, now)
+            boundary = self._fresh_allocation_time(other, now)
             if boundary is not None and now < boundary < best:
                 best = boundary
         return best

@@ -53,15 +53,14 @@ class RialtoPolicy(EnforcingEdfPolicy):
     """Enforcing EDF over granted constraints; denial at request time."""
 
     def __init__(self, kernel) -> None:
-        super().__init__(kernel)
         self.log = DenialLog()
         self._constraints: list[_Constraint] = []
+        super().__init__(kernel)
 
     # -- constraint admission (kernel period-open hook) -------------------------
 
     def on_period_open(self, thread: SimThread) -> None:
-        if thread.grant is None:
-            return
+        super().on_period_open(thread)
         now = thread.period_start
         self._constraints = [c for c in self._constraints if c.deadline > now]
         window = thread.deadline - thread.period_start

@@ -8,25 +8,20 @@ interrupt fires are delegated to a scheduler policy object — the ETI
 Resource Distributor's EDF scheduler (``repro.core.scheduler``) or one
 of the baseline schedulers (``repro.baselines``).
 
-The policy interface (duck-typed) is::
+The policy interface (duck-typed, all six required; :meth:`Kernel.bind_policy`
+refuses a policy that lacks one) is::
 
     pick(now) -> SimThread                 # never None; idle thread at worst
     timer_for(thread, now) -> int          # absolute tick of next interrupt
     preemption_imminent(thread, now) -> bool   # for grace-period decisions
-
-A policy may also define any of three notification hooks, which the
-kernel resolves once in :meth:`Kernel.bind_policy` (a policy without
-them keeps polling thread state, as the baselines do)::
-
     on_period_open(thread)       # a period just opened (first or rollover)
     on_wake(thread)              # a blocked thread became ACTIVE again
     on_overtime_request(thread)  # ran out of granted time, or DonePeriod(overtime=True)
 
-With them the policy keeps its queues current from events instead of
-walking the thread population on every dispatch.  The overtime hook
-also selects the hold rule (see :meth:`Kernel.run_until`): a slice goes
-on without a pick across a poll or a caller's cut, where a hookless
-policy re-picks.
+Through the three hooks the policy keeps its queues current from events
+instead of walking the thread population on every dispatch, so every
+policy gets the one hold rule (see :meth:`Kernel.run_until`): a slice
+goes on without a pick across a poll or a caller's cut.
 """
 
 from __future__ import annotations
@@ -103,6 +98,11 @@ SLICE_BLOCKED = SliceEnd.BLOCKED
 SLICE_INTERRUPTED = SliceEnd.INTERRUPTED
 
 
+#: The policy interface :meth:`Kernel.bind_policy` requires.
+POLICY_METHODS = ("pick", "timer_for", "preemption_imminent",
+                  "on_period_open", "on_wake", "on_overtime_request")
+
+
 class Kernel:
     """Owns simulated time, threads, and the dispatch loop."""
 
@@ -140,10 +140,6 @@ class Kernel:
         self._next_tid = self.IDLE_TID + 1
         self.idle = SimThread(self.IDLE_TID, "Idle", THREAD_IDLE)
         self.policy = None  # bound by the scheduler policy
-        # The policy's optional notification hooks (None when absent).
-        self._on_period_open = None
-        self._on_wake = None
-        self._on_overtime_request = None
         #: The event queue's heap, peeked by the dispatch loop so an
         #: empty or not-yet-due head costs no call into the queue.
         self._event_heap = self.events._heap
@@ -156,6 +152,10 @@ class Kernel:
         #: The hold rule's one input (see :meth:`run_until`): a
         #: scheduling event has fired since the last pick.
         self._reschedule = False
+        #: The running slice's stop as one call sees it (the horizon
+        #: aside), 0 between slices: a booking a body makes before it is
+        #: a scheduling event (see :meth:`at`).
+        self._stop = 0
         self._no_progress = 0
         #: Blocked threads per channel, as (block sequence, thread) in
         #: the order they blocked (FIFO wake fairness).  Entries whose
@@ -197,10 +197,13 @@ class Kernel:
     def bind_policy(self, policy) -> None:
         if self.policy is not None:
             raise SimulationError("kernel already has a scheduler policy")
+        missing = [name for name in POLICY_METHODS if not hasattr(policy, name)]
+        if missing:
+            raise SchedulerError(
+                f"{type(policy).__name__} is no scheduler policy: it lacks "
+                + ", ".join(missing)
+            )
         self.policy = policy
-        self._on_period_open = getattr(policy, "on_period_open", None)
-        self._on_wake = getattr(policy, "on_wake", None)
-        self._on_overtime_request = getattr(policy, "on_overtime_request", None)
 
     # -- thread management ---------------------------------------------------
 
@@ -277,6 +280,10 @@ class Kernel:
             raise SimulationError(
                 f"cannot schedule an event at {time}, before now ({self.now})"
             )
+        if time < self._stop:
+            # Booked by a body inside its slice, due before the slice's
+            # stop, which was set without it: the slice must not run past.
+            self._reschedule = True
         self.events.schedule(time, action, label)
 
     def request_reschedule(self) -> None:
@@ -305,7 +312,7 @@ class Kernel:
         thread.restart_pending = True
         thread.pending_compute = 0
         self._record_grant_change(now, thread, grant, "first grant")
-        self._notify_period_open(thread)
+        self.policy.on_period_open(thread)
         self._reschedule = True
 
     def _record_grant_change(
@@ -323,14 +330,6 @@ class Kernel:
         self.trace.record_grant_change(GrantChangeRecord(**fields))
         if self.obs:
             self.obs.emit(GrantChangeEvent(**fields))
-
-    def _notify_period_open(self, thread: SimThread) -> None:
-        """Tell the policy a period opened (the RD scheduler queues the
-        fresh deadline; the Rialto baseline requests its per-period
-        constraint)."""
-        hook = self._on_period_open
-        if hook is not None:
-            hook(thread)
 
     # -- the main loop ----------------------------------------------------------
 
@@ -350,18 +349,18 @@ class Kernel:
 
         The hold rule: a slice goes on without a pick while no
         scheduling event has fired since the last pick — ``_reschedule``
-        is clear; an event, a wake, a first period and every grant
-        notification set it.  A period boundary or postponed start is no
-        such event: the policy's timer already chose the ones that stop
-        the slice and let it run past the rest.  The rule holds at a
-        cut: a slice the horizon stopped (it came before the timer and
+        is clear; an event, a wake, a first period, every grant
+        notification and a booking due before the running slice's stop
+        (see :meth:`at`) set it.  A period boundary or postponed start is
+        no such event: the policy's timer already chose the ones that
+        stop the slice and let it run past the rest.  The rule holds at
+        a cut: a slice the horizon stopped (it came before the timer and
         the next event) is held, and the next call resumes it after its
         preamble without ``pick`` or ``timer_for``, so a caller that cuts
         a horizon into many calls gets the run one call makes.  It holds
-        across a poll too (see :meth:`_execute`).  The ``on_overtime_request``
-        hook selects it; the baselines re-pick.  A resume is no decision,
-        so it is not audited; it is one ``kernel.dispatch`` phase, the
-        loop iteration it is.
+        across a poll too (see :meth:`_execute`), and for every policy.
+        A resume is no decision, so it is not audited; it is one
+        ``kernel.dispatch`` phase, the loop iteration it is.
         """
         if self.policy is None:
             raise SimulationError("no scheduler policy bound to the kernel")
@@ -438,13 +437,17 @@ class Kernel:
             # tie with the policy's interrupt; the horizon does not — the
             # interrupt due there is still an interrupt (a grace period
             # may follow it), wherever a caller cuts the run.
-            preemptive = policy_stop <= horizon
-            stop = policy_stop if preemptive else horizon
+            stop = policy_stop
+            preemptive = True
             if event_heap:
                 next_event = events.next_time()
                 if next_event is not None and next_event <= stop:
                     stop = next_event
                     preemptive = False
+            self._stop = stop  # until the slice ends (see at())
+            if stop > horizon:
+                stop = horizon
+                preemptive = False
             # A switch cost can land the clock past the stop: the slice
             # is then of zero length (the progress guard below catches
             # genuine livelocks), and one the horizon cut is still held.
@@ -464,12 +467,8 @@ class Kernel:
                     self._pending_switch_kind = self._handle_forced_stop(thread)
                 else:  # FORCED by an event or the horizon
                     self._pending_switch_kind = SWITCH_INVOLUNTARY
-            if (
-                stop == horizon
-                and not preemptive
-                and outcome is SLICE_FORCED
-                and self._on_overtime_request is not None
-            ):
+            self._stop = 0
+            if stop == horizon and not preemptive and outcome is SLICE_FORCED:
                 self._held = (thread, policy_stop)
             if prof:
                 prof.end("kernel.dispatch")
@@ -535,8 +534,9 @@ class Kernel:
         # next run.
         honoured = notice <= grace
         thread.grace_pending = True
+        self._stop = self.now + (notice if honoured else grace)  # see at()
         try:
-            self._execute(thread, self.now + (notice if honoured else grace))
+            self._execute(thread, self._stop)
         finally:
             thread.grace_pending = False
         if not honoured:
@@ -589,23 +589,15 @@ class Kernel:
         A poll is the hold rule (see :meth:`run_until`) inside a slice.
         A thread picked from OvertimeRequested that asks for overtime
         again (``DonePeriod(overtime=True)``) changes no queue, so the
-        slice goes on while no scheduling event has fired — time short
-        of ``stop``, the next event still the one ``stop`` was set from
-        (a body may book one), not a grace slice, and time spent since
-        the last poll (or a body that polls without computing would
-        never leave the loop).  A continued poll is still a decision:
-        audited, and one phase.  When the op before it was the thread's
-        own ``Poll(ticks)``, the body promises (see
-        :class:`~repro.tasks.base.Poll`) to yield the same two ops again
-        after every further ``Poll``, so every poll that ends strictly
-        before ``stop`` is charged in one ``_consume``, each audited and
-        profiled at its end, the ``(tid, now)`` the loop would give.
+        slice goes on (:meth:`_poll`) while no scheduling event has
+        fired — a body's booking before the stop is one — with time
+        short of ``stop``, not in a grace slice, and with time spent
+        since the last poll (or a body that polls without computing
+        would never leave the loop).
         """
         ops_at_stop = 0
         clock = self.clock
         posted = self._posted
-        event_heap = self._event_heap
-        next_event = event_heap[0] if event_heap else None
         polled = clock.now
         # The ticks of the thread's own Poll when that was the last op
         # fetched, else 0.
@@ -687,39 +679,13 @@ class Kernel:
                 and op.overtime
                 and thread.wants_overtime  # declared done, with overtime
                 and not assigned
-                and self._on_overtime_request is not None
                 and polled < (now := clock.now) < stop
-                and (event_heap[0] if event_heap else None) is next_event
                 and not self._reschedule
                 and not thread.grace_pending
+                and self._poll(thread, now, stop, poll)
             ):
-                # A poll (see the docstring): the decision the loop would
-                # re-make, audited and profiled as one.
-                polled = now
-                prof = self.prof
-                sanitizer = self.sanitizer
-                if prof:
-                    prof.end("kernel.dispatch")
-                    prof.begin("kernel.dispatch")
-                if sanitizer is not None:
-                    sanitizer.on_pick(thread, now)
-                if poll:
-                    # The run of polls that end before the stop (see
-                    # the docstring), charged in one step.
-                    count = (stop - now - 1) // poll
-                    if count > 0:
-                        run = count * poll
-                        thread.pending_compute = run
-                        self._consume(thread, thread, run, False)
-                        polled = clock.now
-                        if prof or sanitizer is not None:
-                            for at in range(now + poll, polled + 1, poll):
-                                if prof:
-                                    prof.end("kernel.dispatch")
-                                    prof.begin("kernel.dispatch")
-                                if sanitizer is not None:
-                                    sanitizer.on_pick(thread, at)
-                    poll = 0
+                polled = clock.now
+                poll = 0
                 continue
             else:
                 poll = 0
@@ -734,6 +700,38 @@ class Kernel:
                     return result
             if self._reschedule:
                 return SLICE_INTERRUPTED
+
+    def _poll(self, thread: SimThread, now: int, stop: int, poll: int) -> bool:
+        """Continue ``thread``'s slice across a poll at ``now``: the
+        decision the loop would re-make, audited and profiled as one.
+
+        ``poll`` is the ticks of the thread's own ``Poll`` when that was
+        the op before this one, else 0.  The body then promises (see
+        :class:`~repro.tasks.base.Poll`) to yield the same two ops again
+        after every further ``Poll``, so every poll that ends strictly
+        before ``stop`` is charged in one ``_consume``, each audited and
+        profiled at its end, the ``(tid, now)`` the loop would give.
+        Returns whether the slice goes on (always, here).
+        """
+        prof = self.prof
+        sanitizer = self.sanitizer
+        if prof:
+            prof.end("kernel.dispatch")
+            prof.begin("kernel.dispatch")
+        if sanitizer is not None:
+            sanitizer.on_pick(thread, now)
+        count = (stop - now - 1) // poll if poll else 0
+        if count > 0:
+            thread.pending_compute = count * poll
+            self._consume(thread, thread, count * poll, False)
+            if prof or sanitizer is not None:
+                for at in range(now + poll, self.clock.now + 1, poll):
+                    if prof:
+                        prof.end("kernel.dispatch")
+                        prof.begin("kernel.dispatch")
+                    if sanitizer is not None:
+                        sanitizer.on_pick(thread, at)
+        return True
 
     def _crash(
         self, thread: SimThread, runner: SimThread, assigned: bool, exc: Exception
@@ -767,8 +765,8 @@ class Kernel:
         thread.wants_overtime = overtime
         if thread.completed_at < 0:
             thread.completed_at = self.clock.now
-        if overtime and self._on_overtime_request is not None:
-            self._on_overtime_request(thread)
+        if overtime:
+            self.policy.on_overtime_request(thread)
 
     def _apply_op(
         self, thread: SimThread, runner: SimThread, assigned: bool, op
@@ -841,8 +839,7 @@ class Kernel:
                 if thread.completed_at < 0:
                     thread.completed_at = end
                 # Out of granted time: an implicit overtime request.
-                if self._on_overtime_request is not None:
-                    self._on_overtime_request(thread)
+                self.policy.on_overtime_request(thread)
         else:
             kind = SEGMENT_ASSIGNED if assigned else SEGMENT_OVERTIME
             thread.overtime_used += run
@@ -939,8 +936,7 @@ class Kernel:
             )
         )
         self._reschedule = True
-        if self._on_wake is not None:
-            self._on_wake(thread)
+        self.policy.on_wake(thread)
 
     # -- period rollover ------------------------------------------------------------
 
@@ -1070,7 +1066,7 @@ class Kernel:
         thread.restart_pending = self._needs_restart(thread, old_grant, new_grant, changed)
         if thread.restart_pending:
             thread.pending_compute = 0
-        self._notify_period_open(thread)
+        self.policy.on_period_open(thread)
 
     def _open_period(self, thread: SimThread, grant: Grant, start: int) -> None:
         """Reset ``thread``'s per-period books for a period of ``grant``

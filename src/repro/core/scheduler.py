@@ -110,12 +110,6 @@ class RDScheduler:
         #: handed over.
         self._pending_increases: set[int] = set()
         kernel.bind_policy(self)
-        # Threads that started periods before this policy was bound (test
-        # harnesses drive start_first_period directly) never saw the
-        # period-open hook; seed the heaps with them.
-        for thread in kernel.periodic_threads():
-            if thread.in_period:
-                self.on_period_open(thread)
 
     # -- kernel notification hooks ---------------------------------------------
 

@@ -7,7 +7,8 @@ incrementally the way the core used to answer it, from scratch:
   timer and the earliest preempting boundary by scanning every periodic
   thread, never reading the scheduler's lazy heaps;
 * :class:`FromScratchKernel` — channel wakes by walking every blocked
-  thread in block order;
+  thread in block order, and a fresh pick at every poll and every cut
+  where the kernel holds the slice;
 * :class:`ReferenceCorrelator` — grant control without the per-list
   tables or the grant cache: every helper re-derives its candidates
   from the entries, and every result is built from scratch;
@@ -46,10 +47,7 @@ class FromScratchScheduler(RDScheduler):
     """RDScheduler with every heap read replaced by the scan it retired.
 
     The heaps are still pushed to (the hooks are the same object's), but
-    nothing here reads them.  The kernel is not told of overtime
-    requests (:func:`reference_stack` unbinds that hook), so like a
-    baseline it re-picks after every poll instead of continuing the
-    slice.
+    nothing here reads them.
     """
 
     def _scan_ready(self, now):
@@ -101,8 +99,19 @@ class FromScratchScheduler(RDScheduler):
 
 
 class FromScratchKernel(Kernel):
-    """Kernel that delivers posts the way it used to: walk every
-    blocked thread in the order they blocked and try its channel."""
+    """Kernel that delivers posts the way it used to — walk every
+    blocked thread in the order they blocked and try its channel — and
+    re-picks where the kernel holds a slice: at every poll and at every
+    cut.  The scans read no queue the hooks feed, so a re-pick checks
+    that nothing a hold skipped could have moved; only this class
+    selects it."""
+
+    def run_until(self, horizon):
+        self._held = None  # every cut is a decision
+        super().run_until(horizon)
+
+    def _poll(self, thread, now, stop, poll):
+        return False  # every poll ends the slice
 
     def _deliver_posts(self):
         self._posted.clear()
@@ -409,15 +418,12 @@ def reference_stack(rd) -> None:
     been admitted to yet.  Same object layout, overridden reads: the two
     stacks differ only in how the queue heads, the two timers, the
     threads a post wakes and the grant set are found — and in how often
-    the queue heads are asked for: the kernel holds a slice across a
-    poll and across a horizon cut only for a policy whose overtime hook
-    keeps OvertimeRequested current, and the scans read no heap the hook
-    feeds, so the reference re-picks after every poll and at every cut.
-    A cut is no decision on the shipped stack alone: judge a cut run by
+    the queue heads are asked for: the reference re-picks after every
+    poll and at every cut, where the shipped kernel holds the slice.  A
+    cut is no decision on the shipped stack alone: judge a cut run by
     the reference's one-call run."""
     rd.scheduler.__class__ = FromScratchScheduler
     rd.kernel.__class__ = FromScratchKernel
-    rd.kernel._on_overtime_request = None
     manager = rd.resource_manager
     shipped = manager.grant_control
     manager.grant_control = ReferenceCorrelator(

@@ -25,10 +25,13 @@ from repro import (
 )
 from repro.baselines.base import BaselineSystem
 from repro.core.distributor import ResourceDistributor
+from repro.core.kernel import POLICY_METHODS, Kernel
 from repro.core.resource_list import ResourceList, ResourceListEntry
+from repro.core.scheduler import RDScheduler
 from repro.core.sporadic import POLL_COST
 from repro.core.threads import ThreadState
 from repro.errors import SchedulerError, TaskError
+from repro.fuzz.reference import reference_stack
 from repro.obs.prof import PhaseProfiler
 from repro.tasks.base import (
     AssignGrant,
@@ -187,14 +190,28 @@ class TestWakeDelivery:
 
 
 class TestHooklessPolicy:
-    def test_policy_without_hooks_still_schedules_blocking_tasks(self):
-        """The baselines define none of the notification hooks and keep
-        polling thread state; the kernel must not require them."""
+    @pytest.mark.parametrize(
+        "hook", ["on_period_open", "on_wake", "on_overtime_request"]
+    )
+    def test_refused_lacking(self, hook):
+        """The hooks are the policy interface, not an option: the kernel
+        calls them without checking, so a policy that lacks one is
+        refused when bound, by name, and the kernel stays unbound."""
+        methods = {
+            name: lambda *args: None for name in POLICY_METHODS if name != hook
+        }
+        policy = type("Partial", (), methods)()
+        kernel = Kernel(MachineConfig.ideal(), SimConfig(seed=3))
+        with pytest.raises(SchedulerError, match=f"Partial .* lacks {hook}$"):
+            kernel.bind_policy(policy)
+        assert kernel.policy is None
+
+    def test_a_baseline_wakes_through_the_hooks(self):
+        """A baseline is the RD's Scheduler without a Resource Manager:
+        its wake reaches the heaps through the hook, and a waiter
+        shares the CPU with a greedy task without a miss."""
         system = BaselineSystem(machine=MachineConfig.ideal(), sim=SimConfig(seed=3))
-        kernel = system.kernel
-        assert kernel._on_period_open is None
-        assert kernel._on_wake is None
-        assert kernel._on_overtime_request is None
+        assert isinstance(system.policy, RDScheduler)
         channel = Channel("c")
         log = []
         waiter = system.admit(one_entry("waiter", blocker(channel, log, "waiter")))
@@ -287,29 +304,36 @@ def counted_picks(policy):
 class TestPolls:
     """A poll — ``DonePeriod(overtime=True)`` from a thread already on
     OvertimeRequested — changes no queue.  The kernel keeps the slice
-    going under a policy whose overtime hook keeps that queue current,
-    and re-picks under one without."""
+    going under every policy; only the from-scratch reference re-picks."""
 
-    def test_the_rd_continues_and_a_baseline_re_picks(self):
+    def test_baselines_continue_and_the_reference_re_picks(self):
         rd = ResourceDistributor(
             machine=MachineConfig.ideal(), sim=SimConfig(seed=3),
             sanitize=True, sanitize_strict=True,
         )
         system = BaselineSystem(machine=MachineConfig.ideal(), sim=SimConfig(seed=3))
+        reference = ResourceDistributor(
+            machine=MachineConfig.ideal(), sim=SimConfig(seed=3)
+        )
+        reference_stack(reference)
         runs = []
-        for owner, policy in ((rd, rd.scheduler), (system, system.policy)):
+        for owner, policy in (
+            (rd, rd.scheduler),
+            (system, system.policy),
+            (reference, reference.scheduler),
+        ):
             polls = []
             owner.admit(one_entry("poller", poller(polls)))
             picks = counted_picks(policy)
             owner.run_for(ms(100))
             runs.append((polls, picks))
-        (rd_polls, rd_picks), (base_polls, base_picks) = runs
-        assert rd.trace.segments == system.trace.segments
-        assert rd_polls == base_polls and len(rd_polls) > 7_000
+        (rd_polls, rd_picks), (base_polls, base_picks), (ref_polls, ref_picks) = runs
+        assert rd.trace.segments == system.trace.segments == reference.trace.segments
+        assert rd_polls == base_polls == ref_polls and len(rd_polls) > 7_000
         # Ten periods: a pick at each open and one when the grant runs out.
-        assert len(rd_picks) <= 30
+        assert len(rd_picks) <= 30 and len(base_picks) <= 30
         assert rd.sanitizer.ok and rd.sanitizer.decisions_checked > len(rd_polls)
-        assert len(base_picks) > len(base_polls)
+        assert len(ref_picks) > len(ref_polls)
 
     def test_a_poll_that_spends_no_time_is_still_a_livelock(self, ideal_rd):
         def spinner(ctx):

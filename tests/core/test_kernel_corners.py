@@ -165,6 +165,42 @@ class TestEventApi:
         with pytest.raises(SimulationError):
             ideal_rd.kernel.at(ms(5), lambda: None)
 
+    def test_an_event_a_body_books_in_its_slice_fires_when_due(self, ideal_rd):
+        """A booking due before the running slice's stop is a scheduling
+        event: the slice, whose stop was set without it, does not run
+        past it, so the event fires when due, not at the slice's end."""
+        fired = []
+
+        def task(ctx):
+            yield Compute(ms(1))
+            due = ctx.now + ms(1)
+            ideal_rd.at(due, lambda: fired.append((due, ideal_rd.now)))
+            yield Compute(ms(5))
+            yield DonePeriod()
+
+        thread = ideal_rd.admit(one_entry("booker", task, period_ms=20, rate=0.5))
+        ideal_rd.run_for(ms(20))
+        assert fired == [(ms(2), ms(2))]
+        assert thread.total_used_ticks == ms(6) and ideal_rd.trace.misses() == []
+
+    def test_an_event_booked_in_a_grace_slice_fires_when_due(self):
+        """A grace slice is a slice: a booking due inside it ends it."""
+        us = units.us_to_ticks
+        rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=7))
+        fired = []
+
+        def task(ctx):
+            # Cut at 10 ms; the last 20 us run in the grace slice.
+            yield Compute(ms(10) + us(20) - ctx.now)
+            due = ctx.now + us(50)
+            rd.at(due, lambda: fired.append((due, rd.now)))
+            yield Compute(us(500))
+            yield DonePeriod()
+
+        TestWholeOpRuns._polite_run(rd, task)
+        rd.run_for(ms(1))
+        assert fired == [(ms(10) + us(70), ms(10) + us(70))]
+
     def test_run_until_requires_policy(self):
         from repro import MachineConfig, SimConfig
         from repro.core.kernel import Kernel
@@ -244,8 +280,8 @@ class TestWholeOpRuns:
             yield Compute(ms(1))
 
         thread = ideal_rd.admit(one_entry("spender", task))
-        hook = ideal_rd.kernel._on_overtime_request
-        ideal_rd.kernel._on_overtime_request = lambda t: (
+        hook = ideal_rd.scheduler.on_overtime_request
+        ideal_rd.scheduler.on_overtime_request = lambda t: (
             requests.append((t.name, ideal_rd.now)),
             hook(t),
         )

@@ -38,6 +38,14 @@ is no decision*: the kernel resumes a slice a call's horizon cut
 without ``pick`` and ``timer_for``, so the cut run also makes the
 one-call run's audited ``(tid, now)`` decisions and profiled phases,
 plus at most one ``kernel.dispatch`` phase per cut.
+
+The last two run the baselines, each a subclass of the RD's Scheduler.
+*Every baseline is cut-inert*: all five, SMART in overload and in
+underload, on both machines, stepped every drawn number of ticks or cut
+at drawn ticks, make the run one call makes.  And *the baselines' heaps
+match the retired scans*: with ``EnforcingEdfPolicy``'s old scan-based
+pick and timers patched back in under every baseline, the run is the
+same.
 """
 
 from __future__ import annotations
@@ -49,10 +57,22 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import AdmissionError, MachineConfig, SimConfig, SporadicServer, units
-from repro.baselines import SmartSystem
+from repro.baselines import (
+    EnforcingEdfPolicy,
+    NaiveEdfSystem,
+    RateMonotonicSystem,
+    ReservesSystem,
+    RialtoSystem,
+    SmartSystem,
+)
 from repro.core.distributor import ResourceDistributor
 from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.core.threads import ThreadState
+from repro.core.threads import (
+    ThreadState,
+    earlier_time_remaining,
+    scan_overtime,
+    scan_time_remaining,
+)
 from repro.fuzz.reference import reference_stack
 from repro.obs.prof import PhaseProfiler
 from repro.tasks.base import (
@@ -844,3 +864,185 @@ def test_a_cut_that_is_not_yet_inert(case, machine):
     whole, _ = run_stream(stream, cuts=[], machine=machine)
     split, _ = run_stream(stream, cuts=cuts, machine=machine)
     assert_same_run(whole.kernel, split.kernel)
+
+
+#: Every baseline, as its system class.  SMART is drawn in overload
+#: (its fair-share quanta) and in underload (the RD's EDF).
+BASELINES = {
+    "reserves": ReservesSystem,
+    "smart": SmartSystem,
+    "rialto": RialtoSystem,
+    "naive-edf": NaiveEdfSystem,
+    "rate-monotonic": RateMonotonicSystem,
+}
+#: The bodies a baseline can run: the meddler calls a Resource Manager.
+BASELINE_BODIES = [body for body in BODIES if body != "meddler"]
+#: SMART in overload: 3 tasks at 50/45/40 % of the CPU.
+OVERLOAD = [(10, 50, "follower", 0), (15, 45, "overtimer", 0), (30, 40, "macroblock", 3)]
+
+
+@st.composite
+def baseline_runs(draw):
+    """A baseline, its task set, posts to the blockers' channels, and
+    the machine; SMART also draws overload or underload."""
+    name = draw(st.sampled_from(sorted(BASELINES)))
+    overload = name == "smart" and draw(st.booleans())
+    tasks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([5, 10, 15, 30]),  # period, ms
+                st.integers(min_value=5, max_value=30),  # rate, %
+                st.sampled_from(BASELINE_BODIES),
+                st.integers(min_value=0, max_value=3),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    posts = draw(st.lists(st.integers(min_value=1, max_value=129), max_size=6))
+    return name, (OVERLOAD + tasks if overload else tasks), posts, draw(st.booleans())
+
+
+def run_baseline(case, step=None, cuts=None):
+    """Run ``case`` to 130 ms in one call, in ``run_for(step)`` calls, or
+    in one ``run_until`` per cut and one to the horizon."""
+    name, tasks, posts, calibrated = case
+    system = BASELINES[name](
+        machine=MachineConfig() if calibrated else MachineConfig.ideal(),
+        sim=SimConfig(seed=1),
+    )
+    channels = [Channel("c0"), Channel("c1")]
+    seen = []
+    for i, (period_ms, rate, body, n) in enumerate(tasks):
+        definition = _definition(
+            system, f"t{i}", period_ms, rate / 100.0, body, channels[n % 2], n,
+            merged, seen, None,
+        )
+        try:
+            system.admit(definition)
+        except AdmissionError:
+            pass
+    for i, at_ms in enumerate(posts):
+        system.at(units.ms_to_ticks(at_ms), channels[i % 2].post)
+    if step is not None:
+        while system.now < HORIZON:
+            system.run_for(min(step, HORIZON - system.now))
+    else:
+        for cut in sorted(set(cuts or [])):
+            system.run_until(cut)
+        system.run_until(HORIZON)
+    return system, seen
+
+
+# The failure this property was written for: SMART in overload, stepped
+# every 0.37 ms, re-picked at every cut and made 2.8 times the switches
+# of one call when the kernel held a slice only for the RD's Scheduler.
+@example(("smart", OVERLOAD, [], False), units.us_to_ticks(370), None)
+@given(
+    baseline_runs(),
+    st.one_of(st.none(), st.integers(min_value=1_000, max_value=units.ms_to_ticks(7))),
+    cut_times,
+)
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_every_baseline_is_cut_inert(case, step, cuts):
+    """A baseline gets the kernel's hold rule as the RD's Scheduler
+    does: its run stepped in many calls — every ``step`` ticks, or at
+    drawn cuts — is the run one call makes."""
+    whole, whole_seen = run_baseline(case, cuts=[])
+    split, split_seen = run_baseline(case, step=step, cuts=cuts)
+    assert_same_run(whole.kernel, split.kernel)
+    assert whole_seen == split_seen
+
+
+# -- the retired scans of EnforcingEdfPolicy, the reference its heaps are
+# held to: the policy read every periodic thread on every pick and timer.
+
+
+def _retired_boundary(thread, now):
+    if thread.state is not ThreadState.ACTIVE or not thread.in_period:
+        return None
+    return thread.period_start if thread.period_start > now else thread.deadline
+
+
+def _retired_pick(self, now):
+    remaining = scan_time_remaining(self.kernel.periodic_threads(), now)
+    if remaining:
+        return remaining[0]
+    overtime = scan_overtime(self.kernel.periodic_threads(), now)
+    if overtime:
+        return overtime[0]
+    return self.kernel.idle
+
+
+def _retired_timer_for(self, thread, now):
+    if thread.is_idle or not thread.eligible_time_remaining(now):
+        return self._unallocated_timer(thread, now)
+    grant_end = now + thread.remaining
+    limit = min(grant_end, thread.deadline)
+    boundary = self._earliest_preempting_boundary(thread, now, limit)
+    return boundary if boundary is not None else limit
+
+
+def _retired_preemption_imminent(self, thread, now):
+    return earlier_time_remaining(thread, self.kernel.periodic_threads(), now)
+
+
+def _retired_unallocated_timer(self, thread, now):
+    stop = units.INFINITE
+    if not thread.is_idle and thread.in_period:
+        stop = thread.deadline
+    for other in self.kernel.periodic_threads():
+        boundary = _retired_boundary(other, now)
+        if boundary is not None and now < boundary < stop:
+            stop = boundary
+    return stop
+
+
+def _retired_earliest_preempting_boundary(self, thread, now, limit):
+    best = None
+    for other in self.kernel.periodic_threads():
+        if other is thread:
+            continue
+        boundary = _retired_boundary(other, now)
+        if boundary is None or boundary <= now or boundary >= limit:
+            continue
+        next_deadline = (
+            other.deadline
+            if other.period_start > now
+            else boundary + (other.grant.period if other.grant else units.INFINITE)
+        )
+        if next_deadline >= thread.deadline:
+            continue
+        if best is None or boundary < best:
+            best = boundary
+    return best
+
+
+RETIRED_SCANS = {
+    "pick": _retired_pick,
+    "timer_for": _retired_timer_for,
+    "preemption_imminent": _retired_preemption_imminent,
+    "_unallocated_timer": _retired_unallocated_timer,
+    "_earliest_preempting_boundary": _retired_earliest_preempting_boundary,
+}
+
+
+@given(baseline_runs())
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_baseline_heaps_match_the_retired_scans(case):
+    """Every baseline picks and sets timers through the RD's lazy heaps
+    where it used to scan: with ``EnforcingEdfPolicy``'s retired scans
+    patched back in under it (what SMART, naive EDF and Rate-Monotonic
+    call through ``super()`` or the timer helpers included), the run is
+    the same."""
+    heaps, heaps_seen = run_baseline(case, cuts=[])
+    with pytest.MonkeyPatch.context() as patch:
+        for name, method in RETIRED_SCANS.items():
+            patch.setattr(EnforcingEdfPolicy, name, method, raising=False)
+        scans, scans_seen = run_baseline(case, cuts=[])
+    assert_same_run(heaps.kernel, scans.kernel)
+    assert heaps_seen == scans_seen
