@@ -12,10 +12,13 @@ over the same sites, through the shared :mod:`benchmarks.overhead`
 helper — interleaved, gc-paused per-variant minima, in calibration-loop
 steps, a second window before a failure.  What a recording session
 costs per event, (session − disabled) ÷ the same count, is reported
-beside it and not gated, and so is the derive half of observing: what
-the metrics catch-up (one ``session.registry`` read) costs per folded
-row, (session + read − session) ÷ the same count (``rack_observed`` in
-``benchmarks/e2e`` owns the end-to-end cost of observing).
+beside it and not gated — once through the bus's own ``emit_*`` and
+once through ``ObsSession().scoped("node00")``, the node scope cluster
+nodes and ``repro serve`` record through — and so is the derive half
+of observing: what the metrics catch-up (one ``session.registry``
+read) costs per folded row, (session + read − session) ÷ the same
+count (``rack_observed`` in ``benchmarks/e2e`` owns the end-to-end
+cost of observing).
 
 The sites are driven directly (``builders.drive_hook_sites``) rather
 than through a scenario.  A whole-run difference cannot resolve the
@@ -47,6 +50,7 @@ BUDGET_STEPS = 0.67
 DISABLED = "disabled (obs=None)"
 NO_SINK = "no-sink (ObsBus, 0 subscribers)"
 SESSION = "full session (columnar arenas)"
+SCOPED = "full session, node-scoped (scoped(node))"
 DERIVE = "full session + registry read (catch-up)"
 
 
@@ -61,6 +65,7 @@ VARIANTS = {
     DISABLED: lambda: drive_hook_sites(None, SITES),
     NO_SINK: lambda: drive_hook_sites(ObsBus(), SITES),
     SESSION: lambda: drive_hook_sites(ObsSession().bus, SITES),
+    SCOPED: lambda: drive_hook_sites(ObsSession().scoped("node00"), SITES),
     DERIVE: record_and_derive,
 }
 
@@ -82,15 +87,17 @@ def test_obs_disabled_overhead_within_budget(report):
         BUDGET_STEPS,
     )
     record_s, record_steps = unit_cost(samples, SESSION, DISABLED, events)
+    scoped_s, scoped_steps = unit_cost(samples, SCOPED, DISABLED, events)
     derive_s, derive_steps = unit_cost(samples, DERIVE, SESSION, events)
     table = render_samples(f"repro.obs overhead — {SITES} hook sites", samples)
     table += (
         f"\n{events} events recorded by the session: the unsinked guard costs "
         f"{guard_s * 1e6:.3f} us per site = {guard_steps:.2f} calibration "
         f"steps (budget {BUDGET_STEPS}); recording costs "
-        f"{record_s * 1e6:.2f} us per event = {record_steps:.1f} steps, "
-        f"and the catch-up folds them into the metrics at {derive_s * 1e6:.2f} us "
-        f"per row = {derive_steps:.1f} steps, neither gated"
+        f"{record_s * 1e6:.2f} us per event = {record_steps:.1f} steps through "
+        f"the bus and {scoped_s * 1e6:.2f} us = {scoped_steps:.1f} steps through "
+        f"a node scope, and the catch-up folds them into the metrics at "
+        f"{derive_s * 1e6:.2f} us per row = {derive_steps:.1f} steps, none gated"
     )
     report("obs_overhead", table)
 

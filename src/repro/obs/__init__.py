@@ -50,7 +50,6 @@ from repro.obs.events import (
     PeriodCloseEvent,
     PolicyResolutionEvent,
     RpcEvent,
-    ScopedBus,
     SloAlertEvent,
     SwitchEvent,
     ViolationEvent,
@@ -81,7 +80,6 @@ __all__ = [
     "PolicyResolutionEvent",
     "RpcEvent",
     "SCHEMA_VERSION",
-    "ScopedBus",
     "SloAlertEvent",
     "Span",
     "SpanTracker",

@@ -290,7 +290,7 @@ class ObsBus:
 
     def emit(self, event: ObsEvent, node: str = "") -> None:
         """Hand ``event`` to every subscriber; ``node`` names where a
-        node-less event happened (a :class:`ScopedBus` passes its own)."""
+        node-less event happened (a node scope passes its own)."""
         if not self._subscribers:
             return
         if node and not event.node:
@@ -380,73 +380,3 @@ class ObsBus:
                     trace_id=trace_id,
                 )
             )
-
-
-class ScopedBus:
-    """A bus view that stamps every event with a node name.
-
-    A cluster run shares one :class:`ObsBus` across all nodes; each
-    node's distributor holds a scope so its events say where they
-    happened without core ever learning it is clustered.  The stamp is
-    the ``node`` argument of the bus it wraps: a columnar bus writes it
-    into the row, and a typed copy of the event is made only for a
-    subscriber to see.
-    """
-
-    def __init__(self, bus: ObsBus, node: str) -> None:
-        self._bus = bus
-        self.node = node
-
-    def subscribe(self, sink: Callable[[ObsEvent], None]) -> None:
-        self._bus.subscribe(sink)
-
-    def unsubscribe(self, sink: Callable[[ObsEvent], None]) -> None:
-        self._bus.unsubscribe(sink)
-
-    def __bool__(self) -> bool:
-        return bool(self._bus)
-
-    def emit(self, event: ObsEvent) -> None:
-        self._bus.emit(event, node=self.node)
-
-    def emit_switch(
-        self,
-        time: int,
-        from_thread: int,
-        to_thread: int,
-        kind: str,
-        cost_ticks: int,
-        node: str = "",
-    ) -> None:
-        self._bus.emit_switch(
-            time, from_thread, to_thread, kind, cost_ticks, node=node or self.node
-        )
-
-    def emit_period_close(
-        self,
-        time: int,
-        thread_id: int,
-        period_index: int,
-        start: int,
-        completion: int,
-        granted: int,
-        delivered: int,
-        missed: bool,
-        voided: bool,
-        node: str = "",
-    ) -> None:
-        self._bus.emit_period_close(
-            time,
-            thread_id,
-            period_index,
-            start,
-            completion,
-            granted,
-            delivered,
-            missed,
-            voided,
-            node=node or self.node,
-        )
-
-    def emit_activation(self, time: int, pending: int, node: str = "") -> None:
-        self._bus.emit_activation(time, pending, node=node or self.node)

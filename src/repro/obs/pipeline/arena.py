@@ -8,7 +8,11 @@ per-event dict — and the typed events become *views* materialized on
 demand (for export, analysis or a live subscriber; metrics fold the columns).
 :class:`ArenaBus` is the drop-in bus: hot sites keep their
 ``if self.obs:`` guard and their one ``emit_*`` call; only the bus
-decides that the record lands in columns instead of an object.
+decides that the record lands in columns instead of an object.  Rows
+are written through a node's :class:`NodeScope` (what a cluster node
+records through), whose row writer per kind holds each column's bound
+``append``: a row is one call per column, in the one Python frame of
+its ``emit_*``.
 
 Arenas are optionally *ring-buffered*: with a ``capacity``, appending
 past it evicts the globally oldest retained row.  Evicting a row that
@@ -102,28 +106,6 @@ class EventArena:
         kind = self.kinds.get(tag)
         return 0 if kind is None else kind.emitted()
 
-    # -- the hot path ------------------------------------------------------
-
-    def append_row(self, tag: str, values: tuple) -> None:
-        """Append one record as scalars, in ``FIELD_PLANS[tag]`` order."""
-        kind = self.kinds.get(tag)
-        if kind is None:
-            if tag not in FIELD_PLANS:
-                raise SimulationError(f"unknown event kind {tag!r}")
-            kind = self.kinds[tag] = _Kind(tag)
-        for column, value in zip(kind.lists, values):
-            column.append(value)
-        self.order.append(tag)
-        if (
-            self.capacity is not None
-            and len(self.order) - self._order_head > self.capacity
-        ):
-            self._evict_one()
-
-    def append_event(self, event: ObsEvent) -> None:
-        tag = event.type
-        self.append_row(tag, _ROW_GETTERS[tag](event))
-
     def _evict_one(self) -> None:
         tag = self.order[self._order_head]
         abs_index = self._order_base + self._order_head
@@ -186,67 +168,151 @@ class EventArena:
             "overwritten": dict(sorted(self.overwritten.items())),
         }
 
-    # -- materializing views ----------------------------------------------
 
-    def materialize(self) -> list[ObsEvent]:
-        """The live rows as typed events, in emission order."""
-        cursors = {tag: kind.head for tag, kind in self.kinds.items()}
-        events: list[ObsEvent] = []
-        for tag in self.order[self._order_head :]:
-            kind = self.kinds[tag]
-            row = cursors[tag]
-            cursors[tag] = row + 1
-            values = {
-                name: column[row]
-                for name, column in zip(kind.fields, kind.lists)
-            }
-            events.append(EVENT_TYPES[tag](**values))
-        return events
+class NodeScope:
+    """One node's recording face: ``emit*`` write rows into its arena.
 
+    A cluster run shares one :class:`ArenaBus` across all nodes; each
+    node's distributor holds its scope, so its rows say where they
+    happened without core ever learning it is clustered.  The scope
+    keeps one row writer per kind, bound when the kind's first row is
+    written: each column's bound ``append``, the arena order's and the
+    bus order's, and the ``(node, tag)`` key the bus order shares.
 
-class StreamCursor:
-    """A resumable read position in an :class:`ArenaBus`'s global order."""
+    Every row takes the same steps: one append per column, the two order
+    appends, then — only with a ring or a subscriber — eviction once
+    past capacity and one typed event for the subscribers.  A scope is
+    always truthy (it defines neither ``__bool__`` nor ``__len__``).
+    """
 
-    __slots__ = ("index", "rows")
+    def __init__(self, bus: "ArenaBus", node: str) -> None:
+        self.node = node
+        self.arena = EventArena(node=node, capacity=bus.capacity)
+        self._bus = bus
+        self._ring = bus.capacity is not None
+        self._subscribers = bus._subscribers
+        self._writers: dict[str, tuple] = {}
 
-    def __init__(self) -> None:
-        #: Next unread entry of the bus's global order list.
-        self.index = 0
-        #: (node, kind) -> rows of that key already passed (absolute).
-        self.rows: dict[tuple[str, str], int] = {}
+    def _bind(self, tag: str) -> tuple:
+        """The ``tag`` row writer (its first row creates the kind, and
+        the node's first row puts its arena on the bus)."""
+        if tag not in FIELD_PLANS:
+            raise SimulationError(f"unknown event kind {tag!r}")
+        arena = self._bus.arena(self.node)
+        kind = arena.kinds[tag] = _Kind(tag)
+        writer = self._writers[tag] = (
+            *(column.append for column in kind.lists),
+            arena.order.append,
+            self._bus._order.append,
+            (self.node, tag),
+        )
+        return writer
+
+    def _settle(self, tag: str) -> None:
+        """A row's steps after its appends: evict once past capacity,
+        then hand the row to each subscriber as one typed event."""
+        arena = self.arena
+        if self._ring and len(arena) > arena.capacity:
+            arena._evict_one()
+        if self._subscribers:
+            columns = arena.kinds[tag].columns
+            event = EVENT_TYPES[tag](**{n: c[-1] for n, c in columns.items()})
+            for sink in self._subscribers:
+                sink(event)
+
+    def _write(self, tag: str, row: tuple) -> None:
+        """Record ``row`` (``FIELD_PLANS[tag]`` order, this node's name in it)."""
+        *appends, order, stream, key = self._writers.get(tag) or self._bind(tag)
+        any(map(operator.call, appends, row))  # each append returns None
+        order(tag)
+        stream(key)
+        if self._ring or self._subscribers:
+            self._settle(tag)
+
+    def emit(self, event: ObsEvent) -> None:
+        """Record ``event``; one with no node of its own happened here."""
+        self._bus.emit(event, self.node)
+
+    # The two hottest kinds call their writer's appends in the emitter's own
+    # frame (``ArenaBus.emit_rpc`` too): one Python frame a row.
+
+    def emit_switch(self, time, from_thread, to_thread, kind, cost_ticks) -> None:
+        t, n, f, to, k, c, order, stream, key = (
+            self._writers.get("context-switch") or self._bind("context-switch")
+        )
+        t(time)
+        n(self.node)
+        f(from_thread)
+        to(to_thread)
+        k(kind)
+        c(cost_ticks)
+        order("context-switch")
+        stream(key)
+        if self._ring or self._subscribers:
+            self._settle("context-switch")
+
+    def emit_period_close(
+        self, time, thread_id, period_index, start, completion, granted,
+        delivered, missed, voided,
+    ) -> None:
+        t, n, th, p, s, c, g, d, m, v, order, stream, key = (
+            self._writers.get("period-close") or self._bind("period-close")
+        )
+        t(time)
+        n(self.node)
+        th(thread_id)
+        p(period_index)
+        s(start)
+        c(completion)
+        g(granted)
+        d(delivered)
+        m(missed)
+        v(voided)
+        order("period-close")
+        stream(key)
+        if self._ring or self._subscribers:
+            self._settle("period-close")
+
+    def emit_activation(self, time, pending) -> None:
+        self._write("activation", (time, self.node, pending))
 
 
 class ArenaBus(ObsBus):
     """An ObsBus whose default sink is columnar arenas, one per node.
 
     Always truthy — the arena *is* the subscriber — so guarded hot
-    sites emit into it unconditionally.  ``emit_*`` fast paths append
-    scalars straight into the node's arena; generic :meth:`emit`
-    decomposes the event it is given.  Ordinary subscribers (a live SLO
-    engine, a serve-layer event stream) still work: when any are
-    attached, the fast paths materialize the event once and fan it out
-    after appending.
+    sites emit into it unconditionally.  Every row is written through
+    its node's :class:`NodeScope`; generic :meth:`emit` decomposes the
+    event it is given.  Ordinary subscribers (a live SLO engine, a
+    serve-layer event stream) still work: when any are attached, each
+    row is handed to them as one typed event after it is appended.
 
     The bus also keeps the global cross-node interleave, so the whole
-    stream can be exported in emission order (and read incrementally
-    through a :class:`StreamCursor`).
+    stream can be exported in emission order.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
         super().__init__()
         self.capacity = capacity
         self.arenas: dict[str, EventArena] = {}
+        self._scopes: dict[str, NodeScope] = {}
         self._order: list[tuple[str, str]] = []
 
     def __bool__(self) -> bool:
         return True
 
+    def scope(self, node: str = "") -> NodeScope:
+        """``node``'s recording scope; its arena joins :attr:`arenas`
+        with the node's first row."""
+        scope = self._scopes.get(node)
+        if scope is None:
+            scope = self._scopes[node] = NodeScope(self, node)
+        return scope
+
     def arena(self, node: str = "") -> EventArena:
         arena = self.arenas.get(node)
         if arena is None:
-            arena = self.arenas[node] = EventArena(
-                node=node, capacity=self.capacity
-            )
+            arena = self.arenas[node] = self.scope(node).arena
         return arena
 
     @property
@@ -259,124 +325,104 @@ class ArenaBus(ObsBus):
 
     # -- emission ----------------------------------------------------------
 
-    def _append(
-        self, node: str, tag: str, values: tuple, event: ObsEvent | None = None
-    ) -> None:
-        """Record one row (``values`` in ``FIELD_PLANS[tag]`` order); the
-        typed event exists only if a subscriber is attached to see it."""
-        self.arena(node).append_row(tag, values)
-        self._order.append((node, tag))
-        if self._subscribers:
-            if event is None:
-                event = EVENT_TYPES[tag](**dict(zip(FIELD_PLANS[tag], values)))
-            for sink in self._subscribers:
-                sink(event)
-
     def emit(self, event: ObsEvent, node: str = "") -> None:
         """Record ``event``'s row; ``node`` stamps a node-less event (a
-        :class:`~repro.obs.events.ScopedBus` passes its own) in the row,
-        so the typed copy is built only for a subscriber."""
+        :class:`NodeScope` passes its own) in the row."""
         tag = event.type
-        values = _ROW_GETTERS[tag](event)
-        if node and not values[1]:
-            self._append(node, tag, (values[0], node, *values[2:]))
+        row = _ROW_GETTERS[tag](event)
+        if node and not row[1]:
+            self.scope(node)._write(tag, (row[0], node, *row[2:]))
         else:
-            self._append(values[1], tag, values, event)
+            self.scope(row[1])._write(tag, row)
 
-    def emit_switch(
-        self,
-        time: int,
-        from_thread: int,
-        to_thread: int,
-        kind: str,
-        cost_ticks: int,
-        node: str = "",
-    ) -> None:
-        self._append(
-            node,
-            "context-switch",
-            (time, node, from_thread, to_thread, kind, cost_ticks),
+    # The typed emitters (signatures on ObsBus) write through ``node``'s scope.
+
+    def emit_switch(self, *row, node: str = "") -> None:
+        (self._scopes.get(node) or self.scope(node)).emit_switch(*row)
+
+    def emit_period_close(self, *row, node: str = "") -> None:
+        (self._scopes.get(node) or self.scope(node)).emit_period_close(*row)
+
+    def emit_activation(self, *row, node: str = "") -> None:
+        (self._scopes.get(node) or self.scope(node)).emit_activation(*row)
+
+    def emit_rpc(self, time, action, src, dst, kind, request_id, trace_id) -> None:
+        """A bus hop: a node-less ``rpc`` row with ``attempt`` 0."""
+        scope = self._scopes.get("") or self.scope("")
+        t, n, a, s, d, k, r, at, tr, order, stream, key = (
+            scope._writers.get("rpc") or scope._bind("rpc")
         )
-
-    def emit_period_close(
-        self,
-        time: int,
-        thread_id: int,
-        period_index: int,
-        start: int,
-        completion: int,
-        granted: int,
-        delivered: int,
-        missed: bool,
-        voided: bool,
-        node: str = "",
-    ) -> None:
-        self._append(
-            node,
-            "period-close",
-            (
-                time,
-                node,
-                thread_id,
-                period_index,
-                start,
-                completion,
-                granted,
-                delivered,
-                missed,
-                voided,
-            ),
-        )
-
-    def emit_activation(self, time: int, pending: int, node: str = "") -> None:
-        self._append(node, "activation", (time, node, pending))
-
-    def emit_rpc(
-        self,
-        time: int,
-        action: str,
-        src: str,
-        dst: str,
-        kind: str,
-        request_id: str,
-        trace_id: str,
-    ) -> None:
-        self._append(
-            "", "rpc", (time, "", action, src, dst, kind, request_id, 0, trace_id)
-        )
+        t(time)
+        n("")
+        a(action)
+        s(src)
+        d(dst)
+        k(kind)
+        r(request_id)
+        at(0)
+        tr(trace_id)
+        order("rpc")
+        stream(key)
+        if scope._ring or scope._subscribers:
+            scope._settle("rpc")
 
     # -- whole-stream views ------------------------------------------------
 
-    def _walk(self, cursor: StreamCursor):
-        """Yield ``(kind, row)`` for every live row past ``cursor``, in
-        global order, and advance the cursor to the end of the stream.
+    def _ranges(self, passed: dict, node: str, tags=None, ordered=()) -> list:
+        """``node``'s live rows past ``passed`` — (node, kind) -> absolute
+        rows already read, moved to the end here — as ``(kind, start,
+        stop)`` list positions, one range per kind in ``tags`` (a
+        sequence; every kind when None).  Ranges of ``ordered`` kinds
+        come last, the one holding the node's newest such row at the very
+        end, so a fold in which the last writer wins sees them in order.
 
-        Rows evicted from a ring arena are the *oldest* of their
-        (node, kind), so an order entry whose absolute kind-row index
-        falls below the kind's live window is exactly an evicted one —
-        skip it by count, no tombstones needed.  Callers exhaust the
-        generator; the cursor is only consistent once they have.
+        Rows evicted from a ring arena are the *oldest* of their kind, so
+        an absolute kind-row index below the live window is exactly an
+        evicted one — skipped by count, no tombstones needed.
         """
-        pending = self._order[cursor.index :]
-        cursor.index = len(self._order)
-        passed = cursor.rows
-        arenas = self.arenas
-        for key in pending:
-            absolute = passed.get(key, 0)
-            passed[key] = absolute + 1
-            kind = arenas[key[0]].kinds[key[1]]
-            row = absolute - kind.base
-            if row >= kind.head:
-                yield kind, row
+        arena = self.arenas.get(node)
+        if arena is None:
+            return []
+        kinds = arena.kinds
+        ranges, late = [], {}
+        for tag in kinds if tags is None else tags:
+            kind = kinds.get(tag)
+            if kind is None:
+                continue
+            key = (node, tag)
+            start = max(passed.get(key, 0) - kind.base, kind.head)
+            stop = len(kind.lists[0])
+            passed[key] = kind.base + stop
+            if start < stop:
+                if tag in ordered:
+                    late[tag] = (kind, start, stop)
+                else:
+                    ranges.append((kind, start, stop))
+        if len(late) > 1:
+            newest = []  # late tags by their last row, newest first
+            for tag in reversed(arena.order):
+                if tag in late and tag not in newest:
+                    newest.append(tag)
+                    if len(newest) == len(late):
+                        break
+            ranges.extend(late[tag] for tag in reversed(newest))
+        else:
+            ranges.extend(late.values())
+        return ranges
 
     def materialize(self) -> list[ObsEvent]:
         """Every live event across all nodes, in global emission order."""
-        return [
-            EVENT_TYPES[kind.tag](
-                **{
-                    name: column[row]
-                    for name, column in zip(kind.fields, kind.lists)
-                }
-            )
-            for kind, row in self._walk(StreamCursor())
-        ]
+        passed: dict[tuple[str, str], int] = {}
+        events = []
+        for key in self._order:
+            absolute = passed.get(key, 0)
+            passed[key] = absolute + 1
+            kind = self.arenas[key[0]].kinds[key[1]]
+            row = absolute - kind.base
+            if row >= kind.head:
+                events.append(
+                    EVENT_TYPES[kind.tag](
+                        **{name: column[row] for name, column in kind.columns.items()}
+                    )
+                )
+        return events

@@ -13,6 +13,11 @@ observations are plain integer/float arithmetic, so the exported
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import reduce
+from itertools import repeat
+from operator import add
+
 from repro.errors import SimulationError
 
 
@@ -30,7 +35,10 @@ class _Metric:
     """Name, help, label names and one series per label key.  An update's
     keyed form (``inc_key``, ...) takes the key — each label value's
     ``str``, in ``label_names`` order — built by a caller that checked
-    its label plan once; the keyword forms check theirs on every call."""
+    its label plan once; the keyword forms check theirs on every call.
+    An ``*_each`` form applies a run of updates to one key in one call,
+    adding them in the order given, so the series ends bit-identical to
+    the same updates made one by one."""
 
     kind = ""
 
@@ -42,6 +50,10 @@ class _Metric:
 
     def series(self) -> list[tuple[tuple[str, ...], object]]:
         return sorted(self._series.items())
+
+    def value_key(self, key: tuple[str, ...], default: float = 0) -> float:
+        """The series at ``key``; ``default`` for one never updated."""
+        return self._series.get(key, default)
 
 
 class Counter(_Metric):
@@ -57,8 +69,14 @@ class Counter(_Metric):
             raise SimulationError(f"counter {self.name} cannot decrease")
         self._series[key] = self._series.get(key, 0) + amount
 
+    def inc_each(self, key: tuple[str, ...], amounts: list[float]) -> None:
+        """``inc_key(key, amount)`` for each of the (non-empty) ``amounts``."""
+        if min(amounts) < 0:
+            raise SimulationError(f"counter {self.name} cannot decrease")
+        self._series[key] = reduce(add, amounts, self._series.get(key, 0))
+
     def value(self, **labels: str) -> float:
-        return self._series.get(_label_key(self.label_names, labels), 0)
+        return self.value_key(_label_key(self.label_names, labels))
 
 
 class Gauge(_Metric):
@@ -78,7 +96,7 @@ class Gauge(_Metric):
 
     def value(self, default: float = 0, /, **labels: str) -> float:
         """The series' value; ``default`` for one that was never set."""
-        return self._series.get(_label_key(self.label_names, labels), default)
+        return self.value_key(_label_key(self.label_names, labels), default)
 
 
 class Histogram(_Metric):
@@ -105,15 +123,21 @@ class Histogram(_Metric):
         self.observe_key(_label_key(self.label_names, labels), value)
 
     def observe_key(self, key: tuple[str, ...], value: float) -> None:
+        self.observe_each(key, (value,))
+
+    def observe_each(self, key: tuple[str, ...], values) -> None:
+        """``observe_key(key, value)`` for each of ``values`` (a sequence
+        of numbers, none NaN: a bucket counts the sorted values at or
+        below its bound)."""
+        if not values:
+            return
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = [[0] * len(self.buckets), 0, 0.0]
-        counts = series[0]
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[i] += 1
-        series[1] += 1
-        series[2] += value
+        at_or_below = map(bisect_right, repeat(sorted(values)), self.buckets)
+        series[0] = list(map(add, series[0], at_or_below))
+        series[1] += len(values)
+        series[2] = reduce(add, values, series[2])
 
     def count(self, **labels: str) -> int:
         series = self._series.get(_label_key(self.label_names, labels))

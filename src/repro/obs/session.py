@@ -4,14 +4,16 @@ An :class:`ObsSession` is what ``--obs-out DIR`` wires up: a single
 columnar event bus (:class:`~repro.obs.pipeline.arena.ArenaBus`) shared
 by every instrumented component, a metrics registry derived from the
 recorded stream, and a span tracker for the cluster layer.  Recording is
-one scalar append per field per event; nothing else happens on the hot
-path.  Typed events and metrics are *views* over the arenas:
+one bound append per field per event, through the node's
+:class:`~repro.obs.pipeline.arena.NodeScope`; nothing else happens on
+the hot path.  Typed events and metrics are *views* over the arenas:
 
 * :attr:`events` materializes the whole stream on demand;
 * :attr:`registry` (and :meth:`metrics_prom`) first *catch up*: the
   session keeps a cursor into the bus's global emission order and folds
   the rows emitted since the previous read, straight from their
-  columns, into the metrics, never resetting a series.  Metrics
+  columns, into the metrics — each (node, kind)'s pending rows in one
+  call — never resetting a series.  Metrics
   registered on the same registry by other layers (the serve
   front-end's HTTP counters) live undisturbed beside the derived ones,
   and a mid-run reader (the cluster's per-node telemetry) sees exactly
@@ -41,14 +43,16 @@ as dropped).
 from __future__ import annotations
 
 import json
+from itertools import compress, repeat
+from operator import eq
 from pathlib import Path
 
 from repro.errors import SimulationError
-from repro.obs.events import FIELD_PLANS, ObsEvent, ScopedBus
+from repro.obs.events import FIELD_PLANS, ObsEvent
 from repro.obs.log import events_to_jsonl
 from repro.obs.perfetto import perfetto_trace_json
 from repro.obs.pipeline.aggregate import RootCollector, check_loss_invariant
-from repro.obs.pipeline.arena import ArenaBus, StreamCursor
+from repro.obs.pipeline.arena import ArenaBus, NodeScope
 from repro.obs.prom import render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracker
@@ -56,6 +60,13 @@ from repro.obs.spans import SpanTracker
 _ATTEMPT_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0)
 _TICK_BUCKETS = (0.0, 27.0, 270.0, 2_700.0, 27_000.0, 270_000.0, 2_700_000.0)
 _SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+
+#: Kinds that both set the headroom gauge, whose value is the last
+#: writer's: their rows fold in stream order.
+_ORDERED = frozenset({"admission", "grant-recompute"})
+
+#: The kinds :meth:`ObsSession.load_signal`'s four numbers fold from.
+_SIGNAL = ("period-close", "admission", "grant-recompute")
 
 
 class ObsSession:
@@ -72,15 +83,16 @@ class ObsSession:
         #: plane (:class:`repro.cluster.obs_pipeline.PipelineShipping`).
         self.shipping = None
         self._registry = MetricsRegistry()
-        #: How far into the bus's global order the metrics have caught up.
-        self._cursor = StreamCursor()
+        #: (node, kind) -> absolute rows the metrics have caught up on.
+        self._passed: dict[tuple[str, str], int] = {}
         self._folders = self._build_metrics()
         #: node name -> kernel, read at export time for the Perfetto timeline.
         self._kernels: dict[str, object] = {}
 
-    def scoped(self, node: str) -> ScopedBus:
-        """A bus view for one cluster node (stamps ``event.node``)."""
-        return ScopedBus(self.bus, node)
+    def scoped(self, node: str) -> NodeScope:
+        """The bus's recording scope for one cluster node (its rows and
+        node-less events carry ``node``)."""
+        return self.bus.scope(node)
 
     def add_kernel(self, node: str, kernel) -> None:
         """Register a node's kernel so its run segments and thread names
@@ -108,25 +120,28 @@ class ObsSession:
         from the arena columns, so a quiet epoch costs nothing and a long
         run is walked once in total, not once per reader.
         """
-        folders = self._folders
-        rows = self.bus._walk(self._cursor)
-        try:
-            for kind, row in rows:
-                folders[kind.tag](kind.columns, row)
-        finally:
-            for _ in rows:  # a failed fold still moves the cursor to the end
-                pass
+        for node in self.bus.arenas:
+            self._catch_up(node)
         return self._registry
+
+    def _catch_up(self, node: str, tags=None) -> None:
+        """Fold ``node``'s unread rows of ``tags`` (every kind when None),
+        one call per kind.  The read position moves before any fold runs,
+        so a failed fold does not fold its rows again on the next read."""
+        folders = self._folders
+        for kind, start, stop in self.bus._ranges(self._passed, node, tags, _ORDERED):
+            folders[kind.tag](kind.columns, start, stop)
 
     # -- the event -> metrics table ----------------------------------------
 
     def _build_metrics(self) -> dict:
         """Register the derived metrics; return the event -> metric table:
-        kind -> ``fold(columns, row)``, folding one arena row (``columns``:
-        field name -> column) through keyed updates with no event object.
-        Each label is the row field of the same name, checked here, once.
-        Rows fold in stream order, so the headroom gauge, which admissions
-        and grant recomputes both set, keeps the last writer.
+        kind -> ``fold(columns, start, stop)``, folding the arena rows
+        ``[start, stop)`` of one node (``columns``: field name -> column)
+        through keyed updates with no event object.  Each label is the
+        row field of the same name, checked here, once.  A kind's metrics
+        are its own, except the headroom gauge the ``_ORDERED`` kinds
+        both set: their ranges fold last writer last, row by row.
         """
         r = self._registry
         switches = r.counter(
@@ -238,7 +253,7 @@ class ObsSession:
             ("slo",),
         )
 
-        table = dict.fromkeys(FIELD_PLANS, lambda c, row: None)
+        table = dict.fromkeys(FIELD_PLANS, lambda c, start, stop: None)
 
         def folds(tag: str, *metrics):
             """Enter ``tag``'s fold once its rows carry every label of ``metrics``."""
@@ -255,53 +270,83 @@ class ObsSession:
 
             return enter
 
+        def each_row(fold):
+            """A range fold that folds its rows one at a time, in order."""
+
+            def fold_rows(c, start, stop):
+                for row in range(start, stop):
+                    fold(c, row)
+
+            return fold_rows
+
         @folds("context-switch", switches, switch_cost)
-        def context_switch(c, row):
-            key = (str(c["node"][row]), str(c["kind"][row]))
-            switches.inc_key(key)
-            switch_cost.inc_key(key, c["cost_ticks"][row])
+        def context_switch(c, start, stop):
+            node = str(c["node"][start])
+            kinds = list(map(str, c["kind"][start:stop]))
+            costs = c["cost_ticks"][start:stop]
+            for kind in dict.fromkeys(kinds):
+                key = (node, kind)
+                switches.inc_key(key, kinds.count(kind))
+                switch_cost.inc_each(
+                    key, list(compress(costs, map(eq, kinds, repeat(kind))))
+                )
 
         @folds("admission", admissions, headroom)
+        @each_row
         def admission(c, row):
             node = str(c["node"][row])
             admissions.inc_key((node, str(c["outcome"][row])))
             headroom.set_key((node,), c["headroom"][row])
 
         @folds("grant-recompute", recomputes, sizes, degraded, qos, headroom, latency)
+        @each_row
         def grant_recompute(c, row):
             key = (str(c["node"][row]),)
             recomputes.inc_key(key)
-            sizes.observe_key(key, c["requests"][row])
+            sizes.observe_each(key, (c["requests"][row],))
             degraded.set_key(key, c["degraded"][row])
             qos.set_key(key, c["qos_fraction"][row])
             headroom.set_key(key, c["headroom"][row])
-            latency.observe_key(key, c["latency_ticks"][row])
+            latency.observe_each(key, (c["latency_ticks"][row],))
 
         @folds("period-close", periods, delivery_latency, misses, voided)
-        def period_close(c, row):
-            key = (str(c["node"][row]),)
-            periods.inc_key(key)
-            start, completion = c["start"][row], c["completion"][row]
-            if completion >= 0 and start >= 0:
-                delivery_latency.observe_key(key, completion - start)
-            if c["missed"][row]:
-                misses.inc_key(key)
-            if c["voided"][row]:
-                voided.inc_key(key)
+        def period_close(c, start, stop):
+            key = (str(c["node"][start]),)
+            periods.inc_key(key, stop - start)
+            delivery_latency.observe_each(
+                key,
+                [
+                    done - begun
+                    for begun, done in zip(
+                        c["start"][start:stop], c["completion"][start:stop]
+                    )
+                    if done >= 0 and begun >= 0
+                ],
+            )
+            for metric, flags in ((misses, c["missed"]), (voided, c["voided"])):
+                flagged = sum(map(bool, flags[start:stop]))
+                if flagged:
+                    metric.inc_key(key, flagged)
 
         @folds("rpc", rpc, rpc_attempts)
-        def rpc_hop(c, row):
-            action = c["action"][row]
-            rpc.inc_key((str(action), str(c["kind"][row])))
-            if action == "retry":
-                rpc_attempts.observe_key((), c["attempt"][row])
+        def rpc_hops(c, start, stop):
+            actions = c["action"][start:stop]
+            keys = list(zip(map(str, actions), map(str, c["kind"][start:stop])))
+            for key in dict.fromkeys(keys):
+                rpc.inc_key(key, keys.count(key))
+            retried = map(eq, actions, repeat("retry"))
+            rpc_attempts.observe_each(
+                (), list(compress(c["attempt"][start:stop], retried))
+            )
 
         @folds("policy-resolution", policy)
+        @each_row
         def policy_resolution(c, row):
             invented = "true" if c["invented"][row] else "false"
             policy.inc_key((str(c["node"][row]), invented))
 
         @folds("grace-period", grace)
+        @each_row
         def grace_period(c, row):
             honoured = "true" if c["honoured"][row] else "false"
             grace.inc_key((str(c["node"][row]), honoured))
@@ -310,7 +355,11 @@ class ObsSession:
             """One per row, keyed by the fields named like its labels."""
             labels = metric.label_names
             folds(tag, metric)(
-                lambda c, row: metric.inc_key(tuple(str(c[n][row]) for n in labels))
+                each_row(
+                    lambda c, row: metric.inc_key(
+                        tuple(str(c[n][row]) for n in labels)
+                    )
+                )
             )
 
         count("activation", activations)
@@ -324,15 +373,18 @@ class ObsSession:
         deadline misses, QOS fraction, degraded tasks, headroom.
 
         This is everything the cluster's telemetry ships per node per
-        epoch.  A node that has not recomputed a grant set yet is at
-        full QOS and full headroom, not at the gauges' unset zero.
+        epoch, so only ``node``'s rows of the kinds these metrics fold
+        from are caught up here; the rest wait for a :attr:`registry`
+        read.  A node that has not recomputed a grant set yet is at full
+        QOS and full headroom, not at the gauges' unset zero.
         """
-        self.registry  # fold pending rows in first
+        self._catch_up(node, _SIGNAL)
+        key = (node,)
         return (
-            int(self._m_misses.value(node=node)),
-            self._m_qos.value(1.0, node=node),
-            int(self._m_degraded.value(node=node)),
-            self._m_headroom.value(1.0, node=node),
+            int(self._m_misses.value_key(key)),
+            self._m_qos.value_key(key, 1.0),
+            int(self._m_degraded.value_key(key)),
+            self._m_headroom.value_key(key, 1.0),
         )
 
     # -- loss accounting ---------------------------------------------------

@@ -49,39 +49,42 @@ def switches(n, node="", start=0):
     ]
 
 
+def recorded(events, capacity=None) -> ArenaBus:
+    """A bus after it recorded ``events``."""
+    bus = ArenaBus(capacity=capacity)
+    for event in events:
+        bus.emit(event)
+    return bus
+
+
 class TestEventArena:
     def test_append_and_materialize_preserves_order(self):
-        arena = EventArena(node="n0")
         events = switches(3, node="n0") + [
             AdmissionEvent(time=100, task="v", thread_id=1, node="n0")
         ]
-        for event in events:
-            arena.append_event(event)
-        assert len(arena) == 4
-        assert arena.materialize() == events
+        bus = recorded(events)
+        assert len(bus.arena("n0")) == 4
+        assert bus.materialize() == events
 
     def test_ring_overwrite_counts_evicted_rows(self):
-        arena = EventArena(node="n0", capacity=2)
-        for event in switches(5, node="n0"):
-            arena.append_event(event)
+        bus = recorded(switches(5, node="n0"), capacity=2)
+        arena = bus.arena("n0")
         assert len(arena) == 2
         assert arena.overwritten == {"context-switch": 3}
         # The two survivors are the newest two.
-        assert [e.time for e in arena.materialize()] == [81, 108]
+        assert [e.time for e in bus.materialize()] == [81, 108]
 
     def test_capacity_below_one_is_rejected(self):
         with pytest.raises(SimulationError):
             EventArena(capacity=0)
 
     def test_cut_head_tail_sampling_is_deterministic(self):
-        arena = EventArena(node="n0")
         middle = [
             AdmissionEvent(time=100 + i, task="v", thread_id=i, node="n0")
             for i in range(6)
         ]
         stream = switches(2, node="n0") + middle + switches(2, node="n0", start=216)
-        for event in stream:
-            arena.append_event(event)
+        arena = recorded(stream).arena("n0")
         order, cum = arena.cut(max_events=4)
         # Head 2 + tail 2 survive; the middle 6 are sampled out.
         assert order == ["context-switch"] * 4
@@ -92,13 +95,12 @@ class TestEventArena:
         assert len(arena) == 10
 
     def test_cut_is_incremental(self):
-        arena = EventArena(node="n0")
+        bus = ArenaBus()
         for event in switches(2, node="n0"):
-            arena.append_event(event)
+            bus.emit(event)
+        arena = bus.arena("n0")
         first, _ = arena.cut()
-        arena.append_event(
-            AdmissionEvent(time=999, task="v", thread_id=1, node="n0")
-        )
+        bus.emit(AdmissionEvent(time=999, task="v", thread_id=1, node="n0"))
         second, cum = arena.cut()
         assert first == ["context-switch"] * 2
         assert second == ["admission"]

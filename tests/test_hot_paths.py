@@ -33,7 +33,8 @@ over new rows constructs no ``ObsEvent`` and makes at most
 ``FOLD_CALLS_PER_ROW`` Python-level calls a row (§4 "Metrics fold from
 columns").  Recording is rows too: a bus hop and a node-scoped emit
 into an unsubscribed arena build no ``RpcEvent`` and call no
-``dataclasses.replace``.
+``dataclasses.replace``, and a scoped switch, a scoped period close and
+a bus hop each run in one Python frame, their ``emit_*``'s own.
 
 A control-plane request pays for its commit, not its envelope: a
 started ``ServeApp`` owns no Task, and the ``serve_closed`` cycle
@@ -520,9 +521,10 @@ class TestCutsDoNotRepick:
 
 # -- a metrics read folds columns, not events ------------------------------------
 
-#: Python-level calls a registry read may make per new row: the walk's
-#: resumption, the kind's fold, and one keyed update per metric it
-#: feeds — six for a grant recompute, the most any kind feeds.
+#: Python-level calls a registry read may make per new row: a row-by-row
+#: kind's range wrapper and row fold, and one keyed update per metric it
+#: feeds — six for a grant recompute, the most any kind feeds (a kind
+#: folded a range at a time makes its calls per range, not per row).
 FOLD_CALLS_PER_ROW = 8
 
 
@@ -594,6 +596,16 @@ class TestMetricsFoldFromColumns:
         with pytest.raises(SimulationError, match="cannot decrease"):
             session.registry
 
+    def test_a_negative_cost_inside_a_range_still_raises_on_the_read(self):
+        session = ObsSession()
+        scope = session.scoped("node00")
+        for time, cost in enumerate((5, -5, 7)):
+            scope.emit_switch(time, 1, 2, "voluntary", cost)
+        (pending,) = session.bus._ranges({}, "node00")
+        assert pending[1:] == (0, 3)  # one range holds all three rows
+        with pytest.raises(SimulationError, match="cannot decrease"):
+            session.registry
+
 
 def _calls_into(codes: set, function) -> list:
     """The code objects in ``codes`` entered while ``function()`` runs."""
@@ -637,6 +649,31 @@ class TestRecordingIsRows:
         assert hops["time"] == [0, 10]
         (stamped,) = [e for e in session.events if e.type == "admission"]
         assert stamped == dataclasses.replace(admission, node="node03")
+
+    def test_a_row_runs_in_its_emitters_frame(self):
+        """No helper, lookup or wrapper per row (a scoped switch once
+        took five frames: scope, bus, row helper, arena lookup, append)."""
+        session = ObsSession()
+        scoped = session.scoped("node03")
+        rows = {
+            "switch": (scoped.emit_switch, (5, 1, 2, "voluntary", 54)),
+            "period close": (
+                scoped.emit_period_close,
+                (9, 1, 0, 0, 4, 270, 270, False, False),
+            ),
+            "bus hop": (
+                session.bus.emit_rpc,
+                (5, "send", "broker", "node03", "admit", "admit:t:1", "t1"),
+            ),
+        }
+        for emit, args in rows.values():
+            emit(*args)  # the kind's first row binds its writer
+        frames = {
+            name: _python_calls(functools.partial(emit, *args))
+            for name, (emit, args) in rows.items()
+        }
+        assert frames == {"switch": 1, "period close": 1, "bus hop": 1}
+        assert session.bus.total_emitted == 6
 
 
 async def _exchange(reader, writer, method: str, path: str, body: bytes = b"") -> int:
