@@ -5,8 +5,9 @@ default and costs next to nothing until a sink subscribes: every hook
 site is one attribute read plus a falsy branch when ``obs is None``,
 and — because hot sites guard with ``if self.obs:`` and a bus with no
 subscribers is falsy — *zero* event constructions when a bus is
-attached with nobody listening.  The ``obs-unguarded-emit`` lint rule
-proves every emitting site carries that guard; this bench gates what
+attached with nobody listening.  ``tests/test_hot_paths.py``
+(``TestUnobservedRunsPayNothing``) runs every emitting site with the
+bus unsinked and checks that none builds an event; this bench gates what
 the guard costs: (no-sink − disabled) ÷ the events a session records
 over the same sites, through the shared :mod:`benchmarks.overhead`
 helper — interleaved, gc-paused per-variant minima, in calibration-loop

@@ -7,7 +7,6 @@ architectural invariants as checkable rules:
   (``repro.core`` never imports ``viz``/``cli``;
   the Scheduler never imports the Policy Box);
 * **except-hygiene** — no bare or silent broad ``except`` in the core;
-* **obs-unguarded-emit** — an uninstrumented run never pays for a hook;
 * **tick-units** — ticks are integers of one timebase: no float literal
   in a tick position, and no cross-unit flow through any function;
 * **determinism** — simulated ticks only, randomness only through

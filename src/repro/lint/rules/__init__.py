@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.lint.rules.base import LintViolation, ModuleInfo, Rule
 from repro.lint.rules.hygiene import ExceptHygieneRule
 from repro.lint.rules.layering import LayeringRule
-from repro.lint.rules.obs import ObsUnguardedEmitRule
 
 # The whole-program rules import ``rules.base``, so they come after
 # every submodule above.
@@ -22,7 +21,6 @@ from repro.lint.flow.tick_units import TickUnitsRule
 RULE_CLASSES: tuple[type[Rule], ...] = (
     LayeringRule,
     ExceptHygieneRule,
-    ObsUnguardedEmitRule,
     TickUnitsRule,
     DeterminismRule,
 )
@@ -42,6 +40,5 @@ __all__ = [
     "DeterminismRule",
     "ExceptHygieneRule",
     "LayeringRule",
-    "ObsUnguardedEmitRule",
     "TickUnitsRule",
 ]

@@ -14,8 +14,8 @@ MessageBus, broker, and serving stack bracket their hot phase with::
     return self._recompute_impl()
 
 The guard mirrors the obs emission idiom (truthy check, zero work when
-no profiler is attached) and is enforced by the ``obs-unguarded-emit``
-lint rule.
+no profiler is attached); ``tests/test_hot_paths.py`` runs every hook
+site with the slot ``None`` and checks that no profiler code is called.
 
 Two books are kept:
 

@@ -99,9 +99,9 @@ class ObsSession:
         reach the Perfetto timeline.
 
         Both are read at export time, never captured here: a
-        ``TraceRecorder`` holds its most recent run in an open buffer
-        that only a read of its ``segments`` property flushes, and
-        threads are created as tasks are admitted, mid-run.
+        ``TraceRecorder``'s run on the CPU is its last segment row,
+        extended in place as the run goes on, and threads are created
+        as tasks are admitted, mid-run.
         """
         self._kernels[node] = kernel
 

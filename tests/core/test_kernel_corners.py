@@ -18,6 +18,7 @@ from repro.tasks.base import (
     PreemptionConfig,
 )
 from repro.tasks.channels import Channel
+from repro.workloads import single_entry_definition
 
 from tests.conftest import admit_simple
 
@@ -200,6 +201,38 @@ class TestEventApi:
         TestWholeOpRuns._polite_run(rd, task)
         rd.run_for(ms(1))
         assert fired == [(ms(10) + us(70), ms(10) + us(70))]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open: a booking made before a grace slice and due inside "
+        "it fires at the slice's end (EXPERIMENTS.md, known deviation 7)",
+    )
+    def test_an_event_booked_before_a_grace_slice_fires_when_due(self):
+        """A grace slice is a slice whenever the booking was made: one
+        due inside it ends it.  Booked before the run, the event due at
+        10.05 ms fires at 10.15 ms, when the 150 us slice ends."""
+        us = units.us_to_ticks
+        rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=5))
+
+        def polite(ctx):
+            while True:
+                yield Compute(us(50))
+
+        rd.admit(
+            TaskDefinition(
+                name="polite",
+                resource_list=ResourceList(
+                    [ResourceListEntry(ms(30), ms(12), polite, "polite")]
+                ),
+                preemption=PreemptionConfig(check_interval=us(150)),
+            )
+        )
+        rd.admit(single_entry_definition("short", period_ms=10, rate=0.3))
+        due = ms(10.05)
+        fired = []
+        rd.at(due, lambda: fired.append(rd.now))
+        rd.run_for(ms(40))
+        assert fired == [due]
 
     def test_run_until_requires_policy(self):
         from repro import MachineConfig, SimConfig

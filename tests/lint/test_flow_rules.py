@@ -170,20 +170,6 @@ class TestDeterminismReachRule:
         assert "random.SystemRandom() in repro.core.bad_determinism.entropy" in v.message
 
 
-class TestArenaHooksUnderFlow:
-    """The per-module obs-unguarded-emit rule covers columnar fast
-    paths (emit_*, arena append/flush) on the flow fixture tree too."""
-
-    def test_unguarded_fast_paths_are_flagged(self, flow_violations):
-        found = by_file(flow_violations, "bad_arena_hook.py")
-        assert [v.rule_id for v in found] == ["obs-unguarded-emit"] * 2
-        assert "emit_period_close" in found[0].message
-        assert "flush" in found[1].message
-
-    def test_guarded_fast_paths_are_silent(self, flow_violations):
-        assert by_file(flow_violations, "good_arena_hook.py") == []
-
-
 class TestFlowTierWiring:
     def test_output_is_deterministic_across_runs(self, flow_violations):
         again = run_lint([FLOWTREE])

@@ -108,7 +108,6 @@ class TestListRules:
         assert ids == [cls.id for cls in RULE_CLASSES] == [
             "layering",
             "except-hygiene",
-            "obs-unguarded-emit",
             "tick-units",
             "determinism",
         ]

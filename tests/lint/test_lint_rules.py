@@ -176,54 +176,6 @@ class TestExceptHygiene:
         assert lint("outside_scope.py") == []
 
 
-class TestObsUnguardedEmit:
-    def test_unguarded_and_identity_guarded_emits_are_flagged(self):
-        violations = lint("repro/core/bad_obs_emit.py")
-        assert rule_ids(violations) == ["obs-unguarded-emit"] * 5
-        # The identity-guarded sites get the dedicated explanation.
-        identity = [v for v in violations if "identity check" in v.message]
-        assert len(identity) == 2
-        assert all("falsy" in v.message for v in identity)
-
-    def test_every_accepted_guard_form_passes(self):
-        assert lint("repro/core/good_obs_emit.py") == []
-
-    def test_emit_outside_scope_is_ignored(self):
-        assert lint("outside_scope.py") == []
-
-    def test_unguarded_and_identity_guarded_prof_hooks_are_flagged(self):
-        violations = lint("repro/core/bad_prof_hook.py")
-        assert rule_ids(violations) == ["obs-unguarded-emit"] * 4
-        identity = [v for v in violations if "identity check" in v.message]
-        assert len(identity) == 1
-        assert all("falsy" in v.message for v in identity)
-        assert all("profiler" in v.message for v in violations)
-
-    def test_every_accepted_prof_guard_form_passes(self):
-        """Paired guards, the impl-rename wrapper (hook inside the
-        guarded try/finally), conjunctions, guard clauses, and dotted
-        receivers all pass; a non-prof ``.begin()`` is ignored."""
-        assert lint("repro/core/good_prof_hook.py") == []
-
-    def test_unguarded_arena_fast_paths_are_flagged(self):
-        violations = lint("repro/core/bad_arena_hook.py")
-        assert rule_ids(violations) == ["obs-unguarded-emit"] * 5
-        # emit_* fast paths report as bus sites, append/flush as arena.
-        assert sum("bus" in v.message for v in violations) == 2
-        assert sum("arena" in v.message for v in violations) == 3
-        identity = [v for v in violations if "identity check" in v.message]
-        assert len(identity) == 1
-
-    def test_every_accepted_arena_guard_form_passes(self):
-        assert lint("repro/core/good_arena_hook.py") == []
-
-    def test_serve_layer_prof_hooks_are_in_scope(self):
-        violations = lint("repro/serve/bad_prof_hook.py")
-        assert rule_ids(violations) == ["obs-unguarded-emit"]
-        assert "serve.http-parse" not in violations[0].message
-        assert "'prof'" in violations[0].message
-
-
 class TestWholeTree:
     def test_fixture_tree_totals(self):
         """Linting the whole fixture tree finds every seeded violation —

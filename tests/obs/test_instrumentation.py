@@ -65,12 +65,6 @@ class TestCoreHooks:
         admissions = session.registry.get("repro_admissions_total")
         assert admissions.value(node="", outcome="denied") == 1
 
-    def test_unobserved_distributor_has_no_hooks_armed(self):
-        rd = ResourceDistributor(machine=MachineConfig(), sim=SimConfig(seed=7))
-        assert rd.kernel.obs is None
-        assert rd.resource_manager.obs is None
-        assert rd.policy_box.obs is None
-
 
 class TestViolationRoundTrip:
     def test_injected_violation_reaches_events_jsonl(self):

@@ -29,9 +29,9 @@ from repro.sim.trace import (
 
 
 class ReferenceTraceRecorder:
-    """Accumulates trace records during a simulation run.
+    """The record-list recorder ``TraceRecorder`` replaced.
 
-    Run segments are recorded through a **batched open-segment buffer**:
+    Run segments were recorded through a **batched open-segment buffer**:
     the kernel calls :meth:`record_run` with raw fields (no
     :class:`RunSegment` allocation) and contiguous chunks of the same
     thread/kind/period extend the open segment in place.  A frozen
@@ -44,8 +44,8 @@ class ReferenceTraceRecorder:
     flushes: the kernel leaves the open segment open when ``run_until``
     returns, so the next slice of the same run extends it in place.  A
     captured reference to the list object is therefore only as fresh as
-    the last read — register ``lambda: trace.segments`` with a lazy
-    consumer (the obs session's Perfetto export), never the list.
+    the last read.  (``TraceRecorder`` has no buffer: its open run is
+    its last segment row, and its views read the columns live.)
     """
 
     def __init__(self) -> None:
@@ -66,7 +66,8 @@ class ReferenceTraceRecorder:
 
     @property
     def segments(self) -> list[RunSegment]:
-        """All run segments recorded so far (flushes the open buffer).
+        """All run segments recorded so far (flushes this recorder's
+        open buffer).
 
         Returns the live internal list, the same object across calls;
         a reference kept from an earlier read lacks what was recorded

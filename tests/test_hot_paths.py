@@ -53,10 +53,18 @@ admit round trip runs its target node's kernel and no other, and a
 rack run makes at most two kernel ``run_until`` calls per touch the
 test counts (deliveries, epoch and event syncs, ``run_until``
 returns).
+
+An unobserved run pays nothing for observation: the ``obs``/``prof``
+hook sites of core, sim, cluster, metrics and serve are enumerated
+from source; short drivers run watched execute every one; run with
+every slot ``None`` they call nothing under ``repro/obs/``, and with an
+unsinked ``ObsBus`` they build no ``ObsEvent`` (§4 "A hot path reads
+names").
 """
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import dataclasses
 import dis
@@ -66,6 +74,7 @@ import gc
 import importlib
 import inspect
 import json
+import pathlib
 import pkgutil
 import random
 import sys
@@ -75,12 +84,14 @@ import weakref
 
 import pytest
 
+import repro
 from benchmarks.builders import (
     build_overloaded_distributor,
     sheddable_list,
     swap_oldest_task,
 )
 from repro import SimConfig, units
+from repro.config import ContextSwitchCosts, MachineConfig
 from repro.cluster.node import ClusterNode
 from repro.cluster.simulation import ClusterSimulation
 from repro.core.distributor import ResourceDistributor
@@ -89,15 +100,18 @@ from repro.core.kernel import Kernel
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
 from repro.core.sporadic import SporadicServer
-from repro.errors import SimulationError
+from repro.errors import AdmissionError, SimulationError
+from repro.fuzz.inject import INJECTIONS
 from repro.obs.events import (
     EVENT_TYPES,
     AdmissionEvent,
     GrantRecomputeEvent,
     PolicyResolutionEvent,
     RpcEvent,
+    ObsBus,
     ViolationEvent,
 )
+from repro.obs.prof import PhaseProfiler
 from repro.obs.session import ObsSession
 from repro.scenarios import av_pipeline, cluster_rack, figure5
 from repro.serve.app import ServeApp
@@ -105,9 +119,10 @@ from repro.serve.engine import ServeEngine
 from repro.sim.messages import MessageBus
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-from repro.tasks.base import TaskDefinition
+from repro.tasks.base import Compute, DonePeriod, TaskDefinition
 from repro.workloads import grant_follower, single_entry_definition
 from tests.core.test_event_driven_dispatch import counted_picks
+from tests.core.test_preemption import controlled_definition
 from tests.properties.test_prop_grant_control import churn_list
 from tests.serve.test_http import spec
 
@@ -687,6 +702,18 @@ async def _exchange(reader, writer, method: str, path: str, body: bytes = b"") -
     return int(head.split(b" ")[1])
 
 
+async def _serve_closed_cycle(reader, writer) -> list[int]:
+    """One ``serve_closed`` cycle: POST a task, GET it, DELETE it, GET
+    the fleet; the four statuses."""
+    body = json.dumps(spec("a")).encode()
+    return [
+        await _exchange(reader, writer, "POST", "/v1/tasks", body),
+        await _exchange(reader, writer, "GET", "/v1/tasks/a"),
+        await _exchange(reader, writer, "DELETE", "/v1/tasks/a"),
+        await _exchange(reader, writer, "GET", "/v1/nodes"),
+    ]
+
+
 class TestRequestsRunNoTask:
     """Reads are answered from ``data_received``, mutations in the loop
     turn of the group commit that applies them (their answers' done
@@ -723,13 +750,7 @@ class TestRequestsRunNoTask:
                     return asyncio.Task(coro, loop=loop)
 
                 loop.set_task_factory(factory)
-                body = json.dumps(spec("a")).encode()
-                statuses = [
-                    await _exchange(reader, writer, "POST", "/v1/tasks", body),
-                    await _exchange(reader, writer, "GET", "/v1/tasks/a"),
-                    await _exchange(reader, writer, "DELETE", "/v1/tasks/a"),
-                    await _exchange(reader, writer, "GET", "/v1/nodes"),
-                ]
+                statuses = await _serve_closed_cycle(reader, writer)
                 loop.set_task_factory(None)
                 # ... and no Task of the server's was woken either.
                 running = asyncio.all_tasks() - {asyncio.current_task()}
@@ -806,3 +827,356 @@ class TestNodesRunWhenTouched:
         )
         assert counts["epochs"] == 8 and counts["deliveries"] > 0
         assert sum(calls.values()) <= 2 * touches, (sum(calls.values()), counts)
+
+
+# -- an unobserved run pays nothing for observation -------------------------------
+
+#: The packages whose hook sites the rule judges, and how many sites the
+#: enumeration must find: 51 when this rule replaced the static
+#: ``obs-unguarded-emit`` lint rule, which judged the same sites.
+HOOK_PACKAGES = ("core", "sim", "cluster", "metrics", "serve")
+HOOK_SITES = 51
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+@dataclasses.dataclass(frozen=True)
+class HookSite:
+    path: str
+    line: int
+    #: The enclosing function: its name and first line (decorators
+    #: included), as its code object has them.
+    function: tuple[str, int]
+
+    def __str__(self) -> str:
+        return f"{pathlib.Path(self.path).relative_to(SRC)}:{self.line}"
+
+
+def _tail(node: ast.expr) -> str | None:
+    """The last name of a dotted ``a.b.c`` (``c``), or None when the
+    expression is not a plain dotted name."""
+    tail = node.attr if isinstance(node, ast.Attribute) else None
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return tail or node.id
+
+
+def _is_hook(call: ast.Call) -> bool:
+    """``begin``/``end`` on a ``prof``-named receiver, ``emit``/
+    ``emit_*`` on an ``obs``-named one, or ``.emit(<Name>Event(...))``."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    receiver = _tail(func.value)
+    if receiver is None:
+        return False
+    receiver = receiver.lower()
+    if func.attr in ("begin", "end"):
+        return "prof" in receiver
+    if func.attr == "emit" and call.args and isinstance(call.args[0], ast.Call):
+        if (_tail(call.args[0].func) or "").endswith("Event"):
+            return True
+    hook = func.attr == "emit" or func.attr.startswith("emit_")
+    return hook and "obs" in receiver
+
+
+def _sites_in(path: pathlib.Path, node: ast.AST, function: tuple[str, int]):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield from _sites_in(path, child, (child.name, first))
+            continue
+        if isinstance(child, ast.Call) and _is_hook(child):
+            yield HookSite(str(path), child.lineno, function)
+        yield from _sites_in(path, child, function)
+
+
+@functools.cache
+def _hook_sites() -> tuple[HookSite, ...]:
+    """Every hook site in the simulated and serving layers, from source."""
+    sites = []
+    for package in HOOK_PACKAGES:
+        for path in sorted((SRC / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            sites.extend(_sites_in(path, tree, ("<module>", 1)))
+    return tuple(sites)
+
+
+def _lines_run(drive) -> set[tuple[str, int]]:
+    """The hook-site lines ``drive()`` executes: ``sys.settrace``, line
+    events only in the functions that hold a site."""
+    lines: dict[str, set[int]] = {}
+    for site in _hook_sites():
+        lines.setdefault(site.path, set()).add(site.line)
+    traced: dict[types.CodeType, bool] = {}
+    run = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            run.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        holds = traced.get(code)
+        if holds is None:
+            wanted = lines.get(code.co_filename, ())
+            holds = traced[code] = any(n in wanted for _, _, n in code.co_lines())
+        return line if holds else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        drive()
+    finally:
+        sys.settrace(previous)
+    return run
+
+
+def _entered(drive) -> set[types.CodeType]:
+    """The code objects of every Python frame ``drive()`` starts."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        drive()
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+def _recording_rd(obs, prof, machine=None, seed: int = 0) -> ResourceDistributor:
+    """A distributor under a record-mode sanitizer, ``obs`` and
+    ``prof`` in its slots."""
+    rd = ResourceDistributor(
+        machine=machine or MachineConfig.ideal(),
+        sim=SimConfig(seed=seed),
+        obs=obs,
+        sanitize=True,
+        sanitize_strict=False,
+    )
+    rd.attach_prof(prof)
+    return rd
+
+
+def _drive_av(obs, prof) -> None:
+    """§6.1's pipeline: its greedy Sporadic Server's polls are replayed
+    in ``Kernel._poll``."""
+    scenario = av_pipeline(obs=obs)
+    scenario.rd.attach_prof(prof)
+    scenario.rd.attach_sanitizer(False)
+    scenario.run_for(units.ms_to_ticks(60))
+
+
+def _drive_overload(obs, prof) -> None:
+    """Permanent overload: every RM op takes the policy path; one
+    admission is denied."""
+    n = 8
+    rd = _recording_rd(obs, prof)
+    tids = [
+        thread.tid
+        for thread in rd.admit_many(
+            [TaskDefinition(f"t{i}", sheddable_list(n)) for i in range(n)]
+        )
+    ]
+    for i in range(2):
+        swap_oldest_task(rd, tids, TaskDefinition(f"swap{i}", sheddable_list(n)))
+    with pytest.raises(AdmissionError):
+        rd.admit(single_entry_definition("huge", 10, 0.99))
+    rd.run_for(units.ms_to_ticks(20))
+
+
+def _drive_grace(obs, prof) -> None:
+    """A controlled-preemption task preempted by a shorter period: the
+    grace slice (``tests/core/test_preemption.py``'s pair)."""
+    machine = MachineConfig(
+        interrupt_reserve=0.0,
+        switch_costs=ContextSwitchCosts.zero(),
+        overlap_override_ticks=0,
+        grace_period_ticks=units.us_to_ticks(200),
+        admission_cost_ticks=0,
+    )
+    rd = _recording_rd(obs, prof, machine, seed=5)
+    rd.admit(controlled_definition("nice", check_interval_us=100))
+    rd.admit(single_entry_definition("short", period_ms=10, rate=0.3))
+    rd.run_for(units.ms_to_ticks(40))
+
+
+_FIVE_MS = units.ms_to_ticks(5)
+
+
+def _stops_short(ctx):
+    """Yield 10 µs before each 5 ms boundary."""
+    while True:
+        yield Compute(_FIVE_MS - ctx.now % _FIVE_MS - units.us_to_ticks(10))
+        yield DonePeriod()
+
+
+def _drive_switch_past_boundary(obs, prof) -> None:
+    """A slice ends 10 µs short of another thread's boundary and the
+    switch away costs more, so ``run_until`` re-decides.  Neither
+    ``av_pipeline`` nor ``figure5`` hits that branch in a simulated
+    second; this pair does every 10 ms."""
+    rd = _recording_rd(obs, prof, MachineConfig())
+    rd.admit(single_entry_definition("short", 5, 0.1))
+    entry = ResourceListEntry(
+        units.ms_to_ticks(10), units.ms_to_ticks(8), _stops_short
+    )
+    rd.admit(TaskDefinition(name="long", resource_list=ResourceList([entry])))
+    rd.run_for(units.ms_to_ticks(30))
+
+
+def _drive_edf_invert(obs, prof) -> None:
+    """Anti-EDF injected under the record-mode sanitizer: violations."""
+    rd = _recording_rd(obs, prof, seed=3)
+    INJECTIONS["edf-invert"](rd)
+    rd.admit(single_entry_definition("a", 10, 0.3))
+    rd.admit(single_entry_definition("b", 20, 0.3))
+    rd.run_for(units.ms_to_ticks(40))
+    assert not rd.sanitizer.ok
+
+
+def _drive_rack(obs, prof) -> None:
+    """A lossy rack that retries and migrates (a migration fails too)
+    and, observed, ships telemetry.  A bare bus can fill only the
+    message bus's slot."""
+    session = obs if isinstance(obs, ObsSession) else None
+    sim = cluster_rack(
+        seed=3, drop_rate=0.4, obs=session, telemetry=session is not None
+    )
+    if session is None:
+        sim.bus.obs = obs
+    sim.attach_prof(prof)
+    sim.run_until(sim.horizon)
+    stats = sim.broker.stats
+    assert stats.retries and stats.migrations_completed and stats.migrations_failed
+
+
+def _drive_serve(obs, prof) -> None:
+    """The ``serve_closed`` cycle over a socket.  Serve keeps its own
+    session, so only its profiler slot changes."""
+    errors = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context["message"])
+        )
+        app = ServeApp(ServeEngine(nodes=2, seed=7, policy="first-fit", prof=prof))
+        await app.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", app.server.port)
+        try:
+            return await _serve_closed_cycle(reader, writer)
+        finally:
+            writer.close()
+            await app.stop()
+
+    assert asyncio.run(main()) == [201, 200, 200, 200]
+    assert errors == []
+
+
+#: Every driver, and the directory an unwatched run of it may not call
+#: into.
+DRIVERS = {
+    _drive_av: SRC / "obs",
+    _drive_overload: SRC / "obs",
+    _drive_grace: SRC / "obs",
+    _drive_switch_past_boundary: SRC / "obs",
+    _drive_edf_invert: SRC / "obs",
+    _drive_rack: SRC / "obs",
+    _drive_serve: SRC / "obs" / "prof",
+}
+
+#: The drivers a bare ``ObsBus`` can observe: ``ResourceDistributor(obs=)``
+#: and ``MessageBus.obs`` take one.
+BUS_DRIVERS = [drive for drive in DRIVERS if drive is not _drive_serve]
+
+#: Site functions an unwatched run cannot enter: the load signal rides
+#: on an ObsSession, so an unobserved rack ships no telemetry.
+WATCHED_ONLY = [("_on_telemetry", "cluster/broker.py")]
+
+
+@functools.cache
+def _unwatched(drive) -> set[types.CodeType]:
+    """The code objects ``drive`` enters run with every slot None."""
+    return _entered(lambda: drive(None, None))
+
+
+def _ids(drivers):
+    return [pytest.param(d, id=d.__name__.removeprefix("_drive_")) for d in drivers]
+
+
+class TestUnobservedRunsPayNothing:
+    """The hook contract, checked where hooks run (DESIGN.md §4 "Paths").
+
+    Every call in core/sim/cluster/metrics/serve to ``begin``/``end``
+    on a ``prof``-named receiver, to ``emit``/``emit_*`` on an
+    ``obs``-named one, or ``.emit(<Name>Event(...))`` is a hook site.
+    Short drivers run watched — an ``ObsSession``, a
+    ``PhaseProfiler``, a record-mode sanitizer — must execute every
+    site; the same drivers run with the ``obs`` and ``prof`` slots
+    ``None`` must finish, enter every site's function and call nothing
+    under ``repro/obs``; and where a bare ``ObsBus`` fills a slot,
+    unsinked, no ``ObsEvent`` may be built (an ``is not None`` guard
+    passes a falsy bus)."""
+
+    def test_the_enumeration_finds_every_site(self):
+        assert len(_hook_sites()) >= HOOK_SITES
+
+    def test_the_watched_drivers_reach_every_site(self):
+        run = set()
+        for drive in DRIVERS:
+            run |= _lines_run(lambda: drive(ObsSession(), PhaseProfiler()))
+        missed = [str(s) for s in _hook_sites() if (s.path, s.line) not in run]
+        assert missed == []
+
+    @pytest.mark.parametrize("drive", _ids(DRIVERS))
+    def test_an_unwatched_run_calls_no_observer(self, drive):
+        forbidden = str(DRIVERS[drive])
+        called = {
+            code.co_qualname
+            for code in _unwatched(drive)
+            if code.co_filename.startswith(forbidden)
+        }
+        assert sorted(called) == []
+
+    def test_the_unwatched_runs_enter_every_sites_function(self):
+        entered = {
+            (code.co_filename, code.co_firstlineno)
+            for drive in DRIVERS
+            for code in _unwatched(drive)
+        }
+        missed = sorted(
+            {
+                (site.function[0], str(pathlib.Path(site.path).relative_to(SRC)))
+                for site in _hook_sites()
+                if (site.path, site.function[1]) not in entered
+            }
+        )
+        assert missed == WATCHED_ONLY
+
+    @pytest.mark.parametrize("drive", _ids(BUS_DRIVERS))
+    def test_an_unsinked_bus_builds_no_event(self, drive):
+        inits = {cls.__init__.__code__ for cls in EVENT_TYPES.values()}
+        built = _entered(lambda: drive(ObsBus(), None)) & inits
+        assert sorted(c.co_qualname for c in built) == []
+
+    def test_an_unobserved_distributor_arms_no_hook(self):
+        rd = ResourceDistributor(machine=MachineConfig(), sim=SimConfig(seed=7))
+        slots = [
+            rd.kernel.obs, rd.kernel.prof, rd.kernel.sanitizer,
+            rd.resource_manager.obs, rd.resource_manager.prof,
+            rd.resource_manager.grant_control.prof,
+            rd.policy_box.obs, rd.policy_box.prof,
+        ]
+        assert slots == [None] * len(slots)
+        sim = ClusterSimulation(node_count=2, seed=0, policy="first-fit")
+        slots = [sim.bus.obs, sim.bus.prof, sim.broker.prof, sim.broker._obs_bus]
+        assert slots == [None] * len(slots)
+        assert [node.obs for node in sim.nodes.values()] == [None, None]
