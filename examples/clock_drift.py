@@ -29,10 +29,14 @@ class StreamDecoder:
         self.clock = stream_clock
         self.synchronize = synchronize
         self.estimator = SkewEstimator(stream_clock)
-        self.period_starts: list[int] = []
+        #: The stream clock's reading at each period's start, latched
+        #: as the period's decode begins: a crystal is read as time
+        #: passes, so a later skew change (which re-anchors the clock)
+        #: cannot move a reading already taken.
+        self.stream_readings: list[float] = []
 
     def decode(self, ctx):
-        self.period_starts.append(ctx.delivery.period_start)
+        self.stream_readings.append(self.clock.read(ctx.delivery.period_start))
         yield Compute(DECODE_COST)
         # Re-estimate the skew from paired readings each period.
         self.estimator.sample(ctx.now)
@@ -51,15 +55,14 @@ class StreamDecoder:
             ),
         )
 
-    def phase_error_frames(self, now: int) -> float:
+    def phase_error_frames(self) -> float:
         """How far decode phase has drifted from the stream, in frames."""
-        if not self.period_starts:
+        if not self.stream_readings:
             return 0.0
-        k = len(self.period_starts) - 1
-        # Where the k-th frame actually is on the master timeline: the
-        # stream clock advances (1+skew) per master tick.
-        stream_reading = self.clock.read(self.period_starts[-1])
-        return (stream_reading - k * FRAME_PERIOD) / FRAME_PERIOD
+        k = len(self.stream_readings) - 1
+        # Where the stream was when the k-th period started: the stream
+        # clock advances (1+skew) per master tick.
+        return (self.stream_readings[-1] - k * FRAME_PERIOD) / FRAME_PERIOD
 
 
 def main() -> None:
@@ -82,8 +85,8 @@ def main() -> None:
         rd.run_until(units.sec_to_ticks(checkpoint_s))
         print(
             f"t={checkpoint_s:>2d} s  phase error: "
-            f"synced {synced.phase_error_frames(rd.now):+7.3f} frames, "
-            f"unsynced {unsynced.phase_error_frames(rd.now):+7.3f} frames"
+            f"synced {synced.phase_error_frames():+7.3f} frames, "
+            f"unsynced {unsynced.phase_error_frames():+7.3f} frames"
         )
 
     print(

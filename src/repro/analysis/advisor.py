@@ -5,15 +5,19 @@ Before asking for admittance, a user (or an installer UI) wants to know
 would everyone end up?  :func:`admission_preview` answers without
 touching the running system — it replays the Resource Manager's own
 admission test and grant computation against a copy of the current
-population.
+population, correlated by a scratch copy of the Policy Box (the
+newcomer is registered there, and its lookups and inventions are
+counted and observed nowhere).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest
+from repro.core.policy_box import PolicyBox
 from repro.tasks.base import TaskDefinition
 
 
@@ -72,7 +76,8 @@ def admission_preview(
     requests = rm._requests()  # advisory tooling: intimate by design
     admitted = [rd.thread(request.thread_id) for request in requests]
     probe_tid = max(rm.admitted_ids(), default=0) + 1_000_000
-    probe_pid = rd.policy_box.register_task(definition.name)
+    box = _scratch_box(rd.policy_box)
+    probe_pid = box.register_task(definition.name)
     requests.append(
         GrantRequest(
             thread_id=probe_tid,
@@ -83,9 +88,7 @@ def admission_preview(
     )
 
     controller = GrantController(
-        rm.grant_control.capacity,
-        rd.policy_box,
-        rm.grant_control.bandwidth_capacity,
+        rm.grant_control.capacity, box, rm.grant_control.bandwidth_capacity
     )
     result = controller.compute(requests)
     newcomer = result.grant_set.get(probe_tid)
@@ -112,3 +115,14 @@ def admission_preview(
         newcomer_rate=newcomer.rate if newcomer else 0.0,
         changes=changes,
     )
+
+
+def _scratch_box(box: PolicyBox) -> PolicyBox:
+    """A copy of ``box`` to register and resolve in: its task tables
+    copied (registering mutates them; the ranking tables are only
+    read), with no bus and no profiler."""
+    scratch = copy.copy(box)
+    scratch._tasks = dict(box._tasks)
+    scratch._by_name = dict(box._by_name)
+    scratch.obs = scratch.prof = None
+    return scratch

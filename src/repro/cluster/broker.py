@@ -58,6 +58,7 @@ from repro.cluster.placement import NodeView, PlacementPolicy
 from repro.cluster.telemetry import TelemetryAggregator, TelemetrySnapshot
 from repro.obs.events import MigrationEvent, RpcEvent
 from repro.sim.messages import Envelope, MessageBus
+from repro.sim.phase import phase
 from repro.tasks.base import TaskDefinition
 
 BROKER = "broker"
@@ -402,19 +403,9 @@ class ClusterBroker:
 
     # -- message handling ---------------------------------------------------
 
+    @phase("broker.rpc")
     def on_message(self, envelope: Envelope, now: int) -> None:
         """Process one delivered envelope addressed to the broker."""
-        prof = self.prof
-        if prof:
-            prof.begin("broker.rpc")
-            try:
-                self._on_message(envelope, now)
-            finally:
-                prof.end("broker.rpc")
-            return
-        self._on_message(envelope, now)
-
-    def _on_message(self, envelope: Envelope, now: int) -> None:
         if envelope.kind == "load-report":
             self._on_load_report(envelope.payload)
             return
@@ -515,19 +506,9 @@ class ClusterBroker:
         overloaded = report.overloaded or report.snapshot.headroom < OVERLOAD_HEADROOM
         self._aimd_update(report.node, overloaded)
 
+    @phase("broker.telemetry-merge")
     def _on_telemetry(self, snapshot: TelemetrySnapshot, now: int) -> None:
         """Ingest one node's load signal; maybe steer AIMD with it."""
-        prof = self.prof
-        if prof:
-            prof.begin("broker.telemetry-merge")
-            try:
-                self._ingest_telemetry(snapshot, now)
-            finally:
-                prof.end("broker.telemetry-merge")
-            return
-        self._ingest_telemetry(snapshot, now)
-
-    def _ingest_telemetry(self, snapshot: TelemetrySnapshot, now: int) -> None:
         if not self.telemetry.ingest(snapshot):
             return  # stale or duplicate delivery
         if not self.telemetry_aimd:
@@ -551,19 +532,9 @@ class ClusterBroker:
 
     # -- migration ----------------------------------------------------------
 
+    @phase("broker.epoch")
     def on_epoch(self, now: int) -> None:
         """Per-epoch control decisions (currently: migration)."""
-        prof = self.prof
-        if prof:
-            prof.begin("broker.epoch")
-            try:
-                self._on_epoch(now)
-            finally:
-                prof.end("broker.epoch")
-            return
-        self._on_epoch(now)
-
-    def _on_epoch(self, now: int) -> None:
         self._epoch += 1
         if not self.config.migrate:
             return

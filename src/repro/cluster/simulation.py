@@ -46,6 +46,7 @@ from repro.config import MachineConfig, SimConfig
 from repro.errors import SimulationError
 from repro.sim.events import EventQueue
 from repro.sim.messages import MessageBus
+from repro.sim.phase import phase
 from repro.sim.rng import RngRegistry
 from repro.tasks.base import TaskDefinition
 
@@ -262,6 +263,7 @@ class ClusterSimulation:
         for name in sorted(self.nodes):
             self._touch(self.nodes[name])
 
+    @phase("cluster.settle")
     def settle(self, max_rounds: int = 10_000) -> bool:
         """Advance sim time until every in-flight broker interaction has
         resolved (no pending RPC, nothing on the bus).
@@ -277,16 +279,6 @@ class ClusterSimulation:
         feeding the bus — with a reliable in-process bus this indicates
         a bug, and callers should surface it rather than spin forever).
         """
-        prof = self.prof
-        if prof:
-            prof.begin("cluster.settle")
-            try:
-                return self._settle(max_rounds)
-            finally:
-                prof.end("cluster.settle")
-        return self._settle(max_rounds)
-
-    def _settle(self, max_rounds: int) -> bool:
         for _ in range(max_rounds):
             if self.broker.idle and len(self.bus) == 0:
                 return True

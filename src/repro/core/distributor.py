@@ -5,7 +5,7 @@ the Scheduler, and the Policy Box — over a simulated MAP1000 and exposes
 a compact public API::
 
     rd = ResourceDistributor()
-    mpeg = rd.admit(mpeg_definition)
+    mpeg = rd.admit(MpegDecoder("MPEG").definition())
     rd.at(ms_to_ticks(100), lambda: rd.wake(modem.tid), "phone rings")
     rd.run_for(sec_to_ticks(1))
     print(rd.trace.misses())
@@ -37,10 +37,10 @@ class ResourceDistributor:
         sanitize_strict: bool = True,
         obs=None,
     ) -> None:
-        """``obs`` is an optional telemetry bus — an
-        :class:`repro.obs.events.ObsBus`, a node-scoped view of one, or
-        an :class:`repro.obs.session.ObsSession` (its bus is used).
-        None (the default) leaves every hook site uninstrumented."""
+        """``obs`` is an optional :class:`repro.obs.session.ObsSession`
+        (its bus is used) or one of its node scopes
+        (``session.scoped(node)``).  None (the default) leaves every
+        hook site uninstrumented."""
         self.machine = machine or MachineConfig()
         self.sim = sim or SimConfig()
         self.kernel = Kernel(self.machine, self.sim)

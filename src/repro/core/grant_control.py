@@ -68,6 +68,7 @@ from repro.core.grants import Grant, GrantSet
 from repro.core.policy_box import Policy, PolicyBox
 from repro.core.resource_list import ResourceList
 from repro.errors import GrantError
+from repro.sim.phase import phase
 
 _EPS = 1e-9
 #: Twice the unit roundoff of a float: an add or subtract rounds by
@@ -166,6 +167,7 @@ class GrantController:
     def bandwidth_capacity(self) -> float:
         return self._bandwidth
 
+    @phase("grant.compute")
     def compute(
         self,
         requests: list[GrantRequest],
@@ -180,20 +182,6 @@ class GrantController:
         plus a bound on how far updates have rounded them: when they
         prove the machine overloaded the fast path's recount is skipped.
         """
-        prof = self.prof
-        if prof:
-            prof.begin("grant.compute")
-            try:
-                return self._compute(requests, maxima)
-            finally:
-                prof.end("grant.compute")
-        return self._compute(requests, maxima)
-
-    def _compute(
-        self,
-        requests: list[GrantRequest],
-        maxima: tuple[float, float, float] | None,
-    ) -> GrantSetResult:
         active = [r for r in requests if not r.quiescent]
         if not active:
             return self._result(active, [], None, 0, False, {})

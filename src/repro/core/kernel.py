@@ -179,8 +179,8 @@ class Kernel:
         #: set, the dispatch loop reports every scheduling decision and
         #: period close to it.
         self.sanitizer = None
-        #: Optional telemetry bus (:class:`repro.obs.events.ObsBus` or a
-        #: node-scoped view); None means uninstrumented — every hook
+        #: Optional telemetry bus (an ``ObsSession``'s bus or one of its
+        #: node scopes); None means uninstrumented — every hook
         #: site costs one attribute read and a falsy branch.
         self.obs = None
         #: Optional phase profiler (duck-typed ``begin``/``end``; wired
@@ -1019,10 +1019,9 @@ class Kernel:
         if self.obs:
             # One event per close: the analysis layer needs every
             # period's start/completion to compute delivery ratios and
-            # latency percentiles, not just the exceptional closes.  An
-            # unsinked bus is falsy, so the uninstrumented hot path
-            # still constructs nothing; on a columnar bus the fast path
-            # appends scalars without ever building the event object.
+            # latency percentiles, not just the exceptional closes.  The
+            # fast path appends scalars to the arena columns without
+            # ever building the event object.
             self.obs.emit_period_close(
                 thread.deadline,
                 thread.tid,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from repro.errors import PolicyError
 from repro.obs.events import PolicyResolutionEvent
+from repro.sim.phase import phase
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,7 @@ class PolicyBox:
 
     # -- resolution --------------------------------------------------------
 
+    @phase("policy.resolve")
     def resolve(self, policy_ids: frozenset[int] | set[int]) -> Policy:
         """Return the policy for the given set of threads.
 
@@ -136,16 +138,6 @@ class PolicyBox:
         matches, invents the 1/N policy, giving exclusive resources to an
         arbitrary (deterministically the lowest-id) thread.
         """
-        prof = self.prof
-        if prof:
-            prof.begin("policy.resolve")
-            try:
-                return self._resolve(policy_ids)
-            finally:
-                prof.end("policy.resolve")
-        return self._resolve(policy_ids)
-
-    def _resolve(self, policy_ids: frozenset[int] | set[int]) -> Policy:
         key = frozenset(policy_ids)
         if not key:
             raise PolicyError("cannot resolve a policy for an empty task set")

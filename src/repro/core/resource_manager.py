@@ -38,6 +38,7 @@ from repro.core.scheduler import RDScheduler
 from repro.core.threads import STATE_EXITED, STATE_QUIESCENT, SimThread
 from repro.errors import AdmissionError, ResourceListError
 from repro.obs.events import AdmissionEvent, GrantRecomputeEvent
+from repro.sim.phase import phase
 from repro.tasks.base import TaskDefinition
 
 
@@ -317,17 +318,10 @@ class ResourceManager:
     def _recompute(self) -> None:
         if self._defer_depth:
             self._defer_dirty = True
-            return
-        prof = self.prof
-        if prof:
-            prof.begin("rm.recompute")
-            try:
-                self._recompute_now()
-            finally:
-                prof.end("rm.recompute")
-            return
-        self._recompute_now()
+        else:
+            self._recompute_now()
 
+    @phase("rm.recompute")
     def _recompute_now(self) -> None:
         requests = self._requests()
         result = self.grant_control.compute(

@@ -88,8 +88,6 @@ class SimThread:
         self.completed_at = -1
         #: InsertIdleCycles accumulation, applied to the next period start.
         self.postpone_next = 0
-        #: Grace-period overrun to deduct from the next period's allocation.
-        self.grace_debt = 0
 
         # -- generator state --
         self.ctx = TaskContext(kernel=None, thread=self)

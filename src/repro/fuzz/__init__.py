@@ -6,7 +6,8 @@ The pipeline, end to end::
     result = run_spec(spec)            # strict sanitizer as the oracle
     small  = shrink(spec, result.outcome).spec   # minimal reproducer
     write_trace("bug.trace.json", TraceFile(spec=small, expect=result.outcome))
-    replay_trace("bug.trace.json")     # reproduces, today and in CI
+    for path, trace in load_corpus("bug.trace.json"):
+        replay(path, trace)            # reproduces, today and in CI
 
 ``run_campaign`` drives the loop at scale (``python -m repro fuzz``),
 and :mod:`repro.fuzz.sweep` bisects each mix's empirical admission
@@ -19,7 +20,6 @@ from repro.fuzz.driver import (
     ReplayResult,
     load_corpus,
     replay,
-    replay_trace,
     run_campaign,
 )
 from repro.fuzz.generator import generate, scenario_seed
@@ -60,7 +60,6 @@ __all__ = [
     "load_corpus",
     "load_trace",
     "replay",
-    "replay_trace",
     "run_campaign",
     "run_spec",
     "run_sweep",

@@ -201,15 +201,6 @@ class ReplayResult:
         return line
 
 
-def replay_trace(
-    path: str | Path,
-    sanitize: str = "strict",
-    obs_out: str | Path | None = None,
-) -> ReplayResult:
-    """Load one ``.trace.json`` and :func:`replay` it."""
-    return replay(Path(path), load_trace(path), sanitize=sanitize, obs_out=obs_out)
-
-
 def replay(
     path: Path,
     trace: TraceFile,

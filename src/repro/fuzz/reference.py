@@ -34,6 +34,7 @@ from repro.core.kernel import Kernel
 from repro.core.scheduler import RDScheduler
 from repro.core.threads import STATE_BLOCKED
 from repro.errors import GrantError
+from repro.sim.phase import phase
 
 _EPS = 1e-9
 
@@ -450,7 +451,8 @@ class LockstepSimulation(ClusterSimulation):
                 self._epoch()
                 self._next_epoch += EPOCH_TICKS
 
-    def _settle(self, max_rounds: int) -> bool:
+    @phase("cluster.settle")
+    def settle(self, max_rounds: int = 10_000) -> bool:
         for _ in range(max_rounds):
             if self.broker.idle and len(self.bus) == 0:
                 return True

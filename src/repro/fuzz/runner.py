@@ -403,32 +403,6 @@ def _first_difference(name: str, ours, theirs, where: str = "") -> RunResult | N
     )
 
 
-def _reference_failed(result: RunResult) -> RunResult:
-    return RunResult(
-        outcome=f"{DIVERGENCE}outcome",
-        detail=f"the reference run ended {result.outcome}: {result.detail}",
-    )
-
-
-def _divergence(spec: ScenarioSpec, shipped, inject_fn, sanitize: str):
-    """Run core ``spec`` again on the reference stack; the first
-    disagreement with the ``shipped`` distributor's run as a
-    :class:`RunResult`, or None when the two runs are the same run."""
-    run = _CoreRun(spec, sanitize=sanitize, reference=True)
-    result = _classify(
-        {"": run.rd}, lambda: run.script(inject_fn).rd.run_for(spec.horizon_ticks)
-    )
-    if not result.ok:
-        return _reference_failed(result)
-    for name in DIFFERENTIAL_FIELDS:
-        diverged = _first_difference(
-            name, getattr(shipped.trace, name), getattr(run.rd.trace, name)
-        )
-        if diverged is not None:
-            return diverged
-    return None
-
-
 def _cluster_books(sim) -> dict:
     """What a cluster run is judged by beyond each node's trace: the
     broker's and the bus's books and the metrics document, less each
@@ -442,7 +416,6 @@ def _cluster_books(sim) -> dict:
         if node["sanitizer"] is not None:
             del node["sanitizer"]["decisions"]
     return {
-        "now": sim.now,
         "placements": {
             name: (placed.node, placed.min_rate, placed.max_rate, placed.migrations)
             for name, placed in sorted(broker.placements.items())
@@ -454,44 +427,68 @@ def _cluster_books(sim) -> dict:
     }
 
 
-def _cluster_divergence(spec: ScenarioSpec, shipped, inject_fn, sanitize: str):
-    """Run cluster ``spec`` again on the lockstep loop; the first
-    disagreement with the ``shipped`` cluster's run as a
-    :class:`RunResult`, or None when the two runs are the same run."""
-    from repro.fuzz.reference import lockstep
-
-    sim = lockstep(build_cluster(spec, inject_fn, sanitize=sanitize))
-    result = _classify(
-        {name: sim.nodes[name].rd for name in sorted(sim.nodes)},
-        lambda: _run_cluster(sim, spec.horizon_ticks),
-    )
-    if not result.ok:
-        return _reference_failed(result)
-    ours, theirs = _cluster_books(shipped), _cluster_books(sim)
-    diverged = _first_difference("now", ours.pop("now"), theirs.pop("now"))
-    if diverged is not None:
-        return diverged
-    for node in sorted(shipped.nodes):
-        mine, ref = shipped.nodes[node].rd.trace, sim.nodes[node].rd.trace
-        for name in DIFFERENTIAL_FIELDS:
-            diverged = _first_difference(
-                name, getattr(mine, name), getattr(ref, name), f" on {node}"
-            )
-            if diverged is not None:
-                return diverged
-    for name in ours:
-        diverged = _first_difference(name, ours[name], theirs[name])
-        if diverged is not None:
-            return diverged
-    return None
-
-
 def _run_cluster(sim, horizon: int) -> None:
     sim.run_until(horizon)
     sim.settle()
     # settle() moves only the nodes its deliveries touch; every node's
     # run is audited up to sim.now.
     sim.run_until(sim.now)
+
+
+class _Run:
+    """One run of a spec, core or cluster, shipped or on the reference:
+    its nodes ({name: distributor}, in name order; a core run is the
+    one node ``""``), the ``body`` that runs it to the horizon, and —
+    once it ran — where it ended, what it admitted and denied, and the
+    ``books`` it is judged by beyond each node's trace (a core run keeps
+    none)."""
+
+    def __init__(self, spec: ScenarioSpec, inject_fn, obs, sanitize: str, reference: bool):
+        horizon = spec.horizon_ticks
+        if spec.cluster is None:
+            core = _CoreRun(spec, obs=obs, sanitize=sanitize, reference=reference)
+            self.nodes = {"": core.rd}
+            self.body = lambda: core.script(inject_fn).rd.run_for(horizon)
+            self.now = lambda: core.rd.now
+            self.placed = lambda: (tuple(core.admitted), tuple(core.denied))
+            self.books = dict
+            return
+        from repro.fuzz.reference import lockstep
+
+        sim = build_cluster(spec, inject_fn, obs=obs, sanitize=sanitize)
+        if reference:
+            lockstep(sim)
+        self.nodes = {name: sim.nodes[name].rd for name in sorted(sim.nodes)}
+        self.body = lambda: _run_cluster(sim, horizon)
+        self.now = lambda: sim.now
+        self.placed = lambda: (tuple(sorted(sim.broker.placements)), ())
+        self.books = lambda: _cluster_books(sim)
+
+
+def _divergence(shipped: _Run, reference: _Run) -> RunResult | None:
+    """The first disagreement between two runs of one spec that both
+    ended ``ok``, as a :class:`RunResult`, or None when they are the same
+    run: where they ended, then each node's trace, then the books."""
+    diverged = _first_difference("now", shipped.now(), reference.now())
+    if diverged is not None:
+        return diverged
+    for node, rd in shipped.nodes.items():
+        where = f" on {node}" if node else ""
+        for name in DIFFERENTIAL_FIELDS:
+            diverged = _first_difference(
+                name,
+                getattr(rd.trace, name),
+                getattr(reference.nodes[node].trace, name),
+                where,
+            )
+            if diverged is not None:
+                return diverged
+    ours, theirs = shipped.books(), reference.books()
+    for name in ours:
+        diverged = _first_difference(name, ours[name], theirs[name])
+        if diverged is not None:
+            return diverged
+    return None
 
 
 # -- entry point ------------------------------------------------------------
@@ -529,28 +526,24 @@ def run_spec(
         )
     spec.validate()
     inject_fn = injector(inject)
-    horizon = spec.horizon_ticks
-    if spec.cluster is None:
-        run = _CoreRun(spec, obs=obs, sanitize=sanitize)
-        result = _classify({"": run.rd}, lambda: run.script(inject_fn).rd.run_for(horizon))
-        if differential and result.ok:
-            diverged = _divergence(spec, run.rd, inject_fn, sanitize)
-            if diverged is not None:
-                diverged.decisions_checked = result.decisions_checked
-                result = diverged
-        result.admitted, result.denied = tuple(run.admitted), tuple(run.denied)
-        result.ticks = run.rd.now
-        return result
     try:
-        sim = build_cluster(spec, inject_fn, obs=obs, sanitize=sanitize)
+        run = _Run(spec, inject_fn, obs, sanitize, reference=False)
     except ReproError as exc:  # levels that make no valid resource list
         return RunResult(outcome=f"crash:{type(exc).__name__}", detail=str(exc))
-    nodes = {name: sim.nodes[name].rd for name in sorted(sim.nodes)}
-    result = _classify(nodes, lambda: _run_cluster(sim, horizon))
+    result = _classify(run.nodes, run.body)
     if differential and result.ok:
-        diverged = _cluster_divergence(spec, sim, inject_fn, sanitize)
+        reference = _Run(spec, inject_fn, None, sanitize, reference=True)
+        checked = _classify(reference.nodes, reference.body)
+        if not checked.ok:
+            diverged = RunResult(
+                outcome=f"{DIVERGENCE}outcome",
+                detail=f"the reference run ended {checked.outcome}: {checked.detail}",
+            )
+        else:
+            diverged = _divergence(run, reference)
         if diverged is not None:
             diverged.decisions_checked = result.decisions_checked
             result = diverged
-    result.admitted, result.ticks = tuple(sorted(sim.broker.placements)), sim.now
+    result.admitted, result.denied = run.placed()
+    result.ticks = run.now()
     return result

@@ -33,9 +33,9 @@ class LayeringRule(Rule):
       ``repro.obs.prof`` (hook sites hold a duck-typed ``prof`` slot;
       the profiler is injected from above, never imported from below
       — same for ``repro.sim``) and ``repro.obs.pipeline`` (the
-      columnar arena bus is injected as an ordinary ObsBus; core and
-      sim must never know whether their events land in objects or
-      columns — only ``repro.cluster`` and ``repro.serve`` may build
+      arena bus is injected through the ``ObsBus`` interface; core and
+      sim must never know how their events are stored — only
+      ``repro.cluster`` and ``repro.serve`` may build
       the shipping tree);
     * ``repro.core.scheduler`` -> ``repro.core.policy_box`` (the
       mechanism/policy separation: the Scheduler talks only to the

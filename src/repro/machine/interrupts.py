@@ -6,7 +6,8 @@ allocation), so such work is handled by interrupt handlers *outside* the
 Resource Distributor's purview.  The paper reserves a small, fixed
 percentage of the processor for them — 4 % in the §6.5 experiments —
 trading wasted resources against interrupt handlers conflicting with
-admitted tasks' deadlines (an ablation bench sweeps this tradeoff).
+admitted tasks' deadlines (``bench_ablation_reserve.py`` sweeps the
+reserve against switch overhead alone).
 
 The reserve also absorbs scheduler overhead (timer interrupts, context
 switches), which is why admission control admits against
@@ -14,7 +15,9 @@ switches), which is why admission control admits against
 
 :class:`InterruptSource` injects an actual interrupt load — periodic or
 jittered handler invocations that steal CPU from whatever is running —
-so the reserve-sizing tradeoff can be exercised rather than asserted.
+so the reserve-sizing tradeoff can be exercised rather than asserted:
+no scenario or bench attaches one; the reserve-sizing tests
+(``tests/machine/test_interrupt_injection.py``) and the soak test do.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from repro import units
-from repro.sim.trace import SEGMENT_SYSTEM, RunSegment
+from repro.sim.trace import SEGMENT_SYSTEM
 
 
 @dataclass
@@ -80,7 +83,6 @@ class InterruptSource:
         self.service_us = service_us
         self.jitter = jitter
         self.fired = 0
-        self.stolen_ticks = 0
 
     def attach(self, kernel, horizon: int) -> None:
         """Start raising interrupts on ``kernel`` until ``horizon``."""
@@ -101,15 +103,7 @@ class InterruptSource:
                 kernel.clock.advance(service_ticks)
                 kernel.reserve.charge(service_ticks)
                 self.fired += 1
-                self.stolen_ticks += service_ticks
-                kernel.trace.record_segment(
-                    RunSegment(
-                        thread_id=-1,
-                        start=start,
-                        end=kernel.now,
-                        kind=SEGMENT_SYSTEM,
-                    )
-                )
+                kernel.trace.record_run(-1, start, kernel.now, SEGMENT_SYSTEM)
                 schedule(kernel.now + next_gap())
 
             kernel.at(at, handler, label=f"irq:{self.name}")

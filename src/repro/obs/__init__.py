@@ -30,11 +30,12 @@ directions).  All timestamps are simulated ticks, never wall-clock
 (the ``determinism`` lint rule covers this package), so two runs with
 the same seed write byte-identical artifacts.
 
-Instrumentation is off by default: every hook site guards on the
-bus's truthiness (``if self.obs:`` — a missing bus is ``None``, an
-attached bus is falsy until a subscriber arrives), so a distributor
-without a listener pays one attribute read and a falsy branch per
-decision and never constructs the event object.
+Instrumentation is off by default: a run is observed by an
+:class:`~repro.obs.session.ObsSession` or not at all.  Every hook site
+guards with ``if self.obs:`` — a missing bus is ``None``, an attached
+one is always truthy — so an unobserved distributor pays one attribute
+read and a falsy branch per decision and never constructs the event
+object.
 """
 
 from repro.obs.events import (

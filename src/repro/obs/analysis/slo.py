@@ -290,8 +290,8 @@ def _result(spec: SloSpec, subject: str, value: float) -> SloResult:
 class SloEngine:
     """Watch a live bus; alert the moment an objective goes out of bounds.
 
-    Subscribe the engine to the same :class:`~repro.obs.events.ObsBus`
-    the run emits into.  Per-task period metrics are evaluated over a
+    Subscribe the engine to the same bus (an
+    :class:`~repro.obs.pipeline.arena.ArenaBus`) the run emits into.  Per-task period metrics are evaluated over a
     rolling window of each subject's last ``window_periods`` closes;
     scope metrics (violations, denied admissions) are cumulative.  An
     ``slo-alert`` event is emitted on the *transition* into violation —

@@ -6,18 +6,18 @@ Every event is a frozen dataclass with a stable ``type`` tag, a
 plain data — no references to live scheduler objects — so a collected
 event stream serializes deterministically and survives the run.
 
-The :class:`ObsBus` is deliberately tiny: ``emit`` hands the event to
-each subscriber in subscription order.  A bus with no subscribers is
-*falsy*, and hot hook sites guard with ``if self.obs:``, so an
-instrumented-but-unsinked system skips event construction entirely —
-zero allocations — which keeps it within the benchmark's overhead
-budget; with no bus attached at all (``obs is None`` at the hook site)
-the cost is the same attribute read and falsy branch.
+:class:`ObsBus` is the interface a hook site records through; its one
+implementation is the columnar :class:`repro.obs.pipeline.arena.ArenaBus`
+an :class:`~repro.obs.session.ObsSession` owns.  A run is observed by a
+session or not at all: hook sites guard with ``if self.obs:``, which
+on an attached bus (always truthy) makes no Python call and with no
+bus (``None``) costs one attribute read and a falsy branch.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -248,16 +248,16 @@ FIELD_PLANS: dict[str, tuple[str, ...]] = {
 }
 
 
-class ObsBus:
-    """Fan-out of events to subscribers, in subscription order.
+class ObsBus(ABC):
+    """The event-bus interface: subscriber fan-out plus the four
+    recording entry points hook sites call.
 
-    The ``emit_*`` fast paths carry the hottest event kinds as plain
-    scalars.  Here they just construct the typed event and ``emit`` it
-    (behavior-identical to the eager call sites they replaced), but a
-    columnar bus (:class:`repro.obs.pipeline.arena.ArenaBus`) overrides
-    them to append straight into struct-of-arrays storage — the hook
-    site stays one guarded call either way, and only the bus decides
-    whether an object is ever allocated.
+    :class:`repro.obs.pipeline.arena.ArenaBus` is the one implementation
+    — it records every row into columns and builds a typed event only
+    for a subscriber — and an :class:`~repro.obs.session.ObsSession`
+    owns one.  The names stay here as the interface the benchmark's
+    tracer wraps.  There is no unsinked mode: a hook site's ``if
+    self.obs:`` tells an attached bus (always truthy) from ``None``.
     """
 
     def __init__(self) -> None:
@@ -278,105 +278,24 @@ class ObsBus:
         except ValueError:
             pass
 
-    def __bool__(self) -> bool:
-        """True when at least one subscriber is attached.
-
-        Emission sites on hot paths guard with ``if self.obs:`` instead
-        of ``is not None`` so an instrumented-but-unsinked run skips
-        event *construction*, not just delivery — zero allocations when
-        nobody is listening.
-        """
-        return bool(self._subscribers)
-
+    @abstractmethod
     def emit(self, event: ObsEvent, node: str = "") -> None:
-        """Hand ``event`` to every subscriber; ``node`` names where a
-        node-less event happened (a node scope passes its own)."""
-        if not self._subscribers:
-            return
-        if node and not event.node:
-            event = dataclasses.replace(event, node=node)
-        for sink in self._subscribers:
-            sink(event)
+        """Record ``event``; ``node`` names where a node-less event
+        happened (a node scope passes its own)."""
 
-    # -- typed fast paths (hot emission sites) -----------------------------
-
+    @abstractmethod
     def emit_switch(
-        self,
-        time: int,
-        from_thread: int,
-        to_thread: int,
-        kind: str,
-        cost_ticks: int,
-        node: str = "",
+        self, time, from_thread, to_thread, kind, cost_ticks, node: str = ""
     ) -> None:
-        """Fast path for :class:`SwitchEvent` (the hottest kind)."""
-        if self._subscribers:
-            self.emit(
-                SwitchEvent(
-                    time=time,
-                    from_thread=from_thread,
-                    to_thread=to_thread,
-                    kind=kind,
-                    cost_ticks=cost_ticks,
-                    node=node,
-                )
-            )
+        """Record a :class:`SwitchEvent` from its fields (the hottest kind)."""
 
+    @abstractmethod
     def emit_period_close(
-        self,
-        time: int,
-        thread_id: int,
-        period_index: int,
-        start: int,
-        completion: int,
-        granted: int,
-        delivered: int,
-        missed: bool,
-        voided: bool,
-        node: str = "",
+        self, time, thread_id, period_index, start, completion, granted,
+        delivered, missed, voided, node: str = "",
     ) -> None:
-        """Fast path for :class:`PeriodCloseEvent`."""
-        if self._subscribers:
-            self.emit(
-                PeriodCloseEvent(
-                    time=time,
-                    thread_id=thread_id,
-                    period_index=period_index,
-                    start=start,
-                    completion=completion,
-                    granted=granted,
-                    delivered=delivered,
-                    missed=missed,
-                    voided=voided,
-                    node=node,
-                )
-            )
+        """Record a :class:`PeriodCloseEvent` from its fields."""
 
-    def emit_activation(self, time: int, pending: int, node: str = "") -> None:
-        """Fast path for :class:`ActivationEvent`."""
-        if self._subscribers:
-            self.emit(ActivationEvent(time=time, pending=pending, node=node))
-
-    def emit_rpc(
-        self,
-        time: int,
-        action: str,
-        src: str,
-        dst: str,
-        kind: str,
-        request_id: str,
-        trace_id: str,
-    ) -> None:
-        """Fast path for a bus hop's :class:`RpcEvent` (no node, ``attempt`` 0)."""
-        if self._subscribers:
-            self.emit(
-                RpcEvent(
-                    time=time,
-                    action=action,
-                    src=src,
-                    dst=dst,
-                    kind=kind,
-                    request_id=request_id,
-                    trace_id=trace_id,
-                )
-            )
+    @abstractmethod
+    def emit_activation(self, time, pending, node: str = "") -> None:
+        """Record an :class:`ActivationEvent` from its fields."""

@@ -1,14 +1,12 @@
-"""Columnar event arenas: struct-of-arrays storage behind the ObsBus.
+"""Columnar event arenas: the event bus and its struct-of-arrays storage.
 
-A plain :class:`~repro.obs.events.ObsBus` allocates one frozen
-dataclass per event and hands it to every subscriber.  An
-:class:`EventArena` stores the same record as one scalar append per
+An :class:`EventArena` stores each event as one scalar append per
 field into parallel per-kind column lists — no per-event object, no
 per-event dict — and the typed events become *views* materialized on
 demand (for export, analysis or a live subscriber; metrics fold the columns).
-:class:`ArenaBus` is the drop-in bus: hot sites keep their
-``if self.obs:`` guard and their one ``emit_*`` call; only the bus
-decides that the record lands in columns instead of an object.  Rows
+:class:`ArenaBus` is the one :class:`~repro.obs.events.ObsBus`: hot
+sites keep their ``if self.obs:`` guard and their one ``emit_*`` call,
+and the record lands in columns.  Rows
 are written through a node's :class:`NodeScope` (what a cluster node
 records through), whose row writer per kind holds each column's bound
 ``append``: a row is one call per column, in the one Python frame of
@@ -58,9 +56,6 @@ class _Kind:
         self.base = 0
         #: List positions [0, head) are evicted, not yet compacted.
         self.head = 0
-
-    def live(self) -> int:
-        return len(self.lists[0]) - self.head
 
     def emitted(self) -> int:
         """Total rows of this kind ever appended (absolute)."""
@@ -278,10 +273,11 @@ class NodeScope:
 
 
 class ArenaBus(ObsBus):
-    """An ObsBus whose default sink is columnar arenas, one per node.
+    """The event bus: columnar arenas, one per node.
 
-    Always truthy — the arena *is* the subscriber — so guarded hot
-    sites emit into it unconditionally.  Every row is written through
+    Truthy like any object (it defines neither ``__bool__`` nor
+    ``__len__``), so a guarded hot site's ``if self.obs:`` makes no
+    Python call and emits into it unconditionally.  Every row is written through
     its node's :class:`NodeScope`; generic :meth:`emit` decomposes the
     event it is given.  Ordinary subscribers (a live SLO engine, a
     serve-layer event stream) still work: when any are attached, each
@@ -297,9 +293,6 @@ class ArenaBus(ObsBus):
         self.arenas: dict[str, EventArena] = {}
         self._scopes: dict[str, NodeScope] = {}
         self._order: list[tuple[str, str]] = []
-
-    def __bool__(self) -> bool:
-        return True
 
     def scope(self, node: str = "") -> NodeScope:
         """``node``'s recording scope; its arena joins :attr:`arenas`
@@ -335,7 +328,7 @@ class ArenaBus(ObsBus):
         else:
             self.scope(row[1])._write(tag, row)
 
-    # The typed emitters (signatures on ObsBus) write through ``node``'s scope.
+    # The typed emitters (the ObsBus interface) write through ``node``'s scope.
 
     def emit_switch(self, *row, node: str = "") -> None:
         (self._scopes.get(node) or self.scope(node)).emit_switch(*row)

@@ -1,21 +1,23 @@
 """Deterministic phase counters/timers for subsystem cost attribution.
 
-The instrumenting tier of ``repro.obs.prof``.  Hook sites across the
-kernel, scheduler, ResourceManager, GrantController, PolicyBox,
-MessageBus, broker, and serving stack bracket their hot phase with::
+The instrumenting tier of ``repro.obs.prof``.  A method across the
+ResourceManager, GrantController, PolicyBox, MessageBus, broker,
+cluster and serving stack that is a phase of its own enters it one
+way, the decorator :func:`repro.sim.phase.phase`::
 
-    prof = self.prof
-    if prof:
-        prof.begin("rm.recompute")
-        try:
-            return self._recompute_impl()
-        finally:
-            prof.end("rm.recompute")
-    return self._recompute_impl()
+    @phase("rm.recompute")
+    def _recompute_now(self) -> None:
+        ...
 
-The guard mirrors the obs emission idiom (truthy check, zero work when
-no profiler is attached); ``tests/test_hot_paths.py`` runs every hook
-site with the slot ``None`` and checks that no profiler code is called.
+which runs the method between ``begin`` and ``end`` when the object's
+``prof`` slot holds a profiler and straight through when it is
+``None``.  A phase that opens and closes mid-function (the kernel's
+``kernel.dispatch``, the scheduler's ``sched.notify`` /
+``sched.activate``, a delivery's ``bus.rpc``, ``serve.http-parse``)
+keeps the same guard inline.  The guard mirrors the obs emission idiom
+(truthy check, zero work when no profiler is attached);
+``tests/test_hot_paths.py`` runs every hook site with the slot ``None``
+and checks that no profiler code is called.
 
 Two books are kept:
 
@@ -45,8 +47,7 @@ class PhaseProfiler:
 
     Instances are always truthy; the hook-site guard ``if self.prof:``
     distinguishes *attached* (a profiler object) from *absent* (the
-    ``None`` default), exactly like the obs bus guard distinguishes
-    sinked from unsinked.
+    ``None`` default), exactly like the obs bus guard.
     """
 
     __slots__ = ("counts", "self_ns", "cum_ns", "_stack", "_clock")

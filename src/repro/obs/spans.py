@@ -119,6 +119,3 @@ class SpanTracker:
                 span.status = status
                 closed += 1
         return closed
-
-    def roots(self) -> list[Span]:
-        return [s for s in self.spans if s.parent_id is None]

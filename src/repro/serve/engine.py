@@ -6,8 +6,8 @@
 mutation surface the HTTP layer serializes onto a single writer:
 
 * :meth:`commit` — fire a group of mutations at one tick, log them,
-  settle once, resolve each; :meth:`submit`, :meth:`submit_batch` and
-  :meth:`remove` are one-element commits through the same code;
+  settle once, resolve each; :meth:`submit` and :meth:`remove`
+  are one-element commits through the same code;
 * read-only views (:meth:`task`, :meth:`nodes`, :meth:`slo_status`).
 
 Time discipline: the wall clock NEVER advances the simulation.  Every
@@ -34,6 +34,7 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.errors import ReproError, SimulationError
 from repro.obs.analysis.slo import SloEngine, SloSpec
 from repro.obs.session import ObsSession
+from repro.sim.phase import phase
 from repro.workloads import single_entry_definition
 
 #: The serving horizon: far beyond anything a service run settles
@@ -81,7 +82,6 @@ class ServeEngine:
         self.tasks: dict[str, dict] = {}
         #: Applied mutations in arrival order, exactly as replayable.
         self.oplog: list[dict] = []
-        self._denials_seen = 0
         self._nodes_cache: tuple[int, list[dict]] | None = None
         self.draining = False
 
@@ -91,12 +91,13 @@ class ServeEngine:
         """Dispatch one oplog-shaped mutation; the writer's entry point."""
         kind = op.get("op")
         if kind in ("submit", "batch", "remove"):
-            return self._commit([op])[0]
+            return self.commit([op])[0]
         if kind == "commit":
             self.commit(op["ops"])
             return {"status": "applied", "now": self.sim.now}
         raise SimulationError(f"unknown serve op {kind!r}")
 
+    @phase("serve.commit")
     def commit(self, ops: list[dict]) -> list[dict]:
         """Group-commit: fire every mutation at the current tick, settle once.
 
@@ -108,19 +109,9 @@ class ServeEngine:
         drain whatever mutations are waiting and settle them together.
         The oplog records the group as one ``commit`` entry, so a replay
         reproduces the same batch boundaries — and therefore the same
-        :meth:`state_digest` — as the live run.
+        :meth:`state_digest` — as the live run.  Fire, log, settle,
+        resolve — the one mutation path.
         """
-        prof = self.prof
-        if prof:
-            prof.begin("serve.commit")
-            try:
-                return self._commit(ops)
-            finally:
-                prof.end("serve.commit")
-        return self._commit(ops)
-
-    def _commit(self, ops: list[dict]) -> list[dict]:
-        """Fire, log, settle, resolve — the one mutation path."""
         fired: list[dict] = []
         pending: list[tuple[int, str, object]] = []
         results: list[dict | None] = [None] * len(ops)
@@ -186,15 +177,11 @@ class ServeEngine:
 
     def submit(self, spec: dict) -> dict:
         """Admit one task; returns its settled record."""
-        return self._commit([{"op": "submit", "spec": spec}])[0]
-
-    def submit_batch(self, specs: list[dict]) -> dict:
-        """Admit a batch at one tick, settled together (one bus storm)."""
-        return self._commit([{"op": "batch", "specs": specs}])[0]
+        return self.commit([{"op": "submit", "spec": spec}])[0]
 
     def remove(self, task: str) -> dict:
         """Withdraw a placed task; idempotent on unknown/removed names."""
-        return self._commit([{"op": "remove", "task": task}])[0]
+        return self.commit([{"op": "remove", "task": task}])[0]
 
     def drain(self) -> dict:
         """Withdraw everything and settle; the graceful-shutdown hook."""

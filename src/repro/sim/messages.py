@@ -13,7 +13,7 @@ arrives in deterministic ``(deliver_at, seq)`` order.
 This module sits in the simulation substrate: it knows nothing about
 resource lists, grants, or brokers, and must stay importable without
 ``repro.core`` or ``repro.cluster``.  When a bus is given an
-:class:`~repro.obs.events.ObsBus`, every send/deliver/drop is recorded
+``ObsSession``'s bus, every send/deliver/drop is recorded
 through its ``emit_rpc`` fast path (one ``rpc`` row; a typed
 ``RpcEvent`` exists only for a subscriber), and envelopes carry an
 optional :class:`~repro.obs.spans.TraceContext` so a request/reply
@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.sim.phase import phase
 
 
 def _request_id(payload: object) -> str:
@@ -99,7 +100,7 @@ class MessageBus:
         self._seq = 0
         #: Dropped envelopes, for inspection and fault-injection tests.
         self.dropped: list[Envelope] = []
-        #: Optional telemetry bus (:class:`repro.obs.events.ObsBus`).
+        #: Optional telemetry bus (an ``ObsSession``'s bus).
         self.obs = None
         #: Optional phase profiler (duck-typed, wired from above like
         #: ``obs`` — the bus never imports it).
@@ -108,6 +109,7 @@ class MessageBus:
     def __len__(self) -> int:
         return len(self._heap)
 
+    @phase("bus.rpc")
     def send(
         self,
         src: str,
@@ -123,24 +125,6 @@ class MessageBus:
         message is recorded in :attr:`dropped` and never delivered — the
         sender learns of the loss only through its own timeout.
         """
-        prof = self.prof
-        if prof:
-            prof.begin("bus.rpc")
-            try:
-                return self._send(src, dst, kind, payload, now, trace)
-            finally:
-                prof.end("bus.rpc")
-        return self._send(src, dst, kind, payload, now, trace)
-
-    def _send(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: object,
-        now: int,
-        trace: object = None,
-    ) -> Envelope:
         if now < 0:
             raise SimulationError(f"cannot send a message at negative time {now}")
         delay = self.latency_ticks

@@ -388,16 +388,6 @@ class TraceRecorder:
         self._last_period = period_index
         self._last_charged = charged_to
 
-    def record_segment(self, segment: RunSegment) -> None:
-        self.record_run(
-            segment.thread_id,
-            segment.start,
-            segment.end,
-            segment.kind,
-            segment.period_index,
-            segment.charged_to,
-        )
-
     def record_switch(
         self,
         time: int,

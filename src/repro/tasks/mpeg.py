@@ -151,10 +151,3 @@ class MpegDecoder:
         """Admission-ready task definition (callback semantics: the same
         function runs on fresh data every period)."""
         return TaskDefinition(name=self.name, resource_list=self.resource_list())
-
-
-def mpeg_definition(name: str = "MPEG") -> TaskDefinition:
-    """Convenience: a fresh decoder's definition (stats on the decoder
-    are reachable through the closure only; prefer :class:`MpegDecoder`
-    when the experiment needs the stats)."""
-    return MpegDecoder(name).definition()

@@ -44,6 +44,26 @@ class TestAdmissible:
         assert existing.grant.rate == before
         assert len(list(ideal_rd.resource_manager.admitted_ids())) == 1
 
+    def test_preview_leaves_the_policy_box_and_the_session_alone(self):
+        """An admissible newcomer that overloads an observed two-task
+        distributor: the preview correlates on a copy of the box."""
+        from repro import MachineConfig, ResourceDistributor, SimConfig
+        from repro.obs import ObsSession
+
+        session = ObsSession()
+        rd = ResourceDistributor(
+            machine=MachineConfig.ideal(), sim=SimConfig(seed=1), obs=session
+        )
+        rd.admit(busyloop_definition("a"))
+        rd.admit(busyloop_definition("b"))
+        rd.run_for(ms(20))
+        box = rd.policy_box
+        before = (box.describe(), box.lookup_count, box.invention_count, len(session.events))
+        preview = admission_preview(rd, busyloop_definition("newcomer"))
+        assert preview.admissible and any(c.degraded for c in preview.changes)
+        after = (box.describe(), box.lookup_count, box.invention_count, len(session.events))
+        assert after == before
+
     def test_preview_matches_reality(self, ideal_rd):
         """What the preview predicts is what admission then does."""
         ideal_rd.admit(busyloop_definition("existing"))

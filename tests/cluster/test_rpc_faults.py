@@ -92,7 +92,11 @@ class TestRetryBudget:
         session, bus, broker = self.make_broker(nodes=2)
         broker.submit("a", definition("a"), 0)
         end = self.drain_timeouts(broker)
-        (root,) = [s for s in session.spans.roots() if s.name == "place:a"]
+        (root,) = [
+            s
+            for s in session.spans.spans
+            if s.parent_id is None and s.name == "place:a"
+        ]
         assert root.status == "failed"
         children = [s for s in session.spans.spans if s.parent_id == root.span_id]
         assert [s.name for s in children] == ["admit:node00", "admit:node01"]

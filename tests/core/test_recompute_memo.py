@@ -18,7 +18,7 @@ from repro.core.distributor import ResourceDistributor
 from repro.core.grant_control import GrantController, GrantRequest
 from repro.core.policy_box import PolicyBox
 from repro.core.resource_list import ResourceList, ResourceListEntry
-from repro.obs.events import ObsBus
+from repro.obs.pipeline.arena import ArenaBus
 from repro.tasks.base import TaskDefinition
 from repro.workloads import grant_follower, single_entry_definition
 
@@ -112,7 +112,7 @@ class TestMemoization:
     def test_unchanged_population_still_computes(self):
         rd = make_rd(sanitize=True, sanitize_strict=True)
         events = []
-        bus = ObsBus()
+        bus = ArenaBus()
         bus.subscribe(events.append)
         rd.resource_manager.obs = bus
         rd.admit(single_entry_definition("a", 10, 0.2))

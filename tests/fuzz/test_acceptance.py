@@ -4,7 +4,7 @@ reproducer, persisted as a trace file, and reproduced from that file."""
 
 from pathlib import Path
 
-from repro.fuzz import load_trace, replay_trace, run_campaign
+from repro.fuzz import load_trace, replay, run_campaign
 
 
 def test_injected_bug_is_caught_shrunk_and_replayed(tmp_path):
@@ -28,5 +28,5 @@ def test_injected_bug_is_caught_shrunk_and_replayed(tmp_path):
 
     # Reproduced: replaying the file re-arms the bug and hits the same
     # outcome against the current code.
-    replayed = replay_trace(path)
+    replayed = replay(path, load_trace(path))
     assert replayed.matches, replayed.summary()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import load_trace, replay_trace
+from repro.fuzz import load_trace, replay
 
 CORPUS = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS.glob("*.trace.json"))
@@ -26,7 +26,7 @@ def test_corpus_is_populated():
 
 @pytest.mark.parametrize("path", ENTRIES, ids=lambda p: p.stem)
 def test_corpus_entry_reproduces(path):
-    replayed = replay_trace(path)
+    replayed = replay(path, load_trace(path))
     assert replayed.matches, replayed.summary()
 
 
@@ -34,7 +34,7 @@ def test_corpus_entry_reproduces(path):
 def test_corpus_entry_reproduces_in_record_mode(path):
     """A recording run goes on past its first violation but is named by
     it, so every entry's strict-mode expectation holds here too."""
-    replayed = replay_trace(path, sanitize="record")
+    replayed = replay(path, load_trace(path), sanitize="record")
     assert replayed.matches, replayed.summary()
 
 
@@ -51,7 +51,7 @@ class TestKernelDispatchRaceRegression:
 
     def test_reproducers_stay_clean(self):
         for path in self.entries():
-            replayed = replay_trace(path)
+            replayed = replay(path, load_trace(path))
             assert replayed.expect == "ok"
             assert replayed.matches, replayed.summary()
             assert replayed.result.decisions_checked > 0

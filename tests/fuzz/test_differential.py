@@ -22,7 +22,7 @@ from repro.core.kernel import Kernel
 from repro.fuzz import (
     generate,
     load_trace,
-    replay_trace,
+    replay,
     run_campaign,
     run_spec,
     scenario_seed,
@@ -98,10 +98,10 @@ def test_a_divergence_is_named_shrunk_written_and_replayed(monkeypatch, tmp_path
     assert failure.outcome == "divergence:grant-changes"
     assert len(failure.shrunk.tasks) == 1
     assert "fuzz[core, differential]" in stats.summary()
-    replayed = replay_trace(failure.trace_path)
+    replayed = replay(failure.trace_path, load_trace(failure.trace_path))
     assert replayed.matches, replayed.summary()
     monkeypatch.undo()
-    assert not replay_trace(failure.trace_path).matches
+    assert not replay(failure.trace_path, load_trace(failure.trace_path)).matches
 
 
 def test_a_cluster_spec_runs_differentially(monkeypatch, capsys):
@@ -112,7 +112,7 @@ def test_a_cluster_spec_runs_differentially(monkeypatch, capsys):
     assert main(["fuzz", "--cluster", "--differential", "--budget", "1"]) == 0
     assert "fuzz[cluster, differential]" in capsys.readouterr().out
     monkeypatch.setattr(
-        reference.LockstepSimulation, "_settle", lambda self, max_rounds: True
+        reference.LockstepSimulation, "settle", lambda self, max_rounds=0: True
     )
     result = run_spec(spec, differential=True)
     assert result.outcome == "divergence:now", result.detail

@@ -5,7 +5,6 @@ from repro.fuzz import (
     load_corpus,
     load_trace,
     replay,
-    replay_trace,
     run_campaign,
 )
 
@@ -50,7 +49,8 @@ class TestReplay:
     def test_reproducer_round_trip(self, tmp_path):
         stats = run_campaign(4, seed=2, inject="edf-invert", out_dir=tmp_path)
         assert stats.failures
-        replayed = replay_trace(stats.failures[0].trace_path)
+        path = stats.failures[0].trace_path
+        replayed = replay(path, load_trace(path))
         assert replayed.matches
         assert "reproduced" in replayed.summary()
 
@@ -65,7 +65,7 @@ class TestReplay:
         from repro.fuzz import write_trace
 
         disarmed = write_trace(tmp_path / "disarmed.trace.json", fixed)
-        replayed = replay_trace(disarmed)
+        replayed = replay(disarmed, load_trace(disarmed))
         assert not replayed.matches
         assert "DIVERGED" in replayed.summary()
 

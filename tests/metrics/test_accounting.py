@@ -14,7 +14,6 @@ from repro.metrics import (
 from repro.sim.trace import (
     DeadlineRecord,
     GrantChangeRecord,
-    RunSegment,
     SegmentKind,
     TraceRecorder,
 )
@@ -23,9 +22,9 @@ from repro.sim.trace import (
 @pytest.fixture
 def trace():
     t = TraceRecorder()
-    t.record_segment(RunSegment(1, 0, 60, SegmentKind.GRANTED, period_index=0))
-    t.record_segment(RunSegment(2, 60, 80, SegmentKind.GRANTED, period_index=0))
-    t.record_segment(RunSegment(1, 80, 100, SegmentKind.OVERTIME, period_index=0))
+    t.record_run(1, 0, 60, SegmentKind.GRANTED, 0)
+    t.record_run(2, 60, 80, SegmentKind.GRANTED, 0)
+    t.record_run(1, 80, 100, SegmentKind.OVERTIME, 0)
     t.record_deadline(
         *astuple(DeadlineRecord(1, 0, 0, 100, granted=60, delivered=60, missed=False))
     )

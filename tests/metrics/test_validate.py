@@ -4,18 +4,12 @@ import pytest
 
 from repro import units
 from repro.metrics import validate_trace
-from repro.sim.trace import RunSegment, SegmentKind, TraceRecorder
+from repro.sim.trace import SegmentKind, TraceRecorder
 
 
 def seg(tid, start, end, kind=SegmentKind.GRANTED, period=0, charged=None):
-    return RunSegment(
-        thread_id=tid,
-        start=start,
-        end=end,
-        kind=kind,
-        period_index=period,
-        charged_to=charged,
-    )
+    """A segment's fields, in ``record_run`` order."""
+    return (tid, start, end, kind, period, charged)
 
 
 def deadline(tid, idx, start, end, granted, delivered, missed=False, voided=False):
@@ -43,8 +37,8 @@ class TestCleanTrace:
 class TestViolationDetection:
     def test_cpu_overlap_detected(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 0, 100))
-        trace.record_segment(seg(2, 50, 150))
+        trace.record_run(*seg(1, 0, 100))
+        trace.record_run(*seg(2, 50, 150))
         report = validate_trace(trace)
         assert any(v.rule == "cpu-overlap" for v in report.violations)
 
@@ -72,7 +66,7 @@ class TestViolationDetection:
 
     def test_grant_overrun_detected(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 0, 80, period=0))
+        trace.record_run(*seg(1, 0, 80, period=0))
         trace.record_deadline(*deadline(1, 0, 0, 100, granted=50, delivered=50))
         report = validate_trace(trace)
         assert any(v.rule == "grant-overrun" for v in report.violations)
@@ -93,13 +87,13 @@ class TestViolationDetection:
 
     def test_conservation_gap_detected(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 0, 40))
+        trace.record_run(*seg(1, 0, 40))
         report = validate_trace(trace, end_time=100)
         assert any(v.rule == "conservation" for v in report.violations)
 
     def test_assigned_without_charge_detected(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(3, 0, 10, kind=SegmentKind.ASSIGNED))
+        trace.record_run(*seg(3, 0, 10, kind=SegmentKind.ASSIGNED))
         report = validate_trace(trace)
         assert any(v.rule == "assigned-charge" for v in report.violations)
 
@@ -107,7 +101,7 @@ class TestViolationDetection:
 class TestReport:
     def test_summary_mentions_status(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 0, 40))
+        trace.record_run(*seg(1, 0, 40))
         ok = validate_trace(trace)
         assert "OK" in ok.summary()
         bad = validate_trace(trace, end_time=100)

@@ -1,4 +1,4 @@
-"""ObsBus fan-out, node-scope stamping, and the event type table."""
+"""Bus fan-out, node-scope stamping, and the event type table."""
 
 import dataclasses
 
@@ -12,12 +12,13 @@ from repro.obs.events import (
     RpcEvent,
     SwitchEvent,
 )
+from repro.obs.pipeline.arena import ArenaBus
 from repro.obs.session import ObsSession
 
 
 class TestObsBus:
     def test_emit_fans_out_in_subscription_order(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         seen = []
         bus.subscribe(lambda e: seen.append(("a", e)))
         bus.subscribe(lambda e: seen.append(("b", e)))
@@ -25,9 +26,13 @@ class TestObsBus:
         bus.emit(event)
         assert seen == [("a", event), ("b", event)]
 
-    def test_emit_without_subscribers_is_a_noop(self):
-        bus = ObsBus()
-        bus.emit(SwitchEvent(time=0))  # must not raise, must not store
+    def test_the_interface_has_one_implementation(self):
+        """There is no bare bus: ``ObsBus`` only names what a bus does,
+        and an ``ArenaBus`` is always truthy, subscribed or not."""
+        with pytest.raises(TypeError):
+            ObsBus()
+        assert "__bool__" not in vars(ObsBus) and "__bool__" not in vars(ArenaBus)
+        assert ArenaBus()
 
     def test_events_are_immutable(self):
         event = AdmissionEvent(time=1, task="stb")

@@ -14,10 +14,10 @@ from repro.obs.analysis import (
 from repro.obs.analysis.slo import BURN_RATE_CAP, _burn_rate
 from repro.obs.events import (
     AdmissionEvent,
-    ObsBus,
     PeriodCloseEvent,
     ViolationEvent,
 )
+from repro.obs.pipeline.arena import ArenaBus
 
 
 def spec_toml(**overrides):
@@ -168,7 +168,7 @@ class TestStreamingEngine:
             engine_bus.emit(event)
 
     def test_alert_fires_on_transition_only(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         engine = SloEngine(bus, parse_slo_toml(spec_toml(window_periods=4)))
         self.feed(bus, [
             AdmissionEvent(time=0, task="video", thread_id=1),
@@ -183,7 +183,7 @@ class TestStreamingEngine:
         assert alert.type == "slo-alert"
 
     def test_alert_lands_on_the_bus_it_watches(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         seen = []
         bus.subscribe(seen.append)
         SloEngine(bus, parse_slo_toml(spec_toml()))
@@ -191,7 +191,7 @@ class TestStreamingEngine:
         assert [e.type for e in seen] == ["period-close", "slo-alert"]
 
     def test_recovery_rearms_the_alarm(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         engine = SloEngine(bus, parse_slo_toml(spec_toml(window_periods=1)))
         self.feed(bus, [
             close(1, 0, 0, 100, missed=True),   # violate: alert 1
@@ -201,7 +201,7 @@ class TestStreamingEngine:
         assert len(engine.alerts) == 2
 
     def test_rolling_window_forgets_old_misses(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         engine = SloEngine(bus, parse_slo_toml(spec_toml(window_periods=2)))
         self.feed(bus, [
             close(1, 0, 0, 100, missed=True),
@@ -212,7 +212,7 @@ class TestStreamingEngine:
         assert not engine._violating[("grants", "thread-1")]
 
     def test_scope_metric_alerts_cumulatively(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         engine = SloEngine(
             bus,
             parse_slo_toml(
@@ -228,7 +228,7 @@ class TestStreamingEngine:
         assert engine.alerts[0].value == 2.0
 
     def test_engine_ignores_its_own_alerts(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         engine = SloEngine(bus, parse_slo_toml(spec_toml(window_periods=1)))
         self.feed(bus, [close(1, 0, 0, 100, missed=True)])
         # The alert was emitted onto the bus the engine subscribes to; a
@@ -236,7 +236,7 @@ class TestStreamingEngine:
         assert len(engine.alerts) == 1
 
     def test_subjects_use_admitted_names_per_node(self):
-        bus = ObsBus()
+        bus = ArenaBus()
         engine = SloEngine(bus, parse_slo_toml(spec_toml()))
         self.feed(bus, [
             AdmissionEvent(time=0, task="video", thread_id=1, node="n3"),

@@ -39,7 +39,7 @@ BATCHED = OPS[:6]
 
 
 class VerdictProbe(GrantController):
-    """Grant control cut at the overload verdict: ``_compute`` answers
+    """Grant control cut at the overload verdict: ``compute`` answers
     None for "overloaded" and a result otherwise, and counts the Θ(N)
     recounts it made."""
 
@@ -125,9 +125,9 @@ class Stream:
         box = self.rd.policy_box
         maxima = (manager._max_rate, manager._max_bandwidth, manager._max_drift)
         probe = VerdictProbe(capacity, box, bandwidth)
-        overloaded = probe._compute(requests, maxima) is None
+        overloaded = probe.compute(requests, maxima) is None
         recount = VerdictProbe(capacity, box, bandwidth)
-        assert overloaded == (recount._compute(requests, None) is None)
+        assert overloaded == (recount.compute(requests, None) is None)
         self.recounts += probe.recounts
         self.verdicts += bool(active)
 

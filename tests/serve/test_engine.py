@@ -92,7 +92,9 @@ class TestRemove:
 class TestBatch:
     def test_batch_settles_together(self):
         eng = engine()
-        result = eng.submit_batch([spec("a"), spec("b", rate=0.99), {"bogus": 1}])
+        result = eng.apply(
+            {"op": "batch", "specs": [spec("a"), spec("b", rate=0.99), {"bogus": 1}]}
+        )
         statuses = [t["status"] for t in result["tasks"]]
         assert statuses == ["admitted", "denied", "rejected"]
         assert len(eng.oplog) == 1
@@ -260,7 +262,7 @@ class TestReplay:
                 {"op": "submit", "spec": spec("whale", rate=0.99)},
             ]
         )
-        live.submit_batch([spec("c"), spec("d", rate=0.99)])
+        live.apply({"op": "batch", "specs": [spec("c"), spec("d", rate=0.99)]})
         live.remove("b")
         twin = engine()
         twin.replay(live.oplog)

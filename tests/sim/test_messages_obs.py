@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.obs.events import ObsBus
+from repro.obs.pipeline.arena import ArenaBus
 from repro.obs.spans import TraceContext
 from repro.sim.messages import MessageBus
 from repro.sim.rng import RngRegistry
@@ -11,7 +11,7 @@ from repro.sim.rng import RngRegistry
 def observed_bus(**kwargs):
     bus = MessageBus(RngRegistry(7).stream("bus"), **kwargs)
     events = []
-    obs = ObsBus()
+    obs = ArenaBus()
     obs.subscribe(events.append)
     bus.obs = obs
     return bus, events

@@ -9,7 +9,6 @@ from repro.errors import SimulationError
 from repro.sim.trace import (
     ContextSwitchRecord,
     DeadlineRecord,
-    RunSegment,
     SegmentKind,
     SwitchKind,
     TraceRecorder,
@@ -17,7 +16,8 @@ from repro.sim.trace import (
 
 
 def seg(tid, start, end, kind=SegmentKind.GRANTED):
-    return RunSegment(thread_id=tid, start=start, end=end, kind=kind)
+    """A segment's fields, in ``record_run`` order."""
+    return (tid, start, end, kind)
 
 
 def switch(time, kind, cost):
@@ -42,28 +42,28 @@ def deadline(tid, idx, missed=False, voided=False):
 class TestSegments:
     def test_zero_length_segments_dropped(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 10, 10))
+        trace.record_run(*seg(1, 10, 10))
         assert trace.segments == []
 
     def test_rejects_negative_length(self):
         with pytest.raises(ValueError):
-            TraceRecorder().record_segment(seg(1, 10, 5))
+            TraceRecorder().record_run(*seg(1, 10, 5))
 
     def test_segments_for_filters_by_thread(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 0, 10))
-        trace.record_segment(seg(2, 10, 20))
+        trace.record_run(*seg(1, 0, 10))
+        trace.record_run(*seg(2, 10, 20))
         assert [s.thread_id for s in trace.segments_for(1)] == [1]
 
     def test_busy_ticks_clips_to_window(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 0, 100))
+        trace.record_run(*seg(1, 0, 100))
         assert trace.busy_ticks(1, start=50, end=80) == 30
 
     def test_busy_ticks_sums_multiple_segments(self):
         trace = TraceRecorder()
-        trace.record_segment(seg(1, 0, 10))
-        trace.record_segment(seg(1, 20, 30))
+        trace.record_run(*seg(1, 0, 10))
+        trace.record_run(*seg(1, 20, 30))
         assert trace.busy_ticks(1) == 20
 
 

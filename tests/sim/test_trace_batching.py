@@ -10,7 +10,7 @@ and any other reader see the run still on the CPU.
 """
 
 from repro import MachineConfig, ResourceDistributor, SimConfig, units
-from repro.sim.trace import RunSegment, SegmentKind, TraceRecorder
+from repro.sim.trace import SegmentKind, TraceRecorder
 from repro.workloads import single_entry_definition
 
 
@@ -111,15 +111,3 @@ class TestFlushSemantics:
         record(trace, 1, 0, 10)
         assert trace.busy_ticks(1) == 10
         assert [s.thread_id for s in trace.segments_for(1)] == [1]
-
-
-class TestRecordSegmentCompat:
-    def test_record_segment_feeds_the_same_batcher(self):
-        trace = TraceRecorder()
-        trace.record_segment(
-            RunSegment(thread_id=1, start=0, end=10, kind=SegmentKind.GRANTED)
-        )
-        trace.record_segment(
-            RunSegment(thread_id=1, start=10, end=20, kind=SegmentKind.GRANTED)
-        )
-        assert [(s.start, s.end) for s in trace.segments] == [(0, 20)]

@@ -152,16 +152,6 @@ class ReferenceTraceRecorder:
         self._open_period = period_index
         self._open_charged = charged_to
 
-    def record_segment(self, segment: RunSegment) -> None:
-        self.record_run(
-            segment.thread_id,
-            segment.start,
-            segment.end,
-            segment.kind,
-            segment.period_index,
-            segment.charged_to,
-        )
-
     def record_switch(self, record: ContextSwitchRecord) -> None:
         self.switches.append(record)
 

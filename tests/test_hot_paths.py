@@ -55,11 +55,12 @@ test counts (deliveries, epoch and event syncs, ``run_until``
 returns).
 
 An unobserved run pays nothing for observation: the ``obs``/``prof``
-hook sites of core, sim, cluster, metrics and serve are enumerated
-from source; short drivers run watched execute every one; run with
-every slot ``None`` they call nothing under ``repro/obs/``, and with an
-unsinked ``ObsBus`` they build no ``ObsEvent`` (§4 "A hot path reads
-names").
+hook sites of core, sim, cluster, metrics and serve — a method
+decorated ``@phase`` among them — are enumerated from source; short
+drivers run watched execute every one (begin every decorated phase);
+run with every slot ``None`` they call nothing under ``repro/obs/``, and
+recording into an ``ArenaBus`` nothing subscribes to, the bus builds no
+``ObsEvent`` (§4 "A hot path reads names").
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ from repro.obs.events import (
     GrantRecomputeEvent,
     PolicyResolutionEvent,
     RpcEvent,
-    ObsBus,
     ViolationEvent,
 )
+from repro.obs.pipeline.arena import ArenaBus
 from repro.obs.prof import PhaseProfiler
 from repro.obs.session import ObsSession
 from repro.scenarios import av_pipeline, cluster_rack, figure5
@@ -832,10 +833,11 @@ class TestNodesRunWhenTouched:
 # -- an unobserved run pays nothing for observation -------------------------------
 
 #: The packages whose hook sites the rule judges, and how many sites the
-#: enumeration must find: 51 when this rule replaced the static
-#: ``obs-unguarded-emit`` lint rule, which judged the same sites.
+#: enumeration must find: 44 since the nine hand-written phase wrappers
+#: (18 ``begin``/``end`` sites) became ``repro.sim.phase`` (its own two
+#: sites) and the nine methods it decorates.
 HOOK_PACKAGES = ("core", "sim", "cluster", "metrics", "serve")
-HOOK_SITES = 51
+HOOK_SITES = 44
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -847,6 +849,9 @@ class HookSite:
     #: The enclosing function: its name and first line (decorators
     #: included), as its code object has them.
     function: tuple[str, int]
+    #: The profiler phase a ``@phase(name)`` site's method runs in; None
+    #: for a call site.
+    phase: str | None = None
 
     def __str__(self) -> str:
         return f"{pathlib.Path(self.path).relative_to(SRC)}:{self.line}"
@@ -882,10 +887,26 @@ def _is_hook(call: ast.Call) -> bool:
     return hook and "obs" in receiver
 
 
+def _phase_of(decorator: ast.expr) -> str | None:
+    """The phase name of a ``@phase("name")`` decorator, else None."""
+    if (
+        isinstance(decorator, ast.Call)
+        and _tail(decorator.func) == "phase"
+        and decorator.args
+        and isinstance(decorator.args[0], ast.Constant)
+    ):
+        return decorator.args[0].value
+    return None
+
+
 def _sites_in(path: pathlib.Path, node: ast.AST, function: tuple[str, int]):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+            for decorator in child.decorator_list:
+                phase = _phase_of(decorator)
+                if phase is not None:
+                    yield HookSite(str(path), decorator.lineno, (child.name, first), phase)
             yield from _sites_in(path, child, (child.name, first))
             continue
         if isinstance(child, ast.Call) and _is_hook(child):
@@ -909,7 +930,8 @@ def _lines_run(drive) -> set[tuple[str, int]]:
     events only in the functions that hold a site."""
     lines: dict[str, set[int]] = {}
     for site in _hook_sites():
-        lines.setdefault(site.path, set()).add(site.line)
+        if site.phase is None:
+            lines.setdefault(site.path, set()).add(site.line)
     traced: dict[types.CodeType, bool] = {}
     run = set()
 
@@ -1093,13 +1115,32 @@ DRIVERS = {
     _drive_serve: SRC / "obs" / "prof",
 }
 
-#: The drivers a bare ``ObsBus`` can observe: ``ResourceDistributor(obs=)``
+#: The drivers a bare ``ArenaBus`` can observe: ``ResourceDistributor(obs=)``
 #: and ``MessageBus.obs`` take one.
 BUS_DRIVERS = [drive for drive in DRIVERS if drive is not _drive_serve]
 
 #: Site functions an unwatched run cannot enter: the load signal rides
 #: on an ObsSession, so an unobserved rack ships no telemetry.
 WATCHED_ONLY = [("_on_telemetry", "cluster/broker.py")]
+
+
+def _built(drive) -> set[tuple[str, str]]:
+    """Each ``ObsEvent`` class ``drive()`` constructs, with the file of
+    the frame that constructed it."""
+    inits = {cls.__init__.__code__: cls.__name__ for cls in EVENT_TYPES.values()}
+    built = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in inits:
+            built.add((inits[frame.f_code], frame.f_back.f_code.co_filename))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        drive()
+    finally:
+        sys.setprofile(previous)
+    return built
 
 
 @functools.cache
@@ -1117,23 +1158,31 @@ class TestUnobservedRunsPayNothing:
 
     Every call in core/sim/cluster/metrics/serve to ``begin``/``end``
     on a ``prof``-named receiver, to ``emit``/``emit_*`` on an
-    ``obs``-named one, or ``.emit(<Name>Event(...))`` is a hook site.
-    Short drivers run watched — an ``ObsSession``, a
-    ``PhaseProfiler``, a record-mode sanitizer — must execute every
-    site; the same drivers run with the ``obs`` and ``prof`` slots
-    ``None`` must finish, enter every site's function and call nothing
-    under ``repro/obs``; and where a bare ``ObsBus`` fills a slot,
-    unsinked, no ``ObsEvent`` may be built (an ``is not None`` guard
-    passes a falsy bus)."""
+    ``obs``-named one, or ``.emit(<Name>Event(...))`` is a hook site,
+    and so is every method decorated ``@phase(name)``.  Short drivers
+    run watched — an ``ObsSession``, a ``PhaseProfiler``, a record-mode
+    sanitizer — must execute every call site and begin every decorated
+    method's phase; the same drivers run with the ``obs`` and ``prof``
+    slots ``None`` must finish, enter every site's function and call
+    nothing under ``repro/obs``; and where an ``ArenaBus`` nothing
+    subscribes to fills a slot, the bus may build no ``ObsEvent`` (its
+    rows are columns; the only events are those generic hook sites hand
+    it)."""
 
     def test_the_enumeration_finds_every_site(self):
         assert len(_hook_sites()) >= HOOK_SITES
 
     def test_the_watched_drivers_reach_every_site(self):
-        run = set()
+        run, begun = set(), set()
         for drive in DRIVERS:
-            run |= _lines_run(lambda: drive(ObsSession(), PhaseProfiler()))
-        missed = [str(s) for s in _hook_sites() if (s.path, s.line) not in run]
+            prof = PhaseProfiler()
+            run |= _lines_run(lambda: drive(ObsSession(), prof))
+            begun |= set(prof.counts)
+        missed = [
+            str(s)
+            for s in _hook_sites()
+            if (s.path, s.line) not in run and s.phase not in begun
+        ]
         assert missed == []
 
     @pytest.mark.parametrize("drive", _ids(DRIVERS))
@@ -1163,9 +1212,11 @@ class TestUnobservedRunsPayNothing:
 
     @pytest.mark.parametrize("drive", _ids(BUS_DRIVERS))
     def test_an_unsinked_bus_builds_no_event(self, drive):
-        inits = {cls.__init__.__code__ for cls in EVENT_TYPES.values()}
-        built = _entered(lambda: drive(ObsBus(), None)) & inits
-        assert sorted(c.co_qualname for c in built) == []
+        bus = ArenaBus()
+        built = _built(lambda: drive(bus, None))
+        assert bus.total_emitted > 0
+        obs = str(SRC / "obs")
+        assert sorted({name for name, caller in built if caller.startswith(obs)}) == []
 
     def test_an_unobserved_distributor_arms_no_hook(self):
         rd = ResourceDistributor(machine=MachineConfig(), sim=SimConfig(seed=7))

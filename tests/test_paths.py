@@ -12,12 +12,19 @@ nothing reads (the stack sampler was one); the module table in
 DESIGN.md is where that is reviewed.
 
 The same holds one level down: a public function, class or method whose
-name appears nowhere in ``src/``, ``benchmarks/`` or ``examples/`` but
-in its own definition is reached only by tests, and goes (its tests are
-restated against the data it read).  A plain word search decides it, so
-a name shared with anything else in those trees counts as used; a
-package ``__init__``'s imports and ``__all__`` do not count, since
-re-exporting a name is not using it.
+name no code in ``src/``, ``benchmarks/`` or ``examples/`` uses is
+reached only by tests, and goes (its tests are restated against the
+data it read).  A use is an identifier in the syntax tree — a name, an
+attribute, an imported name, or a word of a string constant (how
+``getattr`` and the benchmark's tracer reach a method) — so a docstring
+or comment that mentions a name keeps nothing alive, while a name
+shared with anything else in those trees counts as used; a package
+``__init__``'s imports and ``__all__`` do not count, since re-exporting
+a name is not using it.
+
+State goes the same way: an attribute that ``src/`` stores and nothing
+in ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` ever loads is
+written for no reader.
 """
 
 import ast
@@ -25,6 +32,7 @@ import re
 import tomllib
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 REPO = Path(__file__).parent.parent
 
@@ -46,6 +54,10 @@ KEPT_NAMES = {
     "TaskContext.preemption_pending": "§5.6: a task may poll for a pending preemption",
     "ResourceDistributor.set_policy_override": "§7: the user's policy override",
     "ResourceDistributor.clear_policy_override": "§7: the user's policy override",
+    "InterruptSource": "§5.2: the interrupt load the reserve absorbs; the reserve-sizing tests drive it",
+    "ResourceManager.usage": "Figure 2: the Scheduler's accounting, as the RM reports it",
+    "Histogram.observe": "test_metrics_fold's reference fold observes event by event",
+    "_ServerConnection.data_received": "asyncio.Protocol callback the transport calls",
     "_ServerConnection.connection_made": "asyncio.Protocol callback the transport calls",
     "_ServerConnection.connection_lost": "asyncio.Protocol callback the transport calls",
     "_ServerConnection.eof_received": "asyncio.Protocol callback the transport calls",
@@ -147,17 +159,39 @@ def find_orphans(repo: Path) -> list[str]:
     return sorted(set(modules) - live)
 
 
-def _uses(path: Path) -> str:
-    """A file's text, less a package ``__init__``'s imports and
-    ``__all__``: re-exporting a name is not a use of it."""
-    text = path.read_text()
-    if path.name != "__init__.py":
-        return text
-    lines = text.splitlines()
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or _binds_all(node):
-            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
-    return "\n".join(lines)
+#: A string constant's words: identifiers, dotted or not.
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _docstrings(tree: ast.AST) -> Iterator[ast.Constant]:
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                yield first.value
+
+
+def _uses(path: Path) -> Iterator[str]:
+    """The identifiers a file's code uses, less its docstrings and a
+    package ``__init__``'s imports and ``__all__``: re-exporting a name
+    is not a use of it."""
+    tree = ast.parse(path.read_text())
+    skipped = {id(node) for node in _docstrings(tree)}
+    if path.name == "__init__.py":
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or _binds_all(node):
+                skipped.update(id(n) for n in ast.walk(node))
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _WORD.findall(node.value)
 
 
 def _binds_all(node: ast.AST) -> bool:
@@ -172,12 +206,12 @@ def _binds_all(node: ast.AST) -> bool:
 
 def find_unused_names(repo: Path) -> list[str]:
     """Public ``src/repro`` functions, classes and methods (as
-    ``Class.method``) whose name occurs in the ``src``, ``benchmarks``
-    and ``examples`` trees no more often than it is defined."""
+    ``Class.method``) whose name no code in the ``src``, ``benchmarks``
+    and ``examples`` trees uses."""
     words: Counter[str] = Counter()
     for directory in ("src", "benchmarks", "examples"):
         for path in sorted((repo / directory).rglob("*.py")):
-            words.update(re.findall(r"\w+", _uses(path)))
+            words.update(_uses(path))
     defined: dict[str, list[str]] = {}
 
     def visit(body, owner: str) -> None:
@@ -192,9 +226,30 @@ def find_unused_names(repo: Path) -> list[str]:
     return sorted(
         qualified
         for name, places in defined.items()
-        if not name.startswith("_") and words[name] <= len(places)
+        if not name.startswith("_") and not words[name]
         for qualified in places
     )
+
+
+def find_write_only(repo: Path) -> list[str]:
+    """Attributes ``src/repro`` stores (``x.name = ...``, ``+=``) that
+    no code in ``src``, ``benchmarks``, ``examples`` or ``tests`` loads,
+    as ``path:line`` of the first store, by attribute name."""
+    loaded: set[str] = set()
+    for directory in ("src", "benchmarks", "examples", "tests"):
+        for path in sorted((repo / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    loaded.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    loaded.update(_WORD.findall(node.value))
+    stored: dict[str, str] = {}
+    for path in sorted((repo / "src" / "repro").rglob("*.py")):
+        relative = path.relative_to(repo / "src").as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, f"{relative}:{node.attr}")
+    return sorted(where for name, where in stored.items() if name not in loaded)
 
 
 #: The modules that parse a command line: only they read an argparse
@@ -266,11 +321,15 @@ def test_an_unused_name_is_caught(tmp_path):
     pkg.mkdir(parents=True)
     (tmp_path / "examples").mkdir()
     (pkg / "box.py").write_text(
+        '"""Boxes; ``Box.as_tuple`` and ``stale()`` are only mentioned here."""\n'
         "class Box:\n"
         "    def size(self):\n        return self._hidden()\n"
         "    def _hidden(self):\n        return 1\n"
         "    def as_tuple(self):\n        return ()\n"
-        "def helper():\n    return Box().size()\n"
+        "    def label(self):\n        return ()\n"
+        "def helper():\n    # stale() was here\n"
+        "    return Box().size(), getattr(Box(), 'label')\n"
+        "def stale():\n    return None\n"
     )
     (pkg / "__init__.py").write_text(
         "from repro.box import Box, helper\n"
@@ -280,7 +339,28 @@ def test_an_unused_name_is_caught(tmp_path):
     # Only re-exported: the package's import and ``__all__`` are not uses.
     (pkg / "crate.py").write_text("class Crate:\n    pass\n")
     (tmp_path / "examples" / "demo.py").write_text("from repro.box import helper\n")
-    assert find_unused_names(tmp_path) == ["Box.as_tuple", "Crate"]
+    assert find_unused_names(tmp_path) == ["Box.as_tuple", "Crate", "stale"]
+
+
+def test_every_stored_attribute_is_read():
+    assert find_write_only(REPO) == []
+
+
+def test_a_write_only_attribute_is_caught(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (pkg / "meter.py").write_text(
+        "class Meter:\n"
+        "    def __init__(self):\n"
+        "        self.ticks = 0\n        self.debt = 0\n        self.peak = 0\n"
+        "    def tick(self):\n        self.ticks += 1\n        self.debt += 1\n"
+        "        return getattr(self, 'peak')\n"
+    )
+    (tmp_path / "tests" / "test_meter.py").write_text(
+        "def test_ticks(meter):\n    assert meter.ticks\n"
+    )
+    assert find_write_only(tmp_path) == ["repro/meter.py:debt"]
 
 
 def test_argparse_stops_at_the_command_layer():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import units
-from repro.sim.trace import RunSegment, SegmentKind, TraceRecorder
+from repro.sim.trace import SegmentKind, TraceRecorder
 from repro.viz import format_table, render_gantt
 
 
@@ -11,8 +11,8 @@ from repro.viz import format_table, render_gantt
 def trace():
     t = TraceRecorder()
     half = units.ms_to_ticks(5)
-    t.record_segment(RunSegment(1, 0, half, SegmentKind.GRANTED, period_index=0))
-    t.record_segment(RunSegment(2, half, 2 * half, SegmentKind.OVERTIME, period_index=0))
+    t.record_run(1, 0, half, SegmentKind.GRANTED, 0)
+    t.record_run(2, half, 2 * half, SegmentKind.OVERTIME, 0)
     return t
 
 
