@@ -311,22 +311,22 @@ class ClusterSimulation:
 
     def _next_time(self, horizon: int) -> int:
         """The next global time anything cluster-level can happen."""
-        candidates = [horizon, self._next_epoch]
+        soonest = min(horizon, self._next_epoch)
         bus_next = self.bus.next_time()
-        if bus_next is not None:
-            candidates.append(bus_next)
+        if bus_next is not None and bus_next < soonest:
+            soonest = bus_next
         if self.pipeline is not None:
             pipeline_next = self.pipeline.next_time()
-            if pipeline_next is not None:
-                candidates.append(pipeline_next)
+            if pipeline_next is not None and pipeline_next < soonest:
+                soonest = pipeline_next
         event_next = self.events.next_time()
-        if event_next is not None:
-            candidates.append(event_next)
+        if event_next is not None and event_next < soonest:
+            soonest = event_next
         deadline = self.broker.next_deadline()
-        if deadline is not None:
-            candidates.append(deadline)
+        if deadline is not None and deadline < soonest:
+            soonest = deadline
         # Never move backwards, never overshoot the horizon.
-        return min(horizon, max(self._now, min(candidates)))
+        return min(horizon, max(self._now, soonest))
 
     def _fire_events(self) -> None:
         for event in self.events.pop_due(self._now):

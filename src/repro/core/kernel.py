@@ -145,8 +145,8 @@ class Kernel:
         self._event_heap = self.events._heap
 
         self._current: SimThread | None = None
-        #: The slice the last call's horizon cut — (thread, ``timer_for``
-        #: target) — or None.
+        #: The slice to run next without a pick — one the last call's
+        #: horizon cut, or a grace slice — as (thread, timer), or None.
         self._held: tuple[SimThread, int] | None = None
         self._pending_switch_kind = SWITCH_VOLUNTARY
         #: The hold rule's one input (see :meth:`run_until`): a
@@ -339,27 +339,29 @@ class Kernel:
     def run_until(self, horizon: int) -> None:
         """Advance the simulation to absolute time ``horizon``.
 
-        The clock may end past ``horizon``: a switch cost or an
-        interrupt handler's stolen time can carry it there, and so can
-        a grace period — a policy interrupt due exactly at ``horizon``
-        is still an interrupt, and a thread under controlled preemption
-        runs on until it notices (at most ``grace_period_ticks``).  A
-        caller stepping with :meth:`run_for` steps from where the clock
-        ended, not from the horizon it asked for.
+        The clock ends past ``horizon`` only when a switch cost or an
+        interrupt handler's stolen time carries it there; a caller
+        stepping with :meth:`run_for` steps from where it ended.
 
+        The one slice rule: every slice stops at the first of its timer
+        (the policy's interrupt, or a grace slice's end: see
+        :meth:`_handle_forced_stop`), the next event and the horizon.
         The hold rule: a slice goes on without a pick while no
         scheduling event has fired since the last pick — ``_reschedule``
         is clear; an event, a wake, a first period, every grant
         notification and a booking due before the running slice's stop
-        (see :meth:`at`) set it.  A period boundary or postponed start is
-        no such event: the policy's timer already chose the ones that
-        stop the slice and let it run past the rest.  The rule holds at
-        a cut: a slice the horizon stopped (it came before the timer and
-        the next event) is held, and the next call resumes it after its
+        (see :meth:`at`) set it, and a pick clears it once it has chosen
+        (a first period it started itself is no event after it).  A
+        period boundary or postponed start is no such event: the
+        policy's timer chose the ones that stop the slice.  The rule
+        holds at a cut: a slice the horizon stopped before its timer and
+        the next event is held, and the next call resumes it after its
         preamble without ``pick`` or ``timer_for``, so a caller that cuts
-        a horizon into many calls gets the run one call makes.  It holds
-        across a poll too (see :meth:`_execute`), and for every policy.
-        A resume is no decision, so it is not audited; it is one
+        a horizon into many calls gets the run one call makes.  A grace
+        slice is held from the interrupt that grants it, and resumed
+        whatever fired: its preemption is decided.  The rule holds across
+        a poll too (see :meth:`_execute`), and for every policy.  A
+        resume is no decision, so it is not audited; it is one
         ``kernel.dispatch`` phase, the loop iteration it is.
         """
         if self.policy is None:
@@ -412,12 +414,11 @@ class Kernel:
                 prof.begin("kernel.dispatch")
             held = self._held
             self._held = None
-            if held is not None and not self._reschedule:
-                # The held cut (see the docstring): no decision.
-                thread, policy_stop = held
+            if held is not None and (not self._reschedule or held[0].grace_pending):
+                thread, timer = held  # a held cut or a grace slice
             else:
-                self._reschedule = False
                 thread = pick(now)
+                self._reschedule = False  # after the pick: see the docstring
                 if sanitizer is not None:
                     sanitizer.on_pick(thread, now)
                 if thread is not self._current:
@@ -431,13 +432,13 @@ class Kernel:
                         if prof:
                             prof.end("kernel.dispatch")
                         continue
-                policy_stop = timer_for(thread, now)
-            # The timer: the horizon, the next external event, or the
-            # policy's interrupt, whichever is first.  An event wins its
-            # tie with the policy's interrupt; the horizon does not — the
-            # interrupt due there is still an interrupt (a grace period
-            # may follow it), wherever a caller cuts the run.
-            stop = policy_stop
+                timer = timer_for(thread, now)
+            # The one slice rule (see the docstring).  An event wins its
+            # tie with the timer; the horizon loses its tie with both, so
+            # the interrupt due there is still one.  A switch cost can
+            # land the clock past the stop: the slice is then of zero
+            # length (the progress guard below catches livelocks).
+            stop = timer
             preemptive = True
             if event_heap:
                 next_event = events.next_time()
@@ -445,31 +446,27 @@ class Kernel:
                     stop = next_event
                     preemptive = False
             self._stop = stop  # until the slice ends (see at())
-            if stop > horizon:
-                stop = horizon
-                preemptive = False
-            # A switch cost can land the clock past the stop: the slice
-            # is then of zero length (the progress guard below catches
-            # genuine livelocks), and one the horizon cut is still held.
+            end = horizon if stop > horizon else stop
             if thread.is_idle:
-                if stop > now:
-                    clock.advance_to(stop)
-                    self.trace.record_run(thread.tid, now, stop, SEGMENT_IDLE)
-                self._pending_switch_kind = SWITCH_VOLUNTARY
-                outcome = SLICE_FORCED  # a cut idle slice is held too
+                if end > now:
+                    clock.advance_to(end)
+                    self.trace.record_run(thread.tid, now, end, SEGMENT_IDLE)
+                outcome = SLICE_FORCED
             else:
-                outcome = self._execute(thread, stop)
-                if outcome is SLICE_DONE or outcome is SLICE_BLOCKED:
-                    self._pending_switch_kind = SWITCH_VOLUNTARY
-                elif outcome is SLICE_INTERRUPTED:
-                    self._pending_switch_kind = SWITCH_INVOLUNTARY
-                elif preemptive:  # FORCED by the policy's timer interrupt
-                    self._pending_switch_kind = self._handle_forced_stop(thread)
-                else:  # FORCED by an event or the horizon
-                    self._pending_switch_kind = SWITCH_INVOLUNTARY
+                outcome = self._execute(thread, end)
             self._stop = 0
-            if stop == horizon and not preemptive and outcome is SLICE_FORCED:
-                self._held = (thread, policy_stop)
+            cut = outcome is SLICE_FORCED and end < stop
+            if cut:
+                self._held = (thread, timer)
+            if thread.grace_pending and not cut:
+                self._pending_switch_kind = self._end_grace(thread)
+            elif thread.is_idle or outcome is SLICE_DONE or outcome is SLICE_BLOCKED:
+                self._pending_switch_kind = SWITCH_VOLUNTARY
+            elif preemptive and not cut and outcome is SLICE_FORCED:
+                # The policy's timer interrupt.
+                self._pending_switch_kind = self._handle_forced_stop(thread)
+            else:  # interrupted, or FORCED by an event or the horizon
+                self._pending_switch_kind = SWITCH_INVOLUNTARY
             if prof:
                 prof.end("kernel.dispatch")
             if clock.now != before:
@@ -514,7 +511,10 @@ class Kernel:
     # -- dispatching ------------------------------------------------------------
 
     def _handle_forced_stop(self, thread: SimThread) -> SwitchKind:
-        """Apply controlled-preemption grace periods (section 5.6)."""
+        """Grant a controlled-preemption grace period (section 5.6).  The
+        grace slice is the loop's next slice, held with its end as the
+        timer: the task's next check, or the whole grace period when the
+        check falls past it.  :meth:`_end_grace` settles it."""
         definition = thread.definition
         if (
             definition is None
@@ -525,20 +525,19 @@ class Kernel:
         self._rollover_all()
         if not self.policy.preemption_imminent(thread, self.now):
             return SWITCH_INVOLUNTARY
-        grace = self.machine.grace_period_ticks
         notice = definition.preemption.check_interval
-        # The task's next preemption check falls inside the grace period,
-        # and it yields voluntarily once it notices; or it cannot notice
-        # in time, burns the whole grace period and is involuntarily
-        # preempted, with an exception callback so it can clean up when
-        # next run.
-        honoured = notice <= grace
         thread.grace_pending = True
-        self._stop = self.now + (notice if honoured else grace)  # see at()
-        try:
-            self._execute(thread, self._stop)
-        finally:
-            thread.grace_pending = False
+        self._held = (thread, self.now + min(notice, self.machine.grace_period_ticks))
+        return SWITCH_VOLUNTARY  # until _end_grace settles it
+
+    def _end_grace(self, thread: SimThread) -> SwitchKind:
+        """Settle a grace slice where it ended: a task that could not
+        notice in time is involuntarily preempted, with an exception
+        callback so it can clean up when next run."""
+        thread.grace_pending = False
+        definition = thread.definition
+        grace = self.machine.grace_period_ticks
+        honoured = definition.preemption.check_interval <= grace
         if not honoured:
             thread.missed_grace_count += 1
             thread.ctx.missed_grace = True
@@ -546,12 +545,7 @@ class Kernel:
                 definition.exception_callback(self.now)
         if self.obs:
             self.obs.emit(
-                GraceEvent(
-                    time=self.now,
-                    thread_id=thread.tid,
-                    honoured=honoured,
-                    grace_ticks=grace,
-                )
+                GraceEvent(self.now, thread.tid, honoured=honoured, grace_ticks=grace)
             )
         return SWITCH_VOLUNTARY if honoured else SWITCH_INVOLUNTARY
 
@@ -591,9 +585,10 @@ class Kernel:
         again (``DonePeriod(overtime=True)``) changes no queue, so the
         slice goes on (:meth:`_poll`) while no scheduling event has
         fired — a body's booking before the stop is one — with time
-        short of ``stop``, not in a grace slice, and with time spent
-        since the last poll (or a body that polls without computing
-        would never leave the loop).
+        short of ``stop`` or ``stop`` the horizon's cut (the slice is
+        then held, as one call runs it on), not in a grace slice, and
+        with time spent since the last poll (or a body that polls
+        without computing would never leave the loop).
         """
         ops_at_stop = 0
         clock = self.clock
@@ -679,7 +674,8 @@ class Kernel:
                 and op.overtime
                 and thread.wants_overtime  # declared done, with overtime
                 and not assigned
-                and polled < (now := clock.now) < stop
+                and polled < (now := clock.now)
+                and (now < stop or stop < self._stop)
                 and not self._reschedule
                 and not thread.grace_pending
                 and self._poll(thread, now, stop, poll)

@@ -108,7 +108,8 @@ class FromScratchKernel(Kernel):
     selects it."""
 
     def run_until(self, horizon):
-        self._held = None  # every cut is a decision
+        if self._held is not None and not self._held[0].grace_pending:
+            self._held = None  # every cut is a decision; a grace slice is none
         super().run_until(horizon)
 
     def _poll(self, thread, now, stop, poll):

@@ -36,13 +36,15 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[ScheduledEvent] = []
         self._counter = itertools.count()
-        self._cancelled: set[int] = set()
+        #: Sequence numbers of the events still queued and not cancelled;
+        #: a heap entry missing from it is dropped when it surfaces.
+        self._live: set[int] = set()
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._live)
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return bool(self._live)
 
     def schedule(self, time: int, action: Callable[[], None], label: str = "") -> ScheduledEvent:
         """Schedule ``action`` to fire at absolute tick ``time``.
@@ -53,11 +55,14 @@ class EventQueue:
             raise SimulationError(f"cannot schedule an event at negative time {time}")
         event = ScheduledEvent(time=time, seq=next(self._counter), action=action, label=label)
         heapq.heappush(self._heap, event)
+        self._live.add(event.seq)
         return event
 
     def cancel(self, event: ScheduledEvent) -> None:
-        """Cancel a previously scheduled event.  Idempotent."""
-        self._cancelled.add(event.seq)
+        """Cancel a previously scheduled event.  Idempotent; an event
+        already popped is no longer queued, so cancelling it does
+        nothing."""
+        self._live.discard(event.seq)
 
     def next_time(self) -> int | None:
         """Time of the earliest pending event, or ``None`` if empty."""
@@ -69,14 +74,17 @@ class EventQueue:
     def pop_due(self, now: int) -> list[ScheduledEvent]:
         """Remove and return every event with ``time <= now``, in order."""
         due: list[ScheduledEvent] = []
+        heap = self._heap
         while True:
             self._drop_cancelled()
-            if not self._heap or self._heap[0].time > now:
+            if not heap or heap[0].time > now:
                 break
-            due.append(heapq.heappop(self._heap))
+            event = heapq.heappop(heap)
+            self._live.discard(event.seq)
+            due.append(event)
         return due
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].seq in self._cancelled:
-            cancelled = heapq.heappop(self._heap)
-            self._cancelled.discard(cancelled.seq)
+        heap = self._heap
+        while heap and heap[0].seq not in self._live:
+            heapq.heappop(heap)

@@ -96,7 +96,9 @@ class MessageBus:
         self.jitter_ticks = int(jitter_ticks)
         self.drop_rate = drop_rate
         self.stats = BusStats()
-        self._heap: list[Envelope] = []
+        #: In-flight envelopes keyed ``(deliver_at, seq, envelope)``: the
+        #: heap compares two ints, never the envelope.
+        self._heap: list[tuple[int, int, Envelope]] = []
         self._seq = 0
         #: Dropped envelopes, for inspection and fault-injection tests.
         self.dropped: list[Envelope] = []
@@ -153,24 +155,28 @@ class MessageBus:
             if obs:
                 obs.emit_rpc(now, "drop", src, dst, kind, request_id, trace_id)
             return envelope
-        heapq.heappush(self._heap, envelope)
+        heapq.heappush(self._heap, (envelope.deliver_at, envelope.seq, envelope))
         return envelope
 
     def next_time(self) -> int | None:
         """Delivery time of the earliest in-flight message, or None."""
         if not self._heap:
             return None
-        return self._heap[0].deliver_at
+        return self._heap[0][0]
 
     def pop_due(self, now: int) -> list[Envelope]:
         """Remove and return every envelope with ``deliver_at <= now``,
-        in deterministic ``(deliver_at, seq)`` order."""
+        in deterministic ``(deliver_at, seq)`` order.  With a profiler
+        attached every call is one ``bus.rpc`` phase, due or not."""
+        heap = self._heap
         prof = self.prof
+        if not prof and (not heap or heap[0][0] > now):
+            return []
         if prof:
             prof.begin("bus.rpc")
         due: list[Envelope] = []
-        while self._heap and self._heap[0].deliver_at <= now:
-            due.append(heapq.heappop(self._heap))
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap)[2])
         self.stats.delivered += len(due)
         obs = self.obs
         if obs:

@@ -202,15 +202,10 @@ class TestEventApi:
         rd.run_for(ms(1))
         assert fired == [(ms(10) + us(70), ms(10) + us(70))]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="open: a booking made before a grace slice and due inside "
-        "it fires at the slice's end (EXPERIMENTS.md, known deviation 7)",
-    )
     def test_an_event_booked_before_a_grace_slice_fires_when_due(self):
         """A grace slice is a slice whenever the booking was made: one
         due inside it ends it.  Booked before the run, the event due at
-        10.05 ms fires at 10.15 ms, when the 150 us slice ends."""
+        10.05 ms once fired at 10.15 ms, when the 150 us slice ended."""
         us = units.us_to_ticks
         rd = ResourceDistributor(machine=MachineConfig.ideal(), sim=SimConfig(seed=5))
 
@@ -275,12 +270,6 @@ def spy_on_slices(rd):
     return slices
 
 
-#: First op of the bodies below.  A first activation leaves a reschedule
-#: pending, which ends the slice after the first op fetched, whatever it
-#: is; this one takes that, so the ops under test start a fresh slice.
-SETTLE = InsertIdleCycles(0)
-
-
 class TestWholeOpRuns:
     """Whole ops, exactly filling ops and cut ops are all charged on
     the one compute path; what a run looks like from outside does not
@@ -288,7 +277,6 @@ class TestWholeOpRuns:
 
     def test_op_that_exactly_fills_the_slice_is_consumed_not_run(self, ideal_rd):
         def task(ctx):
-            yield SETTLE
             yield Compute(ms(1))
             yield Compute(ms(1))  # ends on the tick of the event below
             yield Compute(ms(1))
@@ -300,14 +288,13 @@ class TestWholeOpRuns:
         ideal_rd.run_for(ms(5))
         # The third op, fetched at the stop, ended the indulgence there
         # and waited in pending_compute for the next slice.
-        assert slices[1] == (SliceEnd.FORCED, ms(2))
+        assert slices[0] == (SliceEnd.FORCED, ms(2))
         assert thread.used == ms(3) and thread.completed_at == ms(3)
 
     def test_op_that_exactly_exhausts_the_grant_is_consumed_not_run(self, ideal_rd):
         requests = []
 
         def task(ctx):
-            yield SETTLE
             yield Compute(ms(3))
             yield Compute(ms(1))  # the grant is 4 ms
             yield Compute(ms(1))
@@ -353,7 +340,6 @@ class TestWholeOpRuns:
         us = units.us_to_ticks
 
         def task(ctx):
-            yield SETTLE
             yield Compute(us(7900))  # 2.0 -> 9.9 ms
             yield Compute(us(120))  # cut at 10 ms by the short task's boundary
             yield Compute(us(30))  # ends on the grant's last tick, 10.05 ms
@@ -361,7 +347,6 @@ class TestWholeOpRuns:
             yield DonePeriod()
 
         def one_op(ctx):
-            yield SETTLE
             yield Compute(us(8100))  # the same work; the grant is 8050 us
             yield DonePeriod()
 
@@ -381,7 +366,6 @@ class TestWholeOpRuns:
         fetched_at_stop = []
 
         def task(ctx):
-            yield SETTLE
             yield Compute(ms(1))
             yield Compute(ms(1) - 1)  # the run ends one tick short
             yield Compute(1)  # ... and this op lands on the stop
@@ -394,7 +378,7 @@ class TestWholeOpRuns:
         ideal_rd.at(ms(2), lambda: None)
         slices = spy_on_slices(ideal_rd)
         ideal_rd.run_until(ms(2))
-        assert slices[1:] == [(SliceEnd.FORCED, ms(2))]
+        assert slices == [(SliceEnd.FORCED, ms(2))]
         assert fetched_at_stop == list(range(8))
 
     def test_post_interrupts_the_run_at_the_op_boundary(self, ideal_rd):
@@ -429,7 +413,6 @@ class TestWholeOpRuns:
 
     def test_generator_returning_mid_run_has_the_run_recorded(self, ideal_rd):
         def task(ctx):
-            yield SETTLE
             yield Compute(ms(1))
             yield Compute(ms(1))
 
@@ -441,7 +424,6 @@ class TestWholeOpRuns:
 
     def test_crash_mid_run_has_the_run_recorded_first(self, ideal_rd):
         def task(ctx):
-            yield SETTLE
             yield Compute(ms(1))
             yield Compute(ms(1))
             raise RuntimeError("fell over")
@@ -462,7 +444,6 @@ class TestWholeOpRuns:
             pass
 
         def task(ctx):
-            yield SETTLE
             yield Tagged(ms(1))
             yield DonePeriod()
 

@@ -57,7 +57,7 @@ class TestInjection:
         result = run_spec(spec, inject="terminate-admitted")
         assert result.outcome == "invariant:never-terminated"
         assert result.ticks == 2 * period  # inject._KILL_AT_MS
-        assert result.decisions_checked == 6
+        assert result.decisions_checked == 5
 
     def test_terminate_admitted_is_recorded_once_per_killed_thread(self):
         """A recording run keeps going after the kill; the dead thread

@@ -206,28 +206,32 @@ class TestDeterminism:
 
     def test_counts_match_the_parent(self, tmp_path, capsys):
         """``prof_counts.json`` of the rack capture the ``prof-smoke``
-        job renders, pinned at c956e06 and re-recorded once when rack
-        nodes began to run only when touched (``kernel.dispatch`` 914 →
-        438, nothing else): a change that moves any phase count moves
-        these bytes."""
+        job renders, pinned at c956e06 and re-recorded twice, each time
+        with only ``kernel.dispatch`` moved: when rack nodes began to run
+        only when touched (914 → 438), and when a grant the dispatching
+        pick activated stopped ending that pick's slice (438 → 416): a
+        change that moves any phase count moves these bytes."""
         from repro.cli import main
 
         assert main(["run", "--scenario", "cluster_rack", "--seed", "7",
                      "--duration-ms", "400", "--profile", str(tmp_path)]) == 0
         counts = (tmp_path / "prof_counts.json").read_bytes()
-        assert hashlib.sha256(counts).hexdigest()[:16] == "e7416ccdff9984cf"
+        assert hashlib.sha256(counts).hexdigest()[:16] == "aa47151744e2579e"
         capsys.readouterr()
 
     def test_greedy_server_counts_match_the_parent(self, tmp_path, capsys):
         """The same for a greedy Sporadic Server's run, pinned at
         e4b4528, when every poll was re-picked: a continued poll is
-        still one ``kernel.dispatch`` phase (4,585 in 400 ms)."""
+        still one ``kernel.dispatch`` phase.  Re-recorded once, when a
+        grant the dispatching pick activated stopped ending that pick's
+        slice (``kernel.dispatch`` 4,585 → 4,580 in 400 ms, nothing
+        else)."""
         from repro.cli import main
 
         assert main(["run", "--scenario", "figure5", "--duration-ms", "400",
                      "--profile", str(tmp_path)]) == 0
         counts = (tmp_path / "prof_counts.json").read_bytes()
-        assert hashlib.sha256(counts).hexdigest()[:16] == "8ecc4b09af8d4733"
+        assert hashlib.sha256(counts).hexdigest()[:16] == "9d240ddf034e0ede"
         capsys.readouterr()
 
 

@@ -74,6 +74,7 @@ from repro.core.threads import (
     scan_time_remaining,
 )
 from repro.fuzz.reference import reference_stack
+from repro.obs.pipeline.arena import ArenaBus
 from repro.obs.prof import PhaseProfiler
 from repro.tasks.base import (
     Block,
@@ -326,6 +327,7 @@ def run_stream(
     )
     if reference:
         reference_stack(rd)
+    rd.kernel.obs = ArenaBus()  # for the grace periods (see assert_same_run)
     if prepare is not None:
         prepare(rd)
     names = itertools.count()
@@ -442,8 +444,19 @@ def _accounts(kernel):
     ]
 
 
+def _graces(kernel):
+    """The controlled-preemption grace periods an observed kernel
+    settled, as ``(time, tid, honoured)``."""
+    return [
+        (e.time, e.thread_id, e.honoured)
+        for e in kernel.obs.materialize()
+        if e.type == "grace-period"
+    ]
+
+
 def assert_same_run(a, b):
-    """Two kernels went through the identical run."""
+    """Two kernels went through the identical run (grace periods
+    included, when both are observed)."""
     assert a.trace.segments == b.trace.segments
     assert a.trace.switches == b.trace.switches
     assert a.trace.deadlines == b.trace.deadlines
@@ -451,6 +464,8 @@ def assert_same_run(a, b):
     assert a.trace.grant_changes == b.trace.grant_changes
     assert a.crashes == b.crashes
     assert _accounts(a) == _accounts(b)
+    if a.obs and b.obs:
+        assert _graces(a) == _graces(b)
 
 
 # The kernel keeps a slice going across a poll — DonePeriod(overtime=True)
@@ -491,13 +506,22 @@ def assert_same_run(a, b):
 @example((True, False, [(100, "admit", 15, 15, "crasher", 2)]))
 @example((True, False, [(80, "admit", 10, 5, "follower", 1)]))
 @example((True, False, [(49, "post", 10, 15, "fidgeter", 3)]))
+# A sliced run's cut at 20 ms inside an overlap (the seed's boundary
+# ties the blocker's deadline): the kernel holds the blocker's slice as
+# one call runs it, the reference re-picks the seed there.
+@example(
+    (False, True, [(1, "admit", 5, 5, "follower", 0)] * 3 + [(1, "admit", 10, 7, "poster", 0)])
+)
 @given(change_streams())
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 def test_incremental_heap_matches_from_scratch_sort(stream):
+    """The shipped stack's run, in one call or 10 ms slices, is the
+    reference's one-call run (the reference re-picks at every cut)."""
+    with_server, _, ops = stream
     fast, fast_seen = run_stream(stream)
-    slow, slow_seen = run_stream(stream, reference=True)
+    slow, slow_seen = run_stream((with_server, False, ops), reference=True)
     assert fast.sanitizer.ok and slow.sanitizer.ok
     assert_same_run(fast.kernel, slow.kernel)
     assert fast_seen == slow_seen
@@ -579,11 +603,17 @@ def test_granularity_is_inert_under_a_baseline_timer(sizes):
 
 
 #: Where a caller stops a kernel: on a round millisecond — where the
-#: streams' events, admissions and period boundaries fall — or on any
-#: tick.
+#: streams' events, admissions and period boundaries fall — just past
+#: one, inside the grace slice a preempting boundary there may grant,
+#: or on any tick.
 cut_times = st.lists(
     st.one_of(
         st.integers(min_value=1, max_value=129).map(units.ms_to_ticks),
+        st.builds(
+            lambda at_ms, after_us: units.ms_to_ticks(at_ms) + units.us_to_ticks(after_us),
+            st.integers(min_value=1, max_value=129),
+            st.integers(min_value=1, max_value=250),
+        ),
         st.integers(min_value=1, max_value=HORIZON - 1),
     ),
     max_size=12,
@@ -599,7 +629,25 @@ cut_times = st.lists(
 # controlled preemption, which then gets its grace period.  And one the
 # strict sanitizer caught in a single call on a machine with switch
 # costs: (5) a postponed period that begins inside a switch-cost window
-# makes the pick stale, like a period that opens there.
+# makes the pick stale, like a period that opens there.  And the grace
+# slice as a slice: (6) a cut inside the 200 us grace slice a task that
+# cannot notice in time is granted at 40 ms is held, and its miss, its
+# exception callback and its grace period are settled where the slice
+# ends, as in one call.
+@example(
+    (
+        False,
+        False,
+        [
+            (1, "admit", 15, 5, "oblivious", 1),
+            (1, "admit", 5, 5, "follower", 0),
+            (1, "admit", 5, 11, "follower", 0),
+        ],
+    ),
+    [units.ms_to_ticks(40) + units.us_to_ticks(50)],
+    True,
+    False,
+)
 @example(
     (
         False,
@@ -655,7 +703,8 @@ def test_a_split_horizon_is_inert(stream, cuts, reference, calibrated):
     """The kernel's run with the horizon cut into many calls is the run
     of one ``run_until(h)``, on the kernel or on the reference kernel
     (which re-picks at every cut, so only its one-call run is the
-    yardstick), on either machine."""
+    yardstick), on either machine: its trace, deadlines, accounts,
+    missed grace periods, exception callbacks and grace periods."""
     machine = MachineConfig() if calibrated else MachineConfig.ideal()
     whole, whole_seen = run_stream(stream, reference, cuts=[], machine=machine)
     split, split_seen = run_stream(stream, cuts=cuts, machine=machine)
@@ -665,11 +714,11 @@ def test_a_split_horizon_is_inert(stream, cuts, reference, calibrated):
 
 
 @pytest.mark.parametrize("reference", [False, True], ids=["kernel", "reference"])
-def test_a_horizon_tied_preemption_ends_past_the_horizon(reference):
+def test_a_horizon_tied_preemption_holds_its_grace_slice(reference):
     """A preempting boundary on the horizon is still an interrupt: the
-    thread under controlled preemption gets its grace slice, so
-    ``run_until(h)`` returns with the clock past ``h`` by the time the
-    thread takes to notice — and ``run_for`` steps on from there."""
+    thread under controlled preemption gets its grace slice, and like
+    any slice the horizon stops it — ``run_until(h)`` returns at ``h``
+    with the grace slice held, and the next call runs it first."""
     rd = ResourceDistributor(
         machine=MachineConfig.ideal(),
         sim=SimConfig(seed=1),
@@ -685,17 +734,25 @@ def test_a_horizon_tied_preemption_ends_past_the_horizon(reference):
     polite = rd.admit(
         _definition(rd, "polite", 20, 0.8, "polite", channel, 1, merged, seen, None)
     )
-    rd.admit(
+    follower = rd.admit(
         _definition(rd, "follower", 5, 0.1, "follower", channel, 0, merged, seen, None)
     )
     boundary = units.ms_to_ticks(5)
     notice = units.us_to_ticks(100)
     rd.run_until(boundary)
-    assert rd.kernel.now == boundary + notice
-    assert rd.kernel.trace.segments[-1].thread_id == polite.tid
-    assert rd.kernel.trace.segments[-1].end == boundary + notice
+    assert rd.kernel.now == boundary and polite.grace_pending
     rd.run_for(units.ms_to_ticks(1))
-    assert rd.kernel.now == boundary + notice + units.ms_to_ticks(1)
+    assert rd.kernel.now == boundary + units.ms_to_ticks(1)
+    assert not polite.grace_pending
+    assert [
+        (s.thread_id, s.start, s.end)
+        for s in rd.kernel.trace.segments
+        if s.end > boundary - units.ms_to_ticks(1)
+    ][:3] == [
+        (polite.tid, units.us_to_ticks(500), boundary + notice),
+        (follower.tid, boundary + notice, boundary + notice + units.us_to_ticks(500)),
+        (polite.tid, boundary + notice + units.us_to_ticks(500), boundary + units.ms_to_ticks(1)),
+    ]
     assert rd.sanitizer.ok and not seen
 
 
@@ -911,6 +968,7 @@ def run_baseline(case, step=None, cuts=None):
         machine=MachineConfig() if calibrated else MachineConfig.ideal(),
         sim=SimConfig(seed=1),
     )
+    system.kernel.obs = ArenaBus()  # for the grace periods
     channels = [Channel("c0"), Channel("c1")]
     seen = []
     for i, (period_ms, rate, body, n) in enumerate(tasks):
@@ -938,6 +996,18 @@ def run_baseline(case, step=None, cuts=None):
 # every 0.37 ms, re-picked at every cut and made 2.8 times the switches
 # of one call when the kernel held a slice only for the RD's Scheduler.
 @example(("smart", OVERLOAD, [], False), units.us_to_ticks(370), None)
+# A cut inside the grace slice the boundary at 5 ms grants a task that
+# cannot notice in time.
+@example(
+    (
+        "naive-edf",
+        [(30, 30, "oblivious", 1), (5, 10, "follower", 0), (10, 20, "follower", 0)],
+        [],
+        False,
+    ),
+    None,
+    [units.ms_to_ticks(5) + units.us_to_ticks(50)],
+)
 @given(
     baseline_runs(),
     st.one_of(st.none(), st.integers(min_value=1_000, max_value=units.ms_to_ticks(7))),
@@ -949,7 +1019,7 @@ def run_baseline(case, step=None, cuts=None):
 def test_every_baseline_is_cut_inert(case, step, cuts):
     """A baseline gets the kernel's hold rule as the RD's Scheduler
     does: its run stepped in many calls — every ``step`` ticks, or at
-    drawn cuts — is the run one call makes."""
+    drawn cuts, grace slices included — is the run one call makes."""
     whole, whole_seen = run_baseline(case, cuts=[])
     split, split_seen = run_baseline(case, step=step, cuts=cuts)
     assert_same_run(whole.kernel, split.kernel)

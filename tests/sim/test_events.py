@@ -68,6 +68,15 @@ class TestCancellation:
         assert q.next_time() == 10
         assert q.pop_due(100) == [keep]
 
+    def test_cancelling_a_popped_event_counts_nothing(self):
+        q = EventQueue()
+        first = q.schedule(5, _noop)
+        q.schedule(10, _noop)
+        assert q.pop_due(5) == [first]
+        q.cancel(first)
+        assert len(q) == 1 and bool(q) is True
+        assert q.next_time() == 10
+
 
 class TestIntrospection:
     def test_len_and_bool(self):

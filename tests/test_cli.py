@@ -111,12 +111,14 @@ def test_stdout_matches_the_parent(argv, capsys):
         (("scheduler_faceoff.py",), "756459520d2b3f9e"),
         (("settop_box.py",), "433bba7c89ba896b"),
         # The lossy multi-node rack's metrics; pinned at c956e06 and
-        # re-recorded twice, each time with only the four per-node
+        # re-recorded three times, each time with only the four per-node
         # sanitizer "decisions" counts moved: when rack nodes began to
         # run only when touched (412 -> 231, 428 -> 243, 478 -> 295,
-        # 371 -> 184), and when a held cut stopped being audited as a
-        # decision (231 -> 195, 243 -> 208, 295 -> 258, 184 -> 148).
-        (("cluster_rack.py", "--seed", "7", "--json"), "3311ebac274431dc"),
+        # 371 -> 184), when a held cut stopped being audited as a
+        # decision (231 -> 195, 243 -> 208, 295 -> 258, 184 -> 148), and
+        # when a grant the dispatching pick activated stopped ending that
+        # pick's slice (195 -> 187, 208 -> 198, 258 -> 251, 148 -> 142).
+        (("cluster_rack.py", "--seed", "7", "--json"), "92c55aad0537314b"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, tuple) else value,
 )
@@ -587,7 +589,10 @@ class TestFuzzCli:
 
     def test_campaign_summary_matches_the_parent(self, tmp_path, capsys):
         """Pinned at e4b4528, where every greedy-server poll was a
-        re-pick: the audit still checks each poll as one decision."""
+        re-pick: the audit still checks each poll as one decision.
+        Re-recorded once, when a grant the dispatching pick activated
+        stopped ending that pick's slice: 48,073 -> 47,991 decisions,
+        the 82 re-picks that followed an activating pick."""
         import re
 
         assert main(
@@ -595,14 +600,20 @@ class TestFuzzCli:
         ) == 0
         out = capsys.readouterr().out
         assert re.sub(r" \(\d+\.\ds\)$", "", out.rstrip("\n")) == (
-            "fuzz[core] seed=0: 25 scenarios, 48073 decisions checked, "
+            "fuzz[core] seed=0: 25 scenarios, 47991 decisions checked, "
             "5 admission denials, clean"
         )
 
     def test_injected_reproducers_match_the_parent(self, tmp_path, capsys):
         """sha256[:16] over the reproducers' names and bytes, pinned at
         e4b4528: shrinking re-runs each spec, so any moved decision
-        moves a file."""
+        moves a file.  Re-recorded once, when a grant the dispatching
+        pick activated stopped ending that pick's slice: the re-pick at
+        t=0 that followed the activating pick was where each of the five
+        specs first met a contended decision, so each inversion is now
+        caught at its next one (the same five files, each still
+        ``invariant:edf-order``; details, shrink runs and one shrunk
+        arrival moved)."""
         import hashlib
 
         assert main(
@@ -615,7 +626,7 @@ class TestFuzzCli:
         files = sorted(tmp_path.glob("*.trace.json"))
         blob = b"".join(p.name.encode() + p.read_bytes() for p in files)
         assert len(files) == 5
-        assert hashlib.sha256(blob).hexdigest()[:16] == "985c837554540169"
+        assert hashlib.sha256(blob).hexdigest()[:16] == "877e9bb14c4d1999"
 
     def test_replay_corpus_directory(self, capsys):
         from pathlib import Path

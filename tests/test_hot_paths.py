@@ -484,8 +484,10 @@ class TestPollsDoNotRepick:
         scenario.rd.attach_sanitizer(strict=True)
         scenario.rd.run_for(units.ms_to_ticks(400))
         assert scenario.rd.sanitizer.ok
-        # One decision per poll, as when every poll was re-picked.
-        assert scenario.rd.sanitizer.decisions_checked == 4_585
+        # One decision per poll, as when every poll was re-picked
+        # (4,585 then, with a re-pick after each of the 5 activating
+        # picks).
+        assert scenario.rd.sanitizer.decisions_checked == 4_580
 
     def test_the_server_body_runs_per_event_not_per_poll(self, monkeypatch):
         scenario = av_pipeline(61)
@@ -507,8 +509,9 @@ class TestPollsDoNotRepick:
         scenario.rd.attach_sanitizer(strict=True)
         scenario.rd.run_for(units.sec_to_ticks(1))
         assert scenario.rd.sanitizer.ok
-        # One decision per poll, as when every poll was re-picked.
-        assert scenario.rd.sanitizer.decisions_checked == 56_394
+        # One decision per poll, as when every poll was re-picked
+        # (56,394 then, with a re-pick after the one activating pick).
+        assert scenario.rd.sanitizer.decisions_checked == 56_393
 
 
 # -- a cut is not a pick ---------------------------------------------------------
@@ -518,21 +521,77 @@ class TestCutsDoNotRepick:
     """A slice the caller's horizon stopped resumes in the next call
     without ``pick`` and ``timer_for`` while no scheduling event has
     fired (DESIGN.md §4 "The hold rule"), so stepping a run in short
-    calls costs about the picks of one call."""
-
-    @staticmethod
-    def _picks(calls: int, step_ms: float) -> int:
-        scenario = av_pipeline(0)
-        picks = counted_picks(scenario.rd.scheduler)
-        for _ in range(calls):
-            scenario.rd.run_for(units.ms_to_ticks(step_ms))
-        return len(picks)
+    calls costs the picks of one call."""
 
     def test_short_calls_pick_about_as_often_as_one(self):
-        whole = self._picks(1, 3_000)
-        stepped = self._picks(1_200, 2.5)
-        # Re-picking at every cut made 1,600 picks against 401.
-        assert stepped <= 1.25 * whole, (stepped, whole)
+        stepped = av_pipeline(0)
+        stepped_picks = counted_picks(stepped.rd.scheduler)
+        for _ in range(1_200):
+            stepped.rd.run_for(units.ms_to_ticks(2.5))
+        # run_for steps on from where the clock ended, so the calls end
+        # a little past 3 s; one call runs to the same end.
+        whole = av_pipeline(0)
+        whole_picks = counted_picks(whole.rd.scheduler)
+        whole.rd.run_until(stepped.rd.now)
+        # Re-picking at every cut made 1,600 picks against 401; a poll
+        # that ended on a cut, unheld, made 409.
+        assert len(stepped_picks) == len(whole_picks) == 401
+
+
+class TestActivationsDoNotRepick:
+    """A pick that starts first periods (the unallocated-time callback)
+    already chose among the periods it opened, so that activation is
+    no scheduling event after it: the slice it dispatches runs on, not
+    cut after one op and re-picked."""
+
+    def test_an_activating_pick_is_not_followed_by_a_repick(self):
+        rng = random.Random(0)
+        rd = ResourceDistributor(
+            machine=MachineConfig(), sim=SimConfig(seed=0), sanitize=True
+        )
+
+        def definition(n):
+            return TaskDefinition(name=f"churn{n}", resource_list=churn_list(rng, 16))
+
+        live = [t.tid for t in rd.admit_many([definition(n) for n in range(16)])]
+        quiet = []
+        kernel, scheduler, picks, started = rd.kernel, rd.scheduler, [], []
+        pick, start_first_period = scheduler.pick, kernel.start_first_period
+
+        def starting(thread, grant, now):
+            started.append(thread)
+            start_first_period(thread, grant, now)
+
+        def watched(now):
+            first_periods = len(started)
+            thread = pick(now)
+            ran = thread.used + thread.overtime_used
+            picks.append((thread, ran, len(started) > first_periods))
+            return thread
+
+        kernel.start_first_period = starting
+        scheduler.pick = watched
+        # dense_churn's shape: one Resource Manager op every simulated
+        # ms — swap a live task for a fresh one, quiesce, wake, or none.
+        for step in range(120):
+            rd.run_for(units.ms_to_ticks(1))
+            op = step % 4
+            if op == 0:
+                rd.exit_thread(live.pop(rng.randrange(len(live))))
+                live.append(rd.admit(definition(16 + step)).tid)
+            elif op == 1 and len(live) > 8:
+                quiet.append(live.pop(rng.randrange(len(live))))
+                rd.enter_quiescent(quiet[-1])
+            elif op == 2 and quiet:
+                live.append(quiet.pop(rng.randrange(len(quiet))))
+                rd.wake(live[-1])
+        activating = [i for i, (_, _, activated) in enumerate(picks) if activated]
+        # A re-pick: the same thread again, before it ran a tick.
+        repicked = [i for i in activating if picks[i + 1][:2] == picks[i][:2]]
+        # Each of these five used to be cut and re-picked at once (12 of
+        # 12 on quarter-scale dense_churn).
+        assert len(activating) == 5 and not repicked
+        assert rd.sanitizer.ok
 
 
 # -- a metrics read folds columns, not events ------------------------------------
