@@ -610,6 +610,7 @@ def _checked(kind, want: str, ok):
 
 _positive_int = _checked(int, "> 0", lambda v: v > 0)
 _positive_float = _checked(float, "> 0", lambda v: v > 0)
+_non_negative_int = _checked(int, ">= 0", lambda v: v >= 0)
 
 
 def _seed(p) -> None:
@@ -631,7 +632,7 @@ def _sanitize(p) -> None:
 
 
 def _width(p) -> None:
-    p.add_argument("--width", type=int, default=96, help="gantt width")
+    p.add_argument("--width", type=_positive_int, default=96, help="gantt width")
 
 
 def _obs_out(
@@ -818,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     _format(p, "report format")
     p.add_argument(
         "--top",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="limit the table to the N most expensive phases (0 = all)",
     )
@@ -854,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="stop starting new scenarios after this much wall time",
@@ -900,10 +901,10 @@ def build_parser() -> argparse.ArgumentParser:
         _seed, under=fuzz_sub,
     )
     p.add_argument(
-        "--mixes", type=int, default=8, help="generated mixes to bisect"
+        "--mixes", type=_positive_int, default=8, help="generated mixes to bisect"
     )
     p.add_argument(
-        "--iterations", type=int, default=10, help="bisection steps per mix"
+        "--iterations", type=_positive_int, default=10, help="bisection steps per mix"
     )
     p.add_argument(
         "--json", action="store_true", help="emit the sweep payload on stdout"

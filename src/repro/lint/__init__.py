@@ -1,23 +1,19 @@
 """repro-lint: static analysis for the Resource Distributor codebase.
 
-An AST-based linter (stdlib only) that encodes this repository's
-architectural invariants as checkable rules:
+An AST-based linter (stdlib only) that encodes the two architectural
+invariants no behaviour test can pin as checkable rules:
 
-* **layering** — imports point down the architecture, never up
-  (``repro.core`` never imports ``viz``/``cli``;
-  the Scheduler never imports the Policy Box);
 * **except-hygiene** — no bare or silent broad ``except`` in the core;
 * **tick-units** — ticks are integers of one timebase: no float literal
-  in a tick position, and no cross-unit flow through any function;
-* **determinism** — simulated ticks only, randomness only through
-  ``sim.rng``'s seeded streams: no wall-clock read or unseeded RNG
-  reachable through any call chain, per one scope table.
+  in a tick position, and no cross-unit flow through any function.
 
 Every run joins the parsed modules into a project index
-(:mod:`repro.lint.flow`) — symbol tables, a resolved call graph, a
-lightweight abstract interpreter — for the checks no single module can
-show.  One rule per contract, and none where a behaviour test already
-pins the contract.  The tree gates at zero findings.
+(:mod:`repro.lint.flow`) — symbol tables, import-resolved call targets,
+a lightweight abstract interpreter — for the checks no single module
+can show.  One rule per contract, and none where a behaviour test
+already pins the contract: determinism is a tier-1 run
+(``tests/test_determinism.py``), layering a tier-1 import graph
+(``tests/test_layering.py``).  The tree gates at zero findings.
 
 Run as ``python -m repro.lint src/`` (or the ``repro-lint`` console
 script); see :mod:`repro.lint.cli` for flags and exit codes, and

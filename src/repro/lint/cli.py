@@ -41,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Static analysis for the Resource Distributor codebase: "
-            "layering, determinism, units discipline, error hygiene, "
-            "and whole-program flow analysis."
+            "error hygiene and tick-units discipline, with whole-program "
+            "flow analysis."
         ),
     )
     parser.add_argument(

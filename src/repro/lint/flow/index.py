@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.lint.rules.base import ModuleInfo, dotted_name, relative_base
 
@@ -48,7 +47,9 @@ class ModuleResolver:
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     self.imports[local] = target
             elif isinstance(node, ast.ImportFrom):
-                base = relative_base(module, node.level, node.module)
+                base = relative_base(
+                    module.module, module.path.name == "__init__.py", node.level, node.module
+                )
                 if base is None:
                     continue
                 for alias in node.names:
@@ -67,15 +68,11 @@ class ModuleResolver:
 
 @dataclass
 class FunctionInfo:
-    """One function or method, located by its fully qualified name.
-
-    The call graph also gives each module's top-level code one entry,
-    ``<module>.<module>``, whose ``node`` is the module itself.
-    """
+    """One function or method, located by its fully qualified name."""
 
     qname: str
     module: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
+    node: ast.FunctionDef | ast.AsyncFunctionDef
     #: Simple name of the enclosing class, ``None`` for module level.
     class_name: str | None = None
 
@@ -94,8 +91,6 @@ class FunctionInfo:
     def param_annotations(self) -> dict[str, str]:
         """Parameter name -> annotation rendered as a dotted name."""
         out: dict[str, str] = {}
-        if isinstance(self.node, ast.Module):
-            return out
         args = self.node.args
         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             if a.annotation is not None:
@@ -128,10 +123,6 @@ class ModuleTable:
     resolver: ModuleResolver
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
-
-    @property
-    def module(self) -> str:
-        return self.info.module
 
 
 def _build_table(info: ModuleInfo) -> ModuleTable:
@@ -206,18 +197,9 @@ class ProjectIndex:
 
     # -- lookup -------------------------------------------------------------
 
-    def table(self, module: str) -> ModuleTable | None:
-        return self.tables.get(module)
-
     def resolver(self, module: str) -> ModuleResolver | None:
         table = self.tables.get(module)
         return table.resolver if table else None
-
-    def iter_functions(self) -> Iterator[FunctionInfo]:
-        for table in self.tables.values():
-            yield from table.functions.values()
-            for cls in table.classes.values():
-                yield from cls.methods.values()
 
     # -- resolution ---------------------------------------------------------
 

@@ -104,7 +104,7 @@ class TickUnitsRule(Rule):
 
     def check_project(self, index: ProjectIndex) -> Iterator[LintViolation]:
         summaries = SummaryTable(index)
-        for fn in index.iter_functions():
+        for fn in index.functions.values():
             interp = DimInterpreter(fn, index, summaries)
             for problem in interp.run():
                 yield self.violation(

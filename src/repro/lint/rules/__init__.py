@@ -11,19 +11,12 @@ from __future__ import annotations
 
 from repro.lint.rules.base import LintViolation, ModuleInfo, Rule
 from repro.lint.rules.hygiene import ExceptHygieneRule
-from repro.lint.rules.layering import LayeringRule
 
-# The whole-program rules import ``rules.base``, so they come after
+# The whole-program rule imports ``rules.base``, so it comes after
 # every submodule above.
-from repro.lint.flow.determinism import DeterminismRule
 from repro.lint.flow.tick_units import TickUnitsRule
 
-RULE_CLASSES: tuple[type[Rule], ...] = (
-    LayeringRule,
-    ExceptHygieneRule,
-    TickUnitsRule,
-    DeterminismRule,
-)
+RULE_CLASSES: tuple[type[Rule], ...] = (ExceptHygieneRule, TickUnitsRule)
 
 
 def all_rules() -> list[Rule]:
@@ -37,8 +30,6 @@ __all__ = [
     "Rule",
     "RULE_CLASSES",
     "all_rules",
-    "DeterminismRule",
     "ExceptHygieneRule",
-    "LayeringRule",
     "TickUnitsRule",
 ]

@@ -4,9 +4,9 @@ A rule is a class with a stable ``id`` (the name used in output and by
 ``--explain``), a docstring explaining the invariant it enforces, and
 one of two methods: ``check`` yields violations for one
 parsed module, ``check_project`` for the whole scanned tree (a
-:class:`~repro.lint.flow.index.ProjectIndex`: symbol tables, call
-graph), and then carries the interprocedural ``witness`` path that
-proves each finding.  Rules never do I/O; the engine hands them fully
+:class:`~repro.lint.flow.index.ProjectIndex`: symbol tables, resolved
+call targets), and then carries the interprocedural ``witness`` path
+that proves each finding.  Rules never do I/O; the engine hands them fully
 parsed :class:`ModuleInfo` objects.
 """
 
@@ -41,8 +41,8 @@ class LintViolation:
     """One broken rule at one source location.
 
     Whole-program violations carry a ``witness``: the interprocedural call
-    path (``a.f -> b.g -> time.time``) that proves the finding, shown
-    in both output formats.
+    path (``a.relay -> a.set_deadline(deadline: ticks)``) that proves the
+    finding, shown in both output formats.
     """
 
     path: str
@@ -122,17 +122,19 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def relative_base(module: ModuleInfo, level: int, target: str | None) -> str | None:
+def relative_base(
+    module: str, is_package: bool, level: int, target: str | None
+) -> str | None:
     """Absolute base of ``from <level dots><target> import ...`` in ``module``.
 
-    One dot is the module's own package: the module itself for a package
-    ``__init__``, its parent otherwise.  ``None`` when the dots climb
-    past the top of the tree.
+    One dot is the module's own package: the module itself when it is a
+    package ``__init__`` (``is_package``), its parent otherwise.  ``None``
+    when the dots climb past the top of the tree.
     """
     if level == 0:
         return target
-    parts = module.module.split(".")
-    if module.path.name != "__init__.py":
+    parts = module.split(".")
+    if not is_package:
         parts.pop()
     if level - 1 > len(parts):
         return None

@@ -25,10 +25,10 @@ package makes that first-class instead of post-hoc trace archaeology:
 Layering: ``repro.obs`` sits beside :mod:`repro.sim` at the bottom of
 the stack.  ``repro.core``, ``repro.sim``, and ``repro.cluster`` may
 all emit into it; ``repro.obs`` itself imports nothing above it (and
-never ``repro.cluster`` — the lint ``layering`` rule enforces both
+never ``repro.cluster`` — tier-1's import-graph test enforces both
 directions).  All timestamps are simulated ticks, never wall-clock
-(the ``determinism`` lint rule covers this package), so two runs with
-the same seed write byte-identical artifacts.
+(tier-1's determinism drivers fence off the host clock), so two runs
+with the same seed write byte-identical artifacts.
 
 Instrumentation is off by default: a run is observed by an
 :class:`~repro.obs.session.ObsSession` or not at all.  Every hook site

@@ -22,9 +22,9 @@ importable on its own:
 :class:`ArenaBus` and derives every artifact from it.
 
 Layering: ``repro.core`` and ``repro.sim`` emit through the duck-typed
-bus they are handed and must never import this package (lint-enforced);
-the package itself only sees abstract transports (the cluster layer
-owns the actual MessageBus plane).
+bus they are handed and must never import this package (tier-1's
+import-graph test enforces it); the package itself only sees abstract
+transports (the cluster layer owns the actual MessageBus plane).
 """
 
 from repro.obs.pipeline.aggregate import (

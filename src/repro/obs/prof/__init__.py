@@ -13,7 +13,7 @@ keep passing.
 
 This package is the sanctioned wall-clock funnel for the observability
 layer: it is the only ``repro.obs`` code allowed to read
-``time.perf_counter_ns`` (the ``determinism`` lint rule exempts it), and it must
+``time.perf_counter_ns`` (tier-1's determinism drivers let it), and it must
 never be imported from ``repro.core`` or ``repro.sim`` — hook sites
 there hold a duck-typed ``self.prof`` slot wired from above.
 """

@@ -7,8 +7,8 @@ stdlib-only HTTP service (``python -m repro serve``) and ships a seeded
 open-loop load generator (``python -m repro loadgen``) whose exit code
 gates zero 5xx / connection failures.
 
-Nothing below this package may import it; the layering lint enforces
-that edge.
+Nothing below this package may import it; tier-1's import-graph test
+(``tests/test_layering.py``) enforces that edge.
 """
 
 from repro.serve.app import ServeApp

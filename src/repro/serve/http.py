@@ -25,9 +25,10 @@ an awaitable :class:`Response`:
 Unlike every layer below it, this module lives in wall-clock land:
 socket readiness is real time.  That is the design, not an accident —
 the serving layer is the boundary where the deterministic simulation
-meets live clients, and the ``determinism`` lint rule's scope table
-names only the simulated layers precisely so this one can be honest
-about being a network service.
+meets live clients.  Tier-1's determinism drivers (which fence off the
+host clock) run only the simulated layers, and no simulated layer may
+import this one, precisely so it can be honest about being a network
+service.
 """
 
 from __future__ import annotations

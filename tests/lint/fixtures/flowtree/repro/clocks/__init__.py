@@ -1,9 +1,6 @@
 """Fixture: a package ``__init__`` that reaches a wall-clock read through
-a relative import.
-
-``repro.clocks`` is outside the determinism scope, so the read is no
-finding here; a covered caller of ``drift`` is one
-(``core/bad_package_reach.py``).
+a relative import; a caller of ``drift`` is caught with both in its
+chain (``core/bad_package_reach.py``).
 """
 
 from .host import read

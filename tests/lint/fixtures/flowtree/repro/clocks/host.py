@@ -1,4 +1,4 @@
-"""Fixture: the host clock, outside the determinism scope."""
+"""Fixture: the host clock, read one module below its caller."""
 
 import time
 

@@ -1,5 +1,5 @@
 """Fixture: a ``self.bus`` receiver typed by an annotated ``__init__``
-parameter (clean: the call graph resolves it to ``MessageBus.send``)."""
+parameter (clean: the index resolves it to ``MessageBus.send``)."""
 
 from repro.sim.messages import MessageBus
 

@@ -1,4 +1,4 @@
-"""Fixture: out-of-scope helper calls that reach no sink (clean)."""
+"""Fixture: helper calls that reach no sink (clean)."""
 
 from repro.helpers import util
 

@@ -1,10 +1,7 @@
-"""Fixture: helpers OUTSIDE the determinism scope.
+"""Fixture: helpers that read host state for their callers.
 
-The ``determinism`` rule's scope table does not cover
-``repro.helpers``, so a sink here is no finding by itself.  A covered
-caller that reaches ``stamp``/``jitter``/``chain`` is flagged at its
-call site, with the path witness (``caller -> helper -> sink``) in
-the diagnostic.
+A caller that reaches ``stamp``/``jitter``/``chain`` is caught with the
+call chain (``caller -> helper -> sink``) that made the read.
 """
 
 import random

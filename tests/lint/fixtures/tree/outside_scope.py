@@ -1,4 +1,5 @@
-"""Fixture: scoped rules ignore modules outside repro.core / repro.sim."""
+"""Fixture: scoped rules and the host-state guard ignore modules outside
+``repro`` (the guard's harness) and outside repro.core / repro.sim."""
 
 import time
 

@@ -1,8 +1,8 @@
 """Fixture: everything the serving layer is allowed to do (all
 negatives).  It imports freely *downward* (cluster, obs, core) and it
-reads the wall clock — the one layer where that is architecture-legal,
-because the determinism rule scopes its checks to the simulated
-packages rather than exempting call sites."""
+reads the wall clock — the one layer where that is architecture-legal:
+no determinism driver runs it, and no simulated layer may import it
+(``tests/test_layering.py``)."""
 
 import time
 

@@ -1,10 +1,9 @@
-"""Flow substrate: project index, shared resolver, call graph."""
+"""Flow substrate: project index, shared resolver, call targets."""
 
 import ast
 from pathlib import Path
 
 from repro.lint import ModuleResolver, collect_files, parse_module
-from repro.lint.flow.callgraph import CallGraph, ext
 from repro.lint.flow.index import ProjectIndex
 from repro.lint.rules.base import dotted_name
 
@@ -91,80 +90,29 @@ class TestProjectIndex:
         assert cls.attr_types["bus"] == "MessageBus"
 
 
+def call_targets(index, qname):
+    """Every resolved target of the calls in function ``qname``."""
+    fn = index.functions[qname]
+    calls = [node for node in ast.walk(fn.node) if isinstance(node, ast.Call)]
+    return {index.resolve_call_target(fn, call) for call in calls} - {None}
+
+
 class TestCallGraph:
+    """Call targets as the ``tick-units`` pass resolves them: across
+    modules, out to imported names, and through typed ``self``
+    attributes."""
+
     def test_edges_resolve_across_modules(self):
-        index = build_index()
-        graph = CallGraph(index)
-        callees = {s.callee for s in graph.callees("repro.core.bad_reach.activate")}
-        assert "repro.helpers.util.stamp" in callees
+        targets = call_targets(build_index(), "repro.core.bad_reach.activate")
+        assert ("internal", "repro.helpers.util.stamp") in targets
 
     def test_external_sinks_get_ext_keys(self):
-        index = build_index()
-        graph = CallGraph(index)
-        callees = {s.callee for s in graph.callees("repro.helpers.util.stamp")}
-        assert ext("time.monotonic") in callees
-
-    def test_reaches_returns_shortest_witness(self):
-        index = build_index()
-        graph = CallGraph(index)
-        path = graph.reaches(
-            "repro.core.bad_reach.schedule", {ext("time.monotonic")}
-        )
-        assert path == [
-            "repro.core.bad_reach.schedule",
-            "repro.helpers.util.chain",
-            "repro.helpers.util.stamp",
-            "ext:time.monotonic",
-        ]
+        targets = call_targets(build_index(), "repro.helpers.util.stamp")
+        assert targets == {("external", "time.monotonic")}
 
     def test_annotated_self_attr_receiver_resolves(self):
         """``self.bus.send`` where ``__init__`` took ``bus: MessageBus``."""
-        graph = CallGraph(build_index())
         place = "repro.cluster.mini_broker.MiniBroker.place"
-        callees = {s.callee for s in graph.callees(place)}
-        assert callees == {"repro.sim.messages.MessageBus.send"}
-
-    def test_unreachable_returns_none(self):
-        index = build_index()
-        graph = CallGraph(index)
-        assert (
-            graph.reaches("repro.core.good_reach.advance", {ext("time.monotonic")})
-            is None
-        )
-
-    def test_skip_prunes_paths(self):
-        index = build_index()
-        graph = CallGraph(index)
-        path = graph.reaches(
-            "repro.core.bad_reach.schedule",
-            {ext("time.monotonic")},
-            skip=lambda key: key == "repro.helpers.util.chain",
-        )
-        assert path is None
-
-    def test_a_target_can_be_a_test_on_the_call(self):
-        index = build_index()
-        graph = CallGraph(index)
-        path = graph.reaches(
-            "repro.core.bad_determinism.seeded",
-            lambda site: site.callee == ext("random.Random") and not site.node.args,
-        )
-        assert path is None
-        path = graph.reaches(
-            "repro.core.bad_determinism.seeded",
-            lambda site: site.callee == ext("random.Random"),
-        )
-        assert path == ["repro.core.bad_determinism.seeded", "ext:random.Random"]
-
-    def test_top_level_code_is_one_node_per_module(self):
-        index = build_index()
-        graph = CallGraph(index)
-        top = "repro.cluster.bad_determinism.<module>"
-        assert {s.callee for s in graph.callees(top)} == {
-            ext("time.time"),
-            ext("random.random"),
+        assert call_targets(build_index(), place) == {
+            ("internal", "repro.sim.messages.MessageBus.send")
         }
-        assert top in {caller.qname for caller in graph.callers}
-        # A method's body belongs to the method, not to the module.
-        method = "repro.cluster.bad_determinism.Jitter.skew"
-        assert {s.callee for s in graph.callees(method)} == {ext("random.randint")}

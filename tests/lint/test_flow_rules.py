@@ -1,14 +1,19 @@
-"""Whole-program rule behavior on the fixture project under fixtures/flowtree.
+"""Whole-program behaviour on the fixture project under fixtures/flowtree.
 
-Every such rule gets a violating fixture (asserting exact lines and the
-interprocedural path witness) and a clean fixture (asserting silence).
+The ``tick-units`` rule gets a violating fixture (asserting exact lines
+and the interprocedural path witness) and a clean fixture (asserting
+silence); the determinism fixtures run under the host-state guard.
 """
 
+import contextlib
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.lint import run_lint
+from repro.lint import module_name, run_lint
+from tests.determinism_guard import HostStateGuard
 
 FLOWTREE = Path(__file__).parent / "fixtures" / "flowtree"
 
@@ -81,93 +86,121 @@ class TestFuzzSporadicTickUnits:
         assert [v for v in violations if v.rule_id == "tick-units"] == []
 
 
+@contextlib.contextmanager
+def flowtree_guard():
+    """Import FLOWTREE's ``repro`` package in place of the real one, inside
+    a recording host-state guard (``tests/determinism_guard.py``)."""
+
+    def ours():
+        return [name for name in sys.modules if name == "repro" or name.startswith("repro.")]
+
+    real = {name: sys.modules.pop(name) for name in ours()}
+    sys.path.insert(0, str(FLOWTREE))
+    try:
+        with HostStateGuard(strict=False) as guard:
+            yield guard
+    finally:
+        sys.path.remove(str(FLOWTREE))
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(real)
+
+
+def run_flowtree(module, *calls):
+    """The guard's findings for importing ``module`` and calling each
+    named function of it with ``0``."""
+    with flowtree_guard() as guard:
+        loaded = importlib.import_module(module)
+        for name in calls:
+            getattr(loaded, name)(0)
+    return guard.findings
+
+
+#: How to run every marked line of each ``bad_determinism`` fixture
+#: (importing it runs its module level and class bodies).
+MARKED_RUNS = {
+    "repro/cluster/bad_determinism.py": lambda m: (m.Jitter().settle(0), m.epoch(0)),
+    "repro/obs/bad_determinism.py": lambda m: m.sample_rate(),
+    "repro/core/bad_determinism.py": lambda m: (
+        m.fresh(),
+        m.by_keyword(),
+        m.entropy(),
+        m.seeded(),
+    ),
+}
+
+
 class TestDeterminismReachRule:
-    """The ``determinism`` rule across calls: a sink reached through
-    helpers outside its scope table's packages, at any depth."""
+    """The retired ``determinism`` rule's reach fixtures, run under the
+    tier-1 host-state guard: a read reached through helpers, at any
+    depth, is caught with the call chain that made it."""
 
-    def test_flags_all_seeded_sites(self, flow_violations):
-        found = by_file(flow_violations, "bad_reach.py")
-        assert [(v.line, v.rule_id) for v in found] == [
-            (11, "determinism"),
-            (15, "determinism"),
-            (19, "determinism"),
-        ]
+    def test_flags_all_seeded_sites(self):
+        path = str(FLOWTREE / "repro/core/bad_reach.py")
+        found = run_flowtree("repro.core.bad_reach", "activate", "schedule", "perturb")
+        assert [f.lines_in(path) for f in found] == [[11], [15], [19]]
 
-    def test_two_hop_witness(self, flow_violations):
-        (v,) = [v for v in by_file(flow_violations, "bad_reach.py") if v.line == 11]
-        assert "time.monotonic() is reachable" in v.message
-        assert v.witness == (
+    def test_two_hop_witness(self):
+        (found,) = run_flowtree("repro.core.bad_reach", "activate")
+        assert found.witness == (
             "repro.core.bad_reach.activate",
             "repro.helpers.util.stamp",
             "time.monotonic",
         )
 
-    def test_three_hop_witness(self, flow_violations):
-        (v,) = [v for v in by_file(flow_violations, "bad_reach.py") if v.line == 15]
-        assert "(3 call(s) away)" in v.message
-        assert v.witness == (
+    def test_three_hop_witness(self):
+        (found,) = run_flowtree("repro.core.bad_reach", "schedule")
+        assert found.witness == (
             "repro.core.bad_reach.schedule",
             "repro.helpers.util.chain",
             "repro.helpers.util.stamp",
             "time.monotonic",
         )
 
-    def test_unseeded_rng_sink(self, flow_violations):
-        (v,) = [v for v in by_file(flow_violations, "bad_reach.py") if v.line == 19]
-        assert "random.random() is reachable" in v.message
-        assert v.witness[-1] == "random.random"
+    def test_unseeded_rng_sink(self):
+        (found,) = run_flowtree("repro.core.bad_reach", "perturb")
+        assert found.witness[-1] == "random.random"
 
-    def test_clean_fixture_is_silent(self, flow_violations):
-        assert by_file(flow_violations, "good_reach.py") == []
+    def test_clean_fixture_is_silent(self):
+        assert run_flowtree("repro.core.good_reach", "advance") == []
 
-    @pytest.mark.parametrize(
-        "relpath",
-        [
-            "repro/cluster/bad_determinism.py",
-            "repro/obs/bad_determinism.py",
-            "repro/core/bad_determinism.py",
-        ],
-    )
-    def test_every_marked_line_is_flagged(self, flow_violations, relpath):
-        """Direct sinks in cluster and obs, at module level, in a class
+    @pytest.mark.parametrize("relpath", list(MARKED_RUNS))
+    def test_every_marked_line_is_flagged(self, relpath):
+        """Direct reads in cluster and obs, at module level, in a class
         body and at the end of an in-package chain, and RNGs seeded from
-        OS entropy: each ``# flagged`` line is one finding, no other
-        line of the file is (so a chain inside the package is reported
-        once, where it reaches the sink)."""
+        OS entropy: each ``# flagged`` line is the innermost line of one
+        finding in its file, and no other line of the file is."""
         path = FLOWTREE / relpath
         marked = [
             number
             for number, text in enumerate(path.read_text().splitlines(), 1)
             if text.endswith("# flagged")
         ]
-        found = [v for v in flow_violations if Path(v.path) == path]
+        with flowtree_guard() as guard:
+            MARKED_RUNS[relpath](importlib.import_module(module_name(path)))
         assert marked
-        assert [v.line for v in found] == marked
-        assert {v.rule_id for v in found} == {"determinism"}
+        assert [f.lines_in(str(path))[-1] for f in guard.findings] == marked
 
-    def test_a_package_init_resolves_its_relative_imports(self, flow_violations):
+    def test_a_package_init_resolves_its_relative_imports(self):
         """``repro.clocks``' ``__init__`` reaches the host clock through
-        ``from .host import read``: its covered caller is a finding."""
-        (v,) = by_file(flow_violations, "bad_package_reach.py")
-        assert (v.line, v.rule_id) == (8, "determinism")
-        assert v.witness == (
+        ``from .host import read``: its caller's chain names both."""
+        (found,) = run_flowtree("repro.core.bad_package_reach", "skew")
+        assert found.lines_in(str(FLOWTREE / "repro/core/bad_package_reach.py")) == [8]
+        assert found.witness == (
             "repro.core.bad_package_reach.skew",
             "repro.clocks.drift",
             "repro.clocks.host.read",
             "time.monotonic",
         )
 
-    def test_a_direct_call_is_a_witness_of_one_call(self, flow_violations):
-        (v,) = [
-            v
-            for v in by_file(flow_violations, "bad_determinism.py")
-            if "SystemRandom" in v.message
-        ]
-        assert v.witness == (
+    def test_a_direct_call_is_a_witness_of_one_call(self):
+        with flowtree_guard() as guard:
+            importlib.import_module("repro.core.bad_determinism").entropy()
+        (found,) = guard.findings
+        assert found.witness == (
             "repro.core.bad_determinism.entropy",
             "random.SystemRandom",
         )
-        assert "random.SystemRandom() in repro.core.bad_determinism.entropy" in v.message
 
 
 class TestFlowTierWiring:

@@ -1,9 +1,12 @@
 """Each lint rule against its positive (violating) and negative (clean)
 fixtures under ``tests/lint/fixtures/tree``."""
 
+import importlib.util
 from pathlib import Path
 
-from repro.lint import run_lint
+from repro.lint import module_name, run_lint
+from tests.determinism_guard import HostStateGuard
+from tests.test_layering import layer_breaks
 
 TREE = Path(__file__).parent / "fixtures" / "tree"
 
@@ -16,135 +19,151 @@ def rule_ids(violations):
     return [v.rule_id for v in violations]
 
 
+def breaks(relpath):
+    return layer_breaks([TREE / relpath])
+
+
+def guarded(relpath, *calls):
+    """Load a fixture under its dotted name inside a recording guard,
+    make each call (a function name, or ``(name, *args)``) and return
+    the guard's findings."""
+    path = TREE / relpath
+    spec = importlib.util.spec_from_file_location(module_name(path), path)
+    with HostStateGuard(strict=False) as guard:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for call in calls:
+            name, *args = (call,) if isinstance(call, str) else call
+            getattr(module, name)(*args)
+    return guard.findings
+
+
 class TestLayering:
+    """The retired ``layering`` rule's fixtures, read by the tier-1
+    import-graph check (``tests/test_layering.py``): each import the rule
+    flagged crosses a layer there too, and each clean file crosses none."""
+
     def test_scheduler_importing_policy_box_is_flagged(self):
-        violations = lint("repro/core/scheduler.py")
-        assert rule_ids(violations) == ["layering", "layering"]
-        assert "policy_box" in violations[0].message
+        found = breaks("repro/core/scheduler.py")
+        assert len(found) == 2
+        assert "policy_box" in found[0].imported
         # Both the absolute and the relative import form are caught.
-        assert {v.line for v in violations} == {3, 4}
+        assert {b.line for b in found} == {3, 4}
 
     def test_core_importing_presentation_is_flagged(self):
-        violations = lint("repro/core/presentation.py")
-        assert rule_ids(violations) == ["layering"] * 2
-        assert any("repro.cli" in v.message for v in violations)
-        assert any("repro.viz" in v.message for v in violations)
+        found = breaks("repro/core/presentation.py")
+        assert len(found) == 2
+        assert any("repro.cli" in b.imported for b in found)
+        assert any("repro.viz" in b.imported for b in found)
 
     def test_sim_importing_core_or_metrics_is_flagged(self):
-        violations = lint("repro/sim/bad_layering.py")
-        assert rule_ids(violations) == ["layering", "layering"]
+        assert {b.target for b in breaks("repro/sim/bad_layering.py")} == {
+            "repro.core",
+            "repro.metrics",
+        }
 
     def test_core_importing_cluster_is_flagged(self):
-        violations = lint("repro/core/bad_cluster.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.cluster" in violations[0].message
+        (found,) = breaks("repro/core/bad_cluster.py")
+        assert found.target == "repro.cluster"
 
     def test_sim_importing_cluster_is_flagged(self):
-        violations = lint("repro/sim/bad_cluster.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.cluster" in violations[0].message
+        (found,) = breaks("repro/sim/bad_cluster.py")
+        assert found.target == "repro.cluster"
 
     def test_obs_importing_cluster_is_flagged(self):
-        violations = lint("repro/obs/bad_cluster.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.cluster" in violations[0].message
+        (found,) = breaks("repro/obs/bad_cluster.py")
+        assert found.target == "repro.cluster"
 
     def test_obs_importing_core_or_sim_is_flagged(self):
-        violations = lint("repro/obs/bad_core.py")
-        assert rule_ids(violations) == ["layering", "layering"]
-        assert any("repro.core" in v.message for v in violations)
-        assert any("repro.sim" in v.message for v in violations)
+        found = breaks("repro/obs/bad_core.py")
+        assert [b.target for b in found] == ["repro.core", "repro.sim"]
 
     def test_core_importing_serve_is_flagged(self):
-        violations = lint("repro/core/bad_serve.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.serve" in violations[0].message
+        (found,) = breaks("repro/core/bad_serve.py")
+        assert found.target == "repro.serve"
 
     def test_cluster_importing_serve_is_flagged(self):
-        violations = lint("repro/cluster/bad_serve.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.serve" in violations[0].message
+        (found,) = breaks("repro/cluster/bad_serve.py")
+        assert found.target == "repro.serve"
 
     def test_core_importing_prof_is_flagged(self):
-        violations = lint("repro/core/bad_prof_import.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.obs.prof" in violations[0].message
+        (found,) = breaks("repro/core/bad_prof_import.py")
+        assert found.target == "repro.obs.prof"
 
     def test_sim_importing_prof_is_flagged(self):
-        violations = lint("repro/sim/bad_prof_import.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.obs.prof" in violations[0].message
+        (found,) = breaks("repro/sim/bad_prof_import.py")
+        assert found.target == "repro.obs.prof"
 
     def test_core_importing_obs_pipeline_is_flagged(self):
-        violations = lint("repro/core/bad_pipeline_import.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.obs.pipeline" in violations[0].message
+        (found,) = breaks("repro/core/bad_pipeline_import.py")
+        assert found.target == "repro.obs.pipeline"
 
     def test_sim_importing_obs_pipeline_is_flagged(self):
-        violations = lint("repro/sim/bad_pipeline_import.py")
-        assert rule_ids(violations) == ["layering"]
-        assert "repro.obs.pipeline" in violations[0].message
+        (found,) = breaks("repro/sim/bad_pipeline_import.py")
+        assert found.target == "repro.obs.pipeline"
 
     def test_cluster_may_import_obs_pipeline(self):
-        assert lint("repro/cluster/good_pipeline_import.py") == []
+        assert breaks("repro/cluster/good_pipeline_import.py") == []
 
     def test_serve_may_import_down_and_read_the_wall_clock(self):
-        """The serving boundary's wall-clock exemption is a property of
-        its *position*, not a blanket waiver: the module imports
-        cluster/obs/core and reads time.monotonic, and no rule fires —
-        while the reverse imports (above) are all flagged."""
+        """The serving boundary imports cluster/obs/core and reads
+        time.monotonic: no layer is crossed and no rule fires — while
+        the reverse imports (above) all cross one."""
+        assert breaks("repro/serve/clean.py") == []
         assert lint("repro/serve/clean.py") == []
 
     def test_clean_core_module_passes(self):
-        assert lint("repro/core/clean.py") == []
+        assert breaks("repro/core/clean.py") == []
 
     def test_clean_obs_module_passes(self):
-        assert lint("repro/obs/clean.py") == []
+        assert breaks("repro/obs/clean.py") == []
 
 
 class TestWallClock:
-    """The wall-clock row of the ``determinism`` scope table."""
+    """The retired ``determinism`` rule's wall-clock fixtures, run under
+    the tier-1 host-state guard (``tests/determinism_guard.py``)."""
 
     def test_wallclock_reads_in_core_are_flagged(self):
-        violations = [v for v in lint("repro/core/bad_clock.py") if v.rule_id == "determinism"]
-        assert len(violations) == 2
-        assert all(v.message.startswith("wall-clock read ") for v in violations)
-        assert any("time.time" in v.message for v in violations)
-        assert any("datetime.now" in v.message for v in violations)
+        found = guarded("repro/core/bad_clock.py", "stamp", "stamp2")
+        assert [f.sink for f in found] == ["time.time", "datetime.now"]
 
     def test_wallclock_reads_in_obs_are_flagged(self):
-        violations = lint("repro/obs/bad_clock.py")
-        assert rule_ids(violations) == ["determinism"]
-        assert "time.time" in violations[0].message
+        (found,) = guarded("repro/obs/bad_clock.py", "stamp_event")
+        assert found.witness == ("repro.obs.bad_clock.stamp_event", "time.time")
 
     def test_wallclock_outside_sim_core_is_ignored(self):
-        assert lint("outside_scope.py") == []
+        """A module outside ``repro`` is the harness, not the program."""
+        assert guarded("outside_scope.py", "now") == []
 
     def test_prof_package_is_exempt(self):
-        """``repro.obs.prof`` is the sanctioned wall-clock funnel: it
+        """``repro.obs.prof`` is a sanctioned wall-clock funnel: it
         measures host cost by design, and its timings land in a
         separate never-byte-compared artifact."""
-        assert lint("repro/obs/prof/clean.py") == []
+        assert guarded("repro/obs/prof/clean.py", "stamp") == []
 
 
 class TestUnseededRandom:
-    """The RNG row of the ``determinism`` scope table."""
+    """The retired ``determinism`` rule's RNG fixtures, run under the
+    host-state guard."""
 
     def test_global_random_use_in_core_is_flagged(self):
-        violations = lint("repro/core/bad_random.py")
-        assert rule_ids(violations) == ["determinism"] * 3
-        # ``from random import choice`` is reported at the import (line
-        # 4), not again at the call through the imported name (line 16).
-        assert [v.line for v in violations] == [4, 8, 12]
-        assert "random.choice() imported by name" in violations[0].message
-        assert any("random.random()" in v.message for v in violations)
-        assert any("random.Random()" in v.message for v in violations)
+        path = TREE / "repro/core/bad_random.py"
+        found = guarded("repro/core/bad_random.py", "jitter", "fresh", ("pickone", [1]))
+        assert [f.sink for f in found] == ["random.random", "random.Random", "random.choice"]
+        # ``from random import choice`` is caught where the name is called.
+        assert [f.lines_in(str(path)) for f in found] == [[8], [12], [16]]
 
     def test_sim_rng_module_is_exempt(self):
-        assert lint("repro/sim/rng.py") == []
+        """The seeded stream registry needs no exemption: every stream
+        it hands out is seeded."""
+        from repro.sim.rng import RngRegistry
+
+        with HostStateGuard() as guard:
+            RngRegistry(7).stream("jitter").random()
+        assert guard.findings == []
 
     def test_seeded_random_instance_passes(self):
-        assert lint("repro/core/clean.py") == []
+        assert guarded("repro/core/clean.py", ("grant_delay", 10)) == []
 
 
 class TestFloatTicks:
@@ -178,27 +197,19 @@ class TestExceptHygiene:
 
 class TestWholeTree:
     def test_fixture_tree_totals(self):
-        """Linting the whole fixture tree finds every seeded violation —
-        and nothing in the clean files."""
-        violations = run_lint([TREE])
-        by_file = {}
-        for v in violations:
-            by_file.setdefault(Path(v.path).name, []).append(v)
-        assert "clean.py" not in by_file
-        assert "rng.py" not in by_file
-        assert "outside_scope.py" not in by_file
-        determinism = {
-            (Path(v.path).relative_to(TREE).as_posix(), v.line)
-            for v in violations
-            if v.rule_id == "determinism"
+        """Linting the whole fixture tree finds every seeded violation of
+        the two rules — and nothing in the clean files."""
+        found = {
+            (Path(v.path).relative_to(TREE).as_posix(), v.line, v.rule_id)
+            for v in run_lint([TREE])
         }
-        assert determinism == {
-            ("repro/core/bad_clock.py", 8),
-            ("repro/core/bad_clock.py", 12),
-            ("repro/core/bad_random.py", 4),
-            ("repro/core/bad_random.py", 8),
-            ("repro/core/bad_random.py", 12),
-            ("repro/obs/bad_clock.py", 8),
+        assert found == {
+            ("loose_float.py", 6, "tick-units"),
+            ("loose_float.py", 10, "tick-units"),
+            ("loose_float.py", 11, "tick-units"),
+            ("loose_float.py", 13, "tick-units"),
+            ("repro/core/bad_except.py", 7, "except-hygiene"),
+            ("repro/core/bad_except.py", 14, "except-hygiene"),
         }
 
     def test_shipped_src_tree_is_clean(self):
