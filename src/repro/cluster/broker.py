@@ -6,7 +6,14 @@ pluggable :mod:`placement <repro.cluster.placement>` policy and walks
 the ranking, sending an admission RPC to each node until one accepts.
 A node's own :class:`~repro.core.admission.AdmissionController` remains
 the sole authority on whether a task fits — the broker never
-second-guesses a denial, it just tries the next candidate.
+second-guesses a denial, it just tries the next candidate.  Before it
+ranks, the broker asks that same rule about each node on *empty books*
+(``AdmissionController(capacity).can_admit(min_rate)``) and drops the
+nodes it refuses: a task whose minimum exceeds a node's whole
+schedulable capacity can never be admitted there, so it is offered
+only to the nodes that could hold it, and when none could it is denied
+at once without an RPC.  On everything that could fit, the node
+decides.
 
 All broker <-> node traffic crosses the deterministic
 :class:`~repro.sim.messages.MessageBus`, so requests and replies can be
@@ -56,6 +63,7 @@ from repro import units
 from repro.cluster.node import NodeLoadReport
 from repro.cluster.placement import NodeView, PlacementPolicy
 from repro.cluster.telemetry import TelemetryAggregator, TelemetrySnapshot
+from repro.core.admission import AdmissionController
 from repro.obs.events import MigrationEvent, RpcEvent
 from repro.sim.messages import Envelope, MessageBus
 from repro.sim.phase import phase
@@ -179,6 +187,11 @@ class ClusterBroker:
             name: NodeView(name=name, index=i, capacity=cap, headroom=cap)
             for i, (name, cap) in enumerate(nodes.items())
         }
+        #: One empty admission controller per distinct node capacity:
+        #: the node's own rule, asked whether the task could fit at all.
+        self._empty_books: dict[float, AdmissionController] = {
+            cap: AdmissionController(cap) for cap in nodes.values()
+        }
         self.placements: dict[str, PlacedTask] = {}
         self.stats = BrokerStats()
         #: Tasks denied cluster-wide: (task name, last error).
@@ -205,12 +218,26 @@ class ClusterBroker:
     def submit(self, task: str, definition: TaskDefinition, now: int) -> None:
         """Place ``task`` somewhere in the cluster (asynchronously)."""
         self.stats.submitted += 1
-        order = self.policy.order(self._view_list(), definition.resource_list.minimum.rate)
+        min_rate = definition.resource_list.minimum.rate
+        could_hold = {
+            cap for cap, books in self._empty_books.items() if books.can_admit(min_rate)
+        }
+        views = self._view_list()
+        if len(could_hold) < len(self._empty_books):
+            views = [v for v in views if v.capacity in could_hold]
+        order = self.policy.order(views, min_rate)
         op_span = None
         if self._spans is not None:
             op_span = self._spans.start(
                 f"place:{task}", now, task=task, candidates=len(order)
             )
+        if not could_hold and self._empty_books:
+            error = (
+                f"minimum rate {min_rate:.3f} exceeds every node's schedulable "
+                f"capacity ({max(self._empty_books):.3f})"
+            )
+            self._admit_failed(task, "place", error, now, op_span)
+            return
         self._start_admit(task, definition, order, "place", None, now, op_span)
 
     def withdraw(self, task: str, now: int) -> None:

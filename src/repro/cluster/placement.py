@@ -1,9 +1,13 @@
 """Placement policies: ordering candidate nodes for an admission.
 
 A policy never admits anything itself — it only ranks the broker's view
-of the nodes.  The broker then walks the ranking, sending an admission
-RPC to each node in turn until one accepts (a node's own
-AdmissionController stays the sole authority on whether the task fits).
+of the nodes.  The broker hands it only the nodes whose own admission
+rule, asked on empty books, could hold the task's minimum, then walks
+the ranking, sending an admission RPC to each node in turn until one
+accepts (on anything that could fit, a node's own AdmissionController
+stays the sole authority).  Each policy keys every view on its own, so
+dropping the nodes that could never hold the task leaves the order of
+the rest unchanged.
 That split mirrors the paper's mechanism/policy separation one level
 up: per-node admission is mechanism, cross-node placement is policy.
 

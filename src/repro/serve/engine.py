@@ -115,6 +115,10 @@ class ServeEngine:
         fired: list[dict] = []
         pending: list[tuple[int, str, object]] = []
         results: list[dict | None] = [None] * len(ops)
+        # Denials this commit appends start here: a submit fired below
+        # is denied either at once (no node could ever hold it) or
+        # while settling, never in an earlier commit.
+        first_denial = len(self.sim.broker.denials)
         for i, op in enumerate(ops):
             kind = op.get("op")
             if kind == "submit":
@@ -153,15 +157,17 @@ class ServeEngine:
                 fired[0] if len(fired) == 1 else {"op": "commit", "ops": fired}
             )
             self.sim.settle()
+        # Later entries win, as the broker's latest word on a name.
+        denied = dict(self.sim.broker.denials[first_denial:])
         for i, kind, record in pending:
             if kind == "submit":
-                results[i] = self._resolve(record)
+                results[i] = self._resolve(record, denied)
             elif kind == "batch":
                 results[i] = {
                     "status": "applied",
                     "now": self.sim.now,
                     "tasks": [
-                        r if r["status"] == "rejected" else self._resolve(r)
+                        r if r["status"] == "rejected" else self._resolve(r, denied)
                         for r in record
                     ],
                 }
@@ -243,8 +249,10 @@ class ServeEngine:
         self.sim.broker.submit(name, definition, self.sim.now)
         return record
 
-    def _resolve(self, record: dict) -> dict:
-        """Read the settled outcome of one started admission."""
+    def _resolve(self, record: dict, denied: dict[str, str]) -> dict:
+        """Read the settled outcome of one started admission; ``denied``
+        maps each task the broker denied during this commit to its
+        reason."""
         name = record["task"]
         node = self.sim.broker.node_of(name)
         if node is not None:
@@ -252,15 +260,9 @@ class ServeEngine:
             record["node"] = node
         else:
             record["status"] = "denied"
-            record["error"] = self._denial_reason(name)
+            record["error"] = denied.get(name, "denied")
         record["resolved_at"] = self.sim.now
         return record
-
-    def _denial_reason(self, task: str) -> str:
-        for name, error in reversed(self.sim.broker.denials):
-            if name == task:
-                return error
-        return "denied"
 
     # -- read-only views ----------------------------------------------------
 

@@ -31,6 +31,25 @@ class TestSubmit:
         assert result["status"] == "denied"
         assert result["error"]
 
+    def test_each_denial_in_a_commit_reports_its_own_reason(self):
+        eng = engine(nodes=1)
+        eng.submit(spec("w", rate=0.5))
+        eng.remove("w")
+        # One tick: "a" and "b" both go to node00, which holds only one;
+        # the whale "w" reuses a name and is denied before any RPC.
+        a, b, w = eng.commit(
+            [{"op": "submit", "spec": spec(n, rate=r)}
+             for n, r in (("a", 0.6), ("b", 0.6), ("w", 0.99))]
+        )
+        assert (a["status"], b["status"], w["status"]) == (
+            "admitted", "denied", "denied"
+        )
+        assert b["error"] == "no candidate nodes"
+        assert w["error"] == (
+            "minimum rate 0.990 exceeds every node's schedulable capacity (0.960)"
+        )
+        assert eng.task("w")["error"] == w["error"]
+
     def test_bad_specs_are_rejected_without_touching_the_broker(self):
         eng = engine()
         for bad in (

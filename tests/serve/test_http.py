@@ -93,6 +93,24 @@ class TestRoutes:
 
         run_with_app(scenario)
 
+    def test_a_whale_is_denied_without_an_rpc(self):
+        error = "minimum rate 0.990 exceeds every node's schedulable capacity (0.960)"
+
+        async def scenario(app):
+            sim = app.engine.sim
+            sent = sim.bus.stats.sent
+            status, body = await call(app, "POST", "/v1/tasks", spec("w", rate=0.99))
+            assert (status, body["status"], body["error"]) == (200, "denied", error)
+            assert sim.bus.stats.sent == sent
+            assert sim.broker.denials[-1] == ("w", error)
+            status, body = await call(app, "GET", "/v1/tasks/w")
+            assert (status, body["status"], body["error"]) == (200, "denied", error)
+            status, body = await call(app, "GET", "/v1/stats")
+            assert (status, body["submitted"], body["denied"]) == (200, 1, 1)
+            assert not [e for e in app.engine.session.events if e.type == "admission"]
+
+        run_with_app(scenario)
+
     def test_batch_body(self):
         async def scenario(app):
             status, body = await call(
